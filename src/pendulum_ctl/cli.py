@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 configuration error, 2 synthesis failure,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -19,13 +20,13 @@ import numpy as np
 
 from .errors import ConfigError, SynthesisError
 from .linearize import (
-    _format_matrix,
     discretize_zoh,
     jacobian_linearize,
     nxtway_statespace_closed_form,
     rotpen_statespace_closed_form,
     save_statespace,
 )
+from .matrixfile import format_matrix
 from .metrics import comparison_report, compute_metrics, save_metrics_csv
 from .plants import default_params
 from .simulate import (
@@ -38,15 +39,18 @@ from .simulate import (
 from .synthesis import (
     DEFAULT_ROTPEN_Q,
     DEFAULT_ROTPEN_R,
+    DEFAULT_SMC_ALPHA,
     REFERENCE_SMC_SWITCHING_GAINS,
     LqrDesign,
     SmcDesign,
     design_smc,
+    integral_augmented,
     load_design,
     lqr_gain,
     nxtway_integral_lqr,
     reference_lqr_design,
     save_design,
+    stability_report,
 )
 
 PLATFORMS = ("rotpen", "nxtway")
@@ -59,6 +63,13 @@ DEFAULT_TS = {"rotpen": 0.002, "nxtway": 0.004}
 
 def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in str(text).split(","))
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError("must be a positive number")
+    return value
 
 
 def _choice(*options: str):
@@ -75,9 +86,9 @@ _CONVERTERS = {
     "controller": _choice("lqr", "smc"),
     "q": _floats,
     "r": _floats,
-    "alpha": float,
+    "alpha": _positive,
     "k": float,
-    "ts": float,
+    "ts": _positive,
     "plant_dt": float,
     "out": str,
     "design": str,
@@ -101,7 +112,7 @@ _CONVERTERS = {
 
 _DEFAULTS = {
     "synthesize": {"platform": None, "controller": "lqr", "q": None, "r": None,
-                   "alpha": 100.0, "k": None, "ts": None, "out": None},
+                   "alpha": DEFAULT_SMC_ALPHA, "k": None, "ts": None, "out": None},
     "simulate": {"platform": None, "controller": "lqr", "design": None,
                  "gains": None, "duration": 10.0, "ts": None, "plant_dt": None,
                  "disturbance": "none", "dist_amplitude": None,
@@ -173,19 +184,26 @@ def _closed_form(platform: str, params):
     return nxtway_statespace_closed_form(params)
 
 
-def _weights(settings: dict):
-    q = settings.get("q")
-    r = settings.get("r")
-    return (None if q is None else np.diag(q),
-            None if r is None else np.diag(r))
+def _sample_time(settings: dict, platform: str) -> float:
+    """The ts setting when given, else the platform's default period."""
+    return DEFAULT_TS[platform] if settings.get("ts") is None else settings["ts"]
 
 
-def _make_design(platform: str, controller: str, Ts: float, settings: dict):
-    """Synthesize the requested controller for one platform."""
-    params = default_params(platform)
-    ss = _closed_form(platform, params)
-    Q, R = _weights(settings)
+def _make_design(platform: str, controller: str, settings: dict):
+    """Load, look up or synthesize the requested controller for one platform."""
+    if settings.get("design"):
+        try:
+            return load_design(settings["design"])
+        except OSError as exc:
+            raise ConfigError(f"cannot read design file: {exc}") from None
+    reference = settings.get("gains") == "reference"
+    if controller == "lqr" and reference:
+        return reference_lqr_design(platform)
+    ss = _closed_form(platform, default_params(platform))
     if controller == "lqr":
+        q, r = settings.get("q"), settings.get("r")
+        Q = None if q is None else np.diag(q)
+        R = None if r is None else np.diag(r)
         try:
             if platform == "rotpen":
                 return lqr_gain(ss.A, ss.B,
@@ -194,38 +212,10 @@ def _make_design(platform: str, controller: str, Ts: float, settings: dict):
             return nxtway_integral_lqr(ss, Q=Q, R=R)
         except ValueError as exc:
             raise ConfigError(f"invalid weights q/r: {exc}") from None
-    return design_smc(discretize_zoh(ss, Ts),
-                      alpha=settings.get("alpha") or 100.0,
-                      k=settings.get("k"))
-
-
-def _closed_loop_eigs(ss, design: LqrDesign) -> np.ndarray:
-    """Spectrum of the plant under the design, integral state included."""
-    if design.Ki is None:
-        K = np.tile(design.K, (ss.n_inputs, 1))
-        return np.linalg.eigvals(ss.A - ss.B @ K)
-    A5 = np.zeros((5, 5))
-    A5[:4, :4] = ss.A
-    A5[4, 0] = 1.0
-    B5 = np.vstack([ss.B, np.zeros((1, ss.n_inputs))])
-    K5 = np.tile(np.hstack([design.K, [[design.Ki]]]), (ss.n_inputs, 1))
-    return np.linalg.eigvals(A5 - B5 @ K5)
-
-
-def _resolve_design(platform: str, controller: str, Ts: float, settings: dict):
-    if settings.get("design"):
-        try:
-            return load_design(settings["design"])
-        except OSError as exc:
-            raise ConfigError(f"cannot read design file: {exc}") from None
-    if settings.get("gains") == "reference":
-        if controller == "lqr":
-            return reference_lqr_design(platform)
-        return design_smc(
-            discretize_zoh(_closed_form(platform, default_params(platform)), Ts),
-            alpha=settings.get("alpha") or 100.0,
-            k=REFERENCE_SMC_SWITCHING_GAINS[platform])
-    return _make_design(platform, controller, Ts, settings)
+    return design_smc(discretize_zoh(ss, _sample_time(settings, platform)),
+                      alpha=settings.get("alpha", DEFAULT_SMC_ALPHA),
+                      k=REFERENCE_SMC_SWITCHING_GAINS[platform] if reference
+                      else settings.get("k"))
 
 
 def _disturbance(settings: dict, V_max: float) -> DisturbanceSpec:
@@ -245,12 +235,12 @@ def _disturbance(settings: dict, V_max: float) -> DisturbanceSpec:
 
 
 def _run_experiment(platform: str, design, settings: dict):
-    """Simulate one closed loop and return its trace, metrics and label."""
+    """Simulate one closed loop and return its trace and metrics."""
     params = default_params(platform)
-    Ts = settings["ts"] or DEFAULT_TS[platform]
     V_max = settings.get("saturation") or params.V_max
     spec = _disturbance(settings, V_max)
-    cfg = SimConfig(duration=settings["duration"], controller_Ts=Ts,
+    cfg = SimConfig(duration=settings["duration"],
+                    controller_Ts=_sample_time(settings, platform),
                     plant_dt=settings.get("plant_dt"), disturbance=spec,
                     x0=settings["x0"], reference=settings["reference"],
                     saturation_V=settings.get("saturation"),
@@ -270,18 +260,18 @@ def _run_experiment(platform: str, design, settings: dict):
 def _cmd_synthesize(settings: dict) -> int:
     platform = _require(settings, "platform")
     controller = settings["controller"]
-    Ts = settings["ts"] or DEFAULT_TS[platform]
-    design = _make_design(platform, controller, Ts, settings)
+    design = _make_design(platform, controller, settings)
     out = settings["out"] or f"{platform}_{controller}_design.txt"
     save_design(design, out)
     if isinstance(design, LqrDesign):
-        eigs = _closed_loop_eigs(_closed_form(platform, default_params(platform)),
-                                 design)
+        ss, K = _closed_form(platform, default_params(platform)), design.K
+        if design.Ki is not None:
+            ss, K = integral_augmented(ss), np.hstack([K, [[design.Ki]]])
+        eigs = stability_report(ss, K).eigenvalues
         with open(out, "a", encoding="utf-8") as fh:
             for name, values in (("closed_loop_re", eigs.real),
                                  ("closed_loop_im", eigs.imag)):
-                fh.write("\n".join(_format_matrix(name, values.reshape(1, -1))))
-                fh.write("\n")
+                fh.write("\n".join(format_matrix(name, values)) + "\n")
         print(f"{platform} {controller}: K = {design.K[0]}, "
               f"residual = {design.residual:.3e}")
     else:
@@ -294,8 +284,7 @@ def _cmd_synthesize(settings: dict) -> int:
 def _cmd_simulate(settings: dict) -> int:
     platform = _require(settings, "platform")
     controller = settings["controller"]
-    Ts = settings["ts"] or DEFAULT_TS[platform]
-    design = _resolve_design(platform, controller, Ts, settings)
+    design = _make_design(platform, controller, settings)
     trace, metrics = _run_experiment(platform, design, settings)
 
     kind = "smc" if isinstance(design, SmcDesign) else "lqr"
@@ -320,8 +309,7 @@ def _cmd_compare(settings: dict) -> int:
         run_settings.update(duration=settings["duration"],
                             disturbance="paper")
         for controller in ("lqr", "smc"):
-            Ts = DEFAULT_TS[platform]
-            design = _make_design(platform, controller, Ts, run_settings)
+            design = _make_design(platform, controller, run_settings)
             trace, metrics = _run_experiment(platform, design, run_settings)
             rows.append((f"{platform} {controller}", metrics))
             diverged = diverged or trace.diverged
@@ -347,7 +335,7 @@ def _cmd_linearize(settings: dict) -> int:
     lines = [f"{platform}: linearization about the upright equilibrium"]
     for name, M in (("A_closed_form", closed.A), ("B_closed_form", closed.B),
                     ("A_numeric", numeric.A), ("B_numeric", numeric.B)):
-        lines.extend(_format_matrix(name, M))
+        lines.extend(format_matrix(name, M))
     for label, M, N in (("A", closed.A, numeric.A), ("B", closed.B, numeric.B)):
         diff = np.abs(M - N)
         scaled = diff / np.maximum(1.0, np.abs(M))

@@ -1,10 +1,9 @@
 """State-space models: numeric Jacobians, closed forms, ZOH discretization.
 
-The numeric Jacobian built from the nonlinear dynamics is the authoritative
-model for controller synthesis; the closed-form builders reproduce each
-platform's published linearization and exist as an independent cross-check
-(the two agree entry-wise to within the differencing error at the upright
-origin).
+Controllers are synthesized from the closed-form builders, which reproduce
+each platform's published linearization. The numeric Jacobian of the
+nonlinear dynamics is the independent cross-check: the two agree
+entry-wise to within the differencing error at the upright origin.
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.linalg import expm
 
+from .matrixfile import read_matrix_file, write_matrix_file
 from .plants import NxtwayParams, PlantParams, RotPenParams, forward_dynamics
 
 __all__ = [
@@ -107,19 +107,15 @@ def numeric_jacobian(f: Callable, x0, u0, eps: float = 1e-6):
     x0 = np.asarray(x0, dtype=float)
     u0 = np.asarray(u0, dtype=float)
     n = x0.size
-    m = u0.size
-    fx = np.asarray(f(x0, u0), dtype=float)
-    A = np.zeros((fx.size, n))
-    B = np.zeros((fx.size, m))
-    for i in range(n):
-        step = np.zeros(n)
-        step[i] = eps
-        A[:, i] = (np.asarray(f(x0 + step, u0)) - np.asarray(f(x0 - step, u0))) / (2 * eps)
-    for j in range(m):
-        step = np.zeros(m)
-        step[j] = eps
-        B[:, j] = (np.asarray(f(x0, u0 + step)) - np.asarray(f(x0, u0 - step))) / (2 * eps)
-    return A, B
+    z0 = np.concatenate([x0.ravel(), u0.ravel()])
+
+    def g(z):
+        return np.asarray(f(z[:n].reshape(x0.shape), z[n:].reshape(u0.shape)), dtype=float)
+
+    J = np.zeros((g(z0).size, z0.size))
+    for i, step in enumerate(eps * np.eye(z0.size)):
+        J[:, i] = (g(z0 + step) - g(z0 - step)) / (2 * eps)
+    return J[:, :n], J[:, n:]
 
 
 def jacobian_linearize(params: PlantParams, x0=None, u0=None, eps: float = 1e-6) -> StateSpace:
@@ -151,9 +147,7 @@ def rotpen_statespace_closed_form(params: RotPenParams) -> StateSpace:
     emitted.
     """
     p = params
-    a = p.m_r * (p.L_r / 2) ** 2 + p.m_p * p.L_r ** 2 + p.J_r
-    b = 0.5 * p.m_p * p.L_p * p.L_r
-    c = p.m_p * (p.L_p / 2) ** 2 + p.J_p
+    a, b, c, _ = p.mass_constants
     gam = p.gamma
     delta = gam * (a * c - b * b)
     if delta == 0.0:
@@ -183,10 +177,8 @@ def nxtway_statespace_closed_form(params: NxtwayParams) -> StateSpace:
     torque path, and the wheels are driven symmetrically.
     """
     p = params
-    n2Jm = p.eta ** 2 * p.J_m
-    pw = 2 * p.m * p.R ** 2 + p.M * p.R ** 2 + 2 * p.J_w + 2 * n2Jm
+    n2Jm, pw, rb = p.mass_constants
     q0 = p.M * p.L * p.R - 2 * n2Jm
-    rb = p.M * p.L ** 2 + p.J_q2 + 2 * n2Jm
     delta = pw * rb - q0 * q0
     if delta == 0.0:
         raise ValueError("degenerate parameters: zero mass-matrix determinant")
@@ -227,51 +219,23 @@ def discretize_zoh(ss: StateSpace, Ts: float) -> StateSpace:
                       kind="discrete", Ts=Ts, state_labels=ss.state_labels)
 
 
-def _format_matrix(name: str, M: np.ndarray) -> list[str]:
-    lines = [f"[{name}] rows={M.shape[0]} cols={M.shape[1]}"]
-    for row in M:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    return lines
-
-
 def save_statespace(ss: StateSpace, path) -> None:
     """Write a state-space model to a labeled plain-text file (row major)."""
-    lines = [
-        "# pendulum-ctl state-space model",
-        f"kind = {ss.kind}",
-        f"Ts = {repr(float(ss.Ts)) if ss.Ts is not None else 'none'}",
-        "labels = " + ",".join(ss.state_labels),
-    ]
-    for name, M in (("A", ss.A), ("B", ss.B), ("C", ss.C), ("D", ss.D)):
-        lines.extend(_format_matrix(name, M))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    meta = {"kind": ss.kind,
+            "Ts": repr(float(ss.Ts)) if ss.Ts is not None else "none",
+            "labels": ",".join(ss.state_labels)}
+    write_matrix_file(path, "pendulum-ctl state-space model", meta,
+                      {"A": ss.A, "B": ss.B, "C": ss.C, "D": ss.D})
 
 
-def load_statespace(path) -> StateSpace:
-    """Read a model written by save_statespace."""
-    with open(path, encoding="utf-8") as fh:
-        raw = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    meta: dict[str, str] = {}
-    matrices: dict[str, np.ndarray] = {}
-    i = 0
-    while i < len(raw):
-        line = raw[i]
-        if line.startswith("["):
-            head, dims = line.split("]")
-            name = head[1:]
-            shape = dict(part.split("=") for part in dims.split())
-            rows, cols = int(shape["rows"]), int(shape["cols"])
-            data = [[float(v) for v in raw[i + 1 + r].split()] for r in range(rows)]
-            M = np.array(data, dtype=float).reshape(rows, cols)
-            matrices[name] = M
-            i += 1 + rows
-        else:
-            key, _, value = line.partition("=")
-            meta[key.strip()] = value.strip()
-            i += 1
+def _statespace_from(meta: dict, matrices: dict) -> StateSpace:
     Ts = None if meta.get("Ts", "none") == "none" else float(meta["Ts"])
     labels = tuple(meta.get("labels", "").split(",")) if meta.get("labels") else _LABELS
     return StateSpace(A=matrices["A"], B=matrices["B"], C=matrices.get("C"),
                       D=matrices.get("D"), kind=meta.get("kind", "continuous"),
                       Ts=Ts, state_labels=labels)
+
+
+def load_statespace(path) -> StateSpace:
+    """Read a model written by save_statespace; a bad file raises ValueError."""
+    return read_matrix_file(path, _statespace_from)

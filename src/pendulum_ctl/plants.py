@@ -37,6 +37,7 @@ __all__ = [
     "params_from_mapping",
     "eval_mcg",
     "forward_dynamics",
+    "scalar_rhs",
     "mechanical_energy",
 ]
 
@@ -53,7 +54,8 @@ class RotPenParams:
     Lengths are meters, masses kilograms, inertias kg m^2, frictions
     N m s/rad. K_enc (encoder counts per revolution) and L_m (motor
     inductance, henry) are carried for completeness but unused by the
-    dynamics.
+    dynamics. The voltage referral gamma and the mass-matrix constants are
+    derived read-only properties.
     """
 
     g: float = 9.81
@@ -91,14 +93,22 @@ class RotPenParams:
         """Voltage referral constant R_m / (K_t K_g eta_g eta_m)."""
         return self.R_m / (self.K_t * self.K_g * self.eta_g * self.eta_m)
 
+    @property
+    def mass_constants(self) -> tuple[float, float, float, float]:
+        """(a, b, c, l2) in the mass matrix [[a + l2 sin^2 q2, -b cos q2], [-b cos q2, c]]."""
+        l2 = self.m_p * (self.L_p / 2) ** 2
+        a = self.m_r * (self.L_r / 2) ** 2 + self.m_p * self.L_r ** 2 + self.J_r
+        return a, 0.5 * self.m_p * self.L_p * self.L_r, l2 + self.J_p, l2
+
 
 @dataclass(frozen=True)
 class NxtwayParams:
     """Physical constants of the two-wheeled balancing robot.
 
     eta is the gear ratio between motor and wheel. The wheel and body
-    inertias J_w, J_q2, J_q3 and the motor constants alpha, beta are derived
-    quantities exposed as read-only properties.
+    inertias J_w, J_q2, J_q3, the motor constants alpha, beta and the
+    mass-matrix constants are derived quantities exposed as read-only
+    properties.
     """
 
     g: float = 9.81
@@ -153,6 +163,13 @@ class NxtwayParams:
     def beta(self) -> float:
         """Combined back-EMF and friction constant eta K_t K_b / R_m + f_m."""
         return self.eta * self.K_t * self.K_b / self.R_m + self.f_m
+
+    @property
+    def mass_constants(self) -> tuple[float, float, float]:
+        """(eta^2 J_m, wheel inertia pw, body inertia rb) of the mechanical mass matrix."""
+        n2Jm = self.eta ** 2 * self.J_m
+        pw = 2 * self.m * self.R ** 2 + self.M * self.R ** 2 + 2 * self.J_w + 2 * n2Jm
+        return n2Jm, pw, self.M * self.L ** 2 + self.J_q2 + 2 * n2Jm
 
 
 PlantParams = Union[RotPenParams, NxtwayParams]
@@ -235,10 +252,7 @@ def _check_state(state) -> np.ndarray:
 
 def _rotpen_terms(p: RotPenParams, q2: float, q1d: float, q2d: float):
     """Scalar entries (m11, m12, m21, m22, c11, c12, c21, c22, g1, g2)."""
-    a = p.m_r * (p.L_r / 2) ** 2 + p.m_p * p.L_r ** 2 + p.J_r
-    b = 0.5 * p.m_p * p.L_p * p.L_r
-    c = p.m_p * (p.L_p / 2) ** 2 + p.J_p
-    l2 = p.m_p * (p.L_p / 2) ** 2
+    a, b, c, l2 = p.mass_constants
     gam = p.gamma
     s, co = math.sin(q2), math.cos(q2)
 
@@ -256,9 +270,7 @@ def _rotpen_terms(p: RotPenParams, q2: float, q1d: float, q2d: float):
 
 def _nxtway_terms(p: NxtwayParams, q2: float, q1d: float, q2d: float):
     """Scalar entries in the published 1/alpha scale with the negated body row."""
-    n2Jm = p.eta ** 2 * p.J_m
-    pw = 2 * p.m * p.R ** 2 + p.M * p.R ** 2 + 2 * p.J_w + 2 * n2Jm
-    rb = p.M * p.L ** 2 + p.J_q2 + 2 * n2Jm
+    n2Jm, pw, rb = p.mass_constants
     al = p.alpha
     be = p.beta
     s, co = math.sin(q2), math.cos(q2)
@@ -274,6 +286,58 @@ def _nxtway_terms(p: NxtwayParams, q2: float, q1d: float, q2d: float):
     c22 = -2 * be / al
     g2 = p.M * p.g * p.L * s / al
     return m11, m12, m21, m22, c11, c12, c21, c22, 0.0, g2
+
+
+def scalar_rhs(params: PlantParams):
+    """Closure f(q1, q2, q1dot, q2dot, v) -> (q1dot, q2dot, q1ddot, q2ddot).
+
+    The scalar form of forward_dynamics, with v the voltage on each motor,
+    so an integration loop allocates no arrays.
+    """
+    p = params
+    if isinstance(p, RotPenParams):
+        a, b, c, l2 = p.mass_constants
+        gam = p.gamma
+        kmkg = p.K_m * p.K_g
+        fr, fp = p.f_r, p.f_p
+        halfmpg = 0.5 * p.m_p * p.L_p * p.g
+
+        def f(x1, x2, x3, x4, v):
+            s = math.sin(x2)
+            co = math.cos(x2)
+            m11 = gam * (a + l2 * s * s)
+            m12 = -gam * b * co
+            m21 = -b * co
+            m22 = c
+            r1 = v - (gam * (2 * l2 * s * co * x4 + fr) + kmkg) * x3 \
+                - (gam * b * s * x4) * x4
+            r2 = l2 * s * co * x3 * x3 - fp * x4 + halfmpg * s
+            det = m11 * m22 - m12 * m21
+            return x3, x4, (m22 * r1 - m12 * r2) / det, (m11 * r2 - m21 * r1) / det
+
+        return f
+
+    n2Jm, pw, rb = p.mass_constants
+    al, be = p.alpha, p.beta
+    MLR = p.M * p.L * p.R
+    MgL = p.M * p.g * p.L
+    fw = p.f_w
+
+    def f(x1, x2, x3, x4, v):
+        s = math.sin(x2)
+        co = math.cos(x2)
+        q0 = MLR * co - 2 * n2Jm
+        m11 = pw / al
+        m12 = q0 / al
+        m21 = -q0 / al
+        m22 = -rb / al
+        w = 2 * v
+        r1 = w - (2 * (be + fw) / al) * x3 - ((-2 * be - MLR * x4 * s) / al) * x4
+        r2 = w - (2 * be / al) * x3 + (2 * be / al) * x4 - MgL * s / al
+        det = m11 * m22 - m12 * m21
+        return x3, x4, (m22 * r1 - m12 * r2) / det, (m11 * r2 - m21 * r1) / det
+
+    return f
 
 
 def eval_mcg(params: PlantParams, state) -> DynamicsMatrices:
@@ -355,20 +419,14 @@ def mechanical_energy(params: PlantParams, state) -> float:
     """
     x = _check_state(state)
     q2, q1d, q2d = x[1], x[2], x[3]
-    if isinstance(params, RotPenParams):
-        p = params
-        a = p.m_r * (p.L_r / 2) ** 2 + p.m_p * p.L_r ** 2 + p.J_r
-        b = 0.5 * p.m_p * p.L_p * p.L_r
-        c = p.m_p * (p.L_p / 2) ** 2 + p.J_p
-        l2 = p.m_p * (p.L_p / 2) ** 2
+    p = params
+    if isinstance(p, RotPenParams):
+        a, b, c, l2 = p.mass_constants
         s, co = math.sin(q2), math.cos(q2)
         kinetic = 0.5 * ((a + l2 * s * s) * q1d ** 2 - 2 * b * co * q1d * q2d + c * q2d ** 2)
         potential = p.m_p * p.g * (p.L_p / 2) * (1.0 + co)
     else:
-        p = params
-        n2Jm = p.eta ** 2 * p.J_m
-        pw = 2 * p.m * p.R ** 2 + p.M * p.R ** 2 + 2 * p.J_w + 2 * n2Jm
-        rb = p.M * p.L ** 2 + p.J_q2 + 2 * n2Jm
+        n2Jm, pw, rb = p.mass_constants
         co = math.cos(q2)
         q0 = p.M * p.L * p.R * co - 2 * n2Jm
         kinetic = 0.5 * (pw * q1d ** 2 + 2 * q0 * q1d * q2d + rb * q2d ** 2)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .plants import NxtwayParams, PlantParams, RotPenParams
+from .plants import PlantParams, scalar_rhs
 from .synthesis import LqrDesign, SmcDesign
 
 __all__ = [
@@ -89,7 +89,8 @@ def saturate(u: float, V_max: float) -> float:
     """Clamp a voltage command to [-V_max, V_max]."""
     if V_max <= 0.0:
         raise ValueError("V_max must be positive")
-    return min(max(float(u), -V_max), V_max)
+    u = float(u)
+    return -V_max if u < -V_max else (V_max if u > V_max else u)
 
 
 @dataclass(frozen=True)
@@ -194,20 +195,53 @@ class SimTrace:
 # control laws
 # ---------------------------------------------------------------------------
 
+def _control_law(design, eps: float = 0.0):
+    """Closure law(e1, e2, e3, e4, integ) -> (u, s) of the LQR or SMC law (layer eps)."""
+    if isinstance(design, SmcDesign):
+        if design.L.size != _STATE_DIM or design.Keq.size != _STATE_DIM:
+            raise ValueError("L and Keq must span the four plant states")
+        l1, l2, l3, l4 = (float(v) for v in design.L)
+        k1, k2, k3, k4 = (float(v) for v in design.Keq)
+        kk = design.k
+
+        def law(e1, e2, e3, e4, integ):
+            s = l1 * e1 + l2 * e2 + l3 * e3 + l4 * e4
+            if eps > 0.0 and -eps < s < eps:
+                sg = s / eps
+            elif s > 0.0:
+                sg = 1.0
+            elif s < 0.0:
+                sg = -1.0
+            else:
+                sg = 0.0
+            return -(k1 * e1 + k2 * e2 + k3 * e3 + k4 * e4) - kk * sg, s
+
+        return law
+    if isinstance(design, LqrDesign):
+        if design.K.shape != (1, _STATE_DIM):
+            raise ValueError("expected a single gain row over the four plant states")
+        k1, k2, k3, k4 = (float(g) for g in design.K[0])
+        ki = design.Ki
+        if ki is None:
+            return lambda e1, e2, e3, e4, integ: (
+                -(k1 * e1 + k2 * e2 + k3 * e3 + k4 * e4), None)
+        return lambda e1, e2, e3, e4, integ: (
+            -(k1 * e1 + k2 * e2 + k3 * e3 + k4 * e4) - ki * integ, None)
+    raise TypeError(f"unsupported design type {type(design).__name__}")
+
+
+def _plant_state(x) -> np.ndarray:
+    xv = np.asarray(x, dtype=float).ravel()
+    if xv.size != _STATE_DIM:
+        raise ValueError(f"state has {xv.size} entries, expected {_STATE_DIM}")
+    return xv
+
+
 def lqr_control_law(design: LqrDesign, x, integ: float = 0.0, reference=None) -> float:
     """u = -K (x - reference) - Ki * integ, a single voltage command."""
-    if design.K.shape[0] != 1:
-        raise ValueError("expected a design with a single gain row")
-    xv = np.asarray(x, dtype=float).ravel()
-    if xv.size != design.K.shape[1]:
-        raise ValueError(f"state has {xv.size} entries, gain row expects "
-                         f"{design.K.shape[1]}")
-    if reference is not None:
-        xv = xv - np.asarray(reference, dtype=float).ravel()
-    u = -sum(float(g) * float(e) for g, e in zip(design.K[0], xv))
-    if design.Ki is not None:
-        u -= design.Ki * float(integ)
-    return u
+    law = _control_law(design)
+    e = _plant_state(x) if reference is None else _plant_state(x) - _plant_state(reference)
+    return law(*e.tolist(), float(integ))[0]
 
 
 def smc_control_law(design: SmcDesign, x, boundary_layer: float = 0.0):
@@ -217,31 +251,32 @@ def smc_control_law(design: SmcDesign, x, boundary_layer: float = 0.0):
     inside |s| < boundary_layer, trading finite-time reaching for a
     chatter-free band.
     """
-    xv = np.asarray(x, dtype=float).ravel()
-    if xv.size != design.L.size:
-        raise ValueError(f"state has {xv.size} entries, surface expects "
-                         f"{design.L.size}")
-    s = sum(float(l) * float(e) for l, e in zip(design.L, xv))
-    if boundary_layer > 0.0 and -boundary_layer < s < boundary_layer:
-        sg = s / boundary_layer
-    elif s > 0.0:
-        sg = 1.0
-    elif s < 0.0:
-        sg = -1.0
-    else:
-        sg = 0.0
-    u = -sum(float(g) * float(e) for g, e in zip(design.Keq, xv)) - design.k * sg
-    return u, s
+    law = _control_law(design, boundary_layer)
+    return law(*_plant_state(x).tolist(), 0.0)
 
 
 # ---------------------------------------------------------------------------
 # velocity reconstruction
 # ---------------------------------------------------------------------------
 
-def _lowpass_coeffs(Ts: float, cutoff_hz: float):
+def _derivative_filter(Ts: float, cutoff_hz: float):
+    """Streaming filtered_derivative: step(sample) -> derivative estimate."""
     om = 2.0 * math.pi * cutoff_hz
     c = 2.0 / Ts
-    return (c - om) / (c + om), om / (c + om)
+    fa, fg = (c - om) / (c + om), om / (c + om)
+    prev = None
+    praw = y = 0.0
+
+    def step(x):
+        nonlocal prev, praw, y
+        if prev is not None:
+            raw = (x - prev) / Ts
+            y = fa * y + fg * (raw + praw)
+            praw = raw
+        prev = x
+        return y
+
+    return step
 
 
 def filtered_derivative(samples, Ts: float, cutoff_hz: float) -> np.ndarray:
@@ -259,81 +294,13 @@ def filtered_derivative(samples, Ts: float, cutoff_hz: float) -> np.ndarray:
         raise ValueError("Ts must be positive")
     if cutoff_hz <= 0.0:
         raise ValueError("cutoff_hz must be positive")
-    fa, fg = _lowpass_coeffs(Ts, cutoff_hz)
-    out = np.zeros(x.size)
-    praw = 0.0
-    for k in range(1, x.size):
-        raw = (x[k] - x[k - 1]) / Ts
-        out[k] = fa * out[k - 1] + fg * (raw + praw)
-        praw = raw
-    return out
+    step = _derivative_filter(Ts, cutoff_hz)
+    return np.array([step(v) for v in x.tolist()])
 
 
 # ---------------------------------------------------------------------------
 # plant integration
 # ---------------------------------------------------------------------------
-
-def _platform_rhs(params: PlantParams):
-    """Scalar state-derivative closure f(q1, q2, q1dot, q2dot, v) per platform.
-
-    The arithmetic mirrors the matrix entries in plants term for term (the
-    test suite pins the two paths together); the scalar closure keeps the
-    integration loop free of per-step array allocation.
-    """
-    if isinstance(params, RotPenParams):
-        p = params
-        a = p.m_r * (p.L_r / 2) ** 2 + p.m_p * p.L_r ** 2 + p.J_r
-        b = 0.5 * p.m_p * p.L_p * p.L_r
-        c = p.m_p * (p.L_p / 2) ** 2 + p.J_p
-        l2 = p.m_p * (p.L_p / 2) ** 2
-        gam = p.gamma
-        kmkg = p.K_m * p.K_g
-        fr, fp = p.f_r, p.f_p
-        halfmpg = 0.5 * p.m_p * p.L_p * p.g
-
-        def f(x1, x2, x3, x4, v):
-            s = math.sin(x2)
-            co = math.cos(x2)
-            m11 = gam * (a + l2 * s * s)
-            m12 = -gam * b * co
-            m21 = -b * co
-            m22 = c
-            r1 = v - (gam * (2 * l2 * s * co * x4 + fr) + kmkg) * x3 \
-                - (gam * b * s * x4) * x4
-            r2 = l2 * s * co * x3 * x3 - fp * x4 + halfmpg * s
-            det = m11 * m22 - m12 * m21
-            return x3, x4, (m22 * r1 - m12 * r2) / det, (m11 * r2 - m21 * r1) / det
-
-        return f
-
-    if isinstance(params, NxtwayParams):
-        p = params
-        n2Jm = p.eta ** 2 * p.J_m
-        pw = 2 * p.m * p.R ** 2 + p.M * p.R ** 2 + 2 * p.J_w + 2 * n2Jm
-        rb = p.M * p.L ** 2 + p.J_q2 + 2 * n2Jm
-        al, be = p.alpha, p.beta
-        MLR = p.M * p.L * p.R
-        MgL = p.M * p.g * p.L
-        fw = p.f_w
-
-        def f(x1, x2, x3, x4, v):
-            s = math.sin(x2)
-            co = math.cos(x2)
-            q0 = MLR * co - 2 * n2Jm
-            m11 = pw / al
-            m12 = q0 / al
-            m21 = -q0 / al
-            m22 = -rb / al
-            w = 2 * v
-            r1 = w - (2 * (be + fw) / al) * x3 - ((-2 * be - MLR * x4 * s) / al) * x4
-            r2 = w - (2 * be / al) * x3 + (2 * be / al) * x4 - MgL * s / al
-            det = m11 * m22 - m12 * m21
-            return x3, x4, (m22 * r1 - m12 * r2) / det, (m11 * r2 - m21 * r1) / det
-
-        return f
-
-    raise TypeError(f"unsupported plant parameter type {type(params).__name__}")
-
 
 def _rk4_step(f, x, v, dt):
     x1, x2, x3, x4 = x
@@ -362,25 +329,14 @@ def simulate(params: PlantParams, design, cfg: SimConfig) -> SimTrace:
     to both motors of the two-wheeled robot. Divergence (any state beyond
     1e3) stops the run early and flags the truncated trace.
     """
-    f = _platform_rhs(params)
+    f = scalar_rhs(params)
+    law = _control_law(design, cfg.boundary_layer)
     sat = params.V_max if cfg.saturation_V is None else cfg.saturation_V
-
     is_smc = isinstance(design, SmcDesign)
-    if is_smc:
-        if design.L.size != _STATE_DIM:
-            raise ValueError("surface row must span the four plant states")
-        lrow = tuple(float(v) for v in design.L)
-        keq = tuple(float(v) for v in design.Keq)
-        kk = design.k
-        eps = cfg.boundary_layer
-        ki = None
-    elif isinstance(design, LqrDesign):
-        if design.K.shape != (1, _STATE_DIM):
-            raise ValueError("expected a single gain row over the four plant states")
-        gains = tuple(float(g) for g in design.K[0])
-        ki = design.Ki
-    else:
-        raise TypeError(f"unsupported design type {type(design).__name__}")
+    if is_smc and not math.isclose(design.Ts, cfg.controller_Ts, rel_tol=1e-9):
+        raise ConfigError(f"SMC design sampled at Ts = {design.Ts!r} cannot run "
+                          f"at controller_Ts = {cfg.controller_Ts!r}")
+    ki = None if is_smc else design.Ki
 
     Ts = cfg.controller_Ts
     dt = cfg.plant_dt
@@ -391,10 +347,8 @@ def simulate(params: PlantParams, design, cfg: SimConfig) -> SimTrace:
 
     use_filter = cfg.measurement == "filtered-derivative"
     if use_filter:
-        fa, fg = _lowpass_coeffs(Ts, cfg.filter_cutoff)
-        pv1 = pv2 = None
-        praw1 = praw2 = 0.0
-        fy1 = fy2 = 0.0
+        rate1 = _derivative_filter(Ts, cfg.filter_cutoff)
+        rate2 = _derivative_filter(Ts, cfg.filter_cutoff)
 
     t_arr = np.empty(n + 1)
     x_arr = np.empty((n + 1, _STATE_DIM))
@@ -418,40 +372,17 @@ def simulate(params: PlantParams, design, cfg: SimConfig) -> SimTrace:
         t = k * Ts
 
         if use_filter:
-            if pv1 is None:
-                v1 = v2 = 0.0
-            else:
-                raw1 = (x1 - pv1) / Ts
-                v1 = fa * fy1 + fg * (raw1 + praw1)
-                praw1 = raw1
-                raw2 = (x2 - pv2) / Ts
-                v2 = fa * fy2 + fg * (raw2 + praw2)
-                praw2 = raw2
-            pv1, fy1 = x1, v1
-            pv2, fy2 = x2, v2
-            e1, e2, e3, e4 = x1 - r1, x2 - r2, v1 - r3, v2 - r4
+            e1, e2, e3, e4 = x1 - r1, x2 - r2, rate1(x1) - r3, rate2(x2) - r4
         else:
             e1, e2, e3, e4 = x1 - r1, x2 - r2, x3 - r3, x4 - r4
 
+        u, s = law(e1, e2, e3, e4, integ)
         if is_smc:
-            s = lrow[0] * e1 + lrow[1] * e2 + lrow[2] * e3 + lrow[3] * e4
-            if eps > 0.0 and -eps < s < eps:
-                sg = s / eps
-            elif s > 0.0:
-                sg = 1.0
-            elif s < 0.0:
-                sg = -1.0
-            else:
-                sg = 0.0
-            u = -(keq[0] * e1 + keq[1] * e2 + keq[2] * e3 + keq[3] * e4) - kk * sg
             s_arr[k] = s
-        else:
-            u = -(gains[0] * e1 + gains[1] * e2 + gains[2] * e3 + gains[3] * e4)
-            if ki is not None:
-                u -= ki * integ
-                i_arr[k] = integ
+        elif ki is not None:
+            i_arr[k] = integ
 
-        ua = -sat if u < -sat else (sat if u > sat else u)
+        ua = saturate(u, sat)
         d = disturbance_value(spec, t)
 
         t_arr[k] = t

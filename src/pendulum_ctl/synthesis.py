@@ -30,13 +30,15 @@ import numpy as np
 import scipy.linalg
 
 from .errors import SynthesisError
-from .linearize import StateSpace, _format_matrix
+from .linearize import StateSpace
+from .matrixfile import read_matrix_file, write_matrix_file
 
 __all__ = [
     "DEFAULT_ROTPEN_Q",
     "DEFAULT_ROTPEN_R",
     "DEFAULT_NXTWAY_Q",
     "DEFAULT_NXTWAY_R",
+    "DEFAULT_SMC_ALPHA",
     "REFERENCE_LQR_GAINS",
     "REFERENCE_SMC_SWITCHING_GAINS",
     "LqrDesign",
@@ -46,6 +48,7 @@ __all__ = [
     "solve_care",
     "care_residual",
     "lqr_gain",
+    "integral_augmented",
     "nxtway_integral_lqr",
     "reference_lqr_design",
     "regular_form",
@@ -65,6 +68,9 @@ DEFAULT_ROTPEN_R = np.array([[1.0]])
 # with one weight per motor channel
 DEFAULT_NXTWAY_Q = np.diag([1.0, 6.0e5, 1.0, 1.0, 4.0e2])
 DEFAULT_NXTWAY_R = np.diag([1.0e3, 1.0e3])
+
+# reaching rate of the discrete sliding-mode design
+DEFAULT_SMC_ALPHA = 100.0
 
 # Gain sets recorded from the two hardware implementations, kept as fixtures
 # for regression runs and for the command line "reference" selector. The
@@ -237,6 +243,20 @@ def lqr_gain(A, B, Q, R) -> LqrDesign:
                      residual=care_residual(A, B, Q, R, P))
 
 
+def integral_augmented(ss: StateSpace) -> StateSpace:
+    """The continuous four-state model with a fifth state integrating q1.
+
+    An integral design's gain row [K, Ki] acts on this model.
+    """
+    if ss.kind != "continuous" or ss.n_states != 4:
+        raise ValueError("integral augmentation expects the continuous four-state model")
+    A5 = np.zeros((5, 5))
+    A5[:4, :4] = ss.A
+    A5[4, 0] = 1.0
+    B5 = np.vstack([ss.B, np.zeros((1, ss.n_inputs))])
+    return StateSpace(A=A5, B=B5, state_labels=ss.state_labels + ("int_q1",))
+
+
 def nxtway_integral_lqr(ss: StateSpace, Q=None, R=None) -> LqrDesign:
     """Integral-augmented balance LQR for the two-wheeled robot.
 
@@ -246,26 +266,20 @@ def nxtway_integral_lqr(ss: StateSpace, Q=None, R=None) -> LqrDesign:
     the returned design holds that single row as K and the integral gain
     as Ki, for the per-motor law u = -K x - Ki * int(q1).
     """
-    if ss.kind != "continuous":
-        raise ValueError("integral LQR design expects the continuous model")
-    if ss.n_states != 4 or ss.n_inputs != 2:
-        raise ValueError("expected a four-state, two-motor model")
+    aug = integral_augmented(ss)
+    if ss.n_inputs != 2:
+        raise ValueError("expected a two-motor model")
     if not np.allclose(ss.B[:, 0], ss.B[:, 1], rtol=1e-9, atol=1e-12):
         raise ValueError("motor input columns are not symmetric")
-
-    A5 = np.zeros((5, 5))
-    A5[:4, :4] = ss.A
-    A5[4, 0] = 1.0
-    B5 = np.vstack([ss.B, np.zeros((1, 2))])
     Q5 = DEFAULT_NXTWAY_Q if Q is None else np.atleast_2d(np.asarray(Q, dtype=float))
     R2 = DEFAULT_NXTWAY_R if R is None else np.atleast_2d(np.asarray(R, dtype=float))
 
-    P = solve_care(A5, B5, Q5, R2)
-    K2 = np.linalg.solve(R2, B5.T @ P)
+    P = solve_care(aug.A, aug.B, Q5, R2)
+    K2 = np.linalg.solve(R2, aug.B.T @ P)
     if not np.allclose(K2[0], K2[1], rtol=1e-8, atol=1e-10):
         raise SynthesisError("motor gain rows diverged despite a symmetric drive")
     return LqrDesign(Q=Q5, R=R2, P=P, K=K2[:1, :4].copy(), Ki=float(K2[0, 4]),
-                     residual=care_residual(A5, B5, Q5, R2, P))
+                     residual=care_residual(aug.A, aug.B, Q5, R2, P))
 
 
 def reference_lqr_design(platform: str) -> LqrDesign:
@@ -398,7 +412,8 @@ class SmcDesign:
         object.__setattr__(self, "k_exceeds_bound", bool(self.k_exceeds_bound))
 
 
-def design_smc(ss: StateSpace, alpha: float = 100.0, k: float | None = None) -> SmcDesign:
+def design_smc(ss: StateSpace, alpha: float = DEFAULT_SMC_ALPHA,
+               k: float | None = None) -> SmcDesign:
     """Design a discrete sliding-mode controller on a sampled model.
 
     The model is rotated into regular form, a reduced-order discrete LQR
@@ -488,59 +503,22 @@ def stability_report(ss: StateSpace, K) -> StabilityReport:
 def save_design(design, path) -> None:
     """Write an LqrDesign or SmcDesign to a labeled plain-text file."""
     if isinstance(design, LqrDesign):
-        lines = [
-            "# pendulum-ctl controller design",
-            "design = lqr",
-            f"residual = {design.residual!r}",
-            f"Ki = {'none' if design.Ki is None else repr(design.Ki)}",
-        ]
-        blocks = [("Q", design.Q), ("R", design.R), ("K", design.K)]
-        if design.P is not None:
-            blocks.insert(2, ("P", design.P))
-        for name, M in blocks:
-            lines.extend(_format_matrix(name, M))
+        meta = {"design": "lqr", "residual": repr(design.residual),
+                "Ki": "none" if design.Ki is None else repr(design.Ki)}
+        blocks = {"Q": design.Q, "R": design.R, "P": design.P, "K": design.K}
     elif isinstance(design, SmcDesign):
-        lines = [
-            "# pendulum-ctl controller design",
-            "design = smc",
-            f"Ts = {design.Ts!r}",
-            f"alpha = {design.alpha!r}",
-            f"k = {design.k!r}",
-            f"k_exceeds_bound = {'true' if design.k_exceeds_bound else 'false'}",
-        ]
-        for name, M in (("L", design.L.reshape(1, -1)),
-                        ("Keq", design.Keq.reshape(1, -1)),
-                        ("surface_re", design.surface_eigs.real.reshape(1, -1)),
-                        ("surface_im", design.surface_eigs.imag.reshape(1, -1))):
-            lines.extend(_format_matrix(name, M))
+        meta = {"design": "smc", "Ts": repr(design.Ts), "alpha": repr(design.alpha),
+                "k": repr(design.k),
+                "k_exceeds_bound": "true" if design.k_exceeds_bound else "false"}
+        blocks = {"L": design.L, "Keq": design.Keq,
+                  "surface_re": design.surface_eigs.real,
+                  "surface_im": design.surface_eigs.imag}
     else:
         raise TypeError(f"cannot serialize {type(design).__name__}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_matrix_file(path, "pendulum-ctl controller design", meta, blocks)
 
 
-def load_design(path):
-    """Read a design written by save_design."""
-    with open(path, encoding="utf-8") as fh:
-        raw = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    meta: dict[str, str] = {}
-    matrices: dict[str, np.ndarray] = {}
-    i = 0
-    while i < len(raw):
-        line = raw[i]
-        if line.startswith("["):
-            head, dims = line.split("]")
-            name = head[1:]
-            shape = dict(part.split("=") for part in dims.split())
-            rows, cols = int(shape["rows"]), int(shape["cols"])
-            data = [[float(v) for v in raw[i + 1 + r].split()] for r in range(rows)]
-            matrices[name] = np.array(data, dtype=float).reshape(rows, cols)
-            i += 1 + rows
-        else:
-            key, _, value = line.partition("=")
-            meta[key.strip()] = value.strip()
-            i += 1
-
+def _design_from(meta: dict, matrices: dict):
     kind = meta.get("design")
     if kind == "lqr":
         ki = meta.get("Ki", "none")
@@ -554,4 +532,9 @@ def load_design(path):
                          k=float(meta["k"]), Ts=float(meta["Ts"]),
                          alpha=float(meta["alpha"]), surface_eigs=eigs,
                          k_exceeds_bound=meta.get("k_exceeds_bound") == "true")
-    raise ValueError(f"unrecognized design kind {kind!r} in {path}")
+    raise ValueError(f"unrecognized design kind {kind!r}")
+
+
+def load_design(path):
+    """Read a design written by save_design; a bad file raises ValueError."""
+    return read_matrix_file(path, _design_from)

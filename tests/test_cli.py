@@ -254,6 +254,72 @@ def test_simulate_pulse_requires_amplitude(tmp_path, capsys):
     assert "dist_amplitude" in capsys.readouterr().err
 
 
+_GOOD_LQR_FILE = """design = lqr
+residual = nan
+Ki = none
+[Q] rows=1 cols=1
+1.0
+[R] rows=1 cols=1
+1.0
+[K] rows=1 cols=4
+0.0 0.0 0.0 0.0
+"""
+
+
+@pytest.mark.parametrize("edit", [
+    ("[Q] rows=1 cols=1\n1.0\n", ""),                       # missing matrix
+    ("residual = nan\n", ""),                                 # missing key
+    ("0.0 0.0 0.0 0.0\n", ""),                                # truncated block
+    ("0.0 0.0 0.0 0.0", "0.0 0.0"),                           # short row
+    ("0.0 0.0 0.0 0.0", "0.0 zero 0.0 0.0"),                  # non-numeric entry
+    ("[K] rows=1 cols=4", "[K] rows=one cols=4"),             # bad header
+    ("[K] rows=1 cols=4", "[K rows=1 cols=4"),                # bad header
+    ("Ki = none", "Ki none"),                                 # stray line
+    ("Ki = none", "Ki = lots"),                               # non-numeric key
+    ("design = lqr", "design = pid"),                         # unknown kind
+])
+def test_simulate_malformed_design_file(tmp_path, capsys, edit):
+    dfile = tmp_path / "design.txt"
+    dfile.write_text(_GOOD_LQR_FILE.replace(*edit))
+    code = cli.run(["simulate", "--platform", "rotpen", "--design", str(dfile),
+                    "--duration", "0.1", "--trace", str(tmp_path / "t.csv"),
+                    "--metrics", str(tmp_path / "m.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and str(dfile) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["simulate", "--platform", "nxtway", "--ts", "0"], "ts"),
+    (["simulate", "--platform", "rotpen", "--ts", "-0.002"], "ts"),
+    (["synthesize", "--platform", "nxtway", "--smc", "--ts", "0"], "ts"),
+    (["synthesize", "--platform", "nxtway", "--smc", "--alpha", "0"], "alpha"),
+    (["synthesize", "--platform", "rotpen", "--smc", "--alpha", "nan"], "alpha"),
+])
+def test_nonpositive_ts_and_alpha_are_rejected(tmp_path, capsys, argv, key):
+    files = ["--trace", str(tmp_path / "t.csv"), "--metrics", str(tmp_path / "m.csv")] \
+        if argv[0] == "simulate" else ["--out", str(tmp_path / "d.txt")]
+    assert cli.run(argv + files) == 1
+    assert f"invalid value for {key}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_smc_design_runs_only_at_its_sample_time(tmp_path, capsys):
+    dfile = tmp_path / "smc.txt"
+    assert cli.run(["synthesize", "--platform", "rotpen", "--smc",
+                    "--ts", "0.01", "--out", str(dfile)]) == 0
+    assert load_design(dfile).Ts == 0.01
+    argv = ["simulate", "--platform", "rotpen", "--controller", "smc",
+            "--design", str(dfile), "--duration", "1",
+            "--trace", str(tmp_path / "t.csv"),
+            "--metrics", str(tmp_path / "m.csv")]
+    capsys.readouterr()
+    assert cli.run(argv) == 1  # the default rotpen period is 0.002
+    assert "Ts = 0.01" in capsys.readouterr().err
+    assert cli.run(argv + ["--ts", "0.01"]) == 0
+
+
 # ---------------------------------------------------------------------------
 # compare
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from pendulum_ctl.plants import (
     forward_dynamics,
     mechanical_energy,
     params_from_mapping,
+    scalar_rhs,
 )
 
 
@@ -353,6 +354,28 @@ def test_forward_dynamics_consistent_with_eval_mcg():
     m = eval_mcg(p, x)
     resid = m.M @ qdd + m.C @ x[2:] + m.G - np.array([3.0, 3.0])
     np.testing.assert_allclose(resid, 0.0, atol=1e-12)
+
+
+def test_scalar_rhs_matches_vector_dynamics():
+    # the integration kernel against the eval_mcg/forward_dynamics reference,
+    # on the factory parameters and on sets with every field scaled by 0.8..1.2
+    rng = np.random.default_rng(77)
+    for platform in ("rotpen", "nxtway"):
+        base = default_params(platform)
+        param_sets = [base]
+        for _ in range(4):
+            param_sets.append(params_from_mapping(platform, {
+                f.name: getattr(base, f.name) * rng.uniform(0.8, 1.2)
+                for f in dataclasses.fields(base)}))
+        for params in param_sets:
+            f = scalar_rhs(params)
+            for _ in range(25):
+                x = rng.normal(scale=1.5, size=4)
+                v = float(rng.normal(scale=3.0))
+                got = np.array(f(x[0], x[1], x[2], x[3], v))
+                np.testing.assert_array_equal(got[:2], x[2:])
+                want = forward_dynamics(params, x, v)
+                np.testing.assert_allclose(got[2:], want, rtol=1e-12, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------

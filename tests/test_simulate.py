@@ -1,9 +1,10 @@
 """Tests for the closed-loop simulator.
 
-The scalar fast-path dynamics are asserted equal to the vector plant model,
-RK4 order four is confirmed by step halving, and the discrete reaching law
-is exercised on the sampled linear model with a manual update loop so the
-check does not depend on the integrator under test.
+Recorded commands are asserted equal to the public control laws on the
+recorded states, RK4 order four is confirmed by step halving, and the
+discrete reaching law is exercised on the sampled linear model with a
+manual update loop so the check does not depend on the integrator under
+test.
 """
 
 import math
@@ -17,12 +18,11 @@ from pendulum_ctl.linearize import (
     nxtway_statespace_closed_form,
     rotpen_statespace_closed_form,
 )
-from pendulum_ctl.plants import default_params, forward_dynamics
+from pendulum_ctl.plants import default_params
 from pendulum_ctl.simulate import (
     DisturbanceSpec,
     SimConfig,
     SimTrace,
-    _platform_rhs,
     disturbance_value,
     filtered_derivative,
     lqr_control_law,
@@ -240,20 +240,6 @@ def test_equilibrium_stays_at_zero():
         assert np.abs(trace.u_applied).max() < 1e-9
 
 
-def test_scalar_rhs_matches_vector_dynamics():
-    rng = np.random.default_rng(77)
-    for platform in ("rotpen", "nxtway"):
-        params = default_params(platform)
-        f = _platform_rhs(params)
-        for _ in range(25):
-            x = rng.normal(scale=1.5, size=4)
-            v = float(rng.normal(scale=3.0))
-            got = np.array(f(x[0], x[1], x[2], x[3], v))
-            np.testing.assert_array_equal(got[:2], x[2:])
-            want = forward_dynamics(params, x, v)
-            np.testing.assert_allclose(got[2:], want, rtol=1e-12, atol=1e-13)
-
-
 def test_rotpen_reference_gains_recover_from_pulse():
     params = default_params("rotpen")
     cfg = SimConfig(duration=70.0, controller_Ts=0.002,
@@ -306,6 +292,38 @@ def test_saturation_invariant():
     assert np.abs(trace.u_command).max() > params.V_max  # the clamp was active
     np.testing.assert_array_equal(
         trace.u_applied, np.clip(trace.u_command, -params.V_max, params.V_max))
+    assert [saturate(u, params.V_max) for u in trace.u_command] == \
+        trace.u_applied.tolist()
+
+
+def test_recorded_smc_rows_equal_the_control_law():
+    params = default_params("nxtway")
+    design = _nxtway_smc()
+    for layer in (0.0, 2.0):
+        cfg = SimConfig(duration=2.0, controller_Ts=0.004,
+                        x0=(0.0, 0.05, 0.0, 0.0), boundary_layer=layer)
+        trace = simulate(params, design, cfg)
+        if layer > 0.0:
+            assert np.any(np.abs(trace.s) < layer)  # the layer branch ran
+        for k in range(trace.t.size):
+            assert smc_control_law(design, trace.x[k], layer) == \
+                (trace.u_command[k], trace.s[k])
+
+
+def test_recorded_filtered_lqr_rows_equal_the_control_law():
+    params = default_params("nxtway")
+    design = _nxtway_lqr()
+    Ts, cutoff, reference = 0.004, 30.0, (0.1, 0.0, 0.0, 0.0)
+    cfg = SimConfig(duration=2.0, controller_Ts=Ts, x0=(0.0, 0.05, 0.0, 0.0),
+                    reference=reference, measurement="filtered-derivative",
+                    filter_cutoff=cutoff)
+    trace = simulate(params, design, cfg)
+    rate1 = filtered_derivative(trace.x[:, 0], Ts, cutoff)
+    rate2 = filtered_derivative(trace.x[:, 1], Ts, cutoff)
+    for k in range(trace.t.size):
+        measured = [trace.x[k, 0], trace.x[k, 1], rate1[k], rate2[k]]
+        assert lqr_control_law(design, measured, integ=trace.integ[k],
+                               reference=reference) == trace.u_command[k]
 
 
 def test_rk4_order_by_step_halving():
