@@ -5,8 +5,8 @@ built-in defaults, then the config file (from --config or the
 PENDULUM_CTL_CONFIG environment variable), then explicit flags. Config
 files are plain text with one key=value pair per line and # comments.
 
-Exit codes: 0 success, 1 configuration error, 2 synthesis failure,
-3 diverged simulation.
+Exit codes: 0 success, 1 configuration error (including an unwritable
+output path), 2 synthesis failure, 3 diverged simulation.
 """
 
 from __future__ import annotations
@@ -461,7 +461,7 @@ def run(argv=None) -> int:
     except SynthesisError as exc:
         print(f"synthesis failed: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -42,9 +42,16 @@ __all__ = [
 ]
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ValueError(message)
+def _check_fields(params, positive: tuple, non_negative: tuple) -> None:
+    """Raise ValueError unless each named field is finite and has its sign."""
+    for name in positive + non_negative:
+        value = getattr(params, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+        if name in positive and not value > 0.0:
+            raise ValueError(f"{name} must be positive")
+        if value < 0.0:
+            raise ValueError(f"{name} must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -78,11 +85,9 @@ class RotPenParams:
     V_max: float = 6.0
 
     def __post_init__(self) -> None:
-        for name in ("g", "m_p", "L_p", "J_p", "m_r", "L_r", "J_r", "R_m",
-                     "L_m", "K_t", "eta_g", "eta_m", "K_enc", "K_g", "V_max"):
-            _require(getattr(self, name) > 0.0, f"{name} must be positive")
-        for name in ("f_p", "f_r", "K_m"):
-            _require(getattr(self, name) >= 0.0, f"{name} must be non-negative")
+        _check_fields(self, ("g", "m_p", "L_p", "J_p", "m_r", "L_r", "J_r", "R_m",
+                             "L_m", "K_t", "eta_g", "eta_m", "K_enc", "K_g", "V_max"),
+                      ("f_p", "f_r", "K_m"))
 
     @property
     def platform(self) -> str:
@@ -129,11 +134,9 @@ class NxtwayParams:
     V_max: float = 10.0
 
     def __post_init__(self) -> None:
-        for name in ("g", "m", "R", "M", "W", "D", "H", "L", "J_m", "R_m",
-                     "K_t", "eta", "V_max"):
-            _require(getattr(self, name) > 0.0, f"{name} must be positive")
-        for name in ("f_m", "f_w", "K_b"):
-            _require(getattr(self, name) >= 0.0, f"{name} must be non-negative")
+        _check_fields(self, ("g", "m", "R", "M", "W", "D", "H", "L", "J_m", "R_m",
+                             "K_t", "eta", "V_max"),
+                      ("f_m", "f_w", "K_b"))
 
     @property
     def platform(self) -> str:
@@ -209,8 +212,9 @@ def params_from_mapping(platform: str, overrides: Mapping[str, object]) -> Plant
     Raises
     ------
     ConfigError
-        For an unknown key, a non-numeric value, or an inconsistent derived
-        value. Base-field invariant violations raise ValueError.
+        For an unknown key, a non-numeric or non-finite value, or an
+        inconsistent derived value. Base-field invariant violations raise
+        ValueError.
     """
     base = default_params(platform)
     derived = _DERIVED[base.platform]
@@ -223,6 +227,8 @@ def params_from_mapping(platform: str, overrides: Mapping[str, object]) -> Plant
             value = float(raw)  # type: ignore[arg-type]
         except (TypeError, ValueError):
             raise ConfigError(f"parameter {key}: {raw!r} is not a number") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"parameter {key}: {raw!r} is not finite")
         if key in fields:
             plain[key] = value
         elif key in derived:
@@ -293,6 +299,14 @@ def scalar_rhs(params: PlantParams):
 
     The scalar form of forward_dynamics, with v the voltage on each motor,
     so an integration loop allocates no arrays.
+
+    Subexpressions that depend on the parameters alone are evaluated once,
+    here, rather than on every call. Only a whole constant subexpression or
+    a left-associative constant prefix is folded, so every remaining
+    expression keeps its IEEE operation order and the results are bit for
+    bit those of the unfolded formulas: ``-gam * b * co`` may become
+    ``ngb * co`` with ``ngb = -gam * b``, but ``MgL * s / al`` must not
+    become ``(MgL / al) * s``.
     """
     p = params
     if isinstance(p, RotPenParams):
@@ -301,16 +315,17 @@ def scalar_rhs(params: PlantParams):
         kmkg = p.K_m * p.K_g
         fr, fp = p.f_r, p.f_p
         halfmpg = 0.5 * p.m_p * p.L_p * p.g
+        ngb, nb, l2x2, gb = -gam * b, -b, 2 * l2, gam * b
 
         def f(x1, x2, x3, x4, v):
             s = math.sin(x2)
             co = math.cos(x2)
             m11 = gam * (a + l2 * s * s)
-            m12 = -gam * b * co
-            m21 = -b * co
+            m12 = ngb * co
+            m21 = nb * co
             m22 = c
-            r1 = v - (gam * (2 * l2 * s * co * x4 + fr) + kmkg) * x3 \
-                - (gam * b * s * x4) * x4
+            r1 = v - (gam * (l2x2 * s * co * x4 + fr) + kmkg) * x3 \
+                - (gb * s * x4) * x4
             r2 = l2 * s * co * x3 * x3 - fp * x4 + halfmpg * s
             det = m11 * m22 - m12 * m21
             return x3, x4, (m22 * r1 - m12 * r2) / det, (m11 * r2 - m21 * r1) / det
@@ -321,20 +336,21 @@ def scalar_rhs(params: PlantParams):
     al, be = p.alpha, p.beta
     MLR = p.M * p.L * p.R
     MgL = p.M * p.g * p.L
-    fw = p.f_w
+    m11, m22 = pw / al, -rb / al
+    m11m22 = m11 * m22
+    c11, c21 = 2 * (be + p.f_w) / al, 2 * be / al
+    nbe2, n2Jm2 = -2 * be, 2 * n2Jm
 
     def f(x1, x2, x3, x4, v):
         s = math.sin(x2)
         co = math.cos(x2)
-        q0 = MLR * co - 2 * n2Jm
-        m11 = pw / al
+        q0 = MLR * co - n2Jm2
         m12 = q0 / al
         m21 = -q0 / al
-        m22 = -rb / al
         w = 2 * v
-        r1 = w - (2 * (be + fw) / al) * x3 - ((-2 * be - MLR * x4 * s) / al) * x4
-        r2 = w - (2 * be / al) * x3 + (2 * be / al) * x4 - MgL * s / al
-        det = m11 * m22 - m12 * m21
+        r1 = w - c11 * x3 - ((nbe2 - MLR * x4 * s) / al) * x4
+        r2 = w - c21 * x3 + c21 * x4 - MgL * s / al
+        det = m11m22 - m12 * m21
         return x3, x4, (m22 * r1 - m12 * r2) / det, (m11 * r2 - m21 * r1) / det
 
     return f

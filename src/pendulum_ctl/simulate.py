@@ -39,6 +39,7 @@ __all__ = [
 
 _STATE_DIM = 4
 _DIVERGENCE_LIMIT = 1e3
+_CSV_BLOCK = 1024  # trace rows formatted per write in save_trace_csv
 
 
 @dataclass(frozen=True)
@@ -97,8 +98,9 @@ def saturate(u: float, V_max: float) -> float:
 class SimConfig:
     """Run settings for one closed-loop experiment.
 
-    plant_dt defaults to controller_Ts / 4 and must divide controller_Ts
-    evenly. saturation_V defaults to the plant's supply voltage.
+    duration must be a whole number of controller periods. plant_dt
+    defaults to controller_Ts / 4 and must divide controller_Ts evenly.
+    saturation_V defaults to the plant's supply voltage.
     """
 
     duration: float
@@ -119,8 +121,11 @@ class SimConfig:
             raise ConfigError("duration must be a positive number of seconds")
         if not (math.isfinite(self.controller_Ts) and self.controller_Ts > 0.0):
             raise ConfigError("controller_Ts must be positive")
-        if round(self.duration / self.controller_Ts) < 1:
+        periods = self.duration / self.controller_Ts
+        if round(periods) < 1:
             raise ConfigError("duration is shorter than one controller period")
+        if abs(periods - round(periods)) > 1e-6 * max(1.0, periods):
+            raise ConfigError("duration must be an integer multiple of controller_Ts")
 
         dt = self.controller_Ts / 4.0 if self.plant_dt is None else float(self.plant_dt)
         object.__setattr__(self, "plant_dt", dt)
@@ -427,7 +432,12 @@ def save_trace_csv(trace: SimTrace, path) -> None:
     if trace.integ is not None:
         cols.append("integ")
         arrays.append(trace.integ)
+    # "%r" of a Python float is its repr, so formatting each row's tuple
+    # writes the same bytes as a repr per cell; converting _CSV_BLOCK rows
+    # at a time bounds the Python floats alive at once.
+    row = ",".join(["%r"] * len(arrays)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
-        for i in range(trace.t.size):
-            fh.write(",".join(repr(float(a[i])) for a in arrays) + "\n")
+        for i in range(0, trace.t.size, _CSV_BLOCK):
+            columns = [a[i:i + _CSV_BLOCK].tolist() for a in arrays]
+            fh.write("".join([row % values for values in zip(*columns)]))

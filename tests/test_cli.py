@@ -5,8 +5,11 @@ exercised exactly as a shell would see it: 0 success, 1 config error,
 2 synthesis failure, 3 diverged simulation.
 """
 
+import hashlib
+import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,6 +251,29 @@ def test_repeated_simulate_invocations_are_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+_REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+
+
+@pytest.mark.parametrize("size, duration", [("tiny", "2.0"), ("full", "120.0")])
+@pytest.mark.parametrize("platform", cli.PLATFORMS)
+@pytest.mark.parametrize("controller", ["lqr", "smc"])
+def test_paper_pulse_outputs_match_recorded_digests(tmp_path, platform, controller,
+                                                    size, duration):
+    # the benchmark's paper_pulse commands must reproduce its recorded SHA-256
+    # digests, so a last-bit drift in the dynamics or the CSV writer fails
+    # here too; the tiny runs stay at rest (the pulse starts at 60 s), so
+    # only the full runs exercise the dynamics
+    with open(_REFERENCES, encoding="utf-8") as fh:
+        expected = json.load(fh)["paper_pulse"][size][f"{platform}-{controller}"]
+    trace, metrics = tmp_path / "trace.csv", tmp_path / "metrics.csv"
+    assert cli.run(["simulate", "--platform", platform, "--controller", controller,
+                    "--disturbance", "paper", "--duration", duration,
+                    "--measurement", "ideal",
+                    "--trace", str(trace), "--metrics", str(metrics)]) == 0
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == expected["trace_sha256"]
+    assert hashlib.sha256(metrics.read_bytes()).hexdigest() == expected["metrics_sha256"]
+
+
 def test_simulate_pulse_requires_amplitude(tmp_path, capsys):
     assert cli.run(["simulate", "--platform", "nxtway",
                     "--disturbance", "pulse", "--duration", "1"]) == 1
@@ -318,6 +344,29 @@ def test_smc_design_runs_only_at_its_sample_time(tmp_path, capsys):
     assert cli.run(argv) == 1  # the default rotpen period is 0.002
     assert "Ts = 0.01" in capsys.readouterr().err
     assert cli.run(argv + ["--ts", "0.01"]) == 0
+
+
+_SIM = ["simulate", "--platform", "rotpen", "--duration", "0.1"]
+_CMP = ["compare", "--duration", "0.2"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (_SIM + ["--metrics", "{ok}/m.csv"], "--trace"),
+    (_SIM + ["--trace", "{ok}/t.csv"], "--metrics"),
+    (_CMP, "--out"),
+    (_CMP + ["--out", "{ok}/report.txt"], "--trace-dir"),
+    (["synthesize", "--platform", "nxtway"], "--out"),
+    (["linearize", "--platform", "rotpen"], "--out"),
+])
+def test_unwritable_output_path_is_config_error(tmp_path, capsys, argv, flag):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    bad = str(blocker / "dir" / "out")  # a path below a regular file
+    argv = [a.format(ok=tmp_path) for a in argv] + [flag, bad]
+    assert cli.run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocker) in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

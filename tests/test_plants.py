@@ -173,6 +173,17 @@ def test_params_from_mapping_overrides_and_errors():
         params_from_mapping("rotpen", {"m_p": "not-a-number"})
 
 
+@pytest.mark.parametrize("platform, name", [
+    ("rotpen", "m_p"), ("rotpen", "f_p"), ("nxtway", "M"), ("nxtway", "f_w"),
+])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_nonfinite_parameters_rejected(platform, name, value):
+    with pytest.raises(ConfigError, match="not finite"):
+        params_from_mapping(platform, {name: value})
+    with pytest.raises(ValueError, match="must be finite"):
+        dataclasses.replace(default_params(platform), **{name: float(value)})
+
+
 def test_params_from_mapping_checks_derived_keys():
     # consistent derived values are accepted, inconsistent ones refused
     p = default_params("nxtway")
@@ -369,9 +380,15 @@ def test_scalar_rhs_matches_vector_dynamics():
                 for f in dataclasses.fields(base)}))
         for params in param_sets:
             f = scalar_rhs(params)
+            # an equal parameter object built separately gives the same bits
+            twin = params_from_mapping(platform, {
+                fld.name: repr(getattr(params, fld.name)) for fld in dataclasses.fields(params)})
+            assert twin == params and twin is not params
+            g = scalar_rhs(twin)
             for _ in range(25):
                 x = rng.normal(scale=1.5, size=4)
                 v = float(rng.normal(scale=3.0))
+                assert g(x[0], x[1], x[2], x[3], v) == f(x[0], x[1], x[2], x[3], v)
                 got = np.array(f(x[0], x[1], x[2], x[3], v))
                 np.testing.assert_array_equal(got[:2], x[2:])
                 want = forward_dynamics(params, x, v)

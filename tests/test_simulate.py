@@ -18,6 +18,7 @@ from pendulum_ctl.linearize import (
     nxtway_statespace_closed_form,
     rotpen_statespace_closed_form,
 )
+from pendulum_ctl import simulate as simulate_module
 from pendulum_ctl.plants import default_params
 from pendulum_ctl.simulate import (
     DisturbanceSpec,
@@ -133,6 +134,13 @@ def test_sim_config_defaults_and_validation():
         SimConfig(duration=1.0, controller_Ts=0.004, measurement="noisy")
     with pytest.raises(ConfigError):
         SimConfig(duration=1.0, controller_Ts=0.004, saturation_V=-2.0)
+
+    # the run length is a whole number of controller periods, never rounded
+    for duration, Ts in ((0.005, 0.002), (1.5, 1.0)):
+        with pytest.raises(ConfigError, match="integer multiple of controller_Ts"):
+            SimConfig(duration=duration, controller_Ts=Ts)
+    for duration, Ts in ((0.2, 0.002), (120.0, 0.002), (88.0, 0.004)):
+        assert SimConfig(duration=duration, controller_Ts=Ts).duration == duration
 
 
 def test_sim_trace_validation():
@@ -418,6 +426,38 @@ def test_trace_csv_optional_columns(tmp_path):
     save_trace_csv(lqr_trace, p2)
     assert p2.read_text().splitlines()[0] == \
         "t,q1,q2,q1dot,q2dot,u_cmd,u_applied,dist,integ"
+
+
+def _per_row_csv(trace, cols, arrays):
+    """The writer's output as one repr per cell and one line per row."""
+    lines = [",".join(cols)]
+    for i in range(trace.t.size):
+        lines.append(",".join(repr(float(a[i])) for a in arrays))
+    return "\n".join(lines) + "\n"
+
+
+_B = simulate_module._CSV_BLOCK
+
+
+@pytest.mark.parametrize("extra", ["s", "integ"])
+@pytest.mark.parametrize("rows", [1, _B - 1, _B, _B + 1, 2 * _B + 1])
+def test_trace_csv_matches_per_row_writer(tmp_path, extra, rows):
+    # block boundaries at one row, one short of a block, a whole block,
+    # one past it and past two blocks
+    rng = np.random.default_rng(rows)
+    values = rng.normal(scale=3.0, size=(rows, 8))
+    special = [-0.0, 1e-05, 1e16, 5e-324, 1 / 3, -1e-300, 123456789.0]
+    values.flat[:len(special)] = special  # first and last rows
+    values.flat[-len(special):] = special
+    t = np.arange(rows) * 0.002
+    trace = SimTrace(t=t, x=values[:, 0:4], u_command=values[:, 4],
+                     u_applied=values[:, 5], d=values[:, 6],
+                     **{extra: values[:, 7]})
+    path = tmp_path / "trace.csv"
+    save_trace_csv(trace, path)
+    cols = ["t", "q1", "q2", "q1dot", "q2dot", "u_cmd", "u_applied", "dist", extra]
+    arrays = [t, *values.T]
+    assert path.read_bytes() == _per_row_csv(trace, cols, arrays).encode()
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):
