@@ -6,7 +6,8 @@ PENDULUM_CTL_CONFIG environment variable), then explicit flags. Config
 files are plain text with one key=value pair per line and # comments.
 
 Exit codes: 0 success, 1 configuration error (including an unwritable
-output path), 2 synthesis failure, 3 diverged simulation.
+output path), 2 synthesis failure, 3 diverged simulation. simulate and
+compare check their output paths before simulating anything.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ _CONVERTERS = {
     "measurement": _choice("ideal", "filtered-derivative"),
     "filter_cutoff": float,
     "boundary_layer": float,
-    "saturation": float,
+    "saturation": _positive,
     "trace": str,
     "metrics": str,
     "trace_dir": str,
@@ -177,6 +178,28 @@ def _require(settings: dict, key: str):
 # ---------------------------------------------------------------------------
 # shared assembly helpers
 # ---------------------------------------------------------------------------
+
+def _check_writable(path: str, parents: bool = False) -> None:
+    """Raise ConfigError unless a file can be written at path; touch nothing.
+
+    Lets a command refuse an unusable output path before it simulates
+    anything. With parents, missing parent directories count as creatable.
+    """
+    target = os.path.abspath(path)
+    if os.path.isdir(target):
+        raise ConfigError(f"cannot write {path}: it is a directory")
+    if os.path.exists(target):
+        if not os.access(target, os.W_OK):
+            raise ConfigError(f"cannot write {path}: permission denied")
+        return
+    folder = os.path.dirname(target)
+    while parents and not os.path.exists(folder):
+        folder = os.path.dirname(folder)
+    if not os.path.isdir(folder):
+        raise ConfigError(f"cannot write {path}: {folder} is not an existing directory")
+    if not os.access(folder, os.W_OK | os.X_OK):
+        raise ConfigError(f"cannot write {path}: permission denied in {folder}")
+
 
 def _closed_form(platform: str, params):
     if platform == "rotpen":
@@ -283,6 +306,8 @@ def _cmd_synthesize(settings: dict) -> int:
 
 def _cmd_simulate(settings: dict) -> int:
     platform = _require(settings, "platform")
+    _check_writable(settings["trace"])
+    _check_writable(settings["metrics"])
     controller = settings["controller"]
     design = _make_design(platform, controller, settings)
     trace, metrics = _run_experiment(platform, design, settings)
@@ -300,22 +325,30 @@ def _cmd_simulate(settings: dict) -> int:
 
 
 def _cmd_compare(settings: dict) -> int:
+    runs = [(platform, controller) for platform in PLATFORMS
+            for controller in ("lqr", "smc")]
+    trace_dir = settings["trace_dir"]
+    trace_paths = {run: os.path.join(trace_dir, "%s_%s.csv" % run)
+                   for run in runs} if trace_dir else {}
+    _check_writable(settings["out"])
+    if settings["metrics"]:
+        _check_writable(settings["metrics"])
+    for path in trace_paths.values():
+        _check_writable(path, parents=True)
+    if trace_dir:
+        os.makedirs(trace_dir, exist_ok=True)
+
     rows = []
     diverged = False
-    if settings["trace_dir"]:
-        os.makedirs(settings["trace_dir"], exist_ok=True)
-    for platform in PLATFORMS:
-        run_settings = dict(_DEFAULTS["simulate"])
-        run_settings.update(duration=settings["duration"],
-                            disturbance="paper")
-        for controller in ("lqr", "smc"):
-            design = _make_design(platform, controller, run_settings)
-            trace, metrics = _run_experiment(platform, design, run_settings)
-            rows.append((f"{platform} {controller}", metrics))
-            diverged = diverged or trace.diverged
-            if settings["trace_dir"]:
-                save_trace_csv(trace, os.path.join(
-                    settings["trace_dir"], f"{platform}_{controller}.csv"))
+    run_settings = dict(_DEFAULTS["simulate"])
+    run_settings.update(duration=settings["duration"], disturbance="paper")
+    for platform, controller in runs:
+        design = _make_design(platform, controller, run_settings)
+        trace, metrics = _run_experiment(platform, design, run_settings)
+        rows.append((f"{platform} {controller}", metrics))
+        diverged = diverged or trace.diverged
+        if trace_dir:
+            save_trace_csv(trace, trace_paths[platform, controller])
     report = comparison_report(rows)
     with open(settings["out"], "w", encoding="utf-8") as fh:
         fh.write(report + "\n")

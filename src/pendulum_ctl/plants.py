@@ -295,10 +295,12 @@ def _nxtway_terms(p: NxtwayParams, q2: float, q1d: float, q2d: float):
 
 
 def scalar_rhs(params: PlantParams):
-    """Closure f(q1, q2, q1dot, q2dot, v) -> (q1dot, q2dot, q1ddot, q2ddot).
+    """Closure f(q2, q1dot, q2dot, v) -> (q1ddot, q2ddot).
 
     The scalar form of forward_dynamics, with v the voltage on each motor,
-    so an integration loop allocates no arrays.
+    so an integration loop allocates no arrays. The arm or wheel angle q1
+    never enters the dynamics and the position rates are the velocities,
+    so the closure takes and returns neither.
 
     Subexpressions that depend on the parameters alone are evaluated once,
     here, rather than on every call. Only a whole constant subexpression or
@@ -306,7 +308,10 @@ def scalar_rhs(params: PlantParams):
     expression keeps its IEEE operation order and the results are bit for
     bit those of the unfolded formulas: ``-gam * b * co`` may become
     ``ngb * co`` with ``ngb = -gam * b``, but ``MgL * s / al`` must not
-    become ``(MgL / al) * s``.
+    become ``(MgL / al) * s``. Other rewrites are exact ones only: a shared
+    left prefix such as ``l2 * s``, ``2.0 * v`` for ``2 * v``, and, since
+    rounding is symmetric under negation, the nxtway ``m21 = -q0 / al``
+    taken as ``-m12``, so that ``- m12 * m21`` becomes ``+ m12 * m12``.
     """
     p = params
     if isinstance(p, RotPenParams):
@@ -317,18 +322,18 @@ def scalar_rhs(params: PlantParams):
         halfmpg = 0.5 * p.m_p * p.L_p * p.g
         ngb, nb, l2x2, gb = -gam * b, -b, 2 * l2, gam * b
 
-        def f(x1, x2, x3, x4, v):
+        def f(x2, x3, x4, v):
             s = math.sin(x2)
             co = math.cos(x2)
-            m11 = gam * (a + l2 * s * s)
+            l2s = l2 * s
+            m11 = gam * (a + l2s * s)
             m12 = ngb * co
             m21 = nb * co
-            m22 = c
             r1 = v - (gam * (l2x2 * s * co * x4 + fr) + kmkg) * x3 \
                 - (gb * s * x4) * x4
-            r2 = l2 * s * co * x3 * x3 - fp * x4 + halfmpg * s
-            det = m11 * m22 - m12 * m21
-            return x3, x4, (m22 * r1 - m12 * r2) / det, (m11 * r2 - m21 * r1) / det
+            r2 = l2s * co * x3 * x3 - fp * x4 + halfmpg * s
+            det = m11 * c - m12 * m21
+            return (c * r1 - m12 * r2) / det, (m11 * r2 - m21 * r1) / det
 
         return f
 
@@ -341,17 +346,15 @@ def scalar_rhs(params: PlantParams):
     c11, c21 = 2 * (be + p.f_w) / al, 2 * be / al
     nbe2, n2Jm2 = -2 * be, 2 * n2Jm
 
-    def f(x1, x2, x3, x4, v):
+    def f(x2, x3, x4, v):
         s = math.sin(x2)
         co = math.cos(x2)
-        q0 = MLR * co - n2Jm2
-        m12 = q0 / al
-        m21 = -q0 / al
-        w = 2 * v
+        m12 = (MLR * co - n2Jm2) / al  # and m21 = -m12
+        w = 2.0 * v
         r1 = w - c11 * x3 - ((nbe2 - MLR * x4 * s) / al) * x4
         r2 = w - c21 * x3 + c21 * x4 - MgL * s / al
-        det = m11m22 - m12 * m21
-        return x3, x4, (m22 * r1 - m12 * r2) / det, (m11 * r2 - m21 * r1) / det
+        det = m11m22 + m12 * m12
+        return (m22 * r1 - m12 * r2) / det, (m11 * r2 + m12 * r1) / det
 
     return f
 

@@ -10,6 +10,14 @@ torque-equivalent injection rather than part of the commanded signal.
 Measurements are ideal by default. The filtered-derivative mode feeds the
 controller velocity estimates built from backward differences smoothed by
 a bilinear-mapped first-order low-pass, emulating encoder-only sensing.
+
+A run at exact rest is not recomputed tick by tick. When one tick leaves
+the carried state (plant state, integral, derivative-filter states)
+unchanged bit for bit, each later tick would repeat the same arithmetic on
+the same inputs until the disturbance changes value, so its row is copied
+instead; the trace bytes are those of computing every tick. The paper's
+pulse experiment balances at the upright equilibrium for 60 s before the
+first pulse, so half of its ticks are copied.
 """
 
 from __future__ import annotations
@@ -56,7 +64,10 @@ class DisturbanceSpec:
         if self.kind not in ("none", "pulse_train"):
             raise ConfigError(f"unknown disturbance kind {self.kind!r}")
         for name in ("amplitude", "frequency", "start_time", "duty"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ConfigError(f"disturbance {name} must be finite")
+            object.__setattr__(self, name, value)
         if self.amplitude < 0.0:
             raise ConfigError("disturbance amplitude must be non-negative")
         if self.kind == "pulse_train" and self.frequency <= 0.0:
@@ -147,16 +158,16 @@ class SimConfig:
 
         if self.saturation_V is not None:
             object.__setattr__(self, "saturation_V", float(self.saturation_V))
-            if self.saturation_V <= 0.0:
-                raise ConfigError("saturation_V must be positive")
+            if not (math.isfinite(self.saturation_V) and self.saturation_V > 0.0):
+                raise ConfigError("saturation_V must be positive and finite")
         if self.measurement not in ("ideal", "filtered-derivative"):
             raise ConfigError(f"unknown measurement mode {self.measurement!r}")
         object.__setattr__(self, "filter_cutoff", float(self.filter_cutoff))
-        if self.filter_cutoff <= 0.0:
-            raise ConfigError("filter_cutoff must be positive")
+        if not (math.isfinite(self.filter_cutoff) and self.filter_cutoff > 0.0):
+            raise ConfigError("filter_cutoff must be positive and finite")
         object.__setattr__(self, "boundary_layer", float(self.boundary_layer))
-        if self.boundary_layer < 0.0:
-            raise ConfigError("boundary_layer must be non-negative")
+        if not (math.isfinite(self.boundary_layer) and self.boundary_layer >= 0.0):
+            raise ConfigError("boundary_layer must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -264,22 +275,25 @@ def smc_control_law(design: SmcDesign, x, boundary_layer: float = 0.0):
 # velocity reconstruction
 # ---------------------------------------------------------------------------
 
+# (previous sample, previous backward difference, estimate) before any sample
+_FILTER_START = (None, 0.0, 0.0)
+
+
 def _derivative_filter(Ts: float, cutoff_hz: float):
-    """Streaming filtered_derivative: step(sample) -> derivative estimate."""
+    """Streaming filtered_derivative as a pure step(state, sample) -> state.
+
+    Start from _FILTER_START; the estimate after a sample is state[2].
+    """
     om = 2.0 * math.pi * cutoff_hz
     c = 2.0 / Ts
     fa, fg = (c - om) / (c + om), om / (c + om)
-    prev = None
-    praw = y = 0.0
 
-    def step(x):
-        nonlocal prev, praw, y
-        if prev is not None:
-            raw = (x - prev) / Ts
-            y = fa * y + fg * (raw + praw)
-            praw = raw
-        prev = x
-        return y
+    def step(state, x):
+        prev, praw, y = state
+        if prev is None:
+            return x, praw, y
+        raw = (x - prev) / Ts
+        return x, raw, fa * y + fg * (raw + praw)
 
     return step
 
@@ -300,25 +314,51 @@ def filtered_derivative(samples, Ts: float, cutoff_hz: float) -> np.ndarray:
     if cutoff_hz <= 0.0:
         raise ValueError("cutoff_hz must be positive")
     step = _derivative_filter(Ts, cutoff_hz)
-    return np.array([step(v) for v in x.tolist()])
+    out = np.empty(x.size)
+    state = _FILTER_START
+    for i, v in enumerate(x.tolist()):
+        state = step(state, v)
+        out[i] = state[2]
+    return out
 
 
 # ---------------------------------------------------------------------------
 # plant integration
 # ---------------------------------------------------------------------------
 
-def _rk4_step(f, x, v, dt):
-    x1, x2, x3, x4 = x
-    a1, a2, a3, a4 = f(x1, x2, x3, x4, v)
+def _rk4_advance(f, dt: float, steps: int):
+    """Closure advance(q1, q2, q1dot, q2dot, v) -> the state after steps RK4 steps of dt.
+
+    f is an accelerations-only right-hand side from scalar_rhs. Each
+    stage's position rates are that stage's velocities, so the q1 stage
+    states, which f never reads, are not formed; every other operation is
+    that of the classic four-stage step, in the same order (a float 2.0
+    doubles exactly as the integer 2 does, without the int conversion).
+    """
     h = 0.5 * dt
-    b1, b2, b3, b4 = f(x1 + h * a1, x2 + h * a2, x3 + h * a3, x4 + h * a4, v)
-    c1, c2, c3, c4 = f(x1 + h * b1, x2 + h * b2, x3 + h * b3, x4 + h * b4, v)
-    d1, d2, d3, d4 = f(x1 + dt * c1, x2 + dt * c2, x3 + dt * c3, x4 + dt * c4, v)
     w = dt / 6.0
-    return (x1 + w * (a1 + 2 * b1 + 2 * c1 + d1),
-            x2 + w * (a2 + 2 * b2 + 2 * c2 + d2),
-            x3 + w * (a3 + 2 * b3 + 2 * c3 + d3),
-            x4 + w * (a4 + 2 * b4 + 2 * c4 + d4))
+
+    def advance(x1, x2, x3, x4, v):
+        for _ in range(steps):
+            a3, a4 = f(x2, x3, x4, v)
+            b1, b2 = x3 + h * a3, x4 + h * a4
+            b3, b4 = f(x2 + h * x4, b1, b2, v)
+            c1, c2 = x3 + h * b3, x4 + h * b4
+            c3, c4 = f(x2 + h * b2, c1, c2, v)
+            d1, d2 = x3 + dt * c3, x4 + dt * c4
+            d3, d4 = f(x2 + dt * c2, d1, d2, v)
+            x1, x2, x3, x4 = (x1 + w * (x3 + 2.0 * b1 + 2.0 * c1 + d1),
+                              x2 + w * (x4 + 2.0 * b2 + 2.0 * c2 + d2),
+                              x3 + w * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
+                              x4 + w * (a4 + 2.0 * b4 + 2.0 * c4 + d4))
+        return x1, x2, x3, x4
+
+    return advance
+
+
+def _same_bits(a: float, b: float) -> bool:
+    """Whether a and b are one float bit for bit: zero signs count, NaN never matches."""
+    return a == b and (a != 0.0 or math.copysign(1.0, a) == math.copysign(1.0, b))
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +372,9 @@ def simulate(params: PlantParams, design, cfg: SimConfig) -> SimTrace:
     state-feedback law (with integral action when Ki is present), an
     SmcDesign applies the sliding-mode law. The same per-motor voltage goes
     to both motors of the two-wheeled robot. Divergence (any state beyond
-    1e3) stops the run early and flags the truncated trace.
+    1e3) stops the run early and flags the truncated trace. Ticks at exact
+    rest are copied rather than recomputed, as the module docstring says.
     """
-    f = scalar_rhs(params)
     law = _control_law(design, cfg.boundary_layer)
     sat = params.V_max if cfg.saturation_V is None else cfg.saturation_V
     is_smc = isinstance(design, SmcDesign)
@@ -344,18 +384,17 @@ def simulate(params: PlantParams, design, cfg: SimConfig) -> SimTrace:
     ki = None if is_smc else design.Ki
 
     Ts = cfg.controller_Ts
-    dt = cfg.plant_dt
-    sub = round(Ts / dt)
+    advance = _rk4_advance(scalar_rhs(params), cfg.plant_dt,
+                           round(Ts / cfg.plant_dt))
     n = round(cfg.duration / Ts)
     spec = cfg.disturbance
     r1, r2, r3, r4 = cfg.reference
 
     use_filter = cfg.measurement == "filtered-derivative"
-    if use_filter:
-        rate1 = _derivative_filter(Ts, cfg.filter_cutoff)
-        rate2 = _derivative_filter(Ts, cfg.filter_cutoff)
+    rate = _derivative_filter(Ts, cfg.filter_cutoff)
 
-    t_arr = np.empty(n + 1)
+    t_arr = np.arange(n + 1, dtype=float)
+    t_arr *= Ts  # k * Ts, bit for bit, without a temporary array
     x_arr = np.empty((n + 1, _STATE_DIM))
     ucmd_arr = np.empty(n + 1)
     uapp_arr = np.empty(n + 1)
@@ -365,19 +404,20 @@ def simulate(params: PlantParams, design, cfg: SimConfig) -> SimTrace:
 
     x1, x2, x3, x4 = cfg.x0
     integ = 0.0
+    # derivative-filter states of q1 and q2; empty when measurements are ideal
+    f1 = f2 = g1 = g2 = _FILTER_START if use_filter else ()
     diverged = False
-    count = 0
+    lim = _DIVERGENCE_LIMIT
 
-    for k in range(n + 1):
-        lim = _DIVERGENCE_LIMIT
+    k = 0  # next tick; also the number of rows written
+    while k <= n:
         if not (abs(x1) <= lim and abs(x2) <= lim
                 and abs(x3) <= lim and abs(x4) <= lim):
             diverged = True
             break
-        t = k * Ts
-
         if use_filter:
-            e1, e2, e3, e4 = x1 - r1, x2 - r2, rate1(x1) - r3, rate2(x2) - r4
+            g1, g2 = rate(f1, x1), rate(f2, x2)
+            e1, e2, e3, e4 = x1 - r1, x2 - r2, g1[2] - r3, g2[2] - r4
         else:
             e1, e2, e3, e4 = x1 - r1, x2 - r2, x3 - r3, x4 - r4
 
@@ -388,9 +428,8 @@ def simulate(params: PlantParams, design, cfg: SimConfig) -> SimTrace:
             i_arr[k] = integ
 
         ua = saturate(u, sat)
-        d = disturbance_value(spec, t)
+        d = disturbance_value(spec, k * Ts)
 
-        t_arr[k] = t
         x_arr[k, 0] = x1
         x_arr[k, 1] = x2
         x_arr[k, 2] = x3
@@ -398,22 +437,29 @@ def simulate(params: PlantParams, design, cfg: SimConfig) -> SimTrace:
         ucmd_arr[k] = u
         uapp_arr[k] = ua
         d_arr[k] = d
-        count = k + 1
+        k += 1
+        if k > n:
+            break
 
-        if ki is not None:
-            integ += e1 * Ts
-        if k < n:
-            v = ua + d
-            xs = (x1, x2, x3, x4)
-            for _ in range(sub):
-                xs = _rk4_step(f, xs, v, dt)
-            x1, x2, x3, x4 = xs
+        y1, y2, y3, y4 = advance(x1, x2, x3, x4, ua + d)
+        jnteg = integ if ki is None else integ + e1 * Ts
+        if y1 == x1 and all(map(_same_bits, (y1, y2, y3, y4, jnteg, *g1, *g2),
+                                (x1, x2, x3, x4, integ, *f1, *f2))):
+            # at rest: rows repeat row k - 1 until the disturbance changes
+            j = k
+            while j <= n and _same_bits(disturbance_value(spec, j * Ts), d):
+                j += 1
+            for arr in (x_arr, ucmd_arr, uapp_arr, d_arr, s_arr, i_arr):
+                if arr is not None:
+                    arr[k:j] = arr[k - 1]
+            k = j
+        x1, x2, x3, x4, integ, f1, f2 = y1, y2, y3, y4, jnteg, g1, g2
 
-    return SimTrace(t=t_arr[:count], x=x_arr[:count],
-                    u_command=ucmd_arr[:count], u_applied=uapp_arr[:count],
-                    d=d_arr[:count],
-                    s=s_arr[:count] if is_smc else None,
-                    integ=i_arr[:count] if ki is not None else None,
+    return SimTrace(t=t_arr[:k], x=x_arr[:k],
+                    u_command=ucmd_arr[:k], u_applied=uapp_arr[:k],
+                    d=d_arr[:k],
+                    s=s_arr[:k] if is_smc else None,
+                    integ=i_arr[:k] if ki is not None else None,
                     diverged=diverged)
 
 

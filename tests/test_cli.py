@@ -369,6 +369,66 @@ def test_unwritable_output_path_is_config_error(tmp_path, capsys, argv, flag):
     assert "Traceback" not in err
 
 
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (_SIM + ["--trace", "{bad}", "--metrics", "{ok}/m.csv"], "{bad}"),
+    (_SIM + ["--trace", "{ok}/keep.csv", "--metrics", "{bad}"], "{bad}"),
+    (_SIM + ["--trace", "{ok}/sub", "--metrics", "{ok}/m.csv"], "{ok}/sub"),
+    (_CMP + ["--out", "{bad}", "--metrics", "{ok}/m.csv",
+             "--trace-dir", "{ok}/traces"], "{bad}"),
+    (_CMP + ["--out", "{ok}/keep.csv", "--metrics", "{bad}"], "{bad}"),
+    (_CMP + ["--out", "{ok}/r.txt", "--trace-dir", "{ok}/file"], "{ok}/file"),
+    (_CMP + ["--out", "{ok}/r.txt", "--trace-dir", "{ok}"], "{ok}/rotpen_smc.csv"),
+])
+def test_unwritable_output_is_found_before_simulating(tmp_path, capsys, monkeypatch,
+                                                      argv, bad):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before checking the output paths")
+
+    monkeypatch.setattr(cli, "simulate", no_simulation)
+    (tmp_path / "file").write_text("")
+    (tmp_path / "keep.csv").write_text("kept\n")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "rotpen_smc.csv").mkdir()
+    before = _tree(tmp_path)
+    fill = dict(ok=tmp_path, bad=tmp_path / "file" / "out.csv")
+    assert cli.run([a.format(**fill) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and bad.format(**fill) in err
+    assert "Traceback" not in err
+    assert _tree(tmp_path) == before  # nothing created or truncated
+
+
+@pytest.mark.parametrize("extra, name", [
+    (["--measurement", "filtered-derivative", "--filter-cutoff", "inf"],
+     "filter_cutoff"),
+    (["--controller", "smc", "--boundary-layer", "inf"], "boundary_layer"),
+    (["--boundary-layer", "nan"], "boundary_layer"),
+    (["--saturation", "inf"], "saturation"),
+    (["--saturation", "nan", "--disturbance", "paper"], "saturation"),
+    (["--disturbance", "pulse", "--dist-amplitude", "inf",
+      "--dist-frequency", "0.1"], "amplitude"),
+    (["--disturbance", "pulse", "--dist-amplitude", "1",
+      "--dist-frequency", "inf"], "frequency"),
+    (["--disturbance", "pulse", "--dist-amplitude", "1",
+      "--dist-frequency", "0.1", "--dist-start", "inf"], "start_time"),
+    (["--disturbance", "pulse", "--dist-amplitude", "1",
+      "--dist-frequency", "0.1", "--dist-duty", "nan"], "duty"),
+])
+def test_nonfinite_run_settings_are_refused(tmp_path, capsys, extra, name):
+    argv = _SIM + ["--trace", str(tmp_path / "t.csv"),
+                   "--metrics", str(tmp_path / "m.csv")] + extra
+    assert cli.run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # compare
 # ---------------------------------------------------------------------------

@@ -388,11 +388,10 @@ def test_scalar_rhs_matches_vector_dynamics():
             for _ in range(25):
                 x = rng.normal(scale=1.5, size=4)
                 v = float(rng.normal(scale=3.0))
-                assert g(x[0], x[1], x[2], x[3], v) == f(x[0], x[1], x[2], x[3], v)
-                got = np.array(f(x[0], x[1], x[2], x[3], v))
-                np.testing.assert_array_equal(got[:2], x[2:])
+                assert g(x[1], x[2], x[3], v) == f(x[1], x[2], x[3], v)
+                got = np.array(f(x[1], x[2], x[3], v))
                 want = forward_dynamics(params, x, v)
-                np.testing.assert_allclose(got[2:], want, rtol=1e-12, atol=1e-13)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from pendulum_ctl.linearize import (
     rotpen_statespace_closed_form,
 )
 from pendulum_ctl import simulate as simulate_module
-from pendulum_ctl.plants import default_params
+from pendulum_ctl.plants import default_params, scalar_rhs
 from pendulum_ctl.simulate import (
     DisturbanceSpec,
     SimConfig,
@@ -79,6 +79,11 @@ def test_disturbance_spec_validation():
         DisturbanceSpec(kind="pulse_train", amplitude=1.0, frequency=0.0)
     with pytest.raises(ConfigError):
         DisturbanceSpec(kind="pulse_train", amplitude=1.0, frequency=0.1, duty=1.5)
+    for name in ("amplitude", "frequency", "start_time", "duty"):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ConfigError, match=f"{name} must be finite"):
+                DisturbanceSpec(kind="pulse_train", **{
+                    "amplitude": 1.0, "frequency": 0.1, name: bad})
 
 
 def test_standard_pulse_train_profile():
@@ -134,6 +139,10 @@ def test_sim_config_defaults_and_validation():
         SimConfig(duration=1.0, controller_Ts=0.004, measurement="noisy")
     with pytest.raises(ConfigError):
         SimConfig(duration=1.0, controller_Ts=0.004, saturation_V=-2.0)
+    for name in ("saturation_V", "filter_cutoff", "boundary_layer"):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ConfigError, match=f"{name} must be .* finite"):
+                SimConfig(duration=1.0, controller_Ts=0.004, **{name: bad})
 
     # the run length is a whole number of controller periods, never rounded
     for duration, Ts in ((0.005, 0.002), (1.5, 1.0)):
@@ -383,6 +392,233 @@ def test_smc_reaching_law_on_sampled_linear_model():
         assert np.abs(x).max() < 10.0
         s_prev = s_next
     assert checked >= 1
+
+
+# ---------------------------------------------------------------------------
+# the rest skip against the tick-by-tick loop
+# ---------------------------------------------------------------------------
+
+def _oracle_rhs(params):
+    """The five-argument f(q1, q2, q1dot, q2dot, v) -> state rates the loop used to call."""
+    p = params
+    if params.platform == "rotpen":
+        a, b, c, l2 = p.mass_constants
+        gam = p.gamma
+        kmkg = p.K_m * p.K_g
+        fr, fp = p.f_r, p.f_p
+        halfmpg = 0.5 * p.m_p * p.L_p * p.g
+        ngb, nb, l2x2, gb = -gam * b, -b, 2 * l2, gam * b
+
+        def f(x1, x2, x3, x4, v):
+            s = math.sin(x2)
+            co = math.cos(x2)
+            m11 = gam * (a + l2 * s * s)
+            m12 = ngb * co
+            m21 = nb * co
+            m22 = c
+            r1 = v - (gam * (l2x2 * s * co * x4 + fr) + kmkg) * x3 \
+                - (gb * s * x4) * x4
+            r2 = l2 * s * co * x3 * x3 - fp * x4 + halfmpg * s
+            det = m11 * m22 - m12 * m21
+            return x3, x4, (m22 * r1 - m12 * r2) / det, (m11 * r2 - m21 * r1) / det
+
+        return f
+
+    n2Jm, pw, rb = p.mass_constants
+    al, be = p.alpha, p.beta
+    MLR = p.M * p.L * p.R
+    MgL = p.M * p.g * p.L
+    m11, m22 = pw / al, -rb / al
+    m11m22 = m11 * m22
+    c11, c21 = 2 * (be + p.f_w) / al, 2 * be / al
+    nbe2, n2Jm2 = -2 * be, 2 * n2Jm
+
+    def f(x1, x2, x3, x4, v):
+        s = math.sin(x2)
+        co = math.cos(x2)
+        q0 = MLR * co - n2Jm2
+        m12 = q0 / al
+        m21 = -q0 / al
+        w = 2 * v
+        r1 = w - c11 * x3 - ((nbe2 - MLR * x4 * s) / al) * x4
+        r2 = w - c21 * x3 + c21 * x4 - MgL * s / al
+        det = m11m22 - m12 * m21
+        return x3, x4, (m22 * r1 - m12 * r2) / det, (m11 * r2 - m21 * r1) / det
+
+    return f
+
+
+def _oracle_rk4_step(f, x, v, dt):
+    x1, x2, x3, x4 = x
+    a1, a2, a3, a4 = f(x1, x2, x3, x4, v)
+    h = 0.5 * dt
+    b1, b2, b3, b4 = f(x1 + h * a1, x2 + h * a2, x3 + h * a3, x4 + h * a4, v)
+    c1, c2, c3, c4 = f(x1 + h * b1, x2 + h * b2, x3 + h * b3, x4 + h * b4, v)
+    d1, d2, d3, d4 = f(x1 + dt * c1, x2 + dt * c2, x3 + dt * c3, x4 + dt * c4, v)
+    w = dt / 6.0
+    return (x1 + w * (a1 + 2 * b1 + 2 * c1 + d1),
+            x2 + w * (a2 + 2 * b2 + 2 * c2 + d2),
+            x3 + w * (a3 + 2 * b3 + 2 * c3 + d3),
+            x4 + w * (a4 + 2 * b4 + 2 * c4 + d4))
+
+
+def _oracle_derivative_filter(Ts, cutoff_hz):
+    om = 2.0 * math.pi * cutoff_hz
+    c = 2.0 / Ts
+    fa, fg = (c - om) / (c + om), om / (c + om)
+    prev = None
+    praw = y = 0.0
+
+    def step(x):
+        nonlocal prev, praw, y
+        if prev is not None:
+            raw = (x - prev) / Ts
+            y = fa * y + fg * (raw + praw)
+            praw = raw
+        prev = x
+        return y
+
+    return step
+
+
+def _oracle_simulate(params, design, cfg):
+    """simulate as a plain tick-by-tick loop: every tick computed, none copied."""
+    f = _oracle_rhs(params)
+    law = simulate_module._control_law(design, cfg.boundary_layer)
+    sat = params.V_max if cfg.saturation_V is None else cfg.saturation_V
+    is_smc = isinstance(design, SmcDesign)
+    ki = None if is_smc else design.Ki
+    Ts, dt = cfg.controller_Ts, cfg.plant_dt
+    sub, n = round(Ts / dt), round(cfg.duration / Ts)
+    r1, r2, r3, r4 = cfg.reference
+    use_filter = cfg.measurement == "filtered-derivative"
+    rate1 = _oracle_derivative_filter(Ts, cfg.filter_cutoff)
+    rate2 = _oracle_derivative_filter(Ts, cfg.filter_cutoff)
+    rows, s_rows, i_rows = [], [], []
+    x1, x2, x3, x4 = cfg.x0
+    integ = 0.0
+    diverged = False
+    for k in range(n + 1):
+        if not all(abs(v) <= 1e3 for v in (x1, x2, x3, x4)):
+            diverged = True
+            break
+        t = k * Ts
+        if use_filter:
+            e1, e2, e3, e4 = x1 - r1, x2 - r2, rate1(x1) - r3, rate2(x2) - r4
+        else:
+            e1, e2, e3, e4 = x1 - r1, x2 - r2, x3 - r3, x4 - r4
+        u, s = law(e1, e2, e3, e4, integ)
+        s_rows.append(s)
+        i_rows.append(integ)
+        ua = saturate(u, sat)
+        d = disturbance_value(cfg.disturbance, t)
+        rows.append((t, x1, x2, x3, x4, u, ua, d))
+        if ki is not None:
+            integ += e1 * Ts
+        if k < n:
+            xs = (x1, x2, x3, x4)
+            for _ in range(sub):
+                xs = _oracle_rk4_step(f, xs, ua + d, dt)
+            x1, x2, x3, x4 = xs
+    cols = np.array(rows).T
+    return SimTrace(t=cols[0], x=cols[1:5].T, u_command=cols[5], u_applied=cols[6],
+                    d=cols[7], s=s_rows if is_smc else None,
+                    integ=i_rows if ki is not None else None, diverged=diverged)
+
+
+def _rotpen_smc():
+    ss = discretize_zoh(rotpen_statespace_closed_form(default_params("rotpen")), 0.002)
+    return design_smc(ss, alpha=100.0)
+
+
+_PULSE = DisturbanceSpec(kind="pulse_train", amplitude=2.0, frequency=0.5,
+                         start_time=1.0)
+_ORACLE_CASES = {
+    # platform, design, SimConfig settings
+    "paper-rotpen-lqr": ("rotpen", _rotpen_lqr, dict(duration=62.0, controller_Ts=0.002)),
+    "paper-rotpen-smc": ("rotpen", _rotpen_smc, dict(duration=62.0, controller_Ts=0.002)),
+    "paper-nxtway-lqr": ("nxtway", _nxtway_lqr, dict(duration=62.0, controller_Ts=0.004)),
+    "paper-nxtway-smc": ("nxtway", _nxtway_smc, dict(duration=62.0, controller_Ts=0.004)),
+    "negative-zero-x0": ("rotpen", _rotpen_lqr, dict(
+        duration=3.0, controller_Ts=0.002, disturbance=_PULSE,
+        x0=(-0.0, -0.0, 0.0, -0.0))),
+    "negative-zero-x0-smc": ("nxtway", _nxtway_smc, dict(
+        duration=3.0, controller_Ts=0.004, disturbance=_PULSE,
+        x0=(0.0, -0.0, -0.0, -0.0))),
+    "filtered-from-rest": ("nxtway", _nxtway_lqr, dict(
+        duration=3.0, controller_Ts=0.004, disturbance=_PULSE,
+        measurement="filtered-derivative")),
+    "filtered-from-rest-smc": ("rotpen", _rotpen_smc, dict(
+        duration=3.0, controller_Ts=0.002, disturbance=_PULSE,
+        measurement="filtered-derivative")),
+    "integral-reference": ("nxtway", _nxtway_lqr, dict(
+        duration=3.0, controller_Ts=0.004, reference=(0.1, 0.0, 0.0, 0.0))),
+    # no proportional action on q1, so only the integral moves at first
+    "integral-alone-moves": ("nxtway", lambda: _gain_only_design(
+        [0.0, *_nxtway_lqr().K[0, 1:]], Ki=_nxtway_lqr().Ki), dict(
+        duration=3.0, controller_Ts=0.004, reference=(0.1, 0.0, 0.0, 0.0))),
+    "ends-at-rest": ("rotpen", _rotpen_lqr, dict(duration=2.0, controller_Ts=0.002)),
+    "no-disturbance": ("nxtway", _nxtway_smc, dict(
+        duration=2.0, controller_Ts=0.004, disturbance=DisturbanceSpec())),
+    "pulse-from-zero": ("rotpen", _rotpen_lqr, dict(
+        duration=3.0, controller_Ts=0.002, disturbance=DisturbanceSpec(
+            kind="pulse_train", amplitude=2.0, frequency=0.5, start_time=0.0))),
+    "boundary-layer": ("nxtway", _nxtway_smc, dict(
+        duration=3.0, controller_Ts=0.004, disturbance=_PULSE, boundary_layer=2.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_rest_skip_matches_tick_by_tick_loop(case):
+    platform, make_design, settings = _ORACLE_CASES[case]
+    params = default_params(platform)
+    if "disturbance" not in settings:  # the paper's pulse train, from 60 s
+        settings = dict(settings, disturbance=standard_pulse_train(params.V_max))
+    cfg = SimConfig(**settings)
+    design = make_design()
+    got = simulate(params, design, cfg)
+    want = _oracle_simulate(params, design, cfg)
+    assert got.diverged == want.diverged
+    for name in ("t", "x", "u_command", "u_applied", "d", "s", "integ"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.tobytes() == b.tobytes(), name
+
+
+def test_scalar_rhs_matches_the_five_argument_form_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for platform in ("rotpen", "nxtway"):
+        params = default_params(platform)
+        f, g = scalar_rhs(params), _oracle_rhs(params)
+        for _ in range(2000):
+            x = rng.normal(scale=2.0, size=4) * rng.choice([0.0, 1e-300, 1e-6, 1.0], 4)
+            x1, x2, x3, x4 = (-x).tolist() if rng.random() < 0.5 else x.tolist()
+            v = float(rng.normal(scale=3.0))
+            assert np.array(f(x2, x3, x4, v)).tobytes() == \
+                np.array(g(x1, x2, x3, x4, v)[2:]).tobytes()
+
+
+def test_rest_skip_engages_on_the_paper_run(monkeypatch):
+    calls = [0]
+
+    def counting_rhs(params):
+        f = scalar_rhs(params)
+
+        def counted(*args):
+            calls[0] += 1
+            return f(*args)
+
+        return counted
+
+    monkeypatch.setattr(simulate_module, "scalar_rhs", counting_rhs)
+    params = default_params("rotpen")
+    cfg = SimConfig(duration=120.0, controller_Ts=0.002,
+                    disturbance=standard_pulse_train(params.V_max))
+    trace = simulate(params, _rotpen_lqr(), cfg)
+    ticks = trace.t.size
+    assert ticks == 60001 and not trace.diverged
+    assert 0 < calls[0] <= 0.51 * ticks * 16  # 4 RK4 steps of 4 stages per tick
 
 
 # ---------------------------------------------------------------------------
