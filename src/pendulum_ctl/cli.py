@@ -1,13 +1,16 @@
 """Command-line front end: synthesize, simulate, compare, linearize.
 
-Every flag has a config-file equivalent; settings resolve in the order
-built-in defaults, then the config file (from --config or the
-PENDULUM_CTL_CONFIG environment variable), then explicit flags. Config
-files are plain text with one key=value pair per line and # comments.
+Each setting is one row of the _SETTINGS table (converter, default, help);
+the parser, the config keys and the defaults are built from it, so every
+flag has a config-file equivalent. Settings resolve in the order built-in
+defaults, then the config file (from --config or the PENDULUM_CTL_CONFIG
+environment variable), then explicit flags. Config files are plain text
+with one key=value pair per line and # comments.
 
 Exit codes: 0 success, 1 configuration error (including an unwritable
 output path), 2 synthesis failure, 3 diverged simulation. simulate and
-compare check their output paths before simulating anything.
+compare check their output paths and run settings before simulating
+anything.
 """
 
 from __future__ import annotations
@@ -82,57 +85,69 @@ def _choice(*options: str):
     return convert
 
 
-_CONVERTERS = {
-    "platform": _choice(*PLATFORMS),
-    "controller": _choice("lqr", "smc"),
-    "q": _floats,
-    "r": _floats,
-    "alpha": _positive,
-    "k": float,
-    "ts": _positive,
-    "plant_dt": float,
-    "out": str,
-    "design": str,
-    "gains": _choice("reference"),
-    "duration": float,
-    "disturbance": _choice("none", "paper", "pulse"),
-    "dist_amplitude": float,
-    "dist_frequency": float,
-    "dist_start": float,
-    "dist_duty": float,
-    "x0": _floats,
-    "reference": _floats,
-    "measurement": _choice("ideal", "filtered-derivative"),
-    "filter_cutoff": float,
-    "boundary_layer": float,
-    "saturation": _positive,
-    "trace": str,
-    "metrics": str,
-    "trace_dir": str,
+_PLATFORM = _choice(*PLATFORMS)
+
+# command -> (subcommand help, {key: (converter, default, flag help)}). Each
+# key is a config key and, with dashes for underscores, a --flag; a dict as
+# flag help gives one mutually exclusive --<value> flag per value instead.
+_SETTINGS = {
+    "synthesize": ("design a controller, write a design file with gains, "
+                   "residuals and eigenvalues", {
+        "platform": (_PLATFORM, None, "rotpen or nxtway"),
+        "controller": (_choice("lqr", "smc"), "lqr", {
+            "lqr": "design the quadratic regulator (default)",
+            "smc": "design the discrete sliding-mode controller"}),
+        "q": (_floats, None, "comma-separated diagonal of Q"),
+        "r": (_floats, None, "comma-separated diagonal of R"),
+        "alpha": (_positive, DEFAULT_SMC_ALPHA, "reaching-rate parameter for SMC"),
+        "k": (float, None, "SMC switching gain override"),
+        "ts": (_positive, None, "controller sample period in seconds"),
+        "out": (str, None, "design file path"),
+    }),
+    "simulate": ("run one closed-loop experiment, write a trace CSV and a "
+                 "metrics CSV", {
+        "platform": (_PLATFORM, None, "rotpen or nxtway"),
+        "controller": (_choice("lqr", "smc"), "lqr", "lqr or smc (default lqr)"),
+        "design": (str, None, "design file from `synthesize`"),
+        "gains": (_choice("reference"), None, "'reference' selects the recorded "
+                  "hardware gain set instead of synthesizing"),
+        "duration": (float, 10.0, "simulated seconds (default 10)"),
+        "ts": (_positive, None, "controller sample period in seconds"),
+        "plant_dt": (float, None, "integrator step (default ts/4)"),
+        "disturbance": (_choice("none", "paper", "pulse"), "none",
+                        "none, paper, or pulse"),
+        "dist_amplitude": (float, None, "pulse amplitude in volts"),
+        "dist_frequency": (float, None, "pulse frequency in Hz"),
+        "dist_start": (float, 0.0, "pulse start time in seconds"),
+        "dist_duty": (float, 0.5, "pulse duty cycle in [0, 1)"),
+        "x0": (_floats, (0.0, 0.0, 0.0, 0.0), "initial state q1,q2,q1dot,q2dot"),
+        "reference": (_floats, (0.0, 0.0, 0.0, 0.0),
+                      "state reference, same layout as --x0"),
+        "measurement": (_choice("ideal", "filtered-derivative"), "ideal",
+                        "ideal or filtered-derivative"),
+        "filter_cutoff": (float, 30.0, "derivative filter cutoff in Hz"),
+        "boundary_layer": (float, 0.0, "SMC boundary-layer width"),
+        "saturation": (_positive, None, "actuator limit in volts"),
+        "trace": (str, "trace.csv", "trace CSV path (default trace.csv)"),
+        "metrics": (str, "metrics.csv", "metrics CSV path (default metrics.csv)"),
+    }),
+    "compare": ("run LQR and SMC on both platforms under the standard pulse "
+                "train and write the comparison table", {
+        "duration": (float, 88.0, "simulated seconds (default 88)"),
+        "out": (str, "report.txt", "report path (default report.txt)"),
+        "metrics": (str, None, "optional metrics CSV path"),
+        "trace_dir": (str, None, "optional directory for the four trace CSVs"),
+    }),
+    "linearize": ("print closed-form and numeric state-space matrices with a "
+                  "discrepancy report", {
+        "platform": (_PLATFORM, None, "rotpen or nxtway"),
+        "out": (str, None, "optional state-space file path"),
+    }),
 }
 
-_DEFAULTS = {
-    "synthesize": {"platform": None, "controller": "lqr", "q": None, "r": None,
-                   "alpha": DEFAULT_SMC_ALPHA, "k": None, "ts": None, "out": None},
-    "simulate": {"platform": None, "controller": "lqr", "design": None,
-                 "gains": None, "duration": 10.0, "ts": None, "plant_dt": None,
-                 "disturbance": "none", "dist_amplitude": None,
-                 "dist_frequency": None, "dist_start": 0.0, "dist_duty": 0.5,
-                 "x0": (0.0, 0.0, 0.0, 0.0), "reference": (0.0, 0.0, 0.0, 0.0),
-                 "measurement": "ideal", "filter_cutoff": 30.0,
-                 "boundary_layer": 0.0, "saturation": None,
-                 "trace": "trace.csv", "metrics": "metrics.csv"},
-    "compare": {"duration": 88.0, "out": "report.txt", "metrics": None,
-                "trace_dir": None},
-    "linearize": {"platform": None, "out": None},
-}
 
-
-def _convert(key: str, raw: str):
-    try:
-        return _CONVERTERS[key](raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid value for {key}: {raw!r} ({exc})") from None
+def _defaults(command: str) -> dict:
+    return {key: row[1] for key, row in _SETTINGS[command][1].items()}
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -155,17 +170,19 @@ def _read_config(path: str) -> dict[str, str]:
 
 
 def _resolve_settings(command: str, args: argparse.Namespace) -> dict:
-    settings = dict(_DEFAULTS[command])
+    rows = _SETTINGS[command][1]
+    settings = _defaults(command)
     config_path = args.config or os.environ.get("PENDULUM_CTL_CONFIG")
-    if config_path:
-        for key, raw in _read_config(config_path).items():
-            if key not in settings:
-                raise ConfigError(f"unknown config key for {command}: {key}")
-            settings[key] = _convert(key, raw)
-    for key in settings:
-        value = getattr(args, key, None)
-        if value is not None:
-            settings[key] = _convert(key, value)
+    given = list(_read_config(config_path).items()) if config_path else []
+    flags = vars(args)
+    given += [(key, flags[key]) for key in rows if flags[key] is not None]
+    for key, raw in given:
+        if key not in rows:
+            raise ConfigError(f"unknown config key for {command}: {key}")
+        try:
+            settings[key] = rows[key][0](raw)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid value for {key}: {raw!r} ({exc})") from None
     return settings
 
 
@@ -257,8 +274,12 @@ def _disturbance(settings: dict, V_max: float) -> DisturbanceSpec:
                            duty=settings["dist_duty"])
 
 
-def _run_experiment(platform: str, design, settings: dict):
-    """Simulate one closed loop and return its trace and metrics."""
+def _experiment(platform: str, design, settings: dict):
+    """Check the settings of one closed-loop run; return a function that runs it.
+
+    The function simulates and returns the trace and metrics. Checking first
+    lets a command refuse bad settings before it writes anything.
+    """
     params = default_params(platform)
     V_max = settings.get("saturation") or params.V_max
     spec = _disturbance(settings, V_max)
@@ -270,10 +291,12 @@ def _run_experiment(platform: str, design, settings: dict):
                     measurement=settings["measurement"],
                     filter_cutoff=settings["filter_cutoff"],
                     boundary_layer=settings["boundary_layer"])
-    trace = simulate(params, design, cfg)
     onset = spec.start_time if spec.kind == "pulse_train" else 0.0
-    metrics = compute_metrics(trace, V_max=V_max, disturbance_onset=onset)
-    return trace, metrics
+
+    def run():
+        trace = simulate(params, design, cfg)
+        return trace, compute_metrics(trace, V_max=V_max, disturbance_onset=onset)
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +333,7 @@ def _cmd_simulate(settings: dict) -> int:
     _check_writable(settings["metrics"])
     controller = settings["controller"]
     design = _make_design(platform, controller, settings)
-    trace, metrics = _run_experiment(platform, design, settings)
+    trace, metrics = _experiment(platform, design, settings)()
 
     kind = "smc" if isinstance(design, SmcDesign) else "lqr"
     save_trace_csv(trace, settings["trace"])
@@ -335,20 +358,21 @@ def _cmd_compare(settings: dict) -> int:
         _check_writable(settings["metrics"])
     for path in trace_paths.values():
         _check_writable(path, parents=True)
+    run_settings = _defaults("simulate")
+    run_settings.update(duration=settings["duration"], disturbance="paper")
+    experiments = {run: _experiment(run[0], _make_design(*run, run_settings),
+                                    run_settings) for run in runs}
     if trace_dir:
         os.makedirs(trace_dir, exist_ok=True)
 
     rows = []
     diverged = False
-    run_settings = dict(_DEFAULTS["simulate"])
-    run_settings.update(duration=settings["duration"], disturbance="paper")
-    for platform, controller in runs:
-        design = _make_design(platform, controller, run_settings)
-        trace, metrics = _run_experiment(platform, design, run_settings)
-        rows.append((f"{platform} {controller}", metrics))
+    for run, experiment in experiments.items():
+        trace, metrics = experiment()
+        rows.append(("%s %s" % run, metrics))
         diverged = diverged or trace.diverged
         if trace_dir:
-            save_trace_csv(trace, trace_paths[platform, controller])
+            save_trace_csv(trace, trace_paths[run])
     report = comparison_report(rows)
     with open(settings["out"], "w", encoding="utf-8") as fh:
         fh.write(report + "\n")
@@ -405,68 +429,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="LQR and sliding-mode control experiments for two "
                     "inverted-pendulum platforms")
     sub = parser.add_subparsers(dest="command")
-
-    def common(p):
+    for command, (summary, rows) in _SETTINGS.items():
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="key=value settings file "
                        "(default: $PENDULUM_CTL_CONFIG)")
-
-    p = sub.add_parser("synthesize", help="design a controller, write a "
-                       "design file with gains, residuals and eigenvalues")
-    common(p)
-    p.add_argument("--platform", help="rotpen or nxtway")
-    kind = p.add_mutually_exclusive_group()
-    kind.add_argument("--lqr", action="store_true", default=None,
-                      help="design the quadratic regulator (default)")
-    kind.add_argument("--smc", action="store_true", default=None,
-                      help="design the discrete sliding-mode controller")
-    p.add_argument("--q", help="comma-separated diagonal of Q")
-    p.add_argument("--r", help="comma-separated diagonal of R")
-    p.add_argument("--alpha", help="reaching-rate parameter for SMC")
-    p.add_argument("--k", help="SMC switching gain override")
-    p.add_argument("--ts", help="controller sample period in seconds")
-    p.add_argument("--out", help="design file path")
-
-    p = sub.add_parser("simulate", help="run one closed-loop experiment, "
-                       "write a trace CSV and a metrics CSV")
-    common(p)
-    p.add_argument("--platform", help="rotpen or nxtway")
-    p.add_argument("--controller", help="lqr or smc (default lqr)")
-    p.add_argument("--design", help="design file from `synthesize`")
-    p.add_argument("--gains", help="'reference' selects the recorded "
-                   "hardware gain set instead of synthesizing")
-    p.add_argument("--duration", help="simulated seconds (default 10)")
-    p.add_argument("--ts", help="controller sample period in seconds")
-    p.add_argument("--plant-dt", help="integrator step (default ts/4)")
-    p.add_argument("--disturbance", help="none, paper, or pulse")
-    p.add_argument("--dist-amplitude", help="pulse amplitude in volts")
-    p.add_argument("--dist-frequency", help="pulse frequency in Hz")
-    p.add_argument("--dist-start", help="pulse start time in seconds")
-    p.add_argument("--dist-duty", help="pulse duty cycle in [0, 1)")
-    p.add_argument("--x0", help="initial state q1,q2,q1dot,q2dot")
-    p.add_argument("--reference", help="state reference, same layout as --x0")
-    p.add_argument("--measurement", help="ideal or filtered-derivative")
-    p.add_argument("--filter-cutoff", help="derivative filter cutoff in Hz")
-    p.add_argument("--boundary-layer", help="SMC boundary-layer width")
-    p.add_argument("--saturation", help="actuator limit in volts")
-    p.add_argument("--trace", help="trace CSV path (default trace.csv)")
-    p.add_argument("--metrics", help="metrics CSV path (default metrics.csv)")
-
-    p = sub.add_parser("compare", help="run LQR and SMC on both platforms "
-                       "under the standard pulse train and write the "
-                       "comparison table")
-    common(p)
-    p.add_argument("--duration", help="simulated seconds (default 88)")
-    p.add_argument("--out", help="report path (default report.txt)")
-    p.add_argument("--metrics", help="optional metrics CSV path")
-    p.add_argument("--trace-dir", help="optional directory for the four "
-                   "trace CSVs")
-
-    p = sub.add_parser("linearize", help="print closed-form and numeric "
-                       "state-space matrices with a discrepancy report")
-    common(p)
-    p.add_argument("--platform", help="rotpen or nxtway")
-    p.add_argument("--out", help="optional state-space file path")
-
+        for key, (_, _, text) in rows.items():
+            if isinstance(text, dict):
+                group = p.add_mutually_exclusive_group()
+                for value, value_help in text.items():
+                    group.add_argument(f"--{value}", dest=key, action="store_const",
+                                       const=value, help=value_help)
+            else:
+                p.add_argument("--" + key.replace("_", "-"), help=text)
     return parser
 
 
@@ -481,10 +455,6 @@ def run(argv=None) -> int:
         parser.print_usage(sys.stderr)
         print("error: a subcommand is required", file=sys.stderr)
         return 1
-    if getattr(args, "lqr", None):
-        args.controller = "lqr"
-    elif getattr(args, "smc", None):
-        args.controller = "smc"
     try:
         settings = _resolve_settings(args.command, args)
         return _DISPATCH[args.command](settings)

@@ -111,7 +111,9 @@ class SimConfig:
 
     duration must be a whole number of controller periods. plant_dt
     defaults to controller_Ts / 4 and must divide controller_Ts evenly.
-    saturation_V defaults to the plant's supply voltage.
+    saturation_V defaults to the plant's supply voltage. Under the
+    filtered-derivative measurement, filter_cutoff must lie below the
+    Nyquist rate 1 / (2 controller_Ts).
     """
 
     duration: float
@@ -133,6 +135,8 @@ class SimConfig:
         if not (math.isfinite(self.controller_Ts) and self.controller_Ts > 0.0):
             raise ConfigError("controller_Ts must be positive")
         periods = self.duration / self.controller_Ts
+        if not math.isfinite(periods):
+            raise ConfigError("duration / controller_Ts overflows: too many periods")
         if round(periods) < 1:
             raise ConfigError("duration is shorter than one controller period")
         if abs(periods - round(periods)) > 1e-6 * max(1.0, periods):
@@ -145,6 +149,8 @@ class SimConfig:
         if dt > self.controller_Ts * (1.0 + 1e-12):
             raise ConfigError("plant_dt must not exceed controller_Ts")
         ratio = self.controller_Ts / dt
+        if not math.isfinite(ratio):
+            raise ConfigError("plant_dt is too small a fraction of controller_Ts")
         if abs(ratio - round(ratio)) > 1e-6 * max(1.0, ratio):
             raise ConfigError("controller_Ts must be an integer multiple of plant_dt")
 
@@ -165,6 +171,10 @@ class SimConfig:
         object.__setattr__(self, "filter_cutoff", float(self.filter_cutoff))
         if not (math.isfinite(self.filter_cutoff) and self.filter_cutoff > 0.0):
             raise ConfigError("filter_cutoff must be positive and finite")
+        if (self.measurement == "filtered-derivative"
+                and self.filter_cutoff >= 0.5 / self.controller_Ts):
+            raise ConfigError("filter_cutoff must be below the Nyquist rate "
+                              "1 / (2 controller_Ts)")
         object.__setattr__(self, "boundary_layer", float(self.boundary_layer))
         if not (math.isfinite(self.boundary_layer) and self.boundary_layer >= 0.0):
             raise ConfigError("boundary_layer must be non-negative and finite")
@@ -311,8 +321,9 @@ def filtered_derivative(samples, Ts: float, cutoff_hz: float) -> np.ndarray:
         raise ValueError("need at least two samples to differentiate")
     if Ts <= 0.0:
         raise ValueError("Ts must be positive")
-    if cutoff_hz <= 0.0:
-        raise ValueError("cutoff_hz must be positive")
+    if not 0.0 < cutoff_hz < 0.5 / Ts:
+        raise ValueError("cutoff_hz must be positive and below the Nyquist "
+                         "rate 1 / (2 Ts)")
     step = _derivative_filter(Ts, cutoff_hz)
     out = np.empty(x.size)
     state = _FILTER_START

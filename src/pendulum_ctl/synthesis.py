@@ -386,7 +386,14 @@ def smc_gain_bound(Ts: float, alpha: float) -> float:
         raise ValueError("sample time must be positive")
     if alpha <= 0.0:
         raise ValueError("reaching rate alpha must be positive")
-    return math.sqrt((Ts * alpha / math.sqrt(2.0)) ** 2 + 1.0)
+    try:
+        bound = math.sqrt((Ts * alpha / math.sqrt(2.0)) ** 2 + 1.0)
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ValueError(f"reaching rate alpha = {alpha!r} at Ts = {Ts!r} "
+                         "overflows the switching gain bound")
+    return bound
 
 
 @dataclass(frozen=True)
@@ -451,8 +458,8 @@ def design_smc(ss: StateSpace, alpha: float = DEFAULT_SMC_ALPHA,
         flagged = False
     else:
         k = float(k)
-        if k < 0.0:
-            raise ValueError("switching gain k must be non-negative")
+        if not (math.isfinite(k) and k >= 0.0):
+            raise ValueError("switching gain k must be non-negative and finite")
         flagged = k > bound + 1e-12
     return SmcDesign(L=L, Keq=Keq, k=k, Ts=ss.Ts, alpha=alpha,
                      surface_eigs=eigs, k_exceeds_bound=flagged)

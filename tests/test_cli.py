@@ -467,3 +467,129 @@ def test_linearize_report_and_export(tmp_path, capsys):
 
     ss = load_statespace(out)
     assert ss.A.shape == (4, 4) and ss.kind == "continuous"
+
+
+# ---------------------------------------------------------------------------
+# the settings table: config keys, flags and the exit-code contract
+# ---------------------------------------------------------------------------
+
+def _flag(command, key, raw):
+    """The command-line form of one setting, as the settings table builds it."""
+    if isinstance(cli._SETTINGS[command][1][key][2], dict):
+        return [f"--{raw}"]  # one exclusive flag per value, e.g. --smc
+    return [f"--{key.replace('_', '-')}={raw}"]
+
+
+# valid raw values per key, the first one differing from the default; runs
+# stay short (at most 0.2 s simulated at a period of at least 2 ms), and the
+# 1e308 s in the nonsense pool is refused before anything runs
+_VALID = {
+    "platform": ["rotpen", "nxtway"], "controller": ["smc", "lqr"],
+    "q": ["5,1,1,1", "1,1,1,1,1"], "r": ["1", "1,1"], "alpha": ["20", "100"],
+    "k": ["0.5", "0"], "ts": ["0.01", "0.002", "0.004"],
+    "plant_dt": ["0.0005", "0.001"], "duration": ["0.2", "0.04"],
+    "disturbance": ["paper", "pulse", "none"], "dist_amplitude": ["1", "5"],
+    "dist_frequency": ["2", "10"], "dist_start": ["0.1", "0"],
+    "dist_duty": ["0.25", "0.5"], "x0": ["0,0.05,0,0", "0,-0.3,0,0"],
+    "reference": ["0.1,0,0,0", "0,0,0,0"],
+    "measurement": ["filtered-derivative", "ideal"], "filter_cutoff": ["5", "30"],
+    "boundary_layer": ["0.05", "0"], "saturation": ["3", "12"],
+    "gains": ["reference"], "out": ["o.txt", "sub/o.txt"],
+    "trace": ["t.csv", "sub/t.csv"], "metrics": ["m.csv", "sub/m.csv"],
+    "trace_dir": ["traces", "sub/traces"], "design": ["{lqr}", "{smc}"],
+}
+_NONSENSE = ["", "nan", "inf", "-1", "0", "abc", "1,2", "1e308", "1e-320"]
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command, (_, rows) in cli._SETTINGS.items() for key in rows])
+def test_config_key_and_flag_resolve_alike(tmp_path, monkeypatch, command, key):
+    monkeypatch.delenv("PENDULUM_CTL_CONFIG", raising=False)
+    convert, default, _ = cli._SETTINGS[command][1][key]
+    a, b = _VALID[key][0], _VALID[key][-1]
+    assert convert(a) != default
+    assert convert(a) != convert(b) or len(_VALID[key]) == 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={a}\n")
+
+    def resolve(argv):
+        args = cli._build_parser().parse_args([command] + argv)
+        return cli._resolve_settings(command, args)
+
+    from_config = resolve(["--config", str(cfg)])
+    from_flag = resolve(_flag(command, key, a))
+    assert from_config == from_flag
+    assert from_config[key] == convert(a)
+    assert resolve(["--config", str(cfg)] + _flag(command, key, b))[key] == convert(b)
+
+
+# the settings every short run of a command starts from
+_RUN = {"synthesize": {"platform": "nxtway"}, "linearize": {"platform": "rotpen"},
+        "simulate": {"platform": "rotpen", "duration": "0.2"},
+        "compare": {"duration": "0.2"}}
+
+
+@pytest.mark.parametrize("command, settings, key", [
+    ("simulate", {"duration": "1e308"}, "duration"),
+    ("simulate", {"platform": "nxtway", "plant_dt": "1e-320"}, "plant_dt"),
+    ("synthesize", {"controller": "smc", "alpha": "1e308"}, "alpha"),
+    ("synthesize", {"controller": "smc", "k": "inf"}, "k"),
+    ("synthesize", {"platform": "rotpen", "controller": "smc", "k": "nan"}, "k"),
+    ("simulate", {"measurement": "filtered-derivative", "filter_cutoff": "1e308"},
+     "filter_cutoff"),
+    ("compare", {"duration": "0.003", "trace_dir": "traces"}, "duration"),
+])
+def test_bad_settings_are_refused_before_writing(tmp_path, capsys, monkeypatch,
+                                                 command, settings, key):
+    monkeypatch.chdir(tmp_path)
+    argv = [command]
+    for name, raw in {**_RUN[command], **settings}.items():
+        argv += _flag(command, name, raw)
+    assert cli.run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and re.search(rf"\b{key}\b", err)
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_fuzzed_settings_keep_the_exit_code_contract(tmp_path, capsys, monkeypatch):
+    # seeded draws of commands, keys and values from the settings table, each
+    # value given as a flag or through a config file; every run must end in
+    # exit 0-3 without a traceback, and an exit 1 must write nothing
+    monkeypatch.delenv("PENDULUM_CTL_CONFIG", raising=False)
+    designs = {"lqr": tmp_path / "lqr.txt", "smc": tmp_path / "smc.txt"}
+    for controller, path in designs.items():
+        assert cli.run(["synthesize", "--platform", "rotpen", f"--{controller}",
+                        "--out", str(path)]) == 0
+    rng = np.random.default_rng(6)
+    commands = list(cli._SETTINGS)
+    for case in range(400):
+        command = commands[rng.integers(len(commands))]
+        rows = cli._SETTINGS[command][1]
+        settings = dict(_RUN[command])
+        keys = rng.choice(list(rows), size=min(rng.integers(1, 4), len(rows)),
+                          replace=False)
+        for key in map(str, keys):
+            pool = _VALID[key] if rng.random() < 0.5 else _NONSENSE
+            settings[key] = pool[rng.integers(len(pool))].format(**designs)
+        workdir = tmp_path / f"case{case}"
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        argv, config = [command], ""
+        for key, raw in settings.items():
+            if rng.random() < 0.5 and (not isinstance(rows[key][2], dict)
+                                       or raw in rows[key][2]):
+                argv += _flag(command, key, raw)
+            else:
+                config += f"{key}={raw}\n"
+        if config:
+            (workdir / "run.cfg").write_text(config)
+            argv += ["--config", "run.cfg"]
+        code = cli.run(argv)
+        err = capsys.readouterr().err
+        context = f"{argv} with config {config!r}: exit {code}, stderr {err!r}"
+        assert code in (0, 1, 2, 3), context
+        assert "Traceback" not in err, context
+        if code == 1:
+            assert [p.name for p in workdir.iterdir()] == (["run.cfg"] if config
+                                                           else []), context

@@ -151,6 +151,22 @@ def test_sim_config_defaults_and_validation():
     for duration, Ts in ((0.2, 0.002), (120.0, 0.002), (88.0, 0.004)):
         assert SimConfig(duration=duration, controller_Ts=Ts).duration == duration
 
+    # counting the periods must not overflow
+    for kwargs, name in (({"duration": 1e308}, "duration"),
+                         ({"controller_Ts": 1e-320}, "duration"),
+                         ({"plant_dt": 1e-320}, "plant_dt")):
+        with pytest.raises(ConfigError, match=name):
+            SimConfig(**{"duration": 1.0, "controller_Ts": 0.004, **kwargs})
+
+    # under filtered-derivative the cutoff lies below the Nyquist rate, 125 Hz
+    # at 4 ms; an ideal-measurement run never uses it, so it is not checked
+    filtered = dict(duration=1.0, controller_Ts=0.004, measurement="filtered-derivative")
+    for cutoff in (125.0, 1e308):
+        with pytest.raises(ConfigError, match="filter_cutoff"):
+            SimConfig(filter_cutoff=cutoff, **filtered)
+    assert SimConfig(filter_cutoff=124.9, **filtered).filter_cutoff == 124.9
+    assert SimConfig(duration=1.0, controller_Ts=0.04).filter_cutoff == 30.0
+
 
 def test_sim_trace_validation():
     with pytest.raises(ValueError):
@@ -227,6 +243,9 @@ def test_filtered_derivative_constant_and_ramp():
         filtered_derivative([1.0], Ts=0.01, cutoff_hz=5.0)
     with pytest.raises(ValueError):
         filtered_derivative([1.0, 2.0], Ts=0.01, cutoff_hz=0.0)
+    for cutoff in (50.0, 1e308, math.nan):  # Nyquist rate at 10 ms is 50 Hz
+        with pytest.raises(ValueError, match="Nyquist"):
+            filtered_derivative([1.0, 2.0], Ts=0.01, cutoff_hz=cutoff)
 
 
 def test_filtered_derivative_attenuates_high_frequency():
@@ -392,6 +411,38 @@ def test_smc_reaching_law_on_sampled_linear_model():
         assert np.abs(x).max() < 10.0
         s_prev = s_next
     assert checked >= 1
+
+
+@pytest.mark.parametrize("k", [None, 5e-7])
+@pytest.mark.parametrize("platform, closed_form, Ts", [
+    ("rotpen", rotpen_statespace_closed_form, 0.002),
+    ("nxtway", nxtway_statespace_closed_form, 0.004)])
+def test_smc_reaches_and_keeps_the_quasi_sliding_band(platform, closed_form, Ts, k):
+    # the test above checks the reaching decrement only while |s| > 1e-6, so
+    # with k = 5e-7 it sees a single step; here, from seeded states with
+    # |s0| >> k, s must land on -k sign(s0) in one step (L Bd = 1, Keq = L Ad)
+    # and stay in the quasi-sliding band |s| <= k for the rest of the run
+    # (Gao, Wang & Homaifa, IEEE TIE 42(2), 1995), up to rounding
+    ss = discretize_zoh(closed_form(default_params(platform)), Ts)
+    design = design_smc(ss, alpha=100.0, k=k)
+    Bd = ss.B.sum(axis=1)
+    assert float(design.L @ Bd) == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_array_equal(design.Keq, design.L @ ss.A)
+
+    rng = np.random.default_rng(20)
+    for _ in range(10):
+        x = rng.normal(size=4)
+        x *= (100.0 + 1000.0 * rng.random()) * design.k / abs(float(design.L @ x))
+        s_start = float(design.L @ x)
+        for step in range(400):
+            u, s = smc_control_law(design, x)
+            # rounding of the cancelling products L Ad x and L Bd u
+            slack = 1e-13 * (1.0 + float(np.abs(design.L) @ np.abs(ss.A) @ np.abs(x)))
+            x = ss.A @ x + Bd * u
+            s_next = float(design.L @ x)
+            if step == 0:
+                assert abs(s_next + design.k * math.copysign(1.0, s_start)) <= slack
+            assert abs(s_next) <= design.k + slack
 
 
 # ---------------------------------------------------------------------------

@@ -329,6 +329,15 @@ def test_smc_gain_bound_values_and_monotonicity():
         smc_gain_bound(0.0, 10.0)
     with pytest.raises(ValueError):
         smc_gain_bound(0.004, -1.0)
+    for Ts, alpha in ((0.002, 1e308), (0.004, 1e200), (1e300, 1e10), (0.004, math.nan)):
+        with pytest.raises(ValueError, match="alpha"):
+            smc_gain_bound(Ts, alpha)
+    # every finite bound is the same expression, bit for bit
+    rng = np.random.default_rng(3)
+    for Ts, alpha in zip(10.0 ** rng.uniform(-6, 1, 200), 10.0 ** rng.uniform(-3, 150, 200)):
+        Ts, alpha = float(Ts), float(alpha)
+        expected = math.sqrt((Ts * alpha / math.sqrt(2.0)) ** 2 + 1.0)
+        assert smc_gain_bound(Ts, alpha) == expected
 
 
 def test_design_smc_nxtway_properties():
@@ -358,8 +367,9 @@ def test_design_smc_flags_oversized_switching_gain():
     assert d.k == 20.0 and d.k_exceeds_bound
     d = design_smc(ss, alpha=100.0, k=0.5)
     assert d.k == 0.5 and not d.k_exceeds_bound
-    with pytest.raises(ValueError):
-        design_smc(ss, alpha=100.0, k=-0.1)
+    for bad in (-0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="switching gain k"):
+            design_smc(ss, alpha=100.0, k=bad)
 
 
 def test_design_smc_requires_discrete_model():
