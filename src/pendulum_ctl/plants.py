@@ -15,12 +15,20 @@ two wheels are driven symmetrically.
 The RotPen mass matrix carries the voltage referral factor gamma on its
 first row only, so it is deliberately not symmetric; mechanical_energy uses
 the underlying symmetric mechanical form instead.
+
+The integration kernels, scalar_rhs and period_stepper, are generated from
+one text definition of each platform's accelerations (_DYNAMICS). Each is
+compiled once per process and platform, on first use; its source is
+registered with linecache, so tracebacks show the generated lines.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import linecache
 import math
+import re
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -38,6 +46,7 @@ __all__ = [
     "eval_mcg",
     "forward_dynamics",
     "scalar_rhs",
+    "period_stepper",
     "mechanical_energy",
 ]
 
@@ -294,69 +303,162 @@ def _nxtway_terms(p: NxtwayParams, q2: float, q1d: float, q2d: float):
     return m11, m12, m21, m22, c11, c12, c21, c22, 0.0, g2
 
 
+# ---------------------------------------------------------------------------
+# generated integration kernels
+# ---------------------------------------------------------------------------
+
+def _rotpen_constants(p: RotPenParams) -> dict:
+    a, b, c, l2 = p.mass_constants
+    gam = p.gamma
+    return dict(a=a, c=c, l2=l2, gam=gam, kmkg=p.K_m * p.K_g, fr=p.f_r, fp=p.f_p,
+                halfmpg=0.5 * p.m_p * p.L_p * p.g,
+                ngb=-gam * b, nb=-b, l2x2=2 * l2, gb=gam * b)
+
+
+def _nxtway_constants(p: NxtwayParams) -> dict:
+    n2Jm, pw, rb = p.mass_constants
+    al, be = p.alpha, p.beta
+    m11, m22 = pw / al, -rb / al
+    return dict(al=al, MLR=p.M * p.L * p.R, MgL=p.M * p.g * p.L,
+                m11=m11, m22=m22, m11m22=m11 * m22,
+                c11=2 * (be + p.f_w) / al, c21=2 * be / al,
+                nbe2=-2 * be, n2Jm2=2 * n2Jm)
+
+
+# The accelerations of each platform, written once: (parameter-only
+# constants, a statement run once per call on the voltage v, the body).
+# In the body {q2}, {q1d} and {q2d} are the stage inputs and {q1dd},
+# {q2dd} its outputs; every other name is a constant or a temporary.
+_DYNAMICS = {
+    "rotpen": (_rotpen_constants, "", """\
+s = sin({q2})
+co = cos({q2})
+l2s = l2 * s
+m11 = gam * (a + l2s * s)
+m12 = ngb * co
+m21 = nb * co
+r1 = v - (gam * (l2x2 * s * co * {q2d} + fr) + kmkg) * {q1d} - (gb * s * {q2d}) * {q2d}
+r2 = l2s * co * {q1d} * {q1d} - fp * {q2d} + halfmpg * s
+det = m11 * c - m12 * m21
+{q1dd} = (c * r1 - m12 * r2) / det
+{q2dd} = (m11 * r2 - m21 * r1) / det"""),
+    "nxtway": (_nxtway_constants, "v2 = 2.0 * v", """\
+s = sin({q2})
+co = cos({q2})
+m12 = (MLR * co - n2Jm2) / al  # and m21 = -m12
+r1 = v2 - c11 * {q1d} - ((nbe2 - MLR * {q2d} * s) / al) * {q2d}
+r2 = v2 - c21 * {q1d} + c21 * {q2d} - MgL * s / al
+det = m11m22 + m12 * m12
+{q1dd} = (m22 * r1 - m12 * r2) / det
+{q2dd} = (m11 * r2 + m12 * r1) / det"""),
+}
+
+# Kernel templates: {constants} is the constant names, {per_call} the
+# per-call statement, {stage q2 q1d q2d q1dd q2dd} one copy of the body.
+_KERNELS = {
+    "rhs": """\
+def make({constants}):
+    def rhs(q2, q1d, q2d, v):
+        {per_call}
+        {stage q2 q1d q2d q1dd q2dd}
+        return q1dd, q2dd
+    return rhs
+""",
+    # steps classic RK4 steps of dt. Each stage's position rates are that
+    # stage's velocities, so the q1 stage states, which the body never
+    # reads, are not formed; every other operation is the classic step's,
+    # in its order (a float 2.0 doubles as the integer 2 does).
+    "advance": """\
+def make({constants}, dt, steps):
+    h = 0.5 * dt
+    w = dt / 6.0
+
+    def advance(x1, x2, x3, x4, v):
+        {per_call}
+        for _ in range(steps):
+            {stage x2 x3 x4 a3 a4}
+            b1 = x3 + h * a3
+            b2 = x4 + h * a4
+            p2 = x2 + h * x4
+            {stage p2 b1 b2 b3 b4}
+            c1 = x3 + h * b3
+            c2 = x4 + h * b4
+            p2 = x2 + h * b2
+            {stage p2 c1 c2 c3 c4}
+            d1 = x3 + dt * c3
+            d2 = x4 + dt * c4
+            p2 = x2 + dt * c2
+            {stage p2 d1 d2 d3 d4}
+            x1, x2, x3, x4 = (x1 + w * (x3 + 2.0 * b1 + 2.0 * c1 + d1),
+                              x2 + w * (x4 + 2.0 * b2 + 2.0 * c2 + d2),
+                              x3 + w * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
+                              x4 + w * (a4 + 2.0 * b4 + 2.0 * c4 + d4))
+        return x1, x2, x3, x4
+    return advance
+""",
+}
+
+
+@functools.cache
+def _kernel_factory(platform: str, kind: str):
+    """Compile one kernel template for one platform, once per process.
+
+    The source is registered with linecache under a readable name, so
+    tracebacks and inspect.getsource show the generated lines.
+    """
+    constants, per_call, body = _DYNAMICS[platform]
+    names = ", ".join(constants(default_params(platform)))
+
+    def expand(m):
+        indent, slot, args = m[1], m[2], m[3].split()
+        if slot == "constants":
+            return indent + names
+        text = per_call if slot == "per_call" else body.format(
+            **dict(zip(("q2", "q1d", "q2d", "q1dd", "q2dd"), args)))
+        return "\n".join(indent + line for line in text.splitlines())
+
+    source = re.sub(r"( *)\{(\w+)([\w ]*)\}", expand, _KERNELS[kind])
+    filename = f"<pendulum_ctl.plants: {platform} {kind}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {"__name__": __name__, "sin": math.sin, "cos": math.cos}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["make"]
+
+
 def scalar_rhs(params: PlantParams):
     """Closure f(q2, q1dot, q2dot, v) -> (q1ddot, q2ddot).
 
     The scalar form of forward_dynamics, with v the voltage on each motor,
     so an integration loop allocates no arrays. The arm or wheel angle q1
     never enters the dynamics and the position rates are the velocities,
-    so the closure takes and returns neither.
+    so the closure takes and returns neither. It is generated from the
+    platform's entry in _DYNAMICS, as period_stepper is.
 
     Subexpressions that depend on the parameters alone are evaluated once,
-    here, rather than on every call. Only a whole constant subexpression or
-    a left-associative constant prefix is folded, so every remaining
-    expression keeps its IEEE operation order and the results are bit for
-    bit those of the unfolded formulas: ``-gam * b * co`` may become
+    per closure, rather than on every call. Only a whole constant
+    subexpression or a left-associative constant prefix is folded, so every
+    remaining expression keeps its IEEE operation order and the results are
+    bit for bit those of the unfolded formulas: ``-gam * b * co`` may become
     ``ngb * co`` with ``ngb = -gam * b``, but ``MgL * s / al`` must not
     become ``(MgL / al) * s``. Other rewrites are exact ones only: a shared
     left prefix such as ``l2 * s``, ``2.0 * v`` for ``2 * v``, and, since
     rounding is symmetric under negation, the nxtway ``m21 = -q0 / al``
     taken as ``-m12``, so that ``- m12 * m21`` becomes ``+ m12 * m12``.
     """
-    p = params
-    if isinstance(p, RotPenParams):
-        a, b, c, l2 = p.mass_constants
-        gam = p.gamma
-        kmkg = p.K_m * p.K_g
-        fr, fp = p.f_r, p.f_p
-        halfmpg = 0.5 * p.m_p * p.L_p * p.g
-        ngb, nb, l2x2, gb = -gam * b, -b, 2 * l2, gam * b
+    constants = _DYNAMICS[params.platform][0]
+    return _kernel_factory(params.platform, "rhs")(**constants(params))
 
-        def f(x2, x3, x4, v):
-            s = math.sin(x2)
-            co = math.cos(x2)
-            l2s = l2 * s
-            m11 = gam * (a + l2s * s)
-            m12 = ngb * co
-            m21 = nb * co
-            r1 = v - (gam * (l2x2 * s * co * x4 + fr) + kmkg) * x3 \
-                - (gb * s * x4) * x4
-            r2 = l2s * co * x3 * x3 - fp * x4 + halfmpg * s
-            det = m11 * c - m12 * m21
-            return (c * r1 - m12 * r2) / det, (m11 * r2 - m21 * r1) / det
 
-        return f
+def period_stepper(params: PlantParams, dt: float, steps: int):
+    """Closure advance(q1, q2, q1dot, q2dot, v) -> the state after steps RK4 steps of dt.
 
-    n2Jm, pw, rb = p.mass_constants
-    al, be = p.alpha, p.beta
-    MLR = p.M * p.L * p.R
-    MgL = p.M * p.g * p.L
-    m11, m22 = pw / al, -rb / al
-    m11m22 = m11 * m22
-    c11, c21 = 2 * (be + p.f_w) / al, 2 * be / al
-    nbe2, n2Jm2 = -2 * be, 2 * n2Jm
-
-    def f(x2, x3, x4, v):
-        s = math.sin(x2)
-        co = math.cos(x2)
-        m12 = (MLR * co - n2Jm2) / al  # and m21 = -m12
-        w = 2.0 * v
-        r1 = w - c11 * x3 - ((nbe2 - MLR * x4 * s) / al) * x4
-        r2 = w - c21 * x3 + c21 * x4 - MgL * s / al
-        det = m11m22 + m12 * m12
-        return (m22 * r1 - m12 * r2) / det, (m11 * r2 + m12 * r1) / det
-
-    return f
+    The classic four-stage step over scalar_rhs with the accelerations body
+    inlined into every stage, so one controller period costs one call. The
+    results are bit for bit those of stepping scalar_rhs.
+    """
+    constants = _DYNAMICS[params.platform][0]
+    return _kernel_factory(params.platform, "advance")(
+        **constants(params), dt=dt, steps=steps)
 
 
 def eval_mcg(params: PlantParams, state) -> DynamicsMatrices:

@@ -2,7 +2,8 @@
 
 The nonlinear plant is integrated with classic fourth-order Runge-Kutta at
 a fine step plant_dt while the controller runs at controller_Ts under a
-zero-order hold. The command is saturated to the supply voltage; the
+zero-order hold. One call of plants.period_stepper advances the plant by a
+whole controller period. The command is saturated to the supply voltage; the
 disturbance is a square pulse train added to the applied voltage after
 saturation and deliberately not re-clamped, since it models an external
 torque-equivalent injection rather than part of the commanded signal.
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .plants import PlantParams, scalar_rhs
+from .plants import PlantParams, period_stepper
 from .synthesis import LqrDesign, SmcDesign
 
 __all__ = [
@@ -47,6 +48,9 @@ __all__ = [
 
 _STATE_DIM = 4
 _DIVERGENCE_LIMIT = 1e3
+# RK4 steps one run may take (ticks x sub-steps), about 40 paper pulse runs;
+# simulate allocates every trace row up front
+_MAX_RK4_STEPS = 10 ** 7
 _CSV_BLOCK = 1024  # trace rows formatted per write in save_trace_csv
 
 
@@ -111,6 +115,7 @@ class SimConfig:
 
     duration must be a whole number of controller periods. plant_dt
     defaults to controller_Ts / 4 and must divide controller_Ts evenly.
+    One run takes at most 10^7 RK4 steps (periods x steps per period).
     saturation_V defaults to the plant's supply voltage. Under the
     filtered-derivative measurement, filter_cutoff must lie below the
     Nyquist rate 1 / (2 controller_Ts).
@@ -153,6 +158,12 @@ class SimConfig:
             raise ConfigError("plant_dt is too small a fraction of controller_Ts")
         if abs(ratio - round(ratio)) > 1e-6 * max(1.0, ratio):
             raise ConfigError("controller_Ts must be an integer multiple of plant_dt")
+        ticks, sub = round(periods), round(ratio)
+        if ticks * sub > _MAX_RK4_STEPS:
+            # blame plant_dt when the run would fit at the default ts/4
+            name = "plant_dt" if sub > 4 and ticks * 4 <= _MAX_RK4_STEPS else "duration"
+            raise ConfigError(f"{name}: {ticks} controller periods of {sub} RK4 "
+                              f"steps exceed the limit of {_MAX_RK4_STEPS} steps per run")
 
         for name in ("x0", "reference"):
             vec = tuple(float(v) for v in np.asarray(getattr(self, name)).ravel())
@@ -334,47 +345,13 @@ def filtered_derivative(samples, Ts: float, cutoff_hz: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# plant integration
+# the closed loop
 # ---------------------------------------------------------------------------
-
-def _rk4_advance(f, dt: float, steps: int):
-    """Closure advance(q1, q2, q1dot, q2dot, v) -> the state after steps RK4 steps of dt.
-
-    f is an accelerations-only right-hand side from scalar_rhs. Each
-    stage's position rates are that stage's velocities, so the q1 stage
-    states, which f never reads, are not formed; every other operation is
-    that of the classic four-stage step, in the same order (a float 2.0
-    doubles exactly as the integer 2 does, without the int conversion).
-    """
-    h = 0.5 * dt
-    w = dt / 6.0
-
-    def advance(x1, x2, x3, x4, v):
-        for _ in range(steps):
-            a3, a4 = f(x2, x3, x4, v)
-            b1, b2 = x3 + h * a3, x4 + h * a4
-            b3, b4 = f(x2 + h * x4, b1, b2, v)
-            c1, c2 = x3 + h * b3, x4 + h * b4
-            c3, c4 = f(x2 + h * b2, c1, c2, v)
-            d1, d2 = x3 + dt * c3, x4 + dt * c4
-            d3, d4 = f(x2 + dt * c2, d1, d2, v)
-            x1, x2, x3, x4 = (x1 + w * (x3 + 2.0 * b1 + 2.0 * c1 + d1),
-                              x2 + w * (x4 + 2.0 * b2 + 2.0 * c2 + d2),
-                              x3 + w * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
-                              x4 + w * (a4 + 2.0 * b4 + 2.0 * c4 + d4))
-        return x1, x2, x3, x4
-
-    return advance
-
 
 def _same_bits(a: float, b: float) -> bool:
     """Whether a and b are one float bit for bit: zero signs count, NaN never matches."""
     return a == b and (a != 0.0 or math.copysign(1.0, a) == math.copysign(1.0, b))
 
-
-# ---------------------------------------------------------------------------
-# the closed loop
-# ---------------------------------------------------------------------------
 
 def simulate(params: PlantParams, design, cfg: SimConfig) -> SimTrace:
     """Run one closed-loop experiment and return its trace.
@@ -395,8 +372,7 @@ def simulate(params: PlantParams, design, cfg: SimConfig) -> SimTrace:
     ki = None if is_smc else design.Ki
 
     Ts = cfg.controller_Ts
-    advance = _rk4_advance(scalar_rhs(params), cfg.plant_dt,
-                           round(Ts / cfg.plant_dt))
+    advance = period_stepper(params, cfg.plant_dt, round(Ts / cfg.plant_dt))
     n = round(cfg.duration / Ts)
     spec = cfg.disturbance
     r1, r2, r3, r4 = cfg.reference

@@ -525,23 +525,39 @@ def save_design(design, path) -> None:
     write_matrix_file(path, "pendulum-ctl controller design", meta, blocks)
 
 
+def _require_finite(**entries) -> None:
+    for name, value in entries.items():
+        if not all(map(math.isfinite, np.ravel(value).tolist())):
+            raise ValueError(f"design entry {name} is not finite")
+
+
 def _design_from(meta: dict, matrices: dict):
     kind = meta.get("design")
     if kind == "lqr":
         ki = meta.get("Ki", "none")
-        return LqrDesign(Q=matrices["Q"], R=matrices["R"], P=matrices.get("P"),
-                         K=matrices["K"],
-                         Ki=None if ki == "none" else float(ki),
-                         residual=float(meta["residual"]))
+        design = LqrDesign(Q=matrices["Q"], R=matrices["R"], P=matrices.get("P"),
+                           K=matrices["K"],
+                           Ki=None if ki == "none" else float(ki),
+                           residual=float(meta["residual"]))
+        _require_finite(K=design.K, Ki=0.0 if design.Ki is None else design.Ki)
+        return design
     if kind == "smc":
+        _require_finite(surface_re=matrices["surface_re"], surface_im=matrices["surface_im"])
         eigs = matrices["surface_re"].ravel() + 1j * matrices["surface_im"].ravel()
-        return SmcDesign(L=matrices["L"].ravel(), Keq=matrices["Keq"].ravel(),
-                         k=float(meta["k"]), Ts=float(meta["Ts"]),
-                         alpha=float(meta["alpha"]), surface_eigs=eigs,
-                         k_exceeds_bound=meta.get("k_exceeds_bound") == "true")
+        design = SmcDesign(L=matrices["L"].ravel(), Keq=matrices["Keq"].ravel(),
+                           k=float(meta["k"]), Ts=float(meta["Ts"]),
+                           alpha=float(meta["alpha"]), surface_eigs=eigs,
+                           k_exceeds_bound=meta.get("k_exceeds_bound") == "true")
+        _require_finite(L=design.L, Keq=design.Keq, k=design.k, Ts=design.Ts,
+                        alpha=design.alpha)
+        return design
     raise ValueError(f"unrecognized design kind {kind!r}")
 
 
 def load_design(path):
-    """Read a design written by save_design; a bad file raises ValueError."""
+    """Read a design written by save_design.
+
+    A bad file raises ValueError, and so does a non-finite gain, sample
+    time, alpha or surface eigenvalue.
+    """
     return read_matrix_file(path, _design_from)

@@ -298,6 +298,8 @@ Ki = none
     ("0.0 0.0 0.0 0.0\n", ""),                                # truncated block
     ("0.0 0.0 0.0 0.0", "0.0 0.0"),                           # short row
     ("0.0 0.0 0.0 0.0", "0.0 zero 0.0 0.0"),                  # non-numeric entry
+    ("0.0 0.0 0.0 0.0", "0.0 nan 0.0 0.0"),                   # non-finite gain
+    ("Ki = none", "Ki = inf"),                                # non-finite gain
     ("[K] rows=1 cols=4", "[K] rows=one cols=4"),             # bad header
     ("[K] rows=1 cols=4", "[K rows=1 cols=4"),                # bad header
     ("Ki = none", "Ki none"),                                 # stray line
@@ -538,6 +540,9 @@ _RUN = {"synthesize": {"platform": "nxtway"}, "linearize": {"platform": "rotpen"
     ("simulate", {"measurement": "filtered-derivative", "filter_cutoff": "1e308"},
      "filter_cutoff"),
     ("compare", {"duration": "0.003", "trace_dir": "traces"}, "duration"),
+    ("simulate", {"duration": "1e9"}, "duration"),
+    ("simulate", {"plant_dt": "1e-8"}, "plant_dt"),
+    ("compare", {"duration": "1e9"}, "duration"),
 ])
 def test_bad_settings_are_refused_before_writing(tmp_path, capsys, monkeypatch,
                                                  command, settings, key):
@@ -593,3 +598,57 @@ def test_fuzzed_settings_keep_the_exit_code_contract(tmp_path, capsys, monkeypat
         if code == 1:
             assert [p.name for p in workdir.iterdir()] == (["run.cfg"] if config
                                                            else []), context
+
+
+def _mutate_design(text: str, rng) -> str:
+    """One seeded edit of a design file: drop, duplicate, truncate, swap or poison."""
+    lines = text.splitlines(keepends=True)
+    if len(text.split()) < 2:
+        return text
+    kind = rng.integers(5)
+    if kind == 0:
+        del lines[rng.integers(len(lines))]
+    elif kind == 1:
+        i = rng.integers(len(lines))
+        lines.insert(i, lines[i])
+    elif kind == 2:
+        return text[:rng.integers(len(text))]
+    else:
+        spots = [(i, j) for i, line in enumerate(lines) for j in range(len(line.split()))]
+        (i, j), (k, m) = (spots[n] for n in rng.choice(len(spots), 2, replace=False))
+        rows = {n: lines[n].split() for n in (i, k)}
+        if kind == 3:
+            rows[i][j], rows[k][m] = rows[k][m], rows[i][j]
+        else:
+            rows[i][j] = ["inf", "-inf", "nan", "1e308", "-1e308", "abc"][rng.integers(6)]
+        for n, tokens in rows.items():
+            lines[n] = " ".join(tokens) + "\n"
+    return "".join(lines)
+
+
+def test_fuzzed_design_files_keep_the_exit_code_contract(tmp_path, capsys):
+    # seeded edits of a valid rotpen LQR and a valid nxtway SMC design file;
+    # each edited file drives a short simulate run, which must end in exit
+    # 0-3 without a traceback
+    valid = {}
+    for platform, controller in (("rotpen", "lqr"), ("nxtway", "smc")):
+        path = tmp_path / f"{controller}.txt"
+        assert cli.run(["synthesize", "--platform", platform, f"--{controller}",
+                        "--out", str(path)]) == 0
+        valid[platform] = path.read_text()
+    capsys.readouterr()
+    rng = np.random.default_rng(8)
+    for case in range(300):
+        platform = ("rotpen", "nxtway")[case % 2]
+        text = valid[platform]
+        for _ in range(rng.integers(1, 4)):
+            text = _mutate_design(text, rng)
+        dfile = tmp_path / "design.txt"
+        dfile.write_text(text)
+        code = cli.run(["simulate", "--platform", platform, "--design", str(dfile),
+                        "--duration", "0.04", "--trace", str(tmp_path / "t.csv"),
+                        "--metrics", str(tmp_path / "m.csv")])
+        err = capsys.readouterr().err
+        context = f"case {case}: exit {code}, stderr {err!r}, file {text!r}"
+        assert code in (0, 1, 2, 3), context
+        assert "Traceback" not in err, context

@@ -7,7 +7,14 @@ manual update loop so the check does not depend on the integrator under
 test.
 """
 
+import dataclasses
+import inspect
 import math
+import os
+import struct
+import subprocess
+import sys
+import traceback
 
 import numpy as np
 import pytest
@@ -18,8 +25,14 @@ from pendulum_ctl.linearize import (
     nxtway_statespace_closed_form,
     rotpen_statespace_closed_form,
 )
+from pendulum_ctl import plants as plants_module
 from pendulum_ctl import simulate as simulate_module
-from pendulum_ctl.plants import default_params, scalar_rhs
+from pendulum_ctl.plants import (
+    default_params,
+    params_from_mapping,
+    period_stepper,
+    scalar_rhs,
+)
 from pendulum_ctl.simulate import (
     DisturbanceSpec,
     SimConfig,
@@ -157,6 +170,17 @@ def test_sim_config_defaults_and_validation():
                          ({"plant_dt": 1e-320}, "plant_dt")):
         with pytest.raises(ConfigError, match=name):
             SimConfig(**{"duration": 1.0, "controller_Ts": 0.004, **kwargs})
+
+    # one run takes at most 10^7 RK4 steps; the paper run takes 240,000
+    for kwargs, name in (({"duration": 1e9}, "duration"),
+                         ({"duration": 10.0, "plant_dt": 1e-8}, "plant_dt"),
+                         ({"duration": 1e5, "plant_dt": 1e-8}, "duration"),
+                         ({"duration": 10000.004}, "duration"),
+                         ({"duration": 5000.0, "plant_dt": 0.0004}, "plant_dt")):
+        with pytest.raises(ConfigError, match=f"^{name}: .* exceed the limit"):
+            SimConfig(**{"controller_Ts": 0.004, **kwargs})
+    assert SimConfig(duration=40.0, controller_Ts=0.004, plant_dt=0.0004).duration == 40.0
+    assert SimConfig(duration=10000.0, controller_Ts=0.004).duration == 10000.0
 
     # under filtered-derivative the cutoff lies below the Nyquist rate, 125 Hz
     # at 4 ms; an ideal-measurement run never uses it, so it is not checked
@@ -642,34 +666,119 @@ def test_scalar_rhs_matches_the_five_argument_form_bit_for_bit():
     for platform in ("rotpen", "nxtway"):
         params = default_params(platform)
         f, g = scalar_rhs(params), _oracle_rhs(params)
-        for _ in range(2000):
-            x = rng.normal(scale=2.0, size=4) * rng.choice([0.0, 1e-300, 1e-6, 1.0], 4)
+        # mostly full-scale entries: a reassociated product differs in ~1% of them
+        for _ in range(8000):
+            x = rng.normal(scale=2.0, size=4) * rng.choice([0.0, 1e-300, 1e-6] + [1.0] * 5, 4)
             x1, x2, x3, x4 = (-x).tolist() if rng.random() < 0.5 else x.tolist()
             v = float(rng.normal(scale=3.0))
             assert np.array(f(x2, x3, x4, v)).tobytes() == \
                 np.array(g(x1, x2, x3, x4, v)[2:]).tobytes()
 
 
+def _oracle_advance(f, dt, steps):
+    """advance(q1, q2, q1dot, q2dot, v) as steps RK4 steps over an accelerations-only f."""
+    h = 0.5 * dt
+    w = dt / 6.0
+
+    def advance(x1, x2, x3, x4, v):
+        for _ in range(steps):
+            a3, a4 = f(x2, x3, x4, v)
+            b1, b2 = x3 + h * a3, x4 + h * a4
+            b3, b4 = f(x2 + h * x4, b1, b2, v)
+            c1, c2 = x3 + h * b3, x4 + h * b4
+            c3, c4 = f(x2 + h * b2, c1, c2, v)
+            d1, d2 = x3 + dt * c3, x4 + dt * c4
+            d3, d4 = f(x2 + dt * c2, d1, d2, v)
+            x1, x2, x3, x4 = (x1 + w * (x3 + 2.0 * b1 + 2.0 * c1 + d1),
+                              x2 + w * (x4 + 2.0 * b2 + 2.0 * c2 + d2),
+                              x3 + w * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
+                              x4 + w * (a4 + 2.0 * b4 + 2.0 * c4 + d4))
+        return x1, x2, x3, x4
+
+    return advance
+
+
+def _outcome(advance, x, v):
+    """The result's bytes, or the exception a state too large for sin raises."""
+    try:
+        return struct.pack("4d", *advance(*x, v))
+    except ValueError as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("platform", ["rotpen", "nxtway"])
+def test_period_stepper_matches_rk4_over_scalar_rhs_bit_for_bit(platform):
+    # factory parameters and four sets with every field scaled by 0.8..1.2;
+    # states mix signed zeros, a subnormal and |q2| up to 1e3 (slow sin path)
+    rng = np.random.default_rng(23 if platform == "rotpen" else 29)
+    base = default_params(platform)
+    param_sets = [base] + [params_from_mapping(platform, {
+        f.name: getattr(base, f.name) * rng.uniform(0.8, 1.2)
+        for f in dataclasses.fields(base)}) for _ in range(4)]
+    special = [0.0, -0.0, 1e-310, -1e-310]
+    for params in param_sets:
+        for steps in (1, 4, 20):
+            dt = 0.002 / steps
+            want = _oracle_advance(scalar_rhs(params), dt, steps)
+            got = period_stepper(params, dt, steps)
+            for _ in range(150):
+                x = (rng.normal(size=4) * rng.choice([1e-3, 1.0, 30.0, 1e3], 4)).tolist()
+                for i in range(4):
+                    if rng.random() < 0.2:
+                        x[i] = special[rng.integers(len(special))]
+                v = [0.0, -0.0, float(rng.normal(scale=5.0))][rng.integers(3)]
+                assert _outcome(got, x, v) == _outcome(want, x, v), (steps, x, v)
+
+
+@pytest.mark.parametrize("platform", ["rotpen", "nxtway"])
+def test_generated_kernels_show_source_lines_in_tracebacks(platform):
+    params = default_params(platform)
+    kernels = [(period_stepper(params, 0.001, 2), (0.0, 0.1, 0.0, 0.0, None)),
+               (scalar_rhs(params), (0.1, 0.0, 0.0, None))]
+    for kernel, args in kernels:
+        with pytest.raises(TypeError) as info:
+            kernel(*args)
+        frame = traceback.extract_tb(info.tb)[-1]
+        assert frame.filename.startswith(f"<pendulum_ctl.plants: {platform} ")
+        assert frame.line and frame.line in inspect.getsource(kernel)
+
+
+def test_kernels_compile_lazily_and_once_per_platform_and_kind():
+    code = ("import pendulum_ctl.cli; from pendulum_ctl import plants; "
+            "print(plants._kernel_factory.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "0", out.stderr  # importing compiles nothing
+    for platform in ("rotpen", "nxtway"):
+        period_stepper(default_params(platform), 0.001, 2)
+    misses = plants_module._kernel_factory.cache_info().misses
+    cfg = SimConfig(duration=0.04, controller_Ts=0.004, plant_dt=0.0005,
+                    x0=(0.0, 0.05, 0.0, 0.0))
+    simulate(default_params("nxtway"), _nxtway_lqr(), cfg)
+    simulate(params_from_mapping("rotpen", {"m_p": 0.13}), _rotpen_lqr(), cfg)
+    assert plants_module._kernel_factory.cache_info().misses == misses
+
+
 def test_rest_skip_engages_on_the_paper_run(monkeypatch):
     calls = [0]
 
-    def counting_rhs(params):
-        f = scalar_rhs(params)
+    def counting_stepper(*args):
+        advance = period_stepper(*args)
 
-        def counted(*args):
+        def counted(*state):
             calls[0] += 1
-            return f(*args)
+            return advance(*state)
 
         return counted
 
-    monkeypatch.setattr(simulate_module, "scalar_rhs", counting_rhs)
+    monkeypatch.setattr(simulate_module, "period_stepper", counting_stepper)
     params = default_params("rotpen")
     cfg = SimConfig(duration=120.0, controller_Ts=0.002,
                     disturbance=standard_pulse_train(params.V_max))
     trace = simulate(params, _rotpen_lqr(), cfg)
     ticks = trace.t.size
     assert ticks == 60001 and not trace.diverged
-    assert 0 < calls[0] <= 0.51 * ticks * 16  # 4 RK4 steps of 4 stages per tick
+    assert 0 < calls[0] <= 0.51 * ticks  # one call per controller period advanced
 
 
 # ---------------------------------------------------------------------------
