@@ -1,13 +1,15 @@
 """State-space models: numeric Jacobians, closed forms, ZOH discretization.
 
 Controllers are synthesized from the closed-form builders, which reproduce
-each platform's published linearization. The numeric Jacobian of the
-nonlinear dynamics is the independent cross-check: the two agree
-entry-wise to within the differencing error at the upright origin.
+each platform's published linearization. The numeric Jacobian is the
+independent cross-check: it differentiates plants.scalar_rhs, the
+generated accelerations kernel that the simulator integrates, and the two
+agree entry-wise to within the differencing error at the upright origin.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -15,7 +17,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .matrixfile import read_matrix_file, write_matrix_file
-from .plants import NxtwayParams, PlantParams, RotPenParams, forward_dynamics
+from .plants import NxtwayParams, PlantParams, RotPenParams, scalar_rhs
 
 __all__ = [
     "StateSpace",
@@ -85,6 +87,11 @@ class StateSpace:
         return self.B.shape[1]
 
 
+def _check_eps(eps: float) -> None:
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError("eps must be positive and finite")
+
+
 def numeric_jacobian(f: Callable, x0, u0, eps: float = 1e-6):
     """Central-difference Jacobians of xdot = f(x, u) at (x0, u0).
 
@@ -95,15 +102,15 @@ def numeric_jacobian(f: Callable, x0, u0, eps: float = 1e-6):
     x0, u0 : array_like
         Expansion point.
     eps : float
-        Absolute differencing step, applied per coordinate.
+        Absolute differencing step, applied per coordinate; positive and
+        finite.
 
     Returns
     -------
     (A, B) : ndarray pair
         A = df/dx, B = df/du.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     x0 = np.asarray(x0, dtype=float)
     u0 = np.asarray(u0, dtype=float)
     n = x0.size
@@ -118,24 +125,49 @@ def numeric_jacobian(f: Callable, x0, u0, eps: float = 1e-6):
     return J[:, :n], J[:, n:]
 
 
+def _expansion_point(value, size: int, name: str, platform: str) -> list:
+    """value (default zeros) as a list of size finite floats, else ValueError."""
+    values = [0.0] * size if value is None else np.ravel(np.asarray(value, dtype=float)).tolist()
+    if len(values) != size:
+        raise ValueError(f"{name} must have {size} entries for {platform}")
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return values
+
+
 def jacobian_linearize(params: PlantParams, x0=None, u0=None, eps: float = 1e-6) -> StateSpace:
     """Linearize a plant about (x0, u0), default the upright origin.
 
+    The Jacobian differentiates plants.scalar_rhs, the generated kernel
+    that the simulator integrates, by the central difference of
+    numeric_jacobian over z = (x, u), in plain floats. The position rates
+    are the velocities, so the kinematic rows are exactly [0, 0, 1, 0] and
+    [0, 0, 0, 1]; the arm or wheel angle q1 never enters the dynamics, so
+    its column is zero.
+
     For the two-wheeled robot the input is the pair of motor voltages, so B
-    has two (equal) columns; the rotary pendulum has a single voltage input.
+    has two (equal) columns: the kernel's per-motor voltage is their mean.
+    The rotary pendulum has a single voltage input.
     """
-    x0 = np.zeros(4) if x0 is None else np.asarray(x0, dtype=float)
     m = 2 if isinstance(params, NxtwayParams) else 1
-    u0 = np.zeros(m) if u0 is None else np.atleast_1d(np.asarray(u0, dtype=float))
-    if u0.size != m:
-        raise ValueError(f"u0 must have {m} entries for {params.platform}")
+    z0 = (_expansion_point(x0, 4, "x0", params.platform)
+          + _expansion_point(u0, m, "u0", params.platform))
+    _check_eps(eps)
+    rhs = scalar_rhs(params)
 
-    def f(x, u):
-        qdd = forward_dynamics(params, x, u if m == 2 else u[0])
-        return np.concatenate([x[2:], qdd])
+    def g(z):
+        return rhs(z[1], z[2], z[3], z[4] if m == 1 else 0.5 * (z[4] + z[5]))
 
-    A, B = numeric_jacobian(f, x0, u0, eps)
-    return StateSpace(A=A, B=B, kind="continuous")
+    J = np.zeros((4, 4 + m))
+    J[0, 2] = J[1, 3] = 1.0
+    for i in range(1, 4 + m):
+        hi, lo = z0.copy(), z0.copy()
+        hi[i] += eps
+        lo[i] -= eps
+        (a1, a2), (b1, b2) = g(hi), g(lo)
+        J[2, i] = (a1 - b1) / (2 * eps)
+        J[3, i] = (a2 - b2) / (2 * eps)
+    return StateSpace(A=J[:, :4], B=J[:, 4:], kind="continuous")
 
 
 def rotpen_statespace_closed_form(params: RotPenParams) -> StateSpace:
@@ -205,16 +237,21 @@ def discretize_zoh(ss: StateSpace, Ts: float) -> StateSpace:
 
     Ad and Bd come from one matrix exponential of the augmented
     [[A, B], [0, 0]] block scaled by Ts; C and D pass through unchanged.
+    A Ts that is not positive and finite, or so long that the exponential
+    overflows, raises ValueError.
     """
     if ss.kind != "continuous":
         raise ValueError("discretize_zoh expects a continuous system")
-    if not Ts > 0:
-        raise ValueError("Ts must be positive")
+    if not (math.isfinite(Ts) and Ts > 0):
+        raise ValueError("Ts must be positive and finite")
     n, m = ss.n_states, ss.n_inputs
     aug = np.zeros((n + m, n + m))
     aug[:n, :n] = ss.A * Ts
     aug[:n, n:] = ss.B * Ts
-    E = expm(aug)
+    with np.errstate(all="ignore"):
+        E = expm(aug)
+    if not np.isfinite(E).all():
+        raise ValueError(f"Ts = {Ts!r} overflows the matrix exponential of the model")
     return StateSpace(A=E[:n, :n], B=E[:n, n:], C=ss.C, D=ss.D,
                       kind="discrete", Ts=Ts, state_labels=ss.state_labels)
 

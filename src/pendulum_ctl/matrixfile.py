@@ -19,10 +19,9 @@ _HEADER = re.compile(r"\[([^\]]+)\]\s+rows=(\d+)\s+cols=(\d+)")
 
 def format_matrix(name: str, M) -> list[str]:
     """Lines of one block: the header, then one line per row (1-D is one row)."""
-    M = np.atleast_2d(M)
+    M = np.atleast_2d(np.asarray(M, dtype=float))
     lines = [f"[{name}] rows={M.shape[0]} cols={M.shape[1]}"]
-    for row in M:
-        lines.append(" ".join(repr(float(v)) for v in row))
+    lines.extend(" ".join(map(repr, row)) for row in M.tolist())
     return lines
 
 

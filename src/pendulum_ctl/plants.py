@@ -432,7 +432,8 @@ def scalar_rhs(params: PlantParams):
     so an integration loop allocates no arrays. The arm or wheel angle q1
     never enters the dynamics and the position rates are the velocities,
     so the closure takes and returns neither. It is generated from the
-    platform's entry in _DYNAMICS, as period_stepper is.
+    platform's entry in _DYNAMICS, as period_stepper is, and it is the
+    function that linearize.jacobian_linearize differentiates.
 
     Subexpressions that depend on the parameters alone are evaluated once,
     per closure, rather than on every call. Only a whole constant

@@ -93,6 +93,11 @@ def _as_square(M, name: str) -> np.ndarray:
     return arr
 
 
+def _allclose(a, b, rtol: float, atol: float) -> bool:
+    """np.allclose(a, b, rtol, atol) for finite inputs, in one vectorized test."""
+    return bool(np.all(np.abs(a - b) <= atol + rtol * np.abs(b)))
+
+
 # ---------------------------------------------------------------------------
 # continuous-time Riccati equation
 # ---------------------------------------------------------------------------
@@ -132,9 +137,9 @@ def solve_care(A, B, Q, R) -> np.ndarray:
         raise ValueError(f"Q must be {n} x {n}, got {Q.shape}")
     if R.shape[0] != m:
         raise ValueError(f"R must be {m} x {m}, got {R.shape}")
-    if not np.allclose(Q, Q.T, rtol=1e-8, atol=1e-10):
+    if not _allclose(Q, Q.T, rtol=1e-8, atol=1e-10):
         raise ValueError("Q must be symmetric")
-    if not np.allclose(R, R.T, rtol=1e-8, atol=1e-10):
+    if not _allclose(R, R.T, rtol=1e-8, atol=1e-10):
         raise ValueError("R must be symmetric")
 
     Qs = 0.5 * (Q + Q.T)
@@ -148,7 +153,11 @@ def solve_care(A, B, Q, R) -> np.ndarray:
     S = B @ scipy.linalg.cho_solve(chol, B.T)
     S = 0.5 * (S + S.T)
 
-    H = np.block([[A, -S], [-Qs, -A.T]])
+    H = np.empty((2 * n, 2 * n))
+    H[:n, :n] = A
+    H[:n, n:] = -S
+    H[n:, :n] = -Qs
+    H[n:, n:] = -A.T
     T, Z, sdim = scipy.linalg.schur(H, output="real", sort="lhp")
     if sdim != n:
         raise SynthesisError(
@@ -269,14 +278,14 @@ def nxtway_integral_lqr(ss: StateSpace, Q=None, R=None) -> LqrDesign:
     aug = integral_augmented(ss)
     if ss.n_inputs != 2:
         raise ValueError("expected a two-motor model")
-    if not np.allclose(ss.B[:, 0], ss.B[:, 1], rtol=1e-9, atol=1e-12):
+    if not _allclose(ss.B[:, 0], ss.B[:, 1], rtol=1e-9, atol=1e-12):
         raise ValueError("motor input columns are not symmetric")
     Q5 = DEFAULT_NXTWAY_Q if Q is None else np.atleast_2d(np.asarray(Q, dtype=float))
     R2 = DEFAULT_NXTWAY_R if R is None else np.atleast_2d(np.asarray(R, dtype=float))
 
     P = solve_care(aug.A, aug.B, Q5, R2)
     K2 = np.linalg.solve(R2, aug.B.T @ P)
-    if not np.allclose(K2[0], K2[1], rtol=1e-8, atol=1e-10):
+    if not _allclose(K2[0], K2[1], rtol=1e-8, atol=1e-10):
         raise SynthesisError("motor gain rows diverged despite a symmetric drive")
     return LqrDesign(Q=Q5, R=R2, P=P, K=K2[:1, :4].copy(), Ki=float(K2[0, 4]),
                      residual=care_residual(aug.A, aug.B, Q5, R2, P))

@@ -8,7 +8,10 @@ exercised exactly as a shell would see it: 0 success, 1 config error,
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +103,22 @@ def test_synthesize_indefinite_q_is_synthesis_failure(tmp_path, capsys):
     out = tmp_path / "design.txt"
     assert cli.run(["synthesize", "--platform", "rotpen", "--lqr",
                     "--q=-1,1,1,1", "--r", "1", "--out", str(out)]) == 2
+
+
+def test_synthesize_smc_at_an_overflowing_ts_is_one_error_line(tmp_path):
+    # a fresh interpreter shows the stderr a shell sees, warnings included
+    out = tmp_path / "design.txt"
+    code = "import sys; from pendulum_ctl import cli; sys.exit(cli.run(sys.argv[1:]))"
+    result = subprocess.run(
+        [sys.executable, "-c", code, "synthesize", "--platform", "rotpen", "--smc",
+         "--ts", "1e3", "--out", str(out)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert result.returncode == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "Ts" in lines[0], lines
+    assert "Warning" not in result.stderr
+    assert not out.exists()
 
 
 def test_synthesize_controller_from_config_and_flag_override(tmp_path):

@@ -6,6 +6,7 @@ library routine) is validated against plain arithmetic.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from pendulum_ctl.linearize import (
     rotpen_statespace_closed_form,
     save_statespace,
 )
-from pendulum_ctl.plants import default_params, forward_dynamics
+from pendulum_ctl.plants import default_params, forward_dynamics, params_from_mapping
+
+PERTURBED = {"rotpen": ("m_p", "L_p", "f_p", "J_r"), "nxtway": ("M", "L", "f_m", "J_m")}
 
 
 def _series_expm(M, terms=40):
@@ -80,9 +83,74 @@ def test_numeric_jacobian_recovers_linear_system():
 
 def test_jacobian_kinematic_rows_are_exact():
     for platform in ("rotpen", "nxtway"):
-        ss = jacobian_linearize(default_params(platform))
-        np.testing.assert_array_equal(ss.A[0], [0.0, 0.0, 1.0, 0.0])
-        np.testing.assert_array_equal(ss.A[1], [0.0, 0.0, 0.0, 1.0])
+        m = 2 if platform == "nxtway" else 1
+        for x0, u0 in ((None, None), ([0.1, -0.2, 0.3, -0.4], [1.5, -0.5][:m])):
+            ss = jacobian_linearize(default_params(platform), x0, u0)
+            np.testing.assert_array_equal(ss.A[0], [0.0, 0.0, 1.0, 0.0])
+            np.testing.assert_array_equal(ss.A[1], [0.0, 0.0, 0.0, 1.0])
+            np.testing.assert_array_equal(ss.B[:, 0], ss.B[:, -1])  # both motors alike
+
+
+def _forward_dynamics_jacobian(params, x0, u0, eps=1e-6):
+    """The Jacobian as first written: numeric_jacobian over numpy forward_dynamics."""
+    m = 2 if params.platform == "nxtway" else 1
+
+    def f(x, u):
+        qdd = forward_dynamics(params, x, u if m == 2 else u[0])
+        return np.concatenate([x[2:], qdd])
+
+    return numeric_jacobian(f, np.asarray(x0, dtype=float), np.atleast_1d(u0), eps)
+
+
+def _perturbed_sets(platform, count, seed):
+    rng = np.random.default_rng(seed)
+    base = default_params(platform)
+    return [params_from_mapping(platform, {k: getattr(base, k) * f for k, f in
+                                           zip(PERTURBED[platform], rng.uniform(0.8, 1.2, 4))})
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("platform", ["rotpen", "nxtway"])
+def test_jacobian_matches_forward_dynamics_oracle(platform):
+    m = 2 if platform == "nxtway" else 1
+    rng = np.random.default_rng(23)
+    points = [(np.zeros(4), np.zeros(m))]
+    points += [(rng.uniform(-0.4, 0.4, 4), rng.uniform(-2.0, 2.0, m)) for _ in range(3)]
+    cases = [(default_params(platform), x0, u0) for x0, u0 in points]
+    cases += [(p, np.zeros(4), np.zeros(m)) for p in _perturbed_sets(platform, 4, 29)]
+    for params, x0, u0 in cases:
+        ss = jacobian_linearize(params, x0, u0)
+        A, B = _forward_dynamics_jacobian(params, x0, u0)
+        for got, want in ((ss.A, A), (ss.B, B)):
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want))), \
+                (params, x0, u0, got - want)
+
+
+@pytest.mark.parametrize("eps", [math.inf, -math.inf, math.nan, 0.0, -1e-6])
+def test_nonpositive_or_nonfinite_eps_is_refused(eps):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="eps"):
+            numeric_jacobian(lambda x, u: x + u, np.zeros(2), np.zeros(2), eps=eps)
+        with pytest.raises(ValueError, match="eps"):
+            jacobian_linearize(default_params("rotpen"), eps=eps)
+
+
+@pytest.mark.parametrize("platform", ["rotpen", "nxtway"])
+def test_bad_expansion_point_is_refused(platform):
+    p = default_params(platform)
+    m = 2 if platform == "nxtway" else 1
+    for x0 in ([0.0, math.inf, 0.0, 0.0], [math.nan] * 4, [0.0, 0.0, -math.inf, 0.0]):
+        with pytest.raises(ValueError, match="x0 contains non-finite"):
+            jacobian_linearize(p, x0=x0)
+    for x0 in ([0.0] * 3, [0.0] * 5, []):
+        with pytest.raises(ValueError, match="x0 must have 4 entries"):
+            jacobian_linearize(p, x0=x0)
+    with pytest.raises(ValueError, match="u0 contains non-finite"):
+        jacobian_linearize(p, u0=[math.inf] * m)
+    with pytest.raises(ValueError, match=f"u0 must have {m} entries"):
+        jacobian_linearize(p, u0=[0.0] * (m + 1))
 
 
 def test_jacobian_shapes_and_labels():
@@ -212,8 +280,17 @@ def test_zoh_keeps_output_matrices_and_rejects_bad_ts():
     np.testing.assert_array_equal(d.C, ss.C)
     np.testing.assert_array_equal(d.D, ss.D)
     assert d.state_labels == ss.state_labels
-    with pytest.raises(ValueError):
-        discretize_zoh(ss, 0.0)
+    for Ts in (0.0, -0.002, math.inf, math.nan):
+        with pytest.raises(ValueError, match="Ts"):
+            discretize_zoh(ss, Ts)
+
+
+def test_zoh_refuses_an_overflowing_exponential_without_warnings():
+    ss = rotpen_statespace_closed_form(default_params("rotpen"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="Ts = 1000.0"):
+            discretize_zoh(ss, 1e3)
 
 
 # ---------------------------------------------------------------------------

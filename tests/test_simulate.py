@@ -22,6 +22,7 @@ import pytest
 from pendulum_ctl.errors import ConfigError
 from pendulum_ctl.linearize import (
     discretize_zoh,
+    jacobian_linearize,
     nxtway_statespace_closed_form,
     rotpen_statespace_closed_form,
 )
@@ -756,6 +757,13 @@ def test_kernels_compile_lazily_and_once_per_platform_and_kind():
                     x0=(0.0, 0.05, 0.0, 0.0))
     simulate(default_params("nxtway"), _nxtway_lqr(), cfg)
     simulate(params_from_mapping("rotpen", {"m_p": 0.13}), _rotpen_lqr(), cfg)
+    assert plants_module._kernel_factory.cache_info().misses == misses
+    # the Jacobian differentiates the rhs kernel: one compile per platform
+    for platform in ("rotpen", "nxtway"):
+        jacobian_linearize(default_params(platform))
+    misses = plants_module._kernel_factory.cache_info().misses
+    jacobian_linearize(params_from_mapping("rotpen", {"m_p": 0.13, "L_p": 0.3}))
+    jacobian_linearize(params_from_mapping("nxtway", {"M": 0.55}), x0=(0.0, 0.1, 0.2, 0.0))
     assert plants_module._kernel_factory.cache_info().misses == misses
 
 

@@ -152,6 +152,63 @@ def test_care_input_validation():
         solve_care([[0.0]], [[1.0]], [[1.0]], [[0.0]])  # R singular
 
 
+def _asymmetric(base, i, j, delta):
+    M = np.array(base, dtype=float)
+    M[j, i] = M[i, j] + delta
+    return M
+
+
+def test_care_symmetry_checks_keep_the_allclose_boundary():
+    # np.allclose(M, M.T, rtol=1e-8, atol=1e-10) admits |M_ij - M_ji| up to
+    # 1e-10 + 1e-8 * |M_ji| and refuses anything past it; the off-diagonal
+    # entry 0.5 puts that edge at 5.1e-9
+    A = np.diag([-1.0, -2.0])
+    B = np.eye(2)
+    Q0 = [[2.0, 0.5], [0.5, 2.0]]
+    R0 = [[3.0, 0.5], [0.5, 3.0]]
+    for inside, delta in ((True, 5.0e-9), (False, 5.2e-9), (True, -5.0e-9), (False, -5.2e-9)):
+        Q, R = _asymmetric(Q0, 0, 1, delta), _asymmetric(R0, 0, 1, delta)
+        assert np.allclose(Q, Q.T, rtol=1e-8, atol=1e-10) is inside
+        if inside:
+            assert solve_care(A, B, Q, R0).shape == (2, 2)
+            assert solve_care(A, B, Q0, R).shape == (2, 2)
+        else:
+            with pytest.raises(ValueError, match="Q must be symmetric"):
+                solve_care(A, B, Q, R0)
+            with pytest.raises(ValueError, match="R must be symmetric"):
+                solve_care(A, B, Q0, R)
+    # the tolerance grows with the entry: atol alone governs a zero entry
+    for inside, delta in ((True, 0.9e-10), (False, 1.1e-10)):
+        Q = _asymmetric(np.diag([2.0, 2.0]), 0, 1, delta)
+        if inside:
+            solve_care(A, B, Q, R0)
+        else:
+            with pytest.raises(ValueError, match="Q must be symmetric"):
+                solve_care(A, B, Q, R0)
+
+
+def test_nxtway_motor_symmetry_check_keeps_the_allclose_boundary():
+    # the input columns may differ by 1e-12 + 1e-9 * |B_i1|; a skew that
+    # passes that check can still split the two gain rows by more than
+    # their own 1e-10 + 1e-8 * |K_1j| allowance
+    ss = nxtway_statespace_closed_form(default_params("nxtway"))
+    b = ss.B[3, 0]
+    edge = 1e-12 + 1e-9 * abs(b)
+    for factor in (0.01, 0.99, 1.01):
+        B = ss.B.copy()
+        B[3, 1] = b + factor * edge
+        skewed = StateSpace(A=ss.A, B=B, kind="continuous")
+        assert np.allclose(B[:, 0], B[:, 1], rtol=1e-9, atol=1e-12) is (factor < 1.0)
+        if factor == 0.01:
+            assert nxtway_integral_lqr(skewed).K.shape == (1, 4)
+        elif factor == 0.99:
+            with pytest.raises(SynthesisError, match="gain rows diverged"):
+                nxtway_integral_lqr(skewed)
+        else:
+            with pytest.raises(ValueError, match="not symmetric"):
+                nxtway_integral_lqr(skewed)
+
+
 # ---------------------------------------------------------------------------
 # LQR gains
 # ---------------------------------------------------------------------------
