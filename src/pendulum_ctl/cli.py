@@ -8,9 +8,9 @@ environment variable), then explicit flags. Config files are plain text
 with one key=value pair per line and # comments.
 
 Exit codes: 0 success, 1 configuration error (including an unwritable
-output path), 2 synthesis failure, 3 diverged simulation. simulate and
-compare check their output paths and run settings before simulating
-anything.
+output path, or two outputs of one command that name the same file), 2
+synthesis failure, 3 diverged simulation. simulate and compare check their
+output paths and run settings before simulating anything.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ _SETTINGS = {
         "dist_amplitude": (float, None, "pulse amplitude in volts"),
         "dist_frequency": (float, None, "pulse frequency in Hz"),
         "dist_start": (float, 0.0, "pulse start time in seconds"),
-        "dist_duty": (float, 0.5, "pulse duty cycle in [0, 1)"),
+        "dist_duty": (float, 0.5, "pulse duty cycle in [0, 1]"),
         "x0": (_floats, (0.0, 0.0, 0.0, 0.0), "initial state q1,q2,q1dot,q2dot"),
         "reference": (_floats, (0.0, 0.0, 0.0, 0.0),
                       "state reference, same layout as --x0"),
@@ -216,6 +216,21 @@ def _check_writable(path: str, parents: bool = False) -> None:
         raise ConfigError(f"cannot write {path}: {folder} is not an existing directory")
     if not os.access(folder, os.W_OK | os.X_OK):
         raise ConfigError(f"cannot write {path}: permission denied in {folder}")
+
+
+def _check_outputs(outputs) -> None:
+    """Refuse unusable (setting, path, parents) outputs, or two reaching one file."""
+    seen: dict = {}
+    for key, path, parents in outputs:
+        _check_writable(path, parents)
+        real = os.path.realpath(path)
+        if os.path.exists(real):
+            if not os.path.isfile(real):
+                continue  # a device such as /dev/null may take several outputs
+            real = os.stat(real)[1:3]  # (inode, device): hard links reach one file
+        if real in seen:
+            raise ConfigError(f"{seen[real]} and {key} both name the file {path}")
+        seen[real] = key
 
 
 def _closed_form(platform: str, params):
@@ -329,8 +344,8 @@ def _cmd_synthesize(settings: dict) -> int:
 
 def _cmd_simulate(settings: dict) -> int:
     platform = _require(settings, "platform")
-    _check_writable(settings["trace"])
-    _check_writable(settings["metrics"])
+    _check_outputs([("trace", settings["trace"], False),
+                    ("metrics", settings["metrics"], False)])
     controller = settings["controller"]
     design = _make_design(platform, controller, settings)
     trace, metrics = _experiment(platform, design, settings)()
@@ -353,11 +368,10 @@ def _cmd_compare(settings: dict) -> int:
     trace_dir = settings["trace_dir"]
     trace_paths = {run: os.path.join(trace_dir, "%s_%s.csv" % run)
                    for run in runs} if trace_dir else {}
-    _check_writable(settings["out"])
+    outputs = [("out", settings["out"], False)]
     if settings["metrics"]:
-        _check_writable(settings["metrics"])
-    for path in trace_paths.values():
-        _check_writable(path, parents=True)
+        outputs.append(("metrics", settings["metrics"], False))
+    _check_outputs(outputs + [("trace_dir", path, True) for path in trace_paths.values()])
     run_settings = _defaults("simulate")
     run_settings.update(duration=settings["duration"], disturbance="paper")
     experiments = {run: _experiment(run[0], _make_design(*run, run_settings),

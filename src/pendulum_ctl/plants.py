@@ -16,10 +16,12 @@ The RotPen mass matrix carries the voltage referral factor gamma on its
 first row only, so it is deliberately not symmetric; mechanical_energy uses
 the underlying symmetric mechanical form instead.
 
-The integration kernels, scalar_rhs and period_stepper, are generated from
-one text definition of each platform's accelerations (_DYNAMICS). Each is
-compiled once per process and platform, on first use; its source is
-registered with linecache, so tracebacks show the generated lines.
+Each platform's M, C and G entries and the solve for its accelerations are
+written once, as text (_DYNAMICS). Three kernels are generated from it: the
+entries behind eval_mcg and forward_dynamics, scalar_rhs, and the RK4
+period_stepper. Each is compiled once per process and platform, on first
+use; its source is registered with linecache, so tracebacks show the
+generated lines.
 """
 
 from __future__ import annotations
@@ -265,46 +267,8 @@ def _check_state(state) -> np.ndarray:
     return x
 
 
-def _rotpen_terms(p: RotPenParams, q2: float, q1d: float, q2d: float):
-    """Scalar entries (m11, m12, m21, m22, c11, c12, c21, c22, g1, g2)."""
-    a, b, c, l2 = p.mass_constants
-    gam = p.gamma
-    s, co = math.sin(q2), math.cos(q2)
-
-    m11 = gam * (a + l2 * s * s)
-    m12 = -gam * b * co
-    m21 = -b * co
-    m22 = c
-    c11 = gam * (2 * l2 * s * co * q2d + p.f_r) + p.K_m * p.K_g
-    c12 = gam * b * s * q2d
-    c21 = -l2 * s * co * q1d
-    c22 = p.f_p
-    g2 = -0.5 * p.m_p * p.L_p * p.g * s
-    return m11, m12, m21, m22, c11, c12, c21, c22, 0.0, g2
-
-
-def _nxtway_terms(p: NxtwayParams, q2: float, q1d: float, q2d: float):
-    """Scalar entries in the published 1/alpha scale with the negated body row."""
-    n2Jm, pw, rb = p.mass_constants
-    al = p.alpha
-    be = p.beta
-    s, co = math.sin(q2), math.cos(q2)
-    q0 = p.M * p.L * p.R * co - 2 * n2Jm
-
-    m11 = pw / al
-    m12 = q0 / al
-    m21 = -q0 / al
-    m22 = -rb / al
-    c11 = 2 * (be + p.f_w) / al
-    c12 = (-2 * be - p.M * p.L * p.R * q2d * s) / al
-    c21 = 2 * be / al
-    c22 = -2 * be / al
-    g2 = p.M * p.g * p.L * s / al
-    return m11, m12, m21, m22, c11, c12, c21, c22, 0.0, g2
-
-
 # ---------------------------------------------------------------------------
-# generated integration kernels
+# generated dynamics kernels
 # ---------------------------------------------------------------------------
 
 def _rotpen_constants(p: RotPenParams) -> dict:
@@ -325,10 +289,14 @@ def _nxtway_constants(p: NxtwayParams) -> dict:
                 nbe2=-2 * be, n2Jm2=2 * n2Jm)
 
 
-# The accelerations of each platform, written once: (parameter-only
-# constants, a statement run once per call on the voltage v, the body).
-# In the body {q2}, {q1d} and {q2d} are the stage inputs and {q1dd},
-# {q2dd} its outputs; every other name is a constant or a temporary.
+# The dynamics of each platform, written once, as (parameter-only
+# constants, a statement run once per call on the voltage v, the M, C and G
+# entries, the tuple (m11, m12, m21, m22, c11, c12, c21, c22, g1, g2) that
+# eval_mcg returns, the Cramer solve of M qddot = V - C qdot - G). In the
+# entries and the solve {q2}, {q1d} and {q2d} are the stage inputs and
+# {q1dd}, {q2dd} its outputs; every other name is a constant or a
+# temporary. An entry the solve uses negated is stored negated (nc21 is
+# -c21), which is exact, so the solve keeps the operations of the formulas.
 _DYNAMICS = {
     "rotpen": (_rotpen_constants, "", """\
 s = sin({q2})
@@ -337,8 +305,12 @@ l2s = l2 * s
 m11 = gam * (a + l2s * s)
 m12 = ngb * co
 m21 = nb * co
-r1 = v - (gam * (l2x2 * s * co * {q2d} + fr) + kmkg) * {q1d} - (gb * s * {q2d}) * {q2d}
-r2 = l2s * co * {q1d} * {q1d} - fp * {q2d} + halfmpg * s
+c11 = gam * (l2x2 * s * co * {q2d} + fr) + kmkg
+c12 = gb * s * {q2d}
+nc21 = l2s * co * {q1d}
+ng2 = halfmpg * s""", "m11, m12, m21, c, c11, c12, -nc21, fp, 0.0, -ng2", """\
+r1 = v - c11 * {q1d} - c12 * {q2d}
+r2 = nc21 * {q1d} - fp * {q2d} + ng2
 det = m11 * c - m12 * m21
 {q1dd} = (c * r1 - m12 * r2) / det
 {q2dd} = (m11 * r2 - m21 * r1) / det"""),
@@ -346,16 +318,27 @@ det = m11 * c - m12 * m21
 s = sin({q2})
 co = cos({q2})
 m12 = (MLR * co - n2Jm2) / al  # and m21 = -m12
-r1 = v2 - c11 * {q1d} - ((nbe2 - MLR * {q2d} * s) / al) * {q2d}
-r2 = v2 - c21 * {q1d} + c21 * {q2d} - MgL * s / al
+c12 = (nbe2 - MLR * {q2d} * s) / al
+g2 = MgL * s / al""", "m11, m12, -m12, m22, c11, c12, c21, -c21, 0.0, g2", """\
+r1 = v2 - c11 * {q1d} - c12 * {q2d}
+r2 = v2 - c21 * {q1d} + c21 * {q2d} - g2
 det = m11m22 + m12 * m12
 {q1dd} = (m22 * r1 - m12 * r2) / det
 {q2dd} = (m11 * r2 + m12 * r1) / det"""),
 }
 
 # Kernel templates: {constants} is the constant names, {per_call} the
-# per-call statement, {stage q2 q1d q2d q1dd q2dd} one copy of the body.
+# per-call statement, {mcg} the eval_mcg tuple, {entries q2 q1d q2d} one
+# copy of the entries and {stage q2 q1d q2d q1dd q2dd} one copy of the
+# entries followed by the solve.
 _KERNELS = {
+    "terms": """\
+def make({constants}):
+    def terms(q2, q1d, q2d):
+        {entries q2 q1d q2d}
+        return {mcg}
+    return terms
+""",
     "rhs": """\
 def make({constants}):
     def rhs(q2, q1d, q2d, v):
@@ -365,8 +348,8 @@ def make({constants}):
     return rhs
 """,
     # steps classic RK4 steps of dt. Each stage's position rates are that
-    # stage's velocities, so the q1 stage states, which the body never
-    # reads, are not formed; every other operation is the classic step's,
+    # stage's velocities, so the q1 stage states, which the dynamics never
+    # read, are not formed; every other operation is the classic step's,
     # in its order (a float 2.0 doubles as the integer 2 does).
     "advance": """\
 def make({constants}, dt, steps):
@@ -406,15 +389,14 @@ def _kernel_factory(platform: str, kind: str):
     The source is registered with linecache under a readable name, so
     tracebacks and inspect.getsource show the generated lines.
     """
-    constants, per_call, body = _DYNAMICS[platform]
-    names = ", ".join(constants(default_params(platform)))
+    constants, per_call, entries, mcg, solve = _DYNAMICS[platform]
+    slots = {"constants": ", ".join(constants(default_params(platform))),
+             "per_call": per_call, "mcg": mcg, "entries": entries,
+             "stage": entries + "\n" + solve}
 
     def expand(m):
-        indent, slot, args = m[1], m[2], m[3].split()
-        if slot == "constants":
-            return indent + names
-        text = per_call if slot == "per_call" else body.format(
-            **dict(zip(("q2", "q1d", "q2d", "q1dd", "q2dd"), args)))
+        indent, text = m[1], slots[m[2]].format(
+            **dict(zip(("q2", "q1d", "q2d", "q1dd", "q2dd"), m[3].split())))
         return "\n".join(indent + line for line in text.splitlines())
 
     source = re.sub(r"( *)\{(\w+)([\w ]*)\}", expand, _KERNELS[kind])
@@ -423,6 +405,11 @@ def _kernel_factory(platform: str, kind: str):
     namespace = {"__name__": __name__, "sin": math.sin, "cos": math.cos}
     exec(compile(source, filename, "exec"), namespace)
     return namespace["make"]
+
+
+def _kernel(params: PlantParams, kind: str, **extra):
+    constants = _DYNAMICS[params.platform][0]
+    return _kernel_factory(params.platform, kind)(**constants(params), **extra)
 
 
 def scalar_rhs(params: PlantParams):
@@ -446,8 +433,7 @@ def scalar_rhs(params: PlantParams):
     rounding is symmetric under negation, the nxtway ``m21 = -q0 / al``
     taken as ``-m12``, so that ``- m12 * m21`` becomes ``+ m12 * m12``.
     """
-    constants = _DYNAMICS[params.platform][0]
-    return _kernel_factory(params.platform, "rhs")(**constants(params))
+    return _kernel(params, "rhs")
 
 
 def period_stepper(params: PlantParams, dt: float, steps: int):
@@ -457,9 +443,7 @@ def period_stepper(params: PlantParams, dt: float, steps: int):
     inlined into every stage, so one controller period costs one call. The
     results are bit for bit those of stepping scalar_rhs.
     """
-    constants = _DYNAMICS[params.platform][0]
-    return _kernel_factory(params.platform, "advance")(
-        **constants(params), dt=dt, steps=steps)
+    return _kernel(params, "advance", dt=dt, steps=steps)
 
 
 def eval_mcg(params: PlantParams, state) -> DynamicsMatrices:
@@ -475,18 +459,13 @@ def eval_mcg(params: PlantParams, state) -> DynamicsMatrices:
     -------
     DynamicsMatrices
         Terms of M qddot + C qdot + G = V in the platform's published,
-        voltage-referred convention.
+        voltage-referred convention: the entries the integration kernels
+        solve, from the same definition.
     """
     x = _check_state(state)
-    terms = (_rotpen_terms if isinstance(params, RotPenParams) else _nxtway_terms)(
-        params, x[1], x[2], x[3]
-    )
-    m11, m12, m21, m22, c11, c12, c21, c22, g1, g2 = terms
-    return DynamicsMatrices(
-        M=np.array([[m11, m12], [m21, m22]]),
-        C=np.array([[c11, c12], [c21, c22]]),
-        G=np.array([g1, g2]),
-    )
+    m11, m12, m21, m22, c11, c12, c21, c22, g1, g2 = _kernel(params, "terms")(*x[1:].tolist())
+    return DynamicsMatrices(M=np.array([[m11, m12], [m21, m22]]),
+                            C=np.array([[c11, c12], [c21, c22]]), G=np.array([g1, g2]))
 
 
 def _input_vector(params: PlantParams, v) -> np.ndarray:

@@ -444,10 +444,16 @@ def design_smc(ss: StateSpace, alpha: float = DEFAULT_SMC_ALPHA,
         raise ValueError("design_smc expects a discrete model; discretize first")
     Ad = ss.A
     Bd = ss.B.sum(axis=1, keepdims=True)
-    rf = regular_form(Ad, Bd)
+    try:
+        rf = regular_form(Ad, Bd)
+    except ValueError as exc:  # a Ts short enough to underflow the input column
+        raise ValueError(f"{exc} at Ts = {ss.Ts!r}") from None
 
     n = Ad.shape[0]
-    Pz = scipy.linalg.solve_discrete_are(rf.A11, rf.A12, np.eye(n - 1), np.eye(1))
+    try:
+        Pz = scipy.linalg.solve_discrete_are(rf.A11, rf.A12, np.eye(n - 1), np.eye(1))
+    except np.linalg.LinAlgError as exc:
+        raise SynthesisError(f"no sliding surface at Ts = {ss.Ts!r}: {exc}") from None
     C = np.linalg.solve(np.eye(1) + rf.A12.T @ Pz @ rf.A12, rf.A12.T @ Pz @ rf.A11)
     eigs, stable = smc_surface(rf, C)
     if not stable:

@@ -121,6 +121,19 @@ def test_synthesize_smc_at_an_overflowing_ts_is_one_error_line(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("platform", ["rotpen", "nxtway"])
+def test_synthesize_smc_without_a_sliding_surface_is_synthesis_failure(tmp_path, capsys,
+                                                                      platform):
+    # at Ts = 50 s the reduced discrete Riccati equation has no finite solution
+    out = tmp_path / "design.txt"
+    assert cli.run(["synthesize", "--platform", platform, "--smc", "--ts", "50",
+                    "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("synthesis failed: ") and "Ts = 50.0" in err
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_synthesize_controller_from_config_and_flag_override(tmp_path):
     cfg = tmp_path / "job.cfg"
     cfg.write_text("platform=nxtway\ncontroller=smc\n")
@@ -562,6 +575,9 @@ _RUN = {"synthesize": {"platform": "nxtway"}, "linearize": {"platform": "rotpen"
     ("simulate", {"duration": "1e9"}, "duration"),
     ("simulate", {"plant_dt": "1e-8"}, "plant_dt"),
     ("compare", {"duration": "1e9"}, "duration"),
+    ("synthesize", {"controller": "smc", "ts": "1e-300"}, "Ts"),
+    ("simulate", {"trace": "same.csv", "metrics": "./same.csv"}, "metrics"),
+    ("compare", {"out": "r.txt", "metrics": "r.txt"}, "metrics"),
 ])
 def test_bad_settings_are_refused_before_writing(tmp_path, capsys, monkeypatch,
                                                  command, settings, key):
@@ -574,6 +590,23 @@ def test_bad_settings_are_refused_before_writing(tmp_path, capsys, monkeypatch,
     assert err.startswith("error: ") and re.search(rf"\b{key}\b", err)
     assert "Traceback" not in err
     assert not any(tmp_path.iterdir())
+
+
+def test_output_clashes_are_judged_by_the_file_reached(tmp_path, capsys, monkeypatch):
+    # two writes to /dev/null lose nothing, so sharing it is no clash
+    monkeypatch.chdir(tmp_path)
+    assert cli.run(["simulate", "--platform", "rotpen", "--duration", "0.2",
+                    "--trace", os.devnull, "--metrics", os.devnull]) == 0
+    assert cli.run(["compare", "--duration", "0.2", "--out", os.devnull,
+                    "--metrics", os.devnull]) == 0
+    assert not any(tmp_path.iterdir())
+    # two hard links are one file, whatever their paths
+    (tmp_path / "a.csv").write_text("kept\n")
+    os.link(tmp_path / "a.csv", tmp_path / "b.csv")
+    assert cli.run(["simulate", "--platform", "rotpen", "--duration", "0.2",
+                    "--trace", "a.csv", "--metrics", "b.csv"]) == 1
+    assert "trace and metrics both name" in capsys.readouterr().err
+    assert (tmp_path / "a.csv").read_text() == "kept\n"
 
 
 def test_fuzzed_settings_keep_the_exit_code_contract(tmp_path, capsys, monkeypatch):

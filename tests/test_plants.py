@@ -112,6 +112,42 @@ def _nxtway_oracle(p):
     )
 
 
+def _oracle_terms(p, q2, q1d, q2d):
+    """The hand-written (m11, m12, m21, m22, c11, c12, c21, c22, g1, g2) eval_mcg used to read."""
+    if p.platform == "rotpen":
+        a, b, c, l2 = p.mass_constants
+        gam = p.gamma
+        s, co = math.sin(q2), math.cos(q2)
+
+        m11 = gam * (a + l2 * s * s)
+        m12 = -gam * b * co
+        m21 = -b * co
+        m22 = c
+        c11 = gam * (2 * l2 * s * co * q2d + p.f_r) + p.K_m * p.K_g
+        c12 = gam * b * s * q2d
+        c21 = -l2 * s * co * q1d
+        c22 = p.f_p
+        g2 = -0.5 * p.m_p * p.L_p * p.g * s
+        return m11, m12, m21, m22, c11, c12, c21, c22, 0.0, g2
+
+    n2Jm, pw, rb = p.mass_constants
+    al = p.alpha
+    be = p.beta
+    s, co = math.sin(q2), math.cos(q2)
+    q0 = p.M * p.L * p.R * co - 2 * n2Jm
+
+    m11 = pw / al
+    m12 = q0 / al
+    m21 = -q0 / al
+    m22 = -rb / al
+    c11 = 2 * (be + p.f_w) / al
+    c12 = (-2 * be - p.M * p.L * p.R * q2d * s) / al
+    c21 = 2 * be / al
+    c22 = -2 * be / al
+    g2 = p.M * p.g * p.L * s / al
+    return m11, m12, m21, m22, c11, c12, c21, c22, 0.0, g2
+
+
 # ---------------------------------------------------------------------------
 # parameter sets
 # ---------------------------------------------------------------------------
@@ -256,6 +292,35 @@ def test_nxtway_matrix_entries_at_sample_state():
 
     assert out.G[0] == 0.0
     assert out.G[1] == pytest.approx(p.M * p.g * p.L * math.sin(q2) / p.alpha, rel=1e-12)
+
+
+@pytest.mark.parametrize("platform", ["rotpen", "nxtway"])
+def test_eval_mcg_and_forward_dynamics_match_the_hand_written_terms_bit_for_bit(platform):
+    # factory parameters and four sets with every field scaled by 0.8..1.2;
+    # states mix signed zeros, subnormals and magnitudes from 1e-3 to 30
+    rng = np.random.default_rng(41 if platform == "rotpen" else 43)
+    base = default_params(platform)
+    param_sets = [base] + [params_from_mapping(platform, {
+        f.name: getattr(base, f.name) * rng.uniform(0.8, 1.2)
+        for f in dataclasses.fields(base)}) for _ in range(4)]
+    special = [0.0, -0.0, 1e-310, -1e-310]
+    for p in param_sets:
+        for _ in range(1500):
+            x = rng.normal(size=4) * rng.choice([1e-3, 1.0, 30.0], 4)
+            for i in range(4):
+                if rng.random() < 0.2:
+                    x[i] = special[rng.integers(len(special))]
+            v = float(rng.normal(scale=5.0))
+            m11, m12, m21, m22, c11, c12, c21, c22, g1, g2 = _oracle_terms(p, x[1], x[2], x[3])
+            M = np.array([[m11, m12], [m21, m22]])
+            C = np.array([[c11, c12], [c21, c22]])
+            G = np.array([g1, g2])
+            V = np.array([v, 0.0]) if platform == "rotpen" else np.array([2.0 * v, 2.0 * v])
+            got = eval_mcg(p, x)
+            assert (got.M.tobytes(), got.C.tobytes(), got.G.tobytes()) == \
+                (M.tobytes(), C.tobytes(), G.tobytes()), (x, v)
+            want = np.linalg.solve(M, V - C @ x[2:] - G)
+            assert forward_dynamics(p, x, v).tobytes() == want.tobytes(), (x, v)
 
 
 def test_nxtway_gravity_vanishes_upright():

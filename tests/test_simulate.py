@@ -30,6 +30,8 @@ from pendulum_ctl import plants as plants_module
 from pendulum_ctl import simulate as simulate_module
 from pendulum_ctl.plants import (
     default_params,
+    eval_mcg,
+    forward_dynamics,
     params_from_mapping,
     period_stepper,
     scalar_rhs,
@@ -734,13 +736,14 @@ def test_period_stepper_matches_rk4_over_scalar_rhs_bit_for_bit(platform):
 @pytest.mark.parametrize("platform", ["rotpen", "nxtway"])
 def test_generated_kernels_show_source_lines_in_tracebacks(platform):
     params = default_params(platform)
-    kernels = [(period_stepper(params, 0.001, 2), (0.0, 0.1, 0.0, 0.0, None)),
-               (scalar_rhs(params), (0.1, 0.0, 0.0, None))]
-    for kernel, args in kernels:
+    kernels = [(period_stepper(params, 0.001, 2), (0.0, 0.1, 0.0, 0.0, None), "advance"),
+               (scalar_rhs(params), (0.1, 0.0, 0.0, None), "rhs"),
+               (plants_module._kernel(params, "terms"), (0.1, 0.0, None), "terms")]
+    for kernel, args, kind in kernels:
         with pytest.raises(TypeError) as info:
             kernel(*args)
         frame = traceback.extract_tb(info.tb)[-1]
-        assert frame.filename.startswith(f"<pendulum_ctl.plants: {platform} ")
+        assert frame.filename == f"<pendulum_ctl.plants: {platform} {kind}>"
         assert frame.line and frame.line in inspect.getsource(kernel)
 
 
@@ -764,6 +767,13 @@ def test_kernels_compile_lazily_and_once_per_platform_and_kind():
     misses = plants_module._kernel_factory.cache_info().misses
     jacobian_linearize(params_from_mapping("rotpen", {"m_p": 0.13, "L_p": 0.3}))
     jacobian_linearize(params_from_mapping("nxtway", {"M": 0.55}), x0=(0.0, 0.1, 0.2, 0.0))
+    assert plants_module._kernel_factory.cache_info().misses == misses
+    # eval_mcg reads the terms kernel: one compile per platform
+    for platform in ("rotpen", "nxtway"):
+        eval_mcg(default_params(platform), (0.0, 0.1, 0.0, 0.0))
+    misses = plants_module._kernel_factory.cache_info().misses
+    eval_mcg(params_from_mapping("rotpen", {"m_p": 0.13}), (0.0, 0.1, 0.2, 0.0))
+    forward_dynamics(params_from_mapping("nxtway", {"M": 0.55}), (0.0, 0.1, 0.2, 0.0), 1.0)
     assert plants_module._kernel_factory.cache_info().misses == misses
 
 
