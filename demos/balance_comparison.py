@@ -7,40 +7,21 @@ quadratic regulator spends less actuation and stays smooth while the
 switching controller chatters but carries a built-in robustness argument.
 """
 
-from pendulum_ctl.linearize import (
-    discretize_zoh,
-    nxtway_statespace_closed_form,
-    rotpen_statespace_closed_form,
-)
 from pendulum_ctl.metrics import comparison_report, compute_metrics
 from pendulum_ctl.plants import default_params
 from pendulum_ctl.simulate import SimConfig, simulate
-from pendulum_ctl.synthesis import (
-    DEFAULT_ROTPEN_Q,
-    DEFAULT_ROTPEN_R,
-    design_smc,
-    lqr_gain,
-    nxtway_integral_lqr,
-)
+from pendulum_ctl.synthesis import DEFAULT_TS, nominal_lqr, nominal_smc
 
 runs = []
-for platform, closed_form, Ts in (
-        ("rotpen", rotpen_statespace_closed_form, 0.002),
-        ("nxtway", nxtway_statespace_closed_form, 0.004)):
+for platform in ("rotpen", "nxtway"):
     params = default_params(platform)
-    ss = closed_form(params)
 
-    # one quadratic design and one sliding-mode design per platform;
-    # the two-wheeled robot gets integral action on the wheel angle
-    if platform == "rotpen":
-        lqr = lqr_gain(ss.A, ss.B, DEFAULT_ROTPEN_Q, DEFAULT_ROTPEN_R)
-    else:
-        lqr = nxtway_integral_lqr(ss)
-    smc = design_smc(discretize_zoh(ss, Ts), alpha=100.0)
-
-    cfg = SimConfig(duration=10.0, controller_Ts=Ts,
+    cfg = SimConfig(duration=10.0, controller_Ts=DEFAULT_TS[platform],
                     x0=(0.0, 0.05, 0.0, 0.0))
-    for name, design in (("lqr", lqr), ("smc", smc)):
+    # one quadratic design and one sliding-mode design per platform, each
+    # at the platform's default weights and controller period; the
+    # two-wheeled robot gets integral action on the wheel angle
+    for name, design in (("lqr", nominal_lqr(params)), ("smc", nominal_smc(params))):
         trace = simulate(params, design, cfg)
         metrics = compute_metrics(trace, V_max=params.V_max)
         runs.append((f"{platform} {name}", metrics))

@@ -8,24 +8,13 @@ at all (the upright equilibrium is open-loop unstable on both).
 
 import numpy as np
 
-from pendulum_ctl.linearize import (
-    discretize_zoh,
-    jacobian_linearize,
-    nxtway_statespace_closed_form,
-    rotpen_statespace_closed_form,
-)
+from pendulum_ctl.linearize import closed_form, discretize_zoh, jacobian_linearize
 from pendulum_ctl.plants import default_params, forward_dynamics
-from pendulum_ctl.synthesis import (
-    DEFAULT_ROTPEN_Q,
-    DEFAULT_ROTPEN_R,
-    lqr_gain,
-    stability_report,
-)
+from pendulum_ctl.synthesis import DEFAULT_TS, nominal_lqr, stability_report
 
 np.set_printoptions(precision=4, suppress=True)
 
-for platform, closed_form in (("rotpen", rotpen_statespace_closed_form),
-                              ("nxtway", nxtway_statespace_closed_form)):
+for platform in ("rotpen", "nxtway"):
     params = default_params(platform)
     print(f"=== {platform} ===")
 
@@ -48,7 +37,7 @@ for platform, closed_form in (("rotpen", rotpen_statespace_closed_form),
     print(f"unstable mode at Re = {eigs.real.max():.3f}")
 
     # a zero-order-hold model at the controller rate
-    Ts = 0.002 if platform == "rotpen" else 0.004
+    Ts = DEFAULT_TS[platform]
     dss = discretize_zoh(ss, Ts)
     print(f"ZOH at Ts = {Ts} s: max |eig(Ad)| = "
           f"{np.max(np.abs(np.linalg.eigvals(dss.A))):.4f} (> 1, unstable)")
@@ -56,7 +45,6 @@ for platform, closed_form in (("rotpen", rotpen_statespace_closed_form),
 
 # closing the loop moves every eigenvalue into the left half plane
 params = default_params("rotpen")
-ss = rotpen_statespace_closed_form(params)
-design = lqr_gain(ss.A, ss.B, DEFAULT_ROTPEN_Q, DEFAULT_ROTPEN_R)
+design = nominal_lqr(params)
 print("rotpen LQR gain:", design.K[0])
-print(stability_report(ss, design.K))
+print(stability_report(closed_form(params), design.K))

@@ -12,14 +12,14 @@ import numpy as np
 from pendulum_ctl.metrics import compute_metrics
 from pendulum_ctl.plants import default_params
 from pendulum_ctl.simulate import SimConfig, save_trace_csv, simulate, standard_pulse_train
-from pendulum_ctl.synthesis import reference_lqr_design
+from pendulum_ctl.synthesis import DEFAULT_TS, reference_lqr_design
 
 params = default_params("rotpen")
 pulse = standard_pulse_train(params.V_max)
 print(f"pulse train: {pulse.amplitude} V at {pulse.frequency} Hz "
       f"from t = {pulse.start_time} s, duty {pulse.duty}")
 
-cfg = SimConfig(duration=120.0, controller_Ts=0.002, disturbance=pulse)
+cfg = SimConfig(duration=120.0, controller_Ts=DEFAULT_TS["rotpen"], disturbance=pulse)
 trace = simulate(params, reference_lqr_design("rotpen"), cfg)
 
 # peak deflection caused by the first pulse edge and the time needed to

@@ -23,13 +23,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, SynthesisError
-from .linearize import (
-    discretize_zoh,
-    jacobian_linearize,
-    nxtway_statespace_closed_form,
-    rotpen_statespace_closed_form,
-    save_statespace,
-)
+from .linearize import closed_form, jacobian_linearize, save_statespace
 from .matrixfile import format_matrix
 from .metrics import comparison_report, compute_metrics, save_metrics_csv
 from .plants import default_params
@@ -41,24 +35,21 @@ from .simulate import (
     standard_pulse_train,
 )
 from .synthesis import (
-    DEFAULT_ROTPEN_Q,
-    DEFAULT_ROTPEN_R,
     DEFAULT_SMC_ALPHA,
+    DEFAULT_TS,
     REFERENCE_SMC_SWITCHING_GAINS,
     LqrDesign,
     SmcDesign,
-    design_smc,
     integral_augmented,
     load_design,
-    lqr_gain,
-    nxtway_integral_lqr,
+    nominal_lqr,
+    nominal_smc,
     reference_lqr_design,
     save_design,
     stability_report,
 )
 
 PLATFORMS = ("rotpen", "nxtway")
-DEFAULT_TS = {"rotpen": 0.002, "nxtway": 0.004}
 
 
 # ---------------------------------------------------------------------------
@@ -233,17 +224,6 @@ def _check_outputs(outputs) -> None:
         seen[real] = key
 
 
-def _closed_form(platform: str, params):
-    if platform == "rotpen":
-        return rotpen_statespace_closed_form(params)
-    return nxtway_statespace_closed_form(params)
-
-
-def _sample_time(settings: dict, platform: str) -> float:
-    """The ts setting when given, else the platform's default period."""
-    return DEFAULT_TS[platform] if settings.get("ts") is None else settings["ts"]
-
-
 def _make_design(platform: str, controller: str, settings: dict):
     """Load, look up or synthesize the requested controller for one platform."""
     if settings.get("design"):
@@ -254,23 +234,18 @@ def _make_design(platform: str, controller: str, settings: dict):
     reference = settings.get("gains") == "reference"
     if controller == "lqr" and reference:
         return reference_lqr_design(platform)
-    ss = _closed_form(platform, default_params(platform))
-    if controller == "lqr":
-        q, r = settings.get("q"), settings.get("r")
-        Q = None if q is None else np.diag(q)
-        R = None if r is None else np.diag(r)
-        try:
-            if platform == "rotpen":
-                return lqr_gain(ss.A, ss.B,
-                                DEFAULT_ROTPEN_Q if Q is None else Q,
-                                DEFAULT_ROTPEN_R if R is None else R)
-            return nxtway_integral_lqr(ss, Q=Q, R=R)
-        except ValueError as exc:
-            raise ConfigError(f"invalid weights q/r: {exc}") from None
-    return design_smc(discretize_zoh(ss, _sample_time(settings, platform)),
-                      alpha=settings.get("alpha", DEFAULT_SMC_ALPHA),
-                      k=REFERENCE_SMC_SWITCHING_GAINS[platform] if reference
-                      else settings.get("k"))
+    params = default_params(platform)
+    if controller == "smc":
+        return nominal_smc(params, settings.get("ts"),
+                           settings.get("alpha", DEFAULT_SMC_ALPHA),
+                           REFERENCE_SMC_SWITCHING_GAINS[platform] if reference
+                           else settings.get("k"))
+    q, r = settings.get("q"), settings.get("r")
+    try:
+        return nominal_lqr(params, None if q is None else np.diag(q),
+                           None if r is None else np.diag(r))
+    except ValueError as exc:
+        raise ConfigError(f"invalid weights q/r: {exc}") from None
 
 
 def _disturbance(settings: dict, V_max: float) -> DisturbanceSpec:
@@ -298,8 +273,8 @@ def _experiment(platform: str, design, settings: dict):
     params = default_params(platform)
     V_max = settings.get("saturation") or params.V_max
     spec = _disturbance(settings, V_max)
-    cfg = SimConfig(duration=settings["duration"],
-                    controller_Ts=_sample_time(settings, platform),
+    Ts = DEFAULT_TS[platform] if settings.get("ts") is None else settings["ts"]
+    cfg = SimConfig(duration=settings["duration"], controller_Ts=Ts,
                     plant_dt=settings.get("plant_dt"), disturbance=spec,
                     x0=settings["x0"], reference=settings["reference"],
                     saturation_V=settings.get("saturation"),
@@ -325,7 +300,7 @@ def _cmd_synthesize(settings: dict) -> int:
     out = settings["out"] or f"{platform}_{controller}_design.txt"
     save_design(design, out)
     if isinstance(design, LqrDesign):
-        ss, K = _closed_form(platform, default_params(platform)), design.K
+        ss, K = closed_form(default_params(platform)), design.K
         if design.Ki is not None:
             ss, K = integral_augmented(ss), np.hstack([K, [[design.Ki]]])
         eigs = stability_report(ss, K).eigenvalues
@@ -368,16 +343,24 @@ def _cmd_compare(settings: dict) -> int:
     trace_dir = settings["trace_dir"]
     trace_paths = {run: os.path.join(trace_dir, "%s_%s.csv" % run)
                    for run in runs} if trace_dir else {}
-    outputs = [("out", settings["out"], False)]
+    home = os.path.abspath(trace_dir) if trace_dir else None
+
+    def in_trace_dir(path: str) -> bool:  # a folder this command creates
+        return home is not None and os.path.commonpath(
+            [home, os.path.abspath(path)]) == home
+
+    outputs = [("out", settings["out"], in_trace_dir(settings["out"]))]
     if settings["metrics"]:
-        outputs.append(("metrics", settings["metrics"], False))
-    _check_outputs(outputs + [("trace_dir", path, True) for path in trace_paths.values()])
+        outputs.append(("metrics", settings["metrics"], in_trace_dir(settings["metrics"])))
+    outputs += [("trace_dir", path, True) for path in trace_paths.values()]
+    _check_outputs(outputs)
     run_settings = _defaults("simulate")
     run_settings.update(duration=settings["duration"], disturbance="paper")
     experiments = {run: _experiment(run[0], _make_design(*run, run_settings),
                                     run_settings) for run in runs}
-    if trace_dir:
-        os.makedirs(trace_dir, exist_ok=True)
+    for _, path, parents in outputs:
+        if parents:
+            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
 
     rows = []
     diverged = False
@@ -400,7 +383,7 @@ def _cmd_compare(settings: dict) -> int:
 def _cmd_linearize(settings: dict) -> int:
     platform = _require(settings, "platform")
     params = default_params(platform)
-    closed = _closed_form(platform, params)
+    closed = closed_form(params)
     numeric = jacobian_linearize(params)
 
     lines = [f"{platform}: linearization about the upright equilibrium"]

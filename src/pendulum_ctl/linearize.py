@@ -25,6 +25,7 @@ __all__ = [
     "jacobian_linearize",
     "rotpen_statespace_closed_form",
     "nxtway_statespace_closed_form",
+    "closed_form",
     "discretize_zoh",
     "save_statespace",
     "load_statespace",
@@ -230,6 +231,13 @@ def nxtway_statespace_closed_form(params: NxtwayParams) -> StateSpace:
     b_bot = -al * (p.M * p.L * p.R + 2 * p.m * p.R ** 2 + p.M * p.R ** 2 + 2 * p.J_w) / delta
     B = np.array([[0.0, 0.0], [0.0, 0.0], [b_top, b_top], [b_bot, b_bot]])
     return StateSpace(A=A, B=B, kind="continuous")
+
+
+def closed_form(params: PlantParams) -> StateSpace:
+    """The published closed-form model of the platform params belong to."""
+    if isinstance(params, NxtwayParams):
+        return nxtway_statespace_closed_form(params)
+    return rotpen_statespace_closed_form(params)
 
 
 def discretize_zoh(ss: StateSpace, Ts: float) -> StateSpace:

@@ -17,6 +17,9 @@ import numpy as np
 
 from .simulate import SimTrace
 
+__all__ = ["SMOOTH_SCORE_LIMIT", "Metrics", "compute_metrics", "comparison_report",
+           "save_metrics_csv"]
+
 SMOOTH_SCORE_LIMIT = 0.02
 
 _CSV_FIELDS = ("label", "settle_time", "u_inf", "u_pct_max", "pole_vel_max",

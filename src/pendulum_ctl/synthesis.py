@@ -19,18 +19,21 @@ bound sqrt((Ts*alpha/sqrt(2))^2 + 1).
 The balance controller for the two-wheeled robot augments the model with an
 integral of the wheel angle and weights both motor channels separately; by
 symmetry the two motor gain rows coincide and a single row is reported.
+
+nominal_lqr and nominal_smc hold each platform's published design: its
+closed-form model, LQR structure, default weights and controller period.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
 from .errors import SynthesisError
-from .linearize import StateSpace
+from .linearize import StateSpace, closed_form, discretize_zoh
 from .matrixfile import read_matrix_file, write_matrix_file
 
 __all__ = [
@@ -38,7 +41,9 @@ __all__ = [
     "DEFAULT_ROTPEN_R",
     "DEFAULT_NXTWAY_Q",
     "DEFAULT_NXTWAY_R",
+    "DEFAULT_LQR_WEIGHTS",
     "DEFAULT_SMC_ALPHA",
+    "DEFAULT_TS",
     "REFERENCE_LQR_GAINS",
     "REFERENCE_SMC_SWITCHING_GAINS",
     "LqrDesign",
@@ -51,10 +56,12 @@ __all__ = [
     "integral_augmented",
     "nxtway_integral_lqr",
     "reference_lqr_design",
+    "nominal_lqr",
     "regular_form",
     "smc_surface",
     "smc_gain_bound",
     "design_smc",
+    "nominal_smc",
     "stability_report",
     "save_design",
     "load_design",
@@ -69,8 +76,15 @@ DEFAULT_ROTPEN_R = np.array([[1.0]])
 DEFAULT_NXTWAY_Q = np.diag([1.0, 6.0e5, 1.0, 1.0, 4.0e2])
 DEFAULT_NXTWAY_R = np.diag([1.0e3, 1.0e3])
 
+# (Q, R) of each platform's nominal LQR
+DEFAULT_LQR_WEIGHTS = {"rotpen": (DEFAULT_ROTPEN_Q, DEFAULT_ROTPEN_R),
+                       "nxtway": (DEFAULT_NXTWAY_Q, DEFAULT_NXTWAY_R)}
+
 # reaching rate of the discrete sliding-mode design
 DEFAULT_SMC_ALPHA = 100.0
+
+# controller sample period of each platform, in seconds
+DEFAULT_TS = {"rotpen": 0.002, "nxtway": 0.004}
 
 # Gain sets recorded from the two hardware implementations, kept as fixtures
 # for regression runs and for the command line "reference" selector. The
@@ -172,13 +186,14 @@ def solve_care(A, B, Q, R) -> np.ndarray:
             "stable subspace basis is singular; no stabilizing solution") from exc
     P = 0.5 * (P + P.T)
 
-    # Newton defect correction: solve Acl' X + X Acl = -F(P) and step
+    # Newton defect correction: solve Acl' X + X Acl = -F(P) and step; each
+    # defect F is evaluated once and carried with the P it belongs to
     def _defect(Pc):
         return A.T @ Pc + Pc @ A - Pc @ S @ Pc + Qs
 
+    F = _defect(P)
+    rnorm = np.linalg.norm(F)
     for _ in range(10):
-        F = _defect(P)
-        rnorm = np.linalg.norm(F)
         if rnorm <= 1e-13 * (1.0 + np.linalg.norm(P)):
             break
         Acl = A - S @ P
@@ -188,15 +203,16 @@ def solve_care(A, B, Q, R) -> np.ndarray:
             break
         Pn = P + 0.5 * (X + X.T)
         Pn = 0.5 * (Pn + Pn.T)
-        if np.linalg.norm(_defect(Pn)) >= rnorm:
+        Fn = _defect(Pn)
+        fnorm = np.linalg.norm(Fn)
+        if fnorm >= rnorm:
             break
-        P = Pn
+        P, F, rnorm = Pn, Fn, fnorm
 
     scale = 1.0 + np.linalg.norm(P)
-    residual = np.linalg.norm(_defect(P))
-    if residual > 1e-8 * scale:
+    if rnorm > 1e-8 * scale:
         raise SynthesisError(
-            f"Riccati residual {residual:.3e} exceeds 1e-8*(1+||P||) after refinement")
+            f"Riccati residual {rnorm:.3e} exceeds 1e-8*(1+||P||) after refinement")
     if np.linalg.eigvalsh(P).min() < -1e-8 * scale:
         raise SynthesisError("Riccati solution is not positive semidefinite")
     if np.linalg.eigvals(A - S @ P).real.max() >= 0.0:
@@ -280,15 +296,12 @@ def nxtway_integral_lqr(ss: StateSpace, Q=None, R=None) -> LqrDesign:
         raise ValueError("expected a two-motor model")
     if not _allclose(ss.B[:, 0], ss.B[:, 1], rtol=1e-9, atol=1e-12):
         raise ValueError("motor input columns are not symmetric")
-    Q5 = DEFAULT_NXTWAY_Q if Q is None else np.atleast_2d(np.asarray(Q, dtype=float))
-    R2 = DEFAULT_NXTWAY_R if R is None else np.atleast_2d(np.asarray(R, dtype=float))
-
-    P = solve_care(aug.A, aug.B, Q5, R2)
-    K2 = np.linalg.solve(R2, aug.B.T @ P)
-    if not _allclose(K2[0], K2[1], rtol=1e-8, atol=1e-10):
+    design = lqr_gain(aug.A, aug.B, DEFAULT_NXTWAY_Q if Q is None else Q,
+                      DEFAULT_NXTWAY_R if R is None else R)
+    K = design.K
+    if not _allclose(K[0], K[1], rtol=1e-8, atol=1e-10):
         raise SynthesisError("motor gain rows diverged despite a symmetric drive")
-    return LqrDesign(Q=Q5, R=R2, P=P, K=K2[:1, :4].copy(), Ki=float(K2[0, 4]),
-                     residual=care_residual(aug.A, aug.B, Q5, R2, P))
+    return replace(design, K=K[:1, :4].copy(), Ki=float(K[0, 4]))
 
 
 def reference_lqr_design(platform: str) -> LqrDesign:
@@ -302,12 +315,25 @@ def reference_lqr_design(platform: str) -> LqrDesign:
     if key not in REFERENCE_LQR_GAINS:
         raise ValueError(f"unknown platform {platform!r}")
     fix = REFERENCE_LQR_GAINS[key]
-    if key == "rotpen":
-        Q, R = DEFAULT_ROTPEN_Q, DEFAULT_ROTPEN_R
-    else:
-        Q, R = DEFAULT_NXTWAY_Q, DEFAULT_NXTWAY_R
+    Q, R = DEFAULT_LQR_WEIGHTS[key]
     return LqrDesign(Q=Q, R=R, P=None, K=np.array([fix["K"]]), Ki=fix["Ki"],
                      residual=float("nan"))
+
+
+def nominal_lqr(params, Q=None, R=None) -> LqrDesign:
+    """The platform's balance LQR on its closed-form model.
+
+    The rotary pendulum gets plain state feedback (lqr_gain), the
+    two-wheeled robot integral action on the wheel angle
+    (nxtway_integral_lqr). Weights left as None take the platform's
+    DEFAULT_LQR_WEIGHTS.
+    """
+    Q0, R0 = DEFAULT_LQR_WEIGHTS[params.platform]
+    Q, R = (Q0 if Q is None else Q), (R0 if R is None else R)
+    ss = closed_form(params)
+    if params.platform == "nxtway":
+        return nxtway_integral_lqr(ss, Q, R)
+    return lqr_gain(ss.A, ss.B, Q, R)
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +504,16 @@ def design_smc(ss: StateSpace, alpha: float = DEFAULT_SMC_ALPHA,
         flagged = k > bound + 1e-12
     return SmcDesign(L=L, Keq=Keq, k=k, Ts=ss.Ts, alpha=alpha,
                      surface_eigs=eigs, k_exceeds_bound=flagged)
+
+
+def nominal_smc(params, Ts: float | None = None, alpha: float = DEFAULT_SMC_ALPHA,
+                k: float | None = None) -> SmcDesign:
+    """design_smc on the platform's closed-form model under a zero-order hold.
+
+    Ts defaults to the platform's controller period, DEFAULT_TS.
+    """
+    Ts = DEFAULT_TS[params.platform] if Ts is None else Ts
+    return design_smc(discretize_zoh(closed_form(params), Ts), alpha=alpha, k=k)
 
 
 # ---------------------------------------------------------------------------

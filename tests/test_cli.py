@@ -417,6 +417,7 @@ def _tree(root):
     (_CMP + ["--out", "{ok}/keep.csv", "--metrics", "{bad}"], "{bad}"),
     (_CMP + ["--out", "{ok}/r.txt", "--trace-dir", "{ok}/file"], "{ok}/file"),
     (_CMP + ["--out", "{ok}/r.txt", "--trace-dir", "{ok}"], "{ok}/rotpen_smc.csv"),
+    (_CMP + ["--out", "{ok}/other/r.txt", "--trace-dir", "{ok}/nt"], "{ok}/other"),
 ])
 def test_unwritable_output_is_found_before_simulating(tmp_path, capsys, monkeypatch,
                                                       argv, bad):
@@ -481,6 +482,16 @@ def test_compare_four_row_report(tmp_path, capsys):
     assert len(metrics.read_text().splitlines()) == 5  # header + four rows
     assert len(list(traces.glob("*.csv"))) == 4
     assert out.read_text() in capsys.readouterr().out  # report also printed
+
+
+def test_compare_creates_the_folders_of_outputs_inside_its_trace_dir(tmp_path,
+                                                                    monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.run(["compare", "--duration", "0.2", "--trace-dir", "nt",
+                    "--out", "nt/r.txt", "--metrics", "nt/sub/m.csv"]) == 0
+    assert "rotpen lqr" in (tmp_path / "nt" / "r.txt").read_text()
+    assert len((tmp_path / "nt" / "sub" / "m.csv").read_text().splitlines()) == 5
+    assert len(list((tmp_path / "nt").glob("*.csv"))) == 4
 
 
 # ---------------------------------------------------------------------------

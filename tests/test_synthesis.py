@@ -26,6 +26,7 @@ from pendulum_ctl.synthesis import (
     DEFAULT_NXTWAY_R,
     DEFAULT_ROTPEN_Q,
     DEFAULT_ROTPEN_R,
+    DEFAULT_TS,
     REFERENCE_LQR_GAINS,
     REFERENCE_SMC_SWITCHING_GAINS,
     LqrDesign,
@@ -34,6 +35,8 @@ from pendulum_ctl.synthesis import (
     design_smc,
     lqr_gain,
     load_design,
+    nominal_lqr,
+    nominal_smc,
     nxtway_integral_lqr,
     reference_lqr_design,
     regular_form,
@@ -517,3 +520,86 @@ def test_smc_design_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.Keq, d.Keq)
     assert back.k == 20.0 and back.k_exceeds_bound
     assert back.Ts == d.Ts and back.alpha == d.alpha
+
+
+# ---------------------------------------------------------------------------
+# each platform's nominal designs
+# ---------------------------------------------------------------------------
+
+# float.hex of the designs the command line and the demos built, platform by
+# platform, before nominal_lqr and nominal_smc held that choice: the defaults
+# and one other set of weights (diagonals of Q and R), sample time or alpha
+_PINNED_LQR = [  # platform, weights, K, Ki
+    ("rotpen", None,
+     ("-0x1.1e3779b97f4bfp+1", "0x1.2ce6a0b332732p+5",
+      "-0x1.522e5364fd148p+1", "0x1.54ebe565fd84dp+2"),
+     None),
+    ("rotpen", ((10.0, 2.0, 0.5, 1.0), (0.25,)),
+     ("-0x1.94c583ada5b95p+2", "0x1.ccf5259514cf9p+5",
+      "-0x1.2777166a0c739p+2", "0x1.0c67f7f6d0e6cp+3"),
+     None),
+    ("nxtway", None,
+     ("-0x1.9fdf7eac959d7p-1", "-0x1.35496148be862p+6",
+      "-0x1.40621577cbe4ep+0", "-0x1.32f2fe6b1775ep+3"),
+     "-0x1.c9f25c5c02fdep-2"),
+    ("nxtway", ((2.0, 3.0e5, 1.0, 4.0, 250.0), (500.0, 500.0)),
+     ("-0x1.bc7e15b72184bp-1", "-0x1.3895c4348711ep+6",
+      "-0x1.441ff2be82007p+0", "-0x1.369e647bce07dp+3"),
+     "-0x1.000000000154cp-1"),
+]
+_PINNED_SMC = [  # platform, settings, L, Keq, k, surface eigenvalues (re, im)
+    ("rotpen", {},
+     ("-0x1.431e69eca1191p+5", "0x1.6fa0c736362acp+9",
+      "-0x1.b1b52eb0dc11fp+5", "0x1.ca8600efcfdb6p+6"),
+     ("-0x1.431e69eca1191p+5", "0x1.7573b8301a772p+9",
+      "-0x1.b6cc850425f42p+5", "0x1.cfeb5a090526cp+6"),
+     "0x1.028c1d959b062p+0",
+     ("0x1.fefa1e2be21dcp-1", "0x1.fab0cec91a9acp-1", "0x1.fab0cec91a9acp-1"),
+     ("0x0.0p+0", "0x1.0ef75f1905444p-8", "-0x1.0ef75f1905444p-8")),
+    ("rotpen", {"Ts": 0.005, "alpha": 60.0},
+     ("-0x1.00352311497d1p+4", "0x1.2381835149dcbp+8",
+      "-0x1.57e6522788acbp+4", "0x1.6b93521937f9bp+5"),
+     ("-0x1.00352311497d1p+4", "0x1.2f2743d92bb3ep+8",
+      "-0x1.6212113ea8b58p+4", "0x1.7666f9952aa19p+5"),
+     "0x1.05b25592bcf05p+0",
+     ("0x1.fd72461febe0ep-1", "0x1.f2d0583b220c6p-1", "0x1.f2d0583b220c6p-1"),
+     ("0x0.0p+0", "0x1.4d7578c722383p-7", "-0x1.4d7578c722383p-7")),
+    ("nxtway", {},
+     ("-0x1.49108e3608c83p-1", "-0x1.44e3a1546a266p+6",
+      "-0x1.a23555d824f14p-1", "-0x1.608daed858236p+3"),
+     ("-0x1.49108e3608c83p-1", "-0x1.519d9db5e3a48p+6",
+      "-0x1.5574c4e81ea87p+0", "-0x1.5ab5288bfe859p+3"),
+     "0x1.0a0b02501c79ap+0",
+     ("0x1.fdf4c1e74d974p-1", "0x1.f1327704ad091p-1", "0x1.f1327704ad091p-1"),
+     ("0x0.0p+0", "0x1.ec4a311ac6263p-10", "-0x1.ec4a311ac6263p-10")),
+    ("nxtway", {"Ts": 0.01, "alpha": 250.0},
+     ("-0x1.12c1243e13832p-1", "-0x1.0ad2837b9fda6p+6",
+      "-0x1.5c8d4cebff980p-1", "-0x1.213abf3960cc4p+3"),
+     ("-0x1.12c1243e13832p-1", "-0x1.21afba4f424cbp+6",
+      "-0x1.3357f4d281503p+0", "-0x1.2717b71c4ad60p+3"),
+     "0x1.03f81f636b80cp+1",
+     ("0x1.fae7cb1f78de2p-1", "0x1.dbcbbecd1cb69p-1", "0x1.dbcbbecd1cb69p-1"),
+     ("0x0.0p+0", "0x1.2667c88de2cc1p-8", "-0x1.2667c88de2cc1p-8")),
+]
+
+
+def _hex(values) -> tuple:
+    return tuple(float(v).hex() for v in np.ravel(values))
+
+
+@pytest.mark.parametrize("platform, weights, K, Ki", _PINNED_LQR,
+                         ids=["rotpen", "rotpen-weights", "nxtway", "nxtway-weights"])
+def test_nominal_lqr_is_pinned_bit_for_bit(platform, weights, K, Ki):
+    kwargs = {} if weights is None else {"Q": np.diag(weights[0]), "R": np.diag(weights[1])}
+    d = nominal_lqr(default_params(platform), **kwargs)
+    assert _hex(d.K) == K
+    assert (None if d.Ki is None else d.Ki.hex()) == Ki
+
+
+@pytest.mark.parametrize("platform, settings, L, Keq, k, re, im", _PINNED_SMC,
+                         ids=["rotpen", "rotpen-Ts-alpha", "nxtway", "nxtway-Ts-alpha"])
+def test_nominal_smc_is_pinned_bit_for_bit(platform, settings, L, Keq, k, re, im):
+    d = nominal_smc(default_params(platform), **settings)
+    assert d.Ts == settings.get("Ts", DEFAULT_TS[platform])
+    assert (_hex(d.L), _hex(d.Keq), d.k.hex()) == (L, Keq, k)
+    assert (_hex(d.surface_eigs.real), _hex(d.surface_eigs.imag)) == (re, im)
