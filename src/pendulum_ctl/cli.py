@@ -210,9 +210,19 @@ def _check_writable(path: str, parents: bool = False) -> None:
 
 
 def _check_outputs(outputs) -> None:
-    """Refuse unusable (setting, path, parents) outputs, or two reaching one file."""
+    """Refuse unusable (setting, path, parents) outputs before anything runs.
+
+    Two outputs may not reach one file, and no output may name a folder
+    that another output is written into.
+    """
+    targets = {os.path.abspath(path): key for key, path, _ in outputs}
     seen: dict = {}
     for key, path, parents in outputs:
+        home = os.path.abspath(path)
+        for target, other in targets.items():
+            if os.path.commonpath([home, target]) == home != target:
+                raise ConfigError(f"cannot write {path}: it is a folder that {other} "
+                                  "is written into")
         _check_writable(path, parents)
         real = os.path.realpath(path)
         if os.path.exists(real):
@@ -285,7 +295,8 @@ def _experiment(platform: str, design, settings: dict):
 
     def run():
         trace = simulate(params, design, cfg)
-        return trace, compute_metrics(trace, V_max=V_max, disturbance_onset=onset)
+        return trace, compute_metrics(trace, V_max=V_max, disturbance_onset=onset,
+                                      reference_q2=cfg.reference[1])
     return run
 
 

@@ -10,7 +10,7 @@ agree entry-wise to within the differencing error at the upright origin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -39,7 +39,9 @@ class StateSpace:
     """A continuous or discrete linear model (A, B, C, D).
 
     C defaults to the identity and D to zeros. Ts must be given (positive)
-    for kind "discrete" and omitted for kind "continuous".
+    for kind "discrete" and omitted for kind "continuous". state_labels
+    defaults to q1, q2, q1dot, q2dot for four states and x1..xn otherwise;
+    explicit labels must number the states.
     """
 
     A: np.ndarray
@@ -48,7 +50,7 @@ class StateSpace:
     D: Optional[np.ndarray] = None
     kind: str = "continuous"
     Ts: Optional[float] = None
-    state_labels: tuple = field(default=_LABELS)
+    state_labels: Optional[tuple] = None
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -72,9 +74,12 @@ class StateSpace:
                 raise ValueError("discrete systems need Ts > 0")
         elif self.Ts is not None:
             raise ValueError("continuous systems take no Ts")
-        labels = tuple(self.state_labels)
+        if self.state_labels is None:
+            labels = _LABELS if n == 4 else tuple(f"x{i+1}" for i in range(n))
+        else:
+            labels = tuple(self.state_labels)
         if len(labels) != n:
-            labels = tuple(f"x{i+1}" for i in range(n))
+            raise ValueError(f"state_labels must name {n} states, got {len(labels)}")
         for name, val in (("A", A), ("B", B), ("C", C), ("D", D)):
             object.__setattr__(self, name, val)
         object.__setattr__(self, "state_labels", labels)
@@ -275,7 +280,7 @@ def save_statespace(ss: StateSpace, path) -> None:
 
 def _statespace_from(meta: dict, matrices: dict) -> StateSpace:
     Ts = None if meta.get("Ts", "none") == "none" else float(meta["Ts"])
-    labels = tuple(meta.get("labels", "").split(",")) if meta.get("labels") else _LABELS
+    labels = tuple(meta["labels"].split(",")) if meta.get("labels") else None
     return StateSpace(A=matrices["A"], B=matrices["B"], C=matrices.get("C"),
                       D=matrices.get("D"), kind=meta.get("kind", "continuous"),
                       Ts=Ts, state_labels=labels)

@@ -1,11 +1,12 @@
 """Closed-loop trace metrics and side-by-side run comparison.
 
-Settling is measured on the pole angle against a fixed band: the settle
-time is the last instant the angle sits outside the band, counted from
-the disturbance onset. Control effort is reported both in volts and as a
-percent of the saturation limit so either convention can be quoted. A
-scattering score, the mean sample-to-sample change of the applied input
-relative to the limit, separates smooth inputs from chattering ones.
+Settling is measured on the pole angle against a fixed band of
+SETTLE_BAND rad: the settle time is the last instant the angle sits
+outside the band, counted from the disturbance onset. Control effort is
+reported both in volts and as a percent of the saturation limit so either
+convention can be quoted. A scattering score, the mean sample-to-sample
+change of the applied input relative to the limit, separates smooth
+inputs from chattering ones.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ import numpy as np
 
 from .simulate import SimTrace
 
-__all__ = ["SMOOTH_SCORE_LIMIT", "Metrics", "compute_metrics", "comparison_report",
-           "save_metrics_csv"]
+__all__ = ["SETTLE_BAND", "SMOOTH_SCORE_LIMIT", "Metrics", "compute_metrics",
+           "comparison_report", "save_metrics_csv"]
 
+SETTLE_BAND = 0.02
 SMOOTH_SCORE_LIMIT = 0.02
 
 _CSV_FIELDS = ("label", "settle_time", "u_inf", "u_pct_max", "pole_vel_max",
@@ -42,14 +44,13 @@ class Metrics:
     scattering_score: float
 
 
-def compute_metrics(trace: SimTrace, V_max: float, band: float = 0.02,
-                    disturbance_onset: float = 0.0,
+def compute_metrics(trace: SimTrace, V_max: float, disturbance_onset: float = 0.0,
                     reference_q2: float = 0.0) -> Metrics:
     """Reduce a simulation trace to scalar performance numbers.
 
-    The settle time is the last time |q2 - reference_q2| exceeds the
-    band, minus the onset, clamped at zero. A trace that never leaves
-    the band settles at 0.0. Quality is "smooth" when the scattering
+    The settle time is the last time |q2 - reference_q2| exceeds
+    SETTLE_BAND, minus the onset, clamped at zero. A trace that never
+    leaves the band settles at 0.0. Quality is "smooth" when the scattering
     score stays below SMOOTH_SCORE_LIMIT, "scattering" otherwise, and
     "diverged" verbatim for diverged traces.
     """
@@ -57,8 +58,6 @@ def compute_metrics(trace: SimTrace, V_max: float, band: float = 0.02,
         raise ValueError("cannot compute metrics for an empty trace")
     if not V_max > 0.0:
         raise ValueError(f"V_max must be positive, got {V_max}")
-    if not band > 0.0:
-        raise ValueError(f"band must be positive, got {band}")
 
     u_inf = float(np.max(np.abs(trace.u_applied)))
     u_pct_max = 100.0 * u_inf / V_max
@@ -73,7 +72,7 @@ def compute_metrics(trace: SimTrace, V_max: float, band: float = 0.02,
                        stabilization_quality="diverged",
                        scattering_score=score)
 
-    outside = np.abs(trace.x[:, 1] - reference_q2) > band
+    outside = np.abs(trace.x[:, 1] - reference_q2) > SETTLE_BAND
     if np.any(outside):
         settle = max(0.0, float(trace.t[outside][-1]) - disturbance_onset)
     else:

@@ -70,10 +70,12 @@ class RotPenParams:
     """Physical constants of the rotary inverted pendulum.
 
     Lengths are meters, masses kilograms, inertias kg m^2, frictions
-    N m s/rad. K_enc (encoder counts per revolution) and L_m (motor
-    inductance, henry) are carried for completeness but unused by the
-    dynamics. The voltage referral gamma and the mass-matrix constants are
-    derived read-only properties.
+    N m s/rad. Motor inductance is neglected: its electrical time constant,
+    about 69 us, is small against the 2 ms controller period. K_enc (encoder counts per
+    revolution) is read by no equation yet: it is kept for the quantized
+    encoder measurement mode planned in ROADMAP.md, which rounds the
+    measured angles to 2 pi / K_enc. The voltage referral gamma and the
+    mass-matrix constants are derived read-only properties.
     """
 
     g: float = 9.81
@@ -86,7 +88,6 @@ class RotPenParams:
     f_p: float = 0.0024
     f_r: float = 0.0024
     R_m: float = 2.6
-    L_m: float = 0.18e-3
     K_m: float = 0.00767
     K_t: float = 0.00767
     eta_g: float = 0.9
@@ -97,7 +98,7 @@ class RotPenParams:
 
     def __post_init__(self) -> None:
         _check_fields(self, ("g", "m_p", "L_p", "J_p", "m_r", "L_r", "J_r", "R_m",
-                             "L_m", "K_t", "eta_g", "eta_m", "K_enc", "K_g", "V_max"),
+                             "K_t", "eta_g", "eta_m", "K_enc", "K_g", "V_max"),
                       ("f_p", "f_r", "K_m"))
 
     @property
@@ -121,8 +122,9 @@ class RotPenParams:
 class NxtwayParams:
     """Physical constants of the two-wheeled balancing robot.
 
-    eta is the gear ratio between motor and wheel. The wheel and body
-    inertias J_w, J_q2, J_q3, the motor constants alpha, beta and the
+    eta is the gear ratio between motor and wheel. Yaw is frozen, so the
+    body width and depth are not model constants. The wheel and body
+    inertias J_w, J_q2, the motor constants alpha, beta and the
     mass-matrix constants are derived quantities exposed as read-only
     properties.
     """
@@ -131,9 +133,6 @@ class NxtwayParams:
     m: float = 0.03
     R: float = 0.02
     M: float = 0.6
-    W: float = 0.14
-    D: float = 0.04
-    H: float = 0.27
     L: float = 0.12
     J_m: float = 1e-5
     f_m: float = 0.0022
@@ -145,8 +144,7 @@ class NxtwayParams:
     V_max: float = 10.0
 
     def __post_init__(self) -> None:
-        _check_fields(self, ("g", "m", "R", "M", "W", "D", "H", "L", "J_m", "R_m",
-                             "K_t", "eta", "V_max"),
+        _check_fields(self, ("g", "m", "R", "M", "L", "J_m", "R_m", "K_t", "eta", "V_max"),
                       ("f_m", "f_w", "K_b"))
 
     @property
@@ -162,11 +160,6 @@ class NxtwayParams:
     def J_q2(self) -> float:
         """Body pitch inertia M L^2 / 3."""
         return self.M * self.L ** 2 / 3
-
-    @property
-    def J_q3(self) -> float:
-        """Body yaw inertia M (W^2 + D^2) / 12 (unused while yaw is frozen)."""
-        return self.M * (self.W ** 2 + self.D ** 2) / 12
 
     @property
     def alpha(self) -> float:
@@ -187,11 +180,6 @@ class NxtwayParams:
 
 
 PlantParams = Union[RotPenParams, NxtwayParams]
-
-_DERIVED = {
-    "rotpen": ("gamma",),
-    "nxtway": ("J_w", "J_q2", "J_q3", "alpha", "beta"),
-}
 
 
 @dataclass(frozen=True)
@@ -217,22 +205,18 @@ def params_from_mapping(platform: str, overrides: Mapping[str, object]) -> Plant
     """Build a parameter set from defaults plus key = value overrides.
 
     Keys must name fields of the platform's parameter set. Derived
-    quantities (gamma; J_w, J_q2, J_q3, alpha, beta) may appear only to be
-    cross-checked: a value inconsistent with the base fields is refused.
+    quantities (gamma; J_w, J_q2, alpha, beta) are properties, not fields,
+    so they are refused as unknown keys like any other name.
 
     Raises
     ------
     ConfigError
-        For an unknown key, a non-numeric or non-finite value, or an
-        inconsistent derived value. Base-field invariant violations raise
-        ValueError.
+        For an unknown key, or a non-numeric or non-finite value.
+        Base-field invariant violations raise ValueError.
     """
     base = default_params(platform)
-    derived = _DERIVED[base.platform]
     fields = {f.name for f in dataclasses.fields(base)}
-
-    plain: dict[str, float] = {}
-    check: dict[str, float] = {}
+    values: dict[str, float] = {}
     for key, raw in overrides.items():
         try:
             value = float(raw)  # type: ignore[arg-type]
@@ -240,22 +224,10 @@ def params_from_mapping(platform: str, overrides: Mapping[str, object]) -> Plant
             raise ConfigError(f"parameter {key}: {raw!r} is not a number") from None
         if not math.isfinite(value):
             raise ConfigError(f"parameter {key}: {raw!r} is not finite")
-        if key in fields:
-            plain[key] = value
-        elif key in derived:
-            check[key] = value
-        else:
+        if key not in fields:
             raise ConfigError(f"unknown parameter {key!r} for platform {base.platform}")
-
-    params = dataclasses.replace(base, **plain)
-    for key, value in check.items():
-        actual = getattr(params, key)
-        if not math.isclose(actual, value, rel_tol=1e-9, abs_tol=1e-15):
-            raise ConfigError(
-                f"derived parameter {key} = {value!r} conflicts with its "
-                f"defining formula (expected {actual!r})"
-            )
-    return params
+        values[key] = value
+    return dataclasses.replace(base, **values)
 
 
 def _check_state(state) -> np.ndarray:

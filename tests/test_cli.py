@@ -19,6 +19,7 @@ import pytest
 
 from pendulum_ctl import cli
 from pendulum_ctl.linearize import load_statespace
+from pendulum_ctl.metrics import SETTLE_BAND
 from pendulum_ctl.synthesis import (
     LqrDesign,
     SmcDesign,
@@ -168,6 +169,23 @@ def test_simulate_writes_trace_and_metrics(tmp_path):
     mlines = metrics.read_text().splitlines()
     assert mlines[0].startswith("label,settle_time")
     assert mlines[1].startswith("nxtway lqr,")
+
+
+def test_simulate_metrics_settle_against_the_run_reference(tmp_path):
+    trace, metrics = tmp_path / "trace.csv", tmp_path / "metrics.csv"
+    assert cli.run(["simulate", "--platform", "rotpen", "--duration", "5",
+                    "--x0", "0,0.1,0,0", "--reference", "0,0.1,0,0",
+                    "--trace", str(trace), "--metrics", str(metrics)]) == 0
+    _, data = _read_csv_columns(trace)
+    t, q2 = data[:, 0], data[:, 2]
+
+    def settle(reference_q2):  # last instant outside the band; no pulse, onset 0
+        outside = np.abs(q2 - reference_q2) > SETTLE_BAND
+        return float(t[outside][-1]) if outside.any() else 0.0
+
+    row = dict(zip(*[ln.split(",") for ln in metrics.read_text().splitlines()]))
+    assert float(row["settle_time"]) == settle(0.1)
+    assert settle(0.1) != settle(0.0)  # the reference changes the answer here
 
 
 def test_simulate_env_config_with_flag_precedence(tmp_path, monkeypatch):
@@ -418,6 +436,9 @@ def _tree(root):
     (_CMP + ["--out", "{ok}/r.txt", "--trace-dir", "{ok}/file"], "{ok}/file"),
     (_CMP + ["--out", "{ok}/r.txt", "--trace-dir", "{ok}"], "{ok}/rotpen_smc.csv"),
     (_CMP + ["--out", "{ok}/other/r.txt", "--trace-dir", "{ok}/nt"], "{ok}/other"),
+    (_CMP + ["--out", "{ok}/nt", "--trace-dir", "{ok}/nt"], "{ok}/nt"),
+    (_CMP + ["--out", "{ok}/r.txt", "--metrics", "{ok}/nt", "--trace-dir", "{ok}/nt"],
+     "{ok}/nt"),
 ])
 def test_unwritable_output_is_found_before_simulating(tmp_path, capsys, monkeypatch,
                                                       argv, bad):

@@ -310,6 +310,29 @@ def test_statespace_save_load_roundtrip(tmp_path):
     assert back.state_labels == ss.state_labels
 
 
+def test_statespace_labels_default_by_size_and_must_count_the_states():
+    assert StateSpace(A=np.eye(4), B=np.ones((4, 1))).state_labels == (
+        "q1", "q2", "q1dot", "q2dot")
+    assert StateSpace(A=np.eye(3), B=np.ones((3, 1))).state_labels == ("x1", "x2", "x3")
+    assert StateSpace(A=np.eye(2), B=np.ones((2, 1)),
+                      state_labels=["a", "b"]).state_labels == ("a", "b")
+    with pytest.raises(ValueError, match="state_labels must name 3 states, got 4"):
+        StateSpace(A=np.eye(3), B=np.ones((3, 1)), state_labels=("q1", "q2", "q1dot", "q2dot"))
+
+
+def test_statespace_file_with_a_wrong_label_count_is_refused(tmp_path):
+    path = tmp_path / "ss.txt"
+    save_statespace(rotpen_statespace_closed_form(default_params("rotpen")), path)
+    text = path.read_text()
+    path.write_text(text.replace("labels = q1,q2,q1dot,q2dot", "labels = a,b,c"))
+    with pytest.raises(ValueError, match="state_labels must name 4 states, got 3") as info:
+        load_statespace(path)
+    assert str(path) in str(info.value)
+    # a file without a labels line takes the default labels
+    path.write_text(text.replace("labels = q1,q2,q1dot,q2dot\n", ""))
+    assert load_statespace(path).state_labels == ("q1", "q2", "q1dot", "q2dot")
+
+
 def test_discrete_statespace_roundtrip_keeps_ts(tmp_path):
     ss = discretize_zoh(rotpen_statespace_closed_form(default_params("rotpen")), 0.002)
     path = tmp_path / "d.txt"

@@ -13,6 +13,7 @@ import pytest
 import sympy as sp
 
 from pendulum_ctl.errors import ConfigError
+from pendulum_ctl.linearize import closed_form
 from pendulum_ctl.plants import (
     NxtwayParams,
     RotPenParams,
@@ -221,14 +222,43 @@ def test_nonfinite_parameters_rejected(platform, name, value):
 
 
 def test_params_from_mapping_checks_derived_keys():
-    # consistent derived values are accepted, inconsistent ones refused
-    p = default_params("nxtway")
-    ok = params_from_mapping("nxtway", {"J_w": p.J_w, "alpha": p.alpha})
-    assert ok == p
-    with pytest.raises(ConfigError):
-        params_from_mapping("nxtway", {"J_w": 2 * p.J_w})
-    with pytest.raises(ConfigError):
-        params_from_mapping("rotpen", {"gamma": 1.0})
+    # only fields are settable: a derived quantity is refused even at its
+    # consistent value, and so is a constant the model no longer carries
+    refused = {"rotpen": (("gamma",), {"L_m": 0.18e-3}),
+               "nxtway": (("J_w", "J_q2", "alpha", "beta"),
+                          {"J_q3": 1e-3, "W": 0.14, "D": 0.04, "H": 0.27})}
+    for platform, (derived, deleted) in refused.items():
+        base = default_params(platform)
+        for key, value in {**{k: getattr(base, k) for k in derived}, **deleted}.items():
+            with pytest.raises(ConfigError, match=f"unknown parameter '{key}'"):
+                params_from_mapping(platform, {key: value})
+        assert not any(hasattr(base, key) for key in deleted)
+    # base fields still override, and the derived values follow them
+    p = params_from_mapping("nxtway", {"M": 0.7, "K_t": 0.3})
+    assert p == dataclasses.replace(default_params("nxtway"), M=0.7, K_t=0.3)
+    assert p.J_q2 == 0.7 * p.L ** 2 / 3 and p.alpha == p.eta * 0.3 / p.R_m
+
+
+# The one field no equation reads yet: the quantized encoder measurement
+# mode planned in ROADMAP.md (item 5) will round angles to 2 pi / K_enc.
+_UNREAD = {"rotpen": ("K_enc",), "nxtway": ()}
+
+
+def _model_reads(p):
+    ss = closed_form(p)
+    return ss.A.tobytes(), ss.B.tobytes(), scalar_rhs(p)(0.3, 0.5, -0.4, 1.0), p.V_max
+
+
+@pytest.mark.parametrize("platform, name", [
+    (platform, f.name) for platform in ("rotpen", "nxtway")
+    for f in dataclasses.fields(default_params(platform))])
+def test_every_parameter_field_is_read_by_the_model(platform, name):
+    # scaling a field by 1.1 (or setting a zero default to 0.1) must move the
+    # closed-form model, the accelerations at a fixed state, or the limit
+    base = default_params(platform)
+    value = getattr(base, name)
+    changed = dataclasses.replace(base, **{name: value * 1.1 if value else 0.1})
+    assert (_model_reads(changed) != _model_reads(base)) == (name not in _UNREAD[platform])
 
 
 # ---------------------------------------------------------------------------
