@@ -235,8 +235,14 @@ def _check_outputs(outputs) -> None:
 
 
 def _make_design(platform: str, controller: str, settings: dict):
-    """Load, look up or synthesize the requested controller for one platform."""
+    """Load, look up or synthesize the requested controller for one platform.
+
+    A design file and the recorded gains each select the whole design, so
+    giving both raises ConfigError.
+    """
     if settings.get("design"):
+        if settings.get("gains"):
+            raise ConfigError("design and gains both select the design; give one")
         try:
             return load_design(settings["design"])
         except OSError as exc:

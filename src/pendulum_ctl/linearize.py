@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import expm
@@ -36,19 +36,16 @@ _LABELS = ("q1", "q2", "q1dot", "q2dot")
 
 @dataclass(frozen=True)
 class StateSpace:
-    """A continuous or discrete linear model (A, B, C, D).
+    """A linear model x' = A x + B u, or x[k+1] = A x[k] + B u[k] every Ts seconds.
 
-    C defaults to the identity and D to zeros. Ts must be given (positive)
-    for kind "discrete" and omitted for kind "continuous". state_labels
-    defaults to q1, q2, q1dot, q2dot for four states and x1..xn otherwise;
-    explicit labels must number the states.
+    Ts is None for a continuous model and positive and finite for a
+    discrete one; kind reads which. state_labels defaults to q1, q2, q1dot,
+    q2dot for four states and x1..xn otherwise; explicit labels must number
+    the states.
     """
 
     A: np.ndarray
     B: np.ndarray
-    C: Optional[np.ndarray] = None
-    D: Optional[np.ndarray] = None
-    kind: str = "continuous"
     Ts: Optional[float] = None
     state_labels: Optional[tuple] = None
 
@@ -60,29 +57,23 @@ class StateSpace:
             raise ValueError(f"A must be square, got {A.shape}")
         if B.shape[0] != n:
             raise ValueError(f"B must have {n} rows, got {B.shape}")
-        C = np.eye(n) if self.C is None else np.atleast_2d(np.asarray(self.C, dtype=float))
-        D = (np.zeros((C.shape[0], B.shape[1])) if self.D is None
-             else np.atleast_2d(np.asarray(self.D, dtype=float)))
-        if C.shape[1] != n:
-            raise ValueError(f"C must have {n} columns, got {C.shape}")
-        if D.shape != (C.shape[0], B.shape[1]):
-            raise ValueError(f"D must be {(C.shape[0], B.shape[1])}, got {D.shape}")
-        if self.kind not in ("continuous", "discrete"):
-            raise ValueError(f"kind must be continuous or discrete, got {self.kind!r}")
-        if self.kind == "discrete":
-            if self.Ts is None or not self.Ts > 0:
-                raise ValueError("discrete systems need Ts > 0")
-        elif self.Ts is not None:
-            raise ValueError("continuous systems take no Ts")
+        if self.Ts is not None:
+            if not (math.isfinite(self.Ts) and self.Ts > 0):
+                raise ValueError(f"Ts must be positive and finite, got {self.Ts!r}")
+            object.__setattr__(self, "Ts", float(self.Ts))
         if self.state_labels is None:
             labels = _LABELS if n == 4 else tuple(f"x{i+1}" for i in range(n))
         else:
             labels = tuple(self.state_labels)
         if len(labels) != n:
             raise ValueError(f"state_labels must name {n} states, got {len(labels)}")
-        for name, val in (("A", A), ("B", B), ("C", C), ("D", D)):
-            object.__setattr__(self, name, val)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
         object.__setattr__(self, "state_labels", labels)
+
+    @property
+    def kind(self) -> str:
+        return "continuous" if self.Ts is None else "discrete"
 
     @property
     def n_states(self) -> int:
@@ -173,7 +164,7 @@ def jacobian_linearize(params: PlantParams, x0=None, u0=None, eps: float = 1e-6)
         (a1, a2), (b1, b2) = g(hi), g(lo)
         J[2, i] = (a1 - b1) / (2 * eps)
         J[3, i] = (a2 - b2) / (2 * eps)
-    return StateSpace(A=J[:, :4], B=J[:, 4:], kind="continuous")
+    return StateSpace(A=J[:, :4], B=J[:, 4:])
 
 
 def rotpen_statespace_closed_form(params: RotPenParams) -> StateSpace:
@@ -205,7 +196,7 @@ def rotpen_statespace_closed_form(params: RotPenParams) -> StateSpace:
     B = np.zeros((4, 1))
     B[2, 0] = c / delta
     B[3, 0] = 0.5 * p.m_p * p.L_p * p.L_r / delta
-    return StateSpace(A=A, B=B, kind="continuous")
+    return StateSpace(A=A, B=B)
 
 
 def nxtway_statespace_closed_form(params: NxtwayParams) -> StateSpace:
@@ -235,7 +226,7 @@ def nxtway_statespace_closed_form(params: NxtwayParams) -> StateSpace:
     b_top = al * (p.M * p.L ** 2 + p.J_q2 + p.M * p.L * p.R) / delta
     b_bot = -al * (p.M * p.L * p.R + 2 * p.m * p.R ** 2 + p.M * p.R ** 2 + 2 * p.J_w) / delta
     B = np.array([[0.0, 0.0], [0.0, 0.0], [b_top, b_top], [b_bot, b_bot]])
-    return StateSpace(A=A, B=B, kind="continuous")
+    return StateSpace(A=A, B=B)
 
 
 def closed_form(params: PlantParams) -> StateSpace:
@@ -249,7 +240,7 @@ def discretize_zoh(ss: StateSpace, Ts: float) -> StateSpace:
     """Discretize a continuous model under a zero-order hold.
 
     Ad and Bd come from one matrix exponential of the augmented
-    [[A, B], [0, 0]] block scaled by Ts; C and D pass through unchanged.
+    [[A, B], [0, 0]] block scaled by Ts; the state labels pass through.
     A Ts that is not positive and finite, or so long that the exponential
     overflows, raises ValueError.
     """
@@ -265,27 +256,27 @@ def discretize_zoh(ss: StateSpace, Ts: float) -> StateSpace:
         E = expm(aug)
     if not np.isfinite(E).all():
         raise ValueError(f"Ts = {Ts!r} overflows the matrix exponential of the model")
-    return StateSpace(A=E[:n, :n], B=E[:n, n:], C=ss.C, D=ss.D,
-                      kind="discrete", Ts=Ts, state_labels=ss.state_labels)
+    return StateSpace(A=E[:n, :n], B=E[:n, n:], Ts=Ts, state_labels=ss.state_labels)
 
 
 def save_statespace(ss: StateSpace, path) -> None:
-    """Write a state-space model to a labeled plain-text file (row major)."""
-    meta = {"kind": ss.kind,
-            "Ts": repr(float(ss.Ts)) if ss.Ts is not None else "none",
+    """Write Ts, the state labels and A and B to a labeled plain-text file (row major)."""
+    meta = {"Ts": "none" if ss.Ts is None else repr(ss.Ts),
             "labels": ",".join(ss.state_labels)}
     write_matrix_file(path, "pendulum-ctl state-space model", meta,
-                      {"A": ss.A, "B": ss.B, "C": ss.C, "D": ss.D})
+                      {"A": ss.A, "B": ss.B})
 
 
 def _statespace_from(meta: dict, matrices: dict) -> StateSpace:
     Ts = None if meta.get("Ts", "none") == "none" else float(meta["Ts"])
     labels = tuple(meta["labels"].split(",")) if meta.get("labels") else None
-    return StateSpace(A=matrices["A"], B=matrices["B"], C=matrices.get("C"),
-                      D=matrices.get("D"), kind=meta.get("kind", "continuous"),
-                      Ts=Ts, state_labels=labels)
+    return StateSpace(A=matrices["A"], B=matrices["B"], Ts=Ts, state_labels=labels)
 
 
 def load_statespace(path) -> StateSpace:
-    """Read a model written by save_statespace; a bad file raises ValueError."""
+    """Read a model written by save_statespace; a bad file raises ValueError.
+
+    The kind line and the [C] and [D] blocks of older files are ignored:
+    Ts tells the kind, and no computation read C or D.
+    """
     return read_matrix_file(path, _statespace_from)

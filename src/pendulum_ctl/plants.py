@@ -74,7 +74,8 @@ class RotPenParams:
     about 69 us, is small against the 2 ms controller period. K_enc (encoder counts per
     revolution) is read by no equation yet: it is kept for the quantized
     encoder measurement mode planned in ROADMAP.md, which rounds the
-    measured angles to 2 pi / K_enc. The voltage referral gamma and the
+    measured angles to 2 pi / K_enc. The gear and motor efficiencies eta_g
+    and eta_m lie in (0, 1]. The voltage referral gamma and the
     mass-matrix constants are derived read-only properties.
     """
 
@@ -100,6 +101,9 @@ class RotPenParams:
         _check_fields(self, ("g", "m_p", "L_p", "J_p", "m_r", "L_r", "J_r", "R_m",
                              "K_t", "eta_g", "eta_m", "K_enc", "K_g", "V_max"),
                       ("f_p", "f_r", "K_m"))
+        for name in ("eta_g", "eta_m"):
+            if getattr(self, name) > 1.0:
+                raise ValueError(f"{name} is an efficiency and must be at most 1")
 
     @property
     def platform(self) -> str:

@@ -26,6 +26,7 @@ closed-form model, LQR structure, default weights and controller period.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -105,6 +106,12 @@ def _as_square(M, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def _require_finite(**entries) -> None:
+    for name, value in entries.items():
+        if not all(map(cmath.isfinite, np.ravel(value).tolist())):
+            raise ValueError(f"design entry {name} is not finite")
 
 
 def _allclose(a, b, rtol: float, atol: float) -> bool:
@@ -232,7 +239,8 @@ class LqrDesign:
 
     K always excludes any integral state; designs that carry one report the
     integral gain separately in Ki so the control law reads
-    u = -K (x - x_ref) - Ki * integral.
+    u = -K (x - x_ref) - Ki * integral. A non-finite K or Ki raises
+    ValueError.
     """
 
     Q: np.ndarray
@@ -252,6 +260,7 @@ class LqrDesign:
         if self.Ki is not None:
             object.__setattr__(self, "Ki", float(self.Ki))
         object.__setattr__(self, "residual", float(self.residual))
+        _require_finite(K=self.K, Ki=0.0 if self.Ki is None else self.Ki)
 
 
 def lqr_gain(A, B, Q, R) -> LqrDesign:
@@ -342,16 +351,18 @@ def nominal_lqr(params, Q=None, R=None) -> LqrDesign:
 
 @dataclass(frozen=True)
 class RegularForm:
-    """Discrete model rotated so the input acts on the last state only."""
+    """Discrete model rotated so the input acts on the last state only.
+
+    H is the rotation; A11 and A12 are the blocks of H Ad H' that the
+    sliding dynamics A11 - A12 C are built from.
+    """
 
     H: np.ndarray
     A11: np.ndarray
     A12: np.ndarray
-    A21: np.ndarray
-    A22: np.ndarray
 
     def __post_init__(self):
-        for name in ("H", "A11", "A12", "A21", "A22"):
+        for name in ("H", "A11", "A12"):
             arr = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
             object.__setattr__(self, name, arr)
 
@@ -359,7 +370,8 @@ class RegularForm:
 def regular_form(Ad, Bd) -> RegularForm:
     """Rotate (Ad, Bd) by a Householder reflection H with H Bd = ||Bd|| e_n.
 
-    Returns the blocks of H Ad H' partitioned against the last coordinate.
+    Returns H and the upper blocks of H Ad H' partitioned against the last
+    coordinate.
     """
     Ad = _as_square(Ad, "Ad")
     n = Ad.shape[0]
@@ -378,27 +390,16 @@ def regular_form(Ad, Bd) -> RegularForm:
     else:
         H = np.eye(n) - 2.0 * np.outer(w, w) / (w @ w)
     Az = H @ Ad @ H.T
-    return RegularForm(H=H, A11=Az[:n - 1, :n - 1], A12=Az[:n - 1, n - 1:],
-                       A21=Az[n - 1:, :n - 1], A22=Az[n - 1:, n - 1:])
+    return RegularForm(H=H, A11=Az[:n - 1, :n - 1], A12=Az[:n - 1, n - 1:])
 
 
-def _rf_block(blocks, name: str) -> np.ndarray:
-    value = getattr(blocks, name, None)
-    if value is None:
-        value = blocks[name]
-    return np.atleast_2d(np.asarray(value, dtype=float))
-
-
-def smc_surface(blocks, C):
+def smc_surface(A11, A12, C):
     """Eigenvalues of the sliding dynamics A11 - A12 C and a verdict.
 
-    blocks may be a RegularForm or any mapping with keys A11, A12, A21,
-    A22. Returns (eigenvalues, stable) where stable demands every modulus
+    Returns (eigenvalues, stable) where stable demands every modulus
     strictly inside the unit circle.
     """
-    A11 = _rf_block(blocks, "A11")
-    A12 = _rf_block(blocks, "A12")
-    C = np.atleast_2d(np.asarray(C, dtype=float))
+    A11, A12, C = (np.atleast_2d(np.asarray(M, dtype=float)) for M in (A11, A12, C))
     n1 = A11.shape[0]
     if A11.shape != (n1, n1):
         raise ValueError("A11 must be square")
@@ -414,13 +415,15 @@ def smc_gain_bound(Ts: float, alpha: float) -> float:
 
     For sample time Ts and reaching rate alpha the sliding variable obeys
     delta V <= -Ts*(alpha/sqrt(2))*|s| whenever k <= sqrt((Ts*alpha/sqrt(2))^2 + 1).
+    A Ts or alpha that is not positive and finite, or whose bound
+    overflows, raises ValueError.
     """
     Ts = float(Ts)
     alpha = float(alpha)
-    if Ts <= 0.0:
-        raise ValueError("sample time must be positive")
-    if alpha <= 0.0:
-        raise ValueError("reaching rate alpha must be positive")
+    if not (math.isfinite(Ts) and Ts > 0.0):
+        raise ValueError(f"sample time Ts must be positive and finite, got {Ts!r}")
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"reaching rate alpha must be positive and finite, got {alpha!r}")
     try:
         bound = math.sqrt((Ts * alpha / math.sqrt(2.0)) ** 2 + 1.0)
     except OverflowError:
@@ -433,7 +436,12 @@ def smc_gain_bound(Ts: float, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class SmcDesign:
-    """Discrete sliding-mode controller: u = -Keq x - k sign(L x)."""
+    """Discrete sliding-mode controller: u = -Keq x - k sign(L x).
+
+    k must be non-negative and finite, Ts and alpha must pass
+    smc_gain_bound, and L, Keq and surface_eigs must be finite; anything
+    else raises ValueError.
+    """
 
     L: np.ndarray
     Keq: np.ndarray
@@ -441,7 +449,6 @@ class SmcDesign:
     Ts: float
     alpha: float
     surface_eigs: np.ndarray
-    k_exceeds_bound: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "L", np.asarray(self.L, dtype=float).ravel())
@@ -451,7 +458,15 @@ class SmcDesign:
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "surface_eigs",
                            np.asarray(self.surface_eigs, dtype=complex).ravel())
-        object.__setattr__(self, "k_exceeds_bound", bool(self.k_exceeds_bound))
+        if not (math.isfinite(self.k) and self.k >= 0.0):
+            raise ValueError("switching gain k must be non-negative and finite")
+        smc_gain_bound(self.Ts, self.alpha)
+        _require_finite(L=self.L, Keq=self.Keq, surface_eigs=self.surface_eigs)
+
+    @property
+    def k_exceeds_bound(self) -> bool:
+        """Whether k is above the reaching-law bound for Ts and alpha."""
+        return self.k > smc_gain_bound(self.Ts, self.alpha) + 1e-12
 
 
 def design_smc(ss: StateSpace, alpha: float = DEFAULT_SMC_ALPHA,
@@ -464,9 +479,10 @@ def design_smc(ss: StateSpace, alpha: float = DEFAULT_SMC_ALPHA,
     sends the sliding variable to -k sign(s) in a single step. Multi-motor
     models are collapsed by summing input columns (symmetric drive). When
     k is omitted it is set to the reaching-law bound; a user-supplied k
-    larger than the bound is kept but flagged via k_exceeds_bound.
+    larger than the bound is kept, and the design's k_exceeds_bound reads
+    true.
     """
-    if ss.kind != "discrete" or ss.Ts is None:
+    if ss.kind != "discrete":
         raise ValueError("design_smc expects a discrete model; discretize first")
     Ad = ss.A
     Bd = ss.B.sum(axis=1, keepdims=True)
@@ -481,7 +497,7 @@ def design_smc(ss: StateSpace, alpha: float = DEFAULT_SMC_ALPHA,
     except np.linalg.LinAlgError as exc:
         raise SynthesisError(f"no sliding surface at Ts = {ss.Ts!r}: {exc}") from None
     C = np.linalg.solve(np.eye(1) + rf.A12.T @ Pz @ rf.A12, rf.A12.T @ Pz @ rf.A11)
-    eigs, stable = smc_surface(rf, C)
+    eigs, stable = smc_surface(rf.A11, rf.A12, C)
     if not stable:
         raise SynthesisError("sliding dynamics came out unstable")
 
@@ -493,17 +509,9 @@ def design_smc(ss: StateSpace, alpha: float = DEFAULT_SMC_ALPHA,
     L = L0 / denom
     Keq = L @ Ad
 
-    bound = smc_gain_bound(ss.Ts, alpha)
     if k is None:
-        k = bound
-        flagged = False
-    else:
-        k = float(k)
-        if not (math.isfinite(k) and k >= 0.0):
-            raise ValueError("switching gain k must be non-negative and finite")
-        flagged = k > bound + 1e-12
-    return SmcDesign(L=L, Keq=Keq, k=k, Ts=ss.Ts, alpha=alpha,
-                     surface_eigs=eigs, k_exceeds_bound=flagged)
+        k = smc_gain_bound(ss.Ts, alpha)
+    return SmcDesign(L=L, Keq=Keq, k=k, Ts=ss.Ts, alpha=alpha, surface_eigs=eigs)
 
 
 def nominal_smc(params, Ts: float | None = None, alpha: float = DEFAULT_SMC_ALPHA,
@@ -566,8 +574,7 @@ def save_design(design, path) -> None:
         blocks = {"Q": design.Q, "R": design.R, "P": design.P, "K": design.K}
     elif isinstance(design, SmcDesign):
         meta = {"design": "smc", "Ts": repr(design.Ts), "alpha": repr(design.alpha),
-                "k": repr(design.k),
-                "k_exceeds_bound": "true" if design.k_exceeds_bound else "false"}
+                "k": repr(design.k)}
         blocks = {"L": design.L, "Keq": design.Keq,
                   "surface_re": design.surface_eigs.real,
                   "surface_im": design.surface_eigs.imag}
@@ -576,39 +583,27 @@ def save_design(design, path) -> None:
     write_matrix_file(path, "pendulum-ctl controller design", meta, blocks)
 
 
-def _require_finite(**entries) -> None:
-    for name, value in entries.items():
-        if not all(map(math.isfinite, np.ravel(value).tolist())):
-            raise ValueError(f"design entry {name} is not finite")
-
-
 def _design_from(meta: dict, matrices: dict):
     kind = meta.get("design")
     if kind == "lqr":
         ki = meta.get("Ki", "none")
-        design = LqrDesign(Q=matrices["Q"], R=matrices["R"], P=matrices.get("P"),
-                           K=matrices["K"],
-                           Ki=None if ki == "none" else float(ki),
-                           residual=float(meta["residual"]))
-        _require_finite(K=design.K, Ki=0.0 if design.Ki is None else design.Ki)
-        return design
+        return LqrDesign(Q=matrices["Q"], R=matrices["R"], P=matrices.get("P"),
+                         K=matrices["K"], Ki=None if ki == "none" else float(ki),
+                         residual=float(meta["residual"]))
     if kind == "smc":
-        _require_finite(surface_re=matrices["surface_re"], surface_im=matrices["surface_im"])
-        eigs = matrices["surface_re"].ravel() + 1j * matrices["surface_im"].ravel()
-        design = SmcDesign(L=matrices["L"].ravel(), Keq=matrices["Keq"].ravel(),
-                           k=float(meta["k"]), Ts=float(meta["Ts"]),
-                           alpha=float(meta["alpha"]), surface_eigs=eigs,
-                           k_exceeds_bound=meta.get("k_exceeds_bound") == "true")
-        _require_finite(L=design.L, Keq=design.Keq, k=design.k, Ts=design.Ts,
-                        alpha=design.alpha)
-        return design
+        eigs = matrices["surface_re"].ravel().astype(complex)
+        eigs.imag = matrices["surface_im"].ravel()
+        return SmcDesign(L=matrices["L"], Keq=matrices["Keq"], k=float(meta["k"]),
+                         Ts=float(meta["Ts"]), alpha=float(meta["alpha"]),
+                         surface_eigs=eigs)
     raise ValueError(f"unrecognized design kind {kind!r}")
 
 
 def load_design(path):
     """Read a design written by save_design.
 
-    A bad file raises ValueError, and so does a non-finite gain, sample
-    time, alpha or surface eigenvalue.
+    A bad file raises ValueError, and so does a design its type refuses.
+    The k_exceeds_bound line of older SMC files is ignored: k, Ts and
+    alpha tell it.
     """
     return read_matrix_file(path, _design_from)

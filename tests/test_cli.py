@@ -368,6 +368,25 @@ def test_simulate_malformed_design_file(tmp_path, capsys, edit):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key, value", [("k", "-5.0"), ("alpha", "-1.0")])
+def test_simulate_refuses_an_smc_design_file_that_design_smc_would_refuse(
+        tmp_path, capsys, key, value):
+    dfile = tmp_path / "smc.txt"
+    assert cli.run(["synthesize", "--platform", "rotpen", "--smc", "--out", str(dfile)]) == 0
+    text, found = re.subn(rf"^{key} = .*$", f"{key} = {value}", dfile.read_text(),
+                          flags=re.M)
+    assert found == 1
+    dfile.write_text(text)
+    capsys.readouterr()
+    code = cli.run(["simulate", "--platform", "rotpen", "--controller", "smc",
+                    "--design", str(dfile), "--duration", "0.1",
+                    "--trace", str(tmp_path / "t.csv"), "--metrics", str(tmp_path / "m.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and str(dfile) in err and key in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["smc.txt"]
+
+
 @pytest.mark.parametrize("argv, key", [
     (["simulate", "--platform", "nxtway", "--ts", "0"], "ts"),
     (["simulate", "--platform", "rotpen", "--ts", "-0.002"], "ts"),
@@ -610,6 +629,7 @@ _RUN = {"synthesize": {"platform": "nxtway"}, "linearize": {"platform": "rotpen"
     ("synthesize", {"controller": "smc", "ts": "1e-300"}, "Ts"),
     ("simulate", {"trace": "same.csv", "metrics": "./same.csv"}, "metrics"),
     ("compare", {"out": "r.txt", "metrics": "r.txt"}, "metrics"),
+    ("simulate", {"design": "d.txt", "gains": "reference"}, "gains"),
 ])
 def test_bad_settings_are_refused_before_writing(tmp_path, capsys, monkeypatch,
                                                  command, settings, key):

@@ -1,7 +1,8 @@
 """Package hygiene.
 
 Modules share only public names with each other, every name a module
-exports exists, and the demos import only exported names.
+exports exists, the demos import only exported names, and every package
+name the benchmark reads exists.
 """
 
 import ast
@@ -72,3 +73,32 @@ def test_demos_import_only_exported_names():
     offenders = {path.name: names for path in demos
                  if (names := _unexported_package_imports(path.read_text(encoding="utf-8")))}
     assert offenders == {}
+
+
+def _perfbench_source(name: str) -> ast.Module:
+    path = Path(__file__).resolve().parents[1] / "perfbench" / name
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_benchmark_reads_only_package_names_that_exist():
+    # the benchmark is frozen: a trim of the package that removes a name it
+    # reads through a module alias (sim.SimConfig, synthesis.design_smc) or
+    # wraps as a layer function would break it without failing elsewhere
+    tree = _perfbench_source("workloads.py")
+    aliases = {alias.asname or alias.name: importlib.import_module(f"pendulum_ctl.{alias.name}")
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "pendulum_ctl"
+               for alias in node.names}
+    read = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in aliases}
+    assert {"cli", "linearize", "plants", "synthesis", "sim"} <= set(aliases)
+    assert len(read) > 20
+    assert sorted(f"{a}.{n}" for a, n in read if not hasattr(aliases[a], n)) == []
+
+    layers = next(ast.literal_eval(node.value) for node in _perfbench_source("tracing.py").body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "LAYER_FUNCTIONS" for t in node.targets))
+    missing = [f"{layer}.{name}" for layer, names in layers.items() for name in names
+               if not hasattr(importlib.import_module(f"pendulum_ctl.{layer}"), name)]
+    assert sum(map(len, layers.values())) > 10 and missing == []

@@ -48,20 +48,27 @@ def _series_expm(M, terms=40):
 def test_statespace_validates_dimensions_and_kind():
     A = np.zeros((2, 2))
     B = np.zeros((2, 1))
-    ss = StateSpace(A=A, B=B, kind="continuous")
-    assert ss.C.shape == (2, 2) and ss.D.shape == (2, 1)
+    ss = StateSpace(A=A, B=B)
     assert ss.Ts is None
 
     with pytest.raises(ValueError):
-        StateSpace(A=np.zeros((2, 3)), B=B, kind="continuous")
+        StateSpace(A=np.zeros((2, 3)), B=B)
     with pytest.raises(ValueError):
-        StateSpace(A=A, B=np.zeros((3, 1)), kind="continuous")
+        StateSpace(A=A, B=np.zeros((3, 1)))
     with pytest.raises(ValueError):
-        StateSpace(A=A, B=B, kind="discrete")  # missing Ts
-    with pytest.raises(ValueError):
-        StateSpace(A=A, B=B, kind="discrete", Ts=-0.1)
-    with pytest.raises(ValueError):
-        StateSpace(A=A, B=B, kind="sampled")
+        StateSpace(A=A, B=B, Ts=-0.1)
+
+
+def test_statespace_kind_follows_ts_and_ts_must_be_positive_and_finite():
+    A, B = np.zeros((2, 2)), np.zeros((2, 1))
+    assert StateSpace(A=A, B=B).kind == "continuous"
+    assert StateSpace(A=A, B=B, Ts=0.002).kind == "discrete"
+    for Ts in (0.0, -0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="Ts must be positive and finite"):
+            StateSpace(A=A, B=B, Ts=Ts)
+    # kind is read from Ts, never given
+    with pytest.raises(TypeError):
+        StateSpace(A=A, B=B, kind="discrete")
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +243,7 @@ def test_open_loop_unstable_both_platforms():
 # ---------------------------------------------------------------------------
 
 def test_zoh_scalar_integrator():
-    ss = StateSpace(A=np.array([[0.0]]), B=np.array([[1.0]]), kind="continuous")
+    ss = StateSpace(A=np.array([[0.0]]), B=np.array([[1.0]]))
     d = discretize_zoh(ss, 0.1)
     assert d.kind == "discrete" and d.Ts == 0.1
     np.testing.assert_allclose(d.A, [[1.0]], atol=1e-15)
@@ -245,7 +252,7 @@ def test_zoh_scalar_integrator():
 
 def test_zoh_double_integrator_analytic():
     ss = StateSpace(A=np.array([[0.0, 1.0], [0.0, 0.0]]),
-                    B=np.array([[0.0], [1.0]]), kind="continuous")
+                    B=np.array([[0.0], [1.0]]))
     Ts = 0.05
     d = discretize_zoh(ss, Ts)
     np.testing.assert_allclose(d.A, [[1.0, Ts], [0.0, 1.0]], rtol=1e-14)
@@ -277,8 +284,6 @@ def test_zoh_semigroup_property():
 def test_zoh_keeps_output_matrices_and_rejects_bad_ts():
     ss = rotpen_statespace_closed_form(default_params("rotpen"))
     d = discretize_zoh(ss, 0.002)
-    np.testing.assert_array_equal(d.C, ss.C)
-    np.testing.assert_array_equal(d.D, ss.D)
     assert d.state_labels == ss.state_labels
     for Ts in (0.0, -0.002, math.inf, math.nan):
         with pytest.raises(ValueError, match="Ts"):
@@ -304,8 +309,6 @@ def test_statespace_save_load_roundtrip(tmp_path):
     back = load_statespace(path)
     np.testing.assert_array_equal(back.A, ss.A)  # exact round trip
     np.testing.assert_array_equal(back.B, ss.B)
-    np.testing.assert_array_equal(back.C, ss.C)
-    np.testing.assert_array_equal(back.D, ss.D)
     assert back.kind == ss.kind and back.Ts == ss.Ts
     assert back.state_labels == ss.state_labels
 
@@ -331,6 +334,41 @@ def test_statespace_file_with_a_wrong_label_count_is_refused(tmp_path):
     # a file without a labels line takes the default labels
     path.write_text(text.replace("labels = q1,q2,q1dot,q2dot\n", ""))
     assert load_statespace(path).state_labels == ("q1", "q2", "q1dot", "q2dot")
+
+
+# a discretized double integrator (Ts = 0.05) as the previous file format
+# wrote it, with a kind line and the identity C and zero D blocks
+_OLD_FORMAT_STATESPACE = """# pendulum-ctl state-space model
+kind = discrete
+Ts = 0.05
+labels = x1,x2
+[A] rows=2 cols=2
+1.0 0.05
+0.0 1.0
+[B] rows=2 cols=1
+0.0012500000000000002
+0.05
+[C] rows=2 cols=2
+1.0 0.0
+0.0 1.0
+[D] rows=2 cols=1
+0.0
+0.0
+"""
+
+
+def test_old_format_statespace_file_loads_to_an_equal_model(tmp_path):
+    ss = discretize_zoh(StateSpace(A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]]), 0.05)
+    old = tmp_path / "old.txt"
+    old.write_text(_OLD_FORMAT_STATESPACE)
+    back = load_statespace(old)
+    assert (back.A.tobytes(), back.B.tobytes()) == (ss.A.tobytes(), ss.B.tobytes())
+    assert (back.kind, back.Ts, back.state_labels) == ("discrete", 0.05, ("x1", "x2"))
+    # the file written now is the old one without the kind line and C and D
+    new = tmp_path / "new.txt"
+    save_statespace(ss, new)
+    kept = _OLD_FORMAT_STATESPACE.split("[C]")[0].replace("kind = discrete\n", "")
+    assert new.read_text() == kept
 
 
 def test_discrete_statespace_roundtrip_keeps_ts(tmp_path):

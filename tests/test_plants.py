@@ -198,6 +198,16 @@ def test_invalid_parameters_rejected():
         dataclasses.replace(n, V_max=0.0)
 
 
+def test_efficiencies_above_one_are_refused():
+    # before the bound, these gave gamma 0.32 instead of 7.80
+    with pytest.raises(ValueError, match="eta_g is an efficiency"):
+        params_from_mapping("rotpen", {"eta_g": 5.0, "eta_m": 3.0})
+    with pytest.raises(ValueError, match="eta_m is an efficiency"):
+        params_from_mapping("rotpen", {"eta_m": 1.0 + 1e-12})
+    p = params_from_mapping("rotpen", {"eta_g": 1.0, "eta_m": 1.0})
+    assert p.gamma == p.R_m / (p.K_t * p.K_g)
+
+
 def test_params_from_mapping_overrides_and_errors():
     p = params_from_mapping("rotpen", {"m_p": "0.2", "V_max": 5})
     assert p.m_p == 0.2 and p.V_max == 5.0
@@ -324,15 +334,23 @@ def test_nxtway_matrix_entries_at_sample_state():
     assert out.G[1] == pytest.approx(p.M * p.g * p.L * math.sin(q2) / p.alpha, rel=1e-12)
 
 
+def _scaled_params(base, rng):
+    """base with every field scaled by 0.8..1.2; the efficiencies stay at most 1."""
+    values = {f.name: getattr(base, f.name) * rng.uniform(0.8, 1.2)
+              for f in dataclasses.fields(base)}
+    for name in ("eta_g", "eta_m"):
+        if name in values:
+            values[name] = min(values[name], 1.0)
+    return params_from_mapping(base.platform, values)
+
+
 @pytest.mark.parametrize("platform", ["rotpen", "nxtway"])
 def test_eval_mcg_and_forward_dynamics_match_the_hand_written_terms_bit_for_bit(platform):
     # factory parameters and four sets with every field scaled by 0.8..1.2;
     # states mix signed zeros, subnormals and magnitudes from 1e-3 to 30
     rng = np.random.default_rng(41 if platform == "rotpen" else 43)
     base = default_params(platform)
-    param_sets = [base] + [params_from_mapping(platform, {
-        f.name: getattr(base, f.name) * rng.uniform(0.8, 1.2)
-        for f in dataclasses.fields(base)}) for _ in range(4)]
+    param_sets = [base] + [_scaled_params(base, rng) for _ in range(4)]
     special = [0.0, -0.0, 1e-310, -1e-310]
     for p in param_sets:
         for _ in range(1500):
@@ -468,11 +486,7 @@ def test_scalar_rhs_matches_vector_dynamics():
     rng = np.random.default_rng(77)
     for platform in ("rotpen", "nxtway"):
         base = default_params(platform)
-        param_sets = [base]
-        for _ in range(4):
-            param_sets.append(params_from_mapping(platform, {
-                f.name: getattr(base, f.name) * rng.uniform(0.8, 1.2)
-                for f in dataclasses.fields(base)}))
+        param_sets = [base] + [_scaled_params(base, rng) for _ in range(4)]
         for params in param_sets:
             f = scalar_rhs(params)
             # an equal parameter object built separately gives the same bits

@@ -6,6 +6,7 @@ scipy's own solver. Surface eigenvalues are cross-checked against a
 brute-force Faddeev-LeVerrier characteristic polynomial.
 """
 
+import dataclasses
 import math
 import time
 
@@ -30,6 +31,7 @@ from pendulum_ctl.synthesis import (
     REFERENCE_LQR_GAINS,
     REFERENCE_SMC_SWITCHING_GAINS,
     LqrDesign,
+    RegularForm,
     SmcDesign,
     care_residual,
     design_smc,
@@ -200,7 +202,7 @@ def test_nxtway_motor_symmetry_check_keeps_the_allclose_boundary():
     for factor in (0.01, 0.99, 1.01):
         B = ss.B.copy()
         B[3, 1] = b + factor * edge
-        skewed = StateSpace(A=ss.A, B=B, kind="continuous")
+        skewed = StateSpace(A=ss.A, B=B)
         assert np.allclose(B[:, 0], B[:, 1], rtol=1e-9, atol=1e-12) is (factor < 1.0)
         if factor == 0.01:
             assert nxtway_integral_lqr(skewed).K.shape == (1, 4)
@@ -325,23 +327,18 @@ def test_regular_form_isolates_the_input():
 
 
 def test_smc_surface_trivial_cases():
-    eigs, stable = smc_surface({"A11": np.zeros((3, 3)), "A12": np.ones((3, 1)),
-                                "A21": np.zeros((1, 3)), "A22": np.zeros((1, 1))},
-                               np.zeros((1, 3)))
+    eigs, stable = smc_surface(np.zeros((3, 3)), np.ones((3, 1)), np.zeros((1, 3)))
     np.testing.assert_allclose(eigs, 0.0, atol=0.0)
     assert stable
 
-    eigs, stable = smc_surface({"A11": [[1.2]], "A12": [[1.0]],
-                                "A21": [[0.0]], "A22": [[0.0]]}, [[0.5]])
+    eigs, stable = smc_surface([[1.2]], [[1.0]], [[0.5]])
     assert eigs[0] == pytest.approx(0.7, abs=1e-12)
     assert stable
 
 
 def test_smc_surface_dimension_mismatch():
     with pytest.raises(ValueError):
-        smc_surface({"A11": np.zeros((3, 3)), "A12": np.ones((3, 1)),
-                     "A21": np.zeros((1, 3)), "A22": np.zeros((1, 1))},
-                    np.zeros((1, 2)))
+        smc_surface(np.zeros((3, 3)), np.ones((3, 1)), np.zeros((1, 2)))
 
 
 def test_smc_surface_agrees_with_charpoly_roots():
@@ -366,8 +363,7 @@ def test_smc_surface_verdict_matches_bruteforce_on_random_instances():
         A11 = rng.normal(size=(n1, n1))
         A12 = rng.normal(size=(n1, 1))
         C = rng.normal(size=(1, n1))
-        eigs, stable = smc_surface({"A11": A11, "A12": A12,
-                                    "A21": np.zeros((1, n1)), "A22": np.zeros((1, 1))}, C)
+        eigs, stable = smc_surface(A11, A12, C)
         roots = np.roots(_charpoly_coeffs(A11 - A12 @ C))
         assert stable == bool(np.all(np.abs(roots) < 1 - 1e-9))
 
@@ -443,7 +439,7 @@ def test_design_smc_requires_discrete_model():
 # ---------------------------------------------------------------------------
 
 def test_stability_report_scalar():
-    ss = StateSpace(A=[[1.0]], B=[[1.0]], kind="continuous")
+    ss = StateSpace(A=[[1.0]], B=[[1.0]])
     rep = stability_report(ss, [[1.0 + math.sqrt(2.0)]])
     assert rep.stable
     assert rep.eigenvalues[0].real == pytest.approx(-math.sqrt(2.0), abs=1e-10)
@@ -520,6 +516,88 @@ def test_smc_design_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.Keq, d.Keq)
     assert back.k == 20.0 and back.k_exceeds_bound
     assert back.Ts == d.Ts and back.alpha == d.alpha
+
+
+# nominal_smc(default rotpen, k=2.5) as the previous file format wrote it,
+# with the stored k_exceeds_bound line
+_OLD_FORMAT_SMC = """# pendulum-ctl controller design
+design = smc
+Ts = 0.002
+alpha = 100.0
+k = 2.5
+k_exceeds_bound = true
+[L] rows=1 cols=4
+-40.38985047213203 735.256079460572 -54.213467961994176 114.63086294847639
+[Keq] rows=1 cols=4
+-40.38985047213203 746.9040584687448 -54.84986308327508 115.9798356446642
+[surface_re] rows=1 cols=3
+0.9980019978111687 0.9896301861274899 0.9896301861274899
+[surface_im] rows=1 cols=3
+0.0 0.004134617535801747 -0.004134617535801747
+"""
+
+
+def test_old_format_smc_design_file_loads_to_an_equal_design(tmp_path):
+    d = nominal_smc(default_params("rotpen"), k=2.5)
+    old = tmp_path / "old.txt"
+    old.write_text(_OLD_FORMAT_SMC)
+    back = load_design(old)
+    for name in ("L", "Keq", "surface_eigs"):
+        assert getattr(back, name).tobytes() == getattr(d, name).tobytes()
+    assert (back.k, back.Ts, back.alpha, back.k_exceeds_bound) == (2.5, 0.002, 100.0, True)
+    # the file written now is the old one without the k_exceeds_bound line
+    new = tmp_path / "new.txt"
+    save_design(d, new)
+    assert new.read_text() == _OLD_FORMAT_SMC.replace("k_exceeds_bound = true\n", "")
+
+
+def test_k_exceeds_bound_is_read_from_k_ts_and_alpha():
+    # the recorded gains, 2.5 at 2 ms and 20 at 4 ms, against alpha = 100
+    for platform, recorded in REFERENCE_SMC_SWITCHING_GAINS.items():
+        Ts = DEFAULT_TS[platform]
+        assert nominal_smc(default_params(platform), k=recorded).k_exceeds_bound
+        assert not nominal_smc(default_params(platform)).k_exceeds_bound
+        bound = smc_gain_bound(Ts, 100.0)
+        flags = [SmcDesign(L=np.ones(4), Keq=np.ones(4), k=k, Ts=Ts, alpha=100.0,
+                           surface_eigs=np.zeros(3)).k_exceeds_bound
+                 for k in (recorded, bound, bound + 1e-12, bound + 1e-11)]
+        assert flags == [True, False, False, True]
+
+
+_GOOD_SMC = dict(L=np.ones(4), Keq=np.ones(4), k=1.0, Ts=0.002, alpha=100.0,
+                 surface_eigs=np.zeros(3))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("k", -5.0, "switching gain k"), ("k", math.inf, "switching gain k"),
+    ("k", math.nan, "switching gain k"),
+    ("Ts", 0.0, "Ts"), ("Ts", -0.002, "Ts"), ("Ts", math.inf, "Ts"), ("Ts", math.nan, "Ts"),
+    ("alpha", -1.0, "alpha"), ("alpha", 0.0, "alpha"), ("alpha", math.inf, "alpha"),
+    ("alpha", math.nan, "alpha"), ("alpha", 1e308, "overflows"),
+    ("L", [0.0, math.nan, 0.0, 0.0], "L"), ("Keq", [math.inf, 0.0, 0.0, 0.0], "Keq"),
+    ("surface_eigs", [0.5, complex(0.1, math.inf), 0.0], "surface_eigs"),
+])
+def test_smc_design_refuses_what_design_smc_would_not_make(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        SmcDesign(**{**_GOOD_SMC, field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("K", [[0.0, math.nan, 0.0, 0.0]]), ("K", [[math.inf, 0.0, 0.0, 0.0]]),
+    ("Ki", math.inf), ("Ki", math.nan),
+])
+def test_lqr_design_refuses_non_finite_gains(field, value):
+    good = dict(Q=np.eye(4), R=np.eye(1), P=None, K=np.zeros((1, 4)), Ki=0.5)
+    with pytest.raises(ValueError, match=f"{field} is not finite"):
+        LqrDesign(**{**good, field: value})
+
+
+def test_models_and_designs_hold_only_independent_fields():
+    def names(cls):
+        return tuple(f.name for f in dataclasses.fields(cls))
+    assert names(StateSpace) == ("A", "B", "Ts", "state_labels")
+    assert names(RegularForm) == ("H", "A11", "A12")
+    assert names(SmcDesign) == ("L", "Keq", "k", "Ts", "alpha", "surface_eigs")
 
 
 # ---------------------------------------------------------------------------
