@@ -238,13 +238,14 @@ def _make_design(platform: str, controller: str, settings: dict):
     """Load, look up or synthesize the requested controller for one platform.
 
     A design file and the recorded gains each select the whole design, so
-    giving both raises ConfigError.
+    giving both raises ConfigError. A design file that names another
+    platform raises ValueError.
     """
     if settings.get("design"):
         if settings.get("gains"):
             raise ConfigError("design and gains both select the design; give one")
         try:
-            return load_design(settings["design"])
+            return load_design(settings["design"], platform)
         except OSError as exc:
             raise ConfigError(f"cannot read design file: {exc}") from None
     reference = settings.get("gains") == "reference"
@@ -315,7 +316,7 @@ def _cmd_synthesize(settings: dict) -> int:
     controller = settings["controller"]
     design = _make_design(platform, controller, settings)
     out = settings["out"] or f"{platform}_{controller}_design.txt"
-    save_design(design, out)
+    save_design(design, out, platform)
     if isinstance(design, LqrDesign):
         ss, K = closed_form(default_params(platform)), design.K
         if design.Ki is not None:

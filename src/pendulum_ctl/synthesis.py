@@ -6,15 +6,20 @@ linear quadratic regulator: the algebraic Riccati equation
     A'P + P A - P B R^-1 B' P + Q = 0
 
 is solved in house by an ordered real Schur decomposition of the associated
-2n x 2n Hamiltonian matrix, followed by a few Newton defect-correction steps
-so the residual lands near machine precision. The gain is K = R^-1 B' P and
-the control law is u = -K x.
+2n x 2n Hamiltonian matrix (Laub's Schur method), followed by a few Newton
+defect-correction steps so the residual lands near machine precision. The
+gain is K = R^-1 B' P and the control law is u = -K x.
 
 The second family is a discrete-time sliding-mode controller. The sampled
 model is rotated into regular form with a Householder reflection so the
-input enters only the last coordinate, a reduced-order discrete LQR places
-the sliding dynamics, and the switching term uses the reaching-law gain
-bound sqrt((Ts*alpha/sqrt(2))^2 + 1).
+input enters only the last coordinate, a reduced-order discrete LQR (the
+Arnold-Laub pencil) places the sliding dynamics, and the switching term uses
+the reaching-law gain bound sqrt((Ts*alpha/sqrt(2))^2 + 1).
+
+The factorizations call LAPACK directly, with the arguments scipy.linalg's
+schur, solve_sylvester, cho_factor/cho_solve and solve_discrete_are pass,
+so each result equals theirs bit for bit while inputs are validated once,
+where they enter.
 
 The balance controller for the two-wheeled robot augments the model with an
 integral of the wheel angle and weights both motor channels separately; by
@@ -28,10 +33,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
+from numpy.linalg import LinAlgError
+from scipy.linalg import LinAlgWarning, get_lapack_funcs
 
 from .errors import SynthesisError
 from .linearize import StateSpace, closed_form, discretize_zoh
@@ -119,6 +126,167 @@ def _allclose(a, b, rtol: float, atol: float) -> bool:
     return bool(np.all(np.abs(a - b) <= atol + rtol * np.abs(b)))
 
 
+def _check_finite(a) -> None:
+    """The check_finite test scipy.linalg applies to an intermediate matrix."""
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+# ---------------------------------------------------------------------------
+# LAPACK kernels
+# ---------------------------------------------------------------------------
+
+(_gees, _trsyl, _potrf, _potrs, _gebal, _geqrf, _orgqr, _gges, _tgsen, _getrf,
+ _trtrs) = get_lapack_funcs(("gees", "trsyl", "potrf", "potrs", "gebal", "geqrf",
+                             "orgqr", "gges", "tgsen", "getrf", "trtrs"),
+                            dtype=np.float64)
+
+
+def _no_select(*_):
+    return None
+
+
+def _left_half_plane(re, im):
+    return re < 0.0
+
+
+def _real_schur(a, select=None):
+    """(T, Z, sdim) of scipy.linalg.schur(a, output="real", sort=select) via dgees.
+
+    sdim counts the selected eigenvalues; select None leaves them unsorted.
+    """
+    lwork = int(_gees(_no_select, a, lwork=-1)[-2][0])
+    result = _gees(select or _no_select, a, lwork=lwork, sort_t=select is not None)
+    info, n = result[-1], a.shape[0]
+    if info == n + 1:
+        raise LinAlgError("Eigenvalues could not be separated for reordering.")
+    if info == n + 2:
+        raise LinAlgError("Leading eigenvalues do not satisfy sort condition.")
+    if info > 0:
+        raise LinAlgError("Schur form not found. Possibly ill-conditioned.")
+    return result[0], result[-3], result[1]
+
+
+def _cholesky_solve(R, M):
+    """R^-1 M as cho_solve(cho_factor(R), M) computes it, via dpotrf and dpotrs.
+
+    Raises LinAlgError unless R is positive definite.
+    """
+    _check_finite(R)
+    c, info = _potrf(R, lower=False, clean=False)
+    if info > 0:
+        raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    return _potrs(c, M, lower=False)[0]
+
+
+def _lyapunov_step(Acl, F):
+    """X with Acl' X + X Acl = -F: solve_sylvester(Acl', Acl, -F) on one Schur factor.
+
+    Both Schur factors solve_sylvester takes, of a = Acl' and of b' = Acl',
+    are this one; its operation order is kept.
+    """
+    r, u, _ = _real_schur(Acl.T)
+    f = np.dot(np.dot(u.T, -F), u)
+    y, scale, _ = _trsyl(r, r, f, tranb="C")
+    y = scale * y
+    return np.dot(np.dot(u, y), u.T)
+
+
+def _unit_dare(a, b):
+    """solve_discrete_are(a, b, I, I), as scipy 1.17 computes it.
+
+    The pencil of the symplectic problem is balanced (gebal, as Benner
+    proposes), deflated by the QR factor of its R column and reordered by
+    QZ so the eigenvalues inside the unit circle lead (Arnold and Laub);
+    their basis [U1; U2] gives X = U2 U1^-1. Raises LinAlgError when that
+    basis is singular or far from symplectic.
+    """
+    _check_finite(a)
+    _check_finite(b)
+    m, n = b.shape
+    H = np.zeros((2 * m + n, 2 * m + n))
+    H[:m, :m] = a
+    H[:m, 2 * m:] = b
+    H[m:2 * m, :m] = -np.eye(m)  # -Q, zeros signed as scipy's
+    H[m:2 * m, m:2 * m] = np.eye(m)
+    H[2 * m:, 2 * m:] = np.eye(n)
+    J = np.zeros_like(H)
+    J[:m, :m] = np.eye(m)
+    J[m:2 * m, m:2 * m] = a.T
+    J[2 * m:, m:2 * m] = -b.T
+
+    # balance |H| + |J| off the diagonal, keeping the symplectic structure
+    M = np.abs(H) + np.abs(J)
+    np.fill_diagonal(M, 0.0)
+    _, lo, hi, ps, _ = _gebal(M, scale=True, permute=0)
+    sca = np.ones_like(ps, dtype=float)
+    sca[lo:hi + 1] = ps[lo:hi + 1]
+    if not _allclose(sca, 1.0, rtol=1e-5, atol=1e-8):
+        sca = np.log2(sca)
+        s = np.round((sca[m:2 * m] - sca[:m]) / 2)
+        sca = 2 ** np.concatenate([s, -s, sca[2 * m:]])
+        elwisescale = sca[:, None] * np.reciprocal(sca)
+        H *= elwisescale
+        J *= elwisescale
+
+    # deflate the pencil by the R column
+    col = H[:, -n:]
+    qr, tau, _, _ = _geqrf(col, lwork=int(_geqrf(col, lwork=-1)[-2][0]))
+    q = np.empty((2 * m + n, 2 * m + n))  # dorgqr fills the columns past n
+    q[:, :n] = qr
+    lwork = int(_orgqr(q, tau, lwork=-1, overwrite_a=1)[-2][0])
+    q = _orgqr(q, tau, lwork=lwork, overwrite_a=1)[0][:, n:].T
+    H = q.dot(H[:, :2 * m])
+    J = q.dot(J[:, :2 * m])
+
+    # QZ, then the eigenvalues inside the unit circle to the front
+    lwork = int(_gges(_no_select, H, J, lwork=-1)[-2][0])
+    AA, BB, _, alphar, alphai, beta, Q, Z, _, info = _gges(
+        _no_select, H, J, lwork=lwork, overwrite_a=True, overwrite_b=True, sort_t=0)
+    if 0 < info <= 2 * m:
+        warnings.warn("The QZ iteration failed. (a,b) are not in Schur form, but "
+                      "ALPHAR(j), ALPHAI(j), and BETA(j) should be correct for "
+                      f"J={info - 1},...,N", LinAlgWarning, stacklevel=3)
+    elif info > 2 * m:
+        raise LinAlgError("Something other than QZ iteration failed")
+    alpha = alphar + alphai * 1.j
+    select = np.zeros_like(alpha, dtype=bool)
+    nonzero = beta != 0
+    select[nonzero] = abs(alpha[nonzero] / beta[nonzero]) < 1.0
+    *_, u, _, _, _, _, info = _tgsen(select, AA, BB, Q, Z, ijob=0,
+                                     lwork=8 * m + 16, liwork=1)
+    if info == 1:
+        raise ValueError("Reordering of (A, B) failed because the transformed matrix "
+                         "pair (A, B) would be too far from generalized Schur form; "
+                         "the problem is very ill-conditioned. (A, B) may have been "
+                         "partially reordered.")
+
+    # X = U2 U1^-1 by LU of U1, after checking its condition
+    u00 = u[:m, :m]
+    u10 = u[m:, :m]
+    lu, piv, _ = _getrf(u00)
+    if 1 / np.linalg.cond(np.triu(lu)) < np.spacing(1.):
+        raise LinAlgError("Failed to find a finite solution.")
+    perm = np.arange(m)
+    for i, p in enumerate(piv):
+        perm[[i, p]] = perm[[p, i]]
+    up = np.zeros((m, m))
+    up[perm, np.arange(m)] = 1
+    y, _ = _trtrs(lu.T, u10.T, lower=True)
+    y, _ = _trtrs(lu.T, y, unitdiag=True)
+    x = y.T.dot(up.T)
+    x *= sca[:m, None] * sca[:m]
+
+    # a basis far from symplectic means eigenvalues too close to the circle
+    u_sym = u00.T.dot(u10)
+    n_u_sym = np.linalg.norm(u_sym, 1)
+    u_sym = u_sym - u_sym.T
+    if np.linalg.norm(u_sym, 1) > max(np.spacing(1000.), 0.1 * n_u_sym):
+        raise LinAlgError("The associated symplectic pencil has eigenvalues "
+                          "too close to the unit circle")
+    return (x + x.T) / 2
+
+
 # ---------------------------------------------------------------------------
 # continuous-time Riccati equation
 # ---------------------------------------------------------------------------
@@ -134,6 +302,8 @@ def care_residual(A, B, Q, R, P) -> float:
     return float(np.linalg.norm(A.T @ P + P @ A - P @ S @ P + Q))
 
 
+# a norm or product past the float range reads inf or nan, which the checks refuse
+@np.errstate(over="ignore", invalid="ignore")
 def solve_care(A, B, Q, R) -> np.ndarray:
     """Stabilizing solution of the continuous algebraic Riccati equation.
 
@@ -168,10 +338,9 @@ def solve_care(A, B, Q, R) -> np.ndarray:
     if np.linalg.eigvalsh(Qs).min() < -1e-10 * max(1.0, np.linalg.norm(Qs)):
         raise SynthesisError("state weight Q must be positive semidefinite")
     try:
-        chol = scipy.linalg.cho_factor(Rs)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+        S = B @ _cholesky_solve(Rs, B.T)
+    except LinAlgError:
         raise SynthesisError("input weight R must be positive definite") from None
-    S = B @ scipy.linalg.cho_solve(chol, B.T)
     S = 0.5 * (S + S.T)
 
     H = np.empty((2 * n, 2 * n))
@@ -179,7 +348,8 @@ def solve_care(A, B, Q, R) -> np.ndarray:
     H[:n, n:] = -S
     H[n:, :n] = -Qs
     H[n:, n:] = -A.T
-    T, Z, sdim = scipy.linalg.schur(H, output="real", sort="lhp")
+    _check_finite(H)
+    T, Z, sdim = _real_schur(H, _left_half_plane)
     if sdim != n:
         raise SynthesisError(
             f"stable invariant subspace has dimension {sdim}, expected {n}; "
@@ -188,7 +358,7 @@ def solve_care(A, B, Q, R) -> np.ndarray:
     U2 = Z[n:, :n]
     try:
         P = np.linalg.solve(U1.T, U2.T).T
-    except np.linalg.LinAlgError as exc:
+    except LinAlgError as exc:
         raise SynthesisError(
             "stable subspace basis is singular; no stabilizing solution") from exc
     P = 0.5 * (P + P.T)
@@ -205,8 +375,9 @@ def solve_care(A, B, Q, R) -> np.ndarray:
             break
         Acl = A - S @ P
         try:
-            X = scipy.linalg.solve_sylvester(Acl.T, Acl, -F)
-        except (np.linalg.LinAlgError, ValueError):
+            _check_finite(Acl)
+            X = _lyapunov_step(Acl, F)
+        except (LinAlgError, ValueError):
             break
         Pn = P + 0.5 * (X + X.T)
         Pn = 0.5 * (Pn + Pn.T)
@@ -239,8 +410,9 @@ class LqrDesign:
 
     K always excludes any integral state; designs that carry one report the
     integral gain separately in Ki so the control law reads
-    u = -K (x - x_ref) - Ki * integral. A non-finite K or Ki raises
-    ValueError.
+    u = -K (x - x_ref) - Ki * integral. A non-finite Q, R, P, K or Ki
+    raises ValueError; P is None and the residual NaN for a design that was
+    loaded, not synthesized.
     """
 
     Q: np.ndarray
@@ -260,7 +432,8 @@ class LqrDesign:
         if self.Ki is not None:
             object.__setattr__(self, "Ki", float(self.Ki))
         object.__setattr__(self, "residual", float(self.residual))
-        _require_finite(K=self.K, Ki=0.0 if self.Ki is None else self.Ki)
+        _require_finite(Q=self.Q, R=self.R, P=0.0 if self.P is None else self.P,
+                        K=self.K, Ki=0.0 if self.Ki is None else self.Ki)
 
 
 def lqr_gain(A, B, Q, R) -> LqrDesign:
@@ -379,9 +552,12 @@ def regular_form(Ad, Bd) -> RegularForm:
     if Bd.shape[1] != 1:
         raise ValueError("regular form expects a single input column")
     v = Bd[:, 0]
-    nb = np.linalg.norm(v)
+    with np.errstate(over="ignore"):
+        nb = np.linalg.norm(v)
     if nb == 0.0:
         raise ValueError("input column is zero")
+    if nb == math.inf:
+        raise ValueError("input column norm overflows")
     e = np.zeros(n)
     e[-1] = 1.0
     w = v - nb * e
@@ -488,13 +664,12 @@ def design_smc(ss: StateSpace, alpha: float = DEFAULT_SMC_ALPHA,
     Bd = ss.B.sum(axis=1, keepdims=True)
     try:
         rf = regular_form(Ad, Bd)
-    except ValueError as exc:  # a Ts short enough to underflow the input column
+    except ValueError as exc:  # a Ts that underflows the input column or overflows its norm
         raise ValueError(f"{exc} at Ts = {ss.Ts!r}") from None
 
-    n = Ad.shape[0]
     try:
-        Pz = scipy.linalg.solve_discrete_are(rf.A11, rf.A12, np.eye(n - 1), np.eye(1))
-    except np.linalg.LinAlgError as exc:
+        Pz = _unit_dare(rf.A11, rf.A12)
+    except LinAlgError as exc:
         raise SynthesisError(f"no sliding surface at Ts = {ss.Ts!r}: {exc}") from None
     C = np.linalg.solve(np.eye(1) + rf.A12.T @ Pz @ rf.A12, rf.A12.T @ Pz @ rf.A11)
     eigs, stable = smc_surface(rf.A11, rf.A12, C)
@@ -566,15 +741,25 @@ def stability_report(ss: StateSpace, K) -> StabilityReport:
 # design files
 # ---------------------------------------------------------------------------
 
-def save_design(design, path) -> None:
-    """Write an LqrDesign or SmcDesign to a labeled plain-text file."""
+def _known_platform(platform: str) -> str:
+    if platform not in DEFAULT_TS:
+        raise ValueError(f"unknown platform {platform!r}")
+    return platform
+
+
+def save_design(design, path, platform: str | None = None) -> None:
+    """Write an LqrDesign or SmcDesign to a labeled plain-text file.
+
+    A platform, when given, is written as the file's platform line.
+    """
+    named = {} if platform is None else {"platform": _known_platform(platform)}
     if isinstance(design, LqrDesign):
-        meta = {"design": "lqr", "residual": repr(design.residual),
+        meta = {"design": "lqr", **named, "residual": repr(design.residual),
                 "Ki": "none" if design.Ki is None else repr(design.Ki)}
         blocks = {"Q": design.Q, "R": design.R, "P": design.P, "K": design.K}
     elif isinstance(design, SmcDesign):
-        meta = {"design": "smc", "Ts": repr(design.Ts), "alpha": repr(design.alpha),
-                "k": repr(design.k)}
+        meta = {"design": "smc", **named, "Ts": repr(design.Ts),
+                "alpha": repr(design.alpha), "k": repr(design.k)}
         blocks = {"L": design.L, "Keq": design.Keq,
                   "surface_re": design.surface_eigs.real,
                   "surface_im": design.surface_eigs.imag}
@@ -583,7 +768,11 @@ def save_design(design, path) -> None:
     write_matrix_file(path, "pendulum-ctl controller design", meta, blocks)
 
 
-def _design_from(meta: dict, matrices: dict):
+def _design_from(meta: dict, matrices: dict, platform: str | None = None):
+    if "platform" in meta:
+        named = _known_platform(meta["platform"])
+        if platform is not None and named != platform:
+            raise ValueError(f"the design is for {named}, not {platform}")
     kind = meta.get("design")
     if kind == "lqr":
         ki = meta.get("Ki", "none")
@@ -599,11 +788,13 @@ def _design_from(meta: dict, matrices: dict):
     raise ValueError(f"unrecognized design kind {kind!r}")
 
 
-def load_design(path):
+def load_design(path, platform: str | None = None):
     """Read a design written by save_design.
 
-    A bad file raises ValueError, and so does a design its type refuses.
-    The k_exceeds_bound line of older SMC files is ignored: k, Ts and
-    alpha tell it.
+    A bad file raises ValueError, and so does a design its type refuses or,
+    with platform given, a file whose platform line names another one. A
+    file without that line loads for any platform. The k_exceeds_bound line
+    of older SMC files is ignored: k, Ts and alpha tell it.
     """
-    return read_matrix_file(path, _design_from)
+    return read_matrix_file(path, lambda meta, matrices:
+                            _design_from(meta, matrices, platform))

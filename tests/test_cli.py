@@ -106,19 +106,48 @@ def test_synthesize_indefinite_q_is_synthesis_failure(tmp_path, capsys):
                     "--q=-1,1,1,1", "--r", "1", "--out", str(out)]) == 2
 
 
-def test_synthesize_smc_at_an_overflowing_ts_is_one_error_line(tmp_path):
+def _fresh_run(argv):
     # a fresh interpreter shows the stderr a shell sees, warnings included
-    out = tmp_path / "design.txt"
     code = "import sys; from pendulum_ctl import cli; sys.exit(cli.run(sys.argv[1:]))"
-    result = subprocess.run(
-        [sys.executable, "-c", code, "synthesize", "--platform", "rotpen", "--smc",
-         "--ts", "1e3", "--out", str(out)],
-        capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert result.returncode == 1
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+
+
+def test_synthesize_smc_at_an_overflowing_ts_is_one_error_line(tmp_path):
+    # 1000 s overflows the matrix exponential, 100 s the norm of the input column
+    out = tmp_path / "design.txt"
+    for platform, ts in (("rotpen", "1e3"), ("nxtway", "100")):
+        result = _fresh_run(["synthesize", "--platform", platform, "--smc", "--ts", ts,
+                             "--out", str(out)])
+        assert result.returncode == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert f"Ts = {float(ts)!r}" in lines[0], lines
+        assert "Warning" not in result.stderr
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("platform, q", [("rotpen", "1e300,1,1,1"),
+                                         ("nxtway", "1e200,1,1,1,1")])
+def test_synthesize_with_overflowing_weights_is_one_error_line(tmp_path, platform, q):
+    out = tmp_path / "design.txt"
+    result = _fresh_run(["synthesize", "--platform", platform, "--q", q, "--out", str(out)])
+    assert result.returncode == 2
     lines = result.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ") and "Ts" in lines[0], lines
+    assert len(lines) == 1 and lines[0].startswith("synthesis failed: "), lines
     assert "Warning" not in result.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["--platform", "rotpen", "--q=-1,1,1,1"], "state weight Q must be positive semidefinite"),
+    (["--platform", "nxtway", "--r", "1,0"], "input weight R must be positive definite"),
+])
+def test_synthesis_failures_keep_their_exit_code_and_message(tmp_path, capsys, argv, line):
+    out = tmp_path / "design.txt"
+    assert cli.run(["synthesize", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"synthesis failed: {line}"]
     assert not out.exists()
 
 
@@ -129,9 +158,8 @@ def test_synthesize_smc_without_a_sliding_surface_is_synthesis_failure(tmp_path,
     out = tmp_path / "design.txt"
     assert cli.run(["synthesize", "--platform", platform, "--smc", "--ts", "50",
                     "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("synthesis failed: ") and "Ts = 50.0" in err
-    assert "Traceback" not in err
+    assert capsys.readouterr().err.splitlines() == [
+        "synthesis failed: no sliding surface at Ts = 50.0: Failed to find a finite solution."]
     assert not any(tmp_path.iterdir())
 
 
@@ -355,6 +383,8 @@ Ki = none
     ("Ki = none", "Ki none"),                                 # stray line
     ("Ki = none", "Ki = lots"),                               # non-numeric key
     ("design = lqr", "design = pid"),                         # unknown kind
+    ("[Q] rows=1 cols=1\n1.0\n", "[Q] rows=1 cols=1\nnan\n"),  # non-finite weight
+    ("design = lqr", "design = lqr\nplatform = segway"),       # unknown platform
 ])
 def test_simulate_malformed_design_file(tmp_path, capsys, edit):
     dfile = tmp_path / "design.txt"
@@ -415,6 +445,24 @@ def test_smc_design_runs_only_at_its_sample_time(tmp_path, capsys):
     assert cli.run(argv) == 1  # the default rotpen period is 0.002
     assert "Ts = 0.01" in capsys.readouterr().err
     assert cli.run(argv + ["--ts", "0.01"]) == 0
+
+
+def test_simulate_refuses_a_design_file_of_another_platform(tmp_path, capsys):
+    dfile = tmp_path / "rotpen_smc.txt"
+    assert cli.run(["synthesize", "--platform", "rotpen", "--smc", "--out", str(dfile)]) == 0
+    assert "platform = rotpen" in dfile.read_text().splitlines()
+    argv = ["simulate", "--controller", "smc", "--ts", "0.002", "--design", str(dfile),
+            "--duration", "0.1", "--trace", str(tmp_path / "t.csv"),
+            "--metrics", str(tmp_path / "m.csv")]
+    capsys.readouterr()
+    assert cli.run(argv + ["--platform", "nxtway"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(dfile) in err
+    assert "for rotpen, not nxtway" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rotpen_smc.txt"]
+    # a file without the platform line loads as before
+    dfile.write_text(dfile.read_text().replace("platform = rotpen\n", ""))
+    assert cli.run(argv + ["--platform", "nxtway"]) == 0
 
 
 _SIM = ["simulate", "--platform", "rotpen", "--duration", "0.1"]

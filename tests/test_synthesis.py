@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from pendulum_ctl import synthesis
 from pendulum_ctl.errors import SynthesisError
 from pendulum_ctl.linearize import (
     StateSpace,
@@ -21,8 +22,9 @@ from pendulum_ctl.linearize import (
     nxtway_statespace_closed_form,
     rotpen_statespace_closed_form,
 )
-from pendulum_ctl.plants import default_params
+from pendulum_ctl.plants import default_params, params_from_mapping
 from pendulum_ctl.synthesis import (
+    DEFAULT_LQR_WEIGHTS,
     DEFAULT_NXTWAY_Q,
     DEFAULT_NXTWAY_R,
     DEFAULT_ROTPEN_Q,
@@ -144,17 +146,20 @@ def test_care_random_batch_residual_and_stability():
 def test_care_rejects_nonstabilizable_pair():
     A = np.diag([1.0, 1.0])
     B = np.array([[1.0], [0.0]])
-    with pytest.raises(SynthesisError):
+    with pytest.raises(SynthesisError,
+                       match="^stable subspace basis is singular; no stabilizing solution$"):
         solve_care(A, B, np.eye(2), [[1.0]])
 
 
 def test_care_input_validation():
     with pytest.raises(ValueError):
         solve_care(np.zeros((2, 2)), np.zeros((3, 1)), np.eye(2), [[1.0]])
-    with pytest.raises(SynthesisError):
-        solve_care([[0.0]], [[1.0]], [[-1.0]], [[1.0]])  # Q not PSD
-    with pytest.raises(SynthesisError):
-        solve_care([[0.0]], [[1.0]], [[1.0]], [[0.0]])  # R singular
+    with pytest.raises(SynthesisError, match="^state weight Q must be positive semidefinite$"):
+        solve_care([[0.0]], [[1.0]], [[-1.0]], [[1.0]])
+    for args in (([[0.0]], [[1.0]], [[1.0]], [[0.0]]),  # R singular, then indefinite
+                 (np.eye(2), np.eye(2), np.eye(2), np.diag([1.0, -1.0]))):
+        with pytest.raises(SynthesisError, match="^input weight R must be positive definite$"):
+            solve_care(*args)
 
 
 def _asymmetric(base, i, j, delta):
@@ -212,6 +217,90 @@ def test_nxtway_motor_symmetry_check_keeps_the_allclose_boundary():
         else:
             with pytest.raises(ValueError, match="not symmetric"):
                 nxtway_integral_lqr(skewed)
+
+
+# ---------------------------------------------------------------------------
+# LAPACK kernels, each checked bit for bit against the scipy.linalg function
+# whose arguments it passes
+# ---------------------------------------------------------------------------
+
+_KERNEL_ORACLES = {
+    # sdim is 0 when nothing is sorted
+    "_real_schur": lambda a, select=None: (*scipy.linalg.schur(a, output="real"), 0)
+    if select is None else scipy.linalg.schur(a, output="real", sort="lhp"),
+    "_lyapunov_step": lambda Acl, F: scipy.linalg.solve_sylvester(Acl.T, Acl, -F),
+    "_cholesky_solve": lambda R, M: scipy.linalg.cho_solve(scipy.linalg.cho_factor(R), M),
+    "_unit_dare": lambda a, b: scipy.linalg.solve_discrete_are(
+        a, b, np.eye(a.shape[0]), np.eye(b.shape[1])),
+}
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        return exc
+
+
+def _same(a, b) -> bool:
+    """Equal bytes for arrays, equal type and message for exceptions."""
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return (isinstance(a, tuple) and isinstance(b, tuple) and len(a) == len(b)
+                and all(_same(x, y) for x, y in zip(a, b)))
+    if isinstance(a, Exception) or isinstance(b, Exception):
+        return type(a) is type(b) and str(a) == str(b)
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _perturbed(platform, rng):
+    """The platform's plant with a mass, a length and a friction term within +-20%."""
+    base = default_params(platform)
+    names = {"rotpen": ("m_p", "L_p", "f_p"), "nxtway": ("M", "L", "f_m")}[platform]
+    return params_from_mapping(platform, {k: getattr(base, k) * rng.uniform(0.8, 1.2)
+                                          for k in names})
+
+
+def test_lapack_kernels_match_scipy_bit_for_bit(monkeypatch):
+    # every kernel call that seeded +-20% plants of both platforms make, with
+    # weights scaled by up to 10^+-6 and Ts from 0.1 ms to 50 ms, against the
+    # scipy function on the same inputs; failures must match too
+    calls = {name: [] for name in _KERNEL_ORACLES}
+    for name, log in calls.items():
+        def record(*args, _kernel=getattr(synthesis, name), _log=log):
+            _log.append((args, _outcome(_kernel, *args)))
+            return _kernel(*args)
+        monkeypatch.setattr(synthesis, name, record)
+
+    rng = np.random.default_rng(13)
+    periods = (1e-4, 5e-4, 1e-3, 2e-3, 4e-3, 1e-2, 2e-2, 5e-2)
+    for i in range(32):
+        platform = ("rotpen", "nxtway")[i % 2]
+        params = _perturbed(platform, rng)
+        Q0, R0 = DEFAULT_LQR_WEIGHTS[platform]
+        Q = np.diag(np.diag(Q0) * 10.0 ** rng.uniform(-6, 6, len(Q0)))
+        # the robot's motors keep equal weights and gain a coupling term
+        R = (R0 + rng.uniform(-0.9, 0.9) * R0[0, 0] * (1 - np.eye(len(R0)))) \
+            * 10.0 ** rng.uniform(-6, 6)
+        for design in (lambda: nominal_lqr(params, Q, R),
+                       lambda: nominal_smc(params, Ts=periods[i % len(periods)])):
+            try:
+                design()
+            except SynthesisError:
+                pass
+    for platform in ("rotpen", "nxtway"):  # no sliding surface, in the kernel too
+        for Ts in (10.0, 50.0):
+            with pytest.raises(SynthesisError, match="Failed to find a finite solution"):
+                nominal_smc(default_params(platform), Ts=Ts)
+    for R in ([[0.0]], np.diag([1.0, -1.0]), [[1.0, 2.0], [2.0, 1.0]]):  # not definite
+        _outcome(synthesis._cholesky_solve, np.array(R), np.ones((len(R), 3)))
+
+    assert all(len(log) >= 32 for log in calls.values())
+    for name in ("_cholesky_solve", "_unit_dare"):  # failures are compared too
+        assert any(isinstance(out, Exception) for _, out in calls[name])
+    for name, log in calls.items():
+        for args, out in log:
+            assert _same(out, _outcome(_KERNEL_ORACLES[name], *args)), (name, args)
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +594,24 @@ def test_reference_design_builder_and_roundtrip(tmp_path):
         reference_lqr_design("segway")
 
 
+def test_design_files_name_their_platform(tmp_path):
+    d = nominal_smc(default_params("rotpen"))
+    named, unnamed = tmp_path / "named.txt", tmp_path / "unnamed.txt"
+    save_design(d, named, "rotpen")
+    save_design(d, unnamed)
+    assert "platform = rotpen" in named.read_text().splitlines()
+    assert named.read_text().replace("platform = rotpen\n", "") == unnamed.read_text()
+    for path, platform in ((named, "rotpen"), (named, None), (unnamed, "nxtway")):
+        assert load_design(path, platform).L.tobytes() == d.L.tobytes()
+    with pytest.raises(ValueError, match=f"{named}: the design is for rotpen, not nxtway"):
+        load_design(named, "nxtway")
+    named.write_text(named.read_text().replace("= rotpen", "= segway"))
+    with pytest.raises(ValueError, match="unknown platform 'segway'"):
+        load_design(named)
+    with pytest.raises(ValueError, match="unknown platform"):
+        save_design(d, unnamed, "segway")
+
+
 def test_smc_design_roundtrip(tmp_path):
     ss = discretize_zoh(nxtway_statespace_closed_form(default_params("nxtway")), 0.004)
     d = design_smc(ss, alpha=100.0, k=20.0)
@@ -585,6 +692,8 @@ def test_smc_design_refuses_what_design_smc_would_not_make(field, value, message
 @pytest.mark.parametrize("field, value", [
     ("K", [[0.0, math.nan, 0.0, 0.0]]), ("K", [[math.inf, 0.0, 0.0, 0.0]]),
     ("Ki", math.inf), ("Ki", math.nan),
+    ("Q", [[math.nan, 0.0], [0.0, 1.0]]), ("R", [[math.inf]]),
+    ("P", np.diag([1.0, 1.0, -math.inf, 1.0])),
 ])
 def test_lqr_design_refuses_non_finite_gains(field, value):
     good = dict(Q=np.eye(4), R=np.eye(1), P=None, K=np.zeros((1, 4)), Ki=0.5)
