@@ -24,7 +24,7 @@ for platform in ("rotpen", "nxtway"):
     for name, design in (("lqr", nominal_lqr(params)), ("smc", nominal_smc(params))):
         trace = simulate(params, design, cfg)
         metrics = compute_metrics(trace, V_max=params.V_max)
-        runs.append((f"{platform} {name}", metrics))
+        runs.append((platform, name, metrics))
         print(f"{platform} {name}: quality {metrics.stabilization_quality}, "
               f"peak drive {metrics.u_inf:.2f} V "
               f"({metrics.u_pct_max:.1f}% of the limit)")

@@ -2,14 +2,14 @@
 
 The recorded hardware gain set balances the pendulum while a pulse train
 worth half the actuator budget slams the input every minute. The script
-reports how far the pole is pushed, how fast it re-enters a 0.02 rad
-band, and what the drive signal costs, then leaves the full trace on
-disk for plotting.
+reports how far the pole is pushed, how fast it re-enters the settling
+band of the metrics, and what the drive signal costs, then leaves the
+full trace on disk for plotting.
 """
 
 import numpy as np
 
-from pendulum_ctl.metrics import compute_metrics
+from pendulum_ctl.metrics import SETTLE_BAND, compute_metrics
 from pendulum_ctl.plants import default_params
 from pendulum_ctl.simulate import SimConfig, save_trace_csv, simulate, standard_pulse_train
 from pendulum_ctl.synthesis import DEFAULT_TS, reference_lqr_design
@@ -29,10 +29,10 @@ first_on = (trace.t >= pulse.start_time) & (
     trace.t < pulse.start_time + pulse.duty / pulse.frequency)
 q2 = trace.x[:, 1]
 peak = np.abs(q2[first_on]).max()
-outside = first_on & (np.abs(q2) > 0.02)
+outside = first_on & (np.abs(q2) > SETTLE_BAND)
 reentry = trace.t[outside].max() - pulse.start_time if outside.any() else 0.0
 print(f"peak |q2| during the first ON phase: {peak:.4f} rad")
-print(f"back inside 0.02 rad within {reentry:.2f} s of the edge")
+print(f"back inside {SETTLE_BAND} rad within {reentry:.2f} s of the edge")
 
 metrics = compute_metrics(trace, V_max=params.V_max,
                           disturbance_onset=pulse.start_time)

@@ -7,10 +7,10 @@ defaults, then the config file (from --config or the PENDULUM_CTL_CONFIG
 environment variable), then explicit flags. Config files are plain text
 with one key=value pair per line and # comments.
 
-Exit codes: 0 success, 1 configuration error (including an unwritable
-output path, or two outputs of one command that name the same file), 2
-synthesis failure, 3 diverged simulation. simulate and compare check their
-output paths and run settings before simulating anything.
+Exit codes: 0 success, 1 bad input (a ValueError or OSError, such as an
+unwritable output path), 2 synthesis failure (a SynthesisError), 3 diverged
+simulation. simulate and compare check their output paths and run settings
+before simulating anything. `python -m pendulum_ctl.cli` runs it too.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, SynthesisError
+from .errors import SynthesisError
 from .linearize import closed_form, jacobian_linearize, save_statespace
 from .matrixfile import format_matrix
 from .metrics import comparison_report, compute_metrics, save_metrics_csv
@@ -98,7 +98,8 @@ _SETTINGS = {
     "simulate": ("run one closed-loop experiment, write a trace CSV and a "
                  "metrics CSV", {
         "platform": (_PLATFORM, None, "rotpen or nxtway"),
-        "controller": (_choice("lqr", "smc"), "lqr", "lqr or smc (default lqr)"),
+        "controller": (_choice("lqr", "smc"), None, "lqr or smc (default: lqr, or "
+                       "the kind of --design)"),
         "design": (str, None, "design file from `synthesize`"),
         "gains": (_choice("reference"), None, "'reference' selects the recorded "
                   "hardware gain set instead of synthesizing"),
@@ -146,14 +147,14 @@ def _read_config(path: str) -> dict[str, str]:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+        raise ValueError(f"cannot read config file {path}: {exc}") from None
     pairs: dict[str, str] = {}
     for number, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ConfigError(
+            raise ValueError(
                 f"{path}:{number}: {stripped!r} has no assignment")
         key, _, value = stripped.partition("=")
         pairs[key.strip().replace("-", "_")] = value.strip()
@@ -169,17 +170,17 @@ def _resolve_settings(command: str, args: argparse.Namespace) -> dict:
     given += [(key, flags[key]) for key in rows if flags[key] is not None]
     for key, raw in given:
         if key not in rows:
-            raise ConfigError(f"unknown config key for {command}: {key}")
+            raise ValueError(f"unknown config key for {command}: {key}")
         try:
             settings[key] = rows[key][0](raw)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid value for {key}: {raw!r} ({exc})") from None
+            raise ValueError(f"invalid value for {key}: {raw!r} ({exc})") from None
     return settings
 
 
 def _require(settings: dict, key: str):
     if settings[key] is None:
-        raise ConfigError(f"missing required key: {key}")
+        raise ValueError(f"missing required key: {key}")
     return settings[key]
 
 
@@ -188,25 +189,25 @@ def _require(settings: dict, key: str):
 # ---------------------------------------------------------------------------
 
 def _check_writable(path: str, parents: bool = False) -> None:
-    """Raise ConfigError unless a file can be written at path; touch nothing.
+    """Raise ValueError unless a file can be written at path; touch nothing.
 
     Lets a command refuse an unusable output path before it simulates
     anything. With parents, missing parent directories count as creatable.
     """
     target = os.path.abspath(path)
     if os.path.isdir(target):
-        raise ConfigError(f"cannot write {path}: it is a directory")
+        raise ValueError(f"cannot write {path}: it is a directory")
     if os.path.exists(target):
         if not os.access(target, os.W_OK):
-            raise ConfigError(f"cannot write {path}: permission denied")
+            raise ValueError(f"cannot write {path}: permission denied")
         return
     folder = os.path.dirname(target)
     while parents and not os.path.exists(folder):
         folder = os.path.dirname(folder)
     if not os.path.isdir(folder):
-        raise ConfigError(f"cannot write {path}: {folder} is not an existing directory")
+        raise ValueError(f"cannot write {path}: {folder} is not an existing directory")
     if not os.access(folder, os.W_OK | os.X_OK):
-        raise ConfigError(f"cannot write {path}: permission denied in {folder}")
+        raise ValueError(f"cannot write {path}: permission denied in {folder}")
 
 
 def _check_outputs(outputs) -> None:
@@ -221,8 +222,8 @@ def _check_outputs(outputs) -> None:
         home = os.path.abspath(path)
         for target, other in targets.items():
             if os.path.commonpath([home, target]) == home != target:
-                raise ConfigError(f"cannot write {path}: it is a folder that {other} "
-                                  "is written into")
+                raise ValueError(f"cannot write {path}: it is a folder that {other} "
+                                 "is written into")
         _check_writable(path, parents)
         real = os.path.realpath(path)
         if os.path.exists(real):
@@ -230,26 +231,27 @@ def _check_outputs(outputs) -> None:
                 continue  # a device such as /dev/null may take several outputs
             real = os.stat(real)[1:3]  # (inode, device): hard links reach one file
         if real in seen:
-            raise ConfigError(f"{seen[real]} and {key} both name the file {path}")
+            raise ValueError(f"{seen[real]} and {key} both name the file {path}")
         seen[real] = key
 
 
-def _make_design(platform: str, controller: str, settings: dict):
+def _make_design(platform: str, controller: str | None, settings: dict):
     """Load, look up or synthesize the requested controller for one platform.
 
     A design file and the recorded gains each select the whole design, so
-    giving both raises ConfigError. A design file that names another
-    platform raises ValueError.
+    giving both raises ValueError, and so does a design file that names
+    another platform. A design file decides the controller; without one, no
+    controller means lqr.
     """
     if settings.get("design"):
         if settings.get("gains"):
-            raise ConfigError("design and gains both select the design; give one")
+            raise ValueError("design and gains both select the design; give one")
         try:
             return load_design(settings["design"], platform)
         except OSError as exc:
-            raise ConfigError(f"cannot read design file: {exc}") from None
+            raise ValueError(f"cannot read design file: {exc}") from None
     reference = settings.get("gains") == "reference"
-    if controller == "lqr" and reference:
+    if controller != "smc" and reference:
         return reference_lqr_design(platform)
     params = default_params(platform)
     if controller == "smc":
@@ -262,7 +264,7 @@ def _make_design(platform: str, controller: str, settings: dict):
         return nominal_lqr(params, None if q is None else np.diag(q),
                            None if r is None else np.diag(r))
     except ValueError as exc:
-        raise ConfigError(f"invalid weights q/r: {exc}") from None
+        raise ValueError(f"invalid weights q/r: {exc}") from None
 
 
 def _disturbance(settings: dict, V_max: float) -> DisturbanceSpec:
@@ -273,7 +275,7 @@ def _disturbance(settings: dict, V_max: float) -> DisturbanceSpec:
         return standard_pulse_train(V_max)
     for key in ("dist_amplitude", "dist_frequency"):
         if settings[key] is None:
-            raise ConfigError(f"disturbance=pulse requires {key}")
+            raise ValueError(f"disturbance=pulse requires {key}")
     return DisturbanceSpec(kind="pulse_train",
                            amplitude=settings["dist_amplitude"],
                            frequency=settings["dist_frequency"],
@@ -339,13 +341,15 @@ def _cmd_simulate(settings: dict) -> int:
     platform = _require(settings, "platform")
     _check_outputs([("trace", settings["trace"], False),
                     ("metrics", settings["metrics"], False)])
-    controller = settings["controller"]
-    design = _make_design(platform, controller, settings)
+    design = _make_design(platform, settings["controller"], settings)
+    kind = "smc" if isinstance(design, SmcDesign) else "lqr"
+    if settings["controller"] not in (None, kind):  # only a design file can disagree
+        raise ValueError(f"controller {settings['controller']} disagrees with the {kind} "
+                         f"design in {settings['design']}")
     trace, metrics = _experiment(platform, design, settings)()
 
-    kind = "smc" if isinstance(design, SmcDesign) else "lqr"
     save_trace_csv(trace, settings["trace"])
-    save_metrics_csv([(f"{platform} {kind}", metrics)], settings["metrics"])
+    save_metrics_csv([(platform, kind, metrics)], settings["metrics"])
     print(f"wrote {settings['trace']} and {settings['metrics']}")
     print(f"quality: {metrics.stabilization_quality}, "
           f"u_inf = {metrics.u_inf:.3f} V ({metrics.u_pct_max:.1f}% of limit)")
@@ -384,7 +388,7 @@ def _cmd_compare(settings: dict) -> int:
     diverged = False
     for run, experiment in experiments.items():
         trace, metrics = experiment()
-        rows.append(("%s %s" % run, metrics))
+        rows.append((*run, metrics))
         diverged = diverged or trace.diverged
         if trace_dir:
             save_trace_csv(trace, trace_paths[run])
@@ -473,9 +477,6 @@ def run(argv=None) -> int:
     try:
         settings = _resolve_settings(args.command, args)
         return _DISPATCH[args.command](settings)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except SynthesisError as exc:
         print(f"synthesis failed: {exc}", file=sys.stderr)
         return 2
@@ -486,3 +487,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

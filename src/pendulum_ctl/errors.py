@@ -1,9 +1,5 @@
 """Exception types shared across the toolkit."""
 
 
-class ConfigError(ValueError):
-    """Raised for malformed configuration input (unknown key, bad value)."""
-
-
 class SynthesisError(RuntimeError):
     """Raised when a controller synthesis cannot be completed."""

@@ -40,8 +40,15 @@ class Metrics:
     u_inf: float
     u_pct_max: float
     pole_vel_max: float
-    stabilization_quality: str
     scattering_score: float
+
+    @property
+    def stabilization_quality(self) -> str:
+        """Derived: "diverged" without a settle time, else "smooth" while the
+        scattering score stays below SMOOTH_SCORE_LIMIT, else "scattering"."""
+        if self.settle_time is None:
+            return "diverged"
+        return "smooth" if self.scattering_score < SMOOTH_SCORE_LIMIT else "scattering"
 
 
 def compute_metrics(trace: SimTrace, V_max: float, disturbance_onset: float = 0.0,
@@ -50,9 +57,7 @@ def compute_metrics(trace: SimTrace, V_max: float, disturbance_onset: float = 0.
 
     The settle time is the last time |q2 - reference_q2| exceeds
     SETTLE_BAND, minus the onset, clamped at zero. A trace that never
-    leaves the band settles at 0.0. Quality is "smooth" when the scattering
-    score stays below SMOOTH_SCORE_LIMIT, "scattering" otherwise, and
-    "diverged" verbatim for diverged traces.
+    leaves the band settles at 0.0; a diverged trace has no settle time.
     """
     if trace.t.size == 0:
         raise ValueError("cannot compute metrics for an empty trace")
@@ -66,69 +71,51 @@ def compute_metrics(trace: SimTrace, V_max: float, disturbance_onset: float = 0.
     du = np.abs(np.diff(trace.u_applied))
     score = float(np.mean(du) / V_max) if du.size else 0.0
 
-    if trace.diverged:
-        return Metrics(settle_time=None, u_inf=u_inf, u_pct_max=u_pct_max,
-                       pole_vel_max=pole_vel_max,
-                       stabilization_quality="diverged",
-                       scattering_score=score)
-
-    outside = np.abs(trace.x[:, 1] - reference_q2) > SETTLE_BAND
-    if np.any(outside):
-        settle = max(0.0, float(trace.t[outside][-1]) - disturbance_onset)
-    else:
-        settle = 0.0
-    quality = "smooth" if score < SMOOTH_SCORE_LIMIT else "scattering"
+    settle = None
+    if not trace.diverged:
+        outside = np.abs(trace.x[:, 1] - reference_q2) > SETTLE_BAND
+        settle = (max(0.0, float(trace.t[outside][-1]) - disturbance_onset)
+                  if np.any(outside) else 0.0)
     return Metrics(settle_time=settle, u_inf=u_inf, u_pct_max=u_pct_max,
-                   pole_vel_max=pole_vel_max, stabilization_quality=quality,
-                   scattering_score=score)
+                   pole_vel_max=pole_vel_max, scattering_score=score)
 
 
 def _estado_cell(m: Metrics) -> str:
-    if m.stabilization_quality == "diverged":
-        return "diverged"
-    return f"{m.stabilization_quality} ({m.settle_time:.2f} s)"
+    quality = m.stabilization_quality
+    return quality if m.settle_time is None else f"{quality} ({m.settle_time:.2f} s)"
 
 
-def _potencia_cell(label: str, m: Metrics) -> str:
-    low = label.lower()
-    if "nxtway" in low:
-        return f"{m.u_pct_max:.1f} %"
-    if "rotpen" in low or "quanser" in low:
-        return f"{m.u_inf:.2f} V"
-    return f"{m.u_inf:.2f} V / {m.u_pct_max:.1f} %"
+# the power cell's unit per platform, and the (Criterio Energía Mínima,
+# Robustez) cells per controller
+_POWER_CELLS = {"rotpen": "{0.u_inf:.2f} V", "nxtway": "{0.u_pct_max:.1f} %"}
+_DESIGN_CELLS = {"lqr": ("Si", "No"), "smc": ("No", "Si")}
 
 
-def _design_cells(label: str) -> tuple[str, str]:
-    low = label.lower()
-    if "lqr" in low:
-        return "Si", "No"
-    if "smc" in low:
-        return "No", "Si"
-    return "-", "-"
+def _label(platform: str, controller: str) -> str:
+    if platform not in _POWER_CELLS:
+        raise ValueError(f"unknown platform {platform!r} (expected rotpen or nxtway)")
+    if controller not in _DESIGN_CELLS:
+        raise ValueError(f"unknown controller {controller!r} (expected lqr or smc)")
+    return f"{platform} {controller}"
 
 
-def comparison_report(runs: list[tuple[str, Metrics]]) -> str:
+def comparison_report(runs: list[tuple[str, str, Metrics]]) -> str:
     """Render runs as an aligned plain-text comparison table.
 
-    Each entry is a (label, metrics) pair; rows keep the input order.
-    The power column unit follows the platform named in the label,
-    percent of V_max for nxtway and volts for rotpen or quanser, and
-    labels containing "lqr" or "smc" fill the two design criterion
-    columns. Pole velocities are reported in rad/s.
+    Each entry is a (platform, controller, metrics) triple, labeled
+    "platform controller"; rows keep the input order. The power column
+    reads volts for rotpen and percent of V_max for nxtway, and the
+    controller fills the two design criterion columns. Pole velocities are
+    reported in rad/s.
     """
     if not runs:
         raise ValueError("comparison_report needs at least one run")
 
     header = ["Corrida", "Estado q2", "Potencia", "Velocidad Máxima",
               "Criterio Energía Mínima", "Robustez"]
-    rows = []
-    for label, m in runs:
-        label = str(label)
-        if not label.strip():
-            raise ValueError("run labels must be non-empty")
-        energia, robustez = _design_cells(label)
-        rows.append([label, _estado_cell(m), _potencia_cell(label, m),
-                     f"{m.pole_vel_max:.3f}", energia, robustez])
+    rows = [[_label(platform, controller), _estado_cell(m),
+             _POWER_CELLS[platform].format(m), f"{m.pole_vel_max:.3f}",
+             *_DESIGN_CELLS[controller]] for platform, controller, m in runs]
 
     widths = [max(len(header[i]), max(len(r[i]) for r in rows))
               for i in range(len(header))]
@@ -143,14 +130,15 @@ def comparison_report(runs: list[tuple[str, Metrics]]) -> str:
     return "\n".join(lines)
 
 
-def save_metrics_csv(runs: list[tuple[str, Metrics]], path) -> None:
+def save_metrics_csv(runs: list[tuple[str, str, Metrics]], path) -> None:
     """Write one CSV row per run; a diverged settle time is left blank."""
     if not runs:
         raise ValueError("save_metrics_csv needs at least one run")
+    labels = [_label(platform, controller) for platform, controller, _ in runs]
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_CSV_FIELDS)
-        for label, m in runs:
+        for label, (_, _, m) in zip(labels, runs):
             settle = "" if m.settle_time is None else repr(float(m.settle_time))
             writer.writerow([label, settle, repr(float(m.u_inf)),
                              repr(float(m.u_pct_max)),

@@ -36,8 +36,6 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .errors import ConfigError
-
 __all__ = [
     "RotPenParams",
     "NxtwayParams",
@@ -202,7 +200,7 @@ def default_params(platform: str) -> PlantParams:
         return RotPenParams()
     if key == "nxtway":
         return NxtwayParams()
-    raise ConfigError(f"unknown platform {platform!r} (expected rotpen or nxtway)")
+    raise ValueError(f"unknown platform {platform!r} (expected rotpen or nxtway)")
 
 
 def params_from_mapping(platform: str, overrides: Mapping[str, object]) -> PlantParams:
@@ -214,9 +212,9 @@ def params_from_mapping(platform: str, overrides: Mapping[str, object]) -> Plant
 
     Raises
     ------
-    ConfigError
-        For an unknown key, or a non-numeric or non-finite value.
-        Base-field invariant violations raise ValueError.
+    ValueError
+        For an unknown key, a non-numeric or non-finite value, or a
+        violated base-field invariant.
     """
     base = default_params(platform)
     fields = {f.name for f in dataclasses.fields(base)}
@@ -225,11 +223,11 @@ def params_from_mapping(platform: str, overrides: Mapping[str, object]) -> Plant
         try:
             value = float(raw)  # type: ignore[arg-type]
         except (TypeError, ValueError):
-            raise ConfigError(f"parameter {key}: {raw!r} is not a number") from None
+            raise ValueError(f"parameter {key}: {raw!r} is not a number") from None
         if not math.isfinite(value):
-            raise ConfigError(f"parameter {key}: {raw!r} is not finite")
+            raise ValueError(f"parameter {key}: {raw!r} is not finite")
         if key not in fields:
-            raise ConfigError(f"unknown parameter {key!r} for platform {base.platform}")
+            raise ValueError(f"unknown parameter {key!r} for platform {base.platform}")
         values[key] = value
     return dataclasses.replace(base, **values)
 

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
 from .plants import PlantParams, period_stepper
 from .synthesis import LqrDesign, SmcDesign
 
@@ -66,20 +65,20 @@ class DisturbanceSpec:
 
     def __post_init__(self):
         if self.kind not in ("none", "pulse_train"):
-            raise ConfigError(f"unknown disturbance kind {self.kind!r}")
+            raise ValueError(f"unknown disturbance kind {self.kind!r}")
         for name in ("amplitude", "frequency", "start_time", "duty"):
             value = float(getattr(self, name))
             if not math.isfinite(value):
-                raise ConfigError(f"disturbance {name} must be finite")
+                raise ValueError(f"disturbance {name} must be finite")
             object.__setattr__(self, name, value)
         if self.amplitude < 0.0:
-            raise ConfigError("disturbance amplitude must be non-negative")
+            raise ValueError("disturbance amplitude must be non-negative")
         if self.kind == "pulse_train" and self.frequency <= 0.0:
-            raise ConfigError("pulse train frequency must be positive")
+            raise ValueError("pulse train frequency must be positive")
         if not 0.0 <= self.duty <= 1.0:
-            raise ConfigError("duty cycle must lie in [0, 1]")
+            raise ValueError("duty cycle must lie in [0, 1]")
         if self.start_time < 0.0:
-            raise ConfigError("start_time must be non-negative")
+            raise ValueError("start_time must be non-negative")
 
 
 def standard_pulse_train(V_max: float) -> DisturbanceSpec:
@@ -136,59 +135,59 @@ class SimConfig:
         object.__setattr__(self, "duration", float(self.duration))
         object.__setattr__(self, "controller_Ts", float(self.controller_Ts))
         if not (math.isfinite(self.duration) and self.duration > 0.0):
-            raise ConfigError("duration must be a positive number of seconds")
+            raise ValueError("duration must be a positive number of seconds")
         if not (math.isfinite(self.controller_Ts) and self.controller_Ts > 0.0):
-            raise ConfigError("controller_Ts must be positive")
+            raise ValueError("controller_Ts must be positive")
         periods = self.duration / self.controller_Ts
         if not math.isfinite(periods):
-            raise ConfigError("duration / controller_Ts overflows: too many periods")
+            raise ValueError("duration / controller_Ts overflows: too many periods")
         if round(periods) < 1:
-            raise ConfigError("duration is shorter than one controller period")
+            raise ValueError("duration is shorter than one controller period")
         if abs(periods - round(periods)) > 1e-6 * max(1.0, periods):
-            raise ConfigError("duration must be an integer multiple of controller_Ts")
+            raise ValueError("duration must be an integer multiple of controller_Ts")
 
         dt = self.controller_Ts / 4.0 if self.plant_dt is None else float(self.plant_dt)
         object.__setattr__(self, "plant_dt", dt)
         if not (math.isfinite(dt) and dt > 0.0):
-            raise ConfigError("plant_dt must be positive")
+            raise ValueError("plant_dt must be positive")
         if dt > self.controller_Ts * (1.0 + 1e-12):
-            raise ConfigError("plant_dt must not exceed controller_Ts")
+            raise ValueError("plant_dt must not exceed controller_Ts")
         ratio = self.controller_Ts / dt
         if not math.isfinite(ratio):
-            raise ConfigError("plant_dt is too small a fraction of controller_Ts")
+            raise ValueError("plant_dt is too small a fraction of controller_Ts")
         if abs(ratio - round(ratio)) > 1e-6 * max(1.0, ratio):
-            raise ConfigError("controller_Ts must be an integer multiple of plant_dt")
+            raise ValueError("controller_Ts must be an integer multiple of plant_dt")
         ticks, sub = round(periods), round(ratio)
         if ticks * sub > _MAX_RK4_STEPS:
             # blame plant_dt when the run would fit at the default ts/4
             name = "plant_dt" if sub > 4 and ticks * 4 <= _MAX_RK4_STEPS else "duration"
-            raise ConfigError(f"{name}: {ticks} controller periods of {sub} RK4 "
-                              f"steps exceed the limit of {_MAX_RK4_STEPS} steps per run")
+            raise ValueError(f"{name}: {ticks} controller periods of {sub} RK4 "
+                             f"steps exceed the limit of {_MAX_RK4_STEPS} steps per run")
 
         for name in ("x0", "reference"):
             vec = tuple(float(v) for v in np.asarray(getattr(self, name)).ravel())
             if len(vec) != _STATE_DIM:
-                raise ConfigError(f"{name} must have {_STATE_DIM} entries")
+                raise ValueError(f"{name} must have {_STATE_DIM} entries")
             if not all(math.isfinite(v) for v in vec):
-                raise ConfigError(f"{name} contains non-finite entries")
+                raise ValueError(f"{name} contains non-finite entries")
             object.__setattr__(self, name, vec)
 
         if self.saturation_V is not None:
             object.__setattr__(self, "saturation_V", float(self.saturation_V))
             if not (math.isfinite(self.saturation_V) and self.saturation_V > 0.0):
-                raise ConfigError("saturation_V must be positive and finite")
+                raise ValueError("saturation_V must be positive and finite")
         if self.measurement not in ("ideal", "filtered-derivative"):
-            raise ConfigError(f"unknown measurement mode {self.measurement!r}")
+            raise ValueError(f"unknown measurement mode {self.measurement!r}")
         object.__setattr__(self, "filter_cutoff", float(self.filter_cutoff))
         if not (math.isfinite(self.filter_cutoff) and self.filter_cutoff > 0.0):
-            raise ConfigError("filter_cutoff must be positive and finite")
+            raise ValueError("filter_cutoff must be positive and finite")
         if (self.measurement == "filtered-derivative"
                 and self.filter_cutoff >= 0.5 / self.controller_Ts):
-            raise ConfigError("filter_cutoff must be below the Nyquist rate "
-                              "1 / (2 controller_Ts)")
+            raise ValueError("filter_cutoff must be below the Nyquist rate "
+                             "1 / (2 controller_Ts)")
         object.__setattr__(self, "boundary_layer", float(self.boundary_layer))
         if not (math.isfinite(self.boundary_layer) and self.boundary_layer >= 0.0):
-            raise ConfigError("boundary_layer must be non-negative and finite")
+            raise ValueError("boundary_layer must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -367,8 +366,8 @@ def simulate(params: PlantParams, design, cfg: SimConfig) -> SimTrace:
     sat = params.V_max if cfg.saturation_V is None else cfg.saturation_V
     is_smc = isinstance(design, SmcDesign)
     if is_smc and not math.isclose(design.Ts, cfg.controller_Ts, rel_tol=1e-9):
-        raise ConfigError(f"SMC design sampled at Ts = {design.Ts!r} cannot run "
-                          f"at controller_Ts = {cfg.controller_Ts!r}")
+        raise ValueError(f"SMC design sampled at Ts = {design.Ts!r} cannot run "
+                         f"at controller_Ts = {cfg.controller_Ts!r}")
     ki = None if is_smc else design.Ki
 
     Ts = cfg.controller_Ts

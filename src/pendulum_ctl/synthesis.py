@@ -335,6 +335,8 @@ def solve_care(A, B, Q, R) -> np.ndarray:
 
     Qs = 0.5 * (Q + Q.T)
     Rs = 0.5 * (R + R.T)
+    if not np.all(np.isfinite(Qs)):
+        raise ValueError("state weight Q overflows when symmetrized")
     if np.linalg.eigvalsh(Qs).min() < -1e-10 * max(1.0, np.linalg.norm(Qs)):
         raise SynthesisError("state weight Q must be positive semidefinite")
     try:
@@ -342,6 +344,8 @@ def solve_care(A, B, Q, R) -> np.ndarray:
     except LinAlgError:
         raise SynthesisError("input weight R must be positive definite") from None
     S = 0.5 * (S + S.T)
+    if not np.all(np.isfinite(S)):
+        raise ValueError("input weight R is so small that B R^-1 B' overflows")
 
     H = np.empty((2 * n, 2 * n))
     H[:n, :n] = A
@@ -667,9 +671,10 @@ def design_smc(ss: StateSpace, alpha: float = DEFAULT_SMC_ALPHA,
     except ValueError as exc:  # a Ts that underflows the input column or overflows its norm
         raise ValueError(f"{exc} at Ts = {ss.Ts!r}") from None
 
+    _check_finite(np.hstack([rf.A11, rf.A12]))  # bad input, not a failed design
     try:
         Pz = _unit_dare(rf.A11, rf.A12)
-    except LinAlgError as exc:
+    except (LinAlgError, ValueError) as exc:  # a singular basis or a failed reordering
         raise SynthesisError(f"no sliding surface at Ts = {ss.Ts!r}: {exc}") from None
     C = np.linalg.solve(np.eye(1) + rf.A12.T @ Pz @ rf.A12, rf.A12.T @ Pz @ rf.A11)
     eigs, stable = smc_surface(rf.A11, rf.A12, C)

@@ -128,14 +128,22 @@ def test_synthesize_smc_at_an_overflowing_ts_is_one_error_line(tmp_path):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("platform, q", [("rotpen", "1e300,1,1,1"),
-                                         ("nxtway", "1e200,1,1,1,1")])
-def test_synthesize_with_overflowing_weights_is_one_error_line(tmp_path, platform, q):
+@pytest.mark.parametrize("platform, weight, code, start", [
+    ("rotpen", "--q=1e300,1,1,1", 2, "synthesis failed: "),
+    ("nxtway", "--q=1e200,1,1,1,1", 2, "synthesis failed: "),
+    # weights whose symmetrization or inverse overflows are refused as input
+    ("rotpen", "--q=1e308,1,1,1", 1,
+     "error: invalid weights q/r: state weight Q overflows when symmetrized"),
+    ("rotpen", "--r=1e-310", 1,
+     "error: invalid weights q/r: input weight R is so small that B R^-1 B' overflows"),
+], ids=["rotpen-1e300,1,1,1", "nxtway-1e200,1,1,1,1", "rotpen-q1e308", "rotpen-r1e-310"])
+def test_synthesize_with_overflowing_weights_is_one_error_line(tmp_path, platform, weight,
+                                                               code, start):
     out = tmp_path / "design.txt"
-    result = _fresh_run(["synthesize", "--platform", platform, "--q", q, "--out", str(out)])
-    assert result.returncode == 2
+    result = _fresh_run(["synthesize", "--platform", platform, weight, "--out", str(out)])
+    assert result.returncode == code
     lines = result.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("synthesis failed: "), lines
+    assert len(lines) == 1 and lines[0].startswith(start), lines
     assert "Warning" not in result.stderr
     assert not out.exists()
 
@@ -161,6 +169,34 @@ def test_synthesize_smc_without_a_sliding_surface_is_synthesis_failure(tmp_path,
     assert capsys.readouterr().err.splitlines() == [
         "synthesis failed: no sliding surface at Ts = 50.0: Failed to find a finite solution."]
     assert not any(tmp_path.iterdir())
+
+
+def test_synthesize_smc_where_the_surface_pencil_cannot_be_reordered(tmp_path):
+    # at this period the QZ reordering of the reduced discrete Riccati pencil fails
+    out = tmp_path / "design.txt"
+    result = _fresh_run(["synthesize", "--platform", "rotpen", "--smc",
+                         "--ts", "48.49624060150376", "--out", str(out)])
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [
+        "synthesis failed: no sliding surface at Ts = 48.49624060150376: Reordering of "
+        "(A, B) failed because the transformed matrix pair (A, B) would be too far from "
+        "generalized Schur form; the problem is very ill-conditioned. (A, B) may have "
+        "been partially reordered."]
+    assert not out.exists()
+
+
+def test_the_module_form_runs_the_command_line(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = tmp_path / "design.txt"
+    module = [sys.executable, "-m", "pendulum_ctl.cli"]
+    result = subprocess.run(module + ["synthesize", "--platform", "rotpen", "--smc",
+                                      "--out", str(out)],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert isinstance(load_design(out), SmcDesign)
+    result = subprocess.run(module, capture_output=True, text=True, env=env)
+    assert result.returncode == 1
+    assert "a subcommand is required" in result.stderr
 
 
 def test_synthesize_controller_from_config_and_flag_override(tmp_path):
@@ -465,6 +501,17 @@ def test_simulate_refuses_a_design_file_of_another_platform(tmp_path, capsys):
     assert cli.run(argv + ["--platform", "nxtway"]) == 0
 
 
+def test_simulate_takes_the_controller_from_its_design_file(tmp_path, capsys):
+    dfile = tmp_path / "rotpen_smc.txt"
+    assert cli.run(["synthesize", "--platform", "rotpen", "--smc", "--out", str(dfile)]) == 0
+    metrics = tmp_path / "m.csv"
+    argv = ["simulate", "--platform", "rotpen", "--design", str(dfile), "--duration", "0.1",
+            "--trace", str(tmp_path / "t.csv"), "--metrics", str(metrics)]
+    for controller in ([], ["--controller", "smc"]):
+        assert cli.run(argv + controller) == 0
+        assert metrics.read_text().splitlines()[1].startswith("rotpen smc,")
+
+
 _SIM = ["simulate", "--platform", "rotpen", "--duration", "0.1"]
 _CMP = ["compare", "--duration", "0.2"]
 
@@ -570,6 +617,11 @@ def test_compare_four_row_report(tmp_path, capsys):
     assert len(metrics.read_text().splitlines()) == 5  # header + four rows
     assert len(list(traces.glob("*.csv"))) == 4
     assert out.read_text() in capsys.readouterr().out  # report also printed
+    # both files byte for byte, so a drift in the table or the CSV writer shows
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "1e9b2a9ad9699e118bfaecfbb431f831df82e8d8fcc4ca9b3da63d615a8b7a19")
+    assert hashlib.sha256(metrics.read_bytes()).hexdigest() == (
+        "04ff17fceecc0275f6eee0f205133124231a31c4c96e698a7c08706b658231bd")
 
 
 def test_compare_creates_the_folders_of_outputs_inside_its_trace_dir(tmp_path,
@@ -678,9 +730,16 @@ _RUN = {"synthesize": {"platform": "nxtway"}, "linearize": {"platform": "rotpen"
     ("simulate", {"trace": "same.csv", "metrics": "./same.csv"}, "metrics"),
     ("compare", {"out": "r.txt", "metrics": "r.txt"}, "metrics"),
     ("simulate", {"design": "d.txt", "gains": "reference"}, "gains"),
+    ("simulate", {"controller": "lqr", "design": "{smc}"}, "controller"),
 ])
-def test_bad_settings_are_refused_before_writing(tmp_path, capsys, monkeypatch,
-                                                 command, settings, key):
+def test_bad_settings_are_refused_before_writing(tmp_path, tmp_path_factory, capsys,
+                                                 monkeypatch, command, settings, key):
+    if settings.get("design") == "{smc}":  # a design file outside the run folder
+        design = tmp_path_factory.mktemp("designs") / "rotpen_smc.txt"
+        assert cli.run(["synthesize", "--platform", "rotpen", "--smc",
+                        "--out", str(design)]) == 0
+        capsys.readouterr()
+        settings = {**settings, "design": str(design)}
     monkeypatch.chdir(tmp_path)
     argv = [command]
     for name, raw in {**_RUN[command], **settings}.items():

@@ -1,5 +1,7 @@
 """Tests for trace metrics and the comparison table."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from pendulum_ctl.linearize import (
     nxtway_statespace_closed_form,
 )
 from pendulum_ctl.metrics import (
+    SMOOTH_SCORE_LIMIT,
     Metrics,
     comparison_report,
     compute_metrics,
@@ -127,68 +130,90 @@ def test_matched_pair_ordering_and_classification():
 # comparison table
 # ---------------------------------------------------------------------------
 
-def _metrics(u_inf=3.0, pct=30.0, settle=1.5, quality="smooth", score=0.001):
+def _metrics(u_inf=3.0, pct=30.0, settle=1.5, score=0.001):
     return Metrics(settle_time=settle, u_inf=u_inf, u_pct_max=pct,
-                   pole_vel_max=0.42, stabilization_quality=quality,
-                   scattering_score=score)
+                   pole_vel_max=0.42, scattering_score=score)
+
+
+def test_quality_is_derived_from_settle_time_and_score():
+    assert _metrics().stabilization_quality == "smooth"
+    assert _metrics(score=SMOOTH_SCORE_LIMIT).stabilization_quality == "scattering"
+    assert _metrics(settle=None).stabilization_quality == "diverged"
+    assert _metrics(settle=None, score=0.9).stabilization_quality == "diverged"
+    assert "stabilization_quality" not in {f.name for f in dataclasses.fields(Metrics)}
 
 
 def test_report_headers_and_design_columns():
-    text = comparison_report([("NxtWay LQR", _metrics()),
-                              ("NxtWay SMC", _metrics(quality="scattering"))])
+    text = comparison_report([("nxtway", "lqr", _metrics()),
+                              ("nxtway", "smc", _metrics(score=0.05))])
     for header in ("Estado q2", "Potencia", "Velocidad Máxima",
                    "Criterio Energía Mínima", "Robustez"):
         assert header in text
     assert "rad/s" in text.splitlines()[0]  # unit note in the header
 
     lines = text.splitlines()
-    lqr_line = next(ln for ln in lines if "NxtWay LQR" in ln)
-    smc_line = next(ln for ln in lines if "NxtWay SMC" in ln)
+    lqr_line = next(ln for ln in lines if "nxtway lqr" in ln)
+    smc_line = next(ln for ln in lines if "nxtway smc" in ln)
     assert lines.index(lqr_line) < lines.index(smc_line)  # input order kept
+    assert "scattering (1.50 s)" in smc_line
     # LQR: Energia=Si then Robustez=No; SMC the other way around
     assert lqr_line.index("Si") < lqr_line.index("No")
     assert smc_line.index("No") < smc_line.index("Si")
 
 
 def test_report_potencia_units_per_platform():
-    text = comparison_report([("RotPen LQR", _metrics(u_inf=1.88, pct=31.3)),
-                              ("NxtWay LQR", _metrics(u_inf=3.87, pct=38.7))])
-    rot_line = next(ln for ln in text.splitlines() if "RotPen LQR" in ln)
-    nxt_line = next(ln for ln in text.splitlines() if "NxtWay LQR" in ln)
-    assert "1.88 V" in rot_line
-    assert "38.7 %" in nxt_line
+    text = comparison_report([("rotpen", "lqr", _metrics(u_inf=1.88, pct=31.3)),
+                              ("nxtway", "lqr", _metrics(u_inf=3.87, pct=38.7))])
+    rot_line = next(ln for ln in text.splitlines() if "rotpen lqr" in ln)
+    nxt_line = next(ln for ln in text.splitlines() if "nxtway lqr" in ln)
+    assert "1.88 V" in rot_line and "%" not in rot_line
+    assert "38.7 %" in nxt_line and " V" not in nxt_line
 
 
-def test_report_single_run_and_bad_labels():
-    text = comparison_report([("RotPen LQR", _metrics())])
-    assert len([ln for ln in text.splitlines() if "RotPen LQR" in ln]) == 1
+def test_report_single_run_and_bad_labels(tmp_path):
+    text = comparison_report([("rotpen", "lqr", _metrics())])
+    assert len([ln for ln in text.splitlines() if "rotpen lqr" in ln]) == 1
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs at least one run"):
         comparison_report([])
-    with pytest.raises(ValueError):
-        comparison_report([("  ", _metrics())])
+    # a run names its platform and controller; no other name is read
+    for report in (comparison_report,
+                   lambda runs: save_metrics_csv(runs, tmp_path / "m.csv")):
+        with pytest.raises(ValueError, match="unknown platform 'quanser'"):
+            report([("quanser", "lqr", _metrics())])
+        with pytest.raises(ValueError, match="unknown platform 'RotPen'"):
+            report([("RotPen", "lqr", _metrics())])
+        with pytest.raises(ValueError, match="unknown controller 'rotpen lqr'"):
+            report([("rotpen", "rotpen lqr", _metrics())])
+    assert not any(tmp_path.iterdir())
 
 
 def test_report_shows_diverged_runs():
     m = Metrics(settle_time=None, u_inf=6.0, u_pct_max=100.0, pole_vel_max=55.0,
-                stabilization_quality="diverged", scattering_score=0.9)
-    text = comparison_report([("RotPen SMC", m)])
+                scattering_score=0.9)
+    text = comparison_report([("rotpen", "smc", m)])
     assert "diverged" in text
 
 
 def test_metrics_csv_roundtrip(tmp_path):
-    runs = [("NxtWay LQR", _metrics()),
-            ("RotPen SMC", _metrics(quality="scattering", settle=None))]
+    runs = [("nxtway", "lqr", _metrics()),
+            ("rotpen", "smc", _metrics(settle=None, score=0.05)),
+            ("rotpen", "lqr", _metrics(settle=0.25, score=0.05))]
     path = tmp_path / "metrics.csv"
     save_metrics_csv(runs, path)
     lines = path.read_text().splitlines()
     assert lines[0] == ("label,settle_time,u_inf,u_pct_max,pole_vel_max,"
                         "stabilization_quality,scattering_score")
-    assert len(lines) == 3
+    assert len(lines) == 4
     first = lines[1].split(",")
-    assert first[0] == "NxtWay LQR"
+    assert first[0] == "nxtway lqr"
     assert float(first[1]) == 1.5
     assert float(first[2]) == 3.0
+    assert first[5] == "smooth"
     second = lines[2].split(",")
+    assert second[0] == "rotpen smc"
     assert second[1] == ""  # no numeric settle time
-    assert second[5] == "scattering"
+    assert second[5] == "diverged"
+    third = lines[3].split(",")
+    assert float(third[1]) == 0.25
+    assert third[5] == "scattering"

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from pendulum_ctl.errors import ConfigError
 from pendulum_ctl.linearize import closed_form
 from pendulum_ctl.plants import (
     NxtwayParams,
@@ -181,7 +180,7 @@ def test_default_nxtway_values():
 def test_platform_name_is_case_insensitive():
     assert default_params("RotPen") == default_params("rotpen")
     assert default_params("NxtWay") == default_params("nxtway")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="unknown platform 'segway'"):
         default_params("segway")
 
 
@@ -214,9 +213,9 @@ def test_params_from_mapping_overrides_and_errors():
     # untouched fields keep their defaults
     assert p.L_p == default_params("rotpen").L_p
 
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="unknown parameter 'no_such_key' for platform rotpen"):
         params_from_mapping("rotpen", {"no_such_key": 1.0})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="parameter m_p: 'not-a-number' is not a number"):
         params_from_mapping("rotpen", {"m_p": "not-a-number"})
 
 
@@ -225,7 +224,7 @@ def test_params_from_mapping_overrides_and_errors():
 ])
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
 def test_nonfinite_parameters_rejected(platform, name, value):
-    with pytest.raises(ConfigError, match="not finite"):
+    with pytest.raises(ValueError, match=f"parameter {name}: '{value}' is not finite"):
         params_from_mapping(platform, {name: value})
     with pytest.raises(ValueError, match="must be finite"):
         dataclasses.replace(default_params(platform), **{name: float(value)})
@@ -240,7 +239,7 @@ def test_params_from_mapping_checks_derived_keys():
     for platform, (derived, deleted) in refused.items():
         base = default_params(platform)
         for key, value in {**{k: getattr(base, k) for k in derived}, **deleted}.items():
-            with pytest.raises(ConfigError, match=f"unknown parameter '{key}'"):
+            with pytest.raises(ValueError, match=f"unknown parameter '{key}'"):
                 params_from_mapping(platform, {key: value})
         assert not any(hasattr(base, key) for key in deleted)
     # base fields still override, and the derived values follow them

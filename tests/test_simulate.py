@@ -19,7 +19,6 @@ import traceback
 import numpy as np
 import pytest
 
-from pendulum_ctl.errors import ConfigError
 from pendulum_ctl.linearize import (
     discretize_zoh,
     jacobian_linearize,
@@ -87,17 +86,17 @@ def _gain_only_design(K, Ki=None):
 
 def test_disturbance_spec_validation():
     DisturbanceSpec()  # default: none
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="unknown disturbance kind 'sine'"):
         DisturbanceSpec(kind="sine")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="amplitude must be non-negative"):
         DisturbanceSpec(kind="pulse_train", amplitude=-1.0, frequency=0.1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="frequency must be positive"):
         DisturbanceSpec(kind="pulse_train", amplitude=1.0, frequency=0.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match=r"duty cycle must lie in \[0, 1\]"):
         DisturbanceSpec(kind="pulse_train", amplitude=1.0, frequency=0.1, duty=1.5)
     for name in ("amplitude", "frequency", "start_time", "duty"):
         for bad in (math.inf, -math.inf, math.nan):
-            with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
                 DisturbanceSpec(kind="pulse_train", **{
                     "amplitude": 1.0, "frequency": 0.1, name: bad})
 
@@ -141,28 +140,28 @@ def test_sim_config_defaults_and_validation():
     assert cfg.measurement == "ideal"
     assert cfg.x0 == (0.0, 0.0, 0.0, 0.0)
 
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="duration must be a positive number"):
         SimConfig(duration=0.0, controller_Ts=0.004)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="plant_dt must not exceed controller_Ts"):
         SimConfig(duration=1.0, controller_Ts=0.004, plant_dt=0.008)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="controller_Ts must be an integer multiple of plant_dt"):
         SimConfig(duration=1.0, controller_Ts=0.004, plant_dt=0.003)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="x0 must have 4 entries"):
         SimConfig(duration=1.0, controller_Ts=0.004, x0=(1.0, 2.0))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="x0 contains non-finite entries"):
         SimConfig(duration=1.0, controller_Ts=0.004, x0=(0.0, math.nan, 0.0, 0.0))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="unknown measurement mode 'noisy'"):
         SimConfig(duration=1.0, controller_Ts=0.004, measurement="noisy")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="saturation_V must be positive"):
         SimConfig(duration=1.0, controller_Ts=0.004, saturation_V=-2.0)
     for name in ("saturation_V", "filter_cutoff", "boundary_layer"):
         for bad in (math.inf, math.nan):
-            with pytest.raises(ConfigError, match=f"{name} must be .* finite"):
+            with pytest.raises(ValueError, match=f"{name} must be .* finite"):
                 SimConfig(duration=1.0, controller_Ts=0.004, **{name: bad})
 
     # the run length is a whole number of controller periods, never rounded
     for duration, Ts in ((0.005, 0.002), (1.5, 1.0)):
-        with pytest.raises(ConfigError, match="integer multiple of controller_Ts"):
+        with pytest.raises(ValueError, match="integer multiple of controller_Ts"):
             SimConfig(duration=duration, controller_Ts=Ts)
     for duration, Ts in ((0.2, 0.002), (120.0, 0.002), (88.0, 0.004)):
         assert SimConfig(duration=duration, controller_Ts=Ts).duration == duration
@@ -171,7 +170,7 @@ def test_sim_config_defaults_and_validation():
     for kwargs, name in (({"duration": 1e308}, "duration"),
                          ({"controller_Ts": 1e-320}, "duration"),
                          ({"plant_dt": 1e-320}, "plant_dt")):
-        with pytest.raises(ConfigError, match=name):
+        with pytest.raises(ValueError, match=name):
             SimConfig(**{"duration": 1.0, "controller_Ts": 0.004, **kwargs})
 
     # one run takes at most 10^7 RK4 steps; the paper run takes 240,000
@@ -180,7 +179,7 @@ def test_sim_config_defaults_and_validation():
                          ({"duration": 1e5, "plant_dt": 1e-8}, "duration"),
                          ({"duration": 10000.004}, "duration"),
                          ({"duration": 5000.0, "plant_dt": 0.0004}, "plant_dt")):
-        with pytest.raises(ConfigError, match=f"^{name}: .* exceed the limit"):
+        with pytest.raises(ValueError, match=f"^{name}: .* exceed the limit"):
             SimConfig(**{"controller_Ts": 0.004, **kwargs})
     assert SimConfig(duration=40.0, controller_Ts=0.004, plant_dt=0.0004).duration == 40.0
     assert SimConfig(duration=10000.0, controller_Ts=0.004).duration == 10000.0
@@ -189,7 +188,7 @@ def test_sim_config_defaults_and_validation():
     # at 4 ms; an ideal-measurement run never uses it, so it is not checked
     filtered = dict(duration=1.0, controller_Ts=0.004, measurement="filtered-derivative")
     for cutoff in (125.0, 1e308):
-        with pytest.raises(ConfigError, match="filter_cutoff"):
+        with pytest.raises(ValueError, match="filter_cutoff"):
             SimConfig(filter_cutoff=cutoff, **filtered)
     assert SimConfig(filter_cutoff=124.9, **filtered).filter_cutoff == 124.9
     assert SimConfig(duration=1.0, controller_Ts=0.04).filter_cutoff == 30.0
