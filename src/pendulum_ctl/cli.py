@@ -22,7 +22,6 @@ import sys
 
 import numpy as np
 
-from .errors import SynthesisError
 from .linearize import closed_form, jacobian_linearize, save_statespace
 from .matrixfile import format_matrix
 from .metrics import comparison_report, compute_metrics, save_metrics_csv
@@ -40,6 +39,7 @@ from .synthesis import (
     REFERENCE_SMC_SWITCHING_GAINS,
     LqrDesign,
     SmcDesign,
+    SynthesisError,
     integral_augmented,
     load_design,
     nominal_lqr,
@@ -110,8 +110,8 @@ _SETTINGS = {
                         "none, paper, or pulse"),
         "dist_amplitude": (float, None, "pulse amplitude in volts"),
         "dist_frequency": (float, None, "pulse frequency in Hz"),
-        "dist_start": (float, 0.0, "pulse start time in seconds"),
-        "dist_duty": (float, 0.5, "pulse duty cycle in [0, 1]"),
+        "dist_start": (float, None, "pulse start time in seconds"),
+        "dist_duty": (float, None, "pulse duty cycle in [0, 1]"),
         "x0": (_floats, (0.0, 0.0, 0.0, 0.0), "initial state q1,q2,q1dot,q2dot"),
         "reference": (_floats, (0.0, 0.0, 0.0, 0.0),
                       "state reference, same layout as --x0"),
@@ -267,20 +267,23 @@ def _make_design(platform: str, controller: str | None, settings: dict):
         raise ValueError(f"invalid weights q/r: {exc}") from None
 
 
+# pulse setting -> DisturbanceSpec field; only disturbance=pulse reads them
+_PULSE_FIELDS = {"dist_amplitude": "amplitude", "dist_frequency": "frequency",
+                 "dist_start": "start_time", "dist_duty": "duty"}
+
+
 def _disturbance(settings: dict, V_max: float) -> DisturbanceSpec:
     kind = settings["disturbance"]
-    if kind == "none":
-        return DisturbanceSpec()
-    if kind == "paper":
-        return standard_pulse_train(V_max)
+    given = {key: settings[key] for key in _PULSE_FIELDS if settings[key] is not None}
+    if kind != "pulse":
+        if given:
+            raise ValueError(f"{next(iter(given))} needs disturbance=pulse, not {kind}")
+        return standard_pulse_train(V_max) if kind == "paper" else DisturbanceSpec()
     for key in ("dist_amplitude", "dist_frequency"):
-        if settings[key] is None:
+        if key not in given:
             raise ValueError(f"disturbance=pulse requires {key}")
     return DisturbanceSpec(kind="pulse_train",
-                           amplitude=settings["dist_amplitude"],
-                           frequency=settings["dist_frequency"],
-                           start_time=settings["dist_start"],
-                           duty=settings["dist_duty"])
+                           **{_PULSE_FIELDS[key]: value for key, value in given.items()})
 
 
 def _experiment(platform: str, design, settings: dict):

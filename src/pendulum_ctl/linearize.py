@@ -31,23 +31,17 @@ __all__ = [
     "load_statespace",
 ]
 
-_LABELS = ("q1", "q2", "q1dot", "q2dot")
-
-
 @dataclass(frozen=True)
 class StateSpace:
     """A linear model x' = A x + B u, or x[k+1] = A x[k] + B u[k] every Ts seconds.
 
     Ts is None for a continuous model and positive and finite for a
-    discrete one; kind reads which. state_labels defaults to q1, q2, q1dot,
-    q2dot for four states and x1..xn otherwise; explicit labels must number
-    the states.
+    discrete one; kind reads which.
     """
 
     A: np.ndarray
     B: np.ndarray
     Ts: Optional[float] = None
-    state_labels: Optional[tuple] = None
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -61,15 +55,8 @@ class StateSpace:
             if not (math.isfinite(self.Ts) and self.Ts > 0):
                 raise ValueError(f"Ts must be positive and finite, got {self.Ts!r}")
             object.__setattr__(self, "Ts", float(self.Ts))
-        if self.state_labels is None:
-            labels = _LABELS if n == 4 else tuple(f"x{i+1}" for i in range(n))
-        else:
-            labels = tuple(self.state_labels)
-        if len(labels) != n:
-            raise ValueError(f"state_labels must name {n} states, got {len(labels)}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
-        object.__setattr__(self, "state_labels", labels)
 
     @property
     def kind(self) -> str:
@@ -240,7 +227,7 @@ def discretize_zoh(ss: StateSpace, Ts: float) -> StateSpace:
     """Discretize a continuous model under a zero-order hold.
 
     Ad and Bd come from one matrix exponential of the augmented
-    [[A, B], [0, 0]] block scaled by Ts; the state labels pass through.
+    [[A, B], [0, 0]] block scaled by Ts.
     A Ts that is not positive and finite, or so long that the exponential
     overflows, raises ValueError.
     """
@@ -256,27 +243,25 @@ def discretize_zoh(ss: StateSpace, Ts: float) -> StateSpace:
         E = expm(aug)
     if not np.isfinite(E).all():
         raise ValueError(f"Ts = {Ts!r} overflows the matrix exponential of the model")
-    return StateSpace(A=E[:n, :n], B=E[:n, n:], Ts=Ts, state_labels=ss.state_labels)
+    return StateSpace(A=E[:n, :n], B=E[:n, n:], Ts=Ts)
 
 
 def save_statespace(ss: StateSpace, path) -> None:
-    """Write Ts, the state labels and A and B to a labeled plain-text file (row major)."""
-    meta = {"Ts": "none" if ss.Ts is None else repr(ss.Ts),
-            "labels": ",".join(ss.state_labels)}
-    write_matrix_file(path, "pendulum-ctl state-space model", meta,
+    """Write Ts, A and B to a plain-text matrix file (row major)."""
+    write_matrix_file(path, "pendulum-ctl state-space model",
+                      {"Ts": "none" if ss.Ts is None else repr(ss.Ts)},
                       {"A": ss.A, "B": ss.B})
 
 
 def _statespace_from(meta: dict, matrices: dict) -> StateSpace:
     Ts = None if meta.get("Ts", "none") == "none" else float(meta["Ts"])
-    labels = tuple(meta["labels"].split(",")) if meta.get("labels") else None
-    return StateSpace(A=matrices["A"], B=matrices["B"], Ts=Ts, state_labels=labels)
+    return StateSpace(A=matrices["A"], B=matrices["B"], Ts=Ts)
 
 
 def load_statespace(path) -> StateSpace:
     """Read a model written by save_statespace; a bad file raises ValueError.
 
-    The kind line and the [C] and [D] blocks of older files are ignored:
-    Ts tells the kind, and no computation read C or D.
+    The kind and labels lines and the [C] and [D] blocks of older files
+    are ignored: Ts tells the kind, and no computation read the rest.
     """
     return read_matrix_file(path, _statespace_from)

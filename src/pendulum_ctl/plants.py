@@ -69,12 +69,9 @@ class RotPenParams:
 
     Lengths are meters, masses kilograms, inertias kg m^2, frictions
     N m s/rad. Motor inductance is neglected: its electrical time constant,
-    about 69 us, is small against the 2 ms controller period. K_enc (encoder counts per
-    revolution) is read by no equation yet: it is kept for the quantized
-    encoder measurement mode planned in ROADMAP.md, which rounds the
-    measured angles to 2 pi / K_enc. The gear and motor efficiencies eta_g
-    and eta_m lie in (0, 1]. The voltage referral gamma and the
-    mass-matrix constants are derived read-only properties.
+    about 69 us, is small against the 2 ms controller period. The gear and
+    motor efficiencies eta_g and eta_m lie in (0, 1]. The voltage referral
+    gamma and the mass-matrix constants are derived read-only properties.
     """
 
     g: float = 9.81
@@ -91,13 +88,12 @@ class RotPenParams:
     K_t: float = 0.00767
     eta_g: float = 0.9
     eta_m: float = 0.69
-    K_enc: float = 4096.0
     K_g: float = 70.0
     V_max: float = 6.0
 
     def __post_init__(self) -> None:
         _check_fields(self, ("g", "m_p", "L_p", "J_p", "m_r", "L_r", "J_r", "R_m",
-                             "K_t", "eta_g", "eta_m", "K_enc", "K_g", "V_max"),
+                             "K_t", "eta_g", "eta_m", "K_g", "V_max"),
                       ("f_p", "f_r", "K_m"))
         for name in ("eta_g", "eta_m"):
             if getattr(self, name) > 1.0:

@@ -40,11 +40,11 @@ import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg import LinAlgWarning, get_lapack_funcs
 
-from .errors import SynthesisError
 from .linearize import StateSpace, closed_form, discretize_zoh
 from .matrixfile import read_matrix_file, write_matrix_file
 
 __all__ = [
+    "SynthesisError",
     "DEFAULT_ROTPEN_Q",
     "DEFAULT_ROTPEN_R",
     "DEFAULT_NXTWAY_Q",
@@ -104,6 +104,10 @@ REFERENCE_LQR_GAINS = {
     "nxtway": {"K": (-0.8211, -69.4743, -1.0739, -9.0738), "Ki": -0.4472},
 }
 REFERENCE_SMC_SWITCHING_GAINS = {"rotpen": 2.5, "nxtway": 20.0}
+
+
+class SynthesisError(RuntimeError):
+    """Raised when a controller synthesis cannot be completed."""
 
 
 def _as_square(M, name: str) -> np.ndarray:
@@ -170,9 +174,9 @@ def _real_schur(a, select=None):
 def _cholesky_solve(R, M):
     """R^-1 M as cho_solve(cho_factor(R), M) computes it, via dpotrf and dpotrs.
 
-    Raises LinAlgError unless R is positive definite.
+    R is finite, as solve_care checks; raises LinAlgError unless R is
+    positive definite.
     """
-    _check_finite(R)
     c, info = _potrf(R, lower=False, clean=False)
     if info > 0:
         raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
@@ -199,10 +203,9 @@ def _unit_dare(a, b):
     proposes), deflated by the QR factor of its R column and reordered by
     QZ so the eigenvalues inside the unit circle lead (Arnold and Laub);
     their basis [U1; U2] gives X = U2 U1^-1. Raises LinAlgError when that
-    basis is singular or far from symplectic.
+    basis is singular or far from symplectic. a and b are finite, as
+    design_smc checks.
     """
-    _check_finite(a)
-    _check_finite(b)
     m, n = b.shape
     H = np.zeros((2 * m + n, 2 * m + n))
     H[:m, :m] = a
@@ -339,6 +342,8 @@ def solve_care(A, B, Q, R) -> np.ndarray:
         raise ValueError("state weight Q overflows when symmetrized")
     if np.linalg.eigvalsh(Qs).min() < -1e-10 * max(1.0, np.linalg.norm(Qs)):
         raise SynthesisError("state weight Q must be positive semidefinite")
+    if not np.all(np.isfinite(Rs)):
+        raise ValueError("input weight R overflows when symmetrized")
     try:
         S = B @ _cholesky_solve(Rs, B.T)
     except LinAlgError:
@@ -352,7 +357,6 @@ def solve_care(A, B, Q, R) -> np.ndarray:
     H[:n, n:] = -S
     H[n:, :n] = -Qs
     H[n:, n:] = -A.T
-    _check_finite(H)
     T, Z, sdim = _real_schur(H, _left_half_plane)
     if sdim != n:
         raise SynthesisError(
@@ -465,7 +469,7 @@ def integral_augmented(ss: StateSpace) -> StateSpace:
     A5[:4, :4] = ss.A
     A5[4, 0] = 1.0
     B5 = np.vstack([ss.B, np.zeros((1, ss.n_inputs))])
-    return StateSpace(A=A5, B=B5, state_labels=ss.state_labels + ("int_q1",))
+    return StateSpace(A=A5, B=B5)
 
 
 def nxtway_integral_lqr(ss: StateSpace, Q=None, R=None) -> LqrDesign:

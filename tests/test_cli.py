@@ -136,7 +136,12 @@ def test_synthesize_smc_at_an_overflowing_ts_is_one_error_line(tmp_path):
      "error: invalid weights q/r: state weight Q overflows when symmetrized"),
     ("rotpen", "--r=1e-310", 1,
      "error: invalid weights q/r: input weight R is so small that B R^-1 B' overflows"),
-], ids=["rotpen-1e300,1,1,1", "nxtway-1e200,1,1,1,1", "rotpen-q1e308", "rotpen-r1e-310"])
+    ("rotpen", "--r=1e308", 1,
+     "error: invalid weights q/r: input weight R overflows when symmetrized"),
+    ("nxtway", "--r=1e308,1e308", 1,
+     "error: invalid weights q/r: input weight R overflows when symmetrized"),
+], ids=["rotpen-1e300,1,1,1", "nxtway-1e200,1,1,1,1", "rotpen-q1e308", "rotpen-r1e-310",
+        "rotpen-r1e308", "nxtway-r1e308"])
 def test_synthesize_with_overflowing_weights_is_one_error_line(tmp_path, platform, weight,
                                                                code, start):
     out = tmp_path / "design.txt"
@@ -731,6 +736,9 @@ _RUN = {"synthesize": {"platform": "nxtway"}, "linearize": {"platform": "rotpen"
     ("compare", {"out": "r.txt", "metrics": "r.txt"}, "metrics"),
     ("simulate", {"design": "d.txt", "gains": "reference"}, "gains"),
     ("simulate", {"controller": "lqr", "design": "{smc}"}, "controller"),
+    # pulse settings are read only by disturbance=pulse
+    ("simulate", {"disturbance": "paper", "dist_amplitude": "1"}, "dist_amplitude"),
+    ("simulate", {"dist_duty": "0.3"}, "dist_duty"),
 ])
 def test_bad_settings_are_refused_before_writing(tmp_path, tmp_path_factory, capsys,
                                                  monkeypatch, command, settings, key):

@@ -1,13 +1,15 @@
 """Package hygiene.
 
 Modules share only public names with each other, every name a module
-exports exists, the demos import only exported names, and every package
-name the benchmark reads exists.
+exports exists, the package docstring lists every module, the demos import
+only exported names, and every package name the benchmark reads exists.
 """
 
 import ast
 import importlib
 from pathlib import Path
+
+import pytest
 
 import pendulum_ctl
 
@@ -40,6 +42,19 @@ def _package_modules():
     package = Path(pendulum_ctl.__file__).parent
     return {path.stem: importlib.import_module(f"pendulum_ctl.{path.stem}")
             for path in sorted(package.glob("*.py")) if path.stem != "__init__"}
+
+
+def test_package_docstring_lists_exactly_the_modules():
+    doc = pendulum_ctl.__doc__.split("Modules\n-------\n")[1]
+    listed = [line.split(":")[0].strip() for line in doc.splitlines() if " : " in line]
+    assert sorted(listed) == sorted(_package_modules())
+
+
+def test_synthesis_error_lives_in_synthesis():
+    # the one module that raises it defines it; no errors module is left
+    assert "SynthesisError" in importlib.import_module("pendulum_ctl.synthesis").__all__
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("pendulum_ctl.errors")
 
 
 def _unexported_package_imports(source: str) -> list[str]:

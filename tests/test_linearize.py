@@ -164,7 +164,6 @@ def test_jacobian_shapes_and_labels():
     ss = jacobian_linearize(default_params("rotpen"))
     assert ss.A.shape == (4, 4) and ss.B.shape == (4, 1)
     assert ss.kind == "continuous" and ss.Ts is None
-    assert ss.state_labels == ("q1", "q2", "q1dot", "q2dot")
 
     ss = jacobian_linearize(default_params("nxtway"))
     assert ss.B.shape == (4, 2)
@@ -284,7 +283,7 @@ def test_zoh_semigroup_property():
 def test_zoh_keeps_output_matrices_and_rejects_bad_ts():
     ss = rotpen_statespace_closed_form(default_params("rotpen"))
     d = discretize_zoh(ss, 0.002)
-    assert d.state_labels == ss.state_labels
+    assert d.kind == "discrete" and d.Ts == 0.002
     for Ts in (0.0, -0.002, math.inf, math.nan):
         with pytest.raises(ValueError, match="Ts"):
             discretize_zoh(ss, Ts)
@@ -310,30 +309,20 @@ def test_statespace_save_load_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.A, ss.A)  # exact round trip
     np.testing.assert_array_equal(back.B, ss.B)
     assert back.kind == ss.kind and back.Ts == ss.Ts
-    assert back.state_labels == ss.state_labels
 
 
-def test_statespace_labels_default_by_size_and_must_count_the_states():
-    assert StateSpace(A=np.eye(4), B=np.ones((4, 1))).state_labels == (
-        "q1", "q2", "q1dot", "q2dot")
-    assert StateSpace(A=np.eye(3), B=np.ones((3, 1))).state_labels == ("x1", "x2", "x3")
-    assert StateSpace(A=np.eye(2), B=np.ones((2, 1)),
-                      state_labels=["a", "b"]).state_labels == ("a", "b")
-    with pytest.raises(ValueError, match="state_labels must name 3 states, got 4"):
-        StateSpace(A=np.eye(3), B=np.ones((3, 1)), state_labels=("q1", "q2", "q1dot", "q2dot"))
-
-
-def test_statespace_file_with_a_wrong_label_count_is_refused(tmp_path):
+def test_statespace_file_with_a_labels_line_loads_whatever_its_count(tmp_path):
+    # older files name the states on a labels line; no computation read it
+    ss = discretize_zoh(rotpen_statespace_closed_form(default_params("rotpen")), 0.002)
     path = tmp_path / "ss.txt"
-    save_statespace(rotpen_statespace_closed_form(default_params("rotpen")), path)
+    save_statespace(ss, path)
     text = path.read_text()
-    path.write_text(text.replace("labels = q1,q2,q1dot,q2dot", "labels = a,b,c"))
-    with pytest.raises(ValueError, match="state_labels must name 4 states, got 3") as info:
-        load_statespace(path)
-    assert str(path) in str(info.value)
-    # a file without a labels line takes the default labels
-    path.write_text(text.replace("labels = q1,q2,q1dot,q2dot\n", ""))
-    assert load_statespace(path).state_labels == ("q1", "q2", "q1dot", "q2dot")
+    assert "labels" not in text
+    for labels in ("q1,q2,q1dot,q2dot", "a,b,c", "x1", ""):
+        path.write_text(text.replace("Ts = ", f"labels = {labels}\nTs = "))
+        back = load_statespace(path)
+        assert (back.A.tobytes(), back.B.tobytes(), back.Ts) == (
+            ss.A.tobytes(), ss.B.tobytes(), ss.Ts)
 
 
 # a discretized double integrator (Ts = 0.05) as the previous file format
@@ -363,11 +352,14 @@ def test_old_format_statespace_file_loads_to_an_equal_model(tmp_path):
     old.write_text(_OLD_FORMAT_STATESPACE)
     back = load_statespace(old)
     assert (back.A.tobytes(), back.B.tobytes()) == (ss.A.tobytes(), ss.B.tobytes())
-    assert (back.kind, back.Ts, back.state_labels) == ("discrete", 0.05, ("x1", "x2"))
-    # the file written now is the old one without the kind line and C and D
+    assert (back.kind, back.Ts) == ("discrete", 0.05)
+    # the file written now is the old one without the kind and labels lines
+    # and C and D
     new = tmp_path / "new.txt"
     save_statespace(ss, new)
-    kept = _OLD_FORMAT_STATESPACE.split("[C]")[0].replace("kind = discrete\n", "")
+    kept = _OLD_FORMAT_STATESPACE.split("[C]")[0]
+    for line in ("kind = discrete\n", "labels = x1,x2\n"):
+        kept = kept.replace(line, "")
     assert new.read_text() == kept
 
 

@@ -233,7 +233,7 @@ def test_nonfinite_parameters_rejected(platform, name, value):
 def test_params_from_mapping_checks_derived_keys():
     # only fields are settable: a derived quantity is refused even at its
     # consistent value, and so is a constant the model no longer carries
-    refused = {"rotpen": (("gamma",), {"L_m": 0.18e-3}),
+    refused = {"rotpen": (("gamma",), {"L_m": 0.18e-3, "K_enc": 4096.0}),
                "nxtway": (("J_w", "J_q2", "alpha", "beta"),
                           {"J_q3": 1e-3, "W": 0.14, "D": 0.04, "H": 0.27})}
     for platform, (derived, deleted) in refused.items():
@@ -246,11 +246,6 @@ def test_params_from_mapping_checks_derived_keys():
     p = params_from_mapping("nxtway", {"M": 0.7, "K_t": 0.3})
     assert p == dataclasses.replace(default_params("nxtway"), M=0.7, K_t=0.3)
     assert p.J_q2 == 0.7 * p.L ** 2 / 3 and p.alpha == p.eta * 0.3 / p.R_m
-
-
-# The one field no equation reads yet: the quantized encoder measurement
-# mode planned in ROADMAP.md (item 5) will round angles to 2 pi / K_enc.
-_UNREAD = {"rotpen": ("K_enc",), "nxtway": ()}
 
 
 def _model_reads(p):
@@ -267,7 +262,7 @@ def test_every_parameter_field_is_read_by_the_model(platform, name):
     base = default_params(platform)
     value = getattr(base, name)
     changed = dataclasses.replace(base, **{name: value * 1.1 if value else 0.1})
-    assert (_model_reads(changed) != _model_reads(base)) == (name not in _UNREAD[platform])
+    assert _model_reads(changed) != _model_reads(base)
 
 
 # ---------------------------------------------------------------------------

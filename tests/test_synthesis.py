@@ -15,7 +15,6 @@ import pytest
 import scipy.linalg
 
 from pendulum_ctl import synthesis
-from pendulum_ctl.errors import SynthesisError
 from pendulum_ctl.linearize import (
     StateSpace,
     discretize_zoh,
@@ -35,6 +34,7 @@ from pendulum_ctl.synthesis import (
     LqrDesign,
     RegularForm,
     SmcDesign,
+    SynthesisError,
     care_residual,
     design_smc,
     lqr_gain,
@@ -704,7 +704,7 @@ def test_lqr_design_refuses_non_finite_gains(field, value):
 def test_models_and_designs_hold_only_independent_fields():
     def names(cls):
         return tuple(f.name for f in dataclasses.fields(cls))
-    assert names(StateSpace) == ("A", "B", "Ts", "state_labels")
+    assert names(StateSpace) == ("A", "B", "Ts")
     assert names(RegularForm) == ("H", "A11", "A12")
     assert names(SmcDesign) == ("L", "Keq", "k", "Ts", "alpha", "surface_eigs")
 
