@@ -9,7 +9,7 @@ at all (the upright equilibrium is open-loop unstable on both).
 import numpy as np
 
 from pendulum_ctl.linearize import closed_form, discretize_zoh, jacobian_linearize
-from pendulum_ctl.plants import default_params, forward_dynamics
+from pendulum_ctl.plants import default_params, scalar_rhs
 from pendulum_ctl.synthesis import DEFAULT_TS, nominal_lqr, stability_report
 
 np.set_printoptions(precision=4, suppress=True)
@@ -18,9 +18,9 @@ for platform in ("rotpen", "nxtway"):
     params = default_params(platform)
     print(f"=== {platform} ===")
 
-    # the nonlinear model: accelerations at a small pole offset, no drive
-    x = [0.0, 0.05, 0.0, 0.0]
-    qdd = forward_dynamics(params, x, 0.0)
+    # the nonlinear model: accelerations at a small pole offset, no drive;
+    # scalar_rhs takes (q2, q1dot, q2dot, v) and returns (q1ddot, q2ddot)
+    qdd = np.array(scalar_rhs(params)(0.05, 0.0, 0.0, 0.0))
     print(f"accelerations at q2 = 0.05 rad, v = 0: {qdd}")
 
     # closed-form linearization about the upright equilibrium, verified

@@ -10,7 +10,8 @@ with one key=value pair per line and # comments.
 Exit codes: 0 success, 1 bad input (a ValueError or OSError, such as an
 unwritable output path), 2 synthesis failure (a SynthesisError), 3 diverged
 simulation. simulate and compare check their output paths and run settings
-before simulating anything. `python -m pendulum_ctl.cli` runs it too.
+before they load or synthesize a design, so a bad setting exits 1 even where
+synthesis would fail. `python -m pendulum_ctl.cli` runs it too.
 """
 
 from __future__ import annotations
@@ -286,11 +287,12 @@ def _disturbance(settings: dict, V_max: float) -> DisturbanceSpec:
                            **{_PULSE_FIELDS[key]: value for key, value in given.items()})
 
 
-def _experiment(platform: str, design, settings: dict):
+def _experiment(platform: str, settings: dict):
     """Check the settings of one closed-loop run; return a function that runs it.
 
-    The function simulates and returns the trace and metrics. Checking first
-    lets a command refuse bad settings before it writes anything.
+    The function takes the design, simulates and returns the trace and
+    metrics. Checking first lets a command refuse bad settings before it
+    loads or synthesizes a design or writes anything.
     """
     params = default_params(platform)
     V_max = settings.get("saturation") or params.V_max
@@ -305,7 +307,7 @@ def _experiment(platform: str, design, settings: dict):
                     boundary_layer=settings["boundary_layer"])
     onset = spec.start_time if spec.kind == "pulse_train" else 0.0
 
-    def run():
+    def run(design):
         trace = simulate(params, design, cfg)
         return trace, compute_metrics(trace, V_max=V_max, disturbance_onset=onset,
                                       reference_q2=cfg.reference[1])
@@ -344,12 +346,13 @@ def _cmd_simulate(settings: dict) -> int:
     platform = _require(settings, "platform")
     _check_outputs([("trace", settings["trace"], False),
                     ("metrics", settings["metrics"], False)])
+    experiment = _experiment(platform, settings)
     design = _make_design(platform, settings["controller"], settings)
     kind = "smc" if isinstance(design, SmcDesign) else "lqr"
     if settings["controller"] not in (None, kind):  # only a design file can disagree
         raise ValueError(f"controller {settings['controller']} disagrees with the {kind} "
                          f"design in {settings['design']}")
-    trace, metrics = _experiment(platform, design, settings)()
+    trace, metrics = experiment(design)
 
     save_trace_csv(trace, settings["trace"])
     save_metrics_csv([(platform, kind, metrics)], settings["metrics"])
@@ -381,8 +384,8 @@ def _cmd_compare(settings: dict) -> int:
     _check_outputs(outputs)
     run_settings = _defaults("simulate")
     run_settings.update(duration=settings["duration"], disturbance="paper")
-    experiments = {run: _experiment(run[0], _make_design(*run, run_settings),
-                                    run_settings) for run in runs}
+    experiments = {run: _experiment(run[0], run_settings) for run in runs}
+    designs = {run: _make_design(*run, run_settings) for run in runs}
     for _, path, parents in outputs:
         if parents:
             os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
@@ -390,7 +393,7 @@ def _cmd_compare(settings: dict) -> int:
     rows = []
     diverged = False
     for run, experiment in experiments.items():
-        trace, metrics = experiment()
+        trace, metrics = experiment(designs[run])
         rows.append((*run, metrics))
         diverged = diverged or trace.diverged
         if trace_dir:

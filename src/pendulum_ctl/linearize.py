@@ -3,15 +3,15 @@
 Controllers are synthesized from the closed-form builders, which reproduce
 each platform's published linearization. The numeric Jacobian is the
 independent cross-check: it differentiates plants.scalar_rhs, the
-generated accelerations kernel that the simulator integrates, and the two
-agree entry-wise to within the differencing error at the upright origin.
+accelerations whose RK4 steps the simulator takes, and the two agree
+entry-wise to within the differencing error at the upright origin.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import expm
@@ -21,7 +21,6 @@ from .plants import NxtwayParams, PlantParams, RotPenParams, scalar_rhs
 
 __all__ = [
     "StateSpace",
-    "numeric_jacobian",
     "jacobian_linearize",
     "rotpen_statespace_closed_form",
     "nxtway_statespace_closed_form",
@@ -71,44 +70,6 @@ class StateSpace:
         return self.B.shape[1]
 
 
-def _check_eps(eps: float) -> None:
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError("eps must be positive and finite")
-
-
-def numeric_jacobian(f: Callable, x0, u0, eps: float = 1e-6):
-    """Central-difference Jacobians of xdot = f(x, u) at (x0, u0).
-
-    Parameters
-    ----------
-    f : callable
-        Maps (x, u) arrays to the state derivative array.
-    x0, u0 : array_like
-        Expansion point.
-    eps : float
-        Absolute differencing step, applied per coordinate; positive and
-        finite.
-
-    Returns
-    -------
-    (A, B) : ndarray pair
-        A = df/dx, B = df/du.
-    """
-    _check_eps(eps)
-    x0 = np.asarray(x0, dtype=float)
-    u0 = np.asarray(u0, dtype=float)
-    n = x0.size
-    z0 = np.concatenate([x0.ravel(), u0.ravel()])
-
-    def g(z):
-        return np.asarray(f(z[:n].reshape(x0.shape), z[n:].reshape(u0.shape)), dtype=float)
-
-    J = np.zeros((g(z0).size, z0.size))
-    for i, step in enumerate(eps * np.eye(z0.size)):
-        J[:, i] = (g(z0 + step) - g(z0 - step)) / (2 * eps)
-    return J[:, :n], J[:, n:]
-
-
 def _expansion_point(value, size: int, name: str, platform: str) -> list:
     """value (default zeros) as a list of size finite floats, else ValueError."""
     values = [0.0] * size if value is None else np.ravel(np.asarray(value, dtype=float)).tolist()
@@ -122,12 +83,11 @@ def _expansion_point(value, size: int, name: str, platform: str) -> list:
 def jacobian_linearize(params: PlantParams, x0=None, u0=None, eps: float = 1e-6) -> StateSpace:
     """Linearize a plant about (x0, u0), default the upright origin.
 
-    The Jacobian differentiates plants.scalar_rhs, the generated kernel
-    that the simulator integrates, by the central difference of
-    numeric_jacobian over z = (x, u), in plain floats. The position rates
-    are the velocities, so the kinematic rows are exactly [0, 0, 1, 0] and
-    [0, 0, 0, 1]; the arm or wheel angle q1 never enters the dynamics, so
-    its column is zero.
+    The Jacobian differentiates plants.scalar_rhs by central differences of
+    the absolute step eps (positive and finite) in each coordinate of
+    z = (x, u), in plain floats. The position rates are the velocities, so
+    the kinematic rows are exactly [0, 0, 1, 0] and [0, 0, 0, 1]; the arm or
+    wheel angle q1 never enters the dynamics, so its column is zero.
 
     For the two-wheeled robot the input is the pair of motor voltages, so B
     has two (equal) columns: the kernel's per-motor voltage is their mean.
@@ -136,7 +96,8 @@ def jacobian_linearize(params: PlantParams, x0=None, u0=None, eps: float = 1e-6)
     m = 2 if isinstance(params, NxtwayParams) else 1
     z0 = (_expansion_point(x0, 4, "x0", params.platform)
           + _expansion_point(u0, m, "u0", params.platform))
-    _check_eps(eps)
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError("eps must be positive and finite")
     rhs = scalar_rhs(params)
 
     def g(z):

@@ -17,11 +17,11 @@ first row only, so it is deliberately not symmetric; mechanical_energy uses
 the underlying symmetric mechanical form instead.
 
 Each platform's M, C and G entries and the solve for its accelerations are
-written once, as text (_DYNAMICS). Three kernels are generated from it: the
-entries behind eval_mcg and forward_dynamics, scalar_rhs, and the RK4
-period_stepper. Each is compiled once per process and platform, on first
-use; its source is registered with linecache, so tracebacks show the
-generated lines.
+written once, as text (_DYNAMICS). Two kernels are generated from it:
+scalar_rhs, the accelerations that linearize.jacobian_linearize
+differentiates, and the RK4 period_stepper that simulate integrates. Each is
+compiled once per process and platform, on first use; its source is
+registered with linecache, so tracebacks show the generated lines.
 """
 
 from __future__ import annotations
@@ -40,11 +40,8 @@ __all__ = [
     "RotPenParams",
     "NxtwayParams",
     "PlantParams",
-    "DynamicsMatrices",
     "default_params",
     "params_from_mapping",
-    "eval_mcg",
-    "forward_dynamics",
     "scalar_rhs",
     "period_stepper",
     "mechanical_energy",
@@ -180,15 +177,6 @@ class NxtwayParams:
 PlantParams = Union[RotPenParams, NxtwayParams]
 
 
-@dataclass(frozen=True)
-class DynamicsMatrices:
-    """Evaluated dynamics terms: 2x2 M and C, length-2 G."""
-
-    M: np.ndarray
-    C: np.ndarray
-    G: np.ndarray
-
-
 def default_params(platform: str) -> PlantParams:
     """Return the factory parameter set for "rotpen" or "nxtway"."""
     key = platform.strip().lower()
@@ -228,15 +216,6 @@ def params_from_mapping(platform: str, overrides: Mapping[str, object]) -> Plant
     return dataclasses.replace(base, **values)
 
 
-def _check_state(state) -> np.ndarray:
-    x = np.asarray(state, dtype=float)
-    if x.shape != (4,):
-        raise ValueError(f"state must have 4 entries [q1, q2, q1dot, q2dot], got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("state contains non-finite entries")
-    return x
-
-
 # ---------------------------------------------------------------------------
 # generated dynamics kernels
 # ---------------------------------------------------------------------------
@@ -260,13 +239,12 @@ def _nxtway_constants(p: NxtwayParams) -> dict:
 
 
 # The dynamics of each platform, written once, as (parameter-only
-# constants, a statement run once per call on the voltage v, the M, C and G
-# entries, the tuple (m11, m12, m21, m22, c11, c12, c21, c22, g1, g2) that
-# eval_mcg returns, the Cramer solve of M qddot = V - C qdot - G). In the
-# entries and the solve {q2}, {q1d} and {q2d} are the stage inputs and
-# {q1dd}, {q2dd} its outputs; every other name is a constant or a
-# temporary. An entry the solve uses negated is stored negated (nc21 is
-# -c21), which is exact, so the solve keeps the operations of the formulas.
+# constants, a statement run once per call on the voltage v, one stage: the
+# M, C and G entries, then the Cramer solve of M qddot = V - C qdot - G).
+# In the stage {q2}, {q1d} and {q2d} are the inputs and {q1dd}, {q2dd} its
+# outputs; every other name is a constant or a temporary. An entry the
+# solve uses negated is stored negated (nc21 is -c21), which is exact, so
+# the solve keeps the operations of the formulas.
 _DYNAMICS = {
     "rotpen": (_rotpen_constants, "", """\
 s = sin({q2})
@@ -278,7 +256,7 @@ m21 = nb * co
 c11 = gam * (l2x2 * s * co * {q2d} + fr) + kmkg
 c12 = gb * s * {q2d}
 nc21 = l2s * co * {q1d}
-ng2 = halfmpg * s""", "m11, m12, m21, c, c11, c12, -nc21, fp, 0.0, -ng2", """\
+ng2 = halfmpg * s
 r1 = v - c11 * {q1d} - c12 * {q2d}
 r2 = nc21 * {q1d} - fp * {q2d} + ng2
 det = m11 * c - m12 * m21
@@ -289,7 +267,7 @@ s = sin({q2})
 co = cos({q2})
 m12 = (MLR * co - n2Jm2) / al  # and m21 = -m12
 c12 = (nbe2 - MLR * {q2d} * s) / al
-g2 = MgL * s / al""", "m11, m12, -m12, m22, c11, c12, c21, -c21, 0.0, g2", """\
+g2 = MgL * s / al
 r1 = v2 - c11 * {q1d} - c12 * {q2d}
 r2 = v2 - c21 * {q1d} + c21 * {q2d} - g2
 det = m11m22 + m12 * m12
@@ -298,17 +276,8 @@ det = m11m22 + m12 * m12
 }
 
 # Kernel templates: {constants} is the constant names, {per_call} the
-# per-call statement, {mcg} the eval_mcg tuple, {entries q2 q1d q2d} one
-# copy of the entries and {stage q2 q1d q2d q1dd q2dd} one copy of the
-# entries followed by the solve.
+# per-call statement and {stage q2 q1d q2d q1dd q2dd} one copy of the stage.
 _KERNELS = {
-    "terms": """\
-def make({constants}):
-    def terms(q2, q1d, q2d):
-        {entries q2 q1d q2d}
-        return {mcg}
-    return terms
-""",
     "rhs": """\
 def make({constants}):
     def rhs(q2, q1d, q2d, v):
@@ -359,10 +328,9 @@ def _kernel_factory(platform: str, kind: str):
     The source is registered with linecache under a readable name, so
     tracebacks and inspect.getsource show the generated lines.
     """
-    constants, per_call, entries, mcg, solve = _DYNAMICS[platform]
+    constants, per_call, stage = _DYNAMICS[platform]
     slots = {"constants": ", ".join(constants(default_params(platform))),
-             "per_call": per_call, "mcg": mcg, "entries": entries,
-             "stage": entries + "\n" + solve}
+             "per_call": per_call, "stage": stage}
 
     def expand(m):
         indent, text = m[1], slots[m[2]].format(
@@ -385,8 +353,8 @@ def _kernel(params: PlantParams, kind: str, **extra):
 def scalar_rhs(params: PlantParams):
     """Closure f(q2, q1dot, q2dot, v) -> (q1ddot, q2ddot).
 
-    The scalar form of forward_dynamics, with v the voltage on each motor,
-    so an integration loop allocates no arrays. The arm or wheel angle q1
+    The accelerations M^-1 (V - C qdot - G), with v the voltage on each
+    motor, so an integration loop allocates no arrays. The arm or wheel angle q1
     never enters the dynamics and the position rates are the velocities,
     so the closure takes and returns neither. It is generated from the
     platform's entry in _DYNAMICS, as period_stepper is, and it is the
@@ -416,79 +384,19 @@ def period_stepper(params: PlantParams, dt: float, steps: int):
     return _kernel(params, "advance", dt=dt, steps=steps)
 
 
-def eval_mcg(params: PlantParams, state) -> DynamicsMatrices:
-    """Evaluate M, C, G at a state [q1, q2, q1dot, q2dot].
-
-    Parameters
-    ----------
-    params : RotPenParams or NxtwayParams
-    state : array_like, shape (4,)
-        Generalized positions and velocities; entries must be finite.
-
-    Returns
-    -------
-    DynamicsMatrices
-        Terms of M qddot + C qdot + G = V in the platform's published,
-        voltage-referred convention: the entries the integration kernels
-        solve, from the same definition.
-    """
-    x = _check_state(state)
-    m11, m12, m21, m22, c11, c12, c21, c22, g1, g2 = _kernel(params, "terms")(*x[1:].tolist())
-    return DynamicsMatrices(M=np.array([[m11, m12], [m21, m22]]),
-                            C=np.array([[c11, c12], [c21, c22]]), G=np.array([g1, g2]))
-
-
-def _input_vector(params: PlantParams, v) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(v, dtype=float))
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("input voltage is not finite")
-    if isinstance(params, RotPenParams):
-        if arr.size != 1:
-            raise ValueError("rotpen takes a single motor voltage")
-        return np.array([arr[0], 0.0])
-    if arr.size == 1:
-        total = 2.0 * arr[0]  # one scalar drives both motors
-    elif arr.size == 2:
-        total = arr[0] + arr[1]
-    else:
-        raise ValueError("nxtway takes one shared or two per-motor voltages")
-    return np.array([total, total])
-
-
-def forward_dynamics(params: PlantParams, state, v) -> np.ndarray:
-    """Accelerations qddot = M^-1 (V - C qdot - G).
-
-    Parameters
-    ----------
-    params : RotPenParams or NxtwayParams
-    state : array_like, shape (4,)
-    v : float or sequence
-        RotPen: the motor voltage. NxtWay: either a scalar applied to both
-        motors or the pair (v_left, v_right); only the sum enters.
-
-    Returns
-    -------
-    ndarray, shape (2,)
-        Generalized accelerations in rad/s^2.
-    """
-    x = _check_state(state)
-    V = _input_vector(params, v)
-    mats = eval_mcg(params, x)
-    det = mats.M[0, 0] * mats.M[1, 1] - mats.M[0, 1] * mats.M[1, 0]
-    if abs(det) <= 1e-12:
-        raise ValueError(f"singular mass matrix at q2 = {x[1]!r}")
-    rhs = V - mats.C @ x[2:] - mats.G
-    return np.linalg.solve(mats.M, rhs)
-
-
 def mechanical_energy(params: PlantParams, state) -> float:
     """Kinetic plus potential energy of the mechanical subsystem, in joules.
 
     Uses the physical symmetric mass matrix (no voltage referral). The
     potential reference is the hanging pose, so the upright pole holds the
-    maximum potential energy.
+    maximum potential energy. A state that is not four finite numbers
+    [q1, q2, q1dot, q2dot] raises ValueError.
     """
-    x = _check_state(state)
+    x = np.asarray(state, dtype=float)
+    if x.shape != (4,):
+        raise ValueError(f"state must have 4 entries [q1, q2, q1dot, q2dot], got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("state contains non-finite entries")
     q2, q1d, q2d = x[1], x[2], x[3]
     p = params
     if isinstance(p, RotPenParams):

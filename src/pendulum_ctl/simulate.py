@@ -8,9 +8,13 @@ disturbance is a square pulse train added to the applied voltage after
 saturation and deliberately not re-clamped, since it models an external
 torque-equivalent injection rather than part of the commanded signal.
 
-Measurements are ideal by default. The filtered-derivative mode feeds the
-controller velocity estimates built from backward differences smoothed by
-a bilinear-mapped first-order low-pass, emulating encoder-only sensing.
+The controller applies u = -K e - Ki integ (LQR, integral term optional)
+or u = -Keq e - k sign(s) with s = L e (SMC; sign(0) = 0, and inside an
+optional boundary layer |s| < eps, s / eps), where e is the measured state
+minus the reference. Measurements are ideal by default. The
+filtered-derivative mode feeds the controller velocity estimates built from
+backward differences smoothed by a bilinear-mapped first-order low-pass,
+emulating encoder-only sensing.
 
 A run at exact rest is not recomputed tick by tick. When one tick leaves
 the carried state (plant state, integral, derivative-filter states)
@@ -38,9 +42,6 @@ __all__ = [
     "standard_pulse_train",
     "disturbance_value",
     "saturate",
-    "lqr_control_law",
-    "smc_control_law",
-    "filtered_derivative",
     "simulate",
     "save_trace_csv",
 ]
@@ -266,31 +267,6 @@ def _control_law(design, eps: float = 0.0):
     raise TypeError(f"unsupported design type {type(design).__name__}")
 
 
-def _plant_state(x) -> np.ndarray:
-    xv = np.asarray(x, dtype=float).ravel()
-    if xv.size != _STATE_DIM:
-        raise ValueError(f"state has {xv.size} entries, expected {_STATE_DIM}")
-    return xv
-
-
-def lqr_control_law(design: LqrDesign, x, integ: float = 0.0, reference=None) -> float:
-    """u = -K (x - reference) - Ki * integ, a single voltage command."""
-    law = _control_law(design)
-    e = _plant_state(x) if reference is None else _plant_state(x) - _plant_state(reference)
-    return law(*e.tolist(), float(integ))[0]
-
-
-def smc_control_law(design: SmcDesign, x, boundary_layer: float = 0.0):
-    """Return (u, s) with u = -Keq x - k * sign(s), s = L x and sign(0) = 0.
-
-    A positive boundary_layer replaces sign(s) by s / boundary_layer
-    inside |s| < boundary_layer, trading finite-time reaching for a
-    chatter-free band.
-    """
-    law = _control_law(design, boundary_layer)
-    return law(*_plant_state(x).tolist(), 0.0)
-
-
 # ---------------------------------------------------------------------------
 # velocity reconstruction
 # ---------------------------------------------------------------------------
@@ -300,9 +276,12 @@ _FILTER_START = (None, 0.0, 0.0)
 
 
 def _derivative_filter(Ts: float, cutoff_hz: float):
-    """Streaming filtered_derivative as a pure step(state, sample) -> state.
+    """Velocity estimator as a pure step(state, sample) -> state.
 
-    Start from _FILTER_START; the estimate after a sample is state[2].
+    Backward differences pass through a discrete low-pass whose pole comes
+    from the bilinear transform of cutoff_hz; the cascade has unity gain on
+    constant slopes. Start from _FILTER_START; the estimate after a sample
+    is state[2], zero after the first sample since no difference exists yet.
     """
     om = 2.0 * math.pi * cutoff_hz
     c = 2.0 / Ts
@@ -316,31 +295,6 @@ def _derivative_filter(Ts: float, cutoff_hz: float):
         return x, raw, fa * y + fg * (raw + praw)
 
     return step
-
-
-def filtered_derivative(samples, Ts: float, cutoff_hz: float) -> np.ndarray:
-    """Differentiate a uniformly sampled stream with first-order smoothing.
-
-    Backward differences are passed through a discrete low-pass whose pole
-    comes from the bilinear transform of cutoff_hz; the cascade has unity
-    gain on constant slopes. The first output sample is zero since no
-    difference exists yet.
-    """
-    x = np.asarray(samples, dtype=float).ravel()
-    if x.size < 2:
-        raise ValueError("need at least two samples to differentiate")
-    if Ts <= 0.0:
-        raise ValueError("Ts must be positive")
-    if not 0.0 < cutoff_hz < 0.5 / Ts:
-        raise ValueError("cutoff_hz must be positive and below the Nyquist "
-                         "rate 1 / (2 Ts)")
-    step = _derivative_filter(Ts, cutoff_hz)
-    out = np.empty(x.size)
-    state = _FILTER_START
-    for i, v in enumerate(x.tolist()):
-        state = step(state, v)
-        out[i] = state[2]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -739,6 +739,10 @@ _RUN = {"synthesize": {"platform": "nxtway"}, "linearize": {"platform": "rotpen"
     # pulse settings are read only by disturbance=pulse
     ("simulate", {"disturbance": "paper", "dist_amplitude": "1"}, "dist_amplitude"),
     ("simulate", {"dist_duty": "0.3"}, "dist_duty"),
+    # the run settings are checked before the design is synthesized, which
+    # here would fail for want of a sliding surface at Ts = 50 s
+    ("simulate", {"controller": "smc", "ts": "50", "duration": "-1",
+                  "trace": os.devnull, "metrics": os.devnull}, "duration"),
 ])
 def test_bad_settings_are_refused_before_writing(tmp_path, tmp_path_factory, capsys,
                                                  monkeypatch, command, settings, key):

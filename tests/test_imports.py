@@ -2,7 +2,9 @@
 
 Modules share only public names with each other, every name a module
 exports exists, the package docstring lists every module, the demos import
-only exported names, and every package name the benchmark reads exists.
+only exported names, every package name the benchmark reads exists, and
+every function and class the package defines is read by the package, the
+demos or the benchmark.
 """
 
 import ast
@@ -95,6 +97,13 @@ def _perfbench_source(name: str) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"))
 
 
+def _benchmark_layers() -> dict:
+    """perfbench/tracing.py's LAYER_FUNCTIONS: module -> the functions it wraps."""
+    return next(ast.literal_eval(node.value) for node in _perfbench_source("tracing.py").body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "LAYER_FUNCTIONS" for t in node.targets))
+
+
 def test_benchmark_reads_only_package_names_that_exist():
     # the benchmark is frozen: a trim of the package that removes a name it
     # reads through a module alias (sim.SimConfig, synthesis.design_smc) or
@@ -111,9 +120,57 @@ def test_benchmark_reads_only_package_names_that_exist():
     assert len(read) > 20
     assert sorted(f"{a}.{n}" for a, n in read if not hasattr(aliases[a], n)) == []
 
-    layers = next(ast.literal_eval(node.value) for node in _perfbench_source("tracing.py").body
-                  if isinstance(node, ast.Assign)
-                  and any(getattr(t, "id", None) == "LAYER_FUNCTIONS" for t in node.targets))
+    layers = _benchmark_layers()
     missing = [f"{layer}.{name}" for layer, names in layers.items() for name in names
                if not hasattr(importlib.import_module(f"pendulum_ctl.{layer}"), name)]
     assert sum(map(len, layers.values())) > 10 and missing == []
+
+
+# definitions kept although only the tests read them, with the reason
+_KEPT_UNREFERENCED = {
+    "plants.mechanical_energy": "the energy reference of acceptance criterion 7 and the "
+                                "plant energy tests",
+    "linearize.load_statespace": "the reader of the file that `linearize --out` writes",
+}
+
+
+def _dead_definitions(modules: dict[str, str], readers: list[str], wrapped: set) -> list[str]:
+    """module.name of each module-level function or class nothing references.
+
+    A reference is a name, an attribute or an imported name in any of the
+    modules' or readers' sources, or a name in wrapped; a definition's own
+    def or class line is not one.
+    """
+    used = set(wrapped)
+    for source in [*modules.values(), *readers]:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rsplit(".", 1)[-1])
+    return sorted(f"{module}.{node.name}" for module, source in modules.items()
+                  for node in ast.parse(source).body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used)
+
+
+def test_dead_definition_detector():
+    modules = {"a": "def used(): pass\ndef dead(): pass\nclass Read: pass\nused()\n",
+               "b": "from .a import used\ndef attr(): pass\ndef wrapped(): pass\n"
+                    "class Alone:\n    def method(self): return Alone\n"}
+    readers = ["import pendulum_ctl.b as b\nb.attr()\nfrom pendulum_ctl.a import Read\n"
+               "__all__ = ['dead']\n"]
+    assert _dead_definitions(modules, readers, {"wrapped"}) == ["a.dead"]
+    assert _dead_definitions(modules, [], set()) == ["a.Read", "a.dead", "b.attr", "b.wrapped"]
+
+
+def test_every_definition_is_read_by_the_package_demos_or_benchmark():
+    root = Path(__file__).resolve().parents[1]
+    package = Path(pendulum_ctl.__file__).parent
+    modules = {path.stem: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+    readers = [path.read_text(encoding="utf-8") for folder in ("demos", "perfbench")
+               for path in sorted((root / folder).glob("*.py"))]
+    wrapped = {name for names in _benchmark_layers().values() for name in names}
+    # a kept name that gains a reader leaves the list
+    assert _dead_definitions(modules, readers, wrapped) == sorted(_KEPT_UNREFERENCED)

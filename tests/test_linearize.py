@@ -16,12 +16,12 @@ from pendulum_ctl.linearize import (
     discretize_zoh,
     jacobian_linearize,
     load_statespace,
-    numeric_jacobian,
     nxtway_statespace_closed_form,
     rotpen_statespace_closed_form,
     save_statespace,
 )
-from pendulum_ctl.plants import default_params, forward_dynamics, params_from_mapping
+from pendulum_ctl.plants import default_params, params_from_mapping, scalar_rhs
+from test_plants import _oracle_accelerations
 
 PERTURBED = {"rotpen": ("m_p", "L_p", "f_p", "J_r"), "nxtway": ("M", "L", "f_m", "J_m")}
 
@@ -75,19 +75,6 @@ def test_statespace_kind_follows_ts_and_ts_must_be_positive_and_finite():
 # numeric Jacobian
 # ---------------------------------------------------------------------------
 
-def test_numeric_jacobian_recovers_linear_system():
-    rng = np.random.default_rng(5)
-    A0 = rng.normal(size=(4, 4))
-    B0 = rng.normal(size=(4, 2))
-
-    def f(x, u):
-        return A0 @ x + B0 @ u
-
-    A, B = numeric_jacobian(f, np.zeros(4), np.zeros(2))
-    np.testing.assert_allclose(A, A0, rtol=0, atol=1e-9)
-    np.testing.assert_allclose(B, B0, rtol=0, atol=1e-9)
-
-
 def test_jacobian_kinematic_rows_are_exact():
     for platform in ("rotpen", "nxtway"):
         m = 2 if platform == "nxtway" else 1
@@ -98,15 +85,19 @@ def test_jacobian_kinematic_rows_are_exact():
             np.testing.assert_array_equal(ss.B[:, 0], ss.B[:, -1])  # both motors alike
 
 
-def _forward_dynamics_jacobian(params, x0, u0, eps=1e-6):
-    """The Jacobian as first written: numeric_jacobian over numpy forward_dynamics."""
-    m = 2 if params.platform == "nxtway" else 1
+def _oracle_jacobian(params, x0, u0, eps=1e-6):
+    """Central differences over z = (x, u) of the hand-written terms solved with numpy.
 
-    def f(x, u):
-        qdd = forward_dynamics(params, x, u if m == 2 else u[0])
-        return np.concatenate([x[2:], qdd])
+    Each motor takes the mean of the input voltages, as in the model.
+    """
+    z0 = np.concatenate([x0, u0]).astype(float)
 
-    return numeric_jacobian(f, np.asarray(x0, dtype=float), np.atleast_1d(u0), eps)
+    def f(z):
+        return np.concatenate([z[2:4], _oracle_accelerations(params, z[:4], np.mean(z[4:]))])
+
+    J = np.column_stack([(f(z0 + step) - f(z0 - step)) / (2 * eps)
+                         for step in eps * np.eye(z0.size)])
+    return J[:, :4], J[:, 4:]
 
 
 def _perturbed_sets(platform, count, seed):
@@ -127,7 +118,7 @@ def test_jacobian_matches_forward_dynamics_oracle(platform):
     cases += [(p, np.zeros(4), np.zeros(m)) for p in _perturbed_sets(platform, 4, 29)]
     for params, x0, u0 in cases:
         ss = jacobian_linearize(params, x0, u0)
-        A, B = _forward_dynamics_jacobian(params, x0, u0)
+        A, B = _oracle_jacobian(params, x0, u0)
         for got, want in ((ss.A, A), (ss.B, B)):
             assert got.shape == want.shape
             assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want))), \
@@ -138,8 +129,6 @@ def test_jacobian_matches_forward_dynamics_oracle(platform):
 def test_nonpositive_or_nonfinite_eps_is_refused(eps):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="eps"):
-            numeric_jacobian(lambda x, u: x + u, np.zeros(2), np.zeros(2), eps=eps)
         with pytest.raises(ValueError, match="eps"):
             jacobian_linearize(default_params("rotpen"), eps=eps)
 
@@ -226,7 +215,7 @@ def test_small_signal_dynamics_match_linear_prediction():
     ss = rotpen_statespace_closed_form(p)
     x = np.array([1e-4, -7e-5, 5e-5, 9e-5])
     v = 1e-4
-    qdd = forward_dynamics(p, x, v)
+    qdd = scalar_rhs(p)(x[1], x[2], x[3], v)
     pred = (ss.A @ x + ss.B[:, 0] * v)[2:]
     np.testing.assert_allclose(qdd, pred, rtol=1e-6, atol=1e-12)
 

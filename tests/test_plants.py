@@ -7,18 +7,17 @@ and compare the package's forward dynamics against that independent oracle.
 
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
 import sympy as sp
 
-from pendulum_ctl.linearize import closed_form
+from pendulum_ctl.linearize import closed_form, jacobian_linearize
 from pendulum_ctl.plants import (
     NxtwayParams,
     RotPenParams,
     default_params,
-    eval_mcg,
-    forward_dynamics,
     mechanical_energy,
     params_from_mapping,
     scalar_rhs,
@@ -113,7 +112,7 @@ def _nxtway_oracle(p):
 
 
 def _oracle_terms(p, q2, q1d, q2d):
-    """The hand-written (m11, m12, m21, m22, c11, c12, c21, c22, g1, g2) eval_mcg used to read."""
+    """The hand-written (m11, m12, m21, m22, c11, c12, c21, c22, g1, g2) of M qdd + C qd + G = V."""
     if p.platform == "rotpen":
         a, b, c, l2 = p.mass_constants
         gam = p.gamma
@@ -146,6 +145,38 @@ def _oracle_terms(p, q2, q1d, q2d):
     c22 = -2 * be / al
     g2 = p.M * p.g * p.L * s / al
     return m11, m12, m21, m22, c11, c12, c21, c22, 0.0, g2
+
+
+def _voltages(p, v):
+    """V for the voltage v on each motor: rotpen drives row one, nxtway's two motors both rows."""
+    return (v, 0.0) if p.platform == "rotpen" else (2.0 * v, 2.0 * v)
+
+
+def _oracle_matrices(p, x):
+    """M, C and G of the hand-written terms at a state [q1, q2, q1dot, q2dot]."""
+    m11, m12, m21, m22, c11, c12, c21, c22, g1, g2 = _oracle_terms(p, x[1], x[2], x[3])
+    M = np.array([[m11, m12], [m21, m22]])
+    return M, np.array([[c11, c12], [c21, c22]]), np.array([g1, g2])
+
+
+def _oracle_accelerations(p, x, v):
+    """The hand-written terms solved with np.linalg.solve."""
+    M, C, G = _oracle_matrices(p, x)
+    return np.linalg.solve(M, np.array(_voltages(p, v)) - C @ np.asarray(x[2:]) - G)
+
+
+def _cramer(terms, V, q1d, q2d):
+    """M qddot = V - C qdot - G solved by Cramer's rule, each formula in its textbook order."""
+    m11, m12, m21, m22, c11, c12, c21, c22, g1, g2 = terms
+    r1 = V[0] - c11 * q1d - c12 * q2d - g1
+    r2 = V[1] - c21 * q1d - c22 * q2d - g2
+    det = m11 * m22 - m12 * m21
+    return (m22 * r1 - m12 * r2) / det, (m11 * r2 - m21 * r1) / det
+
+
+def _accelerations(p, x, v):
+    """scalar_rhs at a state [q1, q2, q1dot, q2dot] as an array."""
+    return np.array(scalar_rhs(p)(x[1], x[2], x[3], v))
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +301,10 @@ def test_every_parameter_field_is_read_by_the_model(platform, name):
 # ---------------------------------------------------------------------------
 
 def test_rotpen_matrix_entries_at_sample_state():
+    # the entries recomputed from the defining expressions, solved for the
+    # accelerations the kernel returns
     p = default_params("rotpen")
-    q2, q1d, q2d = 0.1, 0.2, -0.3
-    out = eval_mcg(p, [0.7, q2, q1d, q2d])
+    q2, q1d, q2d, v = 0.1, 0.2, -0.3, 1.7
 
     a = p.m_r * (p.L_r / 2) ** 2 + p.m_p * p.L_r ** 2 + p.J_r
     b = 0.5 * p.m_p * p.L_p * p.L_r
@@ -280,52 +312,39 @@ def test_rotpen_matrix_entries_at_sample_state():
     l2 = p.m_p * (p.L_p / 2) ** 2
     s, co = math.sin(q2), math.cos(q2)
 
-    assert out.M[0, 0] == pytest.approx(p.gamma * (a + l2 * s * s), rel=1e-12)
-    assert out.M[0, 1] == pytest.approx(-p.gamma * b * co, rel=1e-12)
-    assert out.M[1, 0] == pytest.approx(-b * co, rel=1e-12)
-    assert out.M[1, 1] == pytest.approx(c, rel=1e-12)
-
-    assert out.C[0, 0] == pytest.approx(
-        p.gamma * (2 * l2 * s * co * q2d + p.f_r) + p.K_m * p.K_g, rel=1e-12
-    )
-    assert out.C[0, 1] == pytest.approx(p.gamma * b * s * q2d, rel=1e-12)
-    assert out.C[1, 0] == pytest.approx(-l2 * s * co * q1d, rel=1e-12)
-    assert out.C[1, 1] == pytest.approx(p.f_p, rel=1e-12)
-
-    assert out.G[0] == 0.0
-    assert out.G[1] == pytest.approx(-0.5 * p.m_p * p.L_p * p.g * s, rel=1e-12)
+    M = np.array([[p.gamma * (a + l2 * s * s), -p.gamma * b * co], [-b * co, c]])
+    C = np.array([[p.gamma * (2 * l2 * s * co * q2d + p.f_r) + p.K_m * p.K_g,
+                   p.gamma * b * s * q2d],
+                  [-l2 * s * co * q1d, p.f_p]])
+    G = np.array([0.0, -0.5 * p.m_p * p.L_p * p.g * s])
+    want = np.linalg.solve(M, np.array([v, 0.0]) - C @ [q1d, q2d] - G)
+    np.testing.assert_allclose(_accelerations(p, [0.7, q2, q1d, q2d], v), want, rtol=1e-12)
 
 
 def test_rotpen_gravity_at_right_angle():
+    # at rest and undriven, M qddot = -G with G[1] = -(L_p / 2) m_p g at q2 = pi / 2
     p = default_params("rotpen")
-    out = eval_mcg(p, [0.0, math.pi / 2, 0.0, 0.0])
-    assert out.G[1] == pytest.approx(-(p.L_p / 2) * p.m_p * p.g, rel=1e-12)
+    x = [0.0, math.pi / 2, 0.0, 0.0]
+    M, _, _ = _oracle_matrices(p, x)
+    np.testing.assert_allclose(M @ _accelerations(p, x, 0.0),
+                               [0.0, (p.L_p / 2) * p.m_p * p.g], rtol=1e-12, atol=1e-15)
 
 
 def test_nxtway_matrix_entries_at_sample_state():
     p = default_params("nxtway")
-    q2, q1d, q2d = -0.2, 0.4, 0.1
-    out = eval_mcg(p, [1.0, q2, q1d, q2d])
+    q2, q1d, q2d, v = -0.2, 0.4, 0.1, 1.7
 
     n2Jm = p.eta ** 2 * p.J_m
     pp = 2 * p.m * p.R ** 2 + p.M * p.R ** 2 + 2 * p.J_w + 2 * n2Jm
     q0 = p.M * p.L * p.R * math.cos(q2) - 2 * n2Jm
     rr = p.M * p.L ** 2 + p.J_q2 + 2 * n2Jm
 
-    assert out.M[0, 0] == pytest.approx(pp / p.alpha, rel=1e-12)
-    assert out.M[0, 1] == pytest.approx(q0 / p.alpha, rel=1e-12)
-    assert out.M[1, 0] == pytest.approx(-q0 / p.alpha, rel=1e-12)
-    assert out.M[1, 1] == pytest.approx(-rr / p.alpha, rel=1e-12)
-
-    assert out.C[0, 0] == pytest.approx(2 * (p.beta + p.f_w) / p.alpha, rel=1e-12)
-    assert out.C[0, 1] == pytest.approx(
-        (-2 * p.beta - p.M * p.L * p.R * q2d * math.sin(q2)) / p.alpha, rel=1e-12
-    )
-    assert out.C[1, 0] == pytest.approx(2 * p.beta / p.alpha, rel=1e-12)
-    assert out.C[1, 1] == pytest.approx(-2 * p.beta / p.alpha, rel=1e-12)
-
-    assert out.G[0] == 0.0
-    assert out.G[1] == pytest.approx(p.M * p.g * p.L * math.sin(q2) / p.alpha, rel=1e-12)
+    M = np.array([[pp, q0], [-q0, -rr]]) / p.alpha
+    C = np.array([[2 * (p.beta + p.f_w), -2 * p.beta - p.M * p.L * p.R * q2d * math.sin(q2)],
+                  [2 * p.beta, -2 * p.beta]]) / p.alpha
+    G = np.array([0.0, p.M * p.g * p.L * math.sin(q2) / p.alpha])
+    want = np.linalg.solve(M, np.array([2 * v, 2 * v]) - C @ [q1d, q2d] - G)
+    np.testing.assert_allclose(_accelerations(p, [1.0, q2, q1d, q2d], v), want, rtol=1e-12)
 
 
 def _scaled_params(base, rng):
@@ -339,7 +358,7 @@ def _scaled_params(base, rng):
 
 
 @pytest.mark.parametrize("platform", ["rotpen", "nxtway"])
-def test_eval_mcg_and_forward_dynamics_match_the_hand_written_terms_bit_for_bit(platform):
+def test_scalar_rhs_matches_the_hand_written_terms_bit_for_bit(platform):
     # factory parameters and four sets with every field scaled by 0.8..1.2;
     # states mix signed zeros, subnormals and magnitudes from 1e-3 to 30
     rng = np.random.default_rng(41 if platform == "rotpen" else 43)
@@ -347,44 +366,44 @@ def test_eval_mcg_and_forward_dynamics_match_the_hand_written_terms_bit_for_bit(
     param_sets = [base] + [_scaled_params(base, rng) for _ in range(4)]
     special = [0.0, -0.0, 1e-310, -1e-310]
     for p in param_sets:
+        f = scalar_rhs(p)
         for _ in range(1500):
             x = rng.normal(size=4) * rng.choice([1e-3, 1.0, 30.0], 4)
             for i in range(4):
                 if rng.random() < 0.2:
                     x[i] = special[rng.integers(len(special))]
+            q2, q1d, q2d = x[1:].tolist()
             v = float(rng.normal(scale=5.0))
-            m11, m12, m21, m22, c11, c12, c21, c22, g1, g2 = _oracle_terms(p, x[1], x[2], x[3])
-            M = np.array([[m11, m12], [m21, m22]])
-            C = np.array([[c11, c12], [c21, c22]])
-            G = np.array([g1, g2])
-            V = np.array([v, 0.0]) if platform == "rotpen" else np.array([2.0 * v, 2.0 * v])
-            got = eval_mcg(p, x)
-            assert (got.M.tobytes(), got.C.tobytes(), got.G.tobytes()) == \
-                (M.tobytes(), C.tobytes(), G.tobytes()), (x, v)
-            want = np.linalg.solve(M, V - C @ x[2:] - G)
-            assert forward_dynamics(p, x, v).tobytes() == want.tobytes(), (x, v)
+            want = _cramer(_oracle_terms(p, q2, q1d, q2d), _voltages(p, v), q1d, q2d)
+            assert struct.pack("2d", *f(q2, q1d, q2d, v)) == struct.pack("2d", *want), (x, v)
 
 
 def test_nxtway_gravity_vanishes_upright():
+    # upright, the accelerations are those of the terms with G = 0, bit for bit
     p = default_params("nxtway")
-    out = eval_mcg(p, [0.3, 0.0, 0.5, -0.5])
-    np.testing.assert_allclose(out.G, [0.0, 0.0], atol=0.0)
+    for q1d, q2d, v in ((0.5, -0.5, 0.0), (0.5, -0.5, 1.3), (-2.0, 0.7, -3.1)):
+        terms = _oracle_terms(p, 0.0, q1d, q2d)[:8] + (0.0, 0.0)
+        assert scalar_rhs(p)(0.0, q1d, q2d, v) == _cramer(terms, _voltages(p, v), q1d, q2d)
 
 
-def test_eval_mcg_rejects_nonfinite_state():
+def test_mechanical_energy_rejects_bad_states():
     p = default_params("rotpen")
-    with pytest.raises(ValueError):
-        eval_mcg(p, [0.0, math.nan, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        forward_dynamics(p, [0.0, 0.0, math.inf, 0.0], 0.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        mechanical_energy(p, [0.0, math.nan, 0.0, 0.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        mechanical_energy(p, [0.0, 0.0, math.inf, 0.0])
+    with pytest.raises(ValueError, match="4 entries"):
+        mechanical_energy(p, [0.0, 0.0, 0.0])
 
 
 def test_mass_matrix_invertible_over_full_pitch_range():
     for platform in ("rotpen", "nxtway"):
         p = default_params(platform)
+        f = scalar_rhs(p)
         for q2 in np.arange(-math.pi, math.pi, 1e-3):
-            M = eval_mcg(p, [0.0, q2, 0.0, 0.0]).M
+            M, _, _ = _oracle_matrices(p, [0.0, q2, 0.0, 0.0])
             assert abs(np.linalg.det(M)) > 1e-12
+            assert all(map(math.isfinite, f(float(q2), 0.0, 0.0, 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +413,7 @@ def test_mass_matrix_invertible_over_full_pitch_range():
 def test_equilibrium_is_exact():
     for platform in ("rotpen", "nxtway"):
         p = default_params(platform)
-        qdd = forward_dynamics(p, [0.0, 0.0, 0.0, 0.0], 0.0)
-        np.testing.assert_allclose(qdd, [0.0, 0.0], atol=0.0)
+        assert scalar_rhs(p)(0.0, 0.0, 0.0, 0.0) == (0.0, 0.0)
 
 
 def test_forward_dynamics_linear_in_voltage():
@@ -403,33 +421,28 @@ def test_forward_dynamics_linear_in_voltage():
     for platform in ("rotpen", "nxtway"):
         p = default_params(platform)
         x = rng.normal(scale=0.3, size=4)
-        base = forward_dynamics(p, x, 0.0)
-        f1 = forward_dynamics(p, x, 1.3) - base
-        f2 = forward_dynamics(p, x, -2.1) - base
-        both = forward_dynamics(p, x, 1.3 - 2.1) - base
+        base = _accelerations(p, x, 0.0)
+        f1 = _accelerations(p, x, 1.3) - base
+        f2 = _accelerations(p, x, -2.1) - base
+        both = _accelerations(p, x, 1.3 - 2.1) - base
         np.testing.assert_allclose(both, f1 + f2, atol=1e-12)
 
 
 def test_nxtway_pole_falls_from_small_tilt():
     p = default_params("nxtway")
-    qdd = forward_dynamics(p, [0.0, 0.05, 0.0, 0.0], 0.0)
+    qdd = _accelerations(p, [0.0, 0.05, 0.0, 0.0], 0.0)
     assert qdd[1] > 0.0
 
 
 def test_nxtway_motor_voltages_enter_as_sum():
+    # the model takes one voltage per motor; linearized about a pair of
+    # motor voltages, only their sum enters
     p = default_params("nxtway")
     x = [0.1, -0.05, 0.2, 0.3]
-    np.testing.assert_allclose(
-        forward_dynamics(p, x, (2.0, 4.0)),
-        forward_dynamics(p, x, (3.0, 3.0)),
-        rtol=1e-14,
-    )
-    # a scalar drives both motors with the same voltage
-    np.testing.assert_allclose(
-        forward_dynamics(p, x, 3.0),
-        forward_dynamics(p, x, (3.0, 3.0)),
-        rtol=1e-14,
-    )
+    split = jacobian_linearize(p, x, (2.0, 4.0))
+    even = jacobian_linearize(p, x, (3.0, 3.0))
+    assert (split.A.tobytes(), split.B.tobytes()) == (even.A.tobytes(), even.B.tobytes())
+    np.testing.assert_array_equal(split.B[:, 0], split.B[:, 1])
 
 
 def test_rotpen_forward_dynamics_matches_lagrangian_oracle():
@@ -440,11 +453,12 @@ def test_rotpen_forward_dynamics_matches_lagrangian_oracle():
         q1, q2, q1d, q2d = rng.normal(scale=0.8, size=4)
         v = rng.normal(scale=3.0)
         want = np.array([f1(q1, q2, q1d, q2d, v), f2(q1, q2, q1d, q2d, v)])
-        got = forward_dynamics(p, [q1, q2, q1d, q2d], v)
+        got = _accelerations(p, [q1, q2, q1d, q2d], v)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-11)
 
 
 def test_nxtway_forward_dynamics_matches_lagrangian_oracle():
+    # the oracle takes the sum of the motor voltages, the model the voltage on each
     p = default_params("nxtway")
     f1, f2 = _nxtway_oracle(p)
     rng = np.random.default_rng(21)
@@ -452,31 +466,25 @@ def test_nxtway_forward_dynamics_matches_lagrangian_oracle():
         q1, q2, q1d, q2d = rng.normal(scale=0.8, size=4)
         vl, vr = rng.normal(scale=3.0, size=2)
         want = np.array([f1(q1, q2, q1d, q2d, vl + vr), f2(q1, q2, q1d, q2d, vl + vr)])
-        got = forward_dynamics(p, [q1, q2, q1d, q2d], (vl, vr))
+        got = _accelerations(p, [q1, q2, q1d, q2d], 0.5 * (vl + vr))
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-11)
 
 
-def test_forward_dynamics_consistent_with_eval_mcg():
+def test_forward_dynamics_consistent_with_the_hand_written_terms():
     # M*qdd + C*qd + G must reproduce the applied voltage vector
     rng = np.random.default_rng(3)
-    p = default_params("rotpen")
-    x = rng.normal(scale=0.5, size=4)
-    qdd = forward_dynamics(p, x, 2.5)
-    m = eval_mcg(p, x)
-    resid = m.M @ qdd + m.C @ x[2:] + m.G - np.array([2.5, 0.0])
-    np.testing.assert_allclose(resid, 0.0, atol=1e-12)
-
-    p = default_params("nxtway")
-    x = rng.normal(scale=0.5, size=4)
-    qdd = forward_dynamics(p, x, (1.0, 2.0))
-    m = eval_mcg(p, x)
-    resid = m.M @ qdd + m.C @ x[2:] + m.G - np.array([3.0, 3.0])
-    np.testing.assert_allclose(resid, 0.0, atol=1e-12)
+    for platform, v, V in (("rotpen", 2.5, [2.5, 0.0]), ("nxtway", 1.5, [3.0, 3.0])):
+        p = default_params(platform)
+        x = rng.normal(scale=0.5, size=4)
+        M, C, G = _oracle_matrices(p, x)
+        resid = M @ _accelerations(p, x, v) + C @ x[2:] + G - np.array(V)
+        np.testing.assert_allclose(resid, 0.0, atol=1e-12)
 
 
 def test_scalar_rhs_matches_vector_dynamics():
-    # the integration kernel against the eval_mcg/forward_dynamics reference,
-    # on the factory parameters and on sets with every field scaled by 0.8..1.2
+    # the integration kernel against the hand-written terms solved with
+    # np.linalg.solve, on the factory parameters and on sets with every
+    # field scaled by 0.8..1.2
     rng = np.random.default_rng(77)
     for platform in ("rotpen", "nxtway"):
         base = default_params(platform)
@@ -493,7 +501,7 @@ def test_scalar_rhs_matches_vector_dynamics():
                 v = float(rng.normal(scale=3.0))
                 assert g(x[1], x[2], x[3], v) == f(x[1], x[2], x[3], v)
                 got = np.array(f(x[1], x[2], x[3], v))
-                want = forward_dynamics(params, x, v)
+                want = _oracle_accelerations(params, x, v)
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
 
 
@@ -503,10 +511,10 @@ def test_scalar_rhs_matches_vector_dynamics():
 
 def _rk4_roll(p, x0, dt, steps, v=0.0):
     x = np.asarray(x0, dtype=float)
+    rhs = scalar_rhs(p)
 
     def f(state):
-        qdd = forward_dynamics(p, state, v)
-        return np.concatenate([state[2:], qdd])
+        return np.concatenate([state[2:], rhs(state[1], state[2], state[3], v)])
 
     for _ in range(steps):
         k1 = f(x)

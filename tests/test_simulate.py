@@ -1,10 +1,11 @@
 """Tests for the closed-loop simulator.
 
-Recorded commands are asserted equal to the public control laws on the
-recorded states, RK4 order four is confirmed by step halving, and the
-discrete reaching law is exercised on the sampled linear model with a
-manual update loop so the check does not depend on the integrator under
-test.
+Recorded commands are asserted equal to the control laws and the
+derivative filter written out here, applied to the recorded states; RK4
+order four is confirmed by step halving and against the exact
+zero-order-hold model in the small-signal limit, and the discrete reaching
+law is exercised on the sampled linear model with a manual update loop so
+the check does not depend on the integrator under test.
 """
 
 import dataclasses
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 from pendulum_ctl.linearize import (
+    closed_form,
     discretize_zoh,
     jacobian_linearize,
     nxtway_statespace_closed_form,
@@ -29,8 +31,6 @@ from pendulum_ctl import plants as plants_module
 from pendulum_ctl import simulate as simulate_module
 from pendulum_ctl.plants import (
     default_params,
-    eval_mcg,
-    forward_dynamics,
     params_from_mapping,
     period_stepper,
     scalar_rhs,
@@ -40,12 +40,9 @@ from pendulum_ctl.simulate import (
     SimConfig,
     SimTrace,
     disturbance_value,
-    filtered_derivative,
-    lqr_control_law,
     saturate,
     save_trace_csv,
     simulate,
-    smc_control_law,
     standard_pulse_train,
 )
 from pendulum_ctl.synthesis import (
@@ -204,80 +201,129 @@ def test_sim_trace_validation():
 
 
 # ---------------------------------------------------------------------------
-# control laws
+# control laws and the derivative filter, written out
 # ---------------------------------------------------------------------------
+
+def _lqr_formula(design, e, integ=0.0):
+    """u = -K e - Ki integ on the error e = measured state - reference."""
+    k1, k2, k3, k4 = design.K[0].tolist()
+    u = -(k1 * e[0] + k2 * e[1] + k3 * e[2] + k4 * e[3])
+    return u if design.Ki is None else u - design.Ki * integ
+
+
+def _smc_formula(design, e, layer=0.0):
+    """(u, s) with u = -Keq e - k sign(s), s = L e and sign(0) = 0; s / layer inside |s| < layer."""
+    l1, l2, l3, l4 = design.L.tolist()
+    k1, k2, k3, k4 = design.Keq.tolist()
+    s = l1 * e[0] + l2 * e[1] + l3 * e[2] + l4 * e[3]
+    sign = s / layer if abs(s) < layer else (math.copysign(1.0, s) if s else 0.0)
+    return -(k1 * e[0] + k2 * e[1] + k3 * e[2] + k4 * e[3]) - design.k * sign, s
+
+
+def _oracle_derivative_filter(Ts, cutoff_hz):
+    """Backward differences through the bilinear-mapped first-order low-pass, one sample a call."""
+    om = 2.0 * math.pi * cutoff_hz
+    c = 2.0 / Ts
+    fa, fg = (c - om) / (c + om), om / (c + om)
+    prev = None
+    praw = y = 0.0
+
+    def step(x):
+        nonlocal prev, praw, y
+        if prev is not None:
+            raw = (x - prev) / Ts
+            y = fa * y + fg * (raw + praw)
+            praw = raw
+        prev = x
+        return y
+
+    return step
+
+
+def _first_rows(design, x0, **settings):
+    """The two rows of a nxtway run of one 4 ms controller period from x0."""
+    cfg = SimConfig(duration=0.004, controller_Ts=0.004, x0=x0, **settings)
+    return simulate(default_params("nxtway"), design, cfg)
+
+
+def _toy_smc():
+    """s = q2dot and no equivalent control, so u = -20 sign(q2dot)."""
+    return SmcDesign(L=[0.0, 0.0, 0.0, 1.0], Keq=np.zeros(4), k=20.0, Ts=0.004,
+                     alpha=100.0, surface_eigs=np.zeros(3))
+
 
 def test_lqr_control_law_basics():
     d = _gain_only_design([1.0, 2.0, 3.0, 4.0])
-    assert lqr_control_law(d, [0.0, 0.0, 0.0, 0.0]) == 0.0
-    assert lqr_control_law(d, [1.0, 0.0, 0.0, 0.0]) == -1.0
-    assert lqr_control_law(d, [1.0, 0.0, 0.0, 0.0],
-                           reference=[1.0, 0.0, 0.0, 0.0]) == 0.0
+    assert _first_rows(d, (0.0, 0.0, 0.0, 0.0)).u_command[0] == 0.0
+    assert _first_rows(d, (1.0, 0.0, 0.0, 0.0)).u_command[0] == -1.0
+    assert _first_rows(d, (1.0, 0.0, 0.0, 0.0),
+                       reference=(1.0, 0.0, 0.0, 0.0)).u_command[0] == 0.0
 
 
 def test_lqr_control_law_reference_gains():
     d = reference_lqr_design("nxtway")
-    u = lqr_control_law(d, [0.0, 1.0, 0.0, 0.0])
-    assert u == pytest.approx(69.4743, abs=1e-9)
-    # integral term enters as -Ki * integ
-    u2 = lqr_control_law(d, [0.0, 1.0, 0.0, 0.0], integ=2.0)
-    assert u2 - u == pytest.approx(-d.Ki * 2.0, abs=1e-12)
+    assert _first_rows(d, (0.0, 1.0, 0.0, 0.0)).u_command[0] == pytest.approx(69.4743, abs=1e-9)
+    # the integral of q1 - q1_ref after one tick from q1 = 0.5 is 0.5 Ts, and
+    # it enters as -Ki * integ
+    trace = _first_rows(d, (0.5, 1.0, 0.0, 0.0))
+    assert trace.integ.tolist() == [0.0, 0.5 * 0.004]
+    assert trace.u_command[1] == _lqr_formula(d, trace.x[1], trace.integ[1])
+    assert trace.u_command[1] - _lqr_formula(d, trace.x[1]) == \
+        pytest.approx(-d.Ki * 0.002, abs=1e-12)
 
 
 def test_smc_control_law_switching():
-    d = SmcDesign(L=[0.0, 0.0, 0.0, 1.0], Keq=np.zeros(4), k=20.0, Ts=0.004,
-                  alpha=100.0, surface_eigs=np.zeros(3))
-    u, s = smc_control_law(d, [0.0, 0.0, 0.0, 0.5])
-    assert s == 0.5 and u == -20.0
-    u, s = smc_control_law(d, [0.0, 0.0, 0.0, 0.0])
-    assert s == 0.0 and u == 0.0  # sign(0) = 0
-
-    real = _nxtway_smc()
-    rng = np.random.default_rng(5)
-    for _ in range(5):
-        x = rng.normal(size=4)
-        u_pos, s_pos = smc_control_law(real, x)
-        u_neg, s_neg = smc_control_law(real, -x)
-        assert u_neg == pytest.approx(-u_pos, rel=1e-12)
-        assert s_neg == pytest.approx(-s_pos, rel=1e-12)
-        assert s_pos == pytest.approx(float(real.L @ x), rel=1e-12)
+    trace = _first_rows(_toy_smc(), (0.0, 0.0, 0.0, 0.5))
+    assert trace.s[0] == 0.5 and trace.u_command[0] == -20.0
+    trace = _first_rows(_toy_smc(), (0.0, 0.0, 0.0, 0.0))
+    assert trace.s[0] == 0.0 and trace.u_command[0] == 0.0  # sign(0) = 0
 
 
 def test_smc_control_law_boundary_layer():
-    d = SmcDesign(L=[0.0, 0.0, 0.0, 1.0], Keq=np.zeros(4), k=20.0, Ts=0.004,
-                  alpha=100.0, surface_eigs=np.zeros(3))
-    u, s = smc_control_law(d, [0.0, 0.0, 0.0, 0.05], boundary_layer=0.1)
-    assert s == pytest.approx(0.05)
-    assert u == pytest.approx(-20.0 * 0.5)  # linear inside the layer
-    u, _ = smc_control_law(d, [0.0, 0.0, 0.0, 0.5], boundary_layer=0.1)
-    assert u == -20.0  # full switching outside
+    trace = _first_rows(_toy_smc(), (0.0, 0.0, 0.0, 0.05), boundary_layer=0.1)
+    assert trace.s[0] == pytest.approx(0.05)
+    assert trace.u_command[0] == pytest.approx(-20.0 * 0.5)  # linear inside the layer
+    trace = _first_rows(_toy_smc(), (0.0, 0.0, 0.0, 0.5), boundary_layer=0.1)
+    assert trace.u_command[0] == -20.0  # full switching outside
 
 
-# ---------------------------------------------------------------------------
-# filtered derivative
-# ---------------------------------------------------------------------------
+def _rate_of_q1(Ts, cutoff_hz, q1_0, q1dot_0, seconds):
+    """Trace whose commands are the controller's q1dot estimate, on an arm that coasts.
+
+    Without friction or back EMF, and with the pole upright at rest, the arm
+    turns at its initial rate; an actuator limit of 1e-300 V keeps the
+    commands from driving it, and the gain row [0, 0, -1, 0] makes each
+    command the velocity estimate itself.
+    """
+    params = dataclasses.replace(default_params("rotpen"), f_r=0.0, K_m=0.0)
+    cfg = SimConfig(duration=seconds, controller_Ts=Ts, x0=(q1_0, 0.0, q1dot_0, 0.0),
+                    saturation_V=1e-300, measurement="filtered-derivative",
+                    filter_cutoff=cutoff_hz)
+    return simulate(params, _gain_only_design([0.0, 0.0, -1.0, 0.0]), cfg)
+
 
 def test_filtered_derivative_constant_and_ramp():
-    const = filtered_derivative(np.ones(200), Ts=0.01, cutoff_hz=5.0)
-    np.testing.assert_allclose(const, 0.0, atol=1e-15)
+    # the estimate is zero on the first sample and on a constant, and has
+    # unity gain on a constant slope
+    const = _rate_of_q1(0.01, 5.0, 0.7, 0.0, 2.0)
+    assert np.all(const.x[:, 0] == 0.7)
+    np.testing.assert_allclose(const.u_command, 0.0, atol=1e-15)
 
-    t = np.arange(400) * 0.01
-    ramp = filtered_derivative(2.5 * t, Ts=0.01, cutoff_hz=5.0)
-    assert ramp[-1] == pytest.approx(2.5, abs=1e-6)
-
-    with pytest.raises(ValueError):
-        filtered_derivative([1.0], Ts=0.01, cutoff_hz=5.0)
-    with pytest.raises(ValueError):
-        filtered_derivative([1.0, 2.0], Ts=0.01, cutoff_hz=0.0)
-    for cutoff in (50.0, 1e308, math.nan):  # Nyquist rate at 10 ms is 50 Hz
-        with pytest.raises(ValueError, match="Nyquist"):
-            filtered_derivative([1.0, 2.0], Ts=0.01, cutoff_hz=cutoff)
+    ramp = _rate_of_q1(0.01, 5.0, 0.0, 2.5, 4.0)
+    np.testing.assert_allclose(np.diff(ramp.x[:, 0]), 2.5 * 0.01, rtol=1e-12)
+    assert ramp.u_command[0] == 0.0
+    assert ramp.u_command[-1] == pytest.approx(2.5, abs=1e-6)
+    rate = _oracle_derivative_filter(0.01, 5.0)
+    assert [rate(q1) for q1 in ramp.x[:, 0].tolist()] == ramp.u_command.tolist()
 
 
 def test_filtered_derivative_attenuates_high_frequency():
+    # the written-out filter, which the recorded rows follow bit for bit
+    # (the tests above and below), passes a 50 Hz tone 20 dB below its
+    # derivative at a 5 Hz cutoff, within 3 dB
     Ts, cutoff, f = 1e-3, 5.0, 50.0
-    t = np.arange(0.0, 1.0, Ts)
-    out = filtered_derivative(np.sin(2 * math.pi * f * t), Ts=Ts, cutoff_hz=cutoff)
+    rate = _oracle_derivative_filter(Ts, cutoff)
+    out = np.array([rate(x) for x in np.sin(2 * math.pi * f * np.arange(0.0, 1.0, Ts))])
     steady = np.abs(out[4 * len(out) // 5:]).max()
     attenuation_db = 20 * math.log10(2 * math.pi * f / steady)
     assert attenuation_db >= 20 * math.log10(10.0) - 3.0
@@ -368,7 +414,7 @@ def test_recorded_smc_rows_equal_the_control_law():
         if layer > 0.0:
             assert np.any(np.abs(trace.s) < layer)  # the layer branch ran
         for k in range(trace.t.size):
-            assert smc_control_law(design, trace.x[k], layer) == \
+            assert _smc_formula(design, trace.x[k], layer) == \
                 (trace.u_command[k], trace.s[k])
 
 
@@ -380,12 +426,12 @@ def test_recorded_filtered_lqr_rows_equal_the_control_law():
                     reference=reference, measurement="filtered-derivative",
                     filter_cutoff=cutoff)
     trace = simulate(params, design, cfg)
-    rate1 = filtered_derivative(trace.x[:, 0], Ts, cutoff)
-    rate2 = filtered_derivative(trace.x[:, 1], Ts, cutoff)
+    rate1 = _oracle_derivative_filter(Ts, cutoff)
+    rate2 = _oracle_derivative_filter(Ts, cutoff)
     for k in range(trace.t.size):
-        measured = [trace.x[k, 0], trace.x[k, 1], rate1[k], rate2[k]]
-        assert lqr_control_law(design, measured, integ=trace.integ[k],
-                               reference=reference) == trace.u_command[k]
+        measured = [trace.x[k, 0], trace.x[k, 1], rate1(trace.x[k, 0]), rate2(trace.x[k, 1])]
+        e = [m - r for m, r in zip(measured, reference)]
+        assert _lqr_formula(design, e, trace.integ[k]) == trace.u_command[k]
 
 
 def test_rk4_order_by_step_halving():
@@ -400,6 +446,63 @@ def test_rk4_order_by_step_halving():
     e1 = np.linalg.norm(finals[0] - finals[1])
     e2 = np.linalg.norm(finals[1] - finals[2])
     assert 10.0 < e1 / e2 < 24.0
+
+
+@pytest.mark.parametrize("measurement", ["ideal", "filtered-derivative"])
+@pytest.mark.parametrize("platform, controller", [
+    ("rotpen", "lqr"), ("rotpen", "smc"), ("nxtway", "lqr"), ("nxtway", "smc")])
+def test_negating_x0_negates_the_run_bit_for_bit(platform, controller, measurement):
+    # both plants and both laws are odd in the state and the input, and
+    # rounding is symmetric under negation
+    design = {("rotpen", "lqr"): _rotpen_lqr, ("rotpen", "smc"): _rotpen_smc,
+              ("nxtway", "lqr"): _nxtway_lqr, ("nxtway", "smc"): _nxtway_smc}[
+        platform, controller]()
+    up, down = [simulate(default_params(platform), design, SimConfig(
+        duration=3.0, controller_Ts=0.002 if platform == "rotpen" else 0.004,
+        x0=(sign * 0.01, sign * 0.05, sign * -0.02, sign * 0.1), measurement=measurement))
+        for sign in (1.0, -1.0)]
+    assert not up.diverged and up.t.size == down.t.size
+    for name in ("x", "u_command", "u_applied", "s", "integ"):
+        a, b = getattr(up, name), getattr(down, name)
+        assert (a is None) == (b is None), name
+        if name == "integ" and a is not None:  # both integrals start at +0.0
+            a, b = a[1:], b[1:]
+        if a is not None:
+            assert (-a).tobytes() == b.tobytes(), name
+
+
+def _zoh_error(platform, sub):
+    """Max |x - x_zoh| / max |x_zoh| of 3 s of nominal LQR from q2 = 1e-7.
+
+    x_zoh is the exact zero-order-hold model of the closed form under the
+    same law, x[k+1] = Ad x[k] + Bd u[k] with u[k] = -K x[k] - Ki integ[k],
+    a path that shares no code with the RK4 kernels.
+    """
+    params = default_params(platform)
+    design = _rotpen_lqr() if platform == "rotpen" else _nxtway_lqr()
+    Ts = 0.002 if platform == "rotpen" else 0.004
+    x = simulate(params, design, SimConfig(duration=3.0, controller_Ts=Ts, plant_dt=Ts / sub,
+                                           x0=(0.0, 1e-7, 0.0, 0.0))).x
+    zoh = discretize_zoh(closed_form(params), Ts)
+    Bd = zoh.B.sum(axis=1)  # the same voltage on each motor
+    K, Ki = design.K[0], design.Ki or 0.0
+    lin = np.empty_like(x)
+    lin[0] = x[0]
+    integ = 0.0
+    for k in range(len(x) - 1):
+        u = -(K @ lin[k]) - Ki * integ
+        integ += lin[k, 0] * Ts
+        lin[k + 1] = zoh.A @ lin[k] + Bd * u
+    return np.abs(x - lin).max() / np.abs(lin).max()
+
+
+def test_small_signal_runs_match_the_exact_zoh_model():
+    assert _zoh_error("rotpen", 4) <= 1e-10
+    # nxtway's back-EMF mode at -511.5 rad/s takes |lambda| dt = 0.51 at the
+    # default plant_dt of Ts / 4; halving it cuts the error by about 2^4
+    coarse, fine = _zoh_error("nxtway", 4), _zoh_error("nxtway", 8)
+    assert coarse <= 3e-4
+    assert coarse / fine >= 12.0
 
 
 def test_measurement_filtering_keeps_loop_stable():
@@ -427,7 +530,7 @@ def test_smc_reaching_law_on_sampled_linear_model():
     s_prev = float(design.L @ x)
     checked = 0
     for _ in range(500):
-        u, s = smc_control_law(design, x)
+        u, s = _smc_formula(design, x)
         x = ss.A @ x + Bd * u
         s_next = float(design.L @ x)
         if abs(s) > 1e-6:
@@ -461,7 +564,7 @@ def test_smc_reaches_and_keeps_the_quasi_sliding_band(platform, closed_form, Ts,
         x *= (100.0 + 1000.0 * rng.random()) * design.k / abs(float(design.L @ x))
         s_start = float(design.L @ x)
         for step in range(400):
-            u, s = smc_control_law(design, x)
+            u, s = _smc_formula(design, x)
             # rounding of the cancelling products L Ad x and L Bd u
             slack = 1e-13 * (1.0 + float(np.abs(design.L) @ np.abs(ss.A) @ np.abs(x)))
             x = ss.A @ x + Bd * u
@@ -537,25 +640,6 @@ def _oracle_rk4_step(f, x, v, dt):
             x2 + w * (a2 + 2 * b2 + 2 * c2 + d2),
             x3 + w * (a3 + 2 * b3 + 2 * c3 + d3),
             x4 + w * (a4 + 2 * b4 + 2 * c4 + d4))
-
-
-def _oracle_derivative_filter(Ts, cutoff_hz):
-    om = 2.0 * math.pi * cutoff_hz
-    c = 2.0 / Ts
-    fa, fg = (c - om) / (c + om), om / (c + om)
-    prev = None
-    praw = y = 0.0
-
-    def step(x):
-        nonlocal prev, praw, y
-        if prev is not None:
-            raw = (x - prev) / Ts
-            y = fa * y + fg * (raw + praw)
-            praw = raw
-        prev = x
-        return y
-
-    return step
 
 
 def _oracle_simulate(params, design, cfg):
@@ -744,8 +828,7 @@ def test_period_stepper_matches_rk4_over_scalar_rhs_bit_for_bit(platform):
 def test_generated_kernels_show_source_lines_in_tracebacks(platform):
     params = default_params(platform)
     kernels = [(period_stepper(params, 0.001, 2), (0.0, 0.1, 0.0, 0.0, None), "advance"),
-               (scalar_rhs(params), (0.1, 0.0, 0.0, None), "rhs"),
-               (plants_module._kernel(params, "terms"), (0.1, 0.0, None), "terms")]
+               (scalar_rhs(params), (0.1, 0.0, 0.0, None), "rhs")]
     for kernel, args, kind in kernels:
         with pytest.raises(TypeError) as info:
             kernel(*args)
@@ -774,13 +857,6 @@ def test_kernels_compile_lazily_and_once_per_platform_and_kind():
     misses = plants_module._kernel_factory.cache_info().misses
     jacobian_linearize(params_from_mapping("rotpen", {"m_p": 0.13, "L_p": 0.3}))
     jacobian_linearize(params_from_mapping("nxtway", {"M": 0.55}), x0=(0.0, 0.1, 0.2, 0.0))
-    assert plants_module._kernel_factory.cache_info().misses == misses
-    # eval_mcg reads the terms kernel: one compile per platform
-    for platform in ("rotpen", "nxtway"):
-        eval_mcg(default_params(platform), (0.0, 0.1, 0.0, 0.0))
-    misses = plants_module._kernel_factory.cache_info().misses
-    eval_mcg(params_from_mapping("rotpen", {"m_p": 0.13}), (0.0, 0.1, 0.2, 0.0))
-    forward_dynamics(params_from_mapping("nxtway", {"M": 0.55}), (0.0, 0.1, 0.2, 0.0), 1.0)
     assert plants_module._kernel_factory.cache_info().misses == misses
 
 
@@ -827,9 +903,8 @@ def test_trace_csv_layout_and_roundtrip(tmp_path):
     assert fields[1:5] == [trace.x[k, 0], trace.x[k, 1], trace.x[k, 2], trace.x[k, 3]]
     assert fields[5] == trace.u_command[k]
 
-    # the recorded command equals the published control law on the record
-    u = lqr_control_law(design, trace.x[k])
-    assert u == trace.u_command[k]
+    # the recorded command equals the control law on the record
+    assert _lqr_formula(design, trace.x[k]) == trace.u_command[k]
 
 
 def test_trace_csv_optional_columns(tmp_path):
