@@ -8,10 +8,11 @@ environment variable), then explicit flags. Config files are plain text
 with one key=value pair per line and # comments.
 
 Exit codes: 0 success, 1 bad input (a ValueError or OSError, such as an
-unwritable output path), 2 synthesis failure (a SynthesisError), 3 diverged
-simulation. simulate and compare check their output paths and run settings
-before they load or synthesize a design, so a bad setting exits 1 even where
-synthesis would fail. `python -m pendulum_ctl.cli` runs it too.
+unwritable output path), 2 synthesis failure (a SynthesisError), 3 a run
+that did not stabilize (diverged or fell). simulate and compare check their
+output paths and run settings before they load or synthesize a design, so a
+bad setting exits 1 even where synthesis would fail. `python -m
+pendulum_ctl.cli` runs it too.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ _SETTINGS = {
             "smc": "design the discrete sliding-mode controller"}),
         "q": (_floats, None, "comma-separated diagonal of Q"),
         "r": (_floats, None, "comma-separated diagonal of R"),
-        "alpha": (_positive, DEFAULT_SMC_ALPHA, "reaching-rate parameter for SMC"),
+        "alpha": (_positive, None, "reaching-rate parameter for SMC"),
         "k": (float, None, "SMC switching gain override"),
         "ts": (_positive, None, "controller sample period in seconds"),
         "out": (str, None, "design file path"),
@@ -257,7 +258,7 @@ def _make_design(platform: str, controller: str | None, settings: dict):
     params = default_params(platform)
     if controller == "smc":
         return nominal_smc(params, settings.get("ts"),
-                           settings.get("alpha", DEFAULT_SMC_ALPHA),
+                           settings.get("alpha") or DEFAULT_SMC_ALPHA,
                            REFERENCE_SMC_SWITCHING_GAINS[platform] if reference
                            else settings.get("k"))
     q, r = settings.get("q"), settings.get("r")
@@ -318,9 +319,16 @@ def _experiment(platform: str, settings: dict):
 # subcommands
 # ---------------------------------------------------------------------------
 
+# the synthesize settings only one controller reads, with that controller
+_CONTROLLER_OF = {"q": "lqr", "r": "lqr", "ts": "smc", "alpha": "smc", "k": "smc"}
+
+
 def _cmd_synthesize(settings: dict) -> int:
     platform = _require(settings, "platform")
     controller = settings["controller"]
+    for key, owner in _CONTROLLER_OF.items():
+        if owner != controller and settings[key] is not None:
+            raise ValueError(f"{key} needs controller={owner}, not {controller}")
     design = _make_design(platform, controller, settings)
     out = settings["out"] or f"{platform}_{controller}_design.txt"
     save_design(design, out, platform)
@@ -359,8 +367,8 @@ def _cmd_simulate(settings: dict) -> int:
     print(f"wrote {settings['trace']} and {settings['metrics']}")
     print(f"quality: {metrics.stabilization_quality}, "
           f"u_inf = {metrics.u_inf:.3f} V ({metrics.u_pct_max:.1f}% of limit)")
-    if trace.diverged:
-        print("simulation diverged", file=sys.stderr)
+    if metrics.settle_time is None:
+        print("simulation did not stabilize: diverged or fell", file=sys.stderr)
         return 3
     return 0
 
@@ -391,11 +399,9 @@ def _cmd_compare(settings: dict) -> int:
             os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
 
     rows = []
-    diverged = False
     for run, experiment in experiments.items():
         trace, metrics = experiment(designs[run])
         rows.append((*run, metrics))
-        diverged = diverged or trace.diverged
         if trace_dir:
             save_trace_csv(trace, trace_paths[run])
     report = comparison_report(rows)
@@ -405,7 +411,7 @@ def _cmd_compare(settings: dict) -> int:
         save_metrics_csv(rows, settings["metrics"])
     print(report)
     print(f"\nwrote {settings['out']}")
-    return 3 if diverged else 0
+    return 3 if any(m.settle_time is None for *_, m in rows) else 0
 
 
 def _cmd_linearize(settings: dict) -> int:

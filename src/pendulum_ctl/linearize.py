@@ -70,34 +70,21 @@ class StateSpace:
         return self.B.shape[1]
 
 
-def _expansion_point(value, size: int, name: str, platform: str) -> list:
-    """value (default zeros) as a list of size finite floats, else ValueError."""
-    values = [0.0] * size if value is None else np.ravel(np.asarray(value, dtype=float)).tolist()
-    if len(values) != size:
-        raise ValueError(f"{name} must have {size} entries for {platform}")
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return values
-
-
-def jacobian_linearize(params: PlantParams, x0=None, u0=None, eps: float = 1e-6) -> StateSpace:
-    """Linearize a plant about (x0, u0), default the upright origin.
+def jacobian_linearize(params: PlantParams) -> StateSpace:
+    """Linearize a plant about the upright origin with zero input.
 
     The Jacobian differentiates plants.scalar_rhs by central differences of
-    the absolute step eps (positive and finite) in each coordinate of
-    z = (x, u), in plain floats. The position rates are the velocities, so
-    the kinematic rows are exactly [0, 0, 1, 0] and [0, 0, 0, 1]; the arm or
-    wheel angle q1 never enters the dynamics, so its column is zero.
+    the absolute step 1e-6 in each coordinate of z = (x, u), in plain
+    floats. The position rates are the velocities, so the kinematic rows
+    are exactly [0, 0, 1, 0] and [0, 0, 0, 1]; the arm or wheel angle q1
+    never enters the dynamics, so its column is zero.
 
     For the two-wheeled robot the input is the pair of motor voltages, so B
     has two (equal) columns: the kernel's per-motor voltage is their mean.
     The rotary pendulum has a single voltage input.
     """
     m = 2 if isinstance(params, NxtwayParams) else 1
-    z0 = (_expansion_point(x0, 4, "x0", params.platform)
-          + _expansion_point(u0, m, "u0", params.platform))
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError("eps must be positive and finite")
+    eps = 1e-6
     rhs = scalar_rhs(params)
 
     def g(z):
@@ -106,9 +93,8 @@ def jacobian_linearize(params: PlantParams, x0=None, u0=None, eps: float = 1e-6)
     J = np.zeros((4, 4 + m))
     J[0, 2] = J[1, 3] = 1.0
     for i in range(1, 4 + m):
-        hi, lo = z0.copy(), z0.copy()
-        hi[i] += eps
-        lo[i] -= eps
+        hi, lo = [0.0] * (4 + m), [0.0] * (4 + m)
+        hi[i], lo[i] = eps, -eps
         (a1, a2), (b1, b2) = g(hi), g(lo)
         J[2, i] = (a1 - b1) / (2 * eps)
         J[3, i] = (a2 - b2) / (2 * eps)

@@ -2,11 +2,12 @@
 
 Settling is measured on the pole angle against a fixed band of
 SETTLE_BAND rad: the settle time is the last instant the angle sits
-outside the band, counted from the disturbance onset. Control effort is
-reported both in volts and as a percent of the saturation limit so either
-convention can be quoted. A scattering score, the mean sample-to-sample
-change of the applied input relative to the limit, separates smooth
-inputs from chattering ones.
+outside the band, counted from the disturbance onset; a run that diverged
+or fell (pi/2 from its reference) has none. Control effort is reported both
+in volts and as a percent of the saturation limit so either convention can
+be quoted. A scattering score, the mean sample-to-sample change of the
+applied input relative to the limit, separates smooth inputs from
+chattering ones.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ _CSV_FIELDS = ("label", "settle_time", "u_inf", "u_pct_max", "pole_vel_max",
 class Metrics:
     """Summary numbers for one closed-loop run.
 
-    settle_time is None for diverged runs; every other field stays
-    numeric so a failed run can still be compared on effort and speed.
+    settle_time is None for runs that diverged or fell; every other field
+    stays numeric so a failed run can still be compared on effort and speed.
     """
 
     settle_time: float | None
@@ -57,7 +58,8 @@ def compute_metrics(trace: SimTrace, V_max: float, disturbance_onset: float = 0.
 
     The settle time is the last time |q2 - reference_q2| exceeds
     SETTLE_BAND, minus the onset, clamped at zero. A trace that never
-    leaves the band settles at 0.0; a diverged trace has no settle time.
+    leaves the band settles at 0.0. A diverged trace, or one where
+    |q2 - reference_q2| reaches pi/2 at any sample, has no settle time.
     """
     if trace.t.size == 0:
         raise ValueError("cannot compute metrics for an empty trace")
@@ -72,8 +74,10 @@ def compute_metrics(trace: SimTrace, V_max: float, disturbance_onset: float = 0.
     score = float(np.mean(du) / V_max) if du.size else 0.0
 
     settle = None
-    if not trace.diverged:
-        outside = np.abs(trace.x[:, 1] - reference_q2) > SETTLE_BAND
+    offset = np.abs(trace.x[:, 1] - reference_q2)
+    # a pole pi/2 out has fallen: there the input's authority on it (m12) changes sign
+    if not trace.diverged and offset.max() < 0.5 * np.pi:
+        outside = offset > SETTLE_BAND
         settle = (max(0.0, float(trace.t[outside][-1]) - disturbance_onset)
                   if np.any(outside) else 0.0)
     return Metrics(settle_time=settle, u_inf=u_inf, u_pct_max=u_pct_max,

@@ -41,7 +41,6 @@ __all__ = [
     "SimTrace",
     "standard_pulse_train",
     "disturbance_value",
-    "saturate",
     "simulate",
     "save_trace_csv",
 ]
@@ -99,14 +98,6 @@ def disturbance_value(spec: DisturbanceSpec, t: float) -> float:
     period = 1.0 / spec.frequency
     phase = (t - spec.start_time) % period
     return spec.amplitude if phase < spec.duty * period else 0.0
-
-
-def saturate(u: float, V_max: float) -> float:
-    """Clamp a voltage command to [-V_max, V_max]."""
-    if V_max <= 0.0:
-        raise ValueError("V_max must be positive")
-    u = float(u)
-    return -V_max if u < -V_max else (V_max if u > V_max else u)
 
 
 @dataclass(frozen=True)
@@ -367,7 +358,7 @@ def simulate(params: PlantParams, design, cfg: SimConfig) -> SimTrace:
         elif ki is not None:
             i_arr[k] = integ
 
-        ua = saturate(u, sat)
+        ua = -sat if u < -sat else (sat if u > sat else u)
         d = disturbance_value(spec, k * Ts)
 
         x_arr[k, 0] = x1

@@ -56,7 +56,6 @@ __all__ = [
     "REFERENCE_SMC_SWITCHING_GAINS",
     "LqrDesign",
     "SmcDesign",
-    "RegularForm",
     "StabilityReport",
     "solve_care",
     "care_residual",
@@ -66,7 +65,6 @@ __all__ = [
     "reference_lqr_design",
     "nominal_lqr",
     "regular_form",
-    "smc_surface",
     "smc_gain_bound",
     "design_smc",
     "nominal_smc",
@@ -315,7 +313,8 @@ def solve_care(A, B, Q, R) -> np.ndarray:
     subspace yields P = U2 U1^-1. Newton steps on the Riccati residual,
     each one a Sylvester solve against the closed-loop matrix, then polish
     the result. Raises SynthesisError when no stabilizing solution exists
-    (non-stabilizable pair, indefinite weights) or the residual stays large.
+    (non-stabilizable pair, indefinite weights), the residual stays large or
+    the closed loop A - S P, which is A - B K, is not Hurwitz.
     """
     A = _as_square(A, "A")
     n = A.shape[0]
@@ -452,8 +451,6 @@ def lqr_gain(A, B, Q, R) -> LqrDesign:
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
     K = np.linalg.solve(R, B.T @ P)
-    if np.linalg.eigvals(A - B @ K).real.max() >= 0.0:
-        raise SynthesisError("gain does not stabilize the model")
     return LqrDesign(Q=Q, R=R, P=P, K=K,
                      residual=care_residual(A, B, Q, R, P))
 
@@ -530,29 +527,11 @@ def nominal_lqr(params, Q=None, R=None) -> LqrDesign:
 # discrete sliding-mode synthesis
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RegularForm:
-    """Discrete model rotated so the input acts on the last state only.
-
-    H is the rotation; A11 and A12 are the blocks of H Ad H' that the
-    sliding dynamics A11 - A12 C are built from.
-    """
-
-    H: np.ndarray
-    A11: np.ndarray
-    A12: np.ndarray
-
-    def __post_init__(self):
-        for name in ("H", "A11", "A12"):
-            arr = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
-            object.__setattr__(self, name, arr)
-
-
-def regular_form(Ad, Bd) -> RegularForm:
+def regular_form(Ad, Bd) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rotate (Ad, Bd) by a Householder reflection H with H Bd = ||Bd|| e_n.
 
-    Returns H and the upper blocks of H Ad H' partitioned against the last
-    coordinate.
+    Returns (H, A11, A12): H and the upper blocks of H Ad H' partitioned
+    against the last coordinate.
     """
     Ad = _as_square(Ad, "Ad")
     n = Ad.shape[0]
@@ -574,24 +553,7 @@ def regular_form(Ad, Bd) -> RegularForm:
     else:
         H = np.eye(n) - 2.0 * np.outer(w, w) / (w @ w)
     Az = H @ Ad @ H.T
-    return RegularForm(H=H, A11=Az[:n - 1, :n - 1], A12=Az[:n - 1, n - 1:])
-
-
-def smc_surface(A11, A12, C):
-    """Eigenvalues of the sliding dynamics A11 - A12 C and a verdict.
-
-    Returns (eigenvalues, stable) where stable demands every modulus
-    strictly inside the unit circle.
-    """
-    A11, A12, C = (np.atleast_2d(np.asarray(M, dtype=float)) for M in (A11, A12, C))
-    n1 = A11.shape[0]
-    if A11.shape != (n1, n1):
-        raise ValueError("A11 must be square")
-    if A12.shape[0] != n1 or C.shape != (A12.shape[1], n1):
-        raise ValueError(
-            f"incompatible surface dimensions: A12 {A12.shape}, C {C.shape}")
-    eigs = np.linalg.eigvals(A11 - A12 @ C)
-    return eigs, bool(np.all(np.abs(eigs) < 1.0 - 1e-9))
+    return H, Az[:n - 1, :n - 1], Az[:n - 1, n - 1:]
 
 
 def smc_gain_bound(Ts: float, alpha: float) -> float:
@@ -660,33 +622,34 @@ def design_smc(ss: StateSpace, alpha: float = DEFAULT_SMC_ALPHA,
     The model is rotated into regular form, a reduced-order discrete LQR
     (unit weights) places the sliding dynamics, and the surface row L is
     scaled so L Bd = 1, which makes Keq = L Ad the equivalent control and
-    sends the sliding variable to -k sign(s) in a single step. Multi-motor
-    models are collapsed by summing input columns (symmetric drive). When
-    k is omitted it is set to the reaching-law bound; a user-supplied k
-    larger than the bound is kept, and the design's k_exceeds_bound reads
-    true.
+    sends the sliding variable to -k sign(s) in a single step. The sliding
+    dynamics A11 - A12 C, whose eigenvalues are surface_eigs, must lie in
+    |z| < 1 - 1e-9. Multi-motor models are collapsed by summing input
+    columns (symmetric drive). When k is omitted it is set to the
+    reaching-law bound; a user-supplied k larger than the bound is kept,
+    and the design's k_exceeds_bound reads true.
     """
     if ss.kind != "discrete":
         raise ValueError("design_smc expects a discrete model; discretize first")
     Ad = ss.A
     Bd = ss.B.sum(axis=1, keepdims=True)
     try:
-        rf = regular_form(Ad, Bd)
+        H, A11, A12 = regular_form(Ad, Bd)
     except ValueError as exc:  # a Ts that underflows the input column or overflows its norm
         raise ValueError(f"{exc} at Ts = {ss.Ts!r}") from None
 
-    _check_finite(np.hstack([rf.A11, rf.A12]))  # bad input, not a failed design
+    _check_finite(np.hstack([A11, A12]))  # bad input, not a failed design
     try:
-        Pz = _unit_dare(rf.A11, rf.A12)
+        Pz = _unit_dare(A11, A12)
     except (LinAlgError, ValueError) as exc:  # a singular basis or a failed reordering
         raise SynthesisError(f"no sliding surface at Ts = {ss.Ts!r}: {exc}") from None
-    C = np.linalg.solve(np.eye(1) + rf.A12.T @ Pz @ rf.A12, rf.A12.T @ Pz @ rf.A11)
-    eigs, stable = smc_surface(rf.A11, rf.A12, C)
-    if not stable:
+    C = np.linalg.solve(np.eye(1) + A12.T @ Pz @ A12, A12.T @ Pz @ A11)
+    eigs = np.linalg.eigvals(A11 - A12 @ C)
+    if not np.all(np.abs(eigs) < 1.0 - 1e-9):
         raise SynthesisError("sliding dynamics came out unstable")
 
     Lz = np.concatenate([C[0], [1.0]])
-    L0 = Lz @ rf.H
+    L0 = Lz @ H
     denom = float(L0 @ Bd[:, 0])
     if abs(denom) < 1e-14:
         raise SynthesisError("surface row is orthogonal to the input direction")

@@ -2,7 +2,7 @@
 
 Every invocation goes through cli.run so the exit-code contract is
 exercised exactly as a shell would see it: 0 success, 1 config error,
-2 synthesis failure, 3 diverged simulation.
+2 synthesis failure, 3 a run that did not stabilize.
 """
 
 import hashlib
@@ -344,6 +344,21 @@ def test_simulate_design_file_and_divergence_exit(tmp_path, capsys):
     assert trace.exists()  # the truncated trace is still written
     _, data = _read_csv_columns(trace)
     assert data.shape[0] < 100
+
+
+def test_simulate_exits_3_when_the_pole_falls(tmp_path, capsys):
+    # the pole falls and u sits at the 6 V limit: the run stays finite and
+    # runs to its end, but it has no settle time, so it did not stabilize
+    trace, metrics = tmp_path / "trace.csv", tmp_path / "m.csv"
+    code = cli.run(["simulate", "--platform", "rotpen", "--x0", "0,1.5,0,0",
+                    "--duration", "10", "--trace", str(trace), "--metrics", str(metrics)])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert "did not stabilize" in err and "quality: diverged" in out
+    _, data = _read_csv_columns(trace)
+    assert data.shape[0] == 5001 and np.abs(data[:, 2]).max() > 0.5 * np.pi
+    row = metrics.read_text().splitlines()[1].split(",")
+    assert (row[1], row[5]) == ("", "diverged")
 
 
 def test_simulate_smc_boundary_layer_smoke(tmp_path):
@@ -743,6 +758,12 @@ _RUN = {"synthesize": {"platform": "nxtway"}, "linearize": {"platform": "rotpen"
     # here would fail for want of a sliding surface at Ts = 50 s
     ("simulate", {"controller": "smc", "ts": "50", "duration": "-1",
                   "trace": os.devnull, "metrics": os.devnull}, "duration"),
+    # each controller's settings are refused by the other, never dropped
+    ("synthesize", {"controller": "lqr", "alpha": "5"}, "alpha"),
+    ("synthesize", {"controller": "lqr", "k": "3"}, "k"),
+    ("synthesize", {"ts": "0.01"}, "ts"),
+    ("synthesize", {"controller": "smc", "q": "1,2,3,4"}, "q"),
+    ("synthesize", {"controller": "smc", "r": "9"}, "r"),
 ])
 def test_bad_settings_are_refused_before_writing(tmp_path, tmp_path_factory, capsys,
                                                  monkeypatch, command, settings, key):

@@ -2,13 +2,15 @@
 
 Modules share only public names with each other, every name a module
 exports exists, the package docstring lists every module, the demos import
-only exported names, every package name the benchmark reads exists, and
-every function and class the package defines is read by the package, the
-demos or the benchmark.
+only exported names, every package name the benchmark reads exists, every
+function and class the package defines is read by the package, the demos
+or the benchmark, and every defaulted parameter is set by one of their
+calls.
 """
 
 import ast
 import importlib
+import math
 from pathlib import Path
 
 import pytest
@@ -174,3 +176,63 @@ def test_every_definition_is_read_by_the_package_demos_or_benchmark():
     wrapped = {name for names in _benchmark_layers().values() for name in names}
     # a kept name that gains a reader leaves the list
     assert _dead_definitions(modules, readers, wrapped) == sorted(_KEPT_UNREFERENCED)
+
+
+def _unset_defaults(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """module.function.parameter of each defaulted parameter no call passes.
+
+    Functions are the modules' functions and methods, matched to calls in
+    the modules and readers by name. A call passes a parameter by keyword
+    or by position; a call with *args or **kwargs passes every parameter.
+    """
+    reach: dict = {}  # name -> most arguments a call passes by position
+    keywords: dict = {}  # name -> the keywords its calls pass
+    for source in [*modules.values(), *readers]:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                star = any(isinstance(arg, ast.Starred) for arg in node.args) or any(
+                    kw.arg is None for kw in node.keywords)
+                reach[name] = max(reach.get(name, 0), math.inf if star else len(node.args))
+                keywords.setdefault(name, set()).update(kw.arg for kw in node.keywords)
+    unset = []
+    for module, source in modules.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            if positional and positional[0].arg in ("self", "cls"):
+                positional = positional[1:]  # bound by the call's receiver
+            first = len(positional) - len(args.defaults)
+            # (index, name); keyword-only parameters only a star call reaches
+            defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            defaulted += [(math.inf, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            unset += [f"{module}.{node.name}.{arg}" for i, arg in defaulted
+                      if reach.get(node.name, 0) < i + 1
+                      and arg not in keywords.get(node.name, ())]
+    return sorted(unset)
+
+
+def test_unset_default_detector():
+    modules = {"a": "def f(x, y=1, z=2, *, w=3): pass\n"
+                    "def g(a=1, b=2): pass\n"
+                    "def h(c=1): pass\n"
+                    "class K:\n    def m(self, d=1): pass\n"
+                    "f(0, 1)\ng(*args)\n"}
+    readers = ["import a\na.f(0, w=4)\nK().m()\nh(**kw)\n"]
+    assert _unset_defaults(modules, readers) == ["a.f.z", "a.m.d"]
+    assert _unset_defaults(modules, readers + ["K().m(5)\nf(0, 1, 2)"]) == []
+    assert _unset_defaults(modules, []) == ["a.f.w", "a.f.z", "a.h.c", "a.m.d"]
+
+
+def test_every_defaulted_parameter_is_set_by_the_package_demos_or_benchmark():
+    # a default no package, demo or benchmark call overrides is an option
+    # only the tests set: make it a constant instead
+    root = Path(__file__).resolve().parents[1]
+    package = Path(pendulum_ctl.__file__).parent
+    modules = {path.stem: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+    readers = [path.read_text(encoding="utf-8") for folder in ("demos", "perfbench")
+               for path in sorted((root / folder).glob("*.py"))]
+    assert _unset_defaults(modules, readers) == []

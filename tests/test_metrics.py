@@ -80,6 +80,22 @@ def test_diverged_classification():
     assert m.u_inf == 2.0  # numeric norms still reported
 
 
+def test_a_fallen_pole_has_no_settle_time():
+    # |q2 - reference| reaching pi/2 at any sample marks the run as fallen,
+    # even when the pole is back inside the band by the end
+    t = np.arange(5.0)
+    below = np.nextafter(0.5 * np.pi, 0.0)
+    for q2, reference, settle in (([0.0, below, 0.0, 0.0, 0.0], 0.0, 1.0),
+                                  ([0.0, -below, 0.0, 0.0, 0.0], 0.0, 1.0),
+                                  ([0.0, 0.5 * np.pi, 0.0, 0.0, 0.0], 0.0, None),
+                                  ([0.0, -2.0, 0.0, 0.0, 0.0], 0.0, None),
+                                  ([0.5, 0.5, 2.0, 0.5, 0.5], 0.5, 2.0),
+                                  ([0.5, 0.5, 2.1, 0.5, 0.5], 0.5, None)):
+        m = compute_metrics(_trace(t, q2=q2), V_max=10.0, reference_q2=reference)
+        assert m.settle_time == settle, (q2, reference)
+        assert (m.stabilization_quality == "diverged") == (settle is None)
+
+
 def test_empty_trace_rejected():
     empty = SimTrace(t=np.empty(0), x=np.empty((0, 4)), u_command=np.empty(0),
                      u_applied=np.empty(0), d=np.empty(0))
