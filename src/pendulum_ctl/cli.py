@@ -31,6 +31,7 @@ from .plants import default_params
 from .simulate import (
     DisturbanceSpec,
     SimConfig,
+    check_plant_step,
     save_trace_csv,
     simulate,
     standard_pulse_train,
@@ -306,6 +307,7 @@ def _experiment(platform: str, settings: dict):
                     measurement=settings["measurement"],
                     filter_cutoff=settings["filter_cutoff"],
                     boundary_layer=settings["boundary_layer"])
+    check_plant_step(params, cfg.plant_dt)
     onset = spec.start_time if spec.kind == "pulse_train" else 0.0
 
     def run(design):

@@ -1,7 +1,8 @@
 """Closed-loop time-domain simulation.
 
 The nonlinear plant is integrated with classic fourth-order Runge-Kutta at
-a fine step plant_dt while the controller runs at controller_Ts under a
+a fine step plant_dt (check_plant_step refuses one at which RK4 amplifies a
+decaying plant mode) while the controller runs at controller_Ts under a
 zero-order hold. One call of plants.period_stepper advances the plant by a
 whole controller period. The command is saturated to the supply voltage; the
 disturbance is a square pulse train added to the applied voltage after
@@ -13,8 +14,9 @@ or u = -Keq e - k sign(s) with s = L e (SMC; sign(0) = 0, and inside an
 optional boundary layer |s| < eps, s / eps), where e is the measured state
 minus the reference. Measurements are ideal by default. The
 filtered-derivative mode feeds the controller velocity estimates built from
-backward differences smoothed by a bilinear-mapped first-order low-pass,
-emulating encoder-only sensing.
+backward differences (none before the first sample, so the first estimate
+is zero) smoothed by a bilinear-mapped first-order low-pass, emulating
+encoder-only sensing. The tick loop computes the laws and the filter itself.
 
 A run at exact rest is not recomputed tick by tick. When one tick leaves
 the carried state (plant state, integral, derivative-filter states)
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linearize import closed_form
 from .plants import PlantParams, period_stepper
 from .synthesis import LqrDesign, SmcDesign
 
@@ -41,6 +44,7 @@ __all__ = [
     "SimTrace",
     "standard_pulse_train",
     "disturbance_value",
+    "check_plant_step",
     "simulate",
     "save_trace_csv",
 ]
@@ -109,7 +113,7 @@ class SimConfig:
     One run takes at most 10^7 RK4 steps (periods x steps per period).
     saturation_V defaults to the plant's supply voltage. Under the
     filtered-derivative measurement, filter_cutoff must lie below the
-    Nyquist rate 1 / (2 controller_Ts).
+    Nyquist rate 1 / (2 controller_Ts). x0 entries lie within +-1e3.
     """
 
     duration: float
@@ -162,6 +166,8 @@ class SimConfig:
                 raise ValueError(f"{name} must have {_STATE_DIM} entries")
             if not all(math.isfinite(v) for v in vec):
                 raise ValueError(f"{name} contains non-finite entries")
+            if name == "x0" and max(map(abs, vec)) > _DIVERGENCE_LIMIT:
+                raise ValueError(f"x0 entries must lie within +-{_DIVERGENCE_LIMIT:g}")
             object.__setattr__(self, name, vec)
 
         if self.saturation_V is not None:
@@ -220,81 +226,38 @@ class SimTrace:
 
 
 # ---------------------------------------------------------------------------
-# control laws
-# ---------------------------------------------------------------------------
-
-def _control_law(design, eps: float = 0.0):
-    """Closure law(e1, e2, e3, e4, integ) -> (u, s) of the LQR or SMC law (layer eps)."""
-    if isinstance(design, SmcDesign):
-        if design.L.size != _STATE_DIM or design.Keq.size != _STATE_DIM:
-            raise ValueError("L and Keq must span the four plant states")
-        l1, l2, l3, l4 = (float(v) for v in design.L)
-        k1, k2, k3, k4 = (float(v) for v in design.Keq)
-        kk = design.k
-
-        def law(e1, e2, e3, e4, integ):
-            s = l1 * e1 + l2 * e2 + l3 * e3 + l4 * e4
-            if eps > 0.0 and -eps < s < eps:
-                sg = s / eps
-            elif s > 0.0:
-                sg = 1.0
-            elif s < 0.0:
-                sg = -1.0
-            else:
-                sg = 0.0
-            return -(k1 * e1 + k2 * e2 + k3 * e3 + k4 * e4) - kk * sg, s
-
-        return law
-    if isinstance(design, LqrDesign):
-        if design.K.shape != (1, _STATE_DIM):
-            raise ValueError("expected a single gain row over the four plant states")
-        k1, k2, k3, k4 = (float(g) for g in design.K[0])
-        ki = design.Ki
-        if ki is None:
-            return lambda e1, e2, e3, e4, integ: (
-                -(k1 * e1 + k2 * e2 + k3 * e3 + k4 * e4), None)
-        return lambda e1, e2, e3, e4, integ: (
-            -(k1 * e1 + k2 * e2 + k3 * e3 + k4 * e4) - ki * integ, None)
-    raise TypeError(f"unsupported design type {type(design).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# velocity reconstruction
-# ---------------------------------------------------------------------------
-
-# (previous sample, previous backward difference, estimate) before any sample
-_FILTER_START = (None, 0.0, 0.0)
-
-
-def _derivative_filter(Ts: float, cutoff_hz: float):
-    """Velocity estimator as a pure step(state, sample) -> state.
-
-    Backward differences pass through a discrete low-pass whose pole comes
-    from the bilinear transform of cutoff_hz; the cascade has unity gain on
-    constant slopes. Start from _FILTER_START; the estimate after a sample
-    is state[2], zero after the first sample since no difference exists yet.
-    """
-    om = 2.0 * math.pi * cutoff_hz
-    c = 2.0 / Ts
-    fa, fg = (c - om) / (c + om), om / (c + om)
-
-    def step(state, x):
-        prev, praw, y = state
-        if prev is None:
-            return x, praw, y
-        raw = (x - prev) / Ts
-        return x, raw, fa * y + fg * (raw + praw)
-
-    return step
-
-
-# ---------------------------------------------------------------------------
 # the closed loop
 # ---------------------------------------------------------------------------
 
 def _same_bits(a: float, b: float) -> bool:
     """Whether a and b are one float bit for bit: zero signs count, NaN never matches."""
     return a == b and (a != 0.0 or math.copysign(1.0, a) == math.copysign(1.0, b))
+
+
+def check_plant_step(params: PlantParams, plant_dt: float) -> None:
+    """Refuse a plant_dt at which RK4 amplifies a decaying mode of the plant.
+
+    RK4 multiplies a mode of rate lam by R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24
+    per step, z = lam plant_dt. For a mode of the upright linearization with
+    Re lam < 0, |R| > 1 would make it grow; the ValueError names the mode and
+    the largest stable step, found by bisection (2.7853 / |lam| for real lam).
+    """
+    def grows(z):
+        return abs(1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))) > 1.0
+
+    step, mode = plant_dt, None
+    for lam in np.linalg.eigvals(closed_form(params).A).tolist():
+        # |R| > 1 wherever Re z < 0 and |z| >= 3: no stable step exceeds 3 / |lam|
+        lo, hi = 0.0, (min(step, 3.0 / abs(lam)) if lam.real < 0.0 else 0.0)
+        if hi > 0.0 and grows(lam * hi):
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if grows(lam * mid) else (mid, hi)
+            step, mode = lo, lam
+    if mode is not None:
+        name = f"{mode.real:.6g}" if mode.imag == 0.0 else f"{mode:.6g}"
+        raise ValueError(f"plant_dt = {plant_dt!r} s makes RK4 unstable on the plant "
+                         f"mode at {name} rad/s; the largest stable step is {step:.4e} s")
 
 
 def simulate(params: PlantParams, design, cfg: SimConfig) -> SimTrace:
@@ -307,22 +270,38 @@ def simulate(params: PlantParams, design, cfg: SimConfig) -> SimTrace:
     1e3) stops the run early and flags the truncated trace. Ticks at exact
     rest are copied rather than recomputed, as the module docstring says.
     """
-    law = _control_law(design, cfg.boundary_layer)
-    sat = params.V_max if cfg.saturation_V is None else cfg.saturation_V
-    is_smc = isinstance(design, SmcDesign)
-    if is_smc and not math.isclose(design.Ts, cfg.controller_Ts, rel_tol=1e-9):
-        raise ValueError(f"SMC design sampled at Ts = {design.Ts!r} cannot run "
-                         f"at controller_Ts = {cfg.controller_Ts!r}")
-    ki = None if is_smc else design.Ki
-
+    check_plant_step(params, cfg.plant_dt)
     Ts = cfg.controller_Ts
+    is_smc = isinstance(design, SmcDesign)
+    if is_smc:
+        if design.L.size != _STATE_DIM or design.Keq.size != _STATE_DIM:
+            raise ValueError("L and Keq must span the four plant states")
+        if not math.isclose(design.Ts, Ts, rel_tol=1e-9):
+            raise ValueError(f"SMC design sampled at Ts = {design.Ts!r} cannot run "
+                             f"at controller_Ts = {Ts!r}")
+        l1, l2, l3, l4 = (float(v) for v in design.L)
+        k1, k2, k3, k4 = (float(v) for v in design.Keq)
+        kk, eps, ki = design.k, cfg.boundary_layer, None
+    elif isinstance(design, LqrDesign):
+        if design.K.shape != (1, _STATE_DIM):
+            raise ValueError("expected a single gain row over the four plant states")
+        k1, k2, k3, k4 = (float(g) for g in design.K[0])
+        ki = design.Ki
+    else:
+        raise TypeError(f"unsupported design type {type(design).__name__}")
+    # without Ki the integral stays 0.0, and u - 0.0 * 0.0 is u bit for bit
+    kint = 0.0 if ki is None else ki
+
+    sat = params.V_max if cfg.saturation_V is None else cfg.saturation_V
     advance = period_stepper(params, cfg.plant_dt, round(Ts / cfg.plant_dt))
     n = round(cfg.duration / Ts)
     spec = cfg.disturbance
     r1, r2, r3, r4 = cfg.reference
 
     use_filter = cfg.measurement == "filtered-derivative"
-    rate = _derivative_filter(Ts, cfg.filter_cutoff)
+    om = 2.0 * math.pi * cfg.filter_cutoff
+    c = 2.0 / Ts
+    fa, fg = (c - om) / (c + om), om / (c + om)
 
     t_arr = np.arange(n + 1, dtype=float)
     t_arr *= Ts  # k * Ts, bit for bit, without a temporary array
@@ -335,8 +314,9 @@ def simulate(params: PlantParams, design, cfg: SimConfig) -> SimTrace:
 
     x1, x2, x3, x4 = cfg.x0
     integ = 0.0
-    # derivative-filter states of q1 and q2; empty when measurements are ideal
-    f1 = f2 = g1 = g2 = _FILTER_START if use_filter else ()
+    # filter states (previous sample, previous difference, estimate) of q1
+    # and q2, seeded with the first sample; empty when measurements are ideal
+    f1, f2 = g1, g2 = ((x1, 0.0, 0.0), (x2, 0.0, 0.0)) if use_filter else ((), ())
     diverged = False
     lim = _DIVERGENCE_LIMIT
 
@@ -347,16 +327,22 @@ def simulate(params: PlantParams, design, cfg: SimConfig) -> SimTrace:
             diverged = True
             break
         if use_filter:
-            g1, g2 = rate(f1, x1), rate(f2, x2)
+            raw1, raw2 = (x1 - f1[0]) / Ts, (x2 - f2[0]) / Ts
+            g1 = (x1, raw1, fa * f1[2] + fg * (raw1 + f1[1]))
+            g2 = (x2, raw2, fa * f2[2] + fg * (raw2 + f2[1]))
             e1, e2, e3, e4 = x1 - r1, x2 - r2, g1[2] - r3, g2[2] - r4
         else:
             e1, e2, e3, e4 = x1 - r1, x2 - r2, x3 - r3, x4 - r4
 
-        u, s = law(e1, e2, e3, e4, integ)
         if is_smc:
+            s = l1 * e1 + l2 * e2 + l3 * e3 + l4 * e4
+            sg = s / eps if -eps < s < eps else (1.0 if s > 0.0 else (-1.0 if s < 0.0 else 0.0))
+            u = -(k1 * e1 + k2 * e2 + k3 * e3 + k4 * e4) - kk * sg
             s_arr[k] = s
-        elif ki is not None:
-            i_arr[k] = integ
+        else:
+            u = -(k1 * e1 + k2 * e2 + k3 * e3 + k4 * e4) - kint * integ
+            if ki is not None:
+                i_arr[k] = integ
 
         ua = -sat if u < -sat else (sat if u > sat else u)
         d = disturbance_value(spec, k * Ts)

@@ -764,6 +764,15 @@ _RUN = {"synthesize": {"platform": "nxtway"}, "linearize": {"platform": "rotpen"
     ("synthesize", {"ts": "0.01"}, "ts"),
     ("synthesize", {"controller": "smc", "q": "1,2,3,4"}, "q"),
     ("synthesize", {"controller": "smc", "r": "9"}, "r"),
+    # RK4 steps beyond the stability limit of a decaying plant mode, checked
+    # before the design is synthesized
+    ("simulate", {"platform": "nxtway", "ts": "0.024", "duration": "0.24"}, "plant_dt"),
+    ("simulate", {"platform": "nxtway", "ts": "0.008", "plant_dt": "0.008"}, "plant_dt"),
+    ("simulate", {"controller": "smc", "ts": "50", "duration": "100"}, "plant_dt"),
+    # an initial state beyond the divergence limit
+    ("simulate", {"x0": "2000,0,0,0"}, "x0"),
+    ("simulate", {"controller": "smc", "ts": "50", "plant_dt": "0.001",
+                  "x0": "2000,0,0,0", "duration": "100"}, "x0"),
 ])
 def test_bad_settings_are_refused_before_writing(tmp_path, tmp_path_factory, capsys,
                                                  monkeypatch, command, settings, key):

@@ -39,6 +39,7 @@ from pendulum_ctl.simulate import (
     DisturbanceSpec,
     SimConfig,
     SimTrace,
+    check_plant_step,
     disturbance_value,
     save_trace_csv,
     simulate,
@@ -138,6 +139,12 @@ def test_sim_config_defaults_and_validation():
         SimConfig(duration=1.0, controller_Ts=0.004, x0=(1.0, 2.0))
     with pytest.raises(ValueError, match="x0 contains non-finite entries"):
         SimConfig(duration=1.0, controller_Ts=0.004, x0=(0.0, math.nan, 0.0, 0.0))
+    # an x0 beyond the divergence limit would run no tick; a far reference is
+    # a run that diverges
+    with pytest.raises(ValueError, match=r"x0 entries must lie within .*\+-1000$"):
+        SimConfig(duration=1.0, controller_Ts=0.004, x0=(0.0, 0.0, -1000.5, 0.0))
+    assert SimConfig(duration=1.0, controller_Ts=0.004, x0=(1e3, 0.0, 0.0, -1e3),
+                     reference=(2e3, 0.0, 0.0, 0.0)).x0 == (1e3, 0.0, 0.0, -1e3)
     with pytest.raises(ValueError, match="unknown measurement mode 'noisy'"):
         SimConfig(duration=1.0, controller_Ts=0.004, measurement="noisy")
     with pytest.raises(ValueError, match="saturation_V must be positive"):
@@ -180,6 +187,23 @@ def test_sim_config_defaults_and_validation():
             SimConfig(filter_cutoff=cutoff, **filtered)
     assert SimConfig(filter_cutoff=124.9, **filtered).filter_cutoff == 124.9
     assert SimConfig(duration=1.0, controller_Ts=0.04).filter_cutoff == 30.0
+
+
+def test_plant_step_beyond_rk4_stability_is_refused():
+    # nxtway's upright mode at -511.458 rad/s keeps RK4 stable up to
+    # 2.7853 / 511.458 s: Ts = 21.6 ms runs at its default plant_dt of Ts / 4,
+    # and Ts = 22 ms is refused, by the check and by simulate
+    params = default_params("nxtway")
+    check_plant_step(params, 0.0216 / 4)
+    with pytest.raises(ValueError, match=r"^plant_dt = 0\.0055 s .* mode at -511\.458 "
+                                         r"rad/s; the largest stable step is 5\.4458e-03 s$"):
+        check_plant_step(params, 0.022 / 4)
+    # the bisection starts at |z| = 3, beyond which no step is stable
+    with pytest.raises(ValueError, match=r"largest stable step is 5\.4458e-03 s$"):
+        check_plant_step(params, 1e150)
+    with pytest.raises(ValueError, match="^plant_dt = 0.0055 s"):
+        simulate(params, reference_lqr_design("nxtway"),
+                 SimConfig(duration=0.22, controller_Ts=0.022))
 
 
 def test_sim_trace_validation():
@@ -637,7 +661,6 @@ def _oracle_rk4_step(f, x, v, dt):
 def _oracle_simulate(params, design, cfg):
     """simulate as a plain tick-by-tick loop: every tick computed, none copied."""
     f = _oracle_rhs(params)
-    law = simulate_module._control_law(design, cfg.boundary_layer)
     sat = params.V_max if cfg.saturation_V is None else cfg.saturation_V
     is_smc = isinstance(design, SmcDesign)
     ki = None if is_smc else design.Ki
@@ -660,7 +683,10 @@ def _oracle_simulate(params, design, cfg):
             e1, e2, e3, e4 = x1 - r1, x2 - r2, rate1(x1) - r3, rate2(x2) - r4
         else:
             e1, e2, e3, e4 = x1 - r1, x2 - r2, x3 - r3, x4 - r4
-        u, s = law(e1, e2, e3, e4, integ)
+        if is_smc:
+            u, s = _smc_formula(design, (e1, e2, e3, e4), cfg.boundary_layer)
+        else:
+            u, s = _lqr_formula(design, (e1, e2, e3, e4), integ), None
         s_rows.append(s)
         i_rows.append(integ)
         ua = -sat if u < -sat else (sat if u > sat else u)
