@@ -9,10 +9,12 @@ with one key=value pair per line and # comments.
 
 Exit codes: 0 success, 1 bad input (a ValueError or OSError, such as an
 unwritable output path), 2 synthesis failure (a SynthesisError), 3 a run
-that did not stabilize (diverged or fell). simulate and compare check their
-output paths and run settings before they load or synthesize a design, so a
-bad setting exits 1 even where synthesis would fail. `python -m
-pendulum_ctl.cli` runs it too.
+that did not stabilize (diverged or fell). Every command checks its output
+paths before it computes anything, and refuses an output that reaches one of
+its inputs (the config or design file); simulate and compare then check
+their run settings before they load or synthesize a design, so a bad setting
+exits 1 even where synthesis would fail. `python -m pendulum_ctl.cli` runs
+it too.
 """
 
 from __future__ import annotations
@@ -164,10 +166,14 @@ def _read_config(path: str) -> dict[str, str]:
     return pairs
 
 
+def _config_path(args: argparse.Namespace) -> str | None:
+    return args.config or os.environ.get("PENDULUM_CTL_CONFIG")
+
+
 def _resolve_settings(command: str, args: argparse.Namespace) -> dict:
     rows = _SETTINGS[command][1]
     settings = _defaults(command)
-    config_path = args.config or os.environ.get("PENDULUM_CTL_CONFIG")
+    config_path = _config_path(args)
     given = list(_read_config(config_path).items()) if config_path else []
     flags = vars(args)
     given += [(key, flags[key]) for key in rows if flags[key] is not None]
@@ -213,14 +219,24 @@ def _check_writable(path: str, parents: bool = False) -> None:
         raise ValueError(f"cannot write {path}: permission denied in {folder}")
 
 
-def _check_outputs(outputs) -> None:
+def _file_reached(path: str):
+    """(inode, device) of an existing regular file, None for another existing
+    node (such as /dev/null), else the real path: hard links reach one file."""
+    real = os.path.realpath(path)
+    if not os.path.exists(real):
+        return real
+    return os.stat(real)[1:3] if os.path.isfile(real) else None
+
+
+def _check_outputs(outputs, inputs) -> None:
     """Refuse unusable (setting, path, parents) outputs before anything runs.
 
-    Two outputs may not reach one file, and no output may name a folder
-    that another output is written into.
+    Two outputs may not reach one file, no output may reach an input file
+    (a (setting, path) pair; a None path is no input), and no output may
+    name a folder that another output is written into.
     """
     targets = {os.path.abspath(path): key for key, path, _ in outputs}
-    seen: dict = {}
+    seen = {_file_reached(path): key for key, path in inputs if path}
     for key, path, parents in outputs:
         home = os.path.abspath(path)
         for target, other in targets.items():
@@ -228,11 +244,9 @@ def _check_outputs(outputs) -> None:
                 raise ValueError(f"cannot write {path}: it is a folder that {other} "
                                  "is written into")
         _check_writable(path, parents)
-        real = os.path.realpath(path)
-        if os.path.exists(real):
-            if not os.path.isfile(real):
-                continue  # a device such as /dev/null may take several outputs
-            real = os.stat(real)[1:3]  # (inode, device): hard links reach one file
+        real = _file_reached(path)
+        if real is None:
+            continue  # a device such as /dev/null may take several outputs
         if real in seen:
             raise ValueError(f"{seen[real]} and {key} both name the file {path}")
         seen[real] = key
@@ -325,14 +339,15 @@ def _experiment(platform: str, settings: dict):
 _CONTROLLER_OF = {"q": "lqr", "r": "lqr", "ts": "smc", "alpha": "smc", "k": "smc"}
 
 
-def _cmd_synthesize(settings: dict) -> int:
+def _cmd_synthesize(settings: dict, config: str | None) -> int:
     platform = _require(settings, "platform")
     controller = settings["controller"]
+    out = settings["out"] or f"{platform}_{controller}_design.txt"
+    _check_outputs([("out", out, False)], [("config", config)])
     for key, owner in _CONTROLLER_OF.items():
         if owner != controller and settings[key] is not None:
             raise ValueError(f"{key} needs controller={owner}, not {controller}")
     design = _make_design(platform, controller, settings)
-    out = settings["out"] or f"{platform}_{controller}_design.txt"
     save_design(design, out, platform)
     if isinstance(design, LqrDesign):
         ss, K = closed_form(default_params(platform)), design.K
@@ -352,10 +367,11 @@ def _cmd_synthesize(settings: dict) -> int:
     return 0
 
 
-def _cmd_simulate(settings: dict) -> int:
+def _cmd_simulate(settings: dict, config: str | None) -> int:
     platform = _require(settings, "platform")
     _check_outputs([("trace", settings["trace"], False),
-                    ("metrics", settings["metrics"], False)])
+                    ("metrics", settings["metrics"], False)],
+                   [("config", config), ("design", settings["design"])])
     experiment = _experiment(platform, settings)
     design = _make_design(platform, settings["controller"], settings)
     kind = "smc" if isinstance(design, SmcDesign) else "lqr"
@@ -375,7 +391,7 @@ def _cmd_simulate(settings: dict) -> int:
     return 0
 
 
-def _cmd_compare(settings: dict) -> int:
+def _cmd_compare(settings: dict, config: str | None) -> int:
     runs = [(platform, controller) for platform in PLATFORMS
             for controller in ("lqr", "smc")]
     trace_dir = settings["trace_dir"]
@@ -391,7 +407,7 @@ def _cmd_compare(settings: dict) -> int:
     if settings["metrics"]:
         outputs.append(("metrics", settings["metrics"], in_trace_dir(settings["metrics"])))
     outputs += [("trace_dir", path, True) for path in trace_paths.values()]
-    _check_outputs(outputs)
+    _check_outputs(outputs, [("config", config)])
     run_settings = _defaults("simulate")
     run_settings.update(duration=settings["duration"], disturbance="paper")
     experiments = {run: _experiment(run[0], run_settings) for run in runs}
@@ -416,8 +432,10 @@ def _cmd_compare(settings: dict) -> int:
     return 3 if any(m.settle_time is None for *_, m in rows) else 0
 
 
-def _cmd_linearize(settings: dict) -> int:
+def _cmd_linearize(settings: dict, config: str | None) -> int:
     platform = _require(settings, "platform")
+    if settings["out"]:
+        _check_outputs([("out", settings["out"], False)], [("config", config)])
     params = default_params(platform)
     closed = closed_form(params)
     numeric = jacobian_linearize(params)
@@ -490,7 +508,7 @@ def run(argv=None) -> int:
         return 1
     try:
         settings = _resolve_settings(args.command, args)
-        return _DISPATCH[args.command](settings)
+        return _DISPATCH[args.command](settings, _config_path(args))
     except SynthesisError as exc:
         print(f"synthesis failed: {exc}", file=sys.stderr)
         return 2

@@ -25,11 +25,22 @@ the same inputs until the disturbance changes value, so its row is copied
 instead; the trace bytes are those of computing every tick. The paper's
 pulse experiment balances at the upright equilibrium for 60 s before the
 first pulse, so half of its ticks are copied.
+
+save_trace_csv formats rows _CSV_BLOCK at a time, and where os.fork exists
+it formats a multi-block trace in two processes: a forked child formats the
+odd-numbered blocks and streams each back through a pipe as a
+length-prefixed frame, while the caller formats the even-numbered ones and
+writes every block in order, reading one frame per block of its own. The
+bytes are those of one process. The child leaves only through os._exit, so
+it never returns into the caller or flushes a buffer it inherited, and it
+is reaped before the call ends. A single-block trace, or a platform without
+os.fork, is written by the caller alone.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -385,7 +396,11 @@ def simulate(params: PlantParams, design, cfg: SimConfig) -> SimTrace:
 # ---------------------------------------------------------------------------
 
 def save_trace_csv(trace: SimTrace, path) -> None:
-    """Write a trace as CSV with IEEE round-trip decimal formatting."""
+    """Write a trace as CSV with IEEE round-trip decimal formatting.
+
+    A forked child formats every other block of a multi-block trace, as the
+    module docstring says. A short frame or a failed child raises OSError.
+    """
     cols = ["t", "q1", "q2", "q1dot", "q2dot", "u_cmd", "u_applied", "dist"]
     arrays = [trace.t, trace.x[:, 0], trace.x[:, 1], trace.x[:, 2],
               trace.x[:, 3], trace.u_command, trace.u_applied, trace.d]
@@ -399,8 +414,42 @@ def save_trace_csv(trace: SimTrace, path) -> None:
     # writes the same bytes as a repr per cell; converting _CSV_BLOCK rows
     # at a time bounds the Python floats alive at once.
     row = ",".join(["%r"] * len(arrays)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(0, trace.t.size, _CSV_BLOCK):
-            columns = [a[i:i + _CSV_BLOCK].tolist() for a in arrays]
-            fh.write("".join([row % values for values in zip(*columns)]))
+    starts = range(0, trace.t.size, _CSV_BLOCK)
+
+    def block(i):
+        columns = [a[i:i + _CSV_BLOCK].tolist() for a in arrays]
+        return "".join([row % values for values in zip(*columns)]).encode()
+    pipe, status = None, 0  # the read end of the pipe from the child, if any
+    if len(starts) > 1 and hasattr(os, "fork"):
+        rfd, wfd = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # never return into the caller or flush its buffers
+            try:
+                os.close(rfd)
+                with open(wfd, "wb") as out:
+                    for i in starts[1::2]:
+                        text = block(i)
+                        out.write(len(text).to_bytes(8, "little") + text)
+                os._exit(0)
+            finally:  # reached only on an exception
+                os._exit(1)
+        os.close(wfd)
+        pipe = open(rfd, "rb")
+    try:
+        with open(path, "wb") as fh:
+            fh.write((",".join(cols) + "\n").encode())
+            for k, i in enumerate(starts):
+                if pipe is None or k % 2 == 0:
+                    fh.write(block(i))
+                    continue
+                size = int.from_bytes(pipe.read(8), "little")
+                text = pipe.read(size)
+                if not text or len(text) < size:  # every frame holds a row
+                    raise OSError("the trace writer's child sent a short frame")
+                fh.write(text)
+    finally:
+        if pipe is not None:
+            pipe.close()
+            status = os.waitpid(pid, 0)[1]
+    if status:
+        raise OSError(f"the trace writer's child failed (wait status {status})")

@@ -2,8 +2,11 @@
 
 The acceptance tests record one verdict line each; the terminal summary
 hook prints them after the run so every criterion shows a visible PASS
-or FAIL regardless of output capturing.
+or FAIL regardless of output capturing. Every test must also reap each
+child process it starts, the trace writer's forked child included.
 """
+
+import os
 
 import pytest
 
@@ -14,6 +17,17 @@ _verdicts: list[str] = []
 def acceptance_log():
     """Callable the acceptance tests use to record their verdict line."""
     return _verdicts.append
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left child process {pid or '(still running)'} behind")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -773,6 +773,12 @@ _RUN = {"synthesize": {"platform": "nxtway"}, "linearize": {"platform": "rotpen"
     ("simulate", {"x0": "2000,0,0,0"}, "x0"),
     ("simulate", {"controller": "smc", "ts": "50", "plant_dt": "0.001",
                   "x0": "2000,0,0,0", "duration": "100"}, "x0"),
+    # synthesize and linearize check their output before computing anything;
+    # here synthesis would fail on the weights
+    ("synthesize", {"platform": "rotpen", "q": "-1,1,1,1", "out": "missing/x.txt"},
+     "missing"),
+    ("synthesize", {"platform": "rotpen", "out": "missing/x.txt"}, "missing"),
+    ("linearize", {"out": "missing/x.txt"}, "missing"),
 ])
 def test_bad_settings_are_refused_before_writing(tmp_path, tmp_path_factory, capsys,
                                                  monkeypatch, command, settings, key):
@@ -791,6 +797,55 @@ def test_bad_settings_are_refused_before_writing(tmp_path, tmp_path_factory, cap
     assert err.startswith("error: ") and re.search(rf"\b{key}\b", err)
     assert "Traceback" not in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, source, key, input_key", [
+    (["simulate", "--platform", "rotpen", "--design", "in.txt", "--trace", "in.txt",
+      "--metrics", "m.csv", "--duration", "0.1"], "design", "trace", "design"),
+    (["simulate", "--platform", "rotpen", "--config", "in.txt", "--trace", "t.csv",
+      "--metrics", "in.txt"], "config", "metrics", "config"),
+    (["synthesize", "--config", "in.txt", "--out", "in.txt"], "config", "out", "config"),
+    (["synthesize", "--out", "./in.txt"], "env", "out", "config"),
+    (["linearize", "--config", "in.txt", "--out", "in.txt"], "config", "out", "config"),
+    (["compare", "--config", "in.txt", "--metrics", "in.txt"], "config", "metrics",
+     "config"),
+])
+def test_an_output_may_not_overwrite_an_input(tmp_path, capsys, monkeypatch,
+                                              argv, source, key, input_key):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PENDULUM_CTL_CONFIG", raising=False)
+    if source == "design":
+        assert cli.run(["synthesize", "--platform", "rotpen", "--out", "in.txt"]) == 0
+    else:
+        platform = "" if argv[0] == "compare" else "platform = rotpen\n"
+        (tmp_path / "in.txt").write_text(f"# settings\n{platform}")
+        if source == "env":
+            monkeypatch.setenv("PENDULUM_CTL_CONFIG", "in.txt")
+    before = (tmp_path / "in.txt").read_bytes()
+    capsys.readouterr()
+    assert cli.run(argv) == 1
+    captured = capsys.readouterr()
+    assert f"{input_key} and {key} both name the file" in captured.err
+    assert captured.out == ""
+    assert (tmp_path / "in.txt").read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["in.txt"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["synthesize", "--platform", "rotpen", "--out", "missing/x.txt"],
+    ["synthesize", "--platform", "rotpen"],  # its default output is a folder here
+    ["linearize", "--platform", "rotpen", "--out", "missing/x.txt"],
+])
+def test_synthesize_and_linearize_check_their_output_first(tmp_path, capsys,
+                                                           monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PENDULUM_CTL_CONFIG", raising=False)
+    (tmp_path / "rotpen_lqr_design.txt").mkdir()
+    assert cli.run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write ")
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["rotpen_lqr_design.txt"]
 
 
 def test_output_clashes_are_judged_by_the_file_reached(tmp_path, capsys, monkeypatch):

@@ -954,10 +954,11 @@ _B = simulate_module._CSV_BLOCK
 
 
 @pytest.mark.parametrize("extra", ["s", "integ"])
-@pytest.mark.parametrize("rows", [1, _B - 1, _B, _B + 1, 2 * _B + 1])
+@pytest.mark.parametrize("rows", [1, _B - 1, _B, _B + 1, 2 * _B + 1, 3 * _B + 1, 4 * _B])
 def test_trace_csv_matches_per_row_writer(tmp_path, extra, rows):
     # block boundaries at one row, one short of a block, a whole block,
-    # one past it and past two blocks
+    # one past it and past two blocks; past three blocks and at four, the
+    # forked child's last block is once short and once whole
     rng = np.random.default_rng(rows)
     values = rng.normal(scale=3.0, size=(rows, 8))
     special = [-0.0, 1e-05, 1e16, 5e-324, 1 / 3, -1e-300, 123456789.0]
@@ -972,6 +973,38 @@ def test_trace_csv_matches_per_row_writer(tmp_path, extra, rows):
     cols = ["t", "q1", "q2", "q1dot", "q2dot", "u_cmd", "u_applied", "dist", extra]
     arrays = [t, *values.T]
     assert path.read_bytes() == _per_row_csv(trace, cols, arrays).encode()
+
+
+def _trace_of_blocks(blocks):
+    values = np.linspace(-1.0, 1.0, 8 * blocks * _B).reshape(-1, 8)
+    return SimTrace(t=np.arange(blocks * _B) * 0.002, x=values[:, 0:4],
+                    u_command=values[:, 4], u_applied=values[:, 5], d=values[:, 6])
+
+
+def test_trace_writer_leaves_no_child_process(tmp_path):
+    save_trace_csv(_trace_of_blocks(3), tmp_path / "trace.csv")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failed_writer_child_raises_and_leaves_no_process(tmp_path, monkeypatch):
+    # open fails in the forked child alone, so the child exits before its
+    # first frame; its copy of this test must never run the lines below
+    pid = os.getpid()
+
+    def child_fails(*args, **kwargs):
+        if os.getpid() != pid:
+            raise OSError("refused in the child")
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(simulate_module, "open", child_fails, raising=False)
+    with pytest.raises(OSError, match="short frame"):
+        save_trace_csv(_trace_of_blocks(2), tmp_path / "trace.csv")
+    with open(tmp_path / "after.txt", "a") as fh:
+        fh.write(f"{os.getpid()}\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert (tmp_path / "after.txt").read_text() == f"{pid}\n"
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):
