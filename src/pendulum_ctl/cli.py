@@ -5,7 +5,7 @@ the parser, the config keys and the defaults are built from it, so every
 flag has a config-file equivalent. Settings resolve in the order built-in
 defaults, then the config file (from --config or the PENDULUM_CTL_CONFIG
 environment variable), then explicit flags. Config files are plain text
-with one key=value pair per line and # comments.
+with one key=value pair per line, each key once, and # comments.
 
 Exit codes: 0 success, 1 bad input (a ValueError or OSError, such as an
 unwritable output path), 2 synthesis failure (a SynthesisError), 3 a run
@@ -117,13 +117,12 @@ _SETTINGS = {
         "dist_frequency": (float, None, "pulse frequency in Hz"),
         "dist_start": (float, None, "pulse start time in seconds"),
         "dist_duty": (float, None, "pulse duty cycle in [0, 1]"),
-        "x0": (_floats, (0.0, 0.0, 0.0, 0.0), "initial state q1,q2,q1dot,q2dot"),
-        "reference": (_floats, (0.0, 0.0, 0.0, 0.0),
-                      "state reference, same layout as --x0"),
-        "measurement": (_choice("ideal", "filtered-derivative"), "ideal",
+        "x0": (_floats, None, "initial state q1,q2,q1dot,q2dot"),
+        "reference": (_floats, None, "state reference, same layout as --x0"),
+        "measurement": (_choice("ideal", "filtered-derivative"), None,
                         "ideal or filtered-derivative"),
-        "filter_cutoff": (float, 30.0, "derivative filter cutoff in Hz"),
-        "boundary_layer": (float, 0.0, "SMC boundary-layer width"),
+        "filter_cutoff": (float, None, "derivative filter cutoff in Hz"),
+        "boundary_layer": (float, None, "SMC boundary-layer width"),
         "saturation": (_positive, None, "actuator limit in volts"),
         "trace": (str, "trace.csv", "trace CSV path (default trace.csv)"),
         "metrics": (str, "metrics.csv", "metrics CSV path (default metrics.csv)"),
@@ -153,16 +152,18 @@ def _read_config(path: str) -> dict[str, str]:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from None
-    pairs: dict[str, str] = {}
+    pairs, first = {}, {}  # key -> its value, and the line that set it
     for number, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ValueError(
-                f"{path}:{number}: {stripped!r} has no assignment")
+            raise ValueError(f"{path}:{number}: {stripped!r} has no assignment")
         key, _, value = stripped.partition("=")
-        pairs[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key in first:
+            raise ValueError(f"{path}:{number}: {key} repeats line {first[key]}")
+        first[key], pairs[key] = number, value.strip()
     return pairs
 
 
@@ -303,6 +304,12 @@ def _disturbance(settings: dict, V_max: float) -> DisturbanceSpec:
                            **{_PULSE_FIELDS[key]: value for key, value in given.items()})
 
 
+# simulate setting -> SimConfig field, passed only when given: defaults live there
+_RUN_FIELDS = {"plant_dt": "plant_dt", "x0": "x0", "reference": "reference",
+               "saturation": "saturation_V", "measurement": "measurement",
+               "filter_cutoff": "filter_cutoff", "boundary_layer": "boundary_layer"}
+
+
 def _experiment(platform: str, settings: dict):
     """Check the settings of one closed-loop run; return a function that runs it.
 
@@ -314,13 +321,12 @@ def _experiment(platform: str, settings: dict):
     V_max = settings.get("saturation") or params.V_max
     spec = _disturbance(settings, V_max)
     Ts = DEFAULT_TS[platform] if settings.get("ts") is None else settings["ts"]
-    cfg = SimConfig(duration=settings["duration"], controller_Ts=Ts,
-                    plant_dt=settings.get("plant_dt"), disturbance=spec,
-                    x0=settings["x0"], reference=settings["reference"],
-                    saturation_V=settings.get("saturation"),
-                    measurement=settings["measurement"],
-                    filter_cutoff=settings["filter_cutoff"],
-                    boundary_layer=settings["boundary_layer"])
+    cfg = SimConfig(duration=settings["duration"], controller_Ts=Ts, disturbance=spec,
+                    **{field: settings[key] for key, field in _RUN_FIELDS.items()
+                       if settings[key] is not None})
+    if settings["filter_cutoff"] is not None and cfg.measurement != "filtered-derivative":
+        raise ValueError("filter_cutoff needs measurement=filtered-derivative, "
+                         f"not {cfg.measurement}")
     check_plant_step(params, cfg.plant_dt)
     onset = spec.start_time if spec.kind == "pulse_train" else 0.0
 
@@ -335,8 +341,17 @@ def _experiment(platform: str, settings: dict):
 # subcommands
 # ---------------------------------------------------------------------------
 
-# the synthesize settings only one controller reads, with that controller
-_CONTROLLER_OF = {"q": "lqr", "r": "lqr", "ts": "smc", "alpha": "smc", "k": "smc"}
+# per command, the settings only one controller reads, with that controller
+_CONTROLLER_OF = {
+    "synthesize": {"q": "lqr", "r": "lqr", "ts": "smc", "alpha": "smc", "k": "smc"},
+    "simulate": {"boundary_layer": "smc"}}
+
+
+def _refuse_other_controller(command: str, settings: dict, controller: str) -> None:
+    """Refuse a given setting that only the other controller reads."""
+    for key, owner in _CONTROLLER_OF[command].items():
+        if owner != controller and settings[key] is not None:
+            raise ValueError(f"{key} needs controller={owner}, not {controller}")
 
 
 def _cmd_synthesize(settings: dict, config: str | None) -> int:
@@ -344,9 +359,7 @@ def _cmd_synthesize(settings: dict, config: str | None) -> int:
     controller = settings["controller"]
     out = settings["out"] or f"{platform}_{controller}_design.txt"
     _check_outputs([("out", out, False)], [("config", config)])
-    for key, owner in _CONTROLLER_OF.items():
-        if owner != controller and settings[key] is not None:
-            raise ValueError(f"{key} needs controller={owner}, not {controller}")
+    _refuse_other_controller("synthesize", settings, controller)
     design = _make_design(platform, controller, settings)
     save_design(design, out, platform)
     if isinstance(design, LqrDesign):
@@ -373,11 +386,14 @@ def _cmd_simulate(settings: dict, config: str | None) -> int:
                     ("metrics", settings["metrics"], False)],
                    [("config", config), ("design", settings["design"])])
     experiment = _experiment(platform, settings)
+    if not settings["design"]:  # the settings decide the controller
+        _refuse_other_controller("simulate", settings, settings["controller"] or "lqr")
     design = _make_design(platform, settings["controller"], settings)
     kind = "smc" if isinstance(design, SmcDesign) else "lqr"
     if settings["controller"] not in (None, kind):  # only a design file can disagree
         raise ValueError(f"controller {settings['controller']} disagrees with the {kind} "
                          f"design in {settings['design']}")
+    _refuse_other_controller("simulate", settings, kind)
     trace, metrics = experiment(design)
 
     save_trace_csv(trace, settings["trace"])

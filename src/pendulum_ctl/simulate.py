@@ -16,7 +16,8 @@ minus the reference. Measurements are ideal by default. The
 filtered-derivative mode feeds the controller velocity estimates built from
 backward differences (none before the first sample, so the first estimate
 is zero) smoothed by a bilinear-mapped first-order low-pass, emulating
-encoder-only sensing. The tick loop computes the laws and the filter itself.
+encoder-only sensing. The tick loop computes the laws and the filter itself
+and stores each tick in one table; the open-loop disturbance is precomputed.
 
 A run at exact rest is not recomputed tick by tick. When one tick leaves
 the carried state (plant state, integral, derivative-filter states)
@@ -104,15 +105,21 @@ def standard_pulse_train(V_max: float) -> DisturbanceSpec:
                            frequency=0.0167, start_time=60.0, duty=0.5)
 
 
-def disturbance_value(spec: DisturbanceSpec, t: float) -> float:
-    """Disturbance voltage at time t (zero before start_time)."""
-    if t < 0.0:
-        raise ValueError("time must be non-negative")
-    if spec.kind != "pulse_train" or t < spec.start_time or spec.amplitude == 0.0:
-        return 0.0
-    period = 1.0 / spec.frequency
-    phase = (t - spec.start_time) % period
-    return spec.amplitude if phase < spec.duty * period else 0.0
+def disturbance_value(spec: DisturbanceSpec, t: float | np.ndarray) -> float | np.ndarray:
+    """Disturbance voltage at time t (zero before start_time).
+
+    t may be a float, which gives a float, or an array of times, which gives
+    an array; each value equals the float computation bit for bit.
+    """
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t) & (t >= 0.0)):
+        raise ValueError("time must be finite and non-negative")
+    d = np.zeros_like(t)
+    if spec.kind == "pulse_train" and spec.amplitude != 0.0:
+        period = 1.0 / spec.frequency
+        d[(t >= spec.start_time)
+          & ((t - spec.start_time) % period < spec.duty * period)] = spec.amplitude
+    return float(d) if d.ndim == 0 else d
 
 
 @dataclass(frozen=True)
@@ -139,8 +146,8 @@ class SimConfig:
     boundary_layer: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "duration", float(self.duration))
-        object.__setattr__(self, "controller_Ts", float(self.controller_Ts))
+        for name in ("duration", "controller_Ts", "filter_cutoff", "boundary_layer"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not (math.isfinite(self.duration) and self.duration > 0.0):
             raise ValueError("duration must be a positive number of seconds")
         if not (math.isfinite(self.controller_Ts) and self.controller_Ts > 0.0):
@@ -187,14 +194,12 @@ class SimConfig:
                 raise ValueError("saturation_V must be positive and finite")
         if self.measurement not in ("ideal", "filtered-derivative"):
             raise ValueError(f"unknown measurement mode {self.measurement!r}")
-        object.__setattr__(self, "filter_cutoff", float(self.filter_cutoff))
         if not (math.isfinite(self.filter_cutoff) and self.filter_cutoff > 0.0):
             raise ValueError("filter_cutoff must be positive and finite")
         if (self.measurement == "filtered-derivative"
                 and self.filter_cutoff >= 0.5 / self.controller_Ts):
             raise ValueError("filter_cutoff must be below the Nyquist rate "
                              "1 / (2 controller_Ts)")
-        object.__setattr__(self, "boundary_layer", float(self.boundary_layer))
         if not (math.isfinite(self.boundary_layer) and self.boundary_layer >= 0.0):
             raise ValueError("boundary_layer must be non-negative and finite")
 
@@ -219,14 +224,9 @@ class SimTrace:
         if x.ndim != 2 or x.shape[0] != t.size:
             raise ValueError("state history must have one row per time sample")
         object.__setattr__(self, "x", x)
-        for name in ("u_command", "u_applied", "d"):
-            arr = np.asarray(getattr(self, name), dtype=float).ravel()
-            if arr.size != t.size:
-                raise ValueError(f"{name} length does not match the time vector")
-            object.__setattr__(self, name, arr)
-        for name in ("s", "integ"):
+        for name in ("u_command", "u_applied", "d", "s", "integ"):
             val = getattr(self, name)
-            if val is not None:
+            if val is not None or name not in ("s", "integ"):  # s and integ are optional
                 arr = np.asarray(val, dtype=float).ravel()
                 if arr.size != t.size:
                     raise ValueError(f"{name} length does not match the time vector")
@@ -306,7 +306,6 @@ def simulate(params: PlantParams, design, cfg: SimConfig) -> SimTrace:
     sat = params.V_max if cfg.saturation_V is None else cfg.saturation_V
     advance = period_stepper(params, cfg.plant_dt, round(Ts / cfg.plant_dt))
     n = round(cfg.duration / Ts)
-    spec = cfg.disturbance
     r1, r2, r3, r4 = cfg.reference
 
     use_filter = cfg.measurement == "filtered-derivative"
@@ -316,12 +315,9 @@ def simulate(params: PlantParams, design, cfg: SimConfig) -> SimTrace:
 
     t_arr = np.arange(n + 1, dtype=float)
     t_arr *= Ts  # k * Ts, bit for bit, without a temporary array
-    x_arr = np.empty((n + 1, _STATE_DIM))
-    ucmd_arr = np.empty(n + 1)
-    uapp_arr = np.empty(n + 1)
-    d_arr = np.empty(n + 1)
-    s_arr = np.empty(n + 1) if is_smc else None
-    i_arr = np.empty(n + 1) if ki is not None else None
+    d_arr = disturbance_value(cfg.disturbance, t_arr)  # open loop: one column
+    # one contiguous row per trace column: x, u_cmd, u_applied, s or integ
+    table = np.empty((7, n + 1))
 
     x1, x2, x3, x4 = cfg.x0
     integ = 0.0
@@ -349,22 +345,11 @@ def simulate(params: PlantParams, design, cfg: SimConfig) -> SimTrace:
             s = l1 * e1 + l2 * e2 + l3 * e3 + l4 * e4
             sg = s / eps if -eps < s < eps else (1.0 if s > 0.0 else (-1.0 if s < 0.0 else 0.0))
             u = -(k1 * e1 + k2 * e2 + k3 * e3 + k4 * e4) - kk * sg
-            s_arr[k] = s
         else:
             u = -(k1 * e1 + k2 * e2 + k3 * e3 + k4 * e4) - kint * integ
-            if ki is not None:
-                i_arr[k] = integ
-
         ua = -sat if u < -sat else (sat if u > sat else u)
-        d = disturbance_value(spec, k * Ts)
-
-        x_arr[k, 0] = x1
-        x_arr[k, 1] = x2
-        x_arr[k, 2] = x3
-        x_arr[k, 3] = x4
-        ucmd_arr[k] = u
-        uapp_arr[k] = ua
-        d_arr[k] = d
+        d = d_arr.item(k)
+        table[:, k] = (x1, x2, x3, x4, u, ua, s if is_smc else integ)
         k += 1
         if k > n:
             break
@@ -373,22 +358,18 @@ def simulate(params: PlantParams, design, cfg: SimConfig) -> SimTrace:
         jnteg = integ if ki is None else integ + e1 * Ts
         if y1 == x1 and all(map(_same_bits, (y1, y2, y3, y4, jnteg, *g1, *g2),
                                 (x1, x2, x3, x4, integ, *f1, *f2))):
-            # at rest: rows repeat row k - 1 until the disturbance changes
+            # at rest: ticks repeat tick k - 1 until the disturbance changes
             j = k
-            while j <= n and _same_bits(disturbance_value(spec, j * Ts), d):
+            while j <= n and _same_bits(d_arr.item(j), d):
                 j += 1
-            for arr in (x_arr, ucmd_arr, uapp_arr, d_arr, s_arr, i_arr):
-                if arr is not None:
-                    arr[k:j] = arr[k - 1]
+            # copied first: numpy buffers an overlapping source at the destination's size
+            table[:, k:j] = table[:, k - 1:k].copy()
             k = j
         x1, x2, x3, x4, integ, f1, f2 = y1, y2, y3, y4, jnteg, g1, g2
 
-    return SimTrace(t=t_arr[:k], x=x_arr[:k],
-                    u_command=ucmd_arr[:k], u_applied=uapp_arr[:k],
-                    d=d_arr[:k],
-                    s=s_arr[:k] if is_smc else None,
-                    integ=i_arr[:k] if ki is not None else None,
-                    diverged=diverged)
+    return SimTrace(t=t_arr[:k], x=table[:4, :k].T, u_command=table[4, :k],
+                    u_applied=table[5, :k], d=d_arr[:k], s=table[6, :k] if is_smc else None,
+                    integ=table[6, :k] if ki is not None else None, diverged=diverged)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ exercised exactly as a shell would see it: 0 success, 1 config error,
 2 synthesis failure, 3 a run that did not stabilize.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -20,6 +21,7 @@ import pytest
 from pendulum_ctl import cli
 from pendulum_ctl.linearize import load_statespace
 from pendulum_ctl.metrics import SETTLE_BAND
+from pendulum_ctl.simulate import SimConfig
 from pendulum_ctl.synthesis import (
     LqrDesign,
     SmcDesign,
@@ -372,6 +374,38 @@ def test_simulate_smc_boundary_layer_smoke(tmp_path):
     assert header[-1] == "s"
 
 
+def test_a_boundary_layer_runs_with_an_smc_design_file(tmp_path, capsys):
+    # the design file decides the controller, so --controller is not needed
+    design, trace = tmp_path / "smc.txt", tmp_path / "trace.csv"
+    assert cli.run(["synthesize", "--platform", "rotpen", "--smc",
+                    "--out", str(design)]) == 0
+    argv = ["simulate", "--platform", "rotpen", "--design", str(design),
+            "--duration", "0.2", "--x0", "0,0.05,0,0", "--metrics", str(tmp_path / "m.csv")]
+    assert cli.run(argv + ["--boundary-layer", "50", "--trace", str(trace)]) == 0
+    assert cli.run(argv + ["--trace", str(tmp_path / "plain.csv")]) == 0
+    # the layer is read: it changes the recorded commands
+    assert trace.read_bytes() != (tmp_path / "plain.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command, lines, message", [
+    ("simulate", ["platform=rotpen", "duration=1", "# a comment", "duration=0.5"],
+     "run.cfg:4: duration repeats line 2"),
+    # dashes and underscores spell one key
+    ("compare", ["trace-dir=a", "duration=0.2", "trace_dir=b"],
+     "run.cfg:3: trace_dir repeats line 1"),
+])
+def test_a_config_file_may_set_a_key_once(tmp_path, capsys, monkeypatch, command, lines,
+                                          message):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PENDULUM_CTL_CONFIG", raising=False)
+    (tmp_path / "run.cfg").write_text("\n".join(lines) + "\n")
+    assert cli.run([command, "--config", "run.cfg"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
 def test_repeated_simulate_invocations_are_byte_identical(tmp_path):
     argv = ["simulate", "--platform", "nxtway", "--controller", "smc",
             "--duration", "1.5", "--x0", "0,0.05,0,0",
@@ -706,6 +740,20 @@ _VALID = {
 _NONSENSE = ["", "nan", "inf", "-1", "0", "abc", "1,2", "1e308", "1e-320"]
 
 
+def test_simulate_settings_leave_run_defaults_to_sim_config():
+    # each run default is stated once, in SimConfig: a simulate setting named
+    # after a defaulted SimConfig field defaults to None, meaning not given;
+    # disturbance is exempt, its none/paper/pulse values being CLI vocabulary
+    defaulted = {f.name for f in dataclasses.fields(SimConfig)
+                 if f.default is not dataclasses.MISSING}
+    rows = cli._SETTINGS["simulate"][1]
+    named = sorted(defaulted & set(rows) - {"disturbance"})
+    assert named == ["boundary_layer", "filter_cutoff", "measurement", "plant_dt",
+                     "reference", "x0"]
+    assert {key: rows[key][1] for key in named} == dict.fromkeys(named)
+    assert set(cli._RUN_FIELDS.values()) <= defaulted
+
+
 @pytest.mark.parametrize("command, key", [
     (command, key) for command, (_, rows) in cli._SETTINGS.items() for key in rows])
 def test_config_key_and_flag_resolve_alike(tmp_path, monkeypatch, command, key):
@@ -779,12 +827,20 @@ _RUN = {"synthesize": {"platform": "nxtway"}, "linearize": {"platform": "rotpen"
      "missing"),
     ("synthesize", {"platform": "rotpen", "out": "missing/x.txt"}, "missing"),
     ("linearize", {"out": "missing/x.txt"}, "missing"),
+    # a run setting that the run would not read is refused, never dropped
+    ("simulate", {"filter_cutoff": "600"},
+     "filter_cutoff needs measurement=filtered-derivative, not ideal"),
+    ("simulate", {"boundary_layer": "0.5"}, "boundary_layer needs controller=smc, not lqr"),
+    ("simulate", {"gains": "reference", "boundary_layer": "0.5"}, "boundary_layer"),
+    ("simulate", {"design": "{lqr}", "boundary_layer": "0.05"},
+     "boundary_layer needs controller=smc, not lqr"),
 ])
 def test_bad_settings_are_refused_before_writing(tmp_path, tmp_path_factory, capsys,
                                                  monkeypatch, command, settings, key):
-    if settings.get("design") == "{smc}":  # a design file outside the run folder
-        design = tmp_path_factory.mktemp("designs") / "rotpen_smc.txt"
-        assert cli.run(["synthesize", "--platform", "rotpen", "--smc",
+    if settings.get("design") in ("{lqr}", "{smc}"):  # a file outside the run folder
+        controller = settings["design"][1:-1]
+        design = tmp_path_factory.mktemp("designs") / f"rotpen_{controller}.txt"
+        assert cli.run(["synthesize", "--platform", "rotpen", f"--{controller}",
                         "--out", str(design)]) == 0
         capsys.readouterr()
         settings = {**settings, "design": str(design)}

@@ -16,6 +16,7 @@ import struct
 import subprocess
 import sys
 import traceback
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,6 +118,52 @@ def test_standard_pulse_train_profile():
     assert disturbance_value(quiet, 1234.5) == 0.0
     with pytest.raises(ValueError):
         disturbance_value(spec, -1.0)
+
+
+def _pulse_formula(spec, t):
+    """The disturbance at one time, in plain float arithmetic."""
+    if spec.kind != "pulse_train" or t < spec.start_time or spec.amplitude == 0.0:
+        return 0.0
+    period = 1.0 / spec.frequency
+    return spec.amplitude if (t - spec.start_time) % period < spec.duty * period else 0.0
+
+
+def test_disturbance_column_equals_the_scalar_formula_bit_for_bit():
+    # simulate computes the disturbance of every tick at once, at t = k Ts;
+    # each value must be the float formula's, bit for bit
+    cases = [(standard_pulse_train(default_params(p).V_max), Ts, 120.0)
+             for p, Ts in (("rotpen", 0.002), ("nxtway", 0.004))]
+    cases += [(DisturbanceSpec(), 0.002, 10.0),
+              (DisturbanceSpec(kind="none", amplitude=3.0), 0.004, 10.0)]
+    rng = np.random.default_rng(20)
+    for i in range(80):
+        Ts = float(rng.choice([0.002, 0.004, 0.01, 0.024]))
+        n = int(rng.integers(1, 4000))
+        duty = [0.0, 1.0, 0.5, float(rng.random())][i % 4]
+        # every fifth train starts beyond the run's end; half start on a tick
+        # and have a whole number of ticks per period, so edges fall on ticks
+        on_grid = i % 2 == 0
+        start = (Ts * n * (1.0 + rng.random()) if i % 5 == 0
+                 else Ts * int(rng.integers(0, n)) if on_grid
+                 else float(rng.random() * Ts * n))
+        frequency = (1.0 / (Ts * 2 * int(rng.integers(1, 200))) if on_grid
+                     else float(10.0 ** rng.uniform(-2, 2)))
+        cases.append((DisturbanceSpec(kind="pulse_train",
+                                      amplitude=float(rng.choice([0.0, rng.random() * 10])),
+                                      frequency=frequency, start_time=start, duty=duty),
+                      Ts, Ts * n))
+    for spec, Ts, duration in cases:
+        n = round(duration / Ts)
+        t = np.arange(n + 1, dtype=float)
+        t *= Ts  # as simulate builds its time column
+        want = np.array([_pulse_formula(spec, k * Ts) for k in range(n + 1)])
+        got = disturbance_value(spec, t)
+        assert got.tobytes() == want.tobytes(), spec
+        scalar = disturbance_value(spec, (n // 2) * Ts)
+        assert type(scalar) is float and scalar == want[n // 2]
+    # the runs above cover both levels and the edges between them
+    assert all(np.unique(disturbance_value(spec, np.arange(60001) * 0.002)).size == 2
+               for spec, *_ in cases[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +737,7 @@ def _oracle_simulate(params, design, cfg):
         s_rows.append(s)
         i_rows.append(integ)
         ua = -sat if u < -sat else (sat if u > sat else u)
-        d = disturbance_value(cfg.disturbance, t)
+        d = _pulse_formula(cfg.disturbance, t)
         rows.append((t, x1, x2, x3, x4, u, ua, d))
         if ki is not None:
             integ += e1 * Ts
@@ -898,6 +945,24 @@ def test_rest_skip_engages_on_the_paper_run(monkeypatch):
     ticks = trace.t.size
     assert ticks == 60001 and not trace.diverged
     assert 0 < calls[0] <= 0.51 * ticks  # one call per controller period advanced
+
+
+def test_a_run_at_rest_allocates_little_beyond_its_trace():
+    # every tick after the first is copied in one slice assignment; numpy
+    # buffers a source that overlaps its destination at the destination's
+    # size, which would take the run from 81 to 128 bytes per tick
+    params = default_params("rotpen")
+    for design in (_rotpen_lqr(), _rotpen_smc()):
+        simulate(params, design, SimConfig(duration=0.004, controller_Ts=0.002))  # compile
+        tracemalloc.start()
+        try:
+            trace = simulate(params, design, SimConfig(duration=100.0, controller_Ts=0.002))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the table's 7 rows, the time and disturbance columns, and
+        # SimTrace's check of the time column: 81 bytes per tick
+        assert peak < 100 * trace.t.size
 
 
 # ---------------------------------------------------------------------------
