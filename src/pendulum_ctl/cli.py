@@ -34,7 +34,6 @@ from .simulate import (
     DisturbanceSpec,
     SimConfig,
     check_plant_step,
-    save_trace_csv,
     simulate,
     standard_pulse_train,
 )
@@ -313,9 +312,10 @@ _RUN_FIELDS = {"plant_dt": "plant_dt", "x0": "x0", "reference": "reference",
 def _experiment(platform: str, settings: dict):
     """Check the settings of one closed-loop run; return a function that runs it.
 
-    The function takes the design, simulates and returns the trace and
-    metrics. Checking first lets a command refuse bad settings before it
-    loads or synthesizes a design or writes anything.
+    The function takes the design and a trace CSV path or None, simulates
+    (writing the trace) and returns the run's metrics. Checking first
+    lets a command refuse bad settings before it loads or synthesizes a
+    design or writes anything.
     """
     params = default_params(platform)
     V_max = settings.get("saturation") or params.V_max
@@ -330,10 +330,10 @@ def _experiment(platform: str, settings: dict):
     check_plant_step(params, cfg.plant_dt)
     onset = spec.start_time if spec.kind == "pulse_train" else 0.0
 
-    def run(design):
-        trace = simulate(params, design, cfg)
-        return trace, compute_metrics(trace, V_max=V_max, disturbance_onset=onset,
-                                      reference_q2=cfg.reference[1])
+    def run(design, trace_path):
+        trace = simulate(params, design, cfg, trace_path)
+        return compute_metrics(trace, V_max=V_max, disturbance_onset=onset,
+                               reference_q2=cfg.reference[1])
     return run
 
 
@@ -394,9 +394,7 @@ def _cmd_simulate(settings: dict, config: str | None) -> int:
         raise ValueError(f"controller {settings['controller']} disagrees with the {kind} "
                          f"design in {settings['design']}")
     _refuse_other_controller("simulate", settings, kind)
-    trace, metrics = experiment(design)
-
-    save_trace_csv(trace, settings["trace"])
+    metrics = experiment(design, settings["trace"])
     save_metrics_csv([(platform, kind, metrics)], settings["metrics"])
     print(f"wrote {settings['trace']} and {settings['metrics']}")
     print(f"quality: {metrics.stabilization_quality}, "
@@ -434,10 +432,8 @@ def _cmd_compare(settings: dict, config: str | None) -> int:
 
     rows = []
     for run, experiment in experiments.items():
-        trace, metrics = experiment(designs[run])
+        metrics = experiment(designs[run], trace_paths.get(run))
         rows.append((*run, metrics))
-        if trace_dir:
-            save_trace_csv(trace, trace_paths[run])
     report = comparison_report(rows)
     with open(settings["out"], "w", encoding="utf-8") as fh:
         fh.write(report + "\n")

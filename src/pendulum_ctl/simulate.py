@@ -22,26 +22,32 @@ and stores each tick in one table; the open-loop disturbance is precomputed.
 A run at exact rest is not recomputed tick by tick. When one tick leaves
 the carried state (plant state, integral, derivative-filter states)
 unchanged bit for bit, each later tick would repeat the same arithmetic on
-the same inputs until the disturbance changes value, so its row is copied
-instead; the trace bytes are those of computing every tick. The paper's
-pulse experiment balances at the upright equilibrium for 60 s before the
-first pulse, so half of its ticks are copied.
+the same inputs until the disturbance changes value (the column's change
+points are found once, before the loop), so its row is copied instead; the
+trace bytes are those of computing every tick. The paper's pulse experiment
+balances at the upright equilibrium for 60 s before the first pulse, so
+half of its ticks are copied.
 
-save_trace_csv formats rows _CSV_BLOCK at a time, and where os.fork exists
-it formats a multi-block trace in two processes: a forked child formats the
-odd-numbered blocks and streams each back through a pipe as a
-length-prefixed frame, while the caller formats the even-numbered ones and
-writes every block in order, reading one frame per block of its own. The
-bytes are those of one process. The child leaves only through os._exit, so
-it never returns into the caller or flushes a buffer it inherited, and it
-is reaped before the call ends. A single-block trace, or a platform without
-os.fork, is written by the caller alone.
+Given a trace path, simulate writes the trace CSV while the tick loop runs.
+The run's table holds the CSV's columns in order (t, the four states, both
+command columns, the disturbance, then s or the integral when the design has
+one), in an anonymous shared mapping when the trace spans more than one
+block of _CSV_BLOCK rows. Before the loop the caller writes the header and
+forks one writer child; each time the row count crosses a block boundary the
+loop sends the count through a pipe, and the child formats every complete
+block in order and writes it to the file it inherited. The last count
+carries an end marker, after which the child writes the tail. The bytes are
+those of save_trace_csv on the returned trace, which formats the same blocks
+in one process, as simulate itself does for a single-block trace or where
+os.fork does not exist.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +72,8 @@ _DIVERGENCE_LIMIT = 1e3
 # RK4 steps one run may take (ticks x sub-steps), about 40 paper pulse runs;
 # simulate allocates every trace row up front
 _MAX_RK4_STEPS = 10 ** 7
-_CSV_BLOCK = 1024  # trace rows formatted per write in save_trace_csv
+_CSV_BLOCK = 1024  # trace rows formatted per write
+_CSV_COLUMNS = ("t", "q1", "q2", "q1dot", "q2dot", "u_cmd", "u_applied", "dist")
 
 
 @dataclass(frozen=True)
@@ -271,7 +278,7 @@ def check_plant_step(params: PlantParams, plant_dt: float) -> None:
                          f"mode at {name} rad/s; the largest stable step is {step:.4e} s")
 
 
-def simulate(params: PlantParams, design, cfg: SimConfig) -> SimTrace:
+def simulate(params: PlantParams, design, cfg: SimConfig, trace_path=None) -> SimTrace:
     """Run one closed-loop experiment and return its trace.
 
     The controller type follows the design object: an LqrDesign applies the
@@ -280,6 +287,15 @@ def simulate(params: PlantParams, design, cfg: SimConfig) -> SimTrace:
     to both motors of the two-wheeled robot. Divergence (any state beyond
     1e3) stops the run early and flags the truncated trace. Ticks at exact
     rest are copied rather than recomputed, as the module docstring says.
+
+    With trace_path, the trace CSV is complete when the call returns, also
+    for a diverged run. A trace of more than one block is written by a child
+    forked before the loop, as the module docstring says. The fork may come
+    from a process that holds OpenBLAS worker threads (the command line's
+    does): the child touches no BLAS, only slicing, tolist, formatting and
+    file writes, and it leaves only through os._exit. A failed child makes
+    the call raise OSError; it and an exception in the loop each reap the
+    child and remove the partial file first.
     """
     check_plant_step(params, cfg.plant_dt)
     Ts = cfg.controller_Ts
@@ -302,6 +318,7 @@ def simulate(params: PlantParams, design, cfg: SimConfig) -> SimTrace:
         raise TypeError(f"unsupported design type {type(design).__name__}")
     # without Ki the integral stays 0.0, and u - 0.0 * 0.0 is u bit for bit
     kint = 0.0 if ki is None else ki
+    columns = _CSV_COLUMNS + (("s",) if is_smc else ("integ",) if ki is not None else ())
 
     sat = params.V_max if cfg.saturation_V is None else cfg.saturation_V
     advance = period_stepper(params, cfg.plant_dt, round(Ts / cfg.plant_dt))
@@ -313,11 +330,19 @@ def simulate(params: PlantParams, design, cfg: SimConfig) -> SimTrace:
     c = 2.0 / Ts
     fa, fg = (c - om) / (c + om), om / (c + om)
 
-    t_arr = np.arange(n + 1, dtype=float)
-    t_arr *= Ts  # k * Ts, bit for bit, without a temporary array
-    d_arr = disturbance_value(cfg.disturbance, t_arr)  # open loop: one column
-    # one contiguous row per trace column: x, u_cmd, u_applied, s or integ
-    table = np.empty((7, n + 1))
+    t = np.arange(n + 1, dtype=float)
+    t *= Ts  # k * Ts, bit for bit, without a temporary array
+    # open loop: one column, viewed as its bits
+    d_arr = disturbance_value(cfg.disturbance, t).view(np.int64)
+    # the ticks whose disturbance differs bit for bit from the tick before
+    changes = (np.flatnonzero(d_arr[1:] != d_arr[:-1]) + 1).tolist() + [n + 1]
+    # one contiguous row per CSV column, shared with the writer child if any
+    stream = trace_path is not None and n + 1 > _CSV_BLOCK and hasattr(os, "fork")
+    width = len(columns)
+    table = (np.frombuffer(mmap.mmap(-1, 8 * width * (n + 1))) if stream
+             else np.empty(width * (n + 1))).reshape(width, n + 1)
+    table[0], table[7] = t, d_arr.view(float)
+    t, d_arr = table[0], table[7]  # rebinding frees the first copies
 
     x1, x2, x3, x4 = cfg.x0
     integ = 0.0
@@ -327,110 +352,162 @@ def simulate(params: PlantParams, design, cfg: SimConfig) -> SimTrace:
     diverged = False
     lim = _DIVERGENCE_LIMIT
 
+    pid, wfd = _fork_writer(trace_path, columns, table) if stream else (None, None)
+    mark = _CSV_BLOCK if stream else n + 2  # the row count next sent to the writer
     k = 0  # next tick; also the number of rows written
-    while k <= n:
-        if not (abs(x1) <= lim and abs(x2) <= lim
-                and abs(x3) <= lim and abs(x4) <= lim):
-            diverged = True
-            break
-        if use_filter:
-            raw1, raw2 = (x1 - f1[0]) / Ts, (x2 - f2[0]) / Ts
-            g1 = (x1, raw1, fa * f1[2] + fg * (raw1 + f1[1]))
-            g2 = (x2, raw2, fa * f2[2] + fg * (raw2 + f2[1]))
-            e1, e2, e3, e4 = x1 - r1, x2 - r2, g1[2] - r3, g2[2] - r4
-        else:
-            e1, e2, e3, e4 = x1 - r1, x2 - r2, x3 - r3, x4 - r4
+    try:
+        while k <= n:
+            if k >= mark:
+                mark = _send_count(wfd, k)
+            if not (abs(x1) <= lim and abs(x2) <= lim
+                    and abs(x3) <= lim and abs(x4) <= lim):
+                diverged = True
+                break
+            if use_filter:
+                raw1, raw2 = (x1 - f1[0]) / Ts, (x2 - f2[0]) / Ts
+                g1 = (x1, raw1, fa * f1[2] + fg * (raw1 + f1[1]))
+                g2 = (x2, raw2, fa * f2[2] + fg * (raw2 + f2[1]))
+                e1, e2, e3, e4 = x1 - r1, x2 - r2, g1[2] - r3, g2[2] - r4
+            else:
+                e1, e2, e3, e4 = x1 - r1, x2 - r2, x3 - r3, x4 - r4
 
-        if is_smc:
-            s = l1 * e1 + l2 * e2 + l3 * e3 + l4 * e4
-            sg = s / eps if -eps < s < eps else (1.0 if s > 0.0 else (-1.0 if s < 0.0 else 0.0))
-            u = -(k1 * e1 + k2 * e2 + k3 * e3 + k4 * e4) - kk * sg
-        else:
-            u = -(k1 * e1 + k2 * e2 + k3 * e3 + k4 * e4) - kint * integ
-        ua = -sat if u < -sat else (sat if u > sat else u)
-        d = d_arr.item(k)
-        table[:, k] = (x1, x2, x3, x4, u, ua, s if is_smc else integ)
-        k += 1
-        if k > n:
-            break
+            if is_smc:
+                s = l1 * e1 + l2 * e2 + l3 * e3 + l4 * e4
+                sg = s / eps if -eps < s < eps else (1.0 if s > 0.0 else (-1.0 if s < 0.0 else 0.0))
+                u = -(k1 * e1 + k2 * e2 + k3 * e3 + k4 * e4) - kk * sg
+            else:
+                u = -(k1 * e1 + k2 * e2 + k3 * e3 + k4 * e4) - kint * integ
+            ua = -sat if u < -sat else (sat if u > sat else u)
+            d = d_arr.item(k)
+            # one store over the rows after t; d rewrites its own value
+            if width == 8:
+                table[1:, k] = (x1, x2, x3, x4, u, ua, d)
+            else:
+                table[1:, k] = (x1, x2, x3, x4, u, ua, d, s if is_smc else integ)
+            k += 1
+            if k > n:
+                break
 
-        y1, y2, y3, y4 = advance(x1, x2, x3, x4, ua + d)
-        jnteg = integ if ki is None else integ + e1 * Ts
-        if y1 == x1 and all(map(_same_bits, (y1, y2, y3, y4, jnteg, *g1, *g2),
-                                (x1, x2, x3, x4, integ, *f1, *f2))):
-            # at rest: ticks repeat tick k - 1 until the disturbance changes
-            j = k
-            while j <= n and _same_bits(d_arr.item(j), d):
-                j += 1
-            # copied first: numpy buffers an overlapping source at the destination's size
-            table[:, k:j] = table[:, k - 1:k].copy()
-            k = j
-        x1, x2, x3, x4, integ, f1, f2 = y1, y2, y3, y4, jnteg, g1, g2
+            y1, y2, y3, y4 = advance(x1, x2, x3, x4, ua + d)
+            jnteg = integ if ki is None else integ + e1 * Ts
+            if y1 == x1 and all(map(_same_bits, (y1, y2, y3, y4, jnteg, *g1, *g2),
+                                    (x1, x2, x3, x4, integ, *f1, *f2))):
+                # at rest: ticks repeat tick k - 1 until the disturbance changes
+                j = changes[bisect_left(changes, k)]
+                # copied first: numpy buffers an overlapping source at the
+                # destination's size; the time row is left as it is
+                table[1:, k:j] = table[1:, k - 1:k].copy()
+                k = j
+            x1, x2, x3, x4, integ, f1, f2 = y1, y2, y3, y4, jnteg, g1, g2
+    except BaseException:
+        if stream:
+            _reap_writer(pid, wfd, trace_path, run_failed=True)
+        raise
+    if stream:
+        _send_count(wfd, -k)  # the last count, marked by its sign
+        _reap_writer(pid, wfd, trace_path, run_failed=False)
 
-    return SimTrace(t=t_arr[:k], x=table[:4, :k].T, u_command=table[4, :k],
-                    u_applied=table[5, :k], d=d_arr[:k], s=table[6, :k] if is_smc else None,
-                    integ=table[6, :k] if ki is not None else None, diverged=diverged)
+    trace = SimTrace(t=t[:k], x=table[1:5, :k].T, u_command=table[5, :k],
+                     u_applied=table[6, :k], d=d_arr[:k], s=table[8, :k] if is_smc else None,
+                     integ=table[8, :k] if ki is not None else None, diverged=diverged)
+    if trace_path is not None and not stream:
+        save_trace_csv(trace, trace_path)
+    return trace
 
 
 # ---------------------------------------------------------------------------
 # trace export
 # ---------------------------------------------------------------------------
 
+def _write_blocks(fh, columns, start: int, stop: int) -> None:
+    """Write rows start to stop of columns (equal-length float rows) as CSV lines.
+
+    "%r" of a Python float is its repr, so formatting each row's tuple
+    writes the same bytes as a repr per cell; converting _CSV_BLOCK rows at
+    a time bounds the Python floats alive at once.
+    """
+    line = ",".join(["%r"] * len(columns)) + "\n"
+    for i in range(start, stop, _CSV_BLOCK):
+        values = [column[i:min(i + _CSV_BLOCK, stop)].tolist() for column in columns]
+        fh.write("".join([line % row for row in zip(*values)]).encode())
+
+
+def _fork_writer(path, columns, table):
+    """Write the CSV header to path and fork the child that writes table's rows.
+
+    Returns (child pid, write end of the count pipe). The child reads 8-byte
+    row counts and writes every complete block below each; a negative count
+    is the last, -rows, after which it writes the tail and exits 0. It exits
+    1 when the pipe closes without a last count or a write fails.
+    """
+    rfd, wfd = os.pipe()
+    try:
+        with open(path, "wb") as fh:
+            fh.write((",".join(columns) + "\n").encode())
+            fh.flush()
+            pid = os.fork()
+            if pid == 0:  # never return into the caller or flush its buffers
+                try:
+                    os.close(wfd)
+                    done = 0
+                    with open(rfd, "rb") as pipe:
+                        while len(message := pipe.read(8)) == 8:
+                            count = int.from_bytes(message, "little", signed=True)
+                            stop = -count if count < 0 else count - count % _CSV_BLOCK
+                            _write_blocks(fh, table, done, stop)
+                            done = stop
+                            if count < 0:
+                                fh.flush()
+                                os._exit(0)
+                finally:  # reached only on an exception or a closed pipe
+                    os._exit(1)
+    except BaseException:
+        os.close(wfd)
+        raise
+    finally:
+        os.close(rfd)
+    return pid, wfd
+
+
+def _send_count(wfd: int, count: int):
+    """Send a row count to the writer child; return the next count to send.
+
+    A child that failed has closed its end: the run goes on without
+    sending, and reaping the child reports the failure.
+    """
+    try:
+        os.write(wfd, count.to_bytes(8, "little", signed=True))
+    except BrokenPipeError:
+        return math.inf
+    return count - count % _CSV_BLOCK + _CSV_BLOCK
+
+
+def _reap_writer(pid: int, wfd: int, path, run_failed: bool) -> None:
+    """Close the count pipe and reap the writer child.
+
+    A failed run or child leaves no partial trace file; a failed child, in a
+    run that succeeded, raises OSError.
+    """
+    os.close(wfd)
+    status = os.waitpid(pid, 0)[1]
+    if (run_failed or status) and os.path.isfile(path):
+        os.remove(path)
+    if status and not run_failed:
+        raise OSError(f"the trace writer's child failed (wait status {status})")
+
+
 def save_trace_csv(trace: SimTrace, path) -> None:
     """Write a trace as CSV with IEEE round-trip decimal formatting.
 
-    A forked child formats every other block of a multi-block trace, as the
-    module docstring says. A short frame or a failed child raises OSError.
+    It formats the blocks that simulate's writer child formats, in the
+    calling process, so the bytes equal a trace simulate wrote itself.
     """
-    cols = ["t", "q1", "q2", "q1dot", "q2dot", "u_cmd", "u_applied", "dist"]
-    arrays = [trace.t, trace.x[:, 0], trace.x[:, 1], trace.x[:, 2],
-              trace.x[:, 3], trace.u_command, trace.u_applied, trace.d]
-    if trace.s is not None:
-        cols.append("s")
-        arrays.append(trace.s)
-    if trace.integ is not None:
-        cols.append("integ")
-        arrays.append(trace.integ)
-    # "%r" of a Python float is its repr, so formatting each row's tuple
-    # writes the same bytes as a repr per cell; converting _CSV_BLOCK rows
-    # at a time bounds the Python floats alive at once.
-    row = ",".join(["%r"] * len(arrays)) + "\n"
-    starts = range(0, trace.t.size, _CSV_BLOCK)
-
-    def block(i):
-        columns = [a[i:i + _CSV_BLOCK].tolist() for a in arrays]
-        return "".join([row % values for values in zip(*columns)]).encode()
-    pipe, status = None, 0  # the read end of the pipe from the child, if any
-    if len(starts) > 1 and hasattr(os, "fork"):
-        rfd, wfd = os.pipe()
-        pid = os.fork()
-        if pid == 0:  # never return into the caller or flush its buffers
-            try:
-                os.close(rfd)
-                with open(wfd, "wb") as out:
-                    for i in starts[1::2]:
-                        text = block(i)
-                        out.write(len(text).to_bytes(8, "little") + text)
-                os._exit(0)
-            finally:  # reached only on an exception
-                os._exit(1)
-        os.close(wfd)
-        pipe = open(rfd, "rb")
-    try:
-        with open(path, "wb") as fh:
-            fh.write((",".join(cols) + "\n").encode())
-            for k, i in enumerate(starts):
-                if pipe is None or k % 2 == 0:
-                    fh.write(block(i))
-                    continue
-                size = int.from_bytes(pipe.read(8), "little")
-                text = pipe.read(size)
-                if not text or len(text) < size:  # every frame holds a row
-                    raise OSError("the trace writer's child sent a short frame")
-                fh.write(text)
-    finally:
-        if pipe is not None:
-            pipe.close()
-            status = os.waitpid(pid, 0)[1]
-    if status:
-        raise OSError(f"the trace writer's child failed (wait status {status})")
+    columns = list(_CSV_COLUMNS)
+    arrays = [trace.t, *trace.x.T, trace.u_command, trace.u_applied, trace.d]
+    for name in ("s", "integ"):
+        if getattr(trace, name) is not None:
+            columns.append(name)
+            arrays.append(getattr(trace, name))
+    with open(path, "wb") as fh:
+        fh.write((",".join(columns) + "\n").encode())
+        _write_blocks(fh, arrays, 0, trace.t.size)

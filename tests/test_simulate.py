@@ -15,6 +15,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import traceback
 import tracemalloc
 
@@ -960,8 +961,8 @@ def test_a_run_at_rest_allocates_little_beyond_its_trace():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the table's 7 rows, the time and disturbance columns, and
-        # SimTrace's check of the time column: 81 bytes per tick
+        # the table's 8 (LQR) or 9 (SMC) rows and SimTrace's check of the
+        # time column: 73 or 81 bytes per tick
         assert peak < 100 * trace.t.size
 
 
@@ -1022,8 +1023,7 @@ _B = simulate_module._CSV_BLOCK
 @pytest.mark.parametrize("rows", [1, _B - 1, _B, _B + 1, 2 * _B + 1, 3 * _B + 1, 4 * _B])
 def test_trace_csv_matches_per_row_writer(tmp_path, extra, rows):
     # block boundaries at one row, one short of a block, a whole block,
-    # one past it and past two blocks; past three blocks and at four, the
-    # forked child's last block is once short and once whole
+    # one past it, past two and three blocks, and at four
     rng = np.random.default_rng(rows)
     values = rng.normal(scale=3.0, size=(rows, 8))
     special = [-0.0, 1e-05, 1e16, 5e-324, 1 / 3, -1e-300, 123456789.0]
@@ -1040,36 +1040,152 @@ def test_trace_csv_matches_per_row_writer(tmp_path, extra, rows):
     assert path.read_bytes() == _per_row_csv(trace, cols, arrays).encode()
 
 
-def _trace_of_blocks(blocks):
-    values = np.linspace(-1.0, 1.0, 8 * blocks * _B).reshape(-1, 8)
-    return SimTrace(t=np.arange(blocks * _B) * 0.002, x=values[:, 0:4],
-                    u_command=values[:, 4], u_applied=values[:, 5], d=values[:, 6])
+_DESIGNS = {("rotpen", "lqr"): _rotpen_lqr, ("rotpen", "smc"): _rotpen_smc,
+            ("nxtway", "lqr"): _nxtway_lqr, ("nxtway", "smc"): _nxtway_smc}
+
+
+def _streamed_run(platform, controller, rows, measurement="ideal", x0=(0.0, 0.05, 0.0, 0.0),
+                  pulse_tick=200):
+    """(params, design, cfg) of a run of rows rows with a pulse from pulse_tick."""
+    Ts = 0.002 if platform == "rotpen" else 0.004
+    pulse = DisturbanceSpec(kind="pulse_train", amplitude=2.0, frequency=2.0,
+                            start_time=pulse_tick * Ts)
+    cfg = SimConfig(duration=(rows - 1) * Ts, controller_Ts=Ts, x0=x0,
+                    disturbance=pulse, measurement=measurement)
+    return default_params(platform), _DESIGNS[platform, controller](), cfg
+
+
+@pytest.mark.parametrize("rows", [2, _B, _B + 1, 3 * _B + 1])
+@pytest.mark.parametrize("measurement", ["ideal", "filtered-derivative"])
+@pytest.mark.parametrize("platform, controller", sorted(_DESIGNS))
+def test_streamed_trace_equals_the_in_process_writer(tmp_path, platform, controller,
+                                                     measurement, rows):
+    # one row is never a run (it lasts one period at least). Under ideal
+    # measurement the run rests until a pulse at tick 1250, so rest copies
+    # cross block boundaries; filtered runs start off the upright
+    x0, tick = ((0.0, 0.0, 0.0, 0.0), 1250) if measurement == "ideal" else \
+        ((0.0, 0.05, 0.0, 0.0), 200)
+    params, design, cfg = _streamed_run(platform, controller, rows, measurement, x0, tick)
+    streamed, written = tmp_path / "streamed.csv", tmp_path / "written.csv"
+    trace = simulate(params, design, cfg, streamed)
+    assert trace.t.size == rows and not trace.diverged
+    save_trace_csv(trace, written)
+    assert streamed.read_bytes() == written.read_bytes()
+
+
+def test_a_diverged_run_streams_its_truncated_trace(tmp_path):
+    # positive feedback on the arm rate diverges after 1943 ticks, in the
+    # second block
+    cfg = SimConfig(duration=20.0, controller_Ts=0.002, x0=(0.0, 0.0, 0.01, 0.0),
+                    saturation_V=1e6)
+    path = tmp_path / "trace.csv"
+    trace = simulate(default_params("rotpen"), _gain_only_design([0.0, 0.0, -1.0, 0.0]),
+                     cfg, path)
+    assert trace.diverged and _B < trace.t.size < 2 * _B
+    save_trace_csv(trace, tmp_path / "written.csv")
+    assert path.read_bytes() == (tmp_path / "written.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rows, forks", [(2, 0), (_B, 0), (_B + 1, 1)])
+def test_only_a_trace_of_more_than_one_block_forks(tmp_path, monkeypatch, rows, forks):
+    calls = []
+    fork = os.fork
+
+    def counted_fork():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    params, design, cfg = _streamed_run("nxtway", "smc", rows)
+    simulate(params, design, cfg, tmp_path / "trace.csv")
+    simulate(params, design, cfg)  # no path: no writer
+    assert len(calls) == forks
+    assert (tmp_path / "trace.csv").read_text().count("\n") == rows + 1
 
 
 def test_trace_writer_leaves_no_child_process(tmp_path):
-    save_trace_csv(_trace_of_blocks(3), tmp_path / "trace.csv")
+    # the fork happens while a second Python thread is live, as it does in a
+    # process holding OpenBLAS workers; the child touches neither
+    params, design, cfg = _streamed_run("rotpen", "lqr", 3 * _B + 1)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(10.0,))
+    waiter.start()
+    try:
+        trace = simulate(params, design, cfg, tmp_path / "trace.csv")
+    finally:
+        release.set()
+        waiter.join(10.0)
+    assert not waiter.is_alive()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    save_trace_csv(trace, tmp_path / "written.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "written.csv").read_bytes()
 
 
 def test_a_failed_writer_child_raises_and_leaves_no_process(tmp_path, monkeypatch):
-    # open fails in the forked child alone, so the child exits before its
-    # first frame; its copy of this test must never run the lines below
+    # formatting fails in the forked child alone, so it exits 1 after the
+    # header; its copy of this test must never run the lines below
     pid = os.getpid()
+    write_blocks = simulate_module._write_blocks
 
-    def child_fails(*args, **kwargs):
+    def child_fails(*args):
         if os.getpid() != pid:
             raise OSError("refused in the child")
-        return open(*args, **kwargs)
+        return write_blocks(*args)
 
-    monkeypatch.setattr(simulate_module, "open", child_fails, raising=False)
-    with pytest.raises(OSError, match="short frame"):
-        save_trace_csv(_trace_of_blocks(2), tmp_path / "trace.csv")
+    monkeypatch.setattr(simulate_module, "_write_blocks", child_fails)
+    params, design, cfg = _streamed_run("rotpen", "smc", 3 * _B + 1)
+    path = tmp_path / "trace.csv"
+    with pytest.raises(OSError, match=r"the trace writer's child failed \(wait status 256\)"):
+        simulate(params, design, cfg, path)
     with open(tmp_path / "after.txt", "a") as fh:
         fh.write(f"{os.getpid()}\n")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert (tmp_path / "after.txt").read_text() == f"{pid}\n"
+    assert not path.exists()  # no partial trace is left
+
+
+def test_an_exception_in_the_tick_loop_reaps_the_writer(tmp_path, monkeypatch):
+    calls = [0]
+
+    def failing_stepper(*args):
+        advance = period_stepper(*args)
+
+        def fails_later(*state):
+            calls[0] += 1
+            if calls[0] == 2 * _B + 5:  # after two blocks went to the writer
+                raise RuntimeError("stepper failed")
+            return advance(*state)
+
+        return fails_later
+
+    monkeypatch.setattr(simulate_module, "period_stepper", failing_stepper)
+    params, design, cfg = _streamed_run("nxtway", "lqr", 3 * _B + 1, pulse_tick=0)
+    path = tmp_path / "trace.csv"
+    with pytest.raises(RuntimeError, match="stepper failed"):
+        simulate(params, design, cfg, path)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not path.exists()
+
+
+def _table_floats(trace):
+    """The number of floats in the buffer that a trace's columns view."""
+    base = trace.t
+    while isinstance(base.base, np.ndarray):
+        base = base.base
+    return base.size
+
+
+@pytest.mark.parametrize("platform, controller, rows", [
+    ("rotpen", "lqr", 8), ("rotpen", "smc", 9), ("nxtway", "lqr", 9), ("nxtway", "smc", 9)])
+def test_the_table_holds_one_row_per_csv_column(tmp_path, platform, controller, rows):
+    # an LQR design without Ki records neither s nor the integral
+    for length, path in ((_B, None), (3 * _B + 1, tmp_path / "trace.csv")):
+        params, design, cfg = _streamed_run(platform, controller, length)
+        trace = simulate(params, design, cfg, path)
+        assert _table_floats(trace) == rows * length
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):
