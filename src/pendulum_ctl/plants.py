@@ -22,15 +22,31 @@ scalar_rhs, the accelerations that linearize.jacobian_linearize
 differentiates, and the RK4 period_stepper that simulate integrates. Each is
 compiled once per process and platform, on first use; its source is
 registered with linecache, so tracebacks show the generated lines.
+
+The same text is also translated to C, into the same RK4 period. Where a C
+compiler (cc) and ctypes are at hand, period_stepper runs that machine code,
+built once and kept in a per-user cache; it is used only after it has
+reproduced the Python kernel bit for bit on fixed probe states, and any
+non-finite result is recomputed by the Python kernel, so the results, and
+the exceptions, are the Python kernel's either way.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
+import hashlib
+import keyword
 import linecache
 import math
+import os
 import re
+import stat
+import struct
+import subprocess
+import sysconfig
+import tempfile
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -289,9 +305,12 @@ def make({constants}):
     # steps classic RK4 steps of dt. Each stage's position rates are that
     # stage's velocities, so the q1 stage states, which the dynamics never
     # read, are not formed; every other operation is the classic step's,
-    # in its order (a float 2.0 doubles as the integer 2 does).
+    # in its order (a float 2.0 doubles as the integer 2 does). With native,
+    # (the compiled _C_ADVANCE, its constants array, a 5-double array type),
+    # make returns native_advance, which runs the same steps in C and
+    # answers a non-finite result, or an exception, with the Python advance.
     "advance": """\
-def make({constants}, dt, steps):
+def make({constants}, dt, steps, native):
     h = 0.5 * dt
     w = dt / 6.0
 
@@ -316,9 +335,74 @@ def make({constants}, dt, steps):
                               x3 + w * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
                               x4 + w * (a4 + 2.0 * b4 + 2.0 * c4 + d4))
         return x1, x2, x3, x4
-    return advance
+    if native is None:
+        return advance
+    call, k, state = native
+
+    def native_advance(x1, x2, x3, x4, v):
+        x = state()  # filled by slice: faster than state(x1, ...)
+        x[:] = x1, x2, x3, x4, v
+        if call(k, x, steps):
+            return x[0], x[1], x[2], x[3]
+        return advance(x1, x2, x3, x4, v)
+    return native_advance
 """,
 }
+
+# The advance kernel in C, the same steps in the same order (C evaluates
+# each expression as Python does, left to right, in doubles). k holds the
+# constants in _DYNAMICS order and then dt; x holds the state and v on
+# entry and the state on return. The result says whether that state is
+# finite: where Python raises (sin of an infinity, a division by zero) C
+# goes on in infinities and NaNs, which reach the returned state.
+_C_ADVANCE = """\
+#include <math.h>
+
+int advance(const double *k, double *x, int steps)
+{
+    {constants}
+    const double h = 0.5 * dt;
+    const double w = dt / 6.0;
+    const double v = x[4];
+    {per_call}
+    double x1 = x[0], x2 = x[1], x3 = x[2], x4 = x[3];
+    for (int i = 0; i < steps; i++) {
+        double a3, a4, b3, b4, c3, c4, d3, d4, p2;
+        {stage x2 x3 x4 a3 a4}
+        const double b1 = x3 + h * a3;
+        const double b2 = x4 + h * a4;
+        p2 = x2 + h * x4;
+        {stage p2 b1 b2 b3 b4}
+        const double c1 = x3 + h * b3;
+        const double c2 = x4 + h * b4;
+        p2 = x2 + h * b2;
+        {stage p2 c1 c2 c3 c4}
+        const double d1 = x3 + dt * c3;
+        const double d2 = x4 + dt * c4;
+        p2 = x2 + dt * c2;
+        {stage p2 d1 d2 d3 d4}
+        x1 = x1 + w * (x3 + 2.0 * b1 + 2.0 * c1 + d1);
+        x2 = x2 + w * (x4 + 2.0 * b2 + 2.0 * c2 + d2);
+        x3 = x3 + w * (a3 + 2.0 * b3 + 2.0 * c3 + d3);
+        x4 = x4 + w * (a4 + 2.0 * b4 + 2.0 * c4 + d4);
+    }
+    x[0] = x1;
+    x[1] = x2;
+    x[2] = x3;
+    x[3] = x4;
+    return isfinite(x1) && isfinite(x2) && isfinite(x3) && isfinite(x4);
+}
+"""
+
+
+def _expand(template: str, slots: dict) -> str:
+    """template with each {slot args} replaced by its slot text, indented in place."""
+    def expand(m):
+        indent, text = m[1], slots[m[2]].format(
+            **dict(zip(("q2", "q1d", "q2d", "q1dd", "q2dd"), m[3].split())))
+        return "\n".join(indent + line for line in text.splitlines())
+
+    return re.sub(r"( *)\{(\w+)([\w ]*)\}", expand, template)
 
 
 @functools.cache
@@ -329,15 +413,8 @@ def _kernel_factory(platform: str, kind: str):
     tracebacks and inspect.getsource show the generated lines.
     """
     constants, per_call, stage = _DYNAMICS[platform]
-    slots = {"constants": ", ".join(constants(default_params(platform))),
-             "per_call": per_call, "stage": stage}
-
-    def expand(m):
-        indent, text = m[1], slots[m[2]].format(
-            **dict(zip(("q2", "q1d", "q2d", "q1dd", "q2dd"), m[3].split())))
-        return "\n".join(indent + line for line in text.splitlines())
-
-    source = re.sub(r"( *)\{(\w+)([\w ]*)\}", expand, _KERNELS[kind])
+    names = ", ".join(constants(default_params(platform)))
+    source = _expand(_KERNELS[kind], {"constants": names, "per_call": per_call, "stage": stage})
     filename = f"<pendulum_ctl.plants: {platform} {kind}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {"__name__": __name__, "sin": math.sin, "cos": math.cos}
@@ -345,9 +422,178 @@ def _kernel_factory(platform: str, kind: str):
     return namespace["make"]
 
 
-def _kernel(params: PlantParams, kind: str, **extra):
-    constants = _DYNAMICS[params.platform][0]
-    return _kernel_factory(params.platform, kind)(**constants(params), **extra)
+# one token of a dynamics expression: a {slot}, a name, a number, ** or //,
+# or any other single character
+_TOKEN = re.compile(r"\s*(\{\w+\}|[A-Za-z_]\w*|[\d.][\w.]*(?:(?<=[eE])[-+]\w*)?|\*\*|//|\S)")
+_NAME = re.compile(r"\{\w+\}|[A-Za-z_]\w*")
+_FLOAT = re.compile(r"(?:\d+\.\d*|\.\d+)(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+")
+
+
+def _c_problem(target: str, tokens: list) -> str | None:
+    """Why `target = tokens` cannot be run as C, or None when it can."""
+    if not _NAME.fullmatch(target):
+        return "no assignment"
+    if not tokens:
+        return "no expression"
+    for token, after in zip(tokens, tokens[1:] + [""]):
+        if token in ("sin", "cos"):
+            if after != "(":
+                return f"{token} without a call"
+        elif keyword.iskeyword(token):
+            return f"keyword {token}"
+        elif _NAME.fullmatch(token):
+            if after == "(":
+                return f"unknown function {token}"
+        elif token[0] in "0123456789.":
+            if not _FLOAT.fullmatch(token):
+                return f"integer literal {token}" if token.isdigit() else f"number {token}"
+        elif token not in ("+", "-", "*", "/", "(", ")", ","):
+            return f"operator {token}"
+    return None
+
+
+def _c_statements(text: str) -> str:
+    """The `name = expr` lines of a _DYNAMICS text as C statements.
+
+    Each line becomes `double name = expr;`, or `{slot} = expr;` for an
+    output slot, with its # comment stripped. An expression may hold only
+    names, float literals, + - * / ( ) , and calls of sin and cos, on which
+    Python and C agree operation by operation; anything else, an integer
+    literal (C would divide it as an integer) or a Python keyword included,
+    raises ValueError naming the line, so a dynamics edit C cannot run
+    fails loudly instead of leaving every run on the Python kernel.
+    """
+    out = []
+    for line in text.splitlines():
+        code = line.split("#", 1)[0].strip()
+        if not code:
+            continue
+        target, _, expr = (part.strip() for part in code.partition("="))
+        problem = _c_problem(target, _TOKEN.findall(expr))
+        if problem:
+            raise ValueError(f"cannot translate {line.strip()!r} to C: {problem}")
+        out.append(f"{target} = {expr};" if target.startswith("{") else
+                   f"double {target} = {expr};")
+    return "\n".join(out)
+
+
+def _c_source(platform: str) -> str:
+    """_C_ADVANCE expanded with one platform's dynamics, each stage in a { } block."""
+    constants, per_call, stage = _DYNAMICS[platform]
+    names = [*constants(default_params(platform)), "dt"]
+    body = "\n".join("    " + line for line in _c_statements(stage).splitlines())
+    return _expand(_C_ADVANCE, {
+        "constants": "\n".join(f"const double {name} = k[{i}];" for i, name in enumerate(names)),
+        "per_call": _c_statements(per_call), "stage": "{{\n" + body + "\n}}"})
+
+
+# The compile command. -O2 alone does not reorder floating-point
+# arithmetic; -ffp-contract=off keeps a*b + c from fusing into one rounding
+# (GCC fuses by default where the target has FMA); -fno-builtin keeps sin
+# and cos the libm calls that math.sin and math.cos make, rather than
+# folded, inlined or merged into sincos. -ffast-math and -Ofast are never
+# used: besides reassociating, they link code that sets flush-to-zero for
+# the whole process when the object is loaded.
+_CC = ("cc", "-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-builtin")
+
+# (q1, q2, q1dot, q2dot, v) on which a native stepper must match the Python
+# kernel: signed zeros, subnormals, |q2| = 1e3 (the slow path of sin and
+# cos) and v = +-0.0
+_PROBES = (
+    (0.0, 0.0, 0.0, 0.0, 0.0),
+    (-0.0, -0.0, -0.0, -0.0, -0.0),
+    (0.0, -0.0, 5e-324, -1e-310, 0.0),
+    (0.25, 1e3, -1.5, 2.0, -0.0),
+    (-0.25, -1e3, 1.5, -2.0, 0.0),
+    (0.5, 0.2, -0.7, 1.3, 4.5),
+)
+
+
+def _cache_dir():
+    """$XDG_CACHE_HOME/pendulum_ctl (else ~/.cache/pendulum_ctl), made if missing.
+
+    None unless it is a directory the current user owns that neither the
+    group nor others may write, since a library loaded from it runs as
+    this process.
+    """
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    path = os.path.join(base, "pendulum_ctl")
+    if not (os.path.isabs(path) and hasattr(os, "getuid")):
+        return None
+    try:
+        os.makedirs(path, mode=0o700, exist_ok=True)
+        st = os.lstat(path)
+    except OSError:
+        return None
+    if stat.S_ISDIR(st.st_mode) and st.st_uid == os.getuid() and not st.st_mode & 0o022:
+        return path
+    return None
+
+
+def _cache_key(source: str) -> str:
+    """sha256 of the C source, the compile command and the platform tag."""
+    text = "\0".join([source, *_CC, "-lm", sysconfig.get_platform()])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _build(source: str, path: str) -> None:
+    """Compile source into the shared object path, published whole by os.replace."""
+    with tempfile.TemporaryDirectory(dir=os.path.dirname(path)) as tmp:
+        c_file, so_file = os.path.join(tmp, "advance.c"), os.path.join(tmp, "advance.so")
+        with open(c_file, "w", encoding="utf-8") as f:
+            f.write(source)
+        subprocess.run([*_CC, "-o", so_file, c_file, "-lm"], check=True, capture_output=True,
+                       timeout=60)
+        os.replace(so_file, path)
+
+
+@functools.cache
+def _native_library(platform: str):
+    """(advance, c_double) of the platform's C stepper, or None to use the Python one.
+
+    Once per process and platform, on first use: loaded from the cache
+    directory, where it is keyed by a sha256 of the C source, the compile
+    command and the platform tag, or compiled there first, or, without a
+    safe cache directory, compiled and loaded in a private temporary
+    directory. None without cc, ctypes or a loadable object, or when the
+    stepper differs from the Python kernel on any _PROBES state.
+    """
+    try:
+        import ctypes
+
+        source = _c_source(platform)
+        name = f"advance-{platform}-{_cache_key(source)}.so"
+        cache = _cache_dir()
+        with (contextlib.nullcontext(cache) if cache else tempfile.TemporaryDirectory()) as folder:
+            path = os.path.join(folder, name)
+            if not os.path.isfile(path):
+                _build(source, path)
+            advance = ctypes.PyDLL(path).advance
+    except (ImportError, OSError, subprocess.SubprocessError):
+        return None
+    # PyDLL keeps the GIL through a call, which is shorter than releasing
+    # it. No argtypes: the calls pass two ctypes double arrays and a Python
+    # int, all made in this module, which ctypes converts natively; declared
+    # argtypes convert each through from_param, +0.6 us on a 1.3 us call.
+    advance.restype = ctypes.c_int
+    native = advance, ctypes.c_double
+    params = default_params(platform)
+    python, compiled = (_stepper(params, 0.0005, 4, n) for n in (None, native))
+    if any(struct.pack("4d", *compiled(*x)) != struct.pack("4d", *python(*x)) for x in _PROBES):
+        return None
+    return native
+
+
+def _stepper(params: PlantParams, dt: float, steps: int, native):
+    """The advance kernel for params, in C when native is (advance, c_double)."""
+    constants = _DYNAMICS[params.platform][0](params)
+    if native is not None:
+        call, double = native
+        native = (call, (double * (len(constants) + 1))(*constants.values(), dt), double * 5)
+    return _kernel_factory(params.platform, "advance")(**constants, dt=dt, steps=steps,
+                                                       native=native)
 
 
 def scalar_rhs(params: PlantParams):
@@ -371,7 +617,8 @@ def scalar_rhs(params: PlantParams):
     rounding is symmetric under negation, the nxtway ``m21 = -q0 / al``
     taken as ``-m12``, so that ``- m12 * m21`` becomes ``+ m12 * m12``.
     """
-    return _kernel(params, "rhs")
+    constants = _DYNAMICS[params.platform][0]
+    return _kernel_factory(params.platform, "rhs")(**constants(params))
 
 
 def period_stepper(params: PlantParams, dt: float, steps: int):
@@ -380,8 +627,19 @@ def period_stepper(params: PlantParams, dt: float, steps: int):
     The classic four-stage step over scalar_rhs with the accelerations body
     inlined into every stage, so one controller period costs one call. The
     results are bit for bit those of stepping scalar_rhs.
+
+    The closure runs in C where it can: the same stage text translated, the
+    same operations in the same order, compiled once with the system cc
+    and kept under $XDG_CACHE_HOME/pendulum_ctl (else ~/.cache/pendulum_ctl).
+    That stepper is returned only after it has matched the Python kernel
+    bit for bit on fixed probe states; it converts its arguments as
+    c_double does (a None raises TypeError), and a result with an infinity
+    or a NaN is recomputed by the Python kernel, which returns it or raises
+    (ValueError for sin of an infinity, ZeroDivisionError). Without cc, or
+    when building, loading or probing fails, the Python kernel is returned:
+    the same results, about eight times slower per call.
     """
-    return _kernel(params, "advance", dt=dt, steps=steps)
+    return _stepper(params, dt, steps, _native_library(params.platform))
 
 
 def mechanical_energy(params: PlantParams, state) -> float:

@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -1016,3 +1017,94 @@ def test_fuzzed_design_files_keep_the_exit_code_contract(tmp_path, capsys):
         context = f"case {case}: exit {code}, stderr {err!r}, file {text!r}"
         assert code in (0, 1, 2, 3), context
         assert "Traceback" not in err, context
+
+
+# values the contract test draws for any setting: valid ones, edge numbers
+# and garbage (non-ASCII digits, empty, lists where scalars belong)
+_FUZZ_VALUES = ("0", "-1", "1", "2.5", "0.002", "0.004", "0.5", "10", "nan", "inf", "-inf",
+                "1e300", "-1e300", "5e-324", "1e-9", "", " ", "1,2", "0,0.05,0,0", "0,nan,0,0",
+                "1,1,1,1", "5,1,1,1", "\u0663", "abc", "reference", "rotpen", "nxtway", "lqr",
+                "smc", "paper", "pulse", "none", "ideal", "filtered-derivative")
+# plausible values per setting; other numeric settings draw from _FUZZ_NUMBERS
+_FUZZ_LIKELY = {"platform": ("rotpen", "nxtway"), "controller": ("lqr", "smc"),
+                "gains": ("reference",), "disturbance": ("none", "paper", "pulse"),
+                "measurement": ("ideal", "filtered-derivative"), "ts": ("0.002", "0.004"),
+                "x0": ("0,0.05,0,0", "0,1.5,0,0", "0,0,0,0"), "reference": ("0.1,0,0,0",),
+                "q": ("5,1,1,1", "1,-1,1,1", "1,1,1,1,1"), "r": ("1", "0"), "k": ("1", "-1")}
+_FUZZ_NUMBERS = ("0.5", "1", "2", "10", "0.001")
+_FUZZ_PATHS = ("trace", "metrics", "out", "trace_dir")
+
+
+def _fuzz_case(rng, command, folder, designs):
+    """(argv, outputs) of one seeded command line: plausible settings, up to two of
+    them garbage, each given as a flag or a config line."""
+    rows = cli._SETTINGS[command][1]
+    keys = [key for key in rows if key == "platform" or rng.random() < 0.15]
+    if command == "compare" and "duration" not in keys:
+        keys.append("duration")  # compare runs four plants: keep every window short
+    likely = dict(_FUZZ_LIKELY)
+    if any(key.startswith("dist_") for key in keys):  # a pulse and what it requires
+        keys += [k for k in ("disturbance", "dist_amplitude", "dist_frequency") if k not in keys]
+        likely["disturbance"] = ("pulse",)
+    others = [key for key in keys if key != "platform"]
+    spoiled = set(rng.sample(others, min(len(others), rng.choice([0, 0, 0, 1, 1, 2]))))
+    if rng.random() < 0.1:
+        spoiled.add("platform")
+    argv, config, outputs = [command], [], []
+    for key in keys:
+        if key in _FUZZ_PATHS:
+            value = rng.choice([folder / "missing" / "x", folder, folder / "in.cfg"]
+                               if key in spoiled else [folder / f"{key}.out"])
+            outputs.append(value)
+        elif key == "design":
+            value = rng.choice([folder / "absent.txt", folder / "in.cfg"] if key in spoiled
+                               else designs)
+        else:
+            value = rng.choice(_FUZZ_VALUES if key in spoiled else likely.get(key, _FUZZ_NUMBERS))
+        value, text = str(value), rows[key][2]
+        if isinstance(text, dict) and value in text and rng.random() < 0.5:
+            argv.append(f"--{value}")  # the mutually exclusive flag form
+        elif isinstance(text, dict) or rng.random() < 0.3:  # such a key has no --key
+            config.append(f"{key}={value}")
+        else:
+            argv.append(f"--{key.replace('_', '-')}={value}")
+    if config:
+        (folder / "in.cfg").write_text("\n".join(config) + "\n")
+        argv.append(f"--config={folder / 'in.cfg'}")
+    return argv, outputs
+
+
+def test_seeded_command_lines_keep_the_exit_code_contract(tmp_path, monkeypatch, capsys):
+    # about 200 seeded command lines over the _SETTINGS table; each must exit
+    # 0-3 without a traceback, an exit-1 message starts with error:, and a
+    # refused command (1) or a failed synthesis (2) writes nothing: the case
+    # folder holds the same files afterwards. Exit 3 writes its outputs, since
+    # a run that did not stabilize still has a trace and metrics.
+    monkeypatch.delenv("PENDULUM_CTL_CONFIG", raising=False)
+    designs = []
+    for platform, controller in (("rotpen", "smc"), ("nxtway", "lqr")):
+        designs.append(tmp_path / f"{platform}_{controller}.txt")
+        assert cli.run(["synthesize", "--platform", platform, f"--{controller}",
+                        f"--out={designs[-1]}"]) == 0
+    capsys.readouterr()
+    rng = random.Random(20201)
+    codes = []
+    for case in range(200):
+        folder = tmp_path / f"case{case}"
+        folder.mkdir()
+        monkeypatch.chdir(folder)  # where default output names land
+        command = rng.choice(["simulate", "simulate", "synthesize", "linearize", "compare"])
+        argv, outputs = _fuzz_case(rng, command, folder, designs)
+        before = sorted(folder.rglob("*"))
+        code = cli.run(argv)
+        out, err = capsys.readouterr()
+        context = f"case {case}: {argv} exit {code}, stderr {err!r}"
+        assert code in (0, 1, 2, 3), context
+        assert "Traceback" not in err + out, context
+        if code == 1:
+            assert err.startswith("error:"), context
+        if code in (1, 2):
+            assert sorted(folder.rglob("*")) == before, context
+        codes.append(code)
+    # the draw reaches every outcome
+    assert {0, 1, 2, 3} <= set(codes), {c: codes.count(c) for c in set(codes)}

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from pendulum_ctl import plants as plants_module
 from pendulum_ctl.linearize import closed_form, jacobian_linearize
 from pendulum_ctl.plants import (
     NxtwayParams,
@@ -568,3 +569,44 @@ def test_energy_decreases_with_friction():
         e0 = mechanical_energy(p, x0)
         x = _rk4_roll(p, x0, 1e-3, 3000)
         assert mechanical_energy(p, x) < e0
+
+
+# ---------------------------------------------------------------------------
+# the C translation of the dynamics text
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("platform", ["rotpen", "nxtway"])
+def test_both_dynamics_translate_to_c(platform):
+    _, per_call, stage = plants_module._DYNAMICS[platform]
+    lines = [line for line in stage.splitlines() if line.strip()]
+    statements = plants_module._c_statements(stage).splitlines()
+    assert len(statements) == len(lines)
+    assert all(s.endswith(";") and "#" not in s for s in statements)
+    source = plants_module._c_source(platform)
+    # four copies of the stage, each in its own block, and no slot left
+    assert source.count("double s = sin(") == 4 == source.count("double co = cos(")
+    assert source.count("{") == source.count("}") and "{stage" not in source
+    assert plants_module._c_statements(per_call).count("double ") == len(per_call.splitlines())
+
+
+@pytest.mark.parametrize("line, reason", [
+    ("r = a ** 2.0", "operator **"),
+    ("r = a // b", "operator //"),
+    ("r = 2 * a", "integer literal 2"),
+    ("r = a / 3  # a third", "integer literal 3"),
+    ("r = tan(a)", "unknown function tan"),
+    ("r = {q2d} * exp(a)", "unknown function exp"),
+    ("r = a if b else c", "keyword if"),
+    ("r = a % b", "operator %"),
+    ("r = a[0.0]", "operator ["),
+    ("r = 1_000.0 * a", "number 1_000.0"),
+    ("r = sin", "sin without a call"),
+    ("r a", "no assignment"),
+    ("r =", "no expression"),
+])
+def test_stage_lines_c_cannot_run_are_refused_with_the_line(line, reason):
+    stage = f"s = sin({{q2}})\n{line}\n{{q1dd}} = r / 2.0"
+    with pytest.raises(ValueError) as info:
+        plants_module._c_statements(stage)
+    message = str(info.value)
+    assert line.strip() in message and message.endswith(reason)

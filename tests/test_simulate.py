@@ -9,12 +9,15 @@ the check does not depend on the integrator under test.
 """
 
 import dataclasses
+import functools
 import inspect
 import math
 import os
+import shutil
 import struct
 import subprocess
 import sys
+import tempfile
 import threading
 import traceback
 import tracemalloc
@@ -1200,3 +1203,169 @@ def test_repeated_runs_are_byte_identical(tmp_path):
         save_trace_csv(trace, p)
         paths.append(p)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the native period stepper
+# ---------------------------------------------------------------------------
+
+_NO_CC = "no C compiler (cc) on PATH: period_stepper runs the Python kernel"
+
+
+def _native_or_skip(platform):
+    if plants_module._native_library(platform) is None:
+        pytest.skip(_NO_CC if shutil.which("cc") is None else
+                    "the native stepper failed to build, load or probe here")
+
+
+def _fresh_native(monkeypatch, cache_home):
+    """Make _native_library start over, with its cache under cache_home."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache_home))
+    fresh = functools.cache(plants_module._native_library.__wrapped__)
+    monkeypatch.setattr(plants_module, "_native_library", fresh)
+    return fresh
+
+
+def _python_only(monkeypatch):
+    monkeypatch.setattr(plants_module, "_native_library", lambda platform: None)
+
+
+def _short_run_bytes(tmp_path, name):
+    """Trace CSV bytes of a rotpen SMC and a nxtway LQR run of 3 blocks and a row (streamed)."""
+    out = []
+    for platform, controller in (("rotpen", "smc"), ("nxtway", "lqr")):
+        params, design, cfg = _streamed_run(platform, controller, 3 * _B + 1)
+        path = tmp_path / f"{name}-{platform}.csv"
+        simulate(params, design, cfg, path)
+        out.append(path.read_bytes())
+    return out
+
+
+@pytest.mark.parametrize("platform", ["rotpen", "nxtway"])
+def test_period_stepper_is_native_where_cc_exists(platform):
+    if shutil.which("cc") is None:
+        pytest.skip(_NO_CC)
+    assert period_stepper(default_params(platform), 0.0005, 4).__name__ == "native_advance"
+    python = plants_module._stepper(default_params(platform), 0.0005, 4, None)
+    assert python.__name__ == "advance"
+
+
+@pytest.mark.parametrize("platform", ["rotpen", "nxtway"])
+def test_non_finite_native_results_are_answered_by_the_python_kernel(platform):
+    # where Python raises (sin of an infinity) C runs on in infinities and
+    # NaNs; such a result is recomputed by the Python kernel
+    _native_or_skip(platform)
+    params = default_params(platform)
+    native = period_stepper(params, 0.0005, 4)
+    python = plants_module._stepper(params, 0.0005, 4, None)
+    inf, nan = math.inf, math.nan
+    states = [(0.0, inf, 0.0, 0.0, 0.0), (0.0, -inf, 0.0, 0.0, 1.0), (0.0, 0.1, nan, 0.0, 1.0),
+              (inf, 0.0, 0.0, 0.0, 0.0), (0.0, 0.1, 0.0, 1e200, 0.0), (0.0, 0.0, 1e308, 1e308, -0.0),
+              (0.0, 0.0, 0.0, 0.0, inf)]
+    outcomes = [_outcome(native, x, v) for *x, v in states]
+    assert outcomes == [_outcome(python, x, v) for *x, v in states]
+    assert "ValueError('math domain error')" in outcomes and len(set(outcomes)) == 3
+
+
+def test_a_zero_determinant_raises_zero_division_natively_too():
+    _native_or_skip("nxtway")
+    # every constant 0 but al: m12 = 0 and det = 0, so the solve divides by zero
+    constants = dict.fromkeys(plants_module._DYNAMICS["nxtway"][0](default_params("nxtway")), 0.0)
+    constants["al"] = 1.0
+    call, double = plants_module._native_library("nxtway")
+    k = (double * (len(constants) + 1))(*constants.values(), 0.001)
+    make = plants_module._kernel_factory("nxtway", "advance")
+    for native in (None, (call, k, double * 5)):
+        advance = make(**constants, dt=0.001, steps=2, native=native)
+        with pytest.raises(ZeroDivisionError):
+            advance(0.0, 0.1, 0.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("measurement", ["ideal", "filtered-derivative"])
+@pytest.mark.parametrize("platform, controller", sorted(_DESIGNS))
+def test_paper_runs_write_the_same_trace_natively_and_in_python(tmp_path, monkeypatch, platform,
+                                                                 controller, measurement):
+    _native_or_skip(platform)
+    params, design = default_params(platform), _DESIGNS[platform, controller]()
+    cfg = SimConfig(duration=120.0, controller_Ts=0.002 if platform == "rotpen" else 0.004,
+                    disturbance=standard_pulse_train(params.V_max), measurement=measurement)
+    simulate(params, design, cfg, tmp_path / "native.csv")
+    _python_only(monkeypatch)
+    simulate(params, design, cfg, tmp_path / "python.csv")
+    assert (tmp_path / "native.csv").read_bytes() == (tmp_path / "python.csv").read_bytes()
+
+
+def test_without_cc_the_python_kernel_runs_with_the_same_bytes(tmp_path, monkeypatch):
+    want = _short_run_bytes(tmp_path, "before")
+    (tmp_path / "bin").mkdir()
+    monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+    native = _fresh_native(monkeypatch, tmp_path / "cache")
+    assert native("rotpen") is None and native("nxtway") is None
+    assert period_stepper(default_params("rotpen"), 0.0005, 4).__name__ == "advance"
+    assert _short_run_bytes(tmp_path, "after") == want
+
+
+def test_a_failing_compile_leaves_the_python_kernel_and_no_file(tmp_path, monkeypatch):
+    want = _short_run_bytes(tmp_path, "before")
+    (tmp_path / "bin").mkdir()
+    cc = tmp_path / "bin" / "cc"
+    cc.write_text("#!/bin/sh\necho 'cc: error' >&2\nexit 1\n")
+    cc.chmod(0o755)
+    monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+    native = _fresh_native(monkeypatch, tmp_path / "cache")
+    assert native("rotpen") is None
+    assert os.listdir(tmp_path / "cache" / "pendulum_ctl") == []
+    assert period_stepper(default_params("nxtway"), 0.001, 4).__name__ == "advance"
+    assert _short_run_bytes(tmp_path, "after") == want
+
+
+def test_a_stepper_that_fails_the_probe_is_not_used(tmp_path, monkeypatch):
+    _native_or_skip("rotpen")
+    want = _short_run_bytes(tmp_path, "before")
+    # one ulp-scale change in the C weights: it compiles, but differs
+    off = plants_module._C_ADVANCE.replace("w * (a3 + 2.0 * b3", "w * (a3 + 2.0000000001 * b3")
+    assert off != plants_module._C_ADVANCE
+    monkeypatch.setattr(plants_module, "_C_ADVANCE", off)
+    native = _fresh_native(monkeypatch, tmp_path / "cache")
+    assert native("rotpen") is None and native("nxtway") is None
+    assert len(os.listdir(tmp_path / "cache" / "pendulum_ctl")) == 2  # built, then refused
+    assert _short_run_bytes(tmp_path, "after") == want
+
+
+@pytest.mark.parametrize("mode", [0o775, 0o757])
+def test_a_cache_directory_others_may_write_is_not_used(tmp_path, monkeypatch, mode):
+    _native_or_skip("rotpen")
+    want = _short_run_bytes(tmp_path, "before")
+    shared = tmp_path / "cache" / "pendulum_ctl"
+    shared.mkdir(parents=True)
+    shared.chmod(mode)
+    native = _fresh_native(monkeypatch, tmp_path / "cache")
+    key = plants_module._cache_key(plants_module._c_source("rotpen"))
+    name = f"advance-rotpen-{key}.so"
+    (shared / name).write_bytes(b"not a shared object")  # would fail to load
+    private = tmp_path / "tmp"
+    private.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(private))
+    assert native("rotpen") is not None  # built and loaded in a private directory
+    assert os.listdir(shared) == [name] and os.listdir(private) == []
+    assert period_stepper(default_params("rotpen"), 0.0005, 4).__name__ == "native_advance"
+    assert _short_run_bytes(tmp_path, "after") == want
+
+
+def test_a_second_process_loads_the_cached_stepper_without_cc(tmp_path, monkeypatch):
+    _native_or_skip("nxtway")
+    native = _fresh_native(monkeypatch, tmp_path / "cache")
+    assert native("nxtway") is not None
+    (built,) = (tmp_path / "cache" / "pendulum_ctl").iterdir()
+    key = plants_module._cache_key(plants_module._c_source("nxtway"))
+    assert built.name == f"advance-nxtway-{key}.so"
+    before = built.stat()
+    (tmp_path / "bin").mkdir()
+    code = ("from pendulum_ctl import plants; "
+            "print(plants.period_stepper(plants.default_params('nxtway'), 0.001, 4).__name__)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PATH": str(tmp_path / "bin"),
+                              "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "native_advance", out.stderr
+    after = built.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
