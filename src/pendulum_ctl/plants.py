@@ -17,18 +17,20 @@ first row only, so it is deliberately not symmetric; mechanical_energy uses
 the underlying symmetric mechanical form instead.
 
 Each platform's M, C and G entries and the solve for its accelerations are
-written once, as text (_DYNAMICS). Two kernels are generated from it:
-scalar_rhs, the accelerations that linearize.jacobian_linearize
-differentiates, and the RK4 period_stepper that simulate integrates. Each is
-compiled once per process and platform, on first use; its source is
-registered with linecache, so tracebacks show the generated lines.
+written once, as text (_DYNAMICS), and so is one RK4 step over that text
+(_RK4_STEP). Two kernels are generated from them: scalar_rhs, the
+accelerations that linearize.jacobian_linearize differentiates, and the RK4
+period_stepper that simulate integrates. Each is compiled once per process
+and platform, on first use; its source is registered with linecache, so
+tracebacks show the generated lines.
 
-The same text is also translated to C, into the same RK4 period. Where a C
-compiler (cc) and ctypes are at hand, period_stepper runs that machine code,
-built once and kept in a per-user cache; it is used only after it has
-reproduced the Python kernel bit for bit on fixed probe states, and any
-non-finite result is recomputed by the Python kernel, so the results, and
-the exceptions, are the Python kernel's either way.
+The same expanded step is also translated to C, line by line, inside a C
+frame that holds no stage or step arithmetic. Where a C compiler (cc) and
+ctypes are at hand, period_stepper runs that machine code, built once and
+kept in a per-user cache; it is used only after it has reproduced the
+Python kernel bit for bit on fixed probe states, and any non-finite result
+is recomputed by the Python kernel, so the results, and the exceptions, are
+the Python kernel's either way.
 """
 
 from __future__ import annotations
@@ -291,8 +293,33 @@ det = m11m22 + m12 * m12
 {q2dd} = (m11 * r2 + m12 * r1) / det"""),
 }
 
+# One classic RK4 step of dt, written once for the Python and the C advance
+# kernel; {stage q2 q1d q2d q1dd q2dd} is one copy of the stage. A stage's
+# position rates are its velocities, so the q1 stage states, never read, are
+# not formed; every other operation is the classic step's, in its order (2.0
+# doubles as 2 does). x1 and x2 are updated before the x3 and x4 they read.
+_RK4_STEP = """\
+{stage x2 x3 x4 a3 a4}
+b1 = x3 + h * a3
+b2 = x4 + h * a4
+p2 = x2 + h * x4
+{stage p2 b1 b2 b3 b4}
+c1 = x3 + h * b3
+c2 = x4 + h * b4
+p2 = x2 + h * b2
+{stage p2 c1 c2 c3 c4}
+d1 = x3 + dt * c3
+d2 = x4 + dt * c4
+p2 = x2 + dt * c2
+{stage p2 d1 d2 d3 d4}
+x1 = x1 + w * (x3 + 2.0 * b1 + 2.0 * c1 + d1)
+x2 = x2 + w * (x4 + 2.0 * b2 + 2.0 * c2 + d2)
+x3 = x3 + w * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
+x4 = x4 + w * (a4 + 2.0 * b4 + 2.0 * c4 + d4)"""
+
 # Kernel templates: {constants} is the constant names, {per_call} the
-# per-call statement and {stage q2 q1d q2d q1dd q2dd} one copy of the stage.
+# per-call statement, {stage q2 q1d q2d q1dd q2dd} one copy of the stage and
+# {step} the expanded _RK4_STEP.
 _KERNELS = {
     "rhs": """\
 def make({constants}):
@@ -302,13 +329,10 @@ def make({constants}):
         return q1dd, q2dd
     return rhs
 """,
-    # steps classic RK4 steps of dt. Each stage's position rates are that
-    # stage's velocities, so the q1 stage states, which the dynamics never
-    # read, are not formed; every other operation is the classic step's,
-    # in its order (a float 2.0 doubles as the integer 2 does). With native,
-    # (the compiled _C_ADVANCE, its constants array, a 5-double array type),
-    # make returns native_advance, which runs the same steps in C and
-    # answers a non-finite result, or an exception, with the Python advance.
+    # steps RK4 steps of dt. With native, (the compiled _C_ADVANCE, its
+    # constants array, a 5-double array type), make returns native_advance,
+    # which runs the same steps in C and answers a non-finite result, or an
+    # exception, with the Python advance.
     "advance": """\
 def make({constants}, dt, steps, native):
     h = 0.5 * dt
@@ -317,23 +341,7 @@ def make({constants}, dt, steps, native):
     def advance(x1, x2, x3, x4, v):
         {per_call}
         for _ in range(steps):
-            {stage x2 x3 x4 a3 a4}
-            b1 = x3 + h * a3
-            b2 = x4 + h * a4
-            p2 = x2 + h * x4
-            {stage p2 b1 b2 b3 b4}
-            c1 = x3 + h * b3
-            c2 = x4 + h * b4
-            p2 = x2 + h * b2
-            {stage p2 c1 c2 c3 c4}
-            d1 = x3 + dt * c3
-            d2 = x4 + dt * c4
-            p2 = x2 + dt * c2
-            {stage p2 d1 d2 d3 d4}
-            x1, x2, x3, x4 = (x1 + w * (x3 + 2.0 * b1 + 2.0 * c1 + d1),
-                              x2 + w * (x4 + 2.0 * b2 + 2.0 * c2 + d2),
-                              x3 + w * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
-                              x4 + w * (a4 + 2.0 * b4 + 2.0 * c4 + d4))
+            {step}
         return x1, x2, x3, x4
     if native is None:
         return advance
@@ -349,12 +357,13 @@ def make({constants}, dt, steps, native):
 """,
 }
 
-# The advance kernel in C, the same steps in the same order (C evaluates
-# each expression as Python does, left to right, in doubles). k holds the
-# constants in _DYNAMICS order and then dt; x holds the state and v on
-# entry and the state on return. The result says whether that state is
-# finite: where Python raises (sin of an infinity, a division by zero) C
-# goes on in infinities and NaNs, which reach the returned state.
+# The advance kernel in C, a frame around the translated _RK4_STEP: C
+# evaluates each expression as Python does, left to right, in doubles, and
+# each step temporary, declared in the loop body, is assigned before it is
+# read. k holds the constants in _DYNAMICS order and then dt; x holds the
+# state and v on entry and the state on return. The result says whether
+# that state is finite: where Python raises (sin of an infinity, a division
+# by zero) C goes on in infinities and NaNs, which reach the returned state.
 _C_ADVANCE = """\
 #include <math.h>
 
@@ -367,24 +376,7 @@ int advance(const double *k, double *x, int steps)
     {per_call}
     double x1 = x[0], x2 = x[1], x3 = x[2], x4 = x[3];
     for (int i = 0; i < steps; i++) {
-        double a3, a4, b3, b4, c3, c4, d3, d4, p2;
-        {stage x2 x3 x4 a3 a4}
-        const double b1 = x3 + h * a3;
-        const double b2 = x4 + h * a4;
-        p2 = x2 + h * x4;
-        {stage p2 b1 b2 b3 b4}
-        const double c1 = x3 + h * b3;
-        const double c2 = x4 + h * b4;
-        p2 = x2 + h * b2;
-        {stage p2 c1 c2 c3 c4}
-        const double d1 = x3 + dt * c3;
-        const double d2 = x4 + dt * c4;
-        p2 = x2 + dt * c2;
-        {stage p2 d1 d2 d3 d4}
-        x1 = x1 + w * (x3 + 2.0 * b1 + 2.0 * c1 + d1);
-        x2 = x2 + w * (x4 + 2.0 * b2 + 2.0 * c2 + d2);
-        x3 = x3 + w * (a3 + 2.0 * b3 + 2.0 * c3 + d3);
-        x4 = x4 + w * (a4 + 2.0 * b4 + 2.0 * c4 + d4);
+        {step}
     }
     x[0] = x1;
     x[1] = x2;
@@ -405,6 +397,11 @@ def _expand(template: str, slots: dict) -> str:
     return re.sub(r"( *)\{(\w+)([\w ]*)\}", expand, template)
 
 
+def _rk4_step(stage: str) -> str:
+    """_RK4_STEP with its four copies of a platform's stage text."""
+    return _expand(_RK4_STEP, {"stage": stage})
+
+
 @functools.cache
 def _kernel_factory(platform: str, kind: str):
     """Compile one kernel template for one platform, once per process.
@@ -414,7 +411,8 @@ def _kernel_factory(platform: str, kind: str):
     """
     constants, per_call, stage = _DYNAMICS[platform]
     names = ", ".join(constants(default_params(platform)))
-    source = _expand(_KERNELS[kind], {"constants": names, "per_call": per_call, "stage": stage})
+    source = _expand(_KERNELS[kind], {"constants": names, "per_call": per_call, "stage": stage,
+                                      "step": _rk4_step(stage)})
     filename = f"<pendulum_ctl.plants: {platform} {kind}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {"__name__": __name__, "sin": math.sin, "cos": math.cos}
@@ -422,10 +420,10 @@ def _kernel_factory(platform: str, kind: str):
     return namespace["make"]
 
 
-# one token of a dynamics expression: a {slot}, a name, a number, ** or //,
-# or any other single character
-_TOKEN = re.compile(r"\s*(\{\w+\}|[A-Za-z_]\w*|[\d.][\w.]*(?:(?<=[eE])[-+]\w*)?|\*\*|//|\S)")
-_NAME = re.compile(r"\{\w+\}|[A-Za-z_]\w*")
+# one token of a dynamics expression: a name, a number, ** or //, or any
+# other single character
+_TOKEN = re.compile(r"\s*([A-Za-z_]\w*|[\d.][\w.]*(?:(?<=[eE])[-+]\w*)?|\*\*|//|\S)")
+_NAME = re.compile(r"[A-Za-z_]\w*")
 _FLOAT = re.compile(r"(?:\d+\.\d*|\.\d+)(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+")
 
 
@@ -452,18 +450,19 @@ def _c_problem(target: str, tokens: list) -> str | None:
     return None
 
 
-def _c_statements(text: str) -> str:
-    """The `name = expr` lines of a _DYNAMICS text as C statements.
+def _c_statements(text: str, declared: tuple) -> str:
+    """The `name = expr` lines of an expanded kernel text as C statements.
 
-    Each line becomes `double name = expr;`, or `{slot} = expr;` for an
-    output slot, with its # comment stripped. An expression may hold only
-    names, float literals, + - * / ( ) , and calls of sin and cos, on which
-    Python and C agree operation by operation; anything else, an integer
-    literal (C would divide it as an integer) or a Python keyword included,
-    raises ValueError naming the line, so a dynamics edit C cannot run
-    fails loudly instead of leaving every run on the Python kernel.
+    A line becomes `double name = expr;` at the first assignment of a name
+    not in declared, else `name = expr;`, its # comment stripped. An
+    expression may hold only names, float literals, + - * / ( ) , and
+    calls of sin and cos, on which Python and C agree operation by
+    operation; anything else, an integer literal (C would divide it as an
+    integer) or a Python keyword included, raises ValueError naming the
+    line, so a dynamics edit C cannot run fails loudly instead of leaving
+    every run on the Python kernel.
     """
-    out = []
+    out, declared = [], set(declared)
     for line in text.splitlines():
         code = line.split("#", 1)[0].strip()
         if not code:
@@ -472,19 +471,19 @@ def _c_statements(text: str) -> str:
         problem = _c_problem(target, _TOKEN.findall(expr))
         if problem:
             raise ValueError(f"cannot translate {line.strip()!r} to C: {problem}")
-        out.append(f"{target} = {expr};" if target.startswith("{") else
-                   f"double {target} = {expr};")
+        out.append(f"{target} = {expr};" if target in declared else f"double {target} = {expr};")
+        declared.add(target)
     return "\n".join(out)
 
 
 def _c_source(platform: str) -> str:
-    """_C_ADVANCE expanded with one platform's dynamics, each stage in a { } block."""
+    """_C_ADVANCE expanded with one platform's constants, per-call line and RK4 step."""
     constants, per_call, stage = _DYNAMICS[platform]
     names = [*constants(default_params(platform)), "dt"]
-    body = "\n".join("    " + line for line in _c_statements(stage).splitlines())
     return _expand(_C_ADVANCE, {
         "constants": "\n".join(f"const double {name} = k[{i}];" for i, name in enumerate(names)),
-        "per_call": _c_statements(per_call), "stage": "{{\n" + body + "\n}}"})
+        "per_call": _c_statements(per_call, ()),
+        "step": _c_statements(_rk4_step(stage), ("x1", "x2", "x3", "x4"))})
 
 
 # The compile command. -O2 alone does not reorder floating-point

@@ -285,8 +285,10 @@ def simulate(params: PlantParams, design, cfg: SimConfig, trace_path=None) -> Si
     state-feedback law (with integral action when Ki is present), an
     SmcDesign applies the sliding-mode law. The same per-motor voltage goes
     to both motors of the two-wheeled robot. Divergence (any state beyond
-    1e3) stops the run early and flags the truncated trace. Ticks at exact
-    rest are copied rather than recomputed, as the module docstring says.
+    1e3, or a period whose stepping raises ValueError, the sine of an
+    infinity) stops the run early and flags the trace, truncated after its
+    last finite row. Ticks at exact rest are copied rather than recomputed,
+    as the module docstring says.
 
     With trace_path, the trace CSV is complete when the call returns, also
     for a diverged run. A trace of more than one block is written by a child
@@ -388,7 +390,11 @@ def simulate(params: PlantParams, design, cfg: SimConfig, trace_path=None) -> Si
             if k > n:
                 break
 
-            y1, y2, y3, y4 = advance(x1, x2, x3, x4, ua + d)
+            try:
+                y1, y2, y3, y4 = advance(x1, x2, x3, x4, ua + d)
+            except ValueError:  # sin of an infinity: the period left the floats
+                diverged = True
+                break
             jnteg = integ if ki is None else integ + e1 * Ts
             if y1 == x1 and all(map(_same_bits, (y1, y2, y3, y4, jnteg, *g1, *g2),
                                     (x1, x2, x3, x4, integ, *f1, *f2))):

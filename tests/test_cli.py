@@ -364,6 +364,26 @@ def test_simulate_exits_3_when_the_pole_falls(tmp_path, capsys):
     assert (row[1], row[5]) == ("", "diverged")
 
 
+def test_simulate_exits_3_when_a_period_leaves_the_floats(tmp_path, capsys):
+    # a 1e6 V pulse drives the robot's state to infinity within one period,
+    # where stepping raises ValueError (the sine of an infinity): the run
+    # diverged, and its trace, streamed past one block, ends at the last
+    # finite row
+    trace, metrics = tmp_path / "trace.csv", tmp_path / "m.csv"
+    code = cli.run(["simulate", "--platform", "nxtway", "--x0", "0,0.05,0,0",
+                    "--disturbance", "pulse", "--dist-amplitude", "1e6",
+                    "--dist-frequency", "1", "--dist-start", "5", "--duration", "10",
+                    "--trace", str(trace), "--metrics", str(metrics)])
+    out, err = capsys.readouterr()
+    assert code == 3, err
+    assert "did not stabilize" in err and "quality: diverged" in out
+    header, data = _read_csv_columns(trace)
+    assert data.shape[0] == 1251 and np.isfinite(data).all()
+    assert data[-1, header.index("dist")] == 1e6 and data[-2, header.index("dist")] == 0.0
+    row = metrics.read_text().splitlines()[1].split(",")
+    assert (row[1], row[5]) == ("", "diverged")
+
+
 def test_simulate_smc_boundary_layer_smoke(tmp_path):
     trace = tmp_path / "trace.csv"
     code = cli.run(["simulate", "--platform", "nxtway", "--controller", "smc",

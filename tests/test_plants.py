@@ -7,6 +7,7 @@ and compare the package's forward dynamics against that independent oracle.
 
 import dataclasses
 import math
+import re
 import struct
 
 import numpy as np
@@ -578,15 +579,20 @@ def test_energy_decreases_with_friction():
 @pytest.mark.parametrize("platform", ["rotpen", "nxtway"])
 def test_both_dynamics_translate_to_c(platform):
     _, per_call, stage = plants_module._DYNAMICS[platform]
-    lines = [line for line in stage.splitlines() if line.strip()]
-    statements = plants_module._c_statements(stage).splitlines()
+    step = plants_module._rk4_step(stage)
+    lines = [line for line in step.splitlines() if line.strip()]
+    statements = plants_module._c_statements(step, ("x1", "x2", "x3", "x4")).splitlines()
     assert len(statements) == len(lines)
     assert all(s.endswith(";") and "#" not in s for s in statements)
     source = plants_module._c_source(platform)
-    # four copies of the stage, each in its own block, and no slot left
-    assert source.count("double s = sin(") == 4 == source.count("double co = cos(")
-    assert source.count("{") == source.count("}") and "{stage" not in source
-    assert plants_module._c_statements(per_call).count("double ") == len(per_call.splitlines())
+    # four copies of the stage, each name declared once, and no slot left
+    assert source.count("s = sin(") == 4 == source.count("co = cos(")
+    assert source.count("double s = sin(") == 1 == source.count("double co = cos(")
+    declared = re.findall(r"double (\w+)", source)
+    assert len(declared) == len(set(declared))
+    assert "double x2 = x2" not in source and "x2 = x2 + w * (" in source
+    assert source.count("{") == source.count("}") and "{st" not in source
+    assert plants_module._c_statements(per_call, ()).count("double ") == len(per_call.splitlines())
 
 
 @pytest.mark.parametrize("line, reason", [
@@ -595,7 +601,7 @@ def test_both_dynamics_translate_to_c(platform):
     ("r = 2 * a", "integer literal 2"),
     ("r = a / 3  # a third", "integer literal 3"),
     ("r = tan(a)", "unknown function tan"),
-    ("r = {q2d} * exp(a)", "unknown function exp"),
+    ("r = q2d * exp(a)", "unknown function exp"),
     ("r = a if b else c", "keyword if"),
     ("r = a % b", "operator %"),
     ("r = a[0.0]", "operator ["),
@@ -605,8 +611,8 @@ def test_both_dynamics_translate_to_c(platform):
     ("r =", "no expression"),
 ])
 def test_stage_lines_c_cannot_run_are_refused_with_the_line(line, reason):
-    stage = f"s = sin({{q2}})\n{line}\n{{q1dd}} = r / 2.0"
+    step = f"s = sin(q2)\n{line}\nq1dd = r / 2.0"
     with pytest.raises(ValueError) as info:
-        plants_module._c_statements(stage)
+        plants_module._c_statements(step, ())
     message = str(info.value)
     assert line.strip() in message and message.endswith(reason)

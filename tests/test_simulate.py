@@ -883,14 +883,17 @@ def test_period_stepper_matches_rk4_over_scalar_rhs_bit_for_bit(platform):
         for steps in (1, 4, 20):
             dt = 0.002 / steps
             want = _oracle_advance(scalar_rhs(params), dt, steps)
-            got = period_stepper(params, dt, steps)
+            # period_stepper is native where cc exists; the Python kernel too
+            kernels = (period_stepper(params, dt, steps),
+                       plants_module._stepper(params, dt, steps, None))
             for _ in range(150):
                 x = (rng.normal(size=4) * rng.choice([1e-3, 1.0, 30.0, 1e3], 4)).tolist()
                 for i in range(4):
                     if rng.random() < 0.2:
                         x[i] = special[rng.integers(len(special))]
                 v = [0.0, -0.0, float(rng.normal(scale=5.0))][rng.integers(3)]
-                assert _outcome(got, x, v) == _outcome(want, x, v), (steps, x, v)
+                for got in kernels:
+                    assert _outcome(got, x, v) == _outcome(want, x, v), (got, steps, x, v)
 
 
 @pytest.mark.parametrize("platform", ["rotpen", "nxtway"])
@@ -1295,6 +1298,26 @@ def test_paper_runs_write_the_same_trace_natively_and_in_python(tmp_path, monkey
     assert (tmp_path / "native.csv").read_bytes() == (tmp_path / "python.csv").read_bytes()
 
 
+@pytest.mark.parametrize("platform, controller", sorted(_DESIGNS))
+def test_a_run_that_leaves_the_floats_ends_alike_natively_and_in_python(tmp_path, monkeypatch,
+                                                                        platform, controller):
+    # a 1e6 V pulse at tick 1250 leaves the floats within one period: the
+    # robot's stepping raises ValueError (the sine of an infinity), the
+    # pendulum's lands beyond the divergence limit; either way the streamed
+    # trace ends, complete, at the last finite row
+    params, design, cfg = _streamed_run(platform, controller, 3 * _B + 1, pulse_tick=1250)
+    cfg = dataclasses.replace(cfg, disturbance=dataclasses.replace(cfg.disturbance,
+                                                                  amplitude=1e6))
+    traces = [simulate(params, design, cfg, tmp_path / "native.csv")]
+    _python_only(monkeypatch)
+    traces.append(simulate(params, design, cfg, tmp_path / "python.csv"))
+    for trace in traces:
+        assert trace.diverged and trace.t.size == 1251 and np.isfinite(trace.x).all()
+    assert (tmp_path / "native.csv").read_bytes() == (tmp_path / "python.csv").read_bytes()
+    save_trace_csv(traces[1], tmp_path / "written.csv")
+    assert (tmp_path / "python.csv").read_bytes() == (tmp_path / "written.csv").read_bytes()
+
+
 def test_without_cc_the_python_kernel_runs_with_the_same_bytes(tmp_path, monkeypatch):
     want = _short_run_bytes(tmp_path, "before")
     (tmp_path / "bin").mkdir()
@@ -1322,10 +1345,16 @@ def test_a_failing_compile_leaves_the_python_kernel_and_no_file(tmp_path, monkey
 def test_a_stepper_that_fails_the_probe_is_not_used(tmp_path, monkeypatch):
     _native_or_skip("rotpen")
     want = _short_run_bytes(tmp_path, "before")
-    # one ulp-scale change in the C weights: it compiles, but differs
-    off = plants_module._C_ADVANCE.replace("w * (a3 + 2.0 * b3", "w * (a3 + 2.0000000001 * b3")
-    assert off != plants_module._C_ADVANCE
-    monkeypatch.setattr(plants_module, "_C_ADVANCE", off)
+    c_source = plants_module._c_source
+
+    def off(platform):
+        # one ulp-scale change in a C weight: it compiles, but differs
+        source = c_source(platform)
+        changed = source.replace("w * (a3 + 2.0 * b3", "w * (a3 + 2.0000000001 * b3")
+        assert changed != source
+        return changed
+
+    monkeypatch.setattr(plants_module, "_c_source", off)
     native = _fresh_native(monkeypatch, tmp_path / "cache")
     assert native("rotpen") is None and native("nxtway") is None
     assert len(os.listdir(tmp_path / "cache" / "pendulum_ctl")) == 2  # built, then refused
