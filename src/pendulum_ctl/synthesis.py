@@ -446,9 +446,7 @@ class LqrDesign:
 def lqr_gain(A, B, Q, R) -> LqrDesign:
     """Solve the CARE and return the optimal state-feedback design."""
     P = solve_care(A, B, Q, R)
-    A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
     K = np.linalg.solve(R, B.T @ P)
     return LqrDesign(Q=Q, R=R, P=P, K=K,

@@ -5,10 +5,13 @@ hook prints them after the run so every criterion shows a visible PASS
 or FAIL regardless of output capturing. Every test must also reap each
 child process it starts, the trace writer's forked child included, and
 close each file descriptor it opens: a leaked write end of the writer's
-count pipe would keep that child waiting forever.
+count pipe would keep that child waiting forever. The report header names
+the period_stepper kernel each platform runs, so a fallback to the Python
+kernel shows in every log.
 """
 
 import os
+import shutil
 
 import pytest
 
@@ -55,6 +58,16 @@ def no_file_descriptor_left():
     yield
     if before is not None and (leaked := _open_fds() - before):
         pytest.fail(f"the test left file descriptors {sorted(leaked)} open")
+
+
+def pytest_report_header(config):
+    """One line: native, or Python and why, for each platform's period_stepper."""
+    from pendulum_ctl import plants
+
+    why = "no cc on PATH" if shutil.which("cc") is None else "cc present, not native"
+    return "period_stepper: " + ", ".join(
+        f"{platform} {'native' if plants._native_library(platform) else f'Python ({why})'}"
+        for platform in ("rotpen", "nxtway"))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -593,26 +593,3 @@ def test_both_dynamics_translate_to_c(platform):
     assert "double x2 = x2" not in source and "x2 = x2 + w * (" in source
     assert source.count("{") == source.count("}") and "{st" not in source
     assert plants_module._c_statements(per_call, ()).count("double ") == len(per_call.splitlines())
-
-
-@pytest.mark.parametrize("line, reason", [
-    ("r = a ** 2.0", "operator **"),
-    ("r = a // b", "operator //"),
-    ("r = 2 * a", "integer literal 2"),
-    ("r = a / 3  # a third", "integer literal 3"),
-    ("r = tan(a)", "unknown function tan"),
-    ("r = q2d * exp(a)", "unknown function exp"),
-    ("r = a if b else c", "keyword if"),
-    ("r = a % b", "operator %"),
-    ("r = a[0.0]", "operator ["),
-    ("r = 1_000.0 * a", "number 1_000.0"),
-    ("r = sin", "sin without a call"),
-    ("r a", "no assignment"),
-    ("r =", "no expression"),
-])
-def test_stage_lines_c_cannot_run_are_refused_with_the_line(line, reason):
-    step = f"s = sin(q2)\n{line}\nq1dd = r / 2.0"
-    with pytest.raises(ValueError) as info:
-        plants_module._c_statements(step, ())
-    message = str(info.value)
-    assert line.strip() in message and message.endswith(reason)

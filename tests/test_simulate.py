@@ -8,6 +8,7 @@ law is exercised on the sampled linear model with a manual update loop so
 the check does not depend on the integrator under test.
 """
 
+import ctypes
 import dataclasses
 import functools
 import inspect
@@ -1215,10 +1216,35 @@ def test_repeated_runs_are_byte_identical(tmp_path):
 _NO_CC = "no C compiler (cc) on PATH: period_stepper runs the Python kernel"
 
 
-def _native_or_skip(platform):
-    if plants_module._native_library(platform) is None:
-        pytest.skip(_NO_CC if shutil.which("cc") is None else
-                    "the native stepper failed to build, load or probe here")
+def _native_or_skip(platform, tmp_path):
+    """Skip without cc; where cc exists, fail unless the stepper is native, naming why."""
+    if plants_module._native_library(platform) is not None:
+        return
+    if shutil.which("cc") is None:
+        pytest.skip(_NO_CC)
+    pytest.fail(f"cc is on PATH, yet the {platform} stepper is not native: "
+                f"{_why_not_native(platform, tmp_path)}")
+
+
+def _why_not_native(platform, tmp_path):
+    """The compiler's stderr, the load error or the first probe state that differs."""
+    so_file = str(tmp_path / f"{platform}.so")
+    try:
+        plants_module._build(plants_module._c_source(platform), so_file)
+        call = ctypes.PyDLL(so_file).advance
+    except subprocess.CalledProcessError as error:
+        return f"the compile failed:\n{error.stderr.decode()}"
+    except OSError as error:
+        return f"the load failed: {error}"
+    call.restype = ctypes.c_int
+    params = default_params(platform)
+    python, native = (plants_module._stepper(params, 0.0005, 4, n)
+                      for n in (None, (call, ctypes.c_double)))
+    for x in plants_module._PROBES:
+        want, got = python(*x), native(*x)
+        if struct.pack("4d", *got) != struct.pack("4d", *want):
+            return f"probe state {x} gives {got} in C and {want} in Python"
+    return "it builds, loads and matches every probe here, so the stepper cache failed"
 
 
 def _fresh_native(monkeypatch, cache_home):
@@ -1254,10 +1280,10 @@ def test_period_stepper_is_native_where_cc_exists(platform):
 
 
 @pytest.mark.parametrize("platform", ["rotpen", "nxtway"])
-def test_non_finite_native_results_are_answered_by_the_python_kernel(platform):
+def test_non_finite_native_results_are_answered_by_the_python_kernel(tmp_path, platform):
     # where Python raises (sin of an infinity) C runs on in infinities and
     # NaNs; such a result is recomputed by the Python kernel
-    _native_or_skip(platform)
+    _native_or_skip(platform, tmp_path)
     params = default_params(platform)
     native = period_stepper(params, 0.0005, 4)
     python = plants_module._stepper(params, 0.0005, 4, None)
@@ -1270,8 +1296,8 @@ def test_non_finite_native_results_are_answered_by_the_python_kernel(platform):
     assert "ValueError('math domain error')" in outcomes and len(set(outcomes)) == 3
 
 
-def test_a_zero_determinant_raises_zero_division_natively_too():
-    _native_or_skip("nxtway")
+def test_a_zero_determinant_raises_zero_division_natively_too(tmp_path):
+    _native_or_skip("nxtway", tmp_path)
     # every constant 0 but al: m12 = 0 and det = 0, so the solve divides by zero
     constants = dict.fromkeys(plants_module._DYNAMICS["nxtway"][0](default_params("nxtway")), 0.0)
     constants["al"] = 1.0
@@ -1288,7 +1314,7 @@ def test_a_zero_determinant_raises_zero_division_natively_too():
 @pytest.mark.parametrize("platform, controller", sorted(_DESIGNS))
 def test_paper_runs_write_the_same_trace_natively_and_in_python(tmp_path, monkeypatch, platform,
                                                                  controller, measurement):
-    _native_or_skip(platform)
+    _native_or_skip(platform, tmp_path)
     params, design = default_params(platform), _DESIGNS[platform, controller]()
     cfg = SimConfig(duration=120.0, controller_Ts=0.002 if platform == "rotpen" else 0.004,
                     disturbance=standard_pulse_train(params.V_max), measurement=measurement)
@@ -1342,28 +1368,32 @@ def test_a_failing_compile_leaves_the_python_kernel_and_no_file(tmp_path, monkey
     assert _short_run_bytes(tmp_path, "after") == want
 
 
-def test_a_stepper_that_fails_the_probe_is_not_used(tmp_path, monkeypatch):
-    _native_or_skip("rotpen")
+@pytest.mark.parametrize("weight, left", [
+    ("2.0000000001 * b3", 2),  # an ulp-scale change: it compiles, but differs
+    ("2.0 ** b3", 0),  # not C: the compile fails
+    ("1 / 2 * 4.0 * b3", 2),  # C divides the integers: it compiles, but differs
+], ids=["weight-off", "not-c", "integer-division"])
+def test_a_stepper_that_fails_the_probe_is_not_used(tmp_path, monkeypatch, weight, left):
+    _native_or_skip("rotpen", tmp_path)
     want = _short_run_bytes(tmp_path, "before")
     c_source = plants_module._c_source
 
     def off(platform):
-        # one ulp-scale change in a C weight: it compiles, but differs
         source = c_source(platform)
-        changed = source.replace("w * (a3 + 2.0 * b3", "w * (a3 + 2.0000000001 * b3")
+        changed = source.replace("w * (a3 + 2.0 * b3", f"w * (a3 + {weight}")
         assert changed != source
         return changed
 
     monkeypatch.setattr(plants_module, "_c_source", off)
     native = _fresh_native(monkeypatch, tmp_path / "cache")
     assert native("rotpen") is None and native("nxtway") is None
-    assert len(os.listdir(tmp_path / "cache" / "pendulum_ctl")) == 2  # built, then refused
+    assert len(os.listdir(tmp_path / "cache" / "pendulum_ctl")) == left  # one per object built
     assert _short_run_bytes(tmp_path, "after") == want
 
 
 @pytest.mark.parametrize("mode", [0o775, 0o757])
 def test_a_cache_directory_others_may_write_is_not_used(tmp_path, monkeypatch, mode):
-    _native_or_skip("rotpen")
+    _native_or_skip("rotpen", tmp_path)
     want = _short_run_bytes(tmp_path, "before")
     shared = tmp_path / "cache" / "pendulum_ctl"
     shared.mkdir(parents=True)
@@ -1382,7 +1412,7 @@ def test_a_cache_directory_others_may_write_is_not_used(tmp_path, monkeypatch, m
 
 
 def test_a_second_process_loads_the_cached_stepper_without_cc(tmp_path, monkeypatch):
-    _native_or_skip("nxtway")
+    _native_or_skip("nxtway", tmp_path)
     native = _fresh_native(monkeypatch, tmp_path / "cache")
     assert native("nxtway") is not None
     (built,) = (tmp_path / "cache" / "pendulum_ctl").iterdir()
