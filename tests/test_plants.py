@@ -5,10 +5,13 @@ principles with sympy (positions -> kinetic/potential energy -> Euler-Lagrange)
 and compare the package's forward dynamics against that independent oracle.
 """
 
+import ctypes
 import dataclasses
 import math
 import re
+import shutil
 import struct
+import subprocess
 
 import numpy as np
 import pytest
@@ -593,3 +596,58 @@ def test_both_dynamics_translate_to_c(platform):
     assert "double x2 = x2" not in source and "x2 = x2 + w * (" in source
     assert source.count("{") == source.count("}") and "{st" not in source
     assert plants_module._c_statements(per_call, ()).count("double ") == len(per_call.splitlines())
+
+
+@pytest.mark.parametrize("line, outcome", [
+    ("r = a ** 2.0", "no build"),
+    ("r = a // b", "no build"),
+    ("r = 2 * a", "exact"),  # the integer converts to a double exactly
+    ("r = a / 3  # a third", "exact"),
+    ("r = tan(a)", "no Python kernel"),
+    ("r = q2d * exp(a)", "no Python kernel"),
+    ("r = a if b else c", "no build"),
+    ("r = a % b", "no build"),
+    ("r = a[0.0]", "no build"),
+    ("r = 1_000.0 * a", "no build"),
+    ("r = sin", "no build"),
+    ("r a", "no build"),
+    ("r =", "no build"),
+])
+def test_stage_lines_c_cannot_run_stop_at_the_compiler_or_the_python_kernel(tmp_path, line,
+                                                                            outcome):
+    """A stage line outside C's shared arithmetic never reaches a native stepper.
+
+    _c_statements emits every line as it stands; one C cannot compile fails
+    the build, one with a name the Python kernel lacks fails there first,
+    and one C does compile evaluates to the same bits as Python.
+    """
+    step = f"s = sin(q2)\n{line}\nq1dd = r / 2.0"
+    inputs = [(0.3, -1.7, 2.5, 0.2, -0.9), (-0.0, 5e-324, 1e3, -1e3, 0.0),
+              (7.0, 1.0, -3.0, 0.5, 1.5)]
+
+    def python(x):
+        namespace = {"sin": math.sin, "cos": math.cos, **dict(zip(("a", "b", "c", "q2", "q2d"), x))}
+        exec(step, namespace)
+        return namespace["q1dd"]
+
+    if outcome == "no Python kernel":
+        with pytest.raises(NameError):
+            python(inputs[0])
+        return
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc) on PATH: period_stepper runs the Python kernel")
+    statements = plants_module._c_statements(step, ())
+    assert line.split("#", 1)[0].strip() in statements  # emitted as it stands
+    source = ("#include <math.h>\n\ndouble f(double a, double b, double c, double q2, double q2d)\n"
+              "{\n" + statements + "\nreturn q1dd;\n}\n")
+    so_file = tmp_path / "f.so"
+    if outcome == "no build":
+        with pytest.raises(subprocess.CalledProcessError):
+            plants_module._build(source, str(so_file))
+        assert not so_file.exists()
+        return
+    plants_module._build(source, str(so_file))
+    f = ctypes.CDLL(str(so_file)).f
+    f.restype, f.argtypes = ctypes.c_double, [ctypes.c_double] * 5
+    for x in inputs:
+        assert struct.pack("d", f(*x)) == struct.pack("d", python(x))
