@@ -35,15 +35,22 @@ one), in an anonymous shared mapping when the trace spans more than one
 block of _CSV_BLOCK rows. Before the loop the caller writes the header and
 forks one writer child; each time the row count crosses a block boundary the
 loop sends the count through a pipe, and the child formats every complete
-block in order and writes it to the file it inherited. The last count
-carries an end marker, after which the child writes the tail. The bytes are
-those of save_trace_csv on the returned trace, which formats the same blocks
-in one process, as simulate itself does for a single-block trace or where
-os.fork does not exist.
+block in order and writes it to the file it inherited. When the loop ends,
+the parent splits the rows the child has not reached: through a 16-byte
+shared slot it reads the block the child is on and sets a block-aligned
+limit about halfway to the end, then sends the last count, marked as the
+end, and formats the back part itself while the child writes the front
+part. Having reaped the child, it reads where the child stopped and appends
+its own blocks from there on; a child that checked the limit before the
+parent set it runs past it, and the parent drops the blocks that child
+wrote. The bytes are those of save_trace_csv on the returned trace, byte for
+byte, which formats the same blocks in one process, as simulate itself does
+for a single-block trace or where os.fork does not exist.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import mmap
 import os
@@ -292,12 +299,15 @@ def simulate(params: PlantParams, design, cfg: SimConfig, trace_path=None) -> Si
 
     With trace_path, the trace CSV is complete when the call returns, also
     for a diverged run. A trace of more than one block is written by a child
-    forked before the loop, as the module docstring says. The fork may come
-    from a process that holds OpenBLAS worker threads (the command line's
-    does): the child touches no BLAS, only slicing, tolist, formatting and
-    file writes, and it leaves only through os._exit. A failed child makes
-    the call raise OSError; it and an exception in the loop each reap the
-    child and remove the partial file first.
+    forked before the loop and, for the back part of what the child has not
+    reached when the loop ends, by the call itself, appended once the child
+    is reaped, as the module docstring says. The fork may come from a
+    process that holds OpenBLAS worker threads (the command line's does):
+    the child touches no BLAS, only slicing, tolist, formatting and file
+    writes, and it leaves only through os._exit. A failed child makes the
+    call raise OSError; it, an exception in the loop or in formatting the
+    call's share, and a failed append each reap the child and remove the
+    partial file first.
     """
     check_plant_step(params, cfg.plant_dt)
     Ts = cfg.controller_Ts
@@ -354,7 +364,7 @@ def simulate(params: PlantParams, design, cfg: SimConfig, trace_path=None) -> Si
     diverged = False
     lim = _DIVERGENCE_LIMIT
 
-    pid, wfd = _fork_writer(trace_path, columns, table) if stream else (None, None)
+    pid, wfd, shared = _fork_writer(trace_path, columns, table) if stream else (None,) * 3
     mark = _CSV_BLOCK if stream else n + 2  # the row count next sent to the writer
     k = 0  # next tick; also the number of rows written
     try:
@@ -405,13 +415,16 @@ def simulate(params: PlantParams, design, cfg: SimConfig, trace_path=None) -> Si
                 table[1:, k:j] = table[1:, k - 1:k].copy()
                 k = j
             x1, x2, x3, x4, integ, f1, f2 = y1, y2, y3, y4, jnteg, g1, g2
+        if stream:
+            share = _format_share(wfd, shared, table, k)
     except BaseException:
         if stream:
             _reap_writer(pid, wfd, trace_path, run_failed=True)
         raise
     if stream:
-        _send_count(wfd, -k)  # the last count, marked by its sign
         _reap_writer(pid, wfd, trace_path, run_failed=False)
+        if share:
+            _append_share(trace_path, share, int(shared[0]))
 
     trace = SimTrace(t=t[:k], x=table[1:5, :k].T, u_command=table[5, :k],
                      u_applied=table[6, :k], d=d_arr[:k], s=table[8, :k] if is_smc else None,
@@ -441,11 +454,18 @@ def _write_blocks(fh, columns, start: int, stop: int) -> None:
 def _fork_writer(path, columns, table):
     """Write the CSV header to path and fork the child that writes table's rows.
 
-    Returns (child pid, write end of the count pipe). The child reads 8-byte
-    row counts and writes every complete block below each; a negative count
-    is the last, -rows, after which it writes the tail and exits 0. It exits
-    1 when the pipe closes without a last count or a write fails.
+    Returns (child pid, write end of the count pipe, shared slot). The child
+    reads 8-byte row counts and writes every complete block below each; a
+    negative count is the last, -rows, after which it writes the tail. The
+    slot is two int64 in a shared mapping: before each block the child
+    stores the block's start in slot[0], and it stops at the first block
+    start at or past slot[1], the parent's limit (none until _format_share
+    sets one). Having stopped or written the tail it stores its stop, the
+    first row it did not write, in slot[0] and exits 0. It exits 1 when the
+    pipe closes before either or a write fails.
     """
+    shared = np.frombuffer(mmap.mmap(-1, 16), dtype=np.int64)
+    shared[1] = np.iinfo(np.int64).max
     rfd, wfd = os.pipe()
     try:
         with open(path, "wb") as fh:
@@ -460,9 +480,12 @@ def _fork_writer(path, columns, table):
                         while len(message := pipe.read(8)) == 8:
                             count = int.from_bytes(message, "little", signed=True)
                             stop = -count if count < 0 else count - count % _CSV_BLOCK
-                            _write_blocks(fh, table, done, stop)
-                            done = stop
-                            if count < 0:
+                            while done < stop and done < shared[1]:
+                                shared[0] = done
+                                _write_blocks(fh, table, done, min(done + _CSV_BLOCK, stop))
+                                done = min(done + _CSV_BLOCK, stop)
+                            if count < 0 or done >= shared[1]:
+                                shared[0] = done
                                 fh.flush()
                                 os._exit(0)
                 finally:  # reached only on an exception or a closed pipe
@@ -472,14 +495,40 @@ def _fork_writer(path, columns, table):
         raise
     finally:
         os.close(rfd)
-    return pid, wfd
+    return pid, wfd, shared
+
+
+def _format_share(wfd: int, shared, table, k: int) -> list:
+    """Split the rows the writer child has not reached; format the back part.
+
+    Past the block the child is on, at slot[0], the split m is the block
+    start about halfway to k. The parent sets it as the child's limit, sends
+    the last count and formats rows m to k itself, returning (start row,
+    bytes) per block. When no row lies past the child's block it sets no
+    limit and returns [], and the child writes every row. A child that
+    checked the limit before it was set may run past m; _append_share drops
+    the blocks it wrote.
+    """
+    low = int(shared[0]) + _CSV_BLOCK
+    m = low + max(0, k - low) // (2 * _CSV_BLOCK) * _CSV_BLOCK
+    if m < k:
+        shared[1] = m
+    _send_count(wfd, -k)  # the last count, marked by its sign
+    share = []
+    for start in range(m, k, _CSV_BLOCK):
+        block = io.BytesIO()
+        _write_blocks(block, table, start, min(start + _CSV_BLOCK, k))
+        share.append((start, block.getvalue()))
+    return share
 
 
 def _send_count(wfd: int, count: int):
     """Send a row count to the writer child; return the next count to send.
 
     A child that failed has closed its end: the run goes on without
-    sending, and reaping the child reports the failure.
+    sending, and reaping the child reports the failure. So has a child that
+    stopped at the parent's limit before the last count arrived, which is
+    no failure.
     """
     try:
         os.write(wfd, count.to_bytes(8, "little", signed=True))
@@ -500,6 +549,20 @@ def _reap_writer(pid: int, wfd: int, path, run_failed: bool) -> None:
         os.remove(path)
     if status and not run_failed:
         raise OSError(f"the trace writer's child failed (wait status {status})")
+
+
+def _append_share(path, share, stop: int) -> None:
+    """Append the parent's blocks from the reaped child's stop on.
+
+    A failed append removes the partial trace file before it raises.
+    """
+    try:
+        with open(path, "ab") as fh:
+            fh.writelines(block for start, block in share if start >= stop)
+    except BaseException:
+        if os.path.isfile(path):
+            os.remove(path)
+        raise
 
 
 def save_trace_csv(trace: SimTrace, path) -> None:

@@ -10,16 +10,20 @@ the check does not depend on the integrator under test.
 
 import ctypes
 import dataclasses
+import errno
 import functools
 import inspect
 import math
+import mmap
 import os
+import select
 import shutil
 import struct
 import subprocess
 import sys
 import tempfile
 import threading
+import time
 import traceback
 import tracemalloc
 
@@ -1175,6 +1179,207 @@ def test_an_exception_in_the_tick_loop_reaps_the_writer(tmp_path, monkeypatch):
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert not path.exists()
+
+
+# the split of the tail: the writer child is held at its first block until
+# the parent has set its limit, so the child is on row 0 when the loop ends
+# and the parent takes every block from B + (k - B) // 2B * B on
+
+_NO_LIMIT = np.iinfo(np.int64).max
+
+
+def _held_child(monkeypatch, child_block=None):
+    """Hold the writer child at its first block until the parent sets a limit.
+
+    Returns (the start rows of the blocks the parent formats, the slots).
+    Each slot is an int64 view of a 16-byte shared mapping simulate made:
+    [the child's block or stop, the parent's limit]. child_block(slot,
+    start), if given, runs in the child before each block it writes.
+    """
+    pid, slots, parent_blocks = os.getpid(), [], []
+    new_mapping, write_blocks = mmap.mmap, simulate_module._write_blocks
+
+    def recorded(fileno, length, *args):
+        mapping = new_mapping(fileno, length, *args)
+        if length == 16:
+            slots.append(np.frombuffer(mapping, dtype=np.int64))
+        return mapping
+
+    def held(fh, columns, start, stop):
+        if os.getpid() == pid:
+            parent_blocks.append(start)
+        else:
+            deadline = time.monotonic() + 10.0
+            while start == 0 and slots[-1][1] == _NO_LIMIT and time.monotonic() < deadline:
+                time.sleep(0.001)
+            if child_block is not None:
+                child_block(slots[-1], start)
+        return write_blocks(fh, columns, start, stop)
+
+    monkeypatch.setattr(mmap, "mmap", recorded)
+    monkeypatch.setattr(simulate_module, "_write_blocks", held)
+    return parent_blocks, slots
+
+
+def _assert_written_alone(tmp_path, trace, path):
+    """The file equals save_trace_csv of trace, and no child is left."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    save_trace_csv(trace, tmp_path / "written.csv")
+    assert path.read_bytes() == (tmp_path / "written.csv").read_bytes()
+
+
+@pytest.mark.parametrize("platform, controller", sorted(_DESIGNS))
+def test_the_parent_formats_the_back_of_the_tail(tmp_path, monkeypatch, platform, controller):
+    parent_blocks, slots = _held_child(monkeypatch)
+    params, design, cfg = _streamed_run(platform, controller, 6 * _B + 1)
+    path = tmp_path / "trace.csv"
+    trace = simulate(params, design, cfg, path)
+    # rows 3B to 6B + 1: three whole blocks and the last row
+    assert parent_blocks == [3 * _B, 4 * _B, 5 * _B, 6 * _B]
+    assert list(slots[-1]) == [3 * _B, 3 * _B]  # the child stopped at the limit
+    _assert_written_alone(tmp_path, trace, path)
+
+
+def test_a_diverged_run_splits_its_truncated_tail(tmp_path, monkeypatch):
+    # the run of test_a_diverged_run_streams_its_truncated_trace: the parent
+    # formats the partial second block
+    parent_blocks, _ = _held_child(monkeypatch)
+    cfg = SimConfig(duration=20.0, controller_Ts=0.002, x0=(0.0, 0.0, 0.01, 0.0),
+                    saturation_V=1e6)
+    path = tmp_path / "trace.csv"
+    trace = simulate(default_params("rotpen"), _gain_only_design([0.0, 0.0, -1.0, 0.0]),
+                     cfg, path)
+    assert trace.diverged and _B < trace.t.size < 2 * _B
+    assert parent_blocks == [_B]
+    _assert_written_alone(tmp_path, trace, path)
+
+
+def test_the_split_with_a_live_second_thread_leaves_no_child_process(tmp_path, monkeypatch):
+    parent_blocks, _ = _held_child(monkeypatch)
+    params, design, cfg = _streamed_run("rotpen", "smc", 3 * _B + 1)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(10.0,))
+    waiter.start()
+    try:
+        trace = simulate(params, design, cfg, tmp_path / "trace.csv")
+    finally:
+        release.set()
+        waiter.join(10.0)
+    assert not waiter.is_alive()
+    assert parent_blocks == [2 * _B, 3 * _B]
+    _assert_written_alone(tmp_path, trace, tmp_path / "trace.csv")
+
+
+@pytest.mark.parametrize("past, stop", [(1, 4 * _B), (2, 5 * _B), (None, 6 * _B + 1)])
+def test_a_child_that_ran_past_the_limit_wrote_its_blocks_once(tmp_path, monkeypatch,
+                                                               past, stop):
+    # the child checks the limit as if the parent had set it late: it runs
+    # past blocks (None: to the end, the last row's block included) beyond
+    # the limit 3B, and the parent drops the blocks it wrote
+    limit = []
+
+    def ignores_the_limit(slot, start):
+        if not limit:
+            limit.append(int(slot[1]))
+            slot[1] = _NO_LIMIT
+        elif past is not None and start >= limit[0] + (past - 1) * _B:
+            slot[1] = limit[0]
+
+    parent_blocks, slots = _held_child(monkeypatch, ignores_the_limit)
+    params, design, cfg = _streamed_run("nxtway", "smc", 6 * _B + 1)
+    path = tmp_path / "trace.csv"
+    trace = simulate(params, design, cfg, path)
+    assert parent_blocks == [3 * _B, 4 * _B, 5 * _B, 6 * _B]
+    assert slots[-1][0] == stop
+    _assert_written_alone(tmp_path, trace, path)
+
+
+def test_a_child_that_stops_before_the_last_count_does_not_fail_the_run(tmp_path,
+                                                                        monkeypatch):
+    # the loop sent the count 6B, past the limit 3B, so the child stops
+    # without reading the last count; sending it meets a closed pipe
+    _, slots = _held_child(monkeypatch)
+    send_count, sent = simulate_module._send_count, []
+
+    def after_the_child_exits(wfd, count):
+        if count < 0:
+            poller = select.poll()
+            poller.register(wfd, select.POLLOUT)
+            deadline = time.monotonic() + 10.0
+            while (not poller.poll(10)[0][1] & select.POLLERR
+                   and time.monotonic() < deadline):
+                pass
+        sent.append(send_count(wfd, count))
+        return sent[-1]
+
+    monkeypatch.setattr(simulate_module, "_send_count", after_the_child_exits)
+    params, design, cfg = _streamed_run("rotpen", "lqr", 6 * _B + 1)
+    path = tmp_path / "trace.csv"
+    trace = simulate(params, design, cfg, path)
+    assert sent[-1] == math.inf and slots[-1][0] == 3 * _B
+    _assert_written_alone(tmp_path, trace, path)
+
+
+def _assert_reaped_and_removed(path):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not path.exists()
+
+
+def test_an_exception_in_the_parents_share_reaps_the_writer(tmp_path, monkeypatch):
+    parent_blocks, _ = _held_child(monkeypatch)
+    write_blocks = simulate_module._write_blocks
+
+    def parent_fails(*args):
+        write_blocks(*args)
+        if parent_blocks:
+            raise RuntimeError("formatting failed")
+
+    monkeypatch.setattr(simulate_module, "_write_blocks", parent_fails)
+    params, design, cfg = _streamed_run("nxtway", "lqr", 3 * _B + 1)
+    path = tmp_path / "trace.csv"
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        simulate(params, design, cfg, path)
+    assert parent_blocks == [2 * _B]
+    _assert_reaped_and_removed(path)
+
+
+def test_a_failed_append_reaps_the_writer_and_removes_the_file(tmp_path, monkeypatch):
+    parent_blocks, _ = _held_child(monkeypatch)
+
+    def disk_full(file, mode="r", *args, **kwargs):
+        if mode == "ab":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(file))
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(simulate_module, "open", disk_full, raising=False)
+    params, design, cfg = _streamed_run("rotpen", "smc", 3 * _B + 1)
+    path = tmp_path / "trace.csv"
+    with pytest.raises(OSError, match="No space left on device"):
+        simulate(params, design, cfg, path)
+    assert parent_blocks == [2 * _B, 3 * _B]
+    _assert_reaped_and_removed(path)
+
+
+def test_a_child_that_fails_after_the_split_raises_the_writer_error(tmp_path, monkeypatch):
+    # the child fails on its first block once the limit is set; its copy of
+    # this test must never run the lines below
+    pid = os.getpid()
+
+    def child_fails(slot, start):
+        raise OSError("refused in the child")
+
+    parent_blocks, _ = _held_child(monkeypatch, child_fails)
+    params, design, cfg = _streamed_run("nxtway", "smc", 3 * _B + 1)
+    path = tmp_path / "trace.csv"
+    with pytest.raises(OSError, match=r"the trace writer's child failed \(wait status 256\)"):
+        simulate(params, design, cfg, path)
+    with open(tmp_path / "after.txt", "a") as fh:
+        fh.write(f"{os.getpid()}\n")
+    assert parent_blocks == [2 * _B, 3 * _B]
+    assert (tmp_path / "after.txt").read_text() == f"{pid}\n"
+    _assert_reaped_and_removed(path)
 
 
 def _table_floats(trace):
