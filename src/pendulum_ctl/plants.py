@@ -20,17 +20,22 @@ Each platform's M, C and G entries and the solve for its accelerations are
 written once, as text (_DYNAMICS), and so is one RK4 step over that text
 (_RK4_STEP). Two kernels are generated from them: scalar_rhs, the
 accelerations that linearize.jacobian_linearize differentiates, and the RK4
-period_stepper that simulate integrates. Each is compiled once per process
-and platform, on first use; its source is registered with linecache, so
-tracebacks show the generated lines.
+period_stepper. Each is compiled once per process and platform, on first
+use; its source is registered with linecache, so tracebacks show the
+generated lines.
 
-The same expanded step is also translated to C, line by line and
-unchecked, inside a C frame that holds no stage or step arithmetic. Where
-cc and ctypes are at hand, period_stepper runs that machine code, built
-once and kept in a per-user cache. The compiler and the probe are its gate:
-it is used only once it has reproduced the Python kernel bit for bit on
-fixed probe states. Any non-finite result is recomputed by the Python
-kernel, so the results, and the exceptions, are the Python kernel's.
+simulate's tick loop is written once as well, as text (_TICK): the
+measurement, the control laws, the clamp, the row store, the divergence and
+rest tests and the copy of a row at rest. tick_loop expands it into a
+Python loop that steps each period with period_stepper, and, where cc and
+ctypes are at hand, into a C run function that runs a whole run, or one
+writer block of it, in one call. That C translation, line by line and
+unchecked, sits beside the translated RK4 step in one object per platform,
+built once and kept in a per-user cache. The compiler and the probe are its
+gate: it is used only once it has reproduced the Python loop bit for bit on
+fixed probe runs. A tick whose period leaves the floats is redone by the
+Python loop, so the rows, the flags and the exceptions are the Python
+loop's.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ import struct
 import subprocess
 import sysconfig
 import tempfile
+import time
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -61,6 +67,7 @@ __all__ = [
     "params_from_mapping",
     "scalar_rhs",
     "period_stepper",
+    "tick_loop",
     "mechanical_energy",
 ]
 
@@ -316,9 +323,124 @@ x2 = x2 + w * (x4 + 2.0 * b2 + 2.0 * c2 + d2)
 x3 = x3 + w * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
 x4 = x4 + w * (a4 + 2.0 * b4 + 2.0 * c4 + d4)"""
 
+# The names one run of the tick loop reads: the run's settings, fixed for the
+# run (flags are 1.0 or 0.0); the state it carries from tick to tick (the
+# plant state, the integral, for q1 and q2 the derivative filter's previous
+# sample, previous backward difference and estimate, and the periods
+# computed); and the table rows after t, in the trace CSV's column order
+# (extra is s or the integral, present when the design records one).
+_SETTINGS = ("Ts", "lim", "r1", "r2", "r3", "r4", "k1", "k2", "k3", "k4", "l1", "l2", "l3",
+             "l4", "kk", "eps", "kint", "sat", "fa", "fg", "smc", "filtered", "integral")
+_CARRY = ("x1", "x2", "x3", "x4", "integ", "p1", "w1", "z1", "p2", "w2", "z2", "periods")
+_COLUMNS = ("q1", "q2", "q1dot", "q2dot", "u_cmd", "u_applied", "dist", "extra")
+
+# One controller tick of simulate's loop, written once for the Python and
+# the C run kernel: the divergence test, the measurement (ideal, or the
+# filtered derivative of q1 and q2), the LQR law with its optional integral
+# or the SMC law with its boundary layer, the clamp, the row store, one
+# period of the plant ({period}: y1..y4 from x1..x4 and ua + d), and the rest
+# test. A tick that leaves the carried state unchanged bit for bit would
+# repeat itself until the disturbance changes, so its row is stored again up
+# to the next change row in chg instead. The text is the Python subset that
+# _c_statements translates: assignments, if/elif/else, while and break.
+_TICK = """\
+if not (abs(x1) <= lim and abs(x2) <= lim and abs(x3) <= lim and abs(x4) <= lim):
+    diverged = 1.0
+    break
+e1 = x1 - r1
+e2 = x2 - r2
+if filtered:
+    dn1 = (x1 - p1) / Ts
+    dn2 = (x2 - p2) / Ts
+    zn1 = fa * z1 + fg * (dn1 + w1)
+    zn2 = fa * z2 + fg * (dn2 + w2)
+    e3 = zn1 - r3
+    e4 = zn2 - r4
+else:
+    e3 = x3 - r3
+    e4 = x4 - r4
+if smc:
+    sv = l1 * e1 + l2 * e2 + l3 * e3 + l4 * e4
+    if -eps < sv and sv < eps:
+        sg = sv / eps
+    elif sv > 0.0:
+        sg = 1.0
+    elif sv < 0.0:
+        sg = -1.0
+    else:
+        sg = 0.0
+    u = -(k1 * e1 + k2 * e2 + k3 * e3 + k4 * e4) - kk * sg
+else:
+    u = -(k1 * e1 + k2 * e2 + k3 * e3 + k4 * e4) - kint * integ
+if u < -sat:
+    ua = -sat
+elif u > sat:
+    ua = sat
+else:
+    ua = u
+d = dist[k]
+{store}
+if k == rows:
+    break
+{period}
+periods = periods + 1.0
+jn = integ
+if integral:
+    jn = integ + e1 * Ts
+rest = {same y1 x1} and {same y2 x2} and {same y3 x3} and {same y4 x4} and {same jn integ}
+if rest and filtered:
+    rest = {same x1 p1} and {same dn1 w1} and {same zn1 z1}
+    rest = rest and {same x2 p2} and {same dn2 w2} and {same zn2 z2}
+if rest:
+    while chg[ci] < k:
+        ci = ci + 1
+    j = chg[ci]
+    while k < j:
+        {store}
+if filtered:
+    p1 = x1
+    w1 = dn1
+    z1 = zn1
+    p2 = x2
+    w2 = dn2
+    z2 = zn2
+x1 = y1
+x2 = y2
+x3 = y3
+x4 = y4
+integ = jn"""
+
+# The row store: row k of every column but t and dist (the caller fills
+# those), then the next row.
+_STORE = """\
+q1[k] = x1
+q2[k] = x2
+q1dot[k] = x3
+q2dot[k] = x4
+u_cmd[k] = u
+u_applied[k] = ua
+if smc:
+    extra[k] = sv
+elif integral:
+    extra[k] = integ
+k = k + 1"""
+
+# Whether {a} and {b} are one float bit for bit: zero signs count, NaN never
+# matches (a byte compare would match equal NaNs).
+_SAME = "({a} == {b} and ({a} != 0.0 or copysign(1.0, {a}) == copysign(1.0, {b})))"
+
+# The period in the Python run kernel: advance is the Python period stepper.
+_PY_PERIOD = """\
+try:
+    y1, y2, y3, y4 = advance(x1, x2, x3, x4, ua + d)
+except ValueError:  # sin of an infinity: the period left the floats
+    diverged = 1.0
+    break"""
+
 # Kernel templates: {constants} is the constant names, {per_call} the
-# per-call statement, {stage q2 q1d q2d q1dd q2dd} one copy of the stage and
-# {step} the expanded _RK4_STEP.
+# per-call statement, {stage q2 q1d q2d q1dd q2dd} one copy of the stage,
+# {step} the expanded _RK4_STEP, {settings}, {carry} and {columns} the names
+# above and {tick} the expanded _TICK.
 _KERNELS = {
     "rhs": """\
 def make({constants}):
@@ -328,12 +450,9 @@ def make({constants}):
         return q1dd, q2dd
     return rhs
 """,
-    # steps RK4 steps of dt. With native, (the compiled _C_ADVANCE, its
-    # constants array, a 5-double array type), make returns native_advance,
-    # which runs the same steps in C and answers a non-finite result, or an
-    # exception, with the Python advance.
+    # steps RK4 steps of dt
     "advance": """\
-def make({constants}, dt, steps, native):
+def make({constants}, dt, steps):
     h = 0.5 * dt
     w = dt / 6.0
 
@@ -342,32 +461,60 @@ def make({constants}, dt, steps, native):
         for _ in range(steps):
             {step}
         return x1, x2, x3, x4
-    if native is None:
-        return advance
-    call, k, state = native
-
-    def native_advance(x1, x2, x3, x4, v):
-        x = state()  # filled by slice: faster than state(x1, ...)
-        x[:] = x1, x2, x3, x4, v
-        if call(k, x, steps):
-            return x[0], x[1], x[2], x[3]
-        return advance(x1, x2, x3, x4, v)
-    return native_advance
+    return advance
+""",
+    # the tick loop over rows k to stop, each period stepped by advance;
+    # columns are writable views of the table rows, chg a list of ints
+    "run": """\
+def make(advance):
+    def run(settings, columns, chg, rows, k, stop, carry):
+        {settings} = settings
+        {columns} = columns
+        {carry} = carry
+        diverged = 0.0
+        ci = 0
+        while k < stop:
+            {tick}
+        return k, ({carry}), diverged != 0.0
+    return run
 """,
 }
 
-# The advance kernel in C, a frame around the translated _RK4_STEP. On the
-# texts' names, float literals, + - * / and sin and cos calls, C evaluates
-# as Python does, left to right, in doubles; a line where the two differ
-# fails the build or the probe. Step temporaries, declared in the loop body,
-# are assigned before they are read. k holds the constants in _DYNAMICS
-# order, then dt; x holds the state and v on entry, the state on return.
-# The result says whether that state is finite: where Python raises (sin of
-# an infinity, a division by zero) C goes on in infinities and NaNs.
-_C_ADVANCE = """\
-#include <math.h>
+# The period in the C run kernel. A period whose state is not finite (where
+# Python may raise: sin of an infinity, a division by zero) ends the call at
+# the row just stored, with the carried state of that row, for the Python
+# kernel to redo.
+_C_PERIOD = """\
+xs[0] = x1;
+xs[1] = x2;
+xs[2] = x3;
+xs[3] = x4;
+xs[4] = ua + d;
+if (!advance(kc, xs, steps)) {
+    k = k - 1;
+    redo = 1.0;
+    break;
+}
+y1 = xs[0];
+y2 = xs[1];
+y3 = xs[2];
+y4 = xs[3];"""
 
-int advance(const double *k, double *x, int steps)
+# The C kernels, frames around the translated _RK4_STEP and _TICK. On the
+# texts' names, float literals, + - * /, comparisons and the sin, cos, fabs
+# and copysign calls, C evaluates as Python does, left to right, in doubles;
+# a line where the two differ fails the build or the probe. Temporaries are
+# declared at the top of their block and assigned before they are read.
+# advance: k holds the constants in _DYNAMICS order, then dt; x holds the
+# state and v on entry, the state on return; the result says whether that
+# state is finite. run: as the Python run kernel, over the table tab of rows
+# columns (t first), with carry holding _CARRY on entry and _CARRY, diverged
+# and redo on return; the result is the row reached.
+_C_SOURCE = """\
+#include <math.h>
+#include <stdint.h>
+
+static int advance(const double *k, double *x, int steps)
 {
     {constants}
     const double h = 0.5 * dt;
@@ -384,22 +531,51 @@ int advance(const double *k, double *x, int steps)
     x[3] = x4;
     return isfinite(x1) && isfinite(x2) && isfinite(x3) && isfinite(x4);
 }
+
+int64_t run(const double *kc, int steps, const double *cfg, double *tab, int64_t rows,
+            const int64_t *chg, int64_t k, int64_t stop, double *carry)
+{
+    {settings}
+    {columns}
+    {carry}
+    double diverged = 0.0, redo = 0.0, y1, y2, y3, y4, xs[5];
+    int64_t ci = 0, j;
+    while (k < stop) {
+        {tick}
+    }
+    {results}
+    return k;
+}
 """
 
 
+# the names a slot's args take, by slot
+_SLOT_ARGS = {"stage": ("q2", "q1d", "q2d", "q1dd", "q2dd"), "same": ("a", "b")}
+
+
 def _expand(template: str, slots: dict) -> str:
-    """template with each {slot args} replaced by its slot text, indented in place."""
+    """template with each {slot args} replaced by its slot text, indented in place.
+
+    A slot with args is formatted with them, by the names in _SLOT_ARGS.
+    """
     def expand(m):
-        indent, text = m[1], slots[m[2]].format(
-            **dict(zip(("q2", "q1d", "q2d", "q1dd", "q2dd"), m[3].split())))
+        indent, text, args = m[1], slots[m[2]], m[3].split()
+        if args:
+            text = text.format(**dict(zip(_SLOT_ARGS[m[2]], args)))
         return "\n".join(indent + line for line in text.splitlines())
 
     return re.sub(r"( *)\{(\w+)([\w ]*)\}", expand, template)
 
 
+
 def _rk4_step(stage: str) -> str:
     """_RK4_STEP with its four copies of a platform's stage text."""
     return _expand(_RK4_STEP, {"stage": stage})
+
+
+def _tick(period: str) -> str:
+    """_TICK with its row stores, its bit comparisons and the given period text."""
+    return _expand(_TICK, {"store": _STORE, "same": _SAME, "period": period})
 
 
 @functools.cache
@@ -410,45 +586,80 @@ def _kernel_factory(platform: str, kind: str):
     tracebacks and inspect.getsource show the generated lines.
     """
     constants, per_call, stage = _DYNAMICS[platform]
-    names = ", ".join(constants(default_params(platform)))
-    source = _expand(_KERNELS[kind], {"constants": names, "per_call": per_call, "stage": stage,
-                                      "step": _rk4_step(stage)})
+    source = _expand(_KERNELS[kind], {
+        "constants": ", ".join(constants(default_params(platform))), "per_call": per_call,
+        "stage": stage, "step": _rk4_step(stage), "settings": ", ".join(_SETTINGS),
+        "carry": ", ".join(_CARRY), "columns": ", ".join(_COLUMNS), "tick": _tick(_PY_PERIOD)})
     filename = f"<pendulum_ctl.plants: {platform} {kind}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {"__name__": __name__, "sin": math.sin, "cos": math.cos}
+    namespace = {"__name__": __name__, "sin": math.sin, "cos": math.cos,
+                 "copysign": math.copysign}
     exec(compile(source, filename, "exec"), namespace)
     return namespace["make"]
 
 
-def _c_statements(text: str, declared: tuple) -> str:
-    """The `name = expr` lines of an expanded kernel text as C statements.
+_C_WORDS = {"and": "&&", "or": "||", "not": "!", "abs": "fabs"}
 
-    A line becomes `double name = expr;` at the first assignment of a name
-    not in declared, else `name = expr;`, its # comment stripped; blank
-    lines are skipped. Nothing else is checked here: a line C cannot
-    compile fails the build, and one C runs otherwise than Python (an
-    integer division, say) fails the probe, so either way the Python
-    kernel runs.
+
+def _c_statements(text: str, declared: tuple) -> str:
+    """An expanded kernel text as C statements.
+
+    Each `name = expr` line becomes `name = expr;`, and each name it assigns
+    that is not in declared is declared a double once, at the top; `if`,
+    `elif`, `else` and `while` lines open blocks that their indentation
+    closes; `and`, `or`, `not` and `abs` become `&&`, `||`, `!` and `fabs`.
+    A `break` line gets its semicolon, a {slot} line stays as it is, # comments
+    are stripped and blank lines skipped. Nothing else is checked here: a
+    line C cannot compile fails the build, and one C runs otherwise than
+    Python (an integer division, say) fails the probe, so either way the
+    Python kernel runs.
     """
-    out, declared = [], set(declared)
+    def c(expr):
+        return re.sub(r"\b(and|or|not|abs)\b", lambda m: _C_WORDS[m[1]], expr)
+
+    body, names, blocks = [], [], []
     for line in text.splitlines():
-        code = line.split("#", 1)[0].strip()
-        if not code:
+        code = line.split("#", 1)[0].rstrip()
+        stripped = code.lstrip()
+        if not stripped:
             continue
-        target, _, expr = (part.strip() for part in code.partition("="))
-        out.append(f"{target} = {expr};" if target in declared else f"double {target} = {expr};")
-        declared.add(target)
-    return "\n".join(out)
+        pad = code[:len(code) - len(stripped)]
+        while blocks and len(pad) <= len(blocks[-1]):
+            body.append(blocks.pop() + "}")
+        if stripped.endswith(":"):
+            word, _, cond = stripped[:-1].partition(" ")
+            body.append(pad + ("else {" if word == "else" else
+                               f"{'else if' if word == 'elif' else word} ({c(cond)}) {{"))
+            blocks.append(pad)
+        elif stripped == "break" or stripped.startswith("{"):
+            body.append(pad + stripped + (";" if stripped == "break" else ""))
+        else:
+            target, _, expr = (part.strip() for part in stripped.partition("="))
+            if target.isidentifier() and target not in declared and target not in names:
+                names.append(target)
+            body.append(f"{pad}{target} = {c(expr)};")
+    body += [pad + "}" for pad in reversed(blocks)]
+    return "\n".join(([f"double {', '.join(names)};"] if names else []) + body)
 
 
 def _c_source(platform: str) -> str:
-    """_C_ADVANCE expanded with one platform's constants, per-call line and RK4 step, unchecked."""
+    """_C_SOURCE expanded with one platform's constants, per-call line, RK4 step and tick, unchecked."""
     constants, per_call, stage = _DYNAMICS[platform]
     names = [*constants(default_params(platform)), "dt"]
-    return _expand(_C_ADVANCE, {
+    frame = ("k", "rows", "j", "ci", "diverged", "y1", "y2", "y3", "y4")
+    tick = _c_statements(_tick("{period}"), frame + _SETTINGS + _CARRY + _COLUMNS)
+    return _expand(_C_SOURCE, {
         "constants": "\n".join(f"const double {name} = k[{i}];" for i, name in enumerate(names)),
         "per_call": _c_statements(per_call, ()),
-        "step": _c_statements(_rk4_step(stage), ("x1", "x2", "x3", "x4"))})
+        "step": _c_statements(_rk4_step(stage), ("x1", "x2", "x3", "x4")),
+        "settings": "\n".join(f"const double {name} = cfg[{i}];"
+                              for i, name in enumerate(_SETTINGS)),
+        "columns": "\n".join(f"double *{name} = tab + {i} * rows;"
+                             for i, name in enumerate(_COLUMNS, 1)),
+        "carry": "\n".join(f"double {name} = carry[{i}];" for i, name in enumerate(_CARRY)),
+        "results": "\n".join(f"carry[{i}] = {name};"
+                             for i, name in enumerate(_CARRY + ("diverged", "redo"))),
+        "tick": _expand(tick, {"period": _C_PERIOD})})
 
 
 # The compile command. -O2 alone does not reorder floating-point
@@ -460,17 +671,29 @@ def _c_source(platform: str) -> str:
 # the whole process when the object is loaded.
 _CC = ("cc", "-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-builtin")
 
-# (q1, q2, q1dot, q2dot, v) on which a native stepper must match the Python
-# kernel: signed zeros, subnormals, |q2| = 1e3 (the slow path of sin and
-# cos) and v = +-0.0
+# (q1, q2, q1dot, q2dot) from which the probe runs start: exact rest, signed
+# zeros, subnormals, |q2| = 1e3 (the slow path of sin and cos, and the
+# divergence limit) and a state that saturates the probe's laws
 _PROBES = (
-    (0.0, 0.0, 0.0, 0.0, 0.0),
-    (-0.0, -0.0, -0.0, -0.0, -0.0),
-    (0.0, -0.0, 5e-324, -1e-310, 0.0),
-    (0.25, 1e3, -1.5, 2.0, -0.0),
-    (-0.25, -1e3, 1.5, -2.0, 0.0),
-    (0.5, 0.2, -0.7, 1.3, 4.5),
+    (0.0, 0.0, 0.0, 0.0),
+    (-0.0, -0.0, -0.0, -0.0),
+    (0.0, -0.0, 5e-324, -1e-310),
+    (0.25, 1e3, -1.5, 2.0),
+    (-0.25, -1e3, 1.5, -2.0),
+    (0.5, 0.2, -0.7, 1.3),
 )
+
+# The probe runs' settings, and their laws: (smc, integral, filtered,
+# boundary layer) for LQR with and without Ki and SMC with and without a
+# boundary layer, each under both measurements. Each run has 16 rows and a
+# 2 V pulse from row 8, and stops once at row 5, so the runs from rest copy
+# rows across a stop and a pulse edge.
+_PROBE_SETTINGS = dict(Ts=0.002, lim=1e3, r1=0.0, r2=0.0, r3=0.0, r4=0.0, k1=-2.0, k2=40.0,
+                       k3=-3.0, k4=5.0, l1=1.0, l2=10.0, l3=0.5, l4=1.0, kk=2.0, kint=1.5,
+                       sat=3.0, fa=0.6, fg=0.2)
+_PROBE_LAWS = ((0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 1.0, 0.0, 0.0),
+               (0.0, 1.0, 1.0, 0.0), (1.0, 0.0, 0.0, 0.0), (1.0, 0.0, 1.0, 0.0),
+               (1.0, 0.0, 0.0, 0.5), (1.0, 0.0, 1.0, 0.5))
 
 
 def _cache_dir():
@@ -513,51 +736,172 @@ def _build(source: str, path: str) -> None:
         os.replace(so_file, path)
 
 
+# An object of another key is deleted once no process has loaded it for this
+# long. Two checkouts with different C sources that share a cache (a paired
+# benchmark's parent and change, say) each keep their object, and neither
+# rebuilds on every alternating run.
+_UNUSED_SECONDS = 30 * 24 * 3600
+
+
+def _prune(folder: str, platform: str, keep: str) -> None:
+    """Delete folder's platform objects, other than keep, untouched for _UNUSED_SECONDS."""
+    cutoff = time.time() - _UNUSED_SECONDS
+    with contextlib.suppress(OSError), os.scandir(folder) as entries:
+        for entry in entries:
+            if (entry.name.startswith(f"advance-{platform}-") and entry.name.endswith(".so")
+                    and entry.name != keep and entry.stat(follow_symlinks=False).st_mtime < cutoff):
+                os.remove(entry.path)
+
+
 @functools.cache
 def _native_library(platform: str):
-    """(advance, c_double) of the platform's C stepper, or None to use the Python one.
+    """The platform's C run kernel, or None to use the Python one.
 
     Once per process and platform, on first use: loaded from the cache
     directory, where it is keyed by a sha256 of the C source, the compile
     command and the platform tag, or compiled there first, or, without a
     safe cache directory, compiled and loaded in a private temporary
-    directory. None without cc, ctypes or a loadable object, or when the
-    stepper differs from the Python kernel on any _PROBES state.
+    directory. A load touches the object's mtime; a build deletes the same
+    platform's objects of other keys that no process has loaded for 30
+    days. None without cc, ctypes or a loadable object, or when a probe run
+    of the C kernel differs from the Python kernel's.
     """
     try:
-        import ctypes
-
         source = _c_source(platform)
         name = f"advance-{platform}-{_cache_key(source)}.so"
         cache = _cache_dir()
         with (contextlib.nullcontext(cache) if cache else tempfile.TemporaryDirectory()) as folder:
             path = os.path.join(folder, name)
-            if not os.path.isfile(path):
+            if os.path.isfile(path):
+                with contextlib.suppress(OSError):
+                    os.utime(path)
+            else:
                 _build(source, path)
-            advance = ctypes.PyDLL(path).advance
-    except (ImportError, OSError, subprocess.SubprocessError):
+                _prune(folder, platform, name)
+            run = _load(path)
+    except (ImportError, OSError, AttributeError, subprocess.SubprocessError):
         return None
-    # PyDLL keeps the GIL through a call, which is shorter than releasing
-    # it. No argtypes: the calls pass two ctypes double arrays and a Python
-    # int, all made in this module, which ctypes converts natively; declared
-    # argtypes convert each through from_param, +0.6 us on a 1.3 us call.
-    advance.restype = ctypes.c_int
-    native = advance, ctypes.c_double
-    params = default_params(platform)
-    python, compiled = (_stepper(params, 0.0005, 4, n) for n in (None, native))
-    if any(struct.pack("4d", *compiled(*x)) != struct.pack("4d", *python(*x)) for x in _PROBES):
-        return None
-    return native
+    return None if _probe_mismatch(platform, run) is not None else run
 
 
-def _stepper(params: PlantParams, dt: float, steps: int, native):
-    """The advance kernel for params, in C when native is (advance, c_double)."""
-    constants = _DYNAMICS[params.platform][0](params)
-    if native is not None:
-        call, double = native
-        native = (call, (double * (len(constants) + 1))(*constants.values(), dt), double * 5)
-    return _kernel_factory(params.platform, "advance")(**constants, dt=dt, steps=steps,
-                                                       native=native)
+def _load(path: str):
+    """The run function of the shared object at path, its argument types declared.
+
+    PyDLL keeps the GIL through a call. The pointers are numpy buffers that
+    _runner checks and keeps alive.
+    """
+    import ctypes
+
+    run = ctypes.PyDLL(path).run
+    run.restype = ctypes.c_int64
+    run.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p,
+                    ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+                    ctypes.c_void_p)
+    return run
+
+
+def _probe_outcomes(platform: str, native) -> list:
+    """Each probe run's (table bytes, row reached, carried state bits, divergence flag).
+
+    The runs are the Python loop's with native None, else the C run kernel
+    native's; a run that raises gives (table bytes, the exception's repr).
+    """
+    params, outcomes = default_params(platform), []
+    for i, (smc, integral, filtered, eps) in enumerate(_PROBE_LAWS):
+        table = np.zeros((8 + int(smc or integral), 16))
+        table[7, 8:] = 2.0
+        settings = dict(_PROBE_SETTINGS, smc=smc, integral=integral, filtered=filtered, eps=eps)
+        run, carry = _runner(params, 0.0005, 4, table, (8, 16), settings,
+                             _PROBES[i % len(_PROBES)], native)
+        try:
+            k, carry, diverged = run(0, 5, carry)
+            if not diverged:
+                k, carry, diverged = run(k, 16, carry)
+            outcomes.append((table.tobytes(), k, struct.pack("12d", *carry), diverged))
+        except (ValueError, ZeroDivisionError) as error:
+            outcomes.append((table.tobytes(), repr(error)))
+    return outcomes
+
+
+def _probe_mismatch(platform: str, native):
+    """The first probe run on which the C run kernel native differs from the Python loop, or None."""
+    for i, (want, got) in enumerate(zip(*(_probe_outcomes(platform, n) for n in (None, native)))):
+        if got != want:
+            return (f"probe run {i} (smc, integral, filtered, eps = {_PROBE_LAWS[i]}, "
+                    f"from {_PROBES[i % len(_PROBES)]})")
+    return None
+
+
+def _runner(params: PlantParams, dt: float, steps: int, table, changes, settings: Mapping,
+            x0, native):
+    """(run, carry) of tick_loop, in C when native is the loaded run kernel."""
+    rows = table.shape[1]
+    smc, integral = bool(settings["smc"]), bool(settings["integral"])
+    if not (table.dtype == np.float64 and table.flags.c_contiguous and table.ndim == 2
+            and table.shape[0] == 8 + (smc or integral) and rows > 0):
+        raise ValueError("table must be a C-contiguous float64 array of 8 rows, "
+                         "or 9 with s or the integral")
+    changes = [int(c) for c in changes]
+    if not (changes and changes[-1] == rows and changes == sorted(changes)):
+        raise ValueError("changes must be sorted rows that end with the row count")
+    values = [float(settings[name]) for name in _SETTINGS]
+    columns = [memoryview(row) for row in table[1:]] + [None] * (9 - table.shape[0])
+    python = _kernel_factory(params.platform, "run")(period_stepper(params, dt, steps))
+    x1, x2, x3, x4 = map(float, x0)
+    carry = (x1, x2, x3, x4, 0.0, x1, 0.0, 0.0, x2, 0.0, 0.0, 0.0)
+
+    def python_run(k, stop, carry):
+        if not 0 <= k <= stop <= rows:
+            raise ValueError(f"rows {k} to {stop} lie outside the table's {rows}")
+        return python(values, columns, changes, rows, k, stop, carry)
+
+    if native is None:
+        return python_run, carry
+    constants = np.array([*_DYNAMICS[params.platform][0](params).values(), dt])
+    cfg, chg = np.array(values), np.array(changes, dtype=np.int64)
+    state = np.empty(len(_CARRY) + 2)
+
+    def native_run(k, stop, carry):
+        if not 0 <= k <= stop <= rows:
+            raise ValueError(f"rows {k} to {stop} lie outside the table's {rows}")
+        state[:len(_CARRY)] = carry
+        k = native(constants.ctypes.data, steps, cfg.ctypes.data, table.ctypes.data, rows,
+                   chg.ctypes.data, k, stop, state.ctypes.data)
+        *carry, diverged, redo = state.tolist()
+        if redo:  # a period left the floats: the Python kernel redoes its tick
+            return python_run(k, stop, tuple(carry))
+        return k, tuple(carry), diverged != 0.0
+
+    return native_run, carry
+
+
+def tick_loop(params: PlantParams, dt: float, steps: int, table, changes, settings: Mapping,
+              x0):
+    """(run, carry): simulate's tick loop over table, and its carried state at x0.
+
+    table is the run's C-contiguous float64 table of 8 or 9 rows: t, q1,
+    q2, q1dot, q2dot, u_cmd, u_applied, dist and, when the design records
+    s or the integral, that; the caller fills t and dist. changes are the
+    rows whose disturbance differs from the row before, then the row count.
+    settings maps each name in _SETTINGS to a number. carry starts at x0,
+    with a zero integral and the filter seeded with the first sample.
+
+    run(k, stop, carry) fills rows k onward, each tick one period of steps
+    RK4 steps of dt, and returns (the row reached, the carried state,
+    whether the run diverged) when a tick would start at or past stop, or
+    the run diverges or ends. A copy at rest may take it past stop.
+
+    The loop is generated from _TICK. Where cc and ctypes are at hand it
+    runs as C, built once, kept in a per-user cache, and used only once it
+    has reproduced the Python loop bit for bit on fixed probe runs. A tick
+    whose period leaves the floats is redone by the Python loop, so the
+    rows, the flag and the exceptions are the Python loop's: the sine of an
+    infinity ends the run as diverged, and a zero determinant raises
+    ZeroDivisionError. Without cc, or when building, loading or probing
+    fails, the Python loop runs: the same results, several times slower.
+    """
+    return _runner(params, dt, steps, table, changes, settings, x0,
+                   _native_library(params.platform))
 
 
 def scalar_rhs(params: PlantParams):
@@ -590,20 +934,12 @@ def period_stepper(params: PlantParams, dt: float, steps: int):
 
     The classic four-stage step over scalar_rhs with the accelerations body
     inlined into every stage, so one controller period costs one call. The
-    results are bit for bit those of stepping scalar_rhs.
-
-    The closure runs in C where it can: the same stage text translated, the
-    same operations in the same order, compiled once with the system cc
-    and kept under $XDG_CACHE_HOME/pendulum_ctl (else ~/.cache/pendulum_ctl).
-    That stepper is returned only after it has matched the Python kernel
-    bit for bit on fixed probe states; it converts its arguments as
-    c_double does (a None raises TypeError), and a result with an infinity
-    or a NaN is recomputed by the Python kernel, which returns it or raises
-    (ValueError for sin of an infinity, ZeroDivisionError). Without cc, or
-    when building, loading or probing fails, the Python kernel is returned:
-    the same results, about eight times slower per call.
+    results are bit for bit those of stepping scalar_rhs; a state the sine
+    cannot take raises ValueError, a zero determinant ZeroDivisionError.
+    The Python tick loop steps its periods with it.
     """
-    return _stepper(params, dt, steps, _native_library(params.platform))
+    constants = _DYNAMICS[params.platform][0](params)
+    return _kernel_factory(params.platform, "advance")(**constants, dt=dt, steps=steps)
 
 
 def mechanical_energy(params: PlantParams, state) -> float:

@@ -3,8 +3,7 @@
 The nonlinear plant is integrated with classic fourth-order Runge-Kutta at
 a fine step plant_dt (check_plant_step refuses one at which RK4 amplifies a
 decaying plant mode) while the controller runs at controller_Ts under a
-zero-order hold. One call of plants.period_stepper advances the plant by a
-whole controller period. The command is saturated to the supply voltage; the
+zero-order hold. The command is saturated to the supply voltage; the
 disturbance is a square pulse train added to the applied voltage after
 saturation and deliberately not re-clamped, since it models an external
 torque-equivalent injection rather than part of the commanded signal.
@@ -16,8 +15,10 @@ minus the reference. Measurements are ideal by default. The
 filtered-derivative mode feeds the controller velocity estimates built from
 backward differences (none before the first sample, so the first estimate
 is zero) smoothed by a bilinear-mapped first-order low-pass, emulating
-encoder-only sensing. The tick loop computes the laws and the filter itself
-and stores each tick in one table; the open-loop disturbance is precomputed.
+encoder-only sensing. The laws, the filter and the tick loop that stores
+each tick in one table are plants.tick_loop, written once for a Python and a
+C loop; simulate checks the run, precomputes the open-loop disturbance,
+and calls the loop once, or once per block of a streamed trace.
 
 A run at exact rest is not recomputed tick by tick. When one tick leaves
 the carried state (plant state, integral, derivative-filter states)
@@ -33,16 +34,17 @@ The run's table holds the CSV's columns in order (t, the four states, both
 command columns, the disturbance, then s or the integral when the design has
 one), in an anonymous shared mapping when the trace spans more than one
 block of _CSV_BLOCK rows. Before the loop the caller writes the header and
-forks one writer child; each time the row count crosses a block boundary the
-loop sends the count through a pipe, and the child formats every complete
-block in order and writes it to the file it inherited. When the loop ends,
-the parent splits the rows the child has not reached: through a 16-byte
-shared slot it reads the block the child is on and sets a block-aligned
-limit about halfway to the end, then sends the last count, marked as the
-end, and formats the back part itself while the child writes the front
-part. Having reaped the child, it reads where the child stopped and appends
-its own blocks from there on; a child that checked the limit before the
-parent set it runs past it, and the parent drops the blocks that child
+forks one writer child; the loop runs one block at a time and sends the row
+count through a pipe after each, and the child formats every complete block
+in order and writes it to the file it inherited. When the loop ends, the
+parent splits the rows the child has not reached: through a 16-byte shared
+slot it reads the block the child is on and sets a block-aligned limit that
+halves the estimated cost of formatting the rest (non-zero cells of every
+64th row), then sends the last count, marked as the end, and formats the
+back part into a temporary file beside the trace while the child writes the
+front part. Having reaped the child, it reads where the child stopped and
+appends its own blocks from there on; a child that checked the limit before
+the parent set it runs past it, and the parent drops the blocks that child
 wrote. The bytes are those of save_trace_csv on the returned trace, byte for
 byte, which formats the same blocks in one process, as simulate itself does
 for a single-block trace or where os.fork does not exist.
@@ -50,17 +52,17 @@ for a single-block trace or where os.fork does not exist.
 
 from __future__ import annotations
 
-import io
 import math
 import mmap
 import os
-from bisect import bisect_left
+import shutil
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linearize import closed_form
-from .plants import PlantParams, period_stepper
+from .plants import PlantParams, tick_loop
 from .synthesis import LqrDesign, SmcDesign
 
 __all__ = [
@@ -254,11 +256,6 @@ class SimTrace:
 # the closed loop
 # ---------------------------------------------------------------------------
 
-def _same_bits(a: float, b: float) -> bool:
-    """Whether a and b are one float bit for bit: zero signs count, NaN never matches."""
-    return a == b and (a != 0.0 or math.copysign(1.0, a) == math.copysign(1.0, b))
-
-
 def check_plant_step(params: PlantParams, plant_dt: float) -> None:
     """Refuse a plant_dt at which RK4 amplifies a decaying mode of the plant.
 
@@ -318,36 +315,34 @@ def simulate(params: PlantParams, design, cfg: SimConfig, trace_path=None) -> Si
         if not math.isclose(design.Ts, Ts, rel_tol=1e-9):
             raise ValueError(f"SMC design sampled at Ts = {design.Ts!r} cannot run "
                              f"at controller_Ts = {Ts!r}")
-        l1, l2, l3, l4 = (float(v) for v in design.L)
-        k1, k2, k3, k4 = (float(v) for v in design.Keq)
-        kk, eps, ki = design.k, cfg.boundary_layer, None
+        gains, surface, ki = design.Keq, design.L, None
     elif isinstance(design, LqrDesign):
         if design.K.shape != (1, _STATE_DIM):
             raise ValueError("expected a single gain row over the four plant states")
-        k1, k2, k3, k4 = (float(g) for g in design.K[0])
-        ki = design.Ki
+        gains, surface, ki = design.K[0], np.zeros(_STATE_DIM), design.Ki
     else:
         raise TypeError(f"unsupported design type {type(design).__name__}")
-    # without Ki the integral stays 0.0, and u - 0.0 * 0.0 is u bit for bit
-    kint = 0.0 if ki is None else ki
     columns = _CSV_COLUMNS + (("s",) if is_smc else ("integ",) if ki is not None else ())
 
-    sat = params.V_max if cfg.saturation_V is None else cfg.saturation_V
-    advance = period_stepper(params, cfg.plant_dt, round(Ts / cfg.plant_dt))
-    n = round(cfg.duration / Ts)
-    r1, r2, r3, r4 = cfg.reference
-
-    use_filter = cfg.measurement == "filtered-derivative"
     om = 2.0 * math.pi * cfg.filter_cutoff
     c = 2.0 / Ts
-    fa, fg = (c - om) / (c + om), om / (c + om)
+    # without Ki the integral stays 0.0, and u - 0.0 * 0.0 is u bit for bit
+    settings = dict(
+        zip(("k1", "k2", "k3", "k4", "l1", "l2", "l3", "l4", "r1", "r2", "r3", "r4"),
+            [*map(float, gains), *map(float, surface), *cfg.reference]),
+        Ts=Ts, lim=_DIVERGENCE_LIMIT, kk=design.k if is_smc else 0.0, eps=cfg.boundary_layer,
+        kint=0.0 if ki is None else ki,
+        sat=params.V_max if cfg.saturation_V is None else cfg.saturation_V,
+        fa=(c - om) / (c + om), fg=om / (c + om), smc=is_smc,
+        filtered=cfg.measurement == "filtered-derivative", integral=ki is not None)
+    n = round(cfg.duration / Ts)
 
     t = np.arange(n + 1, dtype=float)
     t *= Ts  # k * Ts, bit for bit, without a temporary array
     # open loop: one column, viewed as its bits
     d_arr = disturbance_value(cfg.disturbance, t).view(np.int64)
     # the ticks whose disturbance differs bit for bit from the tick before
-    changes = (np.flatnonzero(d_arr[1:] != d_arr[:-1]) + 1).tolist() + [n + 1]
+    changes = np.append(np.flatnonzero(d_arr[1:] != d_arr[:-1]) + 1, n + 1)
     # one contiguous row per CSV column, shared with the writer child if any
     stream = trace_path is not None and n + 1 > _CSV_BLOCK and hasattr(os, "fork")
     width = len(columns)
@@ -355,76 +350,28 @@ def simulate(params: PlantParams, design, cfg: SimConfig, trace_path=None) -> Si
              else np.empty(width * (n + 1))).reshape(width, n + 1)
     table[0], table[7] = t, d_arr.view(float)
     t, d_arr = table[0], table[7]  # rebinding frees the first copies
-
-    x1, x2, x3, x4 = cfg.x0
-    integ = 0.0
-    # filter states (previous sample, previous difference, estimate) of q1
-    # and q2, seeded with the first sample; empty when measurements are ideal
-    f1, f2 = g1, g2 = ((x1, 0.0, 0.0), (x2, 0.0, 0.0)) if use_filter else ((), ())
-    diverged = False
-    lim = _DIVERGENCE_LIMIT
+    run, carry = tick_loop(params, cfg.plant_dt, round(Ts / cfg.plant_dt), table, changes,
+                           settings, cfg.x0)
 
     pid, wfd, shared = _fork_writer(trace_path, columns, table) if stream else (None,) * 3
-    mark = _CSV_BLOCK if stream else n + 2  # the row count next sent to the writer
+    mark = _CSV_BLOCK if stream else n + 1  # the row count next sent to the writer
     k = 0  # next tick; also the number of rows written
     try:
-        while k <= n:
-            if k >= mark:
-                mark = _send_count(wfd, k)
-            if not (abs(x1) <= lim and abs(x2) <= lim
-                    and abs(x3) <= lim and abs(x4) <= lim):
-                diverged = True
+        while True:  # one call, or one per block sent to the writer
+            k, carry, diverged = run(k, min(mark, n + 1), carry)
+            if diverged or k > n:
                 break
-            if use_filter:
-                raw1, raw2 = (x1 - f1[0]) / Ts, (x2 - f2[0]) / Ts
-                g1 = (x1, raw1, fa * f1[2] + fg * (raw1 + f1[1]))
-                g2 = (x2, raw2, fa * f2[2] + fg * (raw2 + f2[1]))
-                e1, e2, e3, e4 = x1 - r1, x2 - r2, g1[2] - r3, g2[2] - r4
-            else:
-                e1, e2, e3, e4 = x1 - r1, x2 - r2, x3 - r3, x4 - r4
-
-            if is_smc:
-                s = l1 * e1 + l2 * e2 + l3 * e3 + l4 * e4
-                sg = s / eps if -eps < s < eps else (1.0 if s > 0.0 else (-1.0 if s < 0.0 else 0.0))
-                u = -(k1 * e1 + k2 * e2 + k3 * e3 + k4 * e4) - kk * sg
-            else:
-                u = -(k1 * e1 + k2 * e2 + k3 * e3 + k4 * e4) - kint * integ
-            ua = -sat if u < -sat else (sat if u > sat else u)
-            d = d_arr.item(k)
-            # one store over the rows after t; d rewrites its own value
-            if width == 8:
-                table[1:, k] = (x1, x2, x3, x4, u, ua, d)
-            else:
-                table[1:, k] = (x1, x2, x3, x4, u, ua, d, s if is_smc else integ)
-            k += 1
-            if k > n:
-                break
-
-            try:
-                y1, y2, y3, y4 = advance(x1, x2, x3, x4, ua + d)
-            except ValueError:  # sin of an infinity: the period left the floats
-                diverged = True
-                break
-            jnteg = integ if ki is None else integ + e1 * Ts
-            if y1 == x1 and all(map(_same_bits, (y1, y2, y3, y4, jnteg, *g1, *g2),
-                                    (x1, x2, x3, x4, integ, *f1, *f2))):
-                # at rest: ticks repeat tick k - 1 until the disturbance changes
-                j = changes[bisect_left(changes, k)]
-                # copied first: numpy buffers an overlapping source at the
-                # destination's size; the time row is left as it is
-                table[1:, k:j] = table[1:, k - 1:k].copy()
-                k = j
-            x1, x2, x3, x4, integ, f1, f2 = y1, y2, y3, y4, jnteg, g1, g2
+            mark = _send_count(wfd, k)
         if stream:
-            share = _format_share(wfd, shared, table, k)
+            share, starts = _format_share(wfd, shared, table, k, trace_path)
     except BaseException:
         if stream:
             _reap_writer(pid, wfd, trace_path, run_failed=True)
         raise
     if stream:
-        _reap_writer(pid, wfd, trace_path, run_failed=False)
-        if share:
-            _append_share(trace_path, share, int(shared[0]))
+        with share:
+            _reap_writer(pid, wfd, trace_path, run_failed=False)
+            _append_share(trace_path, share, starts, int(shared[0]))
 
     trace = SimTrace(t=t[:k], x=table[1:5, :k].T, u_command=table[5, :k],
                      u_applied=table[6, :k], d=d_arr[:k], s=table[8, :k] if is_smc else None,
@@ -498,28 +445,57 @@ def _fork_writer(path, columns, table):
     return pid, wfd, shared
 
 
-def _format_share(wfd: int, shared, table, k: int) -> list:
+# Estimated cost of formatting one row: the non-zero cells, plus about what
+# a row of zeros costs ("0.0" is cheap; a 17-digit cell is not). Measured on
+# one 2-vCPU machine: 2.2 ms per 1024 rows of zeros, 0.6 ms more per non-zero
+# cell in each row. Every _COST_STRIDE-th row is counted.
+_ZERO_ROW_COST = 4
+_COST_STRIDE = 64
+
+
+def _split_row(table, low: int, k: int) -> int:
+    """The block start m >= low that gives rows low to m at most half the cost of rows low to k.
+
+    The estimate counts the non-zero cells of every _COST_STRIDE-th row,
+    which takes well under a millisecond on a 60,000-row table; m is the
+    last block start at which the rows before it, from low, cost at most
+    half. Without rows past low it is low.
+    """
+    cost = np.count_nonzero(table[:, low:k:_COST_STRIDE], axis=0) + _ZERO_ROW_COST
+    if not cost.size:
+        return low
+    blocks = np.cumsum(np.add.reduceat(cost, np.arange(0, cost.size, _CSV_BLOCK // _COST_STRIDE)))
+    return low + int(np.searchsorted(blocks, blocks[-1] / 2, side="right")) * _CSV_BLOCK
+
+
+def _format_share(wfd: int, shared, table, k: int, path):
     """Split the rows the writer child has not reached; format the back part.
 
     Past the block the child is on, at slot[0], the split m is the block
-    start about halfway to k. The parent sets it as the child's limit, sends
-    the last count and formats rows m to k itself, returning (start row,
-    bytes) per block. When no row lies past the child's block it sets no
-    limit and returns [], and the child writes every row. A child that
-    checked the limit before it was set may run past m; _append_share drops
-    the blocks it wrote.
+    start that halves the estimated cost of the rest (_split_row). The
+    parent sets it as the child's limit, sends the last count and formats
+    rows m to k itself, one block at a time, into a temporary file beside
+    path. It returns that file and the (start row, offset) of each block in
+    it. When no row lies past the child's block it sets no limit and formats
+    nothing, and the child writes every row. A child that checked the limit
+    before it was set may run past m; _append_share drops the blocks it
+    wrote. On an exception the temporary file is closed, which deletes it.
     """
     low = int(shared[0]) + _CSV_BLOCK
-    m = low + max(0, k - low) // (2 * _CSV_BLOCK) * _CSV_BLOCK
+    m = _split_row(table, low, k)
     if m < k:
         shared[1] = m
     _send_count(wfd, -k)  # the last count, marked by its sign
-    share = []
-    for start in range(m, k, _CSV_BLOCK):
-        block = io.BytesIO()
-        _write_blocks(block, table, start, min(start + _CSV_BLOCK, k))
-        share.append((start, block.getvalue()))
-    return share
+    share = tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path)))
+    try:
+        starts = []
+        for start in range(m, k, _CSV_BLOCK):
+            starts.append((start, share.tell()))
+            _write_blocks(share, table, start, min(start + _CSV_BLOCK, k))
+    except BaseException:
+        share.close()
+        raise
+    return share, starts
 
 
 def _send_count(wfd: int, count: int):
@@ -551,14 +527,20 @@ def _reap_writer(pid: int, wfd: int, path, run_failed: bool) -> None:
         raise OSError(f"the trace writer's child failed (wait status {status})")
 
 
-def _append_share(path, share, stop: int) -> None:
+def _append_share(path, share, starts, stop: int) -> None:
     """Append the parent's blocks from the reaped child's stop on.
 
-    A failed append removes the partial trace file before it raises.
+    share is the temporary file of _format_share, starts its (start row,
+    offset) pairs; it is copied from the first block at or past stop, a
+    buffer at a time. A failed append removes the partial trace file before
+    it raises.
     """
+    offsets = [offset for start, offset in starts if start >= stop]
     try:
         with open(path, "ab") as fh:
-            fh.writelines(block for start, block in share if start >= stop)
+            if offsets:
+                share.seek(offsets[0])
+                shutil.copyfileobj(share, fh)
     except BaseException:
         if os.path.isfile(path):
             os.remove(path)

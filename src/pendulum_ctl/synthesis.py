@@ -13,8 +13,10 @@ gain is K = R^-1 B' P and the control law is u = -K x.
 The second family is a discrete-time sliding-mode controller. The sampled
 model is rotated into regular form with a Householder reflection so the
 input enters only the last coordinate, a reduced-order discrete LQR (the
-Arnold-Laub pencil) places the sliding dynamics, and the switching term uses
-the reaching-law gain bound sqrt((Ts*alpha/sqrt(2))^2 + 1).
+Arnold-Laub pencil) places the sliding dynamics, and the switching gain
+defaults to sqrt((Ts*alpha/sqrt(2))^2 + 1). On the sampled model the law
+maps the sliding variable to -k sign(s) in one step, so it chatters in the
+band |s| = k (smc_gain_bound).
 
 The factorizations call LAPACK directly, with the arguments scipy.linalg's
 schur, solve_sylvester, cho_factor/cho_solve and solve_discrete_are pass,
@@ -555,12 +557,20 @@ def regular_form(Ad, Bd) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def smc_gain_bound(Ts: float, alpha: float) -> float:
-    """Largest switching gain honoring the discrete reaching law.
+    """design_smc's default switching gain, sqrt((Ts*alpha/sqrt(2))^2 + 1).
 
-    For sample time Ts and reaching rate alpha the sliding variable obeys
-    delta V <= -Ts*(alpha/sqrt(2))*|s| whenever k <= sqrt((Ts*alpha/sqrt(2))^2 + 1).
-    A Ts or alpha that is not positive and finite, or whose bound
-    overflows, raises ValueError.
+    It bounds nothing that the synthesized law then obeys. On the sampled
+    linear model (Ad, Bd), a design_smc design (L Bd = 1, Keq = L Ad) maps
+    the sliding variable s = L x in one step to
+
+        s+ = L (Ad - Bd Keq) x - (L Bd) k sign(s) = -k sign(s),
+
+    L (Ad - Bd Keq) being zero up to rounding. So from the second sample on
+    |s| = |L Bd| k, the band the law leaves, and the sign of s flips every
+    tick. The reaching decrement delta V = (s+^2 - s^2) / 2 <= -r |s|, with
+    r = Ts*alpha/sqrt(2), holds only while |s| >= r + sqrt(r^2 + k^2), so
+    never inside that band. A Ts or alpha that is not positive and finite,
+    or whose gain overflows, raises ValueError.
     """
     Ts = float(Ts)
     alpha = float(alpha)
@@ -609,7 +619,7 @@ class SmcDesign:
 
     @property
     def k_exceeds_bound(self) -> bool:
-        """Whether k is above the reaching-law bound for Ts and alpha."""
+        """Whether k is above smc_gain_bound for Ts and alpha."""
         return self.k > smc_gain_bound(self.Ts, self.alpha) + 1e-12
 
 
@@ -619,13 +629,14 @@ def design_smc(ss: StateSpace, alpha: float = DEFAULT_SMC_ALPHA,
 
     The model is rotated into regular form, a reduced-order discrete LQR
     (unit weights) places the sliding dynamics, and the surface row L is
-    scaled so L Bd = 1, which makes Keq = L Ad the equivalent control and
-    sends the sliding variable to -k sign(s) in a single step. The sliding
-    dynamics A11 - A12 C, whose eigenvalues are surface_eigs, must lie in
-    |z| < 1 - 1e-9. Multi-motor models are collapsed by summing input
-    columns (symmetric drive). When k is omitted it is set to the
-    reaching-law bound; a user-supplied k larger than the bound is kept,
-    and the design's k_exceeds_bound reads true.
+    scaled so L Bd = 1, which makes Keq = L Ad the equivalent control:
+    s+ = L (Ad - Bd Keq) x - (L Bd) k sign(s) = -k sign(s), so the sliding
+    variable reaches the band |s| = k in a single step and stays there. The
+    sliding dynamics A11 - A12 C, whose eigenvalues are surface_eigs, must
+    lie in |z| < 1 - 1e-9. Multi-motor models are collapsed by summing input
+    columns (symmetric drive). When k is omitted it is set to
+    smc_gain_bound; a user-supplied k larger than that is kept, and the
+    design's k_exceeds_bound reads true.
     """
     if ss.kind != "discrete":
         raise ValueError("design_smc expects a discrete model; discretize first")

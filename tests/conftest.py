@@ -6,8 +6,8 @@ or FAIL regardless of output capturing. Every test must also reap each
 child process it starts, the trace writer's forked child included, and
 close each file descriptor it opens: a leaked write end of the writer's
 count pipe would keep that child waiting forever. The report header names
-the period_stepper kernel each platform runs, so a fallback to the Python
-kernel shows in every log.
+the tick loop each platform runs, C or Python, so a fallback to the Python
+loop shows in every log.
 """
 
 import os
@@ -61,11 +61,11 @@ def no_file_descriptor_left():
 
 
 def pytest_report_header(config):
-    """One line: native, or Python and why, for each platform's period_stepper."""
+    """One line: native, or Python and why, for each platform's tick loop."""
     from pendulum_ctl import plants
 
     why = "no cc on PATH" if shutil.which("cc") is None else "cc present, not native"
-    return "period_stepper: " + ", ".join(
+    return "tick loop: " + ", ".join(
         f"{platform} {'native' if plants._native_library(platform) else f'Python ({why})'}"
         for platform in ("rotpen", "nxtway"))
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from pendulum_ctl import cli
 from pendulum_ctl.linearize import (
+    closed_form,
     discretize_zoh,
     jacobian_linearize,
     nxtway_statespace_closed_form,
@@ -39,6 +40,7 @@ from pendulum_ctl.synthesis import (
     care_residual,
     design_smc,
     lqr_gain,
+    nominal_smc,
     nxtway_integral_lqr,
     reference_lqr_design,
     solve_care,
@@ -224,6 +226,44 @@ def test_criterion_5_smc_reaching_law(acceptance_log):
     assert surface_ok
     assert holds
     assert checked >= 1
+
+
+def test_criterion_5_the_shipped_smc_one_step_map(acceptance_log):
+    # criterion 5 checks the reaching decrement at k = 5e-7, where it holds
+    # for one step; at the shipped gain the law obeys the one-step map that
+    # synthesis produces on the sampled linear model,
+    # s+ = L (Ad - Bd Keq) x - (L Bd) k sign(s), with L Bd = 1 and
+    # L (Ad - Bd Keq) = 0 up to rounding: |s| = |L Bd| k after every step,
+    # its sign flipping, from seeded states on both platforms
+    rng = np.random.default_rng(16)
+    checked, details = 0, []
+    for platform in ("rotpen", "nxtway"):
+        params = default_params(platform)
+        design = nominal_smc(params)
+        assert not design.k_exceeds_bound
+        ss = discretize_zoh(closed_form(params), design.Ts)
+        Bd = ss.B.sum(axis=1)
+        lb = float(design.L @ Bd)
+        drift = design.L @ (ss.A - np.outer(Bd, design.Keq))
+        band = abs(lb) * design.k
+        assert abs(lb - 1.0) < 1e-12
+        assert np.linalg.norm(drift) < 1e-12 * np.linalg.norm(design.L)
+        for _ in range(250):
+            x = rng.normal(size=4) * [0.2, 0.1, 1.0, 1.0]
+            s = float(design.L @ x)
+            for _ in range(20):
+                sign = float(np.sign(s))
+                x_next = ss.A @ x + Bd * (-float(design.Keq @ x) - design.k * sign)
+                s_next = float(design.L @ x_next)
+                scale = 1e-12 * np.linalg.norm(design.L) * (1.0 + np.linalg.norm(x))
+                assert abs(s_next - (float(drift @ x) - lb * design.k * sign)) <= scale
+                assert abs(abs(s_next) - band) <= scale and np.sign(s_next) == -sign
+                x, s = x_next, s_next
+                checked += 1
+        details.append(f"{platform} L.Bd = {lb:.15f}, |L (Ad - Bd Keq)| = "
+                       f"{np.linalg.norm(drift):.1e}, band |s| = {band:.5f}")
+    _verdict(acceptance_log, 5, "smc one-step map at the shipped gain", True,
+             f"held on {checked} checked steps; " + "; ".join(details))
 
 
 def test_criterion_6_lqr_smc_ordering(acceptance_log):

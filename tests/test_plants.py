@@ -580,22 +580,31 @@ def test_energy_decreases_with_friction():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("platform", ["rotpen", "nxtway"])
-def test_both_dynamics_translate_to_c(platform):
+def test_both_dynamics_and_the_tick_translate_to_c(platform):
     _, per_call, stage = plants_module._DYNAMICS[platform]
     step = plants_module._rk4_step(stage)
     lines = [line for line in step.splitlines() if line.strip()]
-    statements = plants_module._c_statements(step, ("x1", "x2", "x3", "x4")).splitlines()
+    state = ("x1", "x2", "x3", "x4")
+    declaration, *statements = plants_module._c_statements(step, state).splitlines()
     assert len(statements) == len(lines)
     assert all(s.endswith(";") and "#" not in s for s in statements)
+    # each name the step assigns, but the state, declared once, first
+    assigned = {line.split("=")[0].strip() for line in lines} - set(state)
+    assert declaration.startswith("double ") and declaration.endswith(";")
+    names = declaration[len("double "):-1].split(", ")
+    assert sorted(names) == sorted(assigned) and len(names) == len(assigned)
     source = plants_module._c_source(platform)
-    # four copies of the stage, each name declared once, and no slot left
+    # four copies of the stage, and no slot left
     assert source.count("s = sin(") == 4 == source.count("co = cos(")
-    assert source.count("double s = sin(") == 1 == source.count("double co = cos(")
-    declared = re.findall(r"double (\w+)", source)
-    assert len(declared) == len(set(declared))
     assert "double x2 = x2" not in source and "x2 = x2 + w * (" in source
-    assert source.count("{") == source.count("}") and "{st" not in source
+    assert source.count("{") == source.count("}") and re.search(r"\{\w", source) is None
     assert plants_module._c_statements(per_call, ()).count("double ") == len(per_call.splitlines())
+    # the tick: one C line per Python line, blocks closed by braces
+    tick = plants_module._tick("{period}")
+    c_tick = plants_module._c_statements(tick, plants_module._CARRY).splitlines()[1:]
+    assert len([line for line in c_tick if line.strip() != "}"]) == len(tick.splitlines())
+    assert "".join(c_tick).count("{") == "".join(c_tick).count("}") and "{period}" in c_tick
+    assert sum("while (" in line for line in c_tick) == 2 and "break;" in "".join(c_tick)
 
 
 @pytest.mark.parametrize("line, outcome", [

@@ -44,6 +44,7 @@ from pendulum_ctl.plants import (
     params_from_mapping,
     period_stepper,
     scalar_rhs,
+    tick_loop,
 )
 from pendulum_ctl.simulate import (
     DisturbanceSpec,
@@ -888,17 +889,14 @@ def test_period_stepper_matches_rk4_over_scalar_rhs_bit_for_bit(platform):
         for steps in (1, 4, 20):
             dt = 0.002 / steps
             want = _oracle_advance(scalar_rhs(params), dt, steps)
-            # period_stepper is native where cc exists; the Python kernel too
-            kernels = (period_stepper(params, dt, steps),
-                       plants_module._stepper(params, dt, steps, None))
+            got = period_stepper(params, dt, steps)
             for _ in range(150):
                 x = (rng.normal(size=4) * rng.choice([1e-3, 1.0, 30.0, 1e3], 4)).tolist()
                 for i in range(4):
                     if rng.random() < 0.2:
                         x[i] = special[rng.integers(len(special))]
                 v = [0.0, -0.0, float(rng.normal(scale=5.0))][rng.integers(3)]
-                for got in kernels:
-                    assert _outcome(got, x, v) == _outcome(want, x, v), (got, steps, x, v)
+                assert _outcome(got, x, v) == _outcome(want, x, v), (steps, x, v)
 
 
 @pytest.mark.parametrize("platform", ["rotpen", "nxtway"])
@@ -937,26 +935,37 @@ def test_kernels_compile_lazily_and_once_per_platform_and_kind():
     assert plants_module._kernel_factory.cache_info().misses == misses
 
 
-def test_rest_skip_engages_on_the_paper_run(monkeypatch):
-    calls = [0]
+def _wrap_tick_loop(monkeypatch, wrap):
+    """Patch simulate's tick loop so that each run(k, stop, carry) goes through wrap(run, ...)."""
+    def wrapped_loop(*args):
+        run, carry = tick_loop(*args)
+        return functools.partial(wrap, run), carry
 
-    def counting_stepper(*args):
-        advance = period_stepper(*args)
+    monkeypatch.setattr(simulate_module, "tick_loop", wrapped_loop)
 
-        def counted(*state):
-            calls[0] += 1
-            return advance(*state)
 
-        return counted
+@pytest.mark.parametrize("kernel", ["native", "python"])
+def test_rest_skip_engages_on_the_paper_run(tmp_path, monkeypatch, kernel):
+    if kernel == "native":
+        _native_or_skip("rotpen", tmp_path)
+    else:
+        _python_only(monkeypatch)
+    periods = []
 
-    monkeypatch.setattr(simulate_module, "period_stepper", counting_stepper)
+    def counted(run, k, stop, carry):
+        k, carry, diverged = run(k, stop, carry)
+        periods.append(carry[plants_module._CARRY.index("periods")])
+        return k, carry, diverged
+
+    _wrap_tick_loop(monkeypatch, counted)
     params = default_params("rotpen")
     cfg = SimConfig(duration=120.0, controller_Ts=0.002,
                     disturbance=standard_pulse_train(params.V_max))
     trace = simulate(params, _rotpen_lqr(), cfg)
     ticks = trace.t.size
     assert ticks == 60001 and not trace.diverged
-    assert 0 < calls[0] <= 0.51 * ticks  # one call per controller period advanced
+    assert len(periods) == 1  # an untraced run is one call
+    assert 0 < periods[0] <= 0.51 * ticks  # one period per tick advanced
 
 
 def test_a_run_at_rest_allocates_little_beyond_its_trace():
@@ -1158,24 +1167,20 @@ def test_a_failed_writer_child_raises_and_leaves_no_process(tmp_path, monkeypatc
 
 
 def test_an_exception_in_the_tick_loop_reaps_the_writer(tmp_path, monkeypatch):
-    calls = [0]
+    calls = []
 
-    def failing_stepper(*args):
-        advance = period_stepper(*args)
+    def fails_later(run, k, stop, carry):
+        calls.append((k, stop))
+        if len(calls) == 3:  # after two blocks went to the writer
+            raise RuntimeError("tick loop failed")
+        return run(k, stop, carry)
 
-        def fails_later(*state):
-            calls[0] += 1
-            if calls[0] == 2 * _B + 5:  # after two blocks went to the writer
-                raise RuntimeError("stepper failed")
-            return advance(*state)
-
-        return fails_later
-
-    monkeypatch.setattr(simulate_module, "period_stepper", failing_stepper)
+    _wrap_tick_loop(monkeypatch, fails_later)
     params, design, cfg = _streamed_run("nxtway", "lqr", 3 * _B + 1, pulse_tick=0)
     path = tmp_path / "trace.csv"
-    with pytest.raises(RuntimeError, match="stepper failed"):
+    with pytest.raises(RuntimeError, match="tick loop failed"):
         simulate(params, design, cfg, path)
+    assert calls == [(0, _B), (_B, 2 * _B), (2 * _B, 3 * _B)]  # one call per block
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert not path.exists()
@@ -1239,6 +1244,50 @@ def test_the_parent_formats_the_back_of_the_tail(tmp_path, monkeypatch, platform
     assert parent_blocks == [3 * _B, 4 * _B, 5 * _B, 6 * _B]
     assert list(slots[-1]) == [3 * _B, 3 * _B]  # the child stopped at the limit
     _assert_written_alone(tmp_path, trace, path)
+
+
+@pytest.mark.parametrize("platform, controller", sorted(_DESIGNS))
+def test_the_split_follows_the_formatting_cost_not_the_rows(tmp_path, monkeypatch, platform,
+                                                            controller):
+    # rows to 4B rest at exact zeros, whose cells format fast, and a pulse
+    # from row 4B moves every cell: by rows the parent would take the blocks
+    # from 3B on, by estimated cost it takes those from 4B on
+    parent_blocks, slots = _held_child(monkeypatch)
+    params, design, cfg = _streamed_run(platform, controller, 6 * _B + 1, x0=(0.0,) * 4,
+                                        pulse_tick=4 * _B)
+    path = tmp_path / "trace.csv"
+    trace = simulate(params, design, cfg, path)
+    assert parent_blocks == [4 * _B, 5 * _B, 6 * _B]
+    assert list(slots[-1]) == [4 * _B, 4 * _B]
+    _assert_written_alone(tmp_path, trace, path)
+
+
+def test_the_parents_share_holds_one_block_in_memory(tmp_path, monkeypatch):
+    # the parent formats its share into a temporary file beside the trace,
+    # so the memory that takes does not grow with the blocks in the share
+    parent_blocks, _ = _held_child(monkeypatch)
+    format_share, peaks, shares = simulate_module._format_share, [], []
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            result = format_share(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return result
+
+    monkeypatch.setattr(simulate_module, "_format_share", traced)
+    for rows in (4 * _B + 1, 16 * _B + 1):
+        params, design, cfg = _streamed_run("rotpen", "smc", rows)
+        path = tmp_path / f"{rows}.csv"
+        trace = simulate(params, design, cfg, path)
+        shares.append(len(parent_blocks))
+        _assert_written_alone(tmp_path, trace, path)
+        parent_blocks.clear()
+    assert shares == [3, 9]  # with the last row's block
+    # one block of 9 columns is about 0.2 MB of bytes and 0.4 MB of floats
+    assert peaks[1] < peaks[0] + 64 * 1024, peaks
 
 
 def test_a_diverged_run_splits_its_truncated_tail(tmp_path, monkeypatch):
@@ -1415,41 +1464,36 @@ def test_repeated_runs_are_byte_identical(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the native period stepper
+# the native tick loop
 # ---------------------------------------------------------------------------
 
-_NO_CC = "no C compiler (cc) on PATH: period_stepper runs the Python kernel"
+_NO_CC = "no C compiler (cc) on PATH: the tick loop runs in Python"
 
 
 def _native_or_skip(platform, tmp_path):
-    """Skip without cc; where cc exists, fail unless the stepper is native, naming why."""
+    """Skip without cc; where cc exists, fail unless the tick loop is native, naming why."""
     if plants_module._native_library(platform) is not None:
         return
     if shutil.which("cc") is None:
         pytest.skip(_NO_CC)
-    pytest.fail(f"cc is on PATH, yet the {platform} stepper is not native: "
+    pytest.fail(f"cc is on PATH, yet the {platform} tick loop is not native: "
                 f"{_why_not_native(platform, tmp_path)}")
 
 
 def _why_not_native(platform, tmp_path):
-    """The compiler's stderr, the load error or the first probe state that differs."""
+    """The compiler's stderr, the load error or the first probe run that differs."""
     so_file = str(tmp_path / f"{platform}.so")
     try:
         plants_module._build(plants_module._c_source(platform), so_file)
-        call = ctypes.PyDLL(so_file).advance
+        run = plants_module._load(so_file)
     except subprocess.CalledProcessError as error:
         return f"the compile failed:\n{error.stderr.decode()}"
-    except OSError as error:
+    except (OSError, AttributeError) as error:  # no object, or no run symbol in it
         return f"the load failed: {error}"
-    call.restype = ctypes.c_int
-    params = default_params(platform)
-    python, native = (plants_module._stepper(params, 0.0005, 4, n)
-                      for n in (None, (call, ctypes.c_double)))
-    for x in plants_module._PROBES:
-        want, got = python(*x), native(*x)
-        if struct.pack("4d", *got) != struct.pack("4d", *want):
-            return f"probe state {x} gives {got} in C and {want} in Python"
-    return "it builds, loads and matches every probe here, so the stepper cache failed"
+    mismatch = plants_module._probe_mismatch(platform, run)
+    if mismatch is not None:
+        return f"{mismatch} differs in C from the Python loop"
+    return "it builds, loads and matches every probe run here, so the kernel cache failed"
 
 
 def _fresh_native(monkeypatch, cache_home):
@@ -1458,6 +1502,12 @@ def _fresh_native(monkeypatch, cache_home):
     fresh = functools.cache(plants_module._native_library.__wrapped__)
     monkeypatch.setattr(plants_module, "_native_library", fresh)
     return fresh
+
+
+def _loop_name(platform):
+    """The name of the run function tick_loop gives for platform: native_run or python_run."""
+    return tick_loop(default_params(platform), 0.0005, 4, np.zeros((8, 3)), [3], _loop_settings(),
+                     (0.0, 0.0, 0.0, 0.0))[0].__name__
 
 
 def _python_only(monkeypatch):
@@ -1475,44 +1525,181 @@ def _short_run_bytes(tmp_path, name):
     return out
 
 
-@pytest.mark.parametrize("platform", ["rotpen", "nxtway"])
-def test_period_stepper_is_native_where_cc_exists(platform):
-    if shutil.which("cc") is None:
-        pytest.skip(_NO_CC)
-    assert period_stepper(default_params(platform), 0.0005, 4).__name__ == "native_advance"
-    python = plants_module._stepper(default_params(platform), 0.0005, 4, None)
-    assert python.__name__ == "advance"
+def _loop_outcome(platform, native, settings, x0, dist, stops, carry=None):
+    """Rows, row reached, carried state bits and flag of a tick loop run over dist.
+
+    The run goes to each row in stops in turn, as a streamed simulate does
+    block by block; native None runs the Python loop. A run that raises
+    gives the table's bytes and the exception's repr.
+    """
+    rows = len(dist)
+    table = np.zeros((8 + int(settings["smc"] or settings["integral"]), rows))
+    table[7] = dist
+    bits = table[7].view(np.int64)
+    changes = np.append(np.flatnonzero(bits[1:] != bits[:-1]) + 1, rows)
+    run, start = plants_module._runner(default_params(platform), 0.0005, 4, table, changes,
+                                       settings, x0, native)
+    k, carry, diverged = 0, start if carry is None else carry, False
+    try:
+        for stop in stops:
+            if k < stop and not diverged:
+                k, carry, diverged = run(k, stop, carry)
+    except (ValueError, ZeroDivisionError) as error:
+        return table.tobytes(), repr(error)
+    return table.tobytes(), k, struct.pack(f"{len(carry)}d", *carry), diverged
+
+
+def _loop_settings(**changed):
+    """The probe runs' settings: an LQR law without Ki under ideal measurement."""
+    return {**plants_module._PROBE_SETTINGS, "smc": 0.0, "integral": 0.0, "filtered": 0.0,
+            "eps": 0.0, **changed}
 
 
 @pytest.mark.parametrize("platform", ["rotpen", "nxtway"])
-def test_non_finite_native_results_are_answered_by_the_python_kernel(tmp_path, platform):
-    # where Python raises (sin of an infinity) C runs on in infinities and
-    # NaNs; such a result is recomputed by the Python kernel
+def test_the_tick_loop_is_native_where_cc_exists(tmp_path, platform):
     _native_or_skip(platform, tmp_path)
-    params = default_params(platform)
-    native = period_stepper(params, 0.0005, 4)
-    python = plants_module._stepper(params, 0.0005, 4, None)
-    inf, nan = math.inf, math.nan
-    states = [(0.0, inf, 0.0, 0.0, 0.0), (0.0, -inf, 0.0, 0.0, 1.0), (0.0, 0.1, nan, 0.0, 1.0),
-              (inf, 0.0, 0.0, 0.0, 0.0), (0.0, 0.1, 0.0, 1e200, 0.0), (0.0, 0.0, 1e308, 1e308, -0.0),
-              (0.0, 0.0, 0.0, 0.0, inf)]
-    outcomes = [_outcome(native, x, v) for *x, v in states]
-    assert outcomes == [_outcome(python, x, v) for *x, v in states]
-    assert "ValueError('math domain error')" in outcomes and len(set(outcomes)) == 3
+    args = (default_params(platform), 0.0005, 4, np.zeros((8, 3)), [3], _loop_settings(),
+            (0.0, 0.0, 0.0, 0.0))
+    assert tick_loop(*args)[0].__name__ == "native_run"
+    assert plants_module._runner(*args, None)[0].__name__ == "python_run"
 
 
-def test_a_zero_determinant_raises_zero_division_natively_too(tmp_path):
+@pytest.mark.parametrize("platform", ["rotpen", "nxtway"])
+def test_a_period_that_leaves_the_floats_is_redone_by_the_python_loop(tmp_path, platform):
+    # where Python raises (sin of an infinity) C runs on in infinities and
+    # NaNs; the C loop returns at that tick and the Python loop redoes it.
+    # The run ends diverged after the pulse's first row: at that tick when
+    # the period raises, with the row's own finite state carried, or at the
+    # next, on the non-finite state the period returned
+    _native_or_skip(platform, tmp_path)
+    native = plants_module._native_library(platform)
+    finite = []
+    for pulse in (math.inf, -math.inf, math.nan, 1e300, 1e200, -1e308, 1e12):
+        dist = [0.0] * 3 + [pulse] * 5
+        want, got = (_loop_outcome(platform, n, _loop_settings(), (0.0, 0.1, 0.0, 0.0), dist,
+                                   [8]) for n in (None, native))
+        assert got == want, pulse
+        assert want[1] == 4 and want[3] is True
+        finite.append(all(map(math.isfinite, struct.unpack("12d", want[2])[:4])))
+    assert True in finite and (False in finite or platform == "nxtway")
+
+
+def test_a_zero_determinant_raises_zero_division_natively_too(tmp_path, monkeypatch):
     _native_or_skip("nxtway", tmp_path)
+    native = plants_module._native_library("nxtway")
     # every constant 0 but al: m12 = 0 and det = 0, so the solve divides by zero
-    constants = dict.fromkeys(plants_module._DYNAMICS["nxtway"][0](default_params("nxtway")), 0.0)
-    constants["al"] = 1.0
-    call, double = plants_module._native_library("nxtway")
-    k = (double * (len(constants) + 1))(*constants.values(), 0.001)
-    make = plants_module._kernel_factory("nxtway", "advance")
-    for native in (None, (call, k, double * 5)):
-        advance = make(**constants, dt=0.001, steps=2, native=native)
-        with pytest.raises(ZeroDivisionError):
-            advance(0.0, 0.1, 0.0, 0.0, 1.0)
+    constants, per_call, stage = plants_module._DYNAMICS["nxtway"]
+    zeros = dict.fromkeys(constants(default_params("nxtway")), 0.0)
+    zeros["al"] = 1.0
+    monkeypatch.setitem(plants_module._DYNAMICS, "nxtway", (lambda p: zeros, per_call, stage))
+    for kernel in (None, native):
+        outcome = _loop_outcome("nxtway", kernel, _loop_settings(), (0.0, 0.1, 0.0, 0.0),
+                                [0.0] * 4, [4])
+        assert outcome[1] == "ZeroDivisionError('float division by zero')"
+
+
+_SPECIAL = (0.0, -0.0, 5e-324, -1e-310)
+
+
+def _random_loop_case(rng):
+    """(settings, x0, dist, stops) of a random design, state, measurement and pulse."""
+    smc = float(rng.random() < 0.5)
+    settings = dict(
+        zip(("k1", "k2", "k3", "k4", "l1", "l2", "l3", "l4"),
+            (rng.normal(size=8) * [1.0, 30.0, 2.0, 5.0, 1.0, 10.0, 1.0, 1.0]).tolist()),
+        Ts=0.002, lim=1e3, kk=rng.uniform(0.0, 3.0), kint=float(rng.normal()),
+        eps=[0.0, float(rng.uniform(0.0, 2.0))][rng.integers(2)], sat=rng.uniform(0.5, 10.0),
+        fa=rng.uniform(-1.0, 1.0), fg=rng.uniform(0.0, 1.0), smc=smc,
+        integral=0.0 if smc else float(rng.random() < 0.5), filtered=float(rng.random() < 0.5))
+    at_rest = rng.random() < 0.3
+    settings.update(zip(("r1", "r2", "r3", "r4"),
+                        [0.0] * 4 if at_rest else rng.normal(scale=0.01, size=4).tolist()))
+    if at_rest:
+        x0 = [_SPECIAL[rng.integers(2)]] * 4
+    else:
+        x0 = (rng.normal(size=4) * rng.choice([1e-3, 1.0, 30.0, 1e3], 4)).tolist()
+        for i in range(4):
+            if rng.random() < 0.2:
+                x0[i] = _SPECIAL[rng.integers(len(_SPECIAL))]
+    rows = int(rng.integers(2, 48))
+    dist = [0.0] * rows
+    start, stop = sorted(rng.integers(0, rows + 1, size=2).tolist())
+    dist[start:stop] = [float(rng.normal(scale=3.0))] * (stop - start)
+    stops = sorted(set(rng.integers(1, rows, size=rng.integers(0, 3)).tolist()) | {rows})
+    return settings, x0, dist, stops
+
+
+@pytest.mark.parametrize("platform", ["rotpen", "nxtway"])
+def test_the_c_and_python_tick_loops_give_the_same_runs(tmp_path, platform):
+    # seeded designs, states, measurements, boundary layers and pulses, each
+    # run in up to three calls as a streamed simulate makes them
+    _native_or_skip(platform, tmp_path)
+    native = plants_module._native_library(platform)
+    rng = np.random.default_rng(31 if platform == "rotpen" else 37)
+    cases = [_random_loop_case(rng) for _ in range(60)]
+    nan_carry = (0.0, 0.0, 0.0, 0.0, math.nan) + (0.0,) * 7
+    cases += [
+        (_loop_settings(), (0.0, 2e3, 0.0, 0.0), [0.0] * 8, [8]),  # beyond 1e3 at row 0
+        (_loop_settings(), (999.9, 0.0, 100.0, 0.0), [0.0] * 8, [8]),  # beyond it at row 1
+        (_loop_settings(filtered=1.0), (0.0, 0.1, 0.0, 0.0), [0.0, math.inf, 0.0], [3]),
+        # at exact rest with a NaN integral, which an SMC law never reads: the
+        # rest test must fail, so every tick is computed
+        (_loop_settings(smc=1.0), (0.0, 0.0, 0.0, 0.0), [0.0] * 8, [8], nan_carry),
+    ]
+    outcomes = []
+    for case in cases:
+        want, got = (_loop_outcome(platform, n, *case) for n in (None, native))
+        assert got == want, case
+        outcomes.append(want)
+    carry = (0.0, 2e3, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2e3, 0.0, 0.0, 0.0)
+    assert outcomes[-4][1:] == (0, struct.pack("12d", *carry), True)
+    assert outcomes[-3][1:] == (1, outcomes[-3][2], True)
+    # the period raised ValueError (sin of an infinity) at row 1: diverged,
+    # carrying the row's finite state
+    assert outcomes[-2][1] == 2 and outcomes[-2][3] is True
+    assert all(map(math.isfinite, struct.unpack("12d", outcomes[-2][2])))
+    assert struct.unpack("12d", outcomes[-1][2])[-1] == 7.0  # 7 periods, none copied
+    assert _loop_outcome(platform, None, *cases[-1][:4])[2][-8:] == struct.pack("d", 1.0)
+    assert sum(o[-1] is False and o[1] == len(c[2]) for o, c in zip(outcomes, cases)) > 20
+
+
+@pytest.mark.parametrize("platform", ["rotpen", "nxtway"])
+def test_the_probe_runs_cover_the_laws_saturation_a_pulse_edge_and_rest(platform):
+    laws = plants_module._PROBE_LAWS
+    assert {(smc, integral, filtered, eps > 0.0) for smc, integral, filtered, eps in laws} >= {
+        (0.0, 0.0, 0.0, False), (0.0, 1.0, 1.0, False), (1.0, 0.0, 0.0, False),
+        (1.0, 0.0, 1.0, True)}
+    saturated = copied = edges = 0
+    for (smc, integral, _, _), outcome in zip(laws, plants_module._probe_outcomes(platform, None)):
+        table = np.frombuffer(outcome[0]).reshape(8 + int(smc or integral), 16)
+        k, carry, diverged = outcome[1:]
+        saturated += int(np.any(table[5, :k] != table[6, :k]))
+        edges += int(k == 16)  # past the pulse edge at row 8
+        periods = struct.unpack("12d", carry)[-1]
+        copied += int(not diverged and periods < k - 1)
+    assert saturated and edges and copied
+
+
+@pytest.mark.parametrize("table, changes", [
+    (np.zeros((9, 4)), [4]),  # a ninth row without s or the integral
+    (np.zeros((8, 4), dtype=np.float32), [4]),
+    (np.zeros((4, 8)).T, [4]),  # not C-contiguous
+    (np.zeros((8, 4)), [3]),  # changes must end with the row count
+    (np.zeros((8, 4)), [3, 2, 4]),
+], ids=["width", "dtype", "layout", "last-change", "unsorted"])
+def test_the_tick_loop_refuses_what_it_cannot_index(table, changes):
+    with pytest.raises(ValueError):
+        tick_loop(default_params("rotpen"), 0.0005, 4, table, changes, _loop_settings(),
+                  (0.0, 0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("k, stop", [(-1, 2), (3, 2), (0, 5)])
+def test_a_tick_loop_run_refuses_rows_outside_its_table(k, stop):
+    for native in (None, plants_module._native_library("rotpen")):
+        run, carry = plants_module._runner(default_params("rotpen"), 0.0005, 4, np.zeros((8, 4)),
+                                           [4], _loop_settings(), (0.0, 0.0, 0.0, 0.0), native)
+        with pytest.raises(ValueError, match="outside the table"):
+            run(k, stop, carry)
 
 
 @pytest.mark.parametrize("measurement", ["ideal", "filtered-derivative"])
@@ -1555,7 +1742,7 @@ def test_without_cc_the_python_kernel_runs_with_the_same_bytes(tmp_path, monkeyp
     monkeypatch.setenv("PATH", str(tmp_path / "bin"))
     native = _fresh_native(monkeypatch, tmp_path / "cache")
     assert native("rotpen") is None and native("nxtway") is None
-    assert period_stepper(default_params("rotpen"), 0.0005, 4).__name__ == "advance"
+    assert _loop_name("rotpen") == "python_run"
     assert _short_run_bytes(tmp_path, "after") == want
 
 
@@ -1569,7 +1756,7 @@ def test_a_failing_compile_leaves_the_python_kernel_and_no_file(tmp_path, monkey
     native = _fresh_native(monkeypatch, tmp_path / "cache")
     assert native("rotpen") is None
     assert os.listdir(tmp_path / "cache" / "pendulum_ctl") == []
-    assert period_stepper(default_params("nxtway"), 0.001, 4).__name__ == "advance"
+    assert _loop_name("nxtway") == "python_run"
     assert _short_run_bytes(tmp_path, "after") == want
 
 
@@ -1612,24 +1799,49 @@ def test_a_cache_directory_others_may_write_is_not_used(tmp_path, monkeypatch, m
     monkeypatch.setattr(tempfile, "tempdir", str(private))
     assert native("rotpen") is not None  # built and loaded in a private directory
     assert os.listdir(shared) == [name] and os.listdir(private) == []
-    assert period_stepper(default_params("rotpen"), 0.0005, 4).__name__ == "native_advance"
+    assert _loop_name("rotpen") == "native_run"
     assert _short_run_bytes(tmp_path, "after") == want
 
 
-def test_a_second_process_loads_the_cached_stepper_without_cc(tmp_path, monkeypatch):
+def test_a_second_process_loads_the_cached_kernel_without_cc(tmp_path, monkeypatch):
     _native_or_skip("nxtway", tmp_path)
     native = _fresh_native(monkeypatch, tmp_path / "cache")
     assert native("nxtway") is not None
     (built,) = (tmp_path / "cache" / "pendulum_ctl").iterdir()
     key = plants_module._cache_key(plants_module._c_source("nxtway"))
     assert built.name == f"advance-nxtway-{key}.so"
+    day = time.time() - 86400
+    os.utime(built, (day, day))
     before = built.stat()
     (tmp_path / "bin").mkdir()
-    code = ("from pendulum_ctl import plants; "
-            "print(plants.period_stepper(plants.default_params('nxtway'), 0.001, 4).__name__)")
+    code = "from pendulum_ctl import plants; print(plants._native_library('nxtway') is not None)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PATH": str(tmp_path / "bin"),
                               "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert out.stdout.strip() == "native_advance", out.stderr
+    assert out.stdout.strip() == "True", out.stderr
     after = built.stat()
-    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    # the same object, not rebuilt, and its load touched it
+    assert after.st_ino == before.st_ino and after.st_mtime > day + 3600
+
+
+def test_a_build_deletes_only_objects_of_other_keys_unused_for_30_days(tmp_path, monkeypatch):
+    _native_or_skip("rotpen", tmp_path)
+    folder = tmp_path / "cache" / "pendulum_ctl"
+    folder.mkdir(parents=True, mode=0o700)
+    month, now = 31 * 86400, time.time()
+    objects = {"old": f"advance-rotpen-{'0' * 64}.so", "recent": f"advance-rotpen-{'1' * 64}.so",
+               "other platform": f"advance-nxtway-{'2' * 64}.so"}
+    for label, name in objects.items():
+        (folder / name).write_bytes(b"an object of another key")
+        age = 86400 if label == "recent" else month
+        os.utime(folder / name, (now - age, now - age))
+    native = _fresh_native(monkeypatch, tmp_path / "cache")
+    assert native("rotpen") is not None  # built: the old rotpen object goes
+    own = f"advance-rotpen-{plants_module._cache_key(plants_module._c_source('rotpen'))}.so"
+    assert sorted(os.listdir(folder)) == sorted([own, objects["recent"], objects["other platform"]])
+    # a load, not a build, deletes nothing
+    (folder / objects["old"]).write_bytes(b"an object of another key")
+    os.utime(folder / objects["old"], (now - month, now - month))
+    native = _fresh_native(monkeypatch, tmp_path / "cache")
+    assert native("rotpen") is not None
+    assert len(os.listdir(folder)) == 4
