@@ -28,14 +28,13 @@ simulate's tick loop is written once as well, as text (_TICK): the
 measurement, the control laws, the clamp, the row store, the divergence and
 rest tests and the copy of a row at rest. tick_loop expands it into a
 Python loop that steps each period with period_stepper, and, where cc and
-ctypes are at hand, into a C run function that runs a whole run, or one
-writer block of it, in one call. That C translation, line by line and
-unchecked, sits beside the translated RK4 step in one object per platform,
-built once and kept in a per-user cache. The compiler and the probe are its
-gate: it is used only once it has reproduced the Python loop bit for bit on
-fixed probe runs. A tick whose period leaves the floats is redone by the
-Python loop, so the rows, the flags and the exceptions are the Python
-loop's.
+ctypes are at hand, into a C run function that runs a whole run in one
+call. That C translation, line by line and unchecked, sits beside the
+translated RK4 step in one object per platform, built once and kept in a
+per-user cache. The compiler and the probe are its gate: it is used only
+once it has reproduced the Python loop bit for bit on fixed probe runs. A
+tick whose period leaves the floats is redone by the Python loop, so the
+rows, the flags and the exceptions are the Python loop's.
 """
 
 from __future__ import annotations
@@ -463,17 +462,17 @@ def make({constants}, dt, steps):
         return x1, x2, x3, x4
     return advance
 """,
-    # the tick loop over rows k to stop, each period stepped by advance;
-    # columns are writable views of the table rows, chg a list of ints
+    # the tick loop from row k to the table's end, each period stepped by
+    # advance; columns are writable views of the table rows, chg a list of ints
     "run": """\
 def make(advance):
-    def run(settings, columns, chg, rows, k, stop, carry):
+    def run(settings, columns, chg, rows, k, carry):
         {settings} = settings
         {columns} = columns
         {carry} = carry
         diverged = 0.0
         ci = 0
-        while k < stop:
+        while k < rows:
             {tick}
         return k, ({carry}), diverged != 0.0
     return run
@@ -507,9 +506,9 @@ y4 = xs[3];"""
 # declared at the top of their block and assigned before they are read.
 # advance: k holds the constants in _DYNAMICS order, then dt; x holds the
 # state and v on entry, the state on return; the result says whether that
-# state is finite. run: as the Python run kernel, over the table tab of rows
-# columns (t first), with carry holding _CARRY on entry and _CARRY, diverged
-# and redo on return; the result is the row reached.
+# state is finite. run: as the Python run kernel from row 0, over the table
+# tab of rows columns (t first), with carry holding _CARRY on entry and
+# _CARRY, diverged and redo on return; the result is the row reached.
 _C_SOURCE = """\
 #include <math.h>
 #include <stdint.h>
@@ -533,14 +532,14 @@ static int advance(const double *k, double *x, int steps)
 }
 
 int64_t run(const double *kc, int steps, const double *cfg, double *tab, int64_t rows,
-            const int64_t *chg, int64_t k, int64_t stop, double *carry)
+            const int64_t *chg, double *carry)
 {
     {settings}
     {columns}
     {carry}
     double diverged = 0.0, redo = 0.0, y1, y2, y3, y4, xs[5];
-    int64_t ci = 0, j;
-    while (k < stop) {
+    int64_t k = 0, ci = 0, j;
+    while (k < rows) {
         {tick}
     }
     {results}
@@ -686,8 +685,7 @@ _PROBES = (
 # The probe runs' settings, and their laws: (smc, integral, filtered,
 # boundary layer) for LQR with and without Ki and SMC with and without a
 # boundary layer, each under both measurements. Each run has 16 rows and a
-# 2 V pulse from row 8, and stops once at row 5, so the runs from rest copy
-# rows across a stop and a pulse edge.
+# 2 V pulse from row 8, so the runs from rest copy rows up to a pulse edge.
 _PROBE_SETTINGS = dict(Ts=0.002, lim=1e3, r1=0.0, r2=0.0, r3=0.0, r4=0.0, k1=-2.0, k2=40.0,
                        k3=-3.0, k4=5.0, l1=1.0, l2=10.0, l3=0.5, l4=1.0, kk=2.0, kint=1.5,
                        sat=3.0, fa=0.6, fg=0.2)
@@ -795,8 +793,7 @@ def _load(path: str):
     run = ctypes.PyDLL(path).run
     run.restype = ctypes.c_int64
     run.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p,
-                    ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
-                    ctypes.c_void_p)
+                    ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p)
     return run
 
 
@@ -811,12 +808,9 @@ def _probe_outcomes(platform: str, native) -> list:
         table = np.zeros((8 + int(smc or integral), 16))
         table[7, 8:] = 2.0
         settings = dict(_PROBE_SETTINGS, smc=smc, integral=integral, filtered=filtered, eps=eps)
-        run, carry = _runner(params, 0.0005, 4, table, (8, 16), settings,
-                             _PROBES[i % len(_PROBES)], native)
         try:
-            k, carry, diverged = run(0, 5, carry)
-            if not diverged:
-                k, carry, diverged = run(k, 16, carry)
+            k, carry, diverged = _runner(params, 0.0005, 4, table, (8, 16), settings,
+                                         _PROBES[i % len(_PROBES)], native)
             outcomes.append((table.tobytes(), k, struct.pack("12d", *carry), diverged))
         except (ValueError, ZeroDivisionError) as error:
             outcomes.append((table.tobytes(), repr(error)))
@@ -834,7 +828,11 @@ def _probe_mismatch(platform: str, native):
 
 def _runner(params: PlantParams, dt: float, steps: int, table, changes, settings: Mapping,
             x0, native):
-    """(run, carry) of tick_loop, in C when native is the loaded run kernel."""
+    """tick_loop's run from x0, in C when native is the loaded run kernel.
+
+    Returns (rows filled, the carried state, whether the run diverged); the
+    probe compares the carried state bit for bit.
+    """
     rows = table.shape[1]
     smc, integral = bool(settings["smc"]), bool(settings["integral"])
     if not (table.dtype == np.float64 and table.flags.c_contiguous and table.ndim == 2
@@ -845,51 +843,35 @@ def _runner(params: PlantParams, dt: float, steps: int, table, changes, settings
     if not (changes and changes[-1] == rows and changes == sorted(changes)):
         raise ValueError("changes must be sorted rows that end with the row count")
     values = [float(settings[name]) for name in _SETTINGS]
+    x1, x2, x3, x4 = map(float, x0)
+    k, carry = 0, (x1, x2, x3, x4, 0.0, x1, 0.0, 0.0, x2, 0.0, 0.0, 0.0)
+    if native is not None:
+        constants = np.array([*_DYNAMICS[params.platform][0](params).values(), dt])
+        cfg, chg = np.array(values), np.array(changes, dtype=np.int64)
+        state = np.array([*carry, 0.0, 0.0])
+        k = native(constants.ctypes.data, steps, cfg.ctypes.data, table.ctypes.data, rows,
+                   chg.ctypes.data, state.ctypes.data)
+        *carry, diverged, redo = state.tolist()
+        if not redo:
+            return k, tuple(carry), diverged != 0.0
+    # no C kernel, or a period left the floats: the Python kernel redoes its tick on
     columns = [memoryview(row) for row in table[1:]] + [None] * (9 - table.shape[0])
     python = _kernel_factory(params.platform, "run")(period_stepper(params, dt, steps))
-    x1, x2, x3, x4 = map(float, x0)
-    carry = (x1, x2, x3, x4, 0.0, x1, 0.0, 0.0, x2, 0.0, 0.0, 0.0)
-
-    def python_run(k, stop, carry):
-        if not 0 <= k <= stop <= rows:
-            raise ValueError(f"rows {k} to {stop} lie outside the table's {rows}")
-        return python(values, columns, changes, rows, k, stop, carry)
-
-    if native is None:
-        return python_run, carry
-    constants = np.array([*_DYNAMICS[params.platform][0](params).values(), dt])
-    cfg, chg = np.array(values), np.array(changes, dtype=np.int64)
-    state = np.empty(len(_CARRY) + 2)
-
-    def native_run(k, stop, carry):
-        if not 0 <= k <= stop <= rows:
-            raise ValueError(f"rows {k} to {stop} lie outside the table's {rows}")
-        state[:len(_CARRY)] = carry
-        k = native(constants.ctypes.data, steps, cfg.ctypes.data, table.ctypes.data, rows,
-                   chg.ctypes.data, k, stop, state.ctypes.data)
-        *carry, diverged, redo = state.tolist()
-        if redo:  # a period left the floats: the Python kernel redoes its tick
-            return python_run(k, stop, tuple(carry))
-        return k, tuple(carry), diverged != 0.0
-
-    return native_run, carry
+    return python(values, columns, changes, rows, k, tuple(carry))
 
 
 def tick_loop(params: PlantParams, dt: float, steps: int, table, changes, settings: Mapping,
-              x0):
-    """(run, carry): simulate's tick loop over table, and its carried state at x0.
+              x0) -> tuple[int, bool]:
+    """Run simulate's tick loop over table from x0: (rows filled, whether the run diverged).
 
     table is the run's C-contiguous float64 table of 8 or 9 rows: t, q1,
     q2, q1dot, q2dot, u_cmd, u_applied, dist and, when the design records
     s or the integral, that; the caller fills t and dist. changes are the
     rows whose disturbance differs from the row before, then the row count.
-    settings maps each name in _SETTINGS to a number. carry starts at x0,
-    with a zero integral and the filter seeded with the first sample.
-
-    run(k, stop, carry) fills rows k onward, each tick one period of steps
-    RK4 steps of dt, and returns (the row reached, the carried state,
-    whether the run diverged) when a tick would start at or past stop, or
-    the run diverges or ends. A copy at rest may take it past stop.
+    settings maps each name in _SETTINGS to a number. The run starts at x0,
+    with a zero integral and the filter seeded with the first sample, and
+    fills the table from row 0, each tick one period of steps RK4 steps of
+    dt, until the table is full or the run diverges.
 
     The loop is generated from _TICK. Where cc and ctypes are at hand it
     runs as C, built once, kept in a per-user cache, and used only once it
@@ -900,8 +882,9 @@ def tick_loop(params: PlantParams, dt: float, steps: int, table, changes, settin
     ZeroDivisionError. Without cc, or when building, loading or probing
     fails, the Python loop runs: the same results, several times slower.
     """
-    return _runner(params, dt, steps, table, changes, settings, x0,
-                   _native_library(params.platform))
+    k, _, diverged = _runner(params, dt, steps, table, changes, settings, x0,
+                             _native_library(params.platform))
+    return k, diverged
 
 
 def scalar_rhs(params: PlantParams):

@@ -18,7 +18,7 @@ is zero) smoothed by a bilinear-mapped first-order low-pass, emulating
 encoder-only sensing. The laws, the filter and the tick loop that stores
 each tick in one table are plants.tick_loop, written once for a Python and a
 C loop; simulate checks the run, precomputes the open-loop disturbance,
-and calls the loop once, or once per block of a streamed trace.
+and calls the loop once.
 
 A run at exact rest is not recomputed tick by tick. When one tick leaves
 the carried state (plant state, integral, derivative-filter states)
@@ -29,31 +29,18 @@ trace bytes are those of computing every tick. The paper's pulse experiment
 balances at the upright equilibrium for 60 s before the first pulse, so
 half of its ticks are copied.
 
-Given a trace path, simulate writes the trace CSV while the tick loop runs.
-The run's table holds the CSV's columns in order (t, the four states, both
-command columns, the disturbance, then s or the integral when the design has
-one), in an anonymous shared mapping when the trace spans more than one
-block of _CSV_BLOCK rows. Before the loop the caller writes the header and
-forks one writer child; the loop runs one block at a time and sends the row
-count through a pipe after each, and the child formats every complete block
-in order and writes it to the file it inherited. When the loop ends, the
-parent splits the rows the child has not reached: through a 16-byte shared
-slot it reads the block the child is on and sets a block-aligned limit that
-halves the estimated cost of formatting the rest (non-zero cells of every
-64th row), then sends the last count, marked as the end, and formats the
-back part into a temporary file beside the trace while the child writes the
-front part. Having reaped the child, it reads where the child stopped and
-appends its own blocks from there on; a child that checked the limit before
-the parent set it runs past it, and the parent drops the blocks that child
-wrote. The bytes are those of save_trace_csv on the returned trace, byte for
-byte, which formats the same blocks in one process, as simulate itself does
-for a single-block trace or where os.fork does not exist.
+Given a trace path, simulate writes the trace CSV through save_trace_csv
+once the tick loop has ended. The run's table holds the CSV's columns in
+order (t, the four states, both command columns, the disturbance, then s or
+the integral when the design has one), so the writer formats views of it.
+save_trace_csv formats a trace of more than one block of _CSV_BLOCK rows in
+two processes, split where the estimated formatting cost halves; the bytes
+are those of one process formatting every row.
 """
 
 from __future__ import annotations
 
 import math
-import mmap
 import os
 import shutil
 import tempfile
@@ -294,17 +281,8 @@ def simulate(params: PlantParams, design, cfg: SimConfig, trace_path=None) -> Si
     last finite row. Ticks at exact rest are copied rather than recomputed,
     as the module docstring says.
 
-    With trace_path, the trace CSV is complete when the call returns, also
-    for a diverged run. A trace of more than one block is written by a child
-    forked before the loop and, for the back part of what the child has not
-    reached when the loop ends, by the call itself, appended once the child
-    is reaped, as the module docstring says. The fork may come from a
-    process that holds OpenBLAS worker threads (the command line's does):
-    the child touches no BLAS, only slicing, tolist, formatting and file
-    writes, and it leaves only through os._exit. A failed child makes the
-    call raise OSError; it, an exception in the loop or in formatting the
-    call's share, and a failed append each reap the child and remove the
-    partial file first.
+    With trace_path, the run's trace is written there by save_trace_csv once
+    the loop has ended, also for a diverged run.
     """
     check_plant_step(params, cfg.plant_dt)
     Ts = cfg.controller_Ts
@@ -322,7 +300,6 @@ def simulate(params: PlantParams, design, cfg: SimConfig, trace_path=None) -> Si
         gains, surface, ki = design.K[0], np.zeros(_STATE_DIM), design.Ki
     else:
         raise TypeError(f"unsupported design type {type(design).__name__}")
-    columns = _CSV_COLUMNS + (("s",) if is_smc else ("integ",) if ki is not None else ())
 
     om = 2.0 * math.pi * cfg.filter_cutoff
     c = 2.0 / Ts
@@ -343,40 +320,17 @@ def simulate(params: PlantParams, design, cfg: SimConfig, trace_path=None) -> Si
     d_arr = disturbance_value(cfg.disturbance, t).view(np.int64)
     # the ticks whose disturbance differs bit for bit from the tick before
     changes = np.append(np.flatnonzero(d_arr[1:] != d_arr[:-1]) + 1, n + 1)
-    # one contiguous row per CSV column, shared with the writer child if any
-    stream = trace_path is not None and n + 1 > _CSV_BLOCK and hasattr(os, "fork")
-    width = len(columns)
-    table = (np.frombuffer(mmap.mmap(-1, 8 * width * (n + 1))) if stream
-             else np.empty(width * (n + 1))).reshape(width, n + 1)
+    # one contiguous row per CSV column: s or the integral is the ninth
+    table = np.empty((8 + (is_smc or ki is not None), n + 1))
     table[0], table[7] = t, d_arr.view(float)
     t, d_arr = table[0], table[7]  # rebinding frees the first copies
-    run, carry = tick_loop(params, cfg.plant_dt, round(Ts / cfg.plant_dt), table, changes,
-                           settings, cfg.x0)
-
-    pid, wfd, shared = _fork_writer(trace_path, columns, table) if stream else (None,) * 3
-    mark = _CSV_BLOCK if stream else n + 1  # the row count next sent to the writer
-    k = 0  # next tick; also the number of rows written
-    try:
-        while True:  # one call, or one per block sent to the writer
-            k, carry, diverged = run(k, min(mark, n + 1), carry)
-            if diverged or k > n:
-                break
-            mark = _send_count(wfd, k)
-        if stream:
-            share, starts = _format_share(wfd, shared, table, k, trace_path)
-    except BaseException:
-        if stream:
-            _reap_writer(pid, wfd, trace_path, run_failed=True)
-        raise
-    if stream:
-        with share:
-            _reap_writer(pid, wfd, trace_path, run_failed=False)
-            _append_share(trace_path, share, starts, int(shared[0]))
+    k, diverged = tick_loop(params, cfg.plant_dt, round(Ts / cfg.plant_dt), table, changes,
+                            settings, cfg.x0)
 
     trace = SimTrace(t=t[:k], x=table[1:5, :k].T, u_command=table[5, :k],
                      u_applied=table[6, :k], d=d_arr[:k], s=table[8, :k] if is_smc else None,
                      integ=table[8, :k] if ki is not None else None, diverged=diverged)
-    if trace_path is not None and not stream:
+    if trace_path is not None:
         save_trace_csv(trace, trace_path)
     return trace
 
@@ -398,53 +352,6 @@ def _write_blocks(fh, columns, start: int, stop: int) -> None:
         fh.write("".join([line % row for row in zip(*values)]).encode())
 
 
-def _fork_writer(path, columns, table):
-    """Write the CSV header to path and fork the child that writes table's rows.
-
-    Returns (child pid, write end of the count pipe, shared slot). The child
-    reads 8-byte row counts and writes every complete block below each; a
-    negative count is the last, -rows, after which it writes the tail. The
-    slot is two int64 in a shared mapping: before each block the child
-    stores the block's start in slot[0], and it stops at the first block
-    start at or past slot[1], the parent's limit (none until _format_share
-    sets one). Having stopped or written the tail it stores its stop, the
-    first row it did not write, in slot[0] and exits 0. It exits 1 when the
-    pipe closes before either or a write fails.
-    """
-    shared = np.frombuffer(mmap.mmap(-1, 16), dtype=np.int64)
-    shared[1] = np.iinfo(np.int64).max
-    rfd, wfd = os.pipe()
-    try:
-        with open(path, "wb") as fh:
-            fh.write((",".join(columns) + "\n").encode())
-            fh.flush()
-            pid = os.fork()
-            if pid == 0:  # never return into the caller or flush its buffers
-                try:
-                    os.close(wfd)
-                    done = 0
-                    with open(rfd, "rb") as pipe:
-                        while len(message := pipe.read(8)) == 8:
-                            count = int.from_bytes(message, "little", signed=True)
-                            stop = -count if count < 0 else count - count % _CSV_BLOCK
-                            while done < stop and done < shared[1]:
-                                shared[0] = done
-                                _write_blocks(fh, table, done, min(done + _CSV_BLOCK, stop))
-                                done = min(done + _CSV_BLOCK, stop)
-                            if count < 0 or done >= shared[1]:
-                                shared[0] = done
-                                fh.flush()
-                                os._exit(0)
-                finally:  # reached only on an exception or a closed pipe
-                    os._exit(1)
-    except BaseException:
-        os.close(wfd)
-        raise
-    finally:
-        os.close(rfd)
-    return pid, wfd, shared
-
-
 # Estimated cost of formatting one row: the non-zero cells, plus about what
 # a row of zeros costs ("0.0" is cheap; a 17-digit cell is not). Measured on
 # one 2-vCPU machine: 2.2 ms per 1024 rows of zeros, 0.6 ms more per non-zero
@@ -453,105 +360,34 @@ _ZERO_ROW_COST = 4
 _COST_STRIDE = 64
 
 
-def _split_row(table, low: int, k: int) -> int:
-    """The block start m >= low that gives rows low to m at most half the cost of rows low to k.
+def _split_row(columns) -> int:
+    """The block start m that gives rows 0 to m at most half the cost of all rows of columns.
 
     The estimate counts the non-zero cells of every _COST_STRIDE-th row,
-    which takes well under a millisecond on a 60,000-row table; m is the
-    last block start at which the rows before it, from low, cost at most
-    half. Without rows past low it is low.
+    which takes well under a millisecond on a 60,000-row trace; m is the
+    last block start at which the rows before it cost at most half.
     """
-    cost = np.count_nonzero(table[:, low:k:_COST_STRIDE], axis=0) + _ZERO_ROW_COST
-    if not cost.size:
-        return low
-    blocks = np.cumsum(np.add.reduceat(cost, np.arange(0, cost.size, _CSV_BLOCK // _COST_STRIDE)))
-    return low + int(np.searchsorted(blocks, blocks[-1] / 2, side="right")) * _CSV_BLOCK
-
-
-def _format_share(wfd: int, shared, table, k: int, path):
-    """Split the rows the writer child has not reached; format the back part.
-
-    Past the block the child is on, at slot[0], the split m is the block
-    start that halves the estimated cost of the rest (_split_row). The
-    parent sets it as the child's limit, sends the last count and formats
-    rows m to k itself, one block at a time, into a temporary file beside
-    path. It returns that file and the (start row, offset) of each block in
-    it. When no row lies past the child's block it sets no limit and formats
-    nothing, and the child writes every row. A child that checked the limit
-    before it was set may run past m; _append_share drops the blocks it
-    wrote. On an exception the temporary file is closed, which deletes it.
-    """
-    low = int(shared[0]) + _CSV_BLOCK
-    m = _split_row(table, low, k)
-    if m < k:
-        shared[1] = m
-    _send_count(wfd, -k)  # the last count, marked by its sign
-    share = tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path)))
-    try:
-        starts = []
-        for start in range(m, k, _CSV_BLOCK):
-            starts.append((start, share.tell()))
-            _write_blocks(share, table, start, min(start + _CSV_BLOCK, k))
-    except BaseException:
-        share.close()
-        raise
-    return share, starts
-
-
-def _send_count(wfd: int, count: int):
-    """Send a row count to the writer child; return the next count to send.
-
-    A child that failed has closed its end: the run goes on without
-    sending, and reaping the child reports the failure. So has a child that
-    stopped at the parent's limit before the last count arrived, which is
-    no failure.
-    """
-    try:
-        os.write(wfd, count.to_bytes(8, "little", signed=True))
-    except BrokenPipeError:
-        return math.inf
-    return count - count % _CSV_BLOCK + _CSV_BLOCK
-
-
-def _reap_writer(pid: int, wfd: int, path, run_failed: bool) -> None:
-    """Close the count pipe and reap the writer child.
-
-    A failed run or child leaves no partial trace file; a failed child, in a
-    run that succeeded, raises OSError.
-    """
-    os.close(wfd)
-    status = os.waitpid(pid, 0)[1]
-    if (run_failed or status) and os.path.isfile(path):
-        os.remove(path)
-    if status and not run_failed:
-        raise OSError(f"the trace writer's child failed (wait status {status})")
-
-
-def _append_share(path, share, starts, stop: int) -> None:
-    """Append the parent's blocks from the reaped child's stop on.
-
-    share is the temporary file of _format_share, starts its (start row,
-    offset) pairs; it is copied from the first block at or past stop, a
-    buffer at a time. A failed append removes the partial trace file before
-    it raises.
-    """
-    offsets = [offset for start, offset in starts if start >= stop]
-    try:
-        with open(path, "ab") as fh:
-            if offsets:
-                share.seek(offsets[0])
-                shutil.copyfileobj(share, fh)
-    except BaseException:
-        if os.path.isfile(path):
-            os.remove(path)
-        raise
+    cost = np.count_nonzero([column[::_COST_STRIDE] for column in columns], axis=0)
+    blocks = np.cumsum(np.add.reduceat(cost + _ZERO_ROW_COST,
+                                       np.arange(0, cost.size, _CSV_BLOCK // _COST_STRIDE)))
+    return int(np.searchsorted(blocks, blocks[-1] / 2, side="right")) * _CSV_BLOCK
 
 
 def save_trace_csv(trace: SimTrace, path) -> None:
     """Write a trace as CSV with IEEE round-trip decimal formatting.
 
-    It formats the blocks that simulate's writer child formats, in the
-    calling process, so the bytes equal a trace simulate wrote itself.
+    A trace of at most one block of _CSV_BLOCK rows, or one written where
+    os.fork does not exist, is formatted in the calling process. A longer
+    one is split at the block start that halves the estimated formatting
+    cost: a forked child writes the rows before the split into the file,
+    after the header, while the caller formats the rest into a temporary
+    file beside it, one block at a time, then reaps the child and appends
+    that file. The bytes are the same either way. The fork may come from a
+    process that holds OpenBLAS worker threads (the command line's does):
+    the child touches no BLAS, only slicing, tolist, formatting and file
+    writes, and it leaves only through os._exit. A failed child raises
+    OSError; it, an exception in formatting the caller's share and a failed
+    append each reap the child and remove the partial file first.
     """
     columns = list(_CSV_COLUMNS)
     arrays = [trace.t, *trace.x.T, trace.u_command, trace.u_applied, trace.d]
@@ -559,6 +395,35 @@ def save_trace_csv(trace: SimTrace, path) -> None:
         if getattr(trace, name) is not None:
             columns.append(name)
             arrays.append(getattr(trace, name))
+    rows = trace.t.size
     with open(path, "wb") as fh:
         fh.write((",".join(columns) + "\n").encode())
-        _write_blocks(fh, arrays, 0, trace.t.size)
+        if rows <= _CSV_BLOCK or not hasattr(os, "fork"):
+            _write_blocks(fh, arrays, 0, rows)
+            return
+        fh.flush()
+        m = _split_row(arrays)
+        pid = os.fork()
+        if pid == 0:  # never return into the caller or flush its buffers
+            try:
+                _write_blocks(fh, arrays, 0, m)
+                fh.flush()
+                os._exit(0)
+            finally:  # reached only on an exception
+                os._exit(1)
+    try:
+        with tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))) as share:
+            _write_blocks(share, arrays, m, rows)
+            status = os.waitpid(pid, 0)[1]
+            pid = None  # reaped
+            if status:
+                raise OSError(f"the trace writer's child failed (wait status {status})")
+            share.seek(0)
+            with open(path, "ab") as fh:
+                shutil.copyfileobj(share, fh)
+    except BaseException:
+        if pid is not None:
+            os.waitpid(pid, 0)
+        if os.path.isfile(path):
+            os.remove(path)
+        raise

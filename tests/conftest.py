@@ -4,8 +4,8 @@ The acceptance tests record one verdict line each; the terminal summary
 hook prints them after the run so every criterion shows a visible PASS
 or FAIL regardless of output capturing. Every test must also reap each
 child process it starts, the trace writer's forked child included, and
-close each file descriptor it opens: a leaked write end of the writer's
-count pipe would keep that child waiting forever. The report header names
+close each file descriptor it opens, the trace file and the writer's
+temporary file included. The report header names
 the tick loop each platform runs, C or Python, so a fallback to the Python
 loop shows in every log.
 """

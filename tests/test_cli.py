@@ -367,7 +367,7 @@ def test_simulate_exits_3_when_the_pole_falls(tmp_path, capsys):
 def test_simulate_exits_3_when_a_period_leaves_the_floats(tmp_path, capsys):
     # a 1e6 V pulse drives the robot's state to infinity within one period,
     # where stepping raises ValueError (the sine of an infinity): the run
-    # diverged, and its trace, streamed past one block, ends at the last
+    # diverged, and its trace, longer than one block, ends at the last
     # finite row
     trace, metrics = tmp_path / "trace.csv", tmp_path / "m.csv"
     code = cli.run(["simulate", "--platform", "nxtway", "--x0", "0,0.05,0,0",

@@ -14,9 +14,7 @@ import errno
 import functools
 import inspect
 import math
-import mmap
 import os
-import select
 import shutil
 import struct
 import subprocess
@@ -935,29 +933,20 @@ def test_kernels_compile_lazily_and_once_per_platform_and_kind():
     assert plants_module._kernel_factory.cache_info().misses == misses
 
 
-def _wrap_tick_loop(monkeypatch, wrap):
-    """Patch simulate's tick loop so that each run(k, stop, carry) goes through wrap(run, ...)."""
-    def wrapped_loop(*args):
-        run, carry = tick_loop(*args)
-        return functools.partial(wrap, run), carry
-
-    monkeypatch.setattr(simulate_module, "tick_loop", wrapped_loop)
-
-
 @pytest.mark.parametrize("kernel", ["native", "python"])
 def test_rest_skip_engages_on_the_paper_run(tmp_path, monkeypatch, kernel):
     if kernel == "native":
         _native_or_skip("rotpen", tmp_path)
     else:
         _python_only(monkeypatch)
-    periods = []
+    periods, runner = [], plants_module._runner
 
-    def counted(run, k, stop, carry):
-        k, carry, diverged = run(k, stop, carry)
+    def counted(*args):
+        k, carry, diverged = runner(*args)
         periods.append(carry[plants_module._CARRY.index("periods")])
         return k, carry, diverged
 
-    _wrap_tick_loop(monkeypatch, counted)
+    monkeypatch.setattr(plants_module, "_runner", counted)
     params = default_params("rotpen")
     cfg = SimConfig(duration=120.0, controller_Ts=0.002,
                     disturbance=standard_pulse_train(params.V_max))
@@ -1036,16 +1025,32 @@ def _per_row_csv(trace, cols, arrays):
     return "\n".join(lines) + "\n"
 
 
+def _reference_csv(trace):
+    """A trace's CSV bytes as _per_row_csv writes them, s or integ last when present."""
+    cols = ["t", "q1", "q2", "q1dot", "q2dot", "u_cmd", "u_applied", "dist"]
+    arrays = [trace.t, *trace.x.T, trace.u_command, trace.u_applied, trace.d]
+    for name in ("s", "integ"):
+        if getattr(trace, name) is not None:
+            cols.append(name)
+            arrays.append(getattr(trace, name))
+    return _per_row_csv(trace, cols, arrays).encode()
+
+
 _B = simulate_module._CSV_BLOCK
 
 
 @pytest.mark.parametrize("extra", ["s", "integ"])
-@pytest.mark.parametrize("rows", [1, _B - 1, _B, _B + 1, 2 * _B + 1, 3 * _B + 1, 4 * _B])
+@pytest.mark.parametrize("rows", [1, _B - 1, _B, _B + 1, 2 * _B + 1, 3 * _B + 1, 4 * _B,
+                                  6 * _B + 1])
 def test_trace_csv_matches_per_row_writer(tmp_path, extra, rows):
     # block boundaries at one row, one short of a block, a whole block,
-    # one past it, past two and three blocks, and at four
+    # one past it, past two and three blocks, and at four; past one block
+    # two processes write, and at 6B + 1 rows the first 4B rows are zeros
+    # (but the first), so the split falls at 4B
     rng = np.random.default_rng(rows)
     values = rng.normal(scale=3.0, size=(rows, 8))
+    if rows == 6 * _B + 1:
+        values[:4 * _B] = 0.0
     special = [-0.0, 1e-05, 1e16, 5e-324, 1 / 3, -1e-300, 123456789.0]
     values.flat[:len(special)] = special  # first and last rows
     values.flat[-len(special):] = special
@@ -1064,8 +1069,8 @@ _DESIGNS = {("rotpen", "lqr"): _rotpen_lqr, ("rotpen", "smc"): _rotpen_smc,
             ("nxtway", "lqr"): _nxtway_lqr, ("nxtway", "smc"): _nxtway_smc}
 
 
-def _streamed_run(platform, controller, rows, measurement="ideal", x0=(0.0, 0.05, 0.0, 0.0),
-                  pulse_tick=200):
+def _pulse_run(platform, controller, rows, measurement="ideal", x0=(0.0, 0.05, 0.0, 0.0),
+               pulse_tick=200):
     """(params, design, cfg) of a run of rows rows with a pulse from pulse_tick."""
     Ts = 0.002 if platform == "rotpen" else 0.004
     pulse = DisturbanceSpec(kind="pulse_train", amplitude=2.0, frequency=2.0,
@@ -1075,299 +1080,60 @@ def _streamed_run(platform, controller, rows, measurement="ideal", x0=(0.0, 0.05
     return default_params(platform), _DESIGNS[platform, controller](), cfg
 
 
+def _pulse_trace(platform, controller, rows, **run):
+    """The trace of _pulse_run's run, written nowhere."""
+    return simulate(*_pulse_run(platform, controller, rows, **run))
+
+
 @pytest.mark.parametrize("rows", [2, _B, _B + 1, 3 * _B + 1])
 @pytest.mark.parametrize("measurement", ["ideal", "filtered-derivative"])
 @pytest.mark.parametrize("platform, controller", sorted(_DESIGNS))
-def test_streamed_trace_equals_the_in_process_writer(tmp_path, platform, controller,
-                                                     measurement, rows):
+def test_a_traced_run_writes_the_per_row_reference(tmp_path, platform, controller,
+                                                   measurement, rows):
     # one row is never a run (it lasts one period at least). Under ideal
     # measurement the run rests until a pulse at tick 1250, so rest copies
     # cross block boundaries; filtered runs start off the upright
     x0, tick = ((0.0, 0.0, 0.0, 0.0), 1250) if measurement == "ideal" else \
         ((0.0, 0.05, 0.0, 0.0), 200)
-    params, design, cfg = _streamed_run(platform, controller, rows, measurement, x0, tick)
-    streamed, written = tmp_path / "streamed.csv", tmp_path / "written.csv"
-    trace = simulate(params, design, cfg, streamed)
-    assert trace.t.size == rows and not trace.diverged
-    save_trace_csv(trace, written)
-    assert streamed.read_bytes() == written.read_bytes()
-
-
-def test_a_diverged_run_streams_its_truncated_trace(tmp_path):
-    # positive feedback on the arm rate diverges after 1943 ticks, in the
-    # second block
-    cfg = SimConfig(duration=20.0, controller_Ts=0.002, x0=(0.0, 0.0, 0.01, 0.0),
-                    saturation_V=1e6)
+    params, design, cfg = _pulse_run(platform, controller, rows, measurement, x0, tick)
     path = tmp_path / "trace.csv"
-    trace = simulate(default_params("rotpen"), _gain_only_design([0.0, 0.0, -1.0, 0.0]),
-                     cfg, path)
-    assert trace.diverged and _B < trace.t.size < 2 * _B
-    save_trace_csv(trace, tmp_path / "written.csv")
-    assert path.read_bytes() == (tmp_path / "written.csv").read_bytes()
+    trace = simulate(params, design, cfg, path)
+    assert trace.t.size == rows and not trace.diverged
+    assert path.read_bytes() == _reference_csv(trace)
 
 
-@pytest.mark.parametrize("rows, forks", [(2, 0), (_B, 0), (_B + 1, 1)])
-def test_only_a_trace_of_more_than_one_block_forks(tmp_path, monkeypatch, rows, forks):
-    calls = []
-    fork = os.fork
+def _recorded_writer(monkeypatch, in_child=None):
+    """Record save_trace_csv's forks and the rows the calling process formats after one.
+
+    Returns (forks, shares): the pid of each fork, and the (start, stop)
+    of each _write_blocks call this process made after a fork.
+    in_child(start, stop), if given, runs in the child before it writes.
+    """
+    pid, forks, shares = os.getpid(), [], []
+    fork, write_blocks = os.fork, simulate_module._write_blocks
 
     def counted_fork():
-        calls.append(1)
-        return fork()
+        forks.append(fork())
+        return forks[-1]
 
-    monkeypatch.setattr(os, "fork", counted_fork)
-    params, design, cfg = _streamed_run("nxtway", "smc", rows)
-    simulate(params, design, cfg, tmp_path / "trace.csv")
-    simulate(params, design, cfg)  # no path: no writer
-    assert len(calls) == forks
-    assert (tmp_path / "trace.csv").read_text().count("\n") == rows + 1
-
-
-def test_trace_writer_leaves_no_child_process(tmp_path):
-    # the fork happens while a second Python thread is live, as it does in a
-    # process holding OpenBLAS workers; the child touches neither
-    params, design, cfg = _streamed_run("rotpen", "lqr", 3 * _B + 1)
-    release = threading.Event()
-    waiter = threading.Thread(target=release.wait, args=(10.0,))
-    waiter.start()
-    try:
-        trace = simulate(params, design, cfg, tmp_path / "trace.csv")
-    finally:
-        release.set()
-        waiter.join(10.0)
-    assert not waiter.is_alive()
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    save_trace_csv(trace, tmp_path / "written.csv")
-    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "written.csv").read_bytes()
-
-
-def test_a_failed_writer_child_raises_and_leaves_no_process(tmp_path, monkeypatch):
-    # formatting fails in the forked child alone, so it exits 1 after the
-    # header; its copy of this test must never run the lines below
-    pid = os.getpid()
-    write_blocks = simulate_module._write_blocks
-
-    def child_fails(*args):
+    def recorded(fh, columns, start, stop):
         if os.getpid() != pid:
-            raise OSError("refused in the child")
-        return write_blocks(*args)
-
-    monkeypatch.setattr(simulate_module, "_write_blocks", child_fails)
-    params, design, cfg = _streamed_run("rotpen", "smc", 3 * _B + 1)
-    path = tmp_path / "trace.csv"
-    with pytest.raises(OSError, match=r"the trace writer's child failed \(wait status 256\)"):
-        simulate(params, design, cfg, path)
-    with open(tmp_path / "after.txt", "a") as fh:
-        fh.write(f"{os.getpid()}\n")
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert (tmp_path / "after.txt").read_text() == f"{pid}\n"
-    assert not path.exists()  # no partial trace is left
-
-
-def test_an_exception_in_the_tick_loop_reaps_the_writer(tmp_path, monkeypatch):
-    calls = []
-
-    def fails_later(run, k, stop, carry):
-        calls.append((k, stop))
-        if len(calls) == 3:  # after two blocks went to the writer
-            raise RuntimeError("tick loop failed")
-        return run(k, stop, carry)
-
-    _wrap_tick_loop(monkeypatch, fails_later)
-    params, design, cfg = _streamed_run("nxtway", "lqr", 3 * _B + 1, pulse_tick=0)
-    path = tmp_path / "trace.csv"
-    with pytest.raises(RuntimeError, match="tick loop failed"):
-        simulate(params, design, cfg, path)
-    assert calls == [(0, _B), (_B, 2 * _B), (2 * _B, 3 * _B)]  # one call per block
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert not path.exists()
-
-
-# the split of the tail: the writer child is held at its first block until
-# the parent has set its limit, so the child is on row 0 when the loop ends
-# and the parent takes every block from B + (k - B) // 2B * B on
-
-_NO_LIMIT = np.iinfo(np.int64).max
-
-
-def _held_child(monkeypatch, child_block=None):
-    """Hold the writer child at its first block until the parent sets a limit.
-
-    Returns (the start rows of the blocks the parent formats, the slots).
-    Each slot is an int64 view of a 16-byte shared mapping simulate made:
-    [the child's block or stop, the parent's limit]. child_block(slot,
-    start), if given, runs in the child before each block it writes.
-    """
-    pid, slots, parent_blocks = os.getpid(), [], []
-    new_mapping, write_blocks = mmap.mmap, simulate_module._write_blocks
-
-    def recorded(fileno, length, *args):
-        mapping = new_mapping(fileno, length, *args)
-        if length == 16:
-            slots.append(np.frombuffer(mapping, dtype=np.int64))
-        return mapping
-
-    def held(fh, columns, start, stop):
-        if os.getpid() == pid:
-            parent_blocks.append(start)
-        else:
-            deadline = time.monotonic() + 10.0
-            while start == 0 and slots[-1][1] == _NO_LIMIT and time.monotonic() < deadline:
-                time.sleep(0.001)
-            if child_block is not None:
-                child_block(slots[-1], start)
+            if in_child is not None:
+                in_child(start, stop)
+        elif forks:
+            shares.append((start, stop))
         return write_blocks(fh, columns, start, stop)
 
-    monkeypatch.setattr(mmap, "mmap", recorded)
-    monkeypatch.setattr(simulate_module, "_write_blocks", held)
-    return parent_blocks, slots
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(simulate_module, "_write_blocks", recorded)
+    return forks, shares
 
 
-def _assert_written_alone(tmp_path, trace, path):
-    """The file equals save_trace_csv of trace, and no child is left."""
+def _assert_written_alone(trace, path):
+    """The file holds the per-row reference of trace, and no child is left."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    save_trace_csv(trace, tmp_path / "written.csv")
-    assert path.read_bytes() == (tmp_path / "written.csv").read_bytes()
-
-
-@pytest.mark.parametrize("platform, controller", sorted(_DESIGNS))
-def test_the_parent_formats_the_back_of_the_tail(tmp_path, monkeypatch, platform, controller):
-    parent_blocks, slots = _held_child(monkeypatch)
-    params, design, cfg = _streamed_run(platform, controller, 6 * _B + 1)
-    path = tmp_path / "trace.csv"
-    trace = simulate(params, design, cfg, path)
-    # rows 3B to 6B + 1: three whole blocks and the last row
-    assert parent_blocks == [3 * _B, 4 * _B, 5 * _B, 6 * _B]
-    assert list(slots[-1]) == [3 * _B, 3 * _B]  # the child stopped at the limit
-    _assert_written_alone(tmp_path, trace, path)
-
-
-@pytest.mark.parametrize("platform, controller", sorted(_DESIGNS))
-def test_the_split_follows_the_formatting_cost_not_the_rows(tmp_path, monkeypatch, platform,
-                                                            controller):
-    # rows to 4B rest at exact zeros, whose cells format fast, and a pulse
-    # from row 4B moves every cell: by rows the parent would take the blocks
-    # from 3B on, by estimated cost it takes those from 4B on
-    parent_blocks, slots = _held_child(monkeypatch)
-    params, design, cfg = _streamed_run(platform, controller, 6 * _B + 1, x0=(0.0,) * 4,
-                                        pulse_tick=4 * _B)
-    path = tmp_path / "trace.csv"
-    trace = simulate(params, design, cfg, path)
-    assert parent_blocks == [4 * _B, 5 * _B, 6 * _B]
-    assert list(slots[-1]) == [4 * _B, 4 * _B]
-    _assert_written_alone(tmp_path, trace, path)
-
-
-def test_the_parents_share_holds_one_block_in_memory(tmp_path, monkeypatch):
-    # the parent formats its share into a temporary file beside the trace,
-    # so the memory that takes does not grow with the blocks in the share
-    parent_blocks, _ = _held_child(monkeypatch)
-    format_share, peaks, shares = simulate_module._format_share, [], []
-
-    def traced(*args):
-        tracemalloc.start()
-        try:
-            result = format_share(*args)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        return result
-
-    monkeypatch.setattr(simulate_module, "_format_share", traced)
-    for rows in (4 * _B + 1, 16 * _B + 1):
-        params, design, cfg = _streamed_run("rotpen", "smc", rows)
-        path = tmp_path / f"{rows}.csv"
-        trace = simulate(params, design, cfg, path)
-        shares.append(len(parent_blocks))
-        _assert_written_alone(tmp_path, trace, path)
-        parent_blocks.clear()
-    assert shares == [3, 9]  # with the last row's block
-    # one block of 9 columns is about 0.2 MB of bytes and 0.4 MB of floats
-    assert peaks[1] < peaks[0] + 64 * 1024, peaks
-
-
-def test_a_diverged_run_splits_its_truncated_tail(tmp_path, monkeypatch):
-    # the run of test_a_diverged_run_streams_its_truncated_trace: the parent
-    # formats the partial second block
-    parent_blocks, _ = _held_child(monkeypatch)
-    cfg = SimConfig(duration=20.0, controller_Ts=0.002, x0=(0.0, 0.0, 0.01, 0.0),
-                    saturation_V=1e6)
-    path = tmp_path / "trace.csv"
-    trace = simulate(default_params("rotpen"), _gain_only_design([0.0, 0.0, -1.0, 0.0]),
-                     cfg, path)
-    assert trace.diverged and _B < trace.t.size < 2 * _B
-    assert parent_blocks == [_B]
-    _assert_written_alone(tmp_path, trace, path)
-
-
-def test_the_split_with_a_live_second_thread_leaves_no_child_process(tmp_path, monkeypatch):
-    parent_blocks, _ = _held_child(monkeypatch)
-    params, design, cfg = _streamed_run("rotpen", "smc", 3 * _B + 1)
-    release = threading.Event()
-    waiter = threading.Thread(target=release.wait, args=(10.0,))
-    waiter.start()
-    try:
-        trace = simulate(params, design, cfg, tmp_path / "trace.csv")
-    finally:
-        release.set()
-        waiter.join(10.0)
-    assert not waiter.is_alive()
-    assert parent_blocks == [2 * _B, 3 * _B]
-    _assert_written_alone(tmp_path, trace, tmp_path / "trace.csv")
-
-
-@pytest.mark.parametrize("past, stop", [(1, 4 * _B), (2, 5 * _B), (None, 6 * _B + 1)])
-def test_a_child_that_ran_past_the_limit_wrote_its_blocks_once(tmp_path, monkeypatch,
-                                                               past, stop):
-    # the child checks the limit as if the parent had set it late: it runs
-    # past blocks (None: to the end, the last row's block included) beyond
-    # the limit 3B, and the parent drops the blocks it wrote
-    limit = []
-
-    def ignores_the_limit(slot, start):
-        if not limit:
-            limit.append(int(slot[1]))
-            slot[1] = _NO_LIMIT
-        elif past is not None and start >= limit[0] + (past - 1) * _B:
-            slot[1] = limit[0]
-
-    parent_blocks, slots = _held_child(monkeypatch, ignores_the_limit)
-    params, design, cfg = _streamed_run("nxtway", "smc", 6 * _B + 1)
-    path = tmp_path / "trace.csv"
-    trace = simulate(params, design, cfg, path)
-    assert parent_blocks == [3 * _B, 4 * _B, 5 * _B, 6 * _B]
-    assert slots[-1][0] == stop
-    _assert_written_alone(tmp_path, trace, path)
-
-
-def test_a_child_that_stops_before_the_last_count_does_not_fail_the_run(tmp_path,
-                                                                        monkeypatch):
-    # the loop sent the count 6B, past the limit 3B, so the child stops
-    # without reading the last count; sending it meets a closed pipe
-    _, slots = _held_child(monkeypatch)
-    send_count, sent = simulate_module._send_count, []
-
-    def after_the_child_exits(wfd, count):
-        if count < 0:
-            poller = select.poll()
-            poller.register(wfd, select.POLLOUT)
-            deadline = time.monotonic() + 10.0
-            while (not poller.poll(10)[0][1] & select.POLLERR
-                   and time.monotonic() < deadline):
-                pass
-        sent.append(send_count(wfd, count))
-        return sent[-1]
-
-    monkeypatch.setattr(simulate_module, "_send_count", after_the_child_exits)
-    params, design, cfg = _streamed_run("rotpen", "lqr", 6 * _B + 1)
-    path = tmp_path / "trace.csv"
-    trace = simulate(params, design, cfg, path)
-    assert sent[-1] == math.inf and slots[-1][0] == 3 * _B
-    _assert_written_alone(tmp_path, trace, path)
+    assert path.read_bytes() == _reference_csv(trace)
 
 
 def _assert_reaped_and_removed(path):
@@ -1376,58 +1142,153 @@ def _assert_reaped_and_removed(path):
     assert not path.exists()
 
 
+def test_a_diverged_run_writes_its_truncated_trace(tmp_path, monkeypatch):
+    # positive feedback on the arm rate diverges after 1943 ticks, in the
+    # second block; the first block costs more than half, so the child
+    # writes no row and the caller formats every one
+    forks, shares = _recorded_writer(monkeypatch)
+    cfg = SimConfig(duration=20.0, controller_Ts=0.002, x0=(0.0, 0.0, 0.01, 0.0),
+                    saturation_V=1e6)
+    path = tmp_path / "trace.csv"
+    trace = simulate(default_params("rotpen"), _gain_only_design([0.0, 0.0, -1.0, 0.0]),
+                     cfg, path)
+    assert trace.diverged and _B < trace.t.size < 2 * _B
+    assert len(forks) == 1 and shares == [(0, trace.t.size)]
+    _assert_written_alone(trace, path)
+
+
+@pytest.mark.parametrize("rows, forks", [(2, 0), (_B, 0), (_B + 1, 1)])
+def test_only_a_trace_of_more_than_one_block_forks(tmp_path, monkeypatch, rows, forks):
+    calls, _ = _recorded_writer(monkeypatch)
+    params, design, cfg = _pulse_run("nxtway", "smc", rows)
+    trace = simulate(params, design, cfg, tmp_path / "trace.csv")
+    assert len(calls) == forks
+    simulate(params, design, cfg)  # no path: no writer
+    assert len(calls) == forks
+    save_trace_csv(trace, tmp_path / "written.csv")
+    assert len(calls) == 2 * forks
+    for name in ("trace.csv", "written.csv"):
+        assert (tmp_path / name).read_bytes() == _reference_csv(trace)
+
+
+@pytest.mark.parametrize("platform, controller", sorted(_DESIGNS))
+def test_the_split_follows_the_formatting_cost_not_the_rows(tmp_path, monkeypatch, platform,
+                                                            controller):
+    # rows to 4B rest at exact zeros, whose cells format fast, and a pulse
+    # from row 4B moves every cell: by rows the caller would take the rows
+    # from 3B on, by estimated cost it takes those from 4B on
+    trace = _pulse_trace(platform, controller, 6 * _B + 1, x0=(0.0,) * 4, pulse_tick=4 * _B)
+    forks, shares = _recorded_writer(monkeypatch)
+    path = tmp_path / "trace.csv"
+    save_trace_csv(trace, path)
+    assert len(forks) == 1 and shares == [(4 * _B, 6 * _B + 1)]
+    _assert_written_alone(trace, path)
+
+
+def test_trace_writer_leaves_no_child_process(tmp_path, monkeypatch):
+    # the fork happens while a second Python thread is live, as it does in a
+    # process holding OpenBLAS workers; the child touches neither
+    forks, shares = _recorded_writer(monkeypatch)
+    params, design, cfg = _pulse_run("rotpen", "lqr", 3 * _B + 1)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(10.0,))
+    waiter.start()
+    try:
+        trace = simulate(params, design, cfg, tmp_path / "trace.csv")
+    finally:
+        release.set()
+        waiter.join(10.0)
+    assert not waiter.is_alive()
+    assert len(forks) == 1 and shares == [(_B, 3 * _B + 1)]
+    _assert_written_alone(trace, tmp_path / "trace.csv")
+
+
+def test_the_parents_share_holds_one_block_in_memory(tmp_path, monkeypatch):
+    # the caller formats its share into a temporary file beside the trace,
+    # so the memory that takes does not grow with the blocks in the share
+    _, shares = _recorded_writer(monkeypatch)
+    peaks = []
+    for rows in (4 * _B + 1, 16 * _B + 1):
+        trace = _pulse_trace("rotpen", "smc", rows)
+        path = tmp_path / f"{rows}.csv"
+        tracemalloc.start()
+        try:
+            save_trace_csv(trace, path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        _assert_written_alone(trace, path)
+    # with the last row's block: 3 blocks, then 9
+    assert shares == [(2 * _B, 4 * _B + 1), (8 * _B, 16 * _B + 1)]
+    # one block of 9 columns is about 0.2 MB of bytes and 0.4 MB of floats
+    assert peaks[1] < peaks[0] + 64 * 1024, peaks
+
+
+def test_a_failed_writer_child_raises_and_leaves_no_process(tmp_path, monkeypatch):
+    # formatting fails in the forked child alone, so it exits 1 after the
+    # header; its copy of this test must never run the lines below
+    pid = os.getpid()
+
+    def child_fails(start, stop):
+        raise OSError("refused in the child")
+
+    trace = _pulse_trace("rotpen", "smc", 3 * _B + 1)
+    forks, shares = _recorded_writer(monkeypatch, child_fails)
+    path = tmp_path / "trace.csv"
+    with pytest.raises(OSError, match=r"the trace writer's child failed \(wait status 256\)"):
+        save_trace_csv(trace, path)
+    with open(tmp_path / "after.txt", "a") as fh:
+        fh.write(f"{os.getpid()}\n")
+    assert (tmp_path / "after.txt").read_text() == f"{pid}\n"
+    assert len(forks) == 1 and shares == [(_B, 3 * _B + 1)]
+    _assert_reaped_and_removed(path)  # no partial trace is left
+
+
+def test_an_exception_in_the_tick_loop_forks_nothing_and_leaves_no_file(tmp_path, monkeypatch):
+    def fails(*args):
+        raise RuntimeError("tick loop failed")
+
+    forks, _ = _recorded_writer(monkeypatch)
+    monkeypatch.setattr(simulate_module, "tick_loop", fails)
+    params, design, cfg = _pulse_run("nxtway", "lqr", 3 * _B + 1, pulse_tick=0)
+    path = tmp_path / "trace.csv"
+    with pytest.raises(RuntimeError, match="tick loop failed"):
+        simulate(params, design, cfg, path)
+    assert forks == []
+    assert not path.exists()
+
+
 def test_an_exception_in_the_parents_share_reaps_the_writer(tmp_path, monkeypatch):
-    parent_blocks, _ = _held_child(monkeypatch)
+    trace = _pulse_trace("nxtway", "lqr", 3 * _B + 1)
+    forks, shares = _recorded_writer(monkeypatch)
     write_blocks = simulate_module._write_blocks
 
     def parent_fails(*args):
         write_blocks(*args)
-        if parent_blocks:
+        if shares:
             raise RuntimeError("formatting failed")
 
     monkeypatch.setattr(simulate_module, "_write_blocks", parent_fails)
-    params, design, cfg = _streamed_run("nxtway", "lqr", 3 * _B + 1)
     path = tmp_path / "trace.csv"
     with pytest.raises(RuntimeError, match="formatting failed"):
-        simulate(params, design, cfg, path)
-    assert parent_blocks == [2 * _B]
+        save_trace_csv(trace, path)
+    assert len(forks) == 1 and shares == [(_B, 3 * _B + 1)]
     _assert_reaped_and_removed(path)
 
 
 def test_a_failed_append_reaps_the_writer_and_removes_the_file(tmp_path, monkeypatch):
-    parent_blocks, _ = _held_child(monkeypatch)
-
     def disk_full(file, mode="r", *args, **kwargs):
         if mode == "ab":
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(file))
         return open(file, mode, *args, **kwargs)
 
+    trace = _pulse_trace("rotpen", "smc", 3 * _B + 1)
+    forks, shares = _recorded_writer(monkeypatch)
     monkeypatch.setattr(simulate_module, "open", disk_full, raising=False)
-    params, design, cfg = _streamed_run("rotpen", "smc", 3 * _B + 1)
     path = tmp_path / "trace.csv"
     with pytest.raises(OSError, match="No space left on device"):
-        simulate(params, design, cfg, path)
-    assert parent_blocks == [2 * _B, 3 * _B]
-    _assert_reaped_and_removed(path)
-
-
-def test_a_child_that_fails_after_the_split_raises_the_writer_error(tmp_path, monkeypatch):
-    # the child fails on its first block once the limit is set; its copy of
-    # this test must never run the lines below
-    pid = os.getpid()
-
-    def child_fails(slot, start):
-        raise OSError("refused in the child")
-
-    parent_blocks, _ = _held_child(monkeypatch, child_fails)
-    params, design, cfg = _streamed_run("nxtway", "smc", 3 * _B + 1)
-    path = tmp_path / "trace.csv"
-    with pytest.raises(OSError, match=r"the trace writer's child failed \(wait status 256\)"):
-        simulate(params, design, cfg, path)
-    with open(tmp_path / "after.txt", "a") as fh:
-        fh.write(f"{os.getpid()}\n")
-    assert parent_blocks == [2 * _B, 3 * _B]
-    assert (tmp_path / "after.txt").read_text() == f"{pid}\n"
+        save_trace_csv(trace, path)
+    assert len(forks) == 1 and shares == [(_B, 3 * _B + 1)]
     _assert_reaped_and_removed(path)
 
 
@@ -1444,7 +1305,7 @@ def _table_floats(trace):
 def test_the_table_holds_one_row_per_csv_column(tmp_path, platform, controller, rows):
     # an LQR design without Ki records neither s nor the integral
     for length, path in ((_B, None), (3 * _B + 1, tmp_path / "trace.csv")):
-        params, design, cfg = _streamed_run(platform, controller, length)
+        params, design, cfg = _pulse_run(platform, controller, length)
         trace = simulate(params, design, cfg, path)
         assert _table_floats(trace) == rows * length
 
@@ -1505,9 +1366,8 @@ def _fresh_native(monkeypatch, cache_home):
 
 
 def _loop_name(platform):
-    """The name of the run function tick_loop gives for platform: native_run or python_run."""
-    return tick_loop(default_params(platform), 0.0005, 4, np.zeros((8, 3)), [3], _loop_settings(),
-                     (0.0, 0.0, 0.0, 0.0))[0].__name__
+    """The tick loop platform runs: native or python."""
+    return "python" if plants_module._native_library(platform) is None else "native"
 
 
 def _python_only(monkeypatch):
@@ -1515,35 +1375,30 @@ def _python_only(monkeypatch):
 
 
 def _short_run_bytes(tmp_path, name):
-    """Trace CSV bytes of a rotpen SMC and a nxtway LQR run of 3 blocks and a row (streamed)."""
+    """Trace CSV bytes of a rotpen SMC and a nxtway LQR run of 3 blocks and a row."""
     out = []
     for platform, controller in (("rotpen", "smc"), ("nxtway", "lqr")):
-        params, design, cfg = _streamed_run(platform, controller, 3 * _B + 1)
+        params, design, cfg = _pulse_run(platform, controller, 3 * _B + 1)
         path = tmp_path / f"{name}-{platform}.csv"
         simulate(params, design, cfg, path)
         out.append(path.read_bytes())
     return out
 
 
-def _loop_outcome(platform, native, settings, x0, dist, stops, carry=None):
+def _loop_outcome(platform, native, settings, x0, dist):
     """Rows, row reached, carried state bits and flag of a tick loop run over dist.
 
-    The run goes to each row in stops in turn, as a streamed simulate does
-    block by block; native None runs the Python loop. A run that raises
-    gives the table's bytes and the exception's repr.
+    native None runs the Python loop. A run that raises gives the table's
+    bytes and the exception's repr.
     """
     rows = len(dist)
     table = np.zeros((8 + int(settings["smc"] or settings["integral"]), rows))
     table[7] = dist
     bits = table[7].view(np.int64)
     changes = np.append(np.flatnonzero(bits[1:] != bits[:-1]) + 1, rows)
-    run, start = plants_module._runner(default_params(platform), 0.0005, 4, table, changes,
-                                       settings, x0, native)
-    k, carry, diverged = 0, start if carry is None else carry, False
     try:
-        for stop in stops:
-            if k < stop and not diverged:
-                k, carry, diverged = run(k, stop, carry)
+        k, carry, diverged = plants_module._runner(default_params(platform), 0.0005, 4, table,
+                                                   changes, settings, x0, native)
     except (ValueError, ZeroDivisionError) as error:
         return table.tobytes(), repr(error)
     return table.tobytes(), k, struct.pack(f"{len(carry)}d", *carry), diverged
@@ -1556,12 +1411,19 @@ def _loop_settings(**changed):
 
 
 @pytest.mark.parametrize("platform", ["rotpen", "nxtway"])
-def test_the_tick_loop_is_native_where_cc_exists(tmp_path, platform):
+def test_the_tick_loop_is_native_where_cc_exists(tmp_path, monkeypatch, platform):
     _native_or_skip(platform, tmp_path)
-    args = (default_params(platform), 0.0005, 4, np.zeros((8, 3)), [3], _loop_settings(),
-            (0.0, 0.0, 0.0, 0.0))
-    assert tick_loop(*args)[0].__name__ == "native_run"
-    assert plants_module._runner(*args, None)[0].__name__ == "python_run"
+    assert _loop_name(platform) == "native"
+    kernels, runner = [], plants_module._runner
+
+    def recorded(*args):
+        kernels.append(args[-1])
+        return runner(*args)
+
+    monkeypatch.setattr(plants_module, "_runner", recorded)
+    assert tick_loop(default_params(platform), 0.0005, 4, np.zeros((8, 3)), [3],
+                     _loop_settings(), (0.0, 0.0, 0.0, 0.0)) == (3, False)
+    assert kernels == [plants_module._native_library(platform)]
 
 
 @pytest.mark.parametrize("platform", ["rotpen", "nxtway"])
@@ -1576,8 +1438,8 @@ def test_a_period_that_leaves_the_floats_is_redone_by_the_python_loop(tmp_path, 
     finite = []
     for pulse in (math.inf, -math.inf, math.nan, 1e300, 1e200, -1e308, 1e12):
         dist = [0.0] * 3 + [pulse] * 5
-        want, got = (_loop_outcome(platform, n, _loop_settings(), (0.0, 0.1, 0.0, 0.0), dist,
-                                   [8]) for n in (None, native))
+        want, got = (_loop_outcome(platform, n, _loop_settings(), (0.0, 0.1, 0.0, 0.0), dist)
+                     for n in (None, native))
         assert got == want, pulse
         assert want[1] == 4 and want[3] is True
         finite.append(all(map(math.isfinite, struct.unpack("12d", want[2])[:4])))
@@ -1594,7 +1456,7 @@ def test_a_zero_determinant_raises_zero_division_natively_too(tmp_path, monkeypa
     monkeypatch.setitem(plants_module._DYNAMICS, "nxtway", (lambda p: zeros, per_call, stage))
     for kernel in (None, native):
         outcome = _loop_outcome("nxtway", kernel, _loop_settings(), (0.0, 0.1, 0.0, 0.0),
-                                [0.0] * 4, [4])
+                                [0.0] * 4)
         assert outcome[1] == "ZeroDivisionError('float division by zero')"
 
 
@@ -1602,7 +1464,7 @@ _SPECIAL = (0.0, -0.0, 5e-324, -1e-310)
 
 
 def _random_loop_case(rng):
-    """(settings, x0, dist, stops) of a random design, state, measurement and pulse."""
+    """(settings, x0, dist) of a random design, state, measurement and pulse."""
     smc = float(rng.random() < 0.5)
     settings = dict(
         zip(("k1", "k2", "k3", "k4", "l1", "l2", "l3", "l4"),
@@ -1625,26 +1487,24 @@ def _random_loop_case(rng):
     dist = [0.0] * rows
     start, stop = sorted(rng.integers(0, rows + 1, size=2).tolist())
     dist[start:stop] = [float(rng.normal(scale=3.0))] * (stop - start)
-    stops = sorted(set(rng.integers(1, rows, size=rng.integers(0, 3)).tolist()) | {rows})
-    return settings, x0, dist, stops
+    return settings, x0, dist
 
 
 @pytest.mark.parametrize("platform", ["rotpen", "nxtway"])
 def test_the_c_and_python_tick_loops_give_the_same_runs(tmp_path, platform):
-    # seeded designs, states, measurements, boundary layers and pulses, each
-    # run in up to three calls as a streamed simulate makes them
+    # seeded designs, states, measurements, boundary layers and pulses
     _native_or_skip(platform, tmp_path)
     native = plants_module._native_library(platform)
     rng = np.random.default_rng(31 if platform == "rotpen" else 37)
     cases = [_random_loop_case(rng) for _ in range(60)]
-    nan_carry = (0.0, 0.0, 0.0, 0.0, math.nan) + (0.0,) * 7
     cases += [
-        (_loop_settings(), (0.0, 2e3, 0.0, 0.0), [0.0] * 8, [8]),  # beyond 1e3 at row 0
-        (_loop_settings(), (999.9, 0.0, 100.0, 0.0), [0.0] * 8, [8]),  # beyond it at row 1
-        (_loop_settings(filtered=1.0), (0.0, 0.1, 0.0, 0.0), [0.0, math.inf, 0.0], [3]),
-        # at exact rest with a NaN integral, which an SMC law never reads: the
-        # rest test must fail, so every tick is computed
-        (_loop_settings(smc=1.0), (0.0, 0.0, 0.0, 0.0), [0.0] * 8, [8], nan_carry),
+        (_loop_settings(), (0.0, 2e3, 0.0, 0.0), [0.0] * 8),  # beyond 1e3 at row 0
+        (_loop_settings(), (999.9, 0.0, 100.0, 0.0), [0.0] * 8),  # beyond it at row 1
+        (_loop_settings(filtered=1.0), (0.0, 0.1, 0.0, 0.0), [0.0, math.inf, 0.0]),
+        # at exact rest with an integral that turns NaN (0 * inf) and that an
+        # SMC law never reads: the rest test must fail, so every tick is
+        # computed
+        (_loop_settings(smc=1.0, integral=1.0, Ts=math.inf), (0.0,) * 4, [0.0] * 8),
     ]
     outcomes = []
     for case in cases:
@@ -1659,7 +1519,11 @@ def test_the_c_and_python_tick_loops_give_the_same_runs(tmp_path, platform):
     assert outcomes[-2][1] == 2 and outcomes[-2][3] is True
     assert all(map(math.isfinite, struct.unpack("12d", outcomes[-2][2])))
     assert struct.unpack("12d", outcomes[-1][2])[-1] == 7.0  # 7 periods, none copied
-    assert _loop_outcome(platform, None, *cases[-1][:4])[2][-8:] == struct.pack("d", 1.0)
+    assert math.isnan(struct.unpack("12d", outcomes[-1][2])[4])
+    # with a finite Ts the integral stays 0.0, and the run copies after one period
+    at_rest = _loop_outcome(platform, None, _loop_settings(smc=1.0, integral=1.0), (0.0,) * 4,
+                            [0.0] * 8)
+    assert at_rest[2][-8:] == struct.pack("d", 1.0)
     assert sum(o[-1] is False and o[1] == len(c[2]) for o, c in zip(outcomes, cases)) > 20
 
 
@@ -1693,15 +1557,6 @@ def test_the_tick_loop_refuses_what_it_cannot_index(table, changes):
                   (0.0, 0.0, 0.0, 0.0))
 
 
-@pytest.mark.parametrize("k, stop", [(-1, 2), (3, 2), (0, 5)])
-def test_a_tick_loop_run_refuses_rows_outside_its_table(k, stop):
-    for native in (None, plants_module._native_library("rotpen")):
-        run, carry = plants_module._runner(default_params("rotpen"), 0.0005, 4, np.zeros((8, 4)),
-                                           [4], _loop_settings(), (0.0, 0.0, 0.0, 0.0), native)
-        with pytest.raises(ValueError, match="outside the table"):
-            run(k, stop, carry)
-
-
 @pytest.mark.parametrize("measurement", ["ideal", "filtered-derivative"])
 @pytest.mark.parametrize("platform, controller", sorted(_DESIGNS))
 def test_paper_runs_write_the_same_trace_natively_and_in_python(tmp_path, monkeypatch, platform,
@@ -1721,9 +1576,9 @@ def test_a_run_that_leaves_the_floats_ends_alike_natively_and_in_python(tmp_path
                                                                         platform, controller):
     # a 1e6 V pulse at tick 1250 leaves the floats within one period: the
     # robot's stepping raises ValueError (the sine of an infinity), the
-    # pendulum's lands beyond the divergence limit; either way the streamed
+    # pendulum's lands beyond the divergence limit; either way the written
     # trace ends, complete, at the last finite row
-    params, design, cfg = _streamed_run(platform, controller, 3 * _B + 1, pulse_tick=1250)
+    params, design, cfg = _pulse_run(platform, controller, 3 * _B + 1, pulse_tick=1250)
     cfg = dataclasses.replace(cfg, disturbance=dataclasses.replace(cfg.disturbance,
                                                                   amplitude=1e6))
     traces = [simulate(params, design, cfg, tmp_path / "native.csv")]
@@ -1732,8 +1587,7 @@ def test_a_run_that_leaves_the_floats_ends_alike_natively_and_in_python(tmp_path
     for trace in traces:
         assert trace.diverged and trace.t.size == 1251 and np.isfinite(trace.x).all()
     assert (tmp_path / "native.csv").read_bytes() == (tmp_path / "python.csv").read_bytes()
-    save_trace_csv(traces[1], tmp_path / "written.csv")
-    assert (tmp_path / "python.csv").read_bytes() == (tmp_path / "written.csv").read_bytes()
+    assert (tmp_path / "python.csv").read_bytes() == _reference_csv(traces[1])
 
 
 def test_without_cc_the_python_kernel_runs_with_the_same_bytes(tmp_path, monkeypatch):
@@ -1742,7 +1596,7 @@ def test_without_cc_the_python_kernel_runs_with_the_same_bytes(tmp_path, monkeyp
     monkeypatch.setenv("PATH", str(tmp_path / "bin"))
     native = _fresh_native(monkeypatch, tmp_path / "cache")
     assert native("rotpen") is None and native("nxtway") is None
-    assert _loop_name("rotpen") == "python_run"
+    assert _loop_name("rotpen") == "python"
     assert _short_run_bytes(tmp_path, "after") == want
 
 
@@ -1756,7 +1610,7 @@ def test_a_failing_compile_leaves_the_python_kernel_and_no_file(tmp_path, monkey
     native = _fresh_native(monkeypatch, tmp_path / "cache")
     assert native("rotpen") is None
     assert os.listdir(tmp_path / "cache" / "pendulum_ctl") == []
-    assert _loop_name("nxtway") == "python_run"
+    assert _loop_name("nxtway") == "python"
     assert _short_run_bytes(tmp_path, "after") == want
 
 
@@ -1799,7 +1653,7 @@ def test_a_cache_directory_others_may_write_is_not_used(tmp_path, monkeypatch, m
     monkeypatch.setattr(tempfile, "tempdir", str(private))
     assert native("rotpen") is not None  # built and loaded in a private directory
     assert os.listdir(shared) == [name] and os.listdir(private) == []
-    assert _loop_name("rotpen") == "native_run"
+    assert _loop_name("rotpen") == "native"
     assert _short_run_bytes(tmp_path, "after") == want
 
 
