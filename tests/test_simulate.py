@@ -16,6 +16,7 @@ import inspect
 import math
 import os
 import shutil
+import signal
 import struct
 import subprocess
 import sys
@@ -1157,6 +1158,20 @@ def test_a_diverged_run_writes_its_truncated_trace(tmp_path, monkeypatch):
     _assert_written_alone(trace, path)
 
 
+def test_a_diverged_run_past_two_blocks_splits_its_truncated_trace(tmp_path, monkeypatch):
+    # the same feedback from a smaller arm rate diverges after 2285 ticks,
+    # in the third block: the child writes the first block, the caller the rest
+    forks, shares = _recorded_writer(monkeypatch)
+    cfg = SimConfig(duration=20.0, controller_Ts=0.002, x0=(0.0, 0.0, 1e-4, 0.0),
+                    saturation_V=1e6)
+    path = tmp_path / "trace.csv"
+    trace = simulate(default_params("rotpen"), _gain_only_design([0.0, 0.0, -1.0, 0.0]),
+                     cfg, path)
+    assert trace.diverged and 2 * _B < trace.t.size < 3 * _B
+    assert len(forks) == 1 and shares == [(_B, trace.t.size)]
+    _assert_written_alone(trace, path)
+
+
 @pytest.mark.parametrize("rows, forks", [(2, 0), (_B, 0), (_B + 1, 1)])
 def test_only_a_trace_of_more_than_one_block_forks(tmp_path, monkeypatch, rows, forks):
     calls, _ = _recorded_writer(monkeypatch)
@@ -1182,6 +1197,38 @@ def test_the_split_follows_the_formatting_cost_not_the_rows(tmp_path, monkeypatc
     path = tmp_path / "trace.csv"
     save_trace_csv(trace, path)
     assert len(forks) == 1 and shares == [(4 * _B, 6 * _B + 1)]
+    _assert_written_alone(trace, path)
+
+
+def _even_trace(rows):
+    """A trace of rows rows whose cells are all non-zero, so every whole block costs the same."""
+    values = np.random.default_rng(rows).uniform(1.0, 2.0, size=(rows, 7))
+    return SimTrace(t=0.002 * np.arange(1, rows + 1), x=values[:, 0:4],
+                    u_command=values[:, 4], u_applied=values[:, 5], d=values[:, 6])
+
+
+@pytest.mark.parametrize("rows, split", [
+    (2 * _B, _B), (2 * _B + 1, _B), (3 * _B + 1, _B), (4 * _B, 2 * _B), (5 * _B, 2 * _B),
+    (8 * _B + 1, 4 * _B)])
+def test_an_even_trace_splits_at_the_last_block_start_within_half_its_cost(tmp_path,
+                                                                            monkeypatch, rows,
+                                                                            split):
+    # blocks cost alike, so the rows before the split are the most whole
+    # blocks that cost at most half; a short last block counts for its rows
+    trace = _even_trace(rows)
+    forks, shares = _recorded_writer(monkeypatch)
+    path = tmp_path / "trace.csv"
+    save_trace_csv(trace, path)
+    assert len(forks) == 1 and shares == [(split, rows)]
+    _assert_written_alone(trace, path)
+
+
+@pytest.mark.parametrize("rows", [_B + 1, 3 * _B + 1])
+def test_without_os_fork_a_long_trace_is_written_in_one_process(tmp_path, monkeypatch, rows):
+    trace = _even_trace(rows)
+    monkeypatch.delattr(os, "fork")
+    path = tmp_path / "trace.csv"
+    save_trace_csv(trace, path)
     _assert_written_alone(trace, path)
 
 
@@ -1224,18 +1271,35 @@ def test_the_parents_share_holds_one_block_in_memory(tmp_path, monkeypatch):
     assert peaks[1] < peaks[0] + 64 * 1024, peaks
 
 
-def test_a_failed_writer_child_raises_and_leaves_no_process(tmp_path, monkeypatch):
-    # formatting fails in the forked child alone, so it exits 1 after the
-    # header; its copy of this test must never run the lines below
+@pytest.mark.parametrize("failure, status", [
+    ("raises-before-its-rows", 256), ("raises-after-its-rows", 256), ("killed", 9)])
+def test_a_failed_writer_child_raises_and_leaves_no_process(tmp_path, monkeypatch, failure,
+                                                            status):
+    # the forked child alone fails: it exits 1 after the header or after its
+    # rows, or a signal ends it; its copy of this test must never run the
+    # lines below
     pid = os.getpid()
 
     def child_fails(start, stop):
+        if failure == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
         raise OSError("refused in the child")
 
     trace = _pulse_trace("rotpen", "smc", 3 * _B + 1)
-    forks, shares = _recorded_writer(monkeypatch, child_fails)
+    forks, shares = _recorded_writer(monkeypatch,
+                                     child_fails if failure != "raises-after-its-rows" else None)
+    if failure == "raises-after-its-rows":
+        write_blocks = simulate_module._write_blocks
+
+        def fails_after_its_rows(*args):
+            write_blocks(*args)
+            if os.getpid() != pid:
+                raise OSError("refused in the child")
+
+        monkeypatch.setattr(simulate_module, "_write_blocks", fails_after_its_rows)
     path = tmp_path / "trace.csv"
-    with pytest.raises(OSError, match=r"the trace writer's child failed \(wait status 256\)"):
+    with pytest.raises(OSError,
+                       match=rf"the trace writer's child failed \(wait status {status}\)"):
         save_trace_csv(trace, path)
     with open(tmp_path / "after.txt", "a") as fh:
         fh.write(f"{os.getpid()}\n")
@@ -1258,7 +1322,9 @@ def test_an_exception_in_the_tick_loop_forks_nothing_and_leaves_no_file(tmp_path
     assert not path.exists()
 
 
-def test_an_exception_in_the_parents_share_reaps_the_writer(tmp_path, monkeypatch):
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_an_exception_in_the_parents_share_reaps_the_writer(tmp_path, monkeypatch, error):
+    # an interrupt is no Exception, and must reap and remove all the same
     trace = _pulse_trace("nxtway", "lqr", 3 * _B + 1)
     forks, shares = _recorded_writer(monkeypatch)
     write_blocks = simulate_module._write_blocks
@@ -1266,11 +1332,11 @@ def test_an_exception_in_the_parents_share_reaps_the_writer(tmp_path, monkeypatc
     def parent_fails(*args):
         write_blocks(*args)
         if shares:
-            raise RuntimeError("formatting failed")
+            raise error("formatting failed")
 
     monkeypatch.setattr(simulate_module, "_write_blocks", parent_fails)
     path = tmp_path / "trace.csv"
-    with pytest.raises(RuntimeError, match="formatting failed"):
+    with pytest.raises(error, match="formatting failed"):
         save_trace_csv(trace, path)
     assert len(forks) == 1 and shares == [(_B, 3 * _B + 1)]
     _assert_reaped_and_removed(path)
@@ -1289,6 +1355,33 @@ def test_a_failed_append_reaps_the_writer_and_removes_the_file(tmp_path, monkeyp
     with pytest.raises(OSError, match="No space left on device"):
         save_trace_csv(trace, path)
     assert len(forks) == 1 and shares == [(_B, 3 * _B + 1)]
+    _assert_reaped_and_removed(path)
+
+
+@pytest.mark.parametrize("failure", ["temporary-file", "copy"])
+def test_a_full_disk_past_the_fork_reaps_the_writer_and_removes_the_file(tmp_path, monkeypatch,
+                                                                        failure):
+    # the caller's temporary file cannot be made, or the disk fills while
+    # its bytes are copied into the trace, which then holds some of them
+    def disk_full(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def copy_fills_the_disk(src, dst, *args):
+        dst.write(src.read(100))
+        dst.flush()
+        disk_full()
+
+    trace = _pulse_trace("rotpen", "lqr", 3 * _B + 1)
+    forks, shares = _recorded_writer(monkeypatch)
+    if failure == "temporary-file":
+        monkeypatch.setattr(tempfile, "TemporaryFile", disk_full)
+    else:
+        monkeypatch.setattr(shutil, "copyfileobj", copy_fills_the_disk)
+    path = tmp_path / "trace.csv"
+    with pytest.raises(OSError, match="No space left on device"):
+        save_trace_csv(trace, path)
+    assert len(forks) == 1
+    assert shares == ([] if failure == "temporary-file" else [(_B, 3 * _B + 1)])
     _assert_reaped_and_removed(path)
 
 
