@@ -30,11 +30,18 @@ rest tests and the copy of a row at rest. tick_loop expands it into a
 Python loop that steps each period with period_stepper, and, where cc and
 ctypes are at hand, into a C run function that runs a whole run in one
 call. That C translation, line by line and unchecked, sits beside the
-translated RK4 step in one object per platform, built once and kept in a
-per-user cache. The compiler and the probe are its gate: it is used only
-once it has reproduced the Python loop bit for bit on fixed probe runs. A
-tick whose period leaves the floats is redone by the Python loop, so the
-rows, the flags and the exceptions are the Python loop's.
+translated RK4 step in one object per platform. The compiler and the probe
+are its gate: it is used only once it has reproduced the Python loop bit
+for bit on fixed probe runs. A tick whose period leaves the floats is
+redone by the Python loop, so the rows, the flags and the exceptions are
+the Python loop's.
+
+native_function is the one path by which C reaches the package: it builds
+an object from its source once, keeps it in a per-user cache under its name
+and a hash of the source, and loads one function from it. The tick loop's
+objects (advance-rotpen, advance-nxtway) and simulate's trace formatter
+(csv) go through it; each caller probes what it loads against its Python
+counterpart before using it.
 """
 
 from __future__ import annotations
@@ -67,6 +74,7 @@ __all__ = [
     "scalar_rhs",
     "period_stepper",
     "tick_loop",
+    "native_function",
     "mechanical_energy",
 ]
 
@@ -726,7 +734,7 @@ def _cache_key(source: str) -> str:
 def _build(source: str, path: str) -> None:
     """Compile source into the shared object path, published whole by os.replace."""
     with tempfile.TemporaryDirectory(dir=os.path.dirname(path)) as tmp:
-        c_file, so_file = os.path.join(tmp, "advance.c"), os.path.join(tmp, "advance.so")
+        c_file, so_file = os.path.join(tmp, "source.c"), os.path.join(tmp, "object.so")
         with open(c_file, "w", encoding="utf-8") as f:
             f.write(source)
         subprocess.run([*_CC, "-o", so_file, c_file, "-lm"], check=True, capture_output=True,
@@ -741,60 +749,74 @@ def _build(source: str, path: str) -> None:
 _UNUSED_SECONDS = 30 * 24 * 3600
 
 
-def _prune(folder: str, platform: str, keep: str) -> None:
-    """Delete folder's platform objects, other than keep, untouched for _UNUSED_SECONDS."""
+def _prune(folder: str, name: str, keep: str) -> None:
+    """Delete folder's objects of name, other than keep, untouched for _UNUSED_SECONDS."""
     cutoff = time.time() - _UNUSED_SECONDS
     with contextlib.suppress(OSError), os.scandir(folder) as entries:
         for entry in entries:
-            if (entry.name.startswith(f"advance-{platform}-") and entry.name.endswith(".so")
+            if (entry.name.startswith(f"{name}-") and entry.name.endswith(".so")
                     and entry.name != keep and entry.stat(follow_symlinks=False).st_mtime < cutoff):
                 os.remove(entry.path)
+
+
+def native_function(name: str, source: str, symbol: str, signature: tuple):
+    """The function symbol of the C object built from source, or None.
+
+    The object is <name>-<key>.so in the cache directory, where key is a
+    sha256 of the C source, the compile command and the platform tag: loaded
+    from there, or compiled there first, or, without a safe cache directory,
+    compiled and loaded in a private temporary directory. A load touches the
+    object's mtime; a build deletes the objects of the same name and other
+    keys that no process has loaded for 30 days. signature names the
+    function's ctypes result type, then its argument types. None without
+    cc, ctypes or a loadable object; the caller probes the function before
+    using it.
+    """
+    try:
+        file = f"{name}-{_cache_key(source)}.so"
+        cache = _cache_dir()
+        with (contextlib.nullcontext(cache) if cache else tempfile.TemporaryDirectory()) as folder:
+            path = os.path.join(folder, file)
+            if os.path.isfile(path):
+                with contextlib.suppress(OSError):
+                    os.utime(path)
+            else:
+                _build(source, path)
+                _prune(folder, name, file)
+            return _load(path, symbol, signature)
+    except (ImportError, OSError, AttributeError, subprocess.SubprocessError):
+        return None
+
+
+def _load(path: str, symbol: str, signature: tuple):
+    """The function symbol of the shared object at path, its ctypes signature declared.
+
+    PyDLL keeps the GIL through a call. The pointers are numpy buffers that
+    the callers check and keep alive.
+    """
+    import ctypes
+
+    function = getattr(ctypes.PyDLL(path), symbol)
+    restype, *argtypes = (getattr(ctypes, name) for name in signature)
+    function.restype, function.argtypes = restype, tuple(argtypes)
+    return function
+
+
+# run(constants, steps, settings, table, rows, changes, carry) -> the row reached
+_RUN_SIGNATURE = ("c_int64", "c_void_p", "c_int", "c_void_p", "c_void_p", "c_int64", "c_void_p",
+                  "c_void_p")
 
 
 @functools.cache
 def _native_library(platform: str):
     """The platform's C run kernel, or None to use the Python one.
 
-    Once per process and platform, on first use: loaded from the cache
-    directory, where it is keyed by a sha256 of the C source, the compile
-    command and the platform tag, or compiled there first, or, without a
-    safe cache directory, compiled and loaded in a private temporary
-    directory. A load touches the object's mtime; a build deletes the same
-    platform's objects of other keys that no process has loaded for 30
-    days. None without cc, ctypes or a loadable object, or when a probe run
-    of the C kernel differs from the Python kernel's.
+    Once per process and platform, on first use, through native_function:
+    the object advance-<platform>. None without it, or when a probe run of
+    the C kernel differs from the Python kernel's.
     """
-    try:
-        source = _c_source(platform)
-        name = f"advance-{platform}-{_cache_key(source)}.so"
-        cache = _cache_dir()
-        with (contextlib.nullcontext(cache) if cache else tempfile.TemporaryDirectory()) as folder:
-            path = os.path.join(folder, name)
-            if os.path.isfile(path):
-                with contextlib.suppress(OSError):
-                    os.utime(path)
-            else:
-                _build(source, path)
-                _prune(folder, platform, name)
-            run = _load(path)
-    except (ImportError, OSError, AttributeError, subprocess.SubprocessError):
-        return None
-    return None if _probe_mismatch(platform, run) is not None else run
-
-
-def _load(path: str):
-    """The run function of the shared object at path, its argument types declared.
-
-    PyDLL keeps the GIL through a call. The pointers are numpy buffers that
-    _runner checks and keeps alive.
-    """
-    import ctypes
-
-    run = ctypes.PyDLL(path).run
-    run.restype = ctypes.c_int64
-    run.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p,
-                    ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p)
-    return run
+    run = native_function(f"advance-{platform}", _c_source(platform), "run", _RUN_SIGNATURE)
+    return None if run is None or _probe_mismatch(platform, run) is not None else run
 
 
 def _probe_outcomes(platform: str, native) -> list:

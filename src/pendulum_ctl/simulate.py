@@ -33,23 +33,25 @@ Given a trace path, simulate writes the trace CSV through save_trace_csv
 once the tick loop has ended. The run's table holds the CSV's columns in
 order (t, the four states, both command columns, the disturbance, then s or
 the integral when the design has one), so the writer formats views of it.
-save_trace_csv formats a trace of more than one block of _CSV_BLOCK rows in
-two processes, split where the estimated formatting cost halves; the bytes
-are those of one process formatting every row.
+save_trace_csv writes in the calling process, one block of _CSV_BLOCK rows
+at a time. Each cell is its float's repr: written by a C formatter (the
+shortest round-trip digits by Schubfach, from a power-of-ten table made
+from exact integers when the source is generated) where cc is at hand and
+its probe matches repr, else by a Python "%r" template, with the same bytes.
 """
 
 from __future__ import annotations
 
+import functools
+import io
 import math
 import os
-import shutil
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linearize import closed_form
-from .plants import PlantParams, tick_loop
+from .plants import PlantParams, native_function, tick_loop
 from .synthesis import LqrDesign, SmcDesign
 
 __all__ = [
@@ -344,7 +346,8 @@ def _write_blocks(fh, columns, start: int, stop: int) -> None:
 
     "%r" of a Python float is its repr, so formatting each row's tuple
     writes the same bytes as a repr per cell; converting _CSV_BLOCK rows at
-    a time bounds the Python floats alive at once.
+    a time bounds the Python floats alive at once. This is the formatter
+    without cc, and the reference the C one is probed against.
     """
     line = ",".join(["%r"] * len(columns)) + "\n"
     for i in range(start, stop, _CSV_BLOCK):
@@ -352,42 +355,271 @@ def _write_blocks(fh, columns, start: int, stop: int) -> None:
         fh.write("".join([line % row for row in zip(*values)]).encode())
 
 
-# Estimated cost of formatting one row: the non-zero cells, plus about what
-# a row of zeros costs ("0.0" is cheap; a 17-digit cell is not). Measured on
-# one 2-vCPU machine: 2.2 ms per 1024 rows of zeros, 0.6 ms more per non-zero
-# cell in each row. Every _COST_STRIDE-th row is counted.
-_ZERO_ROW_COST = 4
-_COST_STRIDE = 64
+# The C row formatter. Each cell is what CPython's repr writes: the shortest
+# decimal that reads back as the same double (the nearest such, an even last
+# digit on a tie), found by Schubfach (R. Giulietti, "The Schubfach way to
+# render doubles", 2020); then fixed notation for a decimal exponent in
+# [-4, 16), a ".0" on a whole number, else d.ddde+XX with two exponent digits
+# at least; "-0.0", "inf", "-inf", and "nan" whatever the sign bit. No printf,
+# no locale. shortest follows the paper's algorithm, with 63-bit halves of g
+# as in its Java implementation, except that it tries one digit fewer from
+# two digits on, not three, since repr, unlike Java, may write one digit
+# (5e-324, not 4.9e-324). {g} is the table of g(k), {kmin} its first k, {pairs} "00".."99".
+# format_rows writes rows start to stop of ncols columns, column j at address
+# cols[2 j] with a stride of cols[2 j + 1] bytes, and returns the bytes written.
+_CSV_C_SOURCE = r"""
+#include <stdint.h>
+
+typedef unsigned __int128 u128;
+
+static const uint64_t G[][2] = {
+{g}
+};
+
+static const char PAIRS[] = "{pairs}";
+
+/* floor(e log10 2), floor(e log10 2 + log10 3/4) and floor(e log2 10), exact
+   over the exponents of doubles */
+#define FLOG10POW2(e) ((int)(((int64_t)(e) * 661971961083LL) >> 41))
+#define FLOG10THREEQUARTERSPOW2(e) ((int)(((int64_t)(e) * 661971961083LL - 274743187321LL) >> 41))
+#define FLOG2POW10(e) ((int)(((int64_t)(e) * 913124641741LL) >> 38))
+
+/* g cp / 2^127 rounded to odd, g = g[0] 2^63 + g[1] */
+static uint64_t rop(const uint64_t *g, uint64_t cp)
+{
+    uint64_t x1 = (uint64_t)(((u128)g[1] * cp) >> 64);
+    u128 y = (u128)g[0] * cp;
+    uint64_t z = ((uint64_t)y >> 1) + x1;
+    uint64_t vbp = (uint64_t)(y >> 64) + (z >> 63);
+    return vbp | (((z & 0x7fffffffffffffffULL) + 0x7fffffffffffffffULL) >> 63);
+}
+
+/* the shortest f 10^k nearest to c 2^q that reads back as it; returns k */
+static int shortest(uint64_t c, int q, uint64_t *f)
+{
+    int out = (int)(c & 1), k;
+    uint64_t cb = c << 2, cbr = cb + 2, cbl;
+    if (c != 1ULL << 52 || q == -1074) {
+        cbl = cb - 2;
+        k = FLOG10POW2(q);
+    } else {
+        cbl = cb - 1;
+        k = FLOG10THREEQUARTERSPOW2(q);
+    }
+    int h = q + FLOG2POW10(-k) + 2;
+    const uint64_t *g = G[k - ({kmin})];
+    uint64_t vb = rop(g, cb << h), vbl = rop(g, cbl << h), vbr = rop(g, cbr << h);
+    uint64_t s = vb >> 2;
+    if (s >= 10) {
+        uint64_t sp10 = s / 10 * 10, tp10 = sp10 + 10;
+        int upin = vbl + out <= sp10 << 2, wpin = (tp10 << 2) + out <= vbr;
+        if (upin != wpin) {
+            *f = upin ? sp10 : tp10;
+            return k;
+        }
+    }
+    uint64_t t = s + 1;
+    int uin = vbl + out <= s << 2, win = (t << 2) + out <= vbr;
+    if (uin != win) {
+        *f = uin ? s : t;
+        return k;
+    }
+    int64_t cmp = (int64_t)(vb - ((s + t) << 1));
+    *f = cmp < 0 || (cmp == 0 && (s & 1) == 0) ? s : t;
+    return k;
+}
+
+/* x as repr writes it, at p; returns the end */
+static char *cell(char *p, double x)
+{
+    uint64_t bits, f;
+    __builtin_memcpy(&bits, &x, 8);
+    uint64_t c = bits & ((1ULL << 52) - 1);
+    int bq = (int)(bits >> 52) & 0x7ff, e, i;
+    if (bq == 0x7ff && c) {
+        *p++ = 'n'; *p++ = 'a'; *p++ = 'n';
+        return p;
+    }
+    if (bits >> 63)
+        *p++ = '-';
+    if (bq == 0x7ff) {
+        *p++ = 'i'; *p++ = 'n'; *p++ = 'f';
+        return p;
+    }
+    if (bq == 0 && c == 0) {
+        *p++ = '0'; *p++ = '.'; *p++ = '0';
+        return p;
+    }
+    int q = bq ? bq - 1075 : -1074;
+    if (bq)
+        c |= 1ULL << 52;
+    if (q < 0 && q > -53 && (c >> -q) << -q == c) {
+        f = c >> -q;  /* a whole number below 2^53: its digits */
+        e = 0;
+    } else {
+        e = shortest(c, q, &f);
+    }
+    while (f % 10 == 0) {
+        f /= 10;
+        e++;
+    }
+    char d[20];
+    int n = 20;
+    for (; f >= 10; f /= 100) {
+        d[--n] = PAIRS[2 * (f % 100) + 1];
+        d[--n] = PAIRS[2 * (f % 100)];
+    }
+    if (f)
+        d[--n] = (char)('0' + f);
+    int len = 20 - n, decpt = len + e;
+    const char *ds = d + n;
+    if (decpt > -4 && decpt <= 16) {
+        if (decpt <= 0) {
+            *p++ = '0'; *p++ = '.';
+            for (i = decpt; i < 0; i++) *p++ = '0';
+            for (i = 0; i < len; i++) *p++ = ds[i];
+        } else if (decpt < len) {
+            for (i = 0; i < decpt; i++) *p++ = ds[i];
+            *p++ = '.';
+            for (; i < len; i++) *p++ = ds[i];
+        } else {
+            for (i = 0; i < len; i++) *p++ = ds[i];
+            for (; i < decpt; i++) *p++ = '0';
+            *p++ = '.'; *p++ = '0';
+        }
+        return p;
+    }
+    *p++ = ds[0];
+    if (len > 1) {
+        *p++ = '.';
+        for (i = 1; i < len; i++) *p++ = ds[i];
+    }
+    int x10 = decpt - 1;
+    *p++ = 'e';
+    *p++ = x10 < 0 ? '-' : '+';
+    if (x10 < 0)
+        x10 = -x10;
+    if (x10 >= 100) {
+        *p++ = (char)('0' + x10 / 100);
+        x10 %= 100;
+    }
+    *p++ = PAIRS[2 * x10];
+    *p++ = PAIRS[2 * x10 + 1];
+    return p;
+}
+
+int64_t format_rows(int64_t ncols, const int64_t *cols, int64_t start, int64_t stop, char *out)
+{
+    char *p = out;
+    for (int64_t i = start; i < stop; i++) {
+        for (int64_t j = 0; j < ncols; j++) {
+            double x;
+            __builtin_memcpy(&x, (const char *)(intptr_t)cols[2 * j] + i * cols[2 * j + 1], 8);
+            p = cell(p, x);
+            *p++ = j + 1 < ncols ? ',' : '\n';
+        }
+    }
+    return p - out;
+}
+"""
+
+# The decimal exponents k = floor(log10 2^q), or floor(log10 (3/4) 2^q), of
+# the doubles' binary exponents q in [-1074, 971]
+_POW10_RANGE = range(-324, 293)
+# format_rows(ncols, cols, start, stop, out) -> bytes written
+_FORMAT_SIGNATURE = ("c_int64", "c_int64", "c_void_p", "c_int64", "c_int64", "c_void_p")
+_CSV_CELL = 25  # bytes of the longest cell, "-2.2250738585072014e-308", and its separator
 
 
-def _split_row(columns) -> int:
-    """The block start m that gives rows 0 to m at most half the cost of all rows of columns.
+def _csv_c_source() -> str:
+    """_CSV_C_SOURCE with its table, from exact integers: g(k) for each k in _POW10_RANGE.
 
-    The estimate counts the non-zero cells of every _COST_STRIDE-th row,
-    which takes well under a millisecond on a 60,000-row trace; m is the
-    last block start at which the rows before it cost at most half.
+    g(k) = floor(10^-k 2^(125 - floor(log2 10^-k))) + 1, in [2^125, 2^126],
+    written as its high bits g >> 63 and its low 63 bits.
     """
-    cost = np.count_nonzero([column[::_COST_STRIDE] for column in columns], axis=0)
-    blocks = np.cumsum(np.add.reduceat(cost + _ZERO_ROW_COST,
-                                       np.arange(0, cost.size, _CSV_BLOCK // _COST_STRIDE)))
-    return int(np.searchsorted(blocks, blocks[-1] / 2, side="right")) * _CSV_BLOCK
+    rows = []
+    for k in _POW10_RANGE:
+        p = 10 ** abs(k)
+        if k <= 0:  # 10^-k = p, of floor(log2) p.bit_length() - 1
+            shift = 126 - p.bit_length()
+            g = p << shift if shift >= 0 else p >> -shift
+        else:  # 10^-k = 1 / p, of floor(log2) -p.bit_length(), p no power of 2
+            g = (1 << 125 + p.bit_length()) // p
+        g += 1
+        rows.append(f"    {{{g >> 63:#x}ULL, {g & (1 << 63) - 1:#x}ULL}},")
+    return (_CSV_C_SOURCE.replace("{g}", "\n".join(rows))
+            .replace("{kmin}", str(_POW10_RANGE[0]))
+            .replace("{pairs}", "".join(f"{i:02d}" for i in range(100))))
+
+
+def _write_native(fh, native, columns, start: int, stop: int) -> None:
+    """_write_blocks' bytes, each block formatted by the C formatter native into one buffer."""
+    if not all(isinstance(column, np.ndarray) and column.dtype == np.float64
+               and column.ndim == 1 and column.size >= stop for column in columns):
+        raise ValueError(f"columns must be float64 rows of {stop} values at least")
+    spans = np.array([(column.ctypes.data, column.strides[0]) for column in columns],
+                     dtype=np.int64)
+    buffer = np.empty(_CSV_BLOCK * len(columns) * _CSV_CELL, dtype=np.uint8)
+    for i in range(start, stop, _CSV_BLOCK):
+        size = native(len(columns), spans.ctypes.data, i, min(i + _CSV_BLOCK, stop),
+                      buffer.ctypes.data)
+        fh.write(buffer[:size])
+
+
+# Cells the C formatter must write as repr does before it is used: zeros,
+# infinities and NaNs of both signs, the least subnormal and normal, the
+# greatest finite double, both ends of fixed notation, whole numbers at 2^53,
+# ties between two shortest decimals (to an even last digit, down and up),
+# and trace-like values
+_PROBE_CELLS = (
+    0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -1e-323,
+    2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308, -1e-310,
+    1e-4, 9.999999999999999e-05, 1e-5, 0.00012345, 9999999999999998.0, 1e16,
+    1.0000000000000002e16, -123456789012345.67, 9007199254740992.0, 9007199254740993.0,
+    4503599627370497.0, 562949953421312.25, 1e22, 1e23, 2.0 ** 63, 100.0, 3.0, -1.5, 0.1,
+    0.30000000000000004, 1 / 3, -2 / 3, 0.002, 59.998000000000005, 562949953421312.75, 1e-7,
+    -6.02214076e23, 2.5e-300,
+)
+
+
+def _formatter_mismatch(native):
+    """The first probe line on which the C formatter native differs from _write_blocks, or None.
+
+    The probe cells stand in 5 rows of 8 strided columns, formatted in two
+    calls (rows 0 to 2 and 2 to 5).
+    """
+    columns = list(np.array(_PROBE_CELLS).reshape(5, 8).T)
+    want, got = io.BytesIO(), io.BytesIO()
+    _write_blocks(want, columns, 0, 5)
+    _write_native(got, native, columns, 0, 2)
+    _write_native(got, native, columns, 2, 5)
+    if got.getvalue() == want.getvalue():
+        return None
+    lines = enumerate(zip(want.getvalue().split(b"\n"), got.getvalue().split(b"\n")))
+    return next((f"probe line {i}: {g!r} for {w!r}" for i, (w, g) in lines if w != g),
+                "the probe's line count")
+
+
+@functools.cache
+def _formatter():
+    """The C row formatter, or None to format with _write_blocks.
+
+    Once per process, on the first trace written: the object csv, built,
+    cached and loaded by plants.native_function. None without it, or when
+    it formats a probe cell otherwise than repr.
+    """
+    native = native_function("csv", _csv_c_source(), "format_rows", _FORMAT_SIGNATURE)
+    return None if native is None or _formatter_mismatch(native) is not None else native
 
 
 def save_trace_csv(trace: SimTrace, path) -> None:
     """Write a trace as CSV with IEEE round-trip decimal formatting.
 
-    A trace of at most one block of _CSV_BLOCK rows, or one written where
-    os.fork does not exist, is formatted in the calling process. A longer
-    one is split at the block start that halves the estimated formatting
-    cost: a forked child writes the rows before the split into the file,
-    after the header, while the caller formats the rest into a temporary
-    file beside it, one block at a time, then reaps the child and appends
-    that file. The bytes are the same either way. The fork may come from a
-    process that holds OpenBLAS worker threads (the command line's does):
-    the child touches no BLAS, only slicing, tolist, formatting and file
-    writes, and it leaves only through os._exit. A failed child raises
-    OSError; it, an exception in formatting the caller's share and a failed
-    append each reap the child and remove the partial file first.
+    Each cell is its float's repr. The calling process writes the header
+    and then one block of _CSV_BLOCK rows at a time: formatted by the C
+    formatter where cc is at hand and its probe passed, else by the Python
+    template of _write_blocks, with the same bytes. Any exception, an
+    interrupt included, removes the partial file before it propagates.
     """
     columns = list(_CSV_COLUMNS)
     arrays = [trace.t, *trace.x.T, trace.u_command, trace.u_applied, trace.d]
@@ -395,35 +627,16 @@ def save_trace_csv(trace: SimTrace, path) -> None:
         if getattr(trace, name) is not None:
             columns.append(name)
             arrays.append(getattr(trace, name))
-    rows = trace.t.size
-    with open(path, "wb") as fh:
-        fh.write((",".join(columns) + "\n").encode())
-        if rows <= _CSV_BLOCK or not hasattr(os, "fork"):
-            _write_blocks(fh, arrays, 0, rows)
-            return
-        fh.flush()
-        m = _split_row(arrays)
-        pid = os.fork()
-        if pid == 0:  # never return into the caller or flush its buffers
-            try:
-                _write_blocks(fh, arrays, 0, m)
-                fh.flush()
-                os._exit(0)
-            finally:  # reached only on an exception
-                os._exit(1)
+    native = _formatter()
+    fh = open(path, "wb")
     try:
-        with tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))) as share:
-            _write_blocks(share, arrays, m, rows)
-            status = os.waitpid(pid, 0)[1]
-            pid = None  # reaped
-            if status:
-                raise OSError(f"the trace writer's child failed (wait status {status})")
-            share.seek(0)
-            with open(path, "ab") as fh:
-                shutil.copyfileobj(share, fh)
+        with fh:
+            fh.write((",".join(columns) + "\n").encode())
+            if native is None:
+                _write_blocks(fh, arrays, 0, trace.t.size)
+            else:
+                _write_native(fh, native, arrays, 0, trace.t.size)
     except BaseException:
-        if pid is not None:
-            os.waitpid(pid, 0)
         if os.path.isfile(path):
             os.remove(path)
         raise

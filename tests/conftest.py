@@ -3,11 +3,10 @@
 The acceptance tests record one verdict line each; the terminal summary
 hook prints them after the run so every criterion shows a visible PASS
 or FAIL regardless of output capturing. Every test must also reap each
-child process it starts, the trace writer's forked child included, and
-close each file descriptor it opens, the trace file and the writer's
-temporary file included. The report header names
-the tick loop each platform runs, C or Python, so a fallback to the Python
-loop shows in every log.
+child process it starts and close each file descriptor it opens, the
+trace file included, also when the trace writer fails. The report header
+names the tick loop each platform runs and the trace formatter, C or
+Python, so a fallback to Python shows in every log.
 """
 
 import os
@@ -61,13 +60,14 @@ def no_file_descriptor_left():
 
 
 def pytest_report_header(config):
-    """One line: native, or Python and why, for each platform's tick loop."""
-    from pendulum_ctl import plants
+    """Native, or Python and why, for each platform's tick loop and for the trace formatter."""
+    from pendulum_ctl import plants, simulate
 
     why = "no cc on PATH" if shutil.which("cc") is None else "cc present, not native"
-    return "tick loop: " + ", ".join(
+    return ["tick loop: " + ", ".join(
         f"{platform} {'native' if plants._native_library(platform) else f'Python ({why})'}"
-        for platform in ("rotpen", "nxtway"))
+        for platform in ("rotpen", "nxtway")),
+        f"trace formatter: {'native' if simulate._formatter() else f'Python ({why})'}"]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

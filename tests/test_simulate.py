@@ -13,15 +13,14 @@ import dataclasses
 import errno
 import functools
 import inspect
+import io
 import math
 import os
 import shutil
-import signal
 import struct
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 import traceback
 import tracemalloc
@@ -912,11 +911,13 @@ def test_generated_kernels_show_source_lines_in_tracebacks(platform):
 
 
 def test_kernels_compile_lazily_and_once_per_platform_and_kind():
-    code = ("import pendulum_ctl.cli; from pendulum_ctl import plants; "
-            "print(plants._kernel_factory.cache_info().currsize)")
+    code = ("import pendulum_ctl.cli; from pendulum_ctl import plants, simulate; "
+            "print(plants._kernel_factory.cache_info().currsize, "
+            "simulate._formatter.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert out.stdout.strip() == "0", out.stderr  # importing compiles nothing
+    # importing compiles no kernel and builds or loads no trace formatter
+    assert out.stdout.strip() == "0 0", out.stderr
     for platform in ("rotpen", "nxtway"):
         period_stepper(default_params(platform), 0.001, 2)
     misses = plants_module._kernel_factory.cache_info().misses
@@ -1040,30 +1041,47 @@ def _reference_csv(trace):
 _B = simulate_module._CSV_BLOCK
 
 
+# the formatters a trace can be written with: the C one (where cc is at
+# hand; else this too is the Python template) and the Python template
+_FORMATTERS = ("native", "python")
+_FORMATTER = simulate_module._formatter
+
+
+def _use_formatter(monkeypatch, formatter):
+    """Write traces with the C formatter where cc is at hand ("native"), or in Python."""
+    monkeypatch.setattr(simulate_module, "_formatter",
+                        _FORMATTER if formatter == "native" else lambda: None)
+
+
 @pytest.mark.parametrize("extra", ["s", "integ"])
 @pytest.mark.parametrize("rows", [1, _B - 1, _B, _B + 1, 2 * _B + 1, 3 * _B + 1, 4 * _B,
                                   6 * _B + 1])
-def test_trace_csv_matches_per_row_writer(tmp_path, extra, rows):
+def test_trace_csv_matches_per_row_writer(tmp_path, monkeypatch, extra, rows):
     # block boundaries at one row, one short of a block, a whole block,
-    # one past it, past two and three blocks, and at four; past one block
-    # two processes write, and at 6B + 1 rows the first 4B rows are zeros
-    # (but the first), so the split falls at 4B
+    # one past it, past two and three blocks, and at four; at 6B + 1 rows
+    # the first 4B rows are zeros (but the first). Written by the C and by
+    # the Python formatter
     rng = np.random.default_rng(rows)
     values = rng.normal(scale=3.0, size=(rows, 8))
     if rows == 6 * _B + 1:
         values[:4 * _B] = 0.0
-    special = [-0.0, 1e-05, 1e16, 5e-324, 1 / 3, -1e-300, 123456789.0]
-    values.flat[:len(special)] = special  # first and last rows
-    values.flat[-len(special):] = special
+    special = [-0.0, 1e-05, 1e16, 5e-324, 1 / 3, -1e-300, 123456789.0, math.inf, -math.inf,
+               math.nan, -math.nan]
+    n = min(len(special), values.size)
+    values.flat[:n] = special[:n]  # first and last rows
+    values.flat[-n:] = special[-n:]
     t = np.arange(rows) * 0.002
     trace = SimTrace(t=t, x=values[:, 0:4], u_command=values[:, 4],
                      u_applied=values[:, 5], d=values[:, 6],
                      **{extra: values[:, 7]})
     path = tmp_path / "trace.csv"
-    save_trace_csv(trace, path)
     cols = ["t", "q1", "q2", "q1dot", "q2dot", "u_cmd", "u_applied", "dist", extra]
-    arrays = [t, *values.T]
-    assert path.read_bytes() == _per_row_csv(trace, cols, arrays).encode()
+    want = _per_row_csv(trace, cols, [t, *values.T]).encode()
+    assert b"inf,-inf,nan,nan" in want
+    for formatter in _FORMATTERS:
+        _use_formatter(monkeypatch, formatter)
+        save_trace_csv(trace, path)
+        assert path.read_bytes() == want, formatter
 
 
 _DESIGNS = {("rotpen", "lqr"): _rotpen_lqr, ("rotpen", "smc"): _rotpen_smc,
@@ -1103,286 +1121,119 @@ def test_a_traced_run_writes_the_per_row_reference(tmp_path, platform, controlle
     assert path.read_bytes() == _reference_csv(trace)
 
 
-def _recorded_writer(monkeypatch, in_child=None):
-    """Record save_trace_csv's forks and the rows the calling process formats after one.
-
-    Returns (forks, shares): the pid of each fork, and the (start, stop)
-    of each _write_blocks call this process made after a fork.
-    in_child(start, stop), if given, runs in the child before it writes.
-    """
-    pid, forks, shares = os.getpid(), [], []
-    fork, write_blocks = os.fork, simulate_module._write_blocks
-
-    def counted_fork():
-        forks.append(fork())
-        return forks[-1]
-
-    def recorded(fh, columns, start, stop):
-        if os.getpid() != pid:
-            if in_child is not None:
-                in_child(start, stop)
-        elif forks:
-            shares.append((start, stop))
-        return write_blocks(fh, columns, start, stop)
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    monkeypatch.setattr(simulate_module, "_write_blocks", recorded)
-    return forks, shares
-
-
-def _assert_written_alone(trace, path):
-    """The file holds the per-row reference of trace, and no child is left."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert path.read_bytes() == _reference_csv(trace)
-
-
-def _assert_reaped_and_removed(path):
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert not path.exists()
-
-
 def test_a_diverged_run_writes_its_truncated_trace(tmp_path, monkeypatch):
-    # positive feedback on the arm rate diverges after 1943 ticks, in the
-    # second block; the first block costs more than half, so the child
-    # writes no row and the caller formats every one
-    forks, shares = _recorded_writer(monkeypatch)
-    cfg = SimConfig(duration=20.0, controller_Ts=0.002, x0=(0.0, 0.0, 0.01, 0.0),
-                    saturation_V=1e6)
+    # positive feedback on the arm rate diverges after 1943 ticks from an
+    # arm rate of 0.01, in the second block, and after 2285 ticks from 1e-4,
+    # in the third
     path = tmp_path / "trace.csv"
-    trace = simulate(default_params("rotpen"), _gain_only_design([0.0, 0.0, -1.0, 0.0]),
-                     cfg, path)
-    assert trace.diverged and _B < trace.t.size < 2 * _B
-    assert len(forks) == 1 and shares == [(0, trace.t.size)]
-    _assert_written_alone(trace, path)
+    for rate, blocks in ((0.01, 2), (1e-4, 3)):
+        cfg = SimConfig(duration=20.0, controller_Ts=0.002, x0=(0.0, 0.0, rate, 0.0),
+                        saturation_V=1e6)
+        for formatter in _FORMATTERS:
+            _use_formatter(monkeypatch, formatter)
+            trace = simulate(default_params("rotpen"), _gain_only_design([0.0, 0.0, -1.0, 0.0]),
+                             cfg, path)
+            assert trace.diverged and (blocks - 1) * _B < trace.t.size < blocks * _B
+            assert path.read_bytes() == _reference_csv(trace), formatter
 
 
-def test_a_diverged_run_past_two_blocks_splits_its_truncated_trace(tmp_path, monkeypatch):
-    # the same feedback from a smaller arm rate diverges after 2285 ticks,
-    # in the third block: the child writes the first block, the caller the rest
-    forks, shares = _recorded_writer(monkeypatch)
-    cfg = SimConfig(duration=20.0, controller_Ts=0.002, x0=(0.0, 0.0, 1e-4, 0.0),
-                    saturation_V=1e6)
-    path = tmp_path / "trace.csv"
-    trace = simulate(default_params("rotpen"), _gain_only_design([0.0, 0.0, -1.0, 0.0]),
-                     cfg, path)
-    assert trace.diverged and 2 * _B < trace.t.size < 3 * _B
-    assert len(forks) == 1 and shares == [(_B, trace.t.size)]
-    _assert_written_alone(trace, path)
-
-
-@pytest.mark.parametrize("rows, forks", [(2, 0), (_B, 0), (_B + 1, 1)])
-def test_only_a_trace_of_more_than_one_block_forks(tmp_path, monkeypatch, rows, forks):
-    calls, _ = _recorded_writer(monkeypatch)
-    params, design, cfg = _pulse_run("nxtway", "smc", rows)
-    trace = simulate(params, design, cfg, tmp_path / "trace.csv")
-    assert len(calls) == forks
-    simulate(params, design, cfg)  # no path: no writer
-    assert len(calls) == forks
-    save_trace_csv(trace, tmp_path / "written.csv")
-    assert len(calls) == 2 * forks
-    for name in ("trace.csv", "written.csv"):
-        assert (tmp_path / name).read_bytes() == _reference_csv(trace)
-
-
-@pytest.mark.parametrize("platform, controller", sorted(_DESIGNS))
-def test_the_split_follows_the_formatting_cost_not_the_rows(tmp_path, monkeypatch, platform,
-                                                            controller):
-    # rows to 4B rest at exact zeros, whose cells format fast, and a pulse
-    # from row 4B moves every cell: by rows the caller would take the rows
-    # from 3B on, by estimated cost it takes those from 4B on
-    trace = _pulse_trace(platform, controller, 6 * _B + 1, x0=(0.0,) * 4, pulse_tick=4 * _B)
-    forks, shares = _recorded_writer(monkeypatch)
-    path = tmp_path / "trace.csv"
-    save_trace_csv(trace, path)
-    assert len(forks) == 1 and shares == [(4 * _B, 6 * _B + 1)]
-    _assert_written_alone(trace, path)
-
-
-def _even_trace(rows):
-    """A trace of rows rows whose cells are all non-zero, so every whole block costs the same."""
-    values = np.random.default_rng(rows).uniform(1.0, 2.0, size=(rows, 7))
-    return SimTrace(t=0.002 * np.arange(1, rows + 1), x=values[:, 0:4],
-                    u_command=values[:, 4], u_applied=values[:, 5], d=values[:, 6])
-
-
-@pytest.mark.parametrize("rows, split", [
-    (2 * _B, _B), (2 * _B + 1, _B), (3 * _B + 1, _B), (4 * _B, 2 * _B), (5 * _B, 2 * _B),
-    (8 * _B + 1, 4 * _B)])
-def test_an_even_trace_splits_at_the_last_block_start_within_half_its_cost(tmp_path,
-                                                                            monkeypatch, rows,
-                                                                            split):
-    # blocks cost alike, so the rows before the split are the most whole
-    # blocks that cost at most half; a short last block counts for its rows
-    trace = _even_trace(rows)
-    forks, shares = _recorded_writer(monkeypatch)
-    path = tmp_path / "trace.csv"
-    save_trace_csv(trace, path)
-    assert len(forks) == 1 and shares == [(split, rows)]
-    _assert_written_alone(trace, path)
-
-
-@pytest.mark.parametrize("rows", [_B + 1, 3 * _B + 1])
-def test_without_os_fork_a_long_trace_is_written_in_one_process(tmp_path, monkeypatch, rows):
-    trace = _even_trace(rows)
-    monkeypatch.delattr(os, "fork")
-    path = tmp_path / "trace.csv"
-    save_trace_csv(trace, path)
-    _assert_written_alone(trace, path)
-
-
-def test_trace_writer_leaves_no_child_process(tmp_path, monkeypatch):
-    # the fork happens while a second Python thread is live, as it does in a
-    # process holding OpenBLAS workers; the child touches neither
-    forks, shares = _recorded_writer(monkeypatch)
-    params, design, cfg = _pulse_run("rotpen", "lqr", 3 * _B + 1)
-    release = threading.Event()
-    waiter = threading.Thread(target=release.wait, args=(10.0,))
-    waiter.start()
-    try:
-        trace = simulate(params, design, cfg, tmp_path / "trace.csv")
-    finally:
-        release.set()
-        waiter.join(10.0)
-    assert not waiter.is_alive()
-    assert len(forks) == 1 and shares == [(_B, 3 * _B + 1)]
-    _assert_written_alone(trace, tmp_path / "trace.csv")
-
-
-def test_the_parents_share_holds_one_block_in_memory(tmp_path, monkeypatch):
-    # the caller formats its share into a temporary file beside the trace,
-    # so the memory that takes does not grow with the blocks in the share
-    _, shares = _recorded_writer(monkeypatch)
-    peaks = []
-    for rows in (4 * _B + 1, 16 * _B + 1):
-        trace = _pulse_trace("rotpen", "smc", rows)
-        path = tmp_path / f"{rows}.csv"
-        tracemalloc.start()
-        try:
-            save_trace_csv(trace, path)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        _assert_written_alone(trace, path)
-    # with the last row's block: 3 blocks, then 9
-    assert shares == [(2 * _B, 4 * _B + 1), (8 * _B, 16 * _B + 1)]
-    # one block of 9 columns is about 0.2 MB of bytes and 0.4 MB of floats
-    assert peaks[1] < peaks[0] + 64 * 1024, peaks
-
-
-@pytest.mark.parametrize("failure, status", [
-    ("raises-before-its-rows", 256), ("raises-after-its-rows", 256), ("killed", 9)])
-def test_a_failed_writer_child_raises_and_leaves_no_process(tmp_path, monkeypatch, failure,
-                                                            status):
-    # the forked child alone fails: it exits 1 after the header or after its
-    # rows, or a signal ends it; its copy of this test must never run the
-    # lines below
-    pid = os.getpid()
-
-    def child_fails(start, stop):
-        if failure == "killed":
-            os.kill(os.getpid(), signal.SIGKILL)
-        raise OSError("refused in the child")
-
-    trace = _pulse_trace("rotpen", "smc", 3 * _B + 1)
-    forks, shares = _recorded_writer(monkeypatch,
-                                     child_fails if failure != "raises-after-its-rows" else None)
-    if failure == "raises-after-its-rows":
-        write_blocks = simulate_module._write_blocks
-
-        def fails_after_its_rows(*args):
-            write_blocks(*args)
-            if os.getpid() != pid:
-                raise OSError("refused in the child")
-
-        monkeypatch.setattr(simulate_module, "_write_blocks", fails_after_its_rows)
-    path = tmp_path / "trace.csv"
-    with pytest.raises(OSError,
-                       match=rf"the trace writer's child failed \(wait status {status}\)"):
-        save_trace_csv(trace, path)
-    with open(tmp_path / "after.txt", "a") as fh:
-        fh.write(f"{os.getpid()}\n")
-    assert (tmp_path / "after.txt").read_text() == f"{pid}\n"
-    assert len(forks) == 1 and shares == [(_B, 3 * _B + 1)]
-    _assert_reaped_and_removed(path)  # no partial trace is left
+def test_the_writer_holds_one_block_in_memory(tmp_path, monkeypatch):
+    # each block is formatted into one buffer (C) or one list of lines
+    # (Python) and written before the next, so the memory the writer takes
+    # does not grow with the rows
+    traces = [_pulse_trace("rotpen", "smc", rows) for rows in (4 * _B + 1, 16 * _B + 1)]
+    for formatter in _FORMATTERS:
+        _use_formatter(monkeypatch, formatter)
+        simulate_module._formatter()  # loaded before the measurement
+        peaks = []
+        for trace in traces:
+            path = tmp_path / f"{formatter}-{trace.t.size}.csv"
+            tracemalloc.start()
+            try:
+                save_trace_csv(trace, path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert path.read_bytes() == _reference_csv(trace)
+        # one block of 9 columns is about 0.2 MB of bytes and 0.4 MB of floats
+        assert peaks[1] < peaks[0] + 64 * 1024, (formatter, peaks)
 
 
 def test_an_exception_in_the_tick_loop_forks_nothing_and_leaves_no_file(tmp_path, monkeypatch):
     def fails(*args):
         raise RuntimeError("tick loop failed")
 
-    forks, _ = _recorded_writer(monkeypatch)
     monkeypatch.setattr(simulate_module, "tick_loop", fails)
     params, design, cfg = _pulse_run("nxtway", "lqr", 3 * _B + 1, pulse_tick=0)
     path = tmp_path / "trace.csv"
     with pytest.raises(RuntimeError, match="tick loop failed"):
         simulate(params, design, cfg, path)
-    assert forks == []
     assert not path.exists()
 
 
-@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
-def test_an_exception_in_the_parents_share_reaps_the_writer(tmp_path, monkeypatch, error):
-    # an interrupt is no Exception, and must reap and remove all the same
-    trace = _pulse_trace("nxtway", "lqr", 3 * _B + 1)
-    forks, shares = _recorded_writer(monkeypatch)
-    write_blocks = simulate_module._write_blocks
+@pytest.mark.parametrize("formatter", _FORMATTERS)
+def test_a_full_disk_leaves_no_partial_file(tmp_path, monkeypatch, formatter):
+    # the second block's write fails after the header and the first block
+    # reached the file: the error propagates, the file is removed and
+    # closed (the fixtures check that no descriptor is left)
+    writes = []
 
-    def parent_fails(*args):
-        write_blocks(*args)
-        if shares:
-            raise error("formatting failed")
+    def full_disk(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        write = fh.write
 
-    monkeypatch.setattr(simulate_module, "_write_blocks", parent_fails)
-    path = tmp_path / "trace.csv"
-    with pytest.raises(error, match="formatting failed"):
-        save_trace_csv(trace, path)
-    assert len(forks) == 1 and shares == [(_B, 3 * _B + 1)]
-    _assert_reaped_and_removed(path)
+        def fails_on_the_second_block(data):
+            writes.append(len(data))
+            if len(writes) == 3:  # the header, the first block, the second
+                fh.flush()
+                writes.append(os.path.getsize(file))
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write(data)
 
+        fh.write = fails_on_the_second_block
+        return fh
 
-def test_a_failed_append_reaps_the_writer_and_removes_the_file(tmp_path, monkeypatch):
-    def disk_full(file, mode="r", *args, **kwargs):
-        if mode == "ab":
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(file))
-        return open(file, mode, *args, **kwargs)
-
-    trace = _pulse_trace("rotpen", "smc", 3 * _B + 1)
-    forks, shares = _recorded_writer(monkeypatch)
-    monkeypatch.setattr(simulate_module, "open", disk_full, raising=False)
-    path = tmp_path / "trace.csv"
-    with pytest.raises(OSError, match="No space left on device"):
-        save_trace_csv(trace, path)
-    assert len(forks) == 1 and shares == [(_B, 3 * _B + 1)]
-    _assert_reaped_and_removed(path)
-
-
-@pytest.mark.parametrize("failure", ["temporary-file", "copy"])
-def test_a_full_disk_past_the_fork_reaps_the_writer_and_removes_the_file(tmp_path, monkeypatch,
-                                                                        failure):
-    # the caller's temporary file cannot be made, or the disk fills while
-    # its bytes are copied into the trace, which then holds some of them
-    def disk_full(*args, **kwargs):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-    def copy_fills_the_disk(src, dst, *args):
-        dst.write(src.read(100))
-        dst.flush()
-        disk_full()
-
+    _use_formatter(monkeypatch, formatter)
     trace = _pulse_trace("rotpen", "lqr", 3 * _B + 1)
-    forks, shares = _recorded_writer(monkeypatch)
-    if failure == "temporary-file":
-        monkeypatch.setattr(tempfile, "TemporaryFile", disk_full)
-    else:
-        monkeypatch.setattr(shutil, "copyfileobj", copy_fills_the_disk)
+    monkeypatch.setattr(simulate_module, "open", full_disk, raising=False)
     path = tmp_path / "trace.csv"
     with pytest.raises(OSError, match="No space left on device"):
         save_trace_csv(trace, path)
-    assert len(forks) == 1
-    assert shares == ([] if failure == "temporary-file" else [(_B, 3 * _B + 1)])
-    _assert_reaped_and_removed(path)
+    assert writes[-1] == writes[0] + writes[1] > 0  # a partial file existed
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("formatter", _FORMATTERS)
+def test_an_interrupt_in_formatting_leaves_no_partial_file(tmp_path, monkeypatch, formatter):
+    # an interrupt is no Exception, and must remove the file all the same;
+    # it comes while the second block is formatted
+    trace = _pulse_trace("nxtway", "lqr", 3 * _B + 1)
+    calls = []
+    if formatter == "native":
+        native = _formatter_or_skip(tmp_path)
+
+        def interrupted(*args):
+            calls.append(args[2:4])
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return native(*args)
+
+        monkeypatch.setattr(simulate_module, "_formatter", lambda: interrupted)
+    else:
+        _use_formatter(monkeypatch, "python")
+        write_blocks = simulate_module._write_blocks
+
+        def interrupted(fh, columns, start, stop):
+            calls.append((start, stop))
+            write_blocks(fh, columns, start, start + _B)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(simulate_module, "_write_blocks", interrupted)
+    path = tmp_path / "trace.csv"
+    with pytest.raises(KeyboardInterrupt):
+        save_trace_csv(trace, path)
+    assert calls[0] == (0, _B if formatter == "native" else 3 * _B + 1)
+    assert not path.exists()
 
 
 def _table_floats(trace):
@@ -1439,7 +1290,7 @@ def _why_not_native(platform, tmp_path):
     so_file = str(tmp_path / f"{platform}.so")
     try:
         plants_module._build(plants_module._c_source(platform), so_file)
-        run = plants_module._load(so_file)
+        run = plants_module._load(so_file, "run", plants_module._RUN_SIGNATURE)
     except subprocess.CalledProcessError as error:
         return f"the compile failed:\n{error.stderr.decode()}"
     except (OSError, AttributeError) as error:  # no object, or no run symbol in it
@@ -1684,12 +1535,14 @@ def test_a_run_that_leaves_the_floats_ends_alike_natively_and_in_python(tmp_path
 
 
 def test_without_cc_the_python_kernel_runs_with_the_same_bytes(tmp_path, monkeypatch):
+    # and the Python template formats the trace
     want = _short_run_bytes(tmp_path, "before")
     (tmp_path / "bin").mkdir()
     monkeypatch.setenv("PATH", str(tmp_path / "bin"))
     native = _fresh_native(monkeypatch, tmp_path / "cache")
     assert native("rotpen") is None and native("nxtway") is None
     assert _loop_name("rotpen") == "python"
+    assert _fresh_formatter(monkeypatch)() is None
     assert _short_run_bytes(tmp_path, "after") == want
 
 
@@ -1792,3 +1645,125 @@ def test_a_build_deletes_only_objects_of_other_keys_unused_for_30_days(tmp_path,
     native = _fresh_native(monkeypatch, tmp_path / "cache")
     assert native("rotpen") is not None
     assert len(os.listdir(folder)) == 4
+
+
+# ---------------------------------------------------------------------------
+# the C trace formatter
+# ---------------------------------------------------------------------------
+
+_NO_CC_FORMATTER = "no C compiler (cc) on PATH: the trace is formatted in Python"
+
+
+def _formatter_or_skip(tmp_path):
+    """The C trace formatter; skip without cc, and where cc exists fail naming why it is unused."""
+    native = simulate_module._formatter()
+    if native is not None:
+        return native
+    if shutil.which("cc") is None:
+        pytest.skip(_NO_CC_FORMATTER)
+    pytest.fail("cc is on PATH, yet the trace formatter is not native: "
+                f"{_why_no_formatter(tmp_path)}")
+
+
+def _why_no_formatter(tmp_path):
+    """The compiler's stderr, the load error or the first probe line that differs."""
+    so_file = str(tmp_path / "csv.so")
+    try:
+        plants_module._build(simulate_module._csv_c_source(), so_file)
+        native = plants_module._load(so_file, "format_rows", simulate_module._FORMAT_SIGNATURE)
+    except subprocess.CalledProcessError as error:
+        return f"the compile failed:\n{error.stderr.decode()}"
+    except (OSError, AttributeError) as error:  # no object, or no format_rows in it
+        return f"the load failed: {error}"
+    mismatch = simulate_module._formatter_mismatch(native)
+    if mismatch is not None:
+        return f"{mismatch} differs from repr"
+    return "it builds, loads and matches the probe here, so the object cache failed"
+
+
+def _fresh_formatter(monkeypatch):
+    """Make _formatter start over."""
+    fresh = functools.cache(_FORMATTER.__wrapped__)
+    monkeypatch.setattr(simulate_module, "_formatter", fresh)
+    return fresh
+
+
+def test_the_trace_formatter_is_native_where_cc_exists(tmp_path, monkeypatch):
+    native = _formatter_or_skip(tmp_path)
+    calls = []
+
+    def recorded(*args):
+        calls.append(args[2:4])
+        return native(*args)
+
+    monkeypatch.setattr(simulate_module, "_formatter", lambda: recorded)
+    trace = _pulse_trace("nxtway", "smc", 2 * _B + 1)
+    save_trace_csv(trace, tmp_path / "trace.csv")
+    assert calls == [(0, _B), (_B, 2 * _B), (2 * _B, 2 * _B + 1)]  # one block at a time
+    assert (tmp_path / "trace.csv").read_bytes() == _reference_csv(trace)
+
+
+def _bits(values):
+    return np.array(values, dtype=np.uint64).view(np.float64)
+
+
+def test_the_c_formatter_writes_every_float_as_repr_does(tmp_path):
+    # a seeded million and more: bit patterns over all exponents, subnormals,
+    # the least and greatest finite doubles, powers of 2 and 10 and their
+    # neighbours, whole numbers near 2^53, eighths near 2^49 (where two
+    # shortest decimals tie), both ends of fixed notation and both signs of
+    # zero
+    native = _formatter_or_skip(tmp_path)
+    rng = np.random.default_rng(28)
+    edges = [5e-324, 1.7976931348623157e308, 9999999999999998.0, 1e16, 1e-4, 1e-5, 0.0, -0.0]
+    powers = np.array(edges + [2.0 ** e for e in range(-1074, 1024)]
+                      + [float(f"1e{e}") for e in range(-323, 309)])
+    up = powers[powers > 0.0].view(np.uint64)
+    values = np.concatenate([
+        rng.integers(0, 2 ** 64, size=700_000, dtype=np.uint64).view(np.float64),
+        _bits(rng.integers(1, 2 ** 52, size=100_000)),  # subnormals
+        _bits(np.arange(1, 20_000)),  # the least subnormals
+        powers, -powers, (up + 1).view(np.float64), (up - 1).view(np.float64),
+        np.arange(2 ** 53 - 100_000, 2 ** 53 + 100_000).astype(np.float64),
+        2.0 ** 49 + np.arange(20_000) * 0.125,  # ties between two shortest decimals
+        np.round(rng.uniform(-100.0, 100.0, 100_000), 4), np.arange(50_000) * 0.002,
+    ])
+    values = values[:values.size // 8 * 8]
+    assert values.size >= 10 ** 6
+    columns = list(values.reshape(-1, 8).T)  # strided
+    rows = values.size // 8
+    want, got = io.BytesIO(), io.BytesIO()
+    simulate_module._write_blocks(want, columns, 0, rows)
+    simulate_module._write_native(got, native, columns, 0, rows)
+    if got.getvalue() != want.getvalue():
+        lines = zip(got.getvalue().split(b"\n"), want.getvalue().split(b"\n"))
+        pytest.fail("first differing row (C, repr): %r" % (next(
+            (g, w) for g, w in lines if g != w),))
+    assert want.getvalue().count(b"e-3") > 1000 and b"e+308" in want.getvalue()
+
+
+def test_the_probe_covers_each_layout_of_repr():
+    lines = [repr(x) for x in simulate_module._PROBE_CELLS]
+    assert {"0.0", "-0.0", "inf", "-inf", "nan", "5e-324", "1e-05", "0.0001", "1e+16",
+            "9999999999999998.0", "1.7976931348623157e+308"} <= set(lines)
+    assert len(lines) == 40  # 5 rows of 8 columns
+
+
+def test_a_formatter_that_fails_the_probe_is_not_used(tmp_path, monkeypatch):
+    # ".0" is left off whole numbers: it compiles, but differs from repr
+    _formatter_or_skip(tmp_path)
+    trace = _pulse_trace("rotpen", "smc", 2 * _B + 1)
+    source = simulate_module._csv_c_source
+
+    def off():
+        changed = source().replace("*p++ = '.'; *p++ = '0';\n        }", "*p++ = '.';\n        }")
+        assert changed != source()
+        return changed
+
+    monkeypatch.setattr(simulate_module, "_csv_c_source", off)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    assert _fresh_formatter(monkeypatch)() is None
+    assert len(os.listdir(tmp_path / "cache" / "pendulum_ctl")) == 1  # built, then refused
+    save_trace_csv(trace, tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == _reference_csv(trace)
+
