@@ -21,6 +21,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import traceback
 import tracemalloc
@@ -1121,26 +1122,118 @@ def test_a_traced_run_writes_the_per_row_reference(tmp_path, platform, controlle
     assert path.read_bytes() == _reference_csv(trace)
 
 
-def test_a_diverged_run_writes_its_truncated_trace(tmp_path, monkeypatch):
-    # positive feedback on the arm rate diverges after 1943 ticks from an
-    # arm rate of 0.01, in the second block, and after 2285 ticks from 1e-4,
-    # in the third
+def _assert_written_alone(trace, path):
+    """The file holds the per-row reference of trace, and no child process is left."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert path.read_bytes() == _reference_csv(trace)
+
+
+def _assert_reaped_and_removed(path):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not path.exists()
+
+
+def _counted_forks(monkeypatch):
+    """The pid of each os.fork call from now on."""
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(fork())
+        return forks[-1]
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def _write_diverged_run(tmp_path, monkeypatch, arm_rate):
+    """Run positive feedback on the arm rate from arm_rate, writing the trace with each formatter."""
+    cfg = SimConfig(duration=20.0, controller_Ts=0.002, x0=(0.0, 0.0, arm_rate, 0.0),
+                    saturation_V=1e6)
     path = tmp_path / "trace.csv"
-    for rate, blocks in ((0.01, 2), (1e-4, 3)):
-        cfg = SimConfig(duration=20.0, controller_Ts=0.002, x0=(0.0, 0.0, rate, 0.0),
-                        saturation_V=1e6)
+    for formatter in _FORMATTERS:
+        _use_formatter(monkeypatch, formatter)
+        trace = simulate(default_params("rotpen"), _gain_only_design([0.0, 0.0, -1.0, 0.0]),
+                         cfg, path)
+        assert trace.diverged
+        _assert_written_alone(trace, path)
+    return trace
+
+
+def test_a_diverged_run_writes_its_truncated_trace(tmp_path, monkeypatch):
+    # from an arm rate of 0.01 the run diverges after 1943 ticks, in the
+    # second block
+    trace = _write_diverged_run(tmp_path, monkeypatch, 0.01)
+    assert _B < trace.t.size < 2 * _B
+
+
+def test_a_diverged_run_past_two_blocks_splits_its_truncated_trace(tmp_path, monkeypatch):
+    # from 1e-4 it diverges after 2285 ticks, in the third block. The name
+    # dates from the forked writer, which split such a trace between two
+    # processes; one process now writes every row
+    trace = _write_diverged_run(tmp_path, monkeypatch, 1e-4)
+    assert 2 * _B < trace.t.size < 3 * _B
+
+
+@pytest.mark.parametrize("rows, forks", [(2, 0), (_B, 0)])
+def test_only_a_trace_of_more_than_one_block_forks(tmp_path, monkeypatch, rows, forks):
+    # a trace of one block at most forks nothing, as under the forked
+    # writer; longer traces fork nothing either now
+    # (test_trace_writer_leaves_no_child_process)
+    calls = _counted_forks(monkeypatch)
+    params, design, cfg = _pulse_run("nxtway", "smc", rows)
+    trace = simulate(params, design, cfg, tmp_path / "trace.csv")
+    simulate(params, design, cfg)  # no path: no writer
+    save_trace_csv(trace, tmp_path / "written.csv")
+    assert len(calls) == forks
+    for name in ("trace.csv", "written.csv"):
+        _assert_written_alone(trace, tmp_path / name)
+
+
+def _even_trace(rows):
+    """A trace of rows rows whose cells are all non-zero."""
+    values = np.random.default_rng(rows).uniform(1.0, 2.0, size=(rows, 7))
+    return SimTrace(t=0.002 * np.arange(1, rows + 1), x=values[:, 0:4],
+                    u_command=values[:, 4], u_applied=values[:, 5], d=values[:, 6])
+
+
+@pytest.mark.parametrize("rows", [_B + 1, 3 * _B + 1])
+def test_without_os_fork_a_long_trace_is_written_in_one_process(tmp_path, monkeypatch, rows):
+    trace = _even_trace(rows)
+    monkeypatch.delattr(os, "fork")
+    path = tmp_path / "trace.csv"
+    for formatter in _FORMATTERS:
+        _use_formatter(monkeypatch, formatter)
+        save_trace_csv(trace, path)
+        _assert_written_alone(trace, path)
+
+
+def test_trace_writer_leaves_no_child_process(tmp_path, monkeypatch):
+    # a trace of several blocks is written while a second Python thread is
+    # live, as it is in a process holding OpenBLAS workers: nothing forks
+    forks = _counted_forks(monkeypatch)
+    params, design, cfg = _pulse_run("rotpen", "lqr", 3 * _B + 1)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(10.0,))
+    waiter.start()
+    try:
         for formatter in _FORMATTERS:
             _use_formatter(monkeypatch, formatter)
-            trace = simulate(default_params("rotpen"), _gain_only_design([0.0, 0.0, -1.0, 0.0]),
-                             cfg, path)
-            assert trace.diverged and (blocks - 1) * _B < trace.t.size < blocks * _B
-            assert path.read_bytes() == _reference_csv(trace), formatter
+            trace = simulate(params, design, cfg, tmp_path / "trace.csv")
+            _assert_written_alone(trace, tmp_path / "trace.csv")
+    finally:
+        release.set()
+        waiter.join(10.0)
+    assert not waiter.is_alive()
+    assert forks == []
 
 
-def test_the_writer_holds_one_block_in_memory(tmp_path, monkeypatch):
+def test_the_parents_share_holds_one_block_in_memory(tmp_path, monkeypatch):
     # each block is formatted into one buffer (C) or one list of lines
     # (Python) and written before the next, so the memory the writer takes
-    # does not grow with the rows
+    # does not grow with the rows. The name dates from the forked writer,
+    # whose calling process formatted the trace's back share
     traces = [_pulse_trace("rotpen", "smc", rows) for rows in (4 * _B + 1, 16 * _B + 1)]
     for formatter in _FORMATTERS:
         _use_formatter(monkeypatch, formatter)
@@ -1154,7 +1247,7 @@ def test_the_writer_holds_one_block_in_memory(tmp_path, monkeypatch):
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            assert path.read_bytes() == _reference_csv(trace)
+            _assert_written_alone(trace, path)
         # one block of 9 columns is about 0.2 MB of bytes and 0.4 MB of floats
         assert peaks[1] < peaks[0] + 64 * 1024, (formatter, peaks)
 
@@ -1171,69 +1264,92 @@ def test_an_exception_in_the_tick_loop_forks_nothing_and_leaves_no_file(tmp_path
     assert not path.exists()
 
 
-@pytest.mark.parametrize("formatter", _FORMATTERS)
-def test_a_full_disk_leaves_no_partial_file(tmp_path, monkeypatch, formatter):
-    # the second block's write fails after the header and the first block
-    # reached the file: the error propagates, the file is removed and
-    # closed (the fixtures check that no descriptor is left)
-    writes = []
+def _full_disk_at(monkeypatch, failing):
+    """Make the trace file's write number failing (the header's is 1) fail with ENOSPC.
+
+    Returns the size of each write, then that of the file when it failed.
+    """
+    sizes = []
 
     def full_disk(file, mode="r", *args, **kwargs):
         fh = open(file, mode, *args, **kwargs)
         write = fh.write
 
-        def fails_on_the_second_block(data):
-            writes.append(len(data))
-            if len(writes) == 3:  # the header, the first block, the second
+        def fills(data):
+            sizes.append(len(data))
+            if len(sizes) == failing:
                 fh.flush()
-                writes.append(os.path.getsize(file))
+                sizes.append(os.path.getsize(file))
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
             return write(data)
 
-        fh.write = fails_on_the_second_block
+        fh.write = fills
         return fh
 
-    _use_formatter(monkeypatch, formatter)
-    trace = _pulse_trace("rotpen", "lqr", 3 * _B + 1)
     monkeypatch.setattr(simulate_module, "open", full_disk, raising=False)
-    path = tmp_path / "trace.csv"
-    with pytest.raises(OSError, match="No space left on device"):
-        save_trace_csv(trace, path)
-    assert writes[-1] == writes[0] + writes[1] > 0  # a partial file existed
-    assert not path.exists()
+    return sizes
 
 
 @pytest.mark.parametrize("formatter", _FORMATTERS)
-def test_an_interrupt_in_formatting_leaves_no_partial_file(tmp_path, monkeypatch, formatter):
-    # an interrupt is no Exception, and must remove the file all the same;
-    # it comes while the second block is formatted
-    trace = _pulse_trace("nxtway", "lqr", 3 * _B + 1)
-    calls = []
-    if formatter == "native":
-        native = _formatter_or_skip(tmp_path)
-
-        def interrupted(*args):
-            calls.append(args[2:4])
-            if len(calls) == 2:
-                raise KeyboardInterrupt
-            return native(*args)
-
-        monkeypatch.setattr(simulate_module, "_formatter", lambda: interrupted)
-    else:
-        _use_formatter(monkeypatch, "python")
-        write_blocks = simulate_module._write_blocks
-
-        def interrupted(fh, columns, start, stop):
-            calls.append((start, stop))
-            write_blocks(fh, columns, start, start + _B)
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(simulate_module, "_write_blocks", interrupted)
+def test_a_full_disk_leaves_no_partial_file(tmp_path, monkeypatch, formatter):
+    # the second block's write fails after the header and the first block
+    # reached the file: the error propagates, the file is removed and
+    # closed (the fixtures check that no descriptor is left)
+    _use_formatter(monkeypatch, formatter)
+    trace = _pulse_trace("rotpen", "lqr", 3 * _B + 1)
+    sizes = _full_disk_at(monkeypatch, 3)
     path = tmp_path / "trace.csv"
-    with pytest.raises(KeyboardInterrupt):
+    with pytest.raises(OSError, match="No space left on device"):
         save_trace_csv(trace, path)
-    assert calls[0] == (0, _B if formatter == "native" else 3 * _B + 1)
+    assert sizes[-1] == sizes[0] + sizes[1] > 0  # a partial file existed
     assert not path.exists()
+
+
+def test_a_failed_append_reaps_the_writer_and_removes_the_file(tmp_path, monkeypatch):
+    # the first block fails to reach the file after the header: the file
+    # is removed, and no process is left (one process writes the trace)
+    trace = _pulse_trace("rotpen", "smc", 3 * _B + 1)
+    path = tmp_path / "trace.csv"
+    for formatter in _FORMATTERS:
+        _use_formatter(monkeypatch, formatter)
+        sizes = _full_disk_at(monkeypatch, 2)
+        with pytest.raises(OSError, match="No space left on device"):
+            save_trace_csv(trace, path)
+        assert sizes[-1] == sizes[0] > 0  # the header was written
+        _assert_reaped_and_removed(path)
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_an_exception_in_the_parents_share_reaps_the_writer(tmp_path, monkeypatch, error):
+    # the error comes while the second block is formatted, by the C
+    # formatter where cc is at hand and by the Python template; an
+    # interrupt is no Exception, and must remove the file all the same
+    trace = _pulse_trace("nxtway", "lqr", 3 * _B + 1)
+    native, write_blocks = _FORMATTER(), simulate_module._write_blocks
+    path = tmp_path / "trace.csv"
+    for formatter in _FORMATTERS:
+        calls = []
+        if formatter == "native" and native is not None:
+            def fails(*args):
+                calls.append(args[2:4])
+                if len(calls) == 2:
+                    raise error("formatting failed")
+                return native(*args)
+
+            monkeypatch.setattr(simulate_module, "_formatter", lambda: fails)
+        else:
+            def fails(fh, columns, start, stop):
+                calls.append((start, stop))
+                write_blocks(fh, columns, start, start + _B)
+                raise error("formatting failed")
+
+            _use_formatter(monkeypatch, "python")
+            monkeypatch.setattr(simulate_module, "_write_blocks", fails)
+        with pytest.raises(error, match="formatting failed"):
+            save_trace_csv(trace, path)
+        assert calls[0][0] == 0 and len(calls) == (2 if calls[0][1] == _B else 1)
+        _assert_reaped_and_removed(path)
+        monkeypatch.setattr(simulate_module, "_write_blocks", write_blocks)
 
 
 def _table_floats(trace):
