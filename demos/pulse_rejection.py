@@ -11,7 +11,7 @@ import numpy as np
 
 from pendulum_ctl.metrics import SETTLE_BAND, compute_metrics
 from pendulum_ctl.plants import default_params
-from pendulum_ctl.simulate import SimConfig, simulate, standard_pulse_train
+from pendulum_ctl.simulate import SimConfig, save_trace_csv, simulate, standard_pulse_train
 from pendulum_ctl.synthesis import DEFAULT_TS, reference_lqr_design
 
 params = default_params("rotpen")
@@ -20,7 +20,8 @@ print(f"pulse train: {pulse.amplitude} V at {pulse.frequency} Hz "
       f"from t = {pulse.start_time} s, duty {pulse.duty}")
 
 cfg = SimConfig(duration=120.0, controller_Ts=DEFAULT_TS["rotpen"], disturbance=pulse)
-trace = simulate(params, reference_lqr_design("rotpen"), cfg, "pulse_rejection_trace.csv")
+trace = simulate(params, reference_lqr_design("rotpen"), cfg)
+save_trace_csv(trace, "pulse_rejection_trace.csv")
 
 # peak deflection caused by the first pulse edge and the time needed to
 # get back inside the band, measured over the first ON phase only (every

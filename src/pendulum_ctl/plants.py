@@ -32,9 +32,10 @@ ctypes are at hand, into a C run function that runs a whole run in one
 call. That C translation, line by line and unchecked, sits beside the
 translated RK4 step in one object per platform. The compiler and the probe
 are its gate: it is used only once it has reproduced the Python loop bit
-for bit on fixed probe runs. A tick whose period leaves the floats is
-redone by the Python loop, so the rows, the flags and the exceptions are
-the Python loop's.
+for bit on fixed probe runs. A run ends in the loop that started it: one
+divergence test after each period ends it where the period's state lies
+beyond the limit or leaves the floats, which Python's stepper reports by
+raising and C's by infinities and NaNs.
 
 native_function is the one path by which C reaches the package: it builds
 an object from its source once, keeps it in a per-user cache under its name
@@ -342,18 +343,16 @@ _CARRY = ("x1", "x2", "x3", "x4", "integ", "p1", "w1", "z1", "p2", "w2", "z2", "
 _COLUMNS = ("q1", "q2", "q1dot", "q2dot", "u_cmd", "u_applied", "dist", "extra")
 
 # One controller tick of simulate's loop, written once for the Python and
-# the C run kernel: the divergence test, the measurement (ideal, or the
-# filtered derivative of q1 and q2), the LQR law with its optional integral
-# or the SMC law with its boundary layer, the clamp, the row store, one
-# period of the plant ({period}: y1..y4 from x1..x4 and ua + d), and the rest
-# test. A tick that leaves the carried state unchanged bit for bit would
-# repeat itself until the disturbance changes, so its row is stored again up
-# to the next change row in chg instead. The text is the Python subset that
-# _c_statements translates: assignments, if/elif/else, while and break.
+# the C run kernel: the measurement (ideal, or the filtered derivative of q1
+# and q2), the LQR law with its optional integral or the SMC law with its
+# boundary layer, the clamp, the row store, one period of the plant
+# ({period}: y1..y4 from x1..x4 and ua + d), the divergence test (abs(y) <=
+# lim is false for an infinity and a NaN), and the rest test. A tick that
+# leaves the carried state unchanged bit for bit would repeat itself until
+# the disturbance changes, so its row is stored again up to the next change
+# row in chg instead. The text is the Python subset that _c_statements
+# translates: assignments, if/elif/else, while and break.
 _TICK = """\
-if not (abs(x1) <= lim and abs(x2) <= lim and abs(x3) <= lim and abs(x4) <= lim):
-    diverged = 1.0
-    break
 e1 = x1 - r1
 e2 = x2 - r2
 if filtered:
@@ -390,6 +389,9 @@ d = dist[k]
 if k == rows:
     break
 {period}
+if not (abs(y1) <= lim and abs(y2) <= lim and abs(y3) <= lim and abs(y4) <= lim):
+    diverged = 1.0
+    break
 periods = periods + 1.0
 jn = integ
 if integral:
@@ -436,11 +438,12 @@ k = k + 1"""
 # matches (a byte compare would match equal NaNs).
 _SAME = "({a} == {b} and ({a} != 0.0 or copysign(1.0, {a}) == copysign(1.0, {b})))"
 
-# The period in the Python run kernel: advance is the Python period stepper.
+# The period in the Python run kernel: advance is the Python period stepper,
+# which raises where the period leaves the floats.
 _PY_PERIOD = """\
 try:
     y1, y2, y3, y4 = advance(x1, x2, x3, x4, ua + d)
-except ValueError:  # sin of an infinity: the period left the floats
+except (ValueError, ZeroDivisionError):
     diverged = 1.0
     break"""
 
@@ -470,16 +473,16 @@ def make({constants}, dt, steps):
         return x1, x2, x3, x4
     return advance
 """,
-    # the tick loop from row k to the table's end, each period stepped by
+    # the tick loop from row 0 to the table's end, each period stepped by
     # advance; columns are writable views of the table rows, chg a list of ints
     "run": """\
 def make(advance):
-    def run(settings, columns, chg, rows, k, carry):
+    def run(settings, columns, chg, rows, carry):
         {settings} = settings
         {columns} = columns
         {carry} = carry
         diverged = 0.0
-        ci = 0
+        k = ci = 0
         while k < rows:
             {tick}
         return k, ({carry}), diverged != 0.0
@@ -487,21 +490,16 @@ def make(advance):
 """,
 }
 
-# The period in the C run kernel. A period whose state is not finite (where
-# Python may raise: sin of an infinity, a division by zero) ends the call at
-# the row just stored, with the carried state of that row, for the Python
-# kernel to redo.
+# The period in the C run kernel. Where Python raises (the sine of an
+# infinity, a division by zero) C runs on in infinities and NaNs, which the
+# divergence test after the period refuses as it refuses a state beyond lim.
 _C_PERIOD = """\
 xs[0] = x1;
 xs[1] = x2;
 xs[2] = x3;
 xs[3] = x4;
 xs[4] = ua + d;
-if (!advance(kc, xs, steps)) {
-    k = k - 1;
-    redo = 1.0;
-    break;
-}
+advance(kc, xs, steps);
 y1 = xs[0];
 y2 = xs[1];
 y3 = xs[2];
@@ -513,15 +511,14 @@ y4 = xs[3];"""
 # a line where the two differ fails the build or the probe. Temporaries are
 # declared at the top of their block and assigned before they are read.
 # advance: k holds the constants in _DYNAMICS order, then dt; x holds the
-# state and v on entry, the state on return; the result says whether that
-# state is finite. run: as the Python run kernel from row 0, over the table
-# tab of rows columns (t first), with carry holding _CARRY on entry and
-# _CARRY, diverged and redo on return; the result is the row reached.
+# state and v on entry, the state on return. run: as the Python run kernel,
+# over the table tab of rows columns (t first), with carry holding _CARRY on
+# entry and _CARRY and diverged on return; the result is the row reached.
 _C_SOURCE = """\
 #include <math.h>
 #include <stdint.h>
 
-static int advance(const double *k, double *x, int steps)
+static void advance(const double *k, double *x, int steps)
 {
     {constants}
     const double h = 0.5 * dt;
@@ -536,7 +533,6 @@ static int advance(const double *k, double *x, int steps)
     x[1] = x2;
     x[2] = x3;
     x[3] = x4;
-    return isfinite(x1) && isfinite(x2) && isfinite(x3) && isfinite(x4);
 }
 
 int64_t run(const double *kc, int steps, const double *cfg, double *tab, int64_t rows,
@@ -545,7 +541,7 @@ int64_t run(const double *kc, int steps, const double *cfg, double *tab, int64_t
     {settings}
     {columns}
     {carry}
-    double diverged = 0.0, redo = 0.0, y1, y2, y3, y4, xs[5];
+    double diverged = 0.0, y1, y2, y3, y4, xs[5];
     int64_t k = 0, ci = 0, j;
     while (k < rows) {
         {tick}
@@ -665,7 +661,7 @@ def _c_source(platform: str) -> str:
                              for i, name in enumerate(_COLUMNS, 1)),
         "carry": "\n".join(f"double {name} = carry[{i}];" for i, name in enumerate(_CARRY)),
         "results": "\n".join(f"carry[{i}] = {name};"
-                             for i, name in enumerate(_CARRY + ("diverged", "redo"))),
+                             for i, name in enumerate(_CARRY + ("diverged",))),
         "tick": _expand(tick, {"period": _C_PERIOD})})
 
 
@@ -673,10 +669,14 @@ def _c_source(platform: str) -> str:
 # arithmetic; -ffp-contract=off keeps a*b + c from fusing into one rounding
 # (GCC fuses by default where the target has FMA); -fno-builtin keeps sin
 # and cos the libm calls that math.sin and math.cos make, rather than
-# folded, inlined or merged into sincos. -ffast-math and -Ofast are never
-# used: besides reassociating, they link code that sets flush-to-zero for
-# the whole process when the object is loaded.
-_CC = ("cc", "-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-builtin")
+# folded, inlined or merged into sincos. -fno-tree-slp-vectorize keeps
+# GCC's -O2 from packing pairs of the tick loop's scalar operations into
+# vector registers (exact, but the shuffles made the nxtway loop about 12%
+# slower). -ffast-math and -Ofast are never used: besides reassociating,
+# they link code that sets flush-to-zero for the whole process when the
+# object is loaded.
+_CC = ("cc", "-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-builtin",
+       "-fno-tree-slp-vectorize")
 
 # (q1, q2, q1dot, q2dot) from which the probe runs start: exact rest, signed
 # zeros, subnormals, |q2| = 1e3 (the slow path of sin and cos, and the
@@ -823,19 +823,16 @@ def _probe_outcomes(platform: str, native) -> list:
     """Each probe run's (table bytes, row reached, carried state bits, divergence flag).
 
     The runs are the Python loop's with native None, else the C run kernel
-    native's; a run that raises gives (table bytes, the exception's repr).
+    native's.
     """
     params, outcomes = default_params(platform), []
     for i, (smc, integral, filtered, eps) in enumerate(_PROBE_LAWS):
         table = np.zeros((8 + int(smc or integral), 16))
         table[7, 8:] = 2.0
         settings = dict(_PROBE_SETTINGS, smc=smc, integral=integral, filtered=filtered, eps=eps)
-        try:
-            k, carry, diverged = _runner(params, 0.0005, 4, table, (8, 16), settings,
-                                         _PROBES[i % len(_PROBES)], native)
-            outcomes.append((table.tobytes(), k, struct.pack("12d", *carry), diverged))
-        except (ValueError, ZeroDivisionError) as error:
-            outcomes.append((table.tobytes(), repr(error)))
+        k, carry, diverged = _runner(params, 0.0005, 4, table, settings,
+                                     _PROBES[i % len(_PROBES)], native)
+        outcomes.append((table.tobytes(), k, struct.pack("12d", *carry), diverged))
     return outcomes
 
 
@@ -848,8 +845,7 @@ def _probe_mismatch(platform: str, native):
     return None
 
 
-def _runner(params: PlantParams, dt: float, steps: int, table, changes, settings: Mapping,
-            x0, native):
+def _runner(params: PlantParams, dt: float, steps: int, table, settings: Mapping, x0, native):
     """tick_loop's run from x0, in C when native is the loaded run kernel.
 
     Returns (rows filled, the carried state, whether the run diverged); the
@@ -861,50 +857,47 @@ def _runner(params: PlantParams, dt: float, steps: int, table, changes, settings
             and table.shape[0] == 8 + (smc or integral) and rows > 0):
         raise ValueError("table must be a C-contiguous float64 array of 8 rows, "
                          "or 9 with s or the integral")
-    changes = [int(c) for c in changes]
-    if not (changes and changes[-1] == rows and changes == sorted(changes)):
-        raise ValueError("changes must be sorted rows that end with the row count")
+    # the rows whose disturbance differs bit for bit from the row before, then the row count
+    bits = table[7].view(np.int64)
+    changes = np.append(np.flatnonzero(bits[1:] != bits[:-1]) + 1, rows).astype(np.int64)
     values = [float(settings[name]) for name in _SETTINGS]
     x1, x2, x3, x4 = map(float, x0)
-    k, carry = 0, (x1, x2, x3, x4, 0.0, x1, 0.0, 0.0, x2, 0.0, 0.0, 0.0)
+    carry = (x1, x2, x3, x4, 0.0, x1, 0.0, 0.0, x2, 0.0, 0.0, 0.0)
+    if not all(abs(x) <= float(settings["lim"]) for x in (x1, x2, x3, x4)):
+        return 0, carry, True  # diverged before the first tick
     if native is not None:
         constants = np.array([*_DYNAMICS[params.platform][0](params).values(), dt])
-        cfg, chg = np.array(values), np.array(changes, dtype=np.int64)
-        state = np.array([*carry, 0.0, 0.0])
+        cfg, state = np.array(values), np.array([*carry, 0.0])
         k = native(constants.ctypes.data, steps, cfg.ctypes.data, table.ctypes.data, rows,
-                   chg.ctypes.data, state.ctypes.data)
-        *carry, diverged, redo = state.tolist()
-        if not redo:
-            return k, tuple(carry), diverged != 0.0
-    # no C kernel, or a period left the floats: the Python kernel redoes its tick on
+                   changes.ctypes.data, state.ctypes.data)
+        *carry, diverged = state.tolist()
+        return k, tuple(carry), diverged != 0.0
     columns = [memoryview(row) for row in table[1:]] + [None] * (9 - table.shape[0])
     python = _kernel_factory(params.platform, "run")(period_stepper(params, dt, steps))
-    return python(values, columns, changes, rows, k, tuple(carry))
+    return python(values, columns, changes.tolist(), rows, carry)
 
 
-def tick_loop(params: PlantParams, dt: float, steps: int, table, changes, settings: Mapping,
+def tick_loop(params: PlantParams, dt: float, steps: int, table, settings: Mapping,
               x0) -> tuple[int, bool]:
     """Run simulate's tick loop over table from x0: (rows filled, whether the run diverged).
 
     table is the run's C-contiguous float64 table of 8 or 9 rows: t, q1,
     q2, q1dot, q2dot, u_cmd, u_applied, dist and, when the design records
-    s or the integral, that; the caller fills t and dist. changes are the
-    rows whose disturbance differs from the row before, then the row count.
-    settings maps each name in _SETTINGS to a number. The run starts at x0,
-    with a zero integral and the filter seeded with the first sample, and
-    fills the table from row 0, each tick one period of steps RK4 steps of
-    dt, until the table is full or the run diverges.
+    s or the integral, that; the caller fills t and dist. settings maps
+    each name in _SETTINGS to a number. The run starts at x0, with a zero
+    integral and the filter seeded with the first sample, and fills the
+    table from row 0, each tick one period of steps RK4 steps of dt, until
+    the table is full or the run diverges: an x0 beyond lim fills no row,
+    and a period that ends beyond lim or leaves the floats (the sine of an
+    infinity, a zero determinant) ends the run after the row it started from.
 
     The loop is generated from _TICK. Where cc and ctypes are at hand it
     runs as C, built once, kept in a per-user cache, and used only once it
-    has reproduced the Python loop bit for bit on fixed probe runs. A tick
-    whose period leaves the floats is redone by the Python loop, so the
-    rows, the flag and the exceptions are the Python loop's: the sine of an
-    infinity ends the run as diverged, and a zero determinant raises
-    ZeroDivisionError. Without cc, or when building, loading or probing
-    fails, the Python loop runs: the same results, several times slower.
+    has reproduced the Python loop bit for bit on fixed probe runs. Without
+    cc, or when building, loading or probing fails, the Python loop runs:
+    the same results, several times slower.
     """
-    k, _, diverged = _runner(params, dt, steps, table, changes, settings, x0,
+    k, _, diverged = _runner(params, dt, steps, table, settings, x0,
                              _native_library(params.platform))
     return k, diverged
 

@@ -29,15 +29,14 @@ trace bytes are those of computing every tick. The paper's pulse experiment
 balances at the upright equilibrium for 60 s before the first pulse, so
 half of its ticks are copied.
 
-Given a trace path, simulate writes the trace CSV through save_trace_csv
-once the tick loop has ended. The run's table holds the CSV's columns in
-order (t, the four states, both command columns, the disturbance, then s or
-the integral when the design has one), so the writer formats views of it.
-save_trace_csv writes in the calling process, one block of _CSV_BLOCK rows
-at a time. Each cell is its float's repr: written by a C formatter (the
-shortest round-trip digits by Schubfach, from a power-of-ten table made
-from exact integers when the source is generated) where cc is at hand and
-its probe matches repr, else by a Python "%r" template, with the same bytes.
+save_trace_csv writes a returned trace as CSV. The run's table holds the
+CSV's columns in order (t, the four states, both command columns, the
+disturbance, then s or the integral when the design has one), so the
+writer formats views of it, one block of _CSV_BLOCK rows at a time. Each
+cell is its float's repr: written by a C formatter (the shortest
+round-trip digits by Schubfach, from a power-of-ten table made from exact
+integers when the source is generated) where cc is at hand and its probe
+matches repr, else by a Python "%r" template, with the same bytes.
 """
 
 from __future__ import annotations
@@ -271,20 +270,18 @@ def check_plant_step(params: PlantParams, plant_dt: float) -> None:
                          f"mode at {name} rad/s; the largest stable step is {step:.4e} s")
 
 
-def simulate(params: PlantParams, design, cfg: SimConfig, trace_path=None) -> SimTrace:
+def simulate(params: PlantParams, design, cfg: SimConfig) -> SimTrace:
     """Run one closed-loop experiment and return its trace.
 
     The controller type follows the design object: an LqrDesign applies the
     state-feedback law (with integral action when Ki is present), an
     SmcDesign applies the sliding-mode law. The same per-motor voltage goes
-    to both motors of the two-wheeled robot. Divergence (any state beyond
-    1e3, or a period whose stepping raises ValueError, the sine of an
-    infinity) stops the run early and flags the trace, truncated after its
-    last finite row. Ticks at exact rest are copied rather than recomputed,
-    as the module docstring says.
-
-    With trace_path, the run's trace is written there by save_trace_csv once
-    the loop has ended, also for a diverged run.
+    to both motors of the two-wheeled robot. Divergence (a period that ends
+    beyond 1e3 or leaves the floats: the sine of an infinity, a zero
+    determinant) stops the run early and flags the trace, truncated after
+    its last finite row. Ticks at exact rest are copied rather than
+    recomputed, as the module docstring says. save_trace_csv writes the
+    returned trace, a diverged one included.
     """
     check_plant_step(params, cfg.plant_dt)
     Ts = cfg.controller_Ts
@@ -318,23 +315,16 @@ def simulate(params: PlantParams, design, cfg: SimConfig, trace_path=None) -> Si
 
     t = np.arange(n + 1, dtype=float)
     t *= Ts  # k * Ts, bit for bit, without a temporary array
-    # open loop: one column, viewed as its bits
-    d_arr = disturbance_value(cfg.disturbance, t).view(np.int64)
-    # the ticks whose disturbance differs bit for bit from the tick before
-    changes = np.append(np.flatnonzero(d_arr[1:] != d_arr[:-1]) + 1, n + 1)
-    # one contiguous row per CSV column: s or the integral is the ninth
+    # one contiguous row per CSV column: s or the integral is the ninth; the
+    # open-loop disturbance is one column
     table = np.empty((8 + (is_smc or ki is not None), n + 1))
-    table[0], table[7] = t, d_arr.view(float)
-    t, d_arr = table[0], table[7]  # rebinding frees the first copies
-    k, diverged = tick_loop(params, cfg.plant_dt, round(Ts / cfg.plant_dt), table, changes,
-                            settings, cfg.x0)
-
-    trace = SimTrace(t=t[:k], x=table[1:5, :k].T, u_command=table[5, :k],
-                     u_applied=table[6, :k], d=d_arr[:k], s=table[8, :k] if is_smc else None,
-                     integ=table[8, :k] if ki is not None else None, diverged=diverged)
-    if trace_path is not None:
-        save_trace_csv(trace, trace_path)
-    return trace
+    table[0], table[7] = t, disturbance_value(cfg.disturbance, t)
+    t, d = table[0], table[7]  # rebinding frees the first t
+    k, diverged = tick_loop(params, cfg.plant_dt, round(Ts / cfg.plant_dt), table, settings,
+                            cfg.x0)
+    return SimTrace(t=t[:k], x=table[1:5, :k].T, u_command=table[5, :k], u_applied=table[6, :k],
+                    d=d[:k], s=table[8, :k] if is_smc else None,
+                    integ=table[8, :k] if ki is not None else None, diverged=diverged)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from pendulum_ctl.linearize import (
     nxtway_statespace_closed_form,
     rotpen_statespace_closed_form,
 )
+from pendulum_ctl import cli
 from pendulum_ctl import plants as plants_module
 from pendulum_ctl import simulate as simulate_module
 from pendulum_ctl.plants import (
@@ -1117,7 +1118,8 @@ def test_a_traced_run_writes_the_per_row_reference(tmp_path, platform, controlle
         ((0.0, 0.05, 0.0, 0.0), 200)
     params, design, cfg = _pulse_run(platform, controller, rows, measurement, x0, tick)
     path = tmp_path / "trace.csv"
-    trace = simulate(params, design, cfg, path)
+    trace = simulate(params, design, cfg)
+    save_trace_csv(trace, path)
     assert trace.t.size == rows and not trace.diverged
     assert path.read_bytes() == _reference_csv(trace)
 
@@ -1129,7 +1131,8 @@ def _assert_written_alone(trace, path):
     assert path.read_bytes() == _reference_csv(trace)
 
 
-def _assert_reaped_and_removed(path):
+def _assert_alone_and_removed(path):
+    """No file is left at path, and no child process."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert not path.exists()
@@ -1155,7 +1158,8 @@ def _write_diverged_run(tmp_path, monkeypatch, arm_rate):
     for formatter in _FORMATTERS:
         _use_formatter(monkeypatch, formatter)
         trace = simulate(default_params("rotpen"), _gain_only_design([0.0, 0.0, -1.0, 0.0]),
-                         cfg, path)
+                         cfg)
+        save_trace_csv(trace, path)
         assert trace.diverged
         _assert_written_alone(trace, path)
     return trace
@@ -1168,25 +1172,22 @@ def test_a_diverged_run_writes_its_truncated_trace(tmp_path, monkeypatch):
     assert _B < trace.t.size < 2 * _B
 
 
-def test_a_diverged_run_past_two_blocks_splits_its_truncated_trace(tmp_path, monkeypatch):
-    # from 1e-4 it diverges after 2285 ticks, in the third block. The name
-    # dates from the forked writer, which split such a trace between two
-    # processes; one process now writes every row
+def test_a_diverged_run_past_two_blocks_writes_its_truncated_trace(tmp_path, monkeypatch):
+    # from 1e-4 it diverges after 2285 ticks, in the third block
     trace = _write_diverged_run(tmp_path, monkeypatch, 1e-4)
     assert 2 * _B < trace.t.size < 3 * _B
 
 
-@pytest.mark.parametrize("rows, forks", [(2, 0), (_B, 0)])
-def test_only_a_trace_of_more_than_one_block_forks(tmp_path, monkeypatch, rows, forks):
-    # a trace of one block at most forks nothing, as under the forked
-    # writer; longer traces fork nothing either now
+@pytest.mark.parametrize("rows", [2, _B])
+def test_a_trace_of_one_block_at_most_is_written_without_a_fork(tmp_path, monkeypatch, rows):
+    # a run and its trace fork nothing; longer traces fork nothing either
     # (test_trace_writer_leaves_no_child_process)
     calls = _counted_forks(monkeypatch)
     params, design, cfg = _pulse_run("nxtway", "smc", rows)
-    trace = simulate(params, design, cfg, tmp_path / "trace.csv")
-    simulate(params, design, cfg)  # no path: no writer
-    save_trace_csv(trace, tmp_path / "written.csv")
-    assert len(calls) == forks
+    trace = simulate(params, design, cfg)
+    save_trace_csv(trace, tmp_path / "trace.csv")
+    save_trace_csv(simulate(params, design, cfg), tmp_path / "written.csv")
+    assert len(calls) == 0
     for name in ("trace.csv", "written.csv"):
         _assert_written_alone(trace, tmp_path / name)
 
@@ -1220,7 +1221,8 @@ def test_trace_writer_leaves_no_child_process(tmp_path, monkeypatch):
     try:
         for formatter in _FORMATTERS:
             _use_formatter(monkeypatch, formatter)
-            trace = simulate(params, design, cfg, tmp_path / "trace.csv")
+            trace = simulate(params, design, cfg)
+            save_trace_csv(trace, tmp_path / "trace.csv")
             _assert_written_alone(trace, tmp_path / "trace.csv")
     finally:
         release.set()
@@ -1229,11 +1231,10 @@ def test_trace_writer_leaves_no_child_process(tmp_path, monkeypatch):
     assert forks == []
 
 
-def test_the_parents_share_holds_one_block_in_memory(tmp_path, monkeypatch):
+def test_the_trace_writer_holds_one_block_in_memory(tmp_path, monkeypatch):
     # each block is formatted into one buffer (C) or one list of lines
     # (Python) and written before the next, so the memory the writer takes
-    # does not grow with the rows. The name dates from the forked writer,
-    # whose calling process formatted the trace's back share
+    # does not grow with the rows
     traces = [_pulse_trace("rotpen", "smc", rows) for rows in (4 * _B + 1, 16 * _B + 1)]
     for formatter in _FORMATTERS:
         _use_formatter(monkeypatch, formatter)
@@ -1252,7 +1253,7 @@ def test_the_parents_share_holds_one_block_in_memory(tmp_path, monkeypatch):
         assert peaks[1] < peaks[0] + 64 * 1024, (formatter, peaks)
 
 
-def test_an_exception_in_the_tick_loop_forks_nothing_and_leaves_no_file(tmp_path, monkeypatch):
+def test_an_exception_in_the_tick_loop_leaves_no_file(tmp_path, monkeypatch):
     def fails(*args):
         raise RuntimeError("tick loop failed")
 
@@ -1260,7 +1261,7 @@ def test_an_exception_in_the_tick_loop_forks_nothing_and_leaves_no_file(tmp_path
     params, design, cfg = _pulse_run("nxtway", "lqr", 3 * _B + 1, pulse_tick=0)
     path = tmp_path / "trace.csv"
     with pytest.raises(RuntimeError, match="tick loop failed"):
-        simulate(params, design, cfg, path)
+        save_trace_csv(simulate(params, design, cfg), path)
     assert not path.exists()
 
 
@@ -1305,7 +1306,7 @@ def test_a_full_disk_leaves_no_partial_file(tmp_path, monkeypatch, formatter):
     assert not path.exists()
 
 
-def test_a_failed_append_reaps_the_writer_and_removes_the_file(tmp_path, monkeypatch):
+def test_a_failed_first_block_write_removes_the_file(tmp_path, monkeypatch):
     # the first block fails to reach the file after the header: the file
     # is removed, and no process is left (one process writes the trace)
     trace = _pulse_trace("rotpen", "smc", 3 * _B + 1)
@@ -1316,11 +1317,11 @@ def test_a_failed_append_reaps_the_writer_and_removes_the_file(tmp_path, monkeyp
         with pytest.raises(OSError, match="No space left on device"):
             save_trace_csv(trace, path)
         assert sizes[-1] == sizes[0] > 0  # the header was written
-        _assert_reaped_and_removed(path)
+        _assert_alone_and_removed(path)
 
 
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
-def test_an_exception_in_the_parents_share_reaps_the_writer(tmp_path, monkeypatch, error):
+def test_an_exception_while_formatting_removes_the_file(tmp_path, monkeypatch, error):
     # the error comes while the second block is formatted, by the C
     # formatter where cc is at hand and by the Python template; an
     # interrupt is no Exception, and must remove the file all the same
@@ -1348,7 +1349,7 @@ def test_an_exception_in_the_parents_share_reaps_the_writer(tmp_path, monkeypatc
         with pytest.raises(error, match="formatting failed"):
             save_trace_csv(trace, path)
         assert calls[0][0] == 0 and len(calls) == (2 if calls[0][1] == _B else 1)
-        _assert_reaped_and_removed(path)
+        _assert_alone_and_removed(path)
         monkeypatch.setattr(simulate_module, "_write_blocks", write_blocks)
 
 
@@ -1362,11 +1363,10 @@ def _table_floats(trace):
 
 @pytest.mark.parametrize("platform, controller, rows", [
     ("rotpen", "lqr", 8), ("rotpen", "smc", 9), ("nxtway", "lqr", 9), ("nxtway", "smc", 9)])
-def test_the_table_holds_one_row_per_csv_column(tmp_path, platform, controller, rows):
+def test_the_table_holds_one_row_per_csv_column(platform, controller, rows):
     # an LQR design without Ki records neither s nor the integral
-    for length, path in ((_B, None), (3 * _B + 1, tmp_path / "trace.csv")):
-        params, design, cfg = _pulse_run(platform, controller, length)
-        trace = simulate(params, design, cfg, path)
+    for length in (_B, 3 * _B + 1):
+        trace = simulate(*_pulse_run(platform, controller, length))
         assert _table_floats(trace) == rows * length
 
 
@@ -1440,7 +1440,7 @@ def _short_run_bytes(tmp_path, name):
     for platform, controller in (("rotpen", "smc"), ("nxtway", "lqr")):
         params, design, cfg = _pulse_run(platform, controller, 3 * _B + 1)
         path = tmp_path / f"{name}-{platform}.csv"
-        simulate(params, design, cfg, path)
+        save_trace_csv(simulate(params, design, cfg), path)
         out.append(path.read_bytes())
     return out
 
@@ -1448,20 +1448,21 @@ def _short_run_bytes(tmp_path, name):
 def _loop_outcome(platform, native, settings, x0, dist):
     """Rows, row reached, carried state bits and flag of a tick loop run over dist.
 
-    native None runs the Python loop. A run that raises gives the table's
-    bytes and the exception's repr.
+    native None runs the Python loop.
     """
-    rows = len(dist)
-    table = np.zeros((8 + int(settings["smc"] or settings["integral"]), rows))
+    table = np.zeros((8 + int(settings["smc"] or settings["integral"]), len(dist)))
     table[7] = dist
-    bits = table[7].view(np.int64)
-    changes = np.append(np.flatnonzero(bits[1:] != bits[:-1]) + 1, rows)
-    try:
-        k, carry, diverged = plants_module._runner(default_params(platform), 0.0005, 4, table,
-                                                   changes, settings, x0, native)
-    except (ValueError, ZeroDivisionError) as error:
-        return table.tobytes(), repr(error)
+    k, carry, diverged = plants_module._runner(default_params(platform), 0.0005, 4, table,
+                                               settings, x0, native)
     return table.tobytes(), k, struct.pack(f"{len(carry)}d", *carry), diverged
+
+
+def _carries_its_last_row(outcome, rows):
+    """Whether the outcome of a run of rows rows carries its last stored row's state, finite."""
+    table, k, carry, _ = outcome
+    last = np.frombuffer(table).reshape(-1, rows)[1:5, k - 1]
+    return (struct.pack("4d", *last) == carry[:32]
+            and all(map(math.isfinite, struct.unpack("12d", carry))))
 
 
 def _loop_settings(**changed):
@@ -1481,43 +1482,64 @@ def test_the_tick_loop_is_native_where_cc_exists(tmp_path, monkeypatch, platform
         return runner(*args)
 
     monkeypatch.setattr(plants_module, "_runner", recorded)
-    assert tick_loop(default_params(platform), 0.0005, 4, np.zeros((8, 3)), [3],
-                     _loop_settings(), (0.0, 0.0, 0.0, 0.0)) == (3, False)
+    assert tick_loop(default_params(platform), 0.0005, 4, np.zeros((8, 3)), _loop_settings(),
+                     (0.0, 0.0, 0.0, 0.0)) == (3, False)
     assert kernels == [plants_module._native_library(platform)]
 
 
 @pytest.mark.parametrize("platform", ["rotpen", "nxtway"])
-def test_a_period_that_leaves_the_floats_is_redone_by_the_python_loop(tmp_path, platform):
+def test_a_period_that_leaves_the_floats_ends_both_loops_at_its_row(tmp_path, platform):
     # where Python raises (sin of an infinity) C runs on in infinities and
-    # NaNs; the C loop returns at that tick and the Python loop redoes it.
-    # The run ends diverged after the pulse's first row: at that tick when
-    # the period raises, with the row's own finite state carried, or at the
-    # next, on the non-finite state the period returned
+    # NaNs; the divergence test after the period ends the run in either
+    # loop. The run ends diverged after the pulse's first row, row 3, with
+    # that row's own finite state carried
     _native_or_skip(platform, tmp_path)
     native = plants_module._native_library(platform)
-    finite = []
     for pulse in (math.inf, -math.inf, math.nan, 1e300, 1e200, -1e308, 1e12):
         dist = [0.0] * 3 + [pulse] * 5
         want, got = (_loop_outcome(platform, n, _loop_settings(), (0.0, 0.1, 0.0, 0.0), dist)
                      for n in (None, native))
         assert got == want, pulse
         assert want[1] == 4 and want[3] is True
-        finite.append(all(map(math.isfinite, struct.unpack("12d", want[2])[:4])))
-    assert True in finite and (False in finite or platform == "nxtway")
+        assert _carries_its_last_row(want, len(dist)), pulse
 
 
-def test_a_zero_determinant_raises_zero_division_natively_too(tmp_path, monkeypatch):
-    _native_or_skip("nxtway", tmp_path)
-    native = plants_module._native_library("nxtway")
-    # every constant 0 but al: m12 = 0 and det = 0, so the solve divides by zero
+def _zero_determinant(monkeypatch):
+    """Make every nxtway constant 0 but al: m12 = 0 and det = 0, so the solve divides by zero."""
     constants, per_call, stage = plants_module._DYNAMICS["nxtway"]
     zeros = dict.fromkeys(constants(default_params("nxtway")), 0.0)
     zeros["al"] = 1.0
     monkeypatch.setitem(plants_module._DYNAMICS, "nxtway", (lambda p: zeros, per_call, stage))
-    for kernel in (None, native):
-        outcome = _loop_outcome("nxtway", kernel, _loop_settings(), (0.0, 0.1, 0.0, 0.0),
-                                [0.0] * 4)
-        assert outcome[1] == "ZeroDivisionError('float division by zero')"
+
+
+def test_a_zero_determinant_ends_the_run_diverged_in_both_loops(tmp_path, monkeypatch):
+    # Python raises ZeroDivisionError in the first period and C divides
+    # into infinities and NaNs: either loop ends the run after row 0,
+    # carrying its state, and nothing is raised
+    _native_or_skip("nxtway", tmp_path)
+    native = plants_module._native_library("nxtway")
+    _zero_determinant(monkeypatch)
+    want, got = (_loop_outcome("nxtway", n, _loop_settings(), (0.0, 0.1, 0.0, 0.0), [0.0] * 4)
+                 for n in (None, native))
+    assert got == want
+    assert want[1] == 1 and want[3] is True
+    assert _carries_its_last_row(want, 4)
+
+
+@pytest.mark.parametrize("kernel", ["native", "python"])
+def test_a_zero_determinant_exits_3_from_the_cli(tmp_path, monkeypatch, capsys, kernel):
+    if kernel == "native":
+        _native_or_skip("nxtway", tmp_path)
+    else:
+        _python_only(monkeypatch)
+    _zero_determinant(monkeypatch)
+    code = cli.run(["simulate", "--platform", "nxtway", "--duration", "0.04",
+                    "--trace", str(tmp_path / "trace.csv"),
+                    "--metrics", str(tmp_path / "metrics.csv")])
+    err = capsys.readouterr().err
+    assert code == 3 and "Traceback" not in err
+    assert "did not stabilize" in err
+    assert (tmp_path / "trace.csv").read_text().count("\n") == 2  # the header and row 0
 
 
 _SPECIAL = (0.0, -0.0, 5e-324, -1e-310)
@@ -1571,6 +1593,10 @@ def test_the_c_and_python_tick_loops_give_the_same_runs(tmp_path, platform):
         want, got = (_loop_outcome(platform, n, *case) for n in (None, native))
         assert got == want, case
         outcomes.append(want)
+    # a run that diverges after a row carries that row's finite state; one
+    # beyond 1e3 from x0 stores no row and carries x0
+    ends = [_carries_its_last_row(o, len(c[2])) for o, c in zip(outcomes, cases) if o[3] and o[1]]
+    assert len(ends) >= 2 and all(ends)
     carry = (0.0, 2e3, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2e3, 0.0, 0.0, 0.0)
     assert outcomes[-4][1:] == (0, struct.pack("12d", *carry), True)
     assert outcomes[-3][1:] == (1, outcomes[-3][2], True)
@@ -1604,16 +1630,14 @@ def test_the_probe_runs_cover_the_laws_saturation_a_pulse_edge_and_rest(platform
     assert saturated and edges and copied
 
 
-@pytest.mark.parametrize("table, changes", [
-    (np.zeros((9, 4)), [4]),  # a ninth row without s or the integral
-    (np.zeros((8, 4), dtype=np.float32), [4]),
-    (np.zeros((4, 8)).T, [4]),  # not C-contiguous
-    (np.zeros((8, 4)), [3]),  # changes must end with the row count
-    (np.zeros((8, 4)), [3, 2, 4]),
-], ids=["width", "dtype", "layout", "last-change", "unsorted"])
-def test_the_tick_loop_refuses_what_it_cannot_index(table, changes):
+@pytest.mark.parametrize("table", [
+    np.zeros((9, 4)),  # a ninth row without s or the integral
+    np.zeros((8, 4), dtype=np.float32),
+    np.zeros((4, 8)).T,  # not C-contiguous
+], ids=["width", "dtype", "layout"])
+def test_the_tick_loop_refuses_what_it_cannot_index(table):
     with pytest.raises(ValueError):
-        tick_loop(default_params("rotpen"), 0.0005, 4, table, changes, _loop_settings(),
+        tick_loop(default_params("rotpen"), 0.0005, 4, table, _loop_settings(),
                   (0.0, 0.0, 0.0, 0.0))
 
 
@@ -1625,9 +1649,9 @@ def test_paper_runs_write_the_same_trace_natively_and_in_python(tmp_path, monkey
     params, design = default_params(platform), _DESIGNS[platform, controller]()
     cfg = SimConfig(duration=120.0, controller_Ts=0.002 if platform == "rotpen" else 0.004,
                     disturbance=standard_pulse_train(params.V_max), measurement=measurement)
-    simulate(params, design, cfg, tmp_path / "native.csv")
+    save_trace_csv(simulate(params, design, cfg), tmp_path / "native.csv")
     _python_only(monkeypatch)
-    simulate(params, design, cfg, tmp_path / "python.csv")
+    save_trace_csv(simulate(params, design, cfg), tmp_path / "python.csv")
     assert (tmp_path / "native.csv").read_bytes() == (tmp_path / "python.csv").read_bytes()
 
 
@@ -1641,9 +1665,11 @@ def test_a_run_that_leaves_the_floats_ends_alike_natively_and_in_python(tmp_path
     params, design, cfg = _pulse_run(platform, controller, 3 * _B + 1, pulse_tick=1250)
     cfg = dataclasses.replace(cfg, disturbance=dataclasses.replace(cfg.disturbance,
                                                                   amplitude=1e6))
-    traces = [simulate(params, design, cfg, tmp_path / "native.csv")]
+    traces = [simulate(params, design, cfg)]
     _python_only(monkeypatch)
-    traces.append(simulate(params, design, cfg, tmp_path / "python.csv"))
+    traces.append(simulate(params, design, cfg))
+    for trace, name in zip(traces, ("native.csv", "python.csv")):
+        save_trace_csv(trace, tmp_path / name)
     for trace in traces:
         assert trace.diverged and trace.t.size == 1251 and np.isfinite(trace.x).all()
     assert (tmp_path / "native.csv").read_bytes() == (tmp_path / "python.csv").read_bytes()
