@@ -18,30 +18,27 @@ the underlying symmetric mechanical form instead.
 
 Each platform's M, C and G entries and the solve for its accelerations are
 written once, as text (_DYNAMICS), and so is one RK4 step over that text
-(_RK4_STEP). Two kernels are generated from them: scalar_rhs, the
-accelerations that linearize.jacobian_linearize differentiates, and the RK4
-period_stepper. Each is compiled once per process and platform, on first
-use; its source is registered with linecache, so tracebacks show the
-generated lines.
-
-simulate's tick loop is written once as well, as text (_TICK): the
-measurement, the control laws, the clamp, the row store, the divergence and
-rest tests and the copy of a row at rest. tick_loop expands it into a
-Python loop that steps each period with period_stepper, and, where cc and
-ctypes are at hand, into a C run function that runs a whole run in one
-call. That C translation, line by line and unchecked, sits beside the
-translated RK4 step in one object per platform. The compiler and the probe
-are its gate: it is used only once it has reproduced the Python loop bit
-for bit on fixed probe runs. A run ends in the loop that started it: one
+(_RK4_STEP). simulate's tick loop is written once as well (_TICK): the
+measurement, the control laws, the clamp, the row store, one period of RK4
+steps, the divergence test and the rest test with its copy of a row at
+rest. Each platform has two generated Python kernels, compiled once per
+process on first use and registered with linecache, so tracebacks show
+their lines: scalar_rhs, the accelerations that
+linearize.jacobian_linearize differentiates, and the run kernel that
+tick_loop calls. Where cc and ctypes are at hand, tick_loop runs instead a
+C run function, translated from the same text line by line and unchecked,
+that runs a whole run in one call; the compiler and the probe are its
+gate, and it is used only once it has reproduced the Python loop bit for
+bit on fixed probe runs. A run ends in the loop that started it: one
 divergence test after each period ends it where the period's state lies
-beyond the limit or leaves the floats, which Python's stepper reports by
-raising and C's by infinities and NaNs.
+beyond DIVERGENCE_LIMIT or leaves the floats, which the Python loop meets
+as a raise and the C loop as infinities and NaNs.
 
 native_function is the one path by which C reaches the package: it builds
 an object from its source once, keeps it in a per-user cache under its name
 and a hash of the source, and loads one function from it. The tick loop's
-objects (advance-rotpen, advance-nxtway) and simulate's trace formatter
-(csv) go through it; each caller probes what it loads against its Python
+objects (tick-rotpen, tick-nxtway) and simulate's trace formatter (csv) go
+through it; each caller probes what it loads against its Python
 counterpart before using it.
 """
 
@@ -73,8 +70,8 @@ __all__ = [
     "default_params",
     "params_from_mapping",
     "scalar_rhs",
-    "period_stepper",
     "tick_loop",
+    "DIVERGENCE_LIMIT",
     "native_function",
     "mechanical_energy",
 ]
@@ -253,11 +250,11 @@ def params_from_mapping(platform: str, overrides: Mapping[str, object]) -> Plant
 # ---------------------------------------------------------------------------
 
 def _rotpen_constants(p: RotPenParams) -> dict:
-    a, b, c, l2 = p.mass_constants
+    a, b, c, lp2 = p.mass_constants
     gam = p.gamma
-    return dict(a=a, c=c, l2=l2, gam=gam, kmkg=p.K_m * p.K_g, fr=p.f_r, fp=p.f_p,
+    return dict(a=a, c=c, lp2=lp2, gam=gam, kmkg=p.K_m * p.K_g, fr=p.f_r, fp=p.f_p,
                 halfmpg=0.5 * p.m_p * p.L_p * p.g,
-                ngb=-gam * b, nb=-b, l2x2=2 * l2, gb=gam * b)
+                ngb=-gam * b, nb=-b, lp2x2=2 * lp2, gb=gam * b)
 
 
 def _nxtway_constants(p: NxtwayParams) -> dict:
@@ -271,65 +268,69 @@ def _nxtway_constants(p: NxtwayParams) -> dict:
 
 
 # The dynamics of each platform, written once, as (parameter-only
-# constants, a statement run once per call on the voltage v, one stage: the
-# M, C and G entries, then the Cramer solve of M qddot = V - C qdot - G).
-# In the stage {q2}, {q1d} and {q2d} are the inputs and {q1dd}, {q2dd} its
-# outputs; every other name is a constant or a temporary. An entry the
-# solve uses negated is stored negated (nc21 is -c21), which is exact, so
-# the solve keeps the operations of the formulas.
+# constants, a statement run once per call or period on the voltage v, one
+# stage: the M, C and G entries, then the Cramer solve of M qddot = V - C
+# qdot - G). In the stage {q2}, {q1d} and {q2d} are the inputs and {q1dd},
+# {q2dd} its outputs; every other name is a constant or a temporary that no
+# tick name repeats. An entry the solve uses negated is stored negated (nc21
+# is -c21), which is exact, so the solve keeps the operations of the formulas.
 _DYNAMICS = {
     "rotpen": (_rotpen_constants, "", """\
 s = sin({q2})
 co = cos({q2})
-l2s = l2 * s
-m11 = gam * (a + l2s * s)
+lp2s = lp2 * s
+m11 = gam * (a + lp2s * s)
 m12 = ngb * co
 m21 = nb * co
-c11 = gam * (l2x2 * s * co * {q2d} + fr) + kmkg
+c11 = gam * (lp2x2 * s * co * {q2d} + fr) + kmkg
 c12 = gb * s * {q2d}
-nc21 = l2s * co * {q1d}
+nc21 = lp2s * co * {q1d}
 ng2 = halfmpg * s
-r1 = v - c11 * {q1d} - c12 * {q2d}
-r2 = nc21 * {q1d} - fp * {q2d} + ng2
+f1 = v - c11 * {q1d} - c12 * {q2d}
+f2 = nc21 * {q1d} - fp * {q2d} + ng2
 det = m11 * c - m12 * m21
-{q1dd} = (c * r1 - m12 * r2) / det
-{q2dd} = (m11 * r2 - m21 * r1) / det"""),
+{q1dd} = (c * f1 - m12 * f2) / det
+{q2dd} = (m11 * f2 - m21 * f1) / det"""),
     "nxtway": (_nxtway_constants, "v2 = 2.0 * v", """\
 s = sin({q2})
 co = cos({q2})
 m12 = (MLR * co - n2Jm2) / al  # and m21 = -m12
 c12 = (nbe2 - MLR * {q2d} * s) / al
 g2 = MgL * s / al
-r1 = v2 - c11 * {q1d} - c12 * {q2d}
-r2 = v2 - c21 * {q1d} + c21 * {q2d} - g2
+f1 = v2 - c11 * {q1d} - c12 * {q2d}
+f2 = v2 - c21 * {q1d} + c21 * {q2d} - g2
 det = m11m22 + m12 * m12
-{q1dd} = (m22 * r1 - m12 * r2) / det
-{q2dd} = (m11 * r2 + m12 * r1) / det"""),
+{q1dd} = (m22 * f1 - m12 * f2) / det
+{q2dd} = (m11 * f2 + m12 * f1) / det"""),
 }
 
-# One classic RK4 step of dt, written once for the Python and the C advance
-# kernel; {stage q2 q1d q2d q1dd q2dd} is one copy of the stage. A stage's
-# position rates are its velocities, so the q1 stage states, never read, are
-# not formed; every other operation is the classic step's, in its order (2.0
-# doubles as 2 does). x1 and x2 are updated before the x3 and x4 they read.
+# One classic RK4 step of dt over y1..y4; {stage q2 q1d q2d q1dd q2dd} is one
+# copy of the stage. A stage's position rates are its velocities, so the q1
+# stage states, never read, are not formed; every other operation is the
+# classic step's, in its order (2.0 doubles as 2 does). y1 and y2 are updated
+# before the y3 and y4 they read.
 _RK4_STEP = """\
-{stage x2 x3 x4 a3 a4}
-b1 = x3 + h * a3
-b2 = x4 + h * a4
-p2 = x2 + h * x4
-{stage p2 b1 b2 b3 b4}
-c1 = x3 + h * b3
-c2 = x4 + h * b4
-p2 = x2 + h * b2
-{stage p2 c1 c2 c3 c4}
-d1 = x3 + dt * c3
-d2 = x4 + dt * c4
-p2 = x2 + dt * c2
-{stage p2 d1 d2 d3 d4}
-x1 = x1 + w * (x3 + 2.0 * b1 + 2.0 * c1 + d1)
-x2 = x2 + w * (x4 + 2.0 * b2 + 2.0 * c2 + d2)
-x3 = x3 + w * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
-x4 = x4 + w * (a4 + 2.0 * b4 + 2.0 * c4 + d4)"""
+{stage y2 y3 y4 a3 a4}
+b1 = y3 + h * a3
+b2 = y4 + h * a4
+yp = y2 + h * y4
+{stage yp b1 b2 b3 b4}
+c1 = y3 + h * b3
+c2 = y4 + h * b4
+yp = y2 + h * b2
+{stage yp c1 c2 c3 c4}
+d1 = y3 + dt * c3
+d2 = y4 + dt * c4
+yp = y2 + dt * c2
+{stage yp d1 d2 d3 d4}
+y1 = y1 + w * (y3 + 2.0 * b1 + 2.0 * c1 + d1)
+y2 = y2 + w * (y4 + 2.0 * b2 + 2.0 * c2 + d2)
+y3 = y3 + w * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
+y4 = y4 + w * (a4 + 2.0 * b4 + 2.0 * c4 + d4)"""
+
+# |state| bound of a run: SimConfig refuses an x0 beyond it, and the tick
+# loop ends a run after a period that ends beyond it or leaves the floats.
+DIVERGENCE_LIMIT = 1e3
 
 # The names one run of the tick loop reads: the run's settings, fixed for the
 # run (flags are 1.0 or 0.0); the state it carries from tick to tick (the
@@ -337,21 +338,22 @@ x4 = x4 + w * (a4 + 2.0 * b4 + 2.0 * c4 + d4)"""
 # sample, previous backward difference and estimate, and the periods
 # computed); and the table rows after t, in the trace CSV's column order
 # (extra is s or the integral, present when the design records one).
-_SETTINGS = ("Ts", "lim", "r1", "r2", "r3", "r4", "k1", "k2", "k3", "k4", "l1", "l2", "l3",
-             "l4", "kk", "eps", "kint", "sat", "fa", "fg", "smc", "filtered", "integral")
+_SETTINGS = ("Ts", "r1", "r2", "r3", "r4", "k1", "k2", "k3", "k4", "l1", "l2", "l3", "l4",
+             "kk", "eps", "kint", "sat", "fa", "fg", "smc", "filtered", "integral")
 _CARRY = ("x1", "x2", "x3", "x4", "integ", "p1", "w1", "z1", "p2", "w2", "z2", "periods")
 _COLUMNS = ("q1", "q2", "q1dot", "q2dot", "u_cmd", "u_applied", "dist", "extra")
 
 # One controller tick of simulate's loop, written once for the Python and
 # the C run kernel: the measurement (ideal, or the filtered derivative of q1
 # and q2), the LQR law with its optional integral or the SMC law with its
-# boundary layer, the clamp, the row store, one period of the plant
-# ({period}: y1..y4 from x1..x4 and ua + d), the divergence test (abs(y) <=
-# lim is false for an infinity and a NaN), and the rest test. A tick that
-# leaves the carried state unchanged bit for bit would repeat itself until
-# the disturbance changes, so its row is stored again up to the next change
-# row in chg instead. The text is the Python subset that _c_statements
-# translates: assignments, if/elif/else, while and break.
+# boundary layer, the clamp, the row store, one period of the plant (steps
+# RK4 steps from x1..x4 under v = ua + d into y1..y4), the divergence test
+# (abs(y) <= {lim} is false for an infinity and a NaN), and the rest test. A
+# tick that leaves the carried state unchanged bit for bit would repeat
+# itself until the disturbance changes, so its row is stored again up to the
+# next change row in chg instead. The text is the Python subset that
+# _c_statements translates: assignments, if/elif/else, while, for over a
+# range, and break.
 _TICK = """\
 e1 = x1 - r1
 e2 = x2 - r2
@@ -388,8 +390,15 @@ d = dist[k]
 {store}
 if k == rows:
     break
-{period}
-if not (abs(y1) <= lim and abs(y2) <= lim and abs(y3) <= lim and abs(y4) <= lim):
+y1 = x1
+y2 = x2
+y3 = x3
+y4 = x4
+v = ua + d
+{per_call}
+for i in range(steps):
+    {step}
+if not (abs(y1) <= {lim} and abs(y2) <= {lim} and abs(y3) <= {lim} and abs(y4) <= {lim}):
     diverged = 1.0
     break
 periods = periods + 1.0
@@ -438,19 +447,10 @@ k = k + 1"""
 # matches (a byte compare would match equal NaNs).
 _SAME = "({a} == {b} and ({a} != 0.0 or copysign(1.0, {a}) == copysign(1.0, {b})))"
 
-# The period in the Python run kernel: advance is the Python period stepper,
-# which raises where the period leaves the floats.
-_PY_PERIOD = """\
-try:
-    y1, y2, y3, y4 = advance(x1, x2, x3, x4, ua + d)
-except (ValueError, ZeroDivisionError):
-    diverged = 1.0
-    break"""
-
 # Kernel templates: {constants} is the constant names, {per_call} the
 # per-call statement, {stage q2 q1d q2d q1dd q2dd} one copy of the stage,
-# {step} the expanded _RK4_STEP, {settings}, {carry} and {columns} the names
-# above and {tick} the expanded _TICK.
+# {settings}, {carry} and {columns} the names above and {tick} the expanded
+# _TICK.
 _KERNELS = {
     "rhs": """\
 def make({constants}):
@@ -460,88 +460,54 @@ def make({constants}):
         return q1dd, q2dd
     return rhs
 """,
-    # steps RK4 steps of dt
-    "advance": """\
+    # the tick loop from row 0 to the table's end; columns are writable views
+    # of the table rows, chg a list of ints. Only a period raises, before the
+    # tick changes a carried name, so the run ends with its last row's state.
+    "run": """\
 def make({constants}, dt, steps):
     h = 0.5 * dt
     w = dt / 6.0
 
-    def advance(x1, x2, x3, x4, v):
-        {per_call}
-        for _ in range(steps):
-            {step}
-        return x1, x2, x3, x4
-    return advance
-""",
-    # the tick loop from row 0 to the table's end, each period stepped by
-    # advance; columns are writable views of the table rows, chg a list of ints
-    "run": """\
-def make(advance):
     def run(settings, columns, chg, rows, carry):
         {settings} = settings
         {columns} = columns
         {carry} = carry
         diverged = 0.0
         k = ci = 0
-        while k < rows:
-            {tick}
+        try:
+            while k < rows:
+                {tick}
+        except (ValueError, ZeroDivisionError):
+            diverged = 1.0
         return k, ({carry}), diverged != 0.0
     return run
 """,
 }
 
-# The period in the C run kernel. Where Python raises (the sine of an
-# infinity, a division by zero) C runs on in infinities and NaNs, which the
-# divergence test after the period refuses as it refuses a state beyond lim.
-_C_PERIOD = """\
-xs[0] = x1;
-xs[1] = x2;
-xs[2] = x3;
-xs[3] = x4;
-xs[4] = ua + d;
-advance(kc, xs, steps);
-y1 = xs[0];
-y2 = xs[1];
-y3 = xs[2];
-y4 = xs[3];"""
-
-# The C kernels, frames around the translated _RK4_STEP and _TICK. On the
-# texts' names, float literals, + - * /, comparisons and the sin, cos, fabs
-# and copysign calls, C evaluates as Python does, left to right, in doubles;
-# a line where the two differ fails the build or the probe. Temporaries are
-# declared at the top of their block and assigned before they are read.
-# advance: k holds the constants in _DYNAMICS order, then dt; x holds the
-# state and v on entry, the state on return. run: as the Python run kernel,
-# over the table tab of rows columns (t first), with carry holding _CARRY on
-# entry and _CARRY and diverged on return; the result is the row reached.
+# The C run kernel, a frame around the translated _TICK. On the text's
+# names, float literals, + - * /, comparisons and the sin, cos, fabs and
+# copysign calls, C evaluates as Python does, left to right, in doubles; a
+# line where the two differ fails the build or the probe. Temporaries are
+# declared at the top of their block and assigned before they are read. As
+# the Python run kernel, over the table tab of rows columns (t first): kc
+# holds the constants in _DYNAMICS order, then dt and steps; carry holds
+# _CARRY on entry and _CARRY and diverged on return; the result is the row
+# reached. Where Python raises, C runs on in infinities and NaNs, which the
+# divergence test refuses.
 _C_SOURCE = """\
 #include <math.h>
 #include <stdint.h>
 
-static void advance(const double *k, double *x, int steps)
+int64_t run(const double *kc, const double *cfg, double *tab, int64_t rows,
+            const int64_t *chg, double *carry)
 {
     {constants}
     const double h = 0.5 * dt;
     const double w = dt / 6.0;
-    const double v = x[4];
-    {per_call}
-    double x1 = x[0], x2 = x[1], x3 = x[2], x4 = x[3];
-    for (int i = 0; i < steps; i++) {
-        {step}
-    }
-    x[0] = x1;
-    x[1] = x2;
-    x[2] = x3;
-    x[3] = x4;
-}
-
-int64_t run(const double *kc, int steps, const double *cfg, double *tab, int64_t rows,
-            const int64_t *chg, double *carry)
-{
     {settings}
     {columns}
     {carry}
-    double diverged = 0.0, y1, y2, y3, y4, xs[5];
+    double diverged = 0.0;
     int64_t k = 0, ci = 0, j;
     while (k < rows) {
         {tick}
@@ -570,15 +536,11 @@ def _expand(template: str, slots: dict) -> str:
     return re.sub(r"( *)\{(\w+)([\w ]*)\}", expand, template)
 
 
-
-def _rk4_step(stage: str) -> str:
-    """_RK4_STEP with its four copies of a platform's stage text."""
-    return _expand(_RK4_STEP, {"stage": stage})
-
-
-def _tick(period: str) -> str:
-    """_TICK with its row stores, its bit comparisons and the given period text."""
-    return _expand(_TICK, {"store": _STORE, "same": _SAME, "period": period})
+def _tick(platform: str) -> str:
+    """_TICK with its row stores, bit comparisons and limit, and one platform's period."""
+    _, per_call, stage = _DYNAMICS[platform]
+    return _expand(_TICK, {"store": _STORE, "same": _SAME, "lim": repr(DIVERGENCE_LIMIT),
+                           "per_call": per_call, "step": _expand(_RK4_STEP, {"stage": stage})})
 
 
 @functools.cache
@@ -591,8 +553,8 @@ def _kernel_factory(platform: str, kind: str):
     constants, per_call, stage = _DYNAMICS[platform]
     source = _expand(_KERNELS[kind], {
         "constants": ", ".join(constants(default_params(platform))), "per_call": per_call,
-        "stage": stage, "step": _rk4_step(stage), "settings": ", ".join(_SETTINGS),
-        "carry": ", ".join(_CARRY), "columns": ", ".join(_COLUMNS), "tick": _tick(_PY_PERIOD)})
+        "stage": stage, "settings": ", ".join(_SETTINGS), "carry": ", ".join(_CARRY),
+        "columns": ", ".join(_COLUMNS), "tick": _tick(platform)})
     filename = f"<pendulum_ctl.plants: {platform} {kind}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {"__name__": __name__, "sin": math.sin, "cos": math.cos,
@@ -610,17 +572,18 @@ def _c_statements(text: str, declared: tuple) -> str:
     Each `name = expr` line becomes `name = expr;`, and each name it assigns
     that is not in declared is declared a double once, at the top; `if`,
     `elif`, `else` and `while` lines open blocks that their indentation
-    closes; `and`, `or`, `not` and `abs` become `&&`, `||`, `!` and `fabs`.
-    A `break` line gets its semicolon, a {slot} line stays as it is, # comments
-    are stripped and blank lines skipped. Nothing else is checked here: a
-    line C cannot compile fails the build, and one C runs otherwise than
-    Python (an integer division, say) fails the probe, so either way the
-    Python kernel runs.
+    closes, and so does `for name in range(count):`, as a C for over name, a
+    double counting from 0.0 by 1.0 while below count; `and`, `or`, `not` and
+    `abs` become `&&`, `||`, `!` and `fabs`. A `break` line gets its
+    semicolon, # comments are stripped and blank lines skipped. Nothing else
+    is checked here: a line C cannot compile fails the build, and one C runs
+    otherwise than Python (an integer division, say) fails the probe, so
+    either way the Python kernel runs.
     """
     def c(expr):
         return re.sub(r"\b(and|or|not|abs)\b", lambda m: _C_WORDS[m[1]], expr)
 
-    body, names, blocks = [], [], []
+    body, names, blocks = [], {}, []  # names: a set in the order assigned
     for line in text.splitlines():
         code = line.split("#", 1)[0].rstrip()
         stripped = code.lstrip()
@@ -631,30 +594,30 @@ def _c_statements(text: str, declared: tuple) -> str:
             body.append(blocks.pop() + "}")
         if stripped.endswith(":"):
             word, _, cond = stripped[:-1].partition(" ")
+            if word == "for":
+                name, _, count = cond.partition(" in range(")
+                names[name] = None
+                cond = f"{name} = 0.0; {name} < {count[:-1]}; {name} = {name} + 1.0"
             body.append(pad + ("else {" if word == "else" else
                                f"{'else if' if word == 'elif' else word} ({c(cond)}) {{"))
             blocks.append(pad)
-        elif stripped == "break" or stripped.startswith("{"):
-            body.append(pad + stripped + (";" if stripped == "break" else ""))
+        elif stripped == "break":
+            body.append(pad + "break;")
         else:
             target, _, expr = (part.strip() for part in stripped.partition("="))
-            if target.isidentifier() and target not in declared and target not in names:
-                names.append(target)
+            if target.isidentifier() and target not in declared:
+                names[target] = None
             body.append(f"{pad}{target} = {c(expr)};")
     body += [pad + "}" for pad in reversed(blocks)]
     return "\n".join(([f"double {', '.join(names)};"] if names else []) + body)
 
 
 def _c_source(platform: str) -> str:
-    """_C_SOURCE expanded with one platform's constants, per-call line, RK4 step and tick, unchecked."""
-    constants, per_call, stage = _DYNAMICS[platform]
-    names = [*constants(default_params(platform)), "dt"]
-    frame = ("k", "rows", "j", "ci", "diverged", "y1", "y2", "y3", "y4")
-    tick = _c_statements(_tick("{period}"), frame + _SETTINGS + _CARRY + _COLUMNS)
+    """_C_SOURCE expanded with one platform's constants and tick, unchecked."""
+    names = [*_DYNAMICS[platform][0](default_params(platform)), "dt", "steps"]
+    frame = ("k", "rows", "j", "ci", "diverged")
     return _expand(_C_SOURCE, {
-        "constants": "\n".join(f"const double {name} = k[{i}];" for i, name in enumerate(names)),
-        "per_call": _c_statements(per_call, ()),
-        "step": _c_statements(_rk4_step(stage), ("x1", "x2", "x3", "x4")),
+        "constants": "\n".join(f"const double {name} = kc[{i}];" for i, name in enumerate(names)),
         "settings": "\n".join(f"const double {name} = cfg[{i}];"
                               for i, name in enumerate(_SETTINGS)),
         "columns": "\n".join(f"double *{name} = tab + {i} * rows;"
@@ -662,21 +625,23 @@ def _c_source(platform: str) -> str:
         "carry": "\n".join(f"double {name} = carry[{i}];" for i, name in enumerate(_CARRY)),
         "results": "\n".join(f"carry[{i}] = {name};"
                              for i, name in enumerate(_CARRY + ("diverged",))),
-        "tick": _expand(tick, {"period": _C_PERIOD})})
+        "tick": _c_statements(_tick(platform), frame + _SETTINGS + _CARRY + _COLUMNS)})
 
 
 # The compile command. -O2 alone does not reorder floating-point
 # arithmetic; -ffp-contract=off keeps a*b + c from fusing into one rounding
-# (GCC fuses by default where the target has FMA); -fno-builtin keeps sin
-# and cos the libm calls that math.sin and math.cos make, rather than
-# folded, inlined or merged into sincos. -fno-tree-slp-vectorize keeps
+# (GCC fuses by default where the target has FMA); -fno-builtin-sin and
+# -fno-builtin-cos keep sin and cos the libm calls that math.sin and math.cos
+# make, rather than folded, inlined or merged into sincos, while fabs and
+# copysign, exact bit operations, stay inline builtins rather than libm calls
+# through the PLT. -fno-tree-slp-vectorize keeps
 # GCC's -O2 from packing pairs of the tick loop's scalar operations into
 # vector registers (exact, but the shuffles made the nxtway loop about 12%
 # slower). -ffast-math and -Ofast are never used: besides reassociating,
 # they link code that sets flush-to-zero for the whole process when the
 # object is loaded.
-_CC = ("cc", "-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-builtin",
-       "-fno-tree-slp-vectorize")
+_CC = ("cc", "-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-builtin-sin",
+       "-fno-builtin-cos", "-fno-tree-slp-vectorize")
 
 # (q1, q2, q1dot, q2dot) from which the probe runs start: exact rest, signed
 # zeros, subnormals, |q2| = 1e3 (the slow path of sin and cos, and the
@@ -694,7 +659,7 @@ _PROBES = (
 # boundary layer) for LQR with and without Ki and SMC with and without a
 # boundary layer, each under both measurements. Each run has 16 rows and a
 # 2 V pulse from row 8, so the runs from rest copy rows up to a pulse edge.
-_PROBE_SETTINGS = dict(Ts=0.002, lim=1e3, r1=0.0, r2=0.0, r3=0.0, r4=0.0, k1=-2.0, k2=40.0,
+_PROBE_SETTINGS = dict(Ts=0.002, r1=0.0, r2=0.0, r3=0.0, r4=0.0, k1=-2.0, k2=40.0,
                        k3=-3.0, k4=5.0, l1=1.0, l2=10.0, l3=0.5, l4=1.0, kk=2.0, kint=1.5,
                        sat=3.0, fa=0.6, fg=0.2)
 _PROBE_LAWS = ((0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 1.0, 0.0, 0.0),
@@ -802,8 +767,8 @@ def _load(path: str, symbol: str, signature: tuple):
     return function
 
 
-# run(constants, steps, settings, table, rows, changes, carry) -> the row reached
-_RUN_SIGNATURE = ("c_int64", "c_void_p", "c_int", "c_void_p", "c_void_p", "c_int64", "c_void_p",
+# run(constants, settings, table, rows, changes, carry) -> the row reached
+_RUN_SIGNATURE = ("c_int64", "c_void_p", "c_void_p", "c_void_p", "c_int64", "c_void_p",
                   "c_void_p")
 
 
@@ -812,10 +777,10 @@ def _native_library(platform: str):
     """The platform's C run kernel, or None to use the Python one.
 
     Once per process and platform, on first use, through native_function:
-    the object advance-<platform>. None without it, or when a probe run of
+    the object tick-<platform>. None without it, or when a probe run of
     the C kernel differs from the Python kernel's.
     """
-    run = native_function(f"advance-{platform}", _c_source(platform), "run", _RUN_SIGNATURE)
+    run = native_function(f"tick-{platform}", _c_source(platform), "run", _RUN_SIGNATURE)
     return None if run is None or _probe_mismatch(platform, run) is not None else run
 
 
@@ -863,17 +828,18 @@ def _runner(params: PlantParams, dt: float, steps: int, table, settings: Mapping
     values = [float(settings[name]) for name in _SETTINGS]
     x1, x2, x3, x4 = map(float, x0)
     carry = (x1, x2, x3, x4, 0.0, x1, 0.0, 0.0, x2, 0.0, 0.0, 0.0)
-    if not all(abs(x) <= float(settings["lim"]) for x in (x1, x2, x3, x4)):
+    if not all(abs(x) <= DIVERGENCE_LIMIT for x in (x1, x2, x3, x4)):
         return 0, carry, True  # diverged before the first tick
+    constants = _DYNAMICS[params.platform][0](params)
     if native is not None:
-        constants = np.array([*_DYNAMICS[params.platform][0](params).values(), dt])
+        kc = np.array([*constants.values(), dt, steps])
         cfg, state = np.array(values), np.array([*carry, 0.0])
-        k = native(constants.ctypes.data, steps, cfg.ctypes.data, table.ctypes.data, rows,
-                   changes.ctypes.data, state.ctypes.data)
+        k = native(kc.ctypes.data, cfg.ctypes.data, table.ctypes.data, rows, changes.ctypes.data,
+                   state.ctypes.data)
         *carry, diverged = state.tolist()
         return k, tuple(carry), diverged != 0.0
     columns = [memoryview(row) for row in table[1:]] + [None] * (9 - table.shape[0])
-    python = _kernel_factory(params.platform, "run")(period_stepper(params, dt, steps))
+    python = _kernel_factory(params.platform, "run")(**constants, dt=dt, steps=steps)
     return python(values, columns, changes.tolist(), rows, carry)
 
 
@@ -887,11 +853,12 @@ def tick_loop(params: PlantParams, dt: float, steps: int, table, settings: Mappi
     each name in _SETTINGS to a number. The run starts at x0, with a zero
     integral and the filter seeded with the first sample, and fills the
     table from row 0, each tick one period of steps RK4 steps of dt, until
-    the table is full or the run diverges: an x0 beyond lim fills no row,
-    and a period that ends beyond lim or leaves the floats (the sine of an
-    infinity, a zero determinant) ends the run after the row it started from.
+    the table is full or the run diverges: an x0 beyond DIVERGENCE_LIMIT
+    fills no row, and a period that ends beyond it or leaves the floats (the
+    sine of an infinity, a zero determinant) ends the run after the row it
+    started from.
 
-    The loop is generated from _TICK. Where cc and ctypes are at hand it
+    The loop, the periods included, is generated from _TICK. Where cc and ctypes are at hand it
     runs as C, built once, kept in a per-user cache, and used only once it
     has reproduced the Python loop bit for bit on fixed probe runs. Without
     cc, or when building, loading or probing fails, the Python loop runs:
@@ -909,8 +876,8 @@ def scalar_rhs(params: PlantParams):
     motor, so an integration loop allocates no arrays. The arm or wheel angle q1
     never enters the dynamics and the position rates are the velocities,
     so the closure takes and returns neither. It is generated from the
-    platform's entry in _DYNAMICS, as period_stepper is, and it is the
-    function that linearize.jacobian_linearize differentiates.
+    platform's entry in _DYNAMICS, as the periods of the tick loop are, and
+    it is the function that linearize.jacobian_linearize differentiates.
 
     Subexpressions that depend on the parameters alone are evaluated once,
     per closure, rather than on every call. Only a whole constant
@@ -919,25 +886,12 @@ def scalar_rhs(params: PlantParams):
     bit for bit those of the unfolded formulas: ``-gam * b * co`` may become
     ``ngb * co`` with ``ngb = -gam * b``, but ``MgL * s / al`` must not
     become ``(MgL / al) * s``. Other rewrites are exact ones only: a shared
-    left prefix such as ``l2 * s``, ``2.0 * v`` for ``2 * v``, and, since
+    left prefix such as ``lp2 * s``, ``2.0 * v`` for ``2 * v``, and, since
     rounding is symmetric under negation, the nxtway ``m21 = -q0 / al``
     taken as ``-m12``, so that ``- m12 * m21`` becomes ``+ m12 * m12``.
     """
     constants = _DYNAMICS[params.platform][0]
     return _kernel_factory(params.platform, "rhs")(**constants(params))
-
-
-def period_stepper(params: PlantParams, dt: float, steps: int):
-    """Closure advance(q1, q2, q1dot, q2dot, v) -> the state after steps RK4 steps of dt.
-
-    The classic four-stage step over scalar_rhs with the accelerations body
-    inlined into every stage, so one controller period costs one call. The
-    results are bit for bit those of stepping scalar_rhs; a state the sine
-    cannot take raises ValueError, a zero determinant ZeroDivisionError.
-    The Python tick loop steps its periods with it.
-    """
-    constants = _DYNAMICS[params.platform][0](params)
-    return _kernel_factory(params.platform, "advance")(**constants, dt=dt, steps=steps)
 
 
 def mechanical_energy(params: PlantParams, state) -> float:

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linearize import closed_form
-from .plants import PlantParams, native_function, tick_loop
+from .plants import DIVERGENCE_LIMIT, PlantParams, native_function, tick_loop
 from .synthesis import LqrDesign, SmcDesign
 
 __all__ = [
@@ -65,7 +65,6 @@ __all__ = [
 ]
 
 _STATE_DIM = 4
-_DIVERGENCE_LIMIT = 1e3
 # RK4 steps one run may take (ticks x sub-steps), about 40 paper pulse runs;
 # simulate allocates every trace row up front
 _MAX_RK4_STEPS = 10 ** 7
@@ -188,8 +187,8 @@ class SimConfig:
                 raise ValueError(f"{name} must have {_STATE_DIM} entries")
             if not all(math.isfinite(v) for v in vec):
                 raise ValueError(f"{name} contains non-finite entries")
-            if name == "x0" and max(map(abs, vec)) > _DIVERGENCE_LIMIT:
-                raise ValueError(f"x0 entries must lie within +-{_DIVERGENCE_LIMIT:g}")
+            if name == "x0" and max(map(abs, vec)) > DIVERGENCE_LIMIT:
+                raise ValueError(f"x0 entries must lie within +-{DIVERGENCE_LIMIT:g}")
             object.__setattr__(self, name, vec)
 
         if self.saturation_V is not None:
@@ -306,7 +305,7 @@ def simulate(params: PlantParams, design, cfg: SimConfig) -> SimTrace:
     settings = dict(
         zip(("k1", "k2", "k3", "k4", "l1", "l2", "l3", "l4", "r1", "r2", "r3", "r4"),
             [*map(float, gains), *map(float, surface), *cfg.reference]),
-        Ts=Ts, lim=_DIVERGENCE_LIMIT, kk=design.k if is_smc else 0.0, eps=cfg.boundary_layer,
+        Ts=Ts, kk=design.k if is_smc else 0.0, eps=cfg.boundary_layer,
         kint=0.0 if ki is None else ki,
         sat=params.V_max if cfg.saturation_V is None else cfg.saturation_V,
         fa=(c - om) / (c + om), fg=om / (c + om), smc=is_smc,

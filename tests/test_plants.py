@@ -579,32 +579,62 @@ def test_energy_decreases_with_friction():
 # the C translation of the dynamics text
 # ---------------------------------------------------------------------------
 
+_FRAME = ("k", "rows", "j", "ci", "diverged")
+
+
 @pytest.mark.parametrize("platform", ["rotpen", "nxtway"])
 def test_both_dynamics_and_the_tick_translate_to_c(platform):
-    _, per_call, stage = plants_module._DYNAMICS[platform]
-    step = plants_module._rk4_step(stage)
-    lines = [line for line in step.splitlines() if line.strip()]
-    state = ("x1", "x2", "x3", "x4")
-    declaration, *statements = plants_module._c_statements(step, state).splitlines()
-    assert len(statements) == len(lines)
-    assert all(s.endswith(";") and "#" not in s for s in statements)
-    # each name the step assigns, but the state, declared once, first
-    assigned = {line.split("=")[0].strip() for line in lines} - set(state)
+    tick = plants_module._tick(platform)
+    lines = [code for line in tick.splitlines() if (code := line.split("#", 1)[0]).strip()]
+    declared = _FRAME + plants_module._SETTINGS + plants_module._CARRY + plants_module._COLUMNS
+    declaration, *c_tick = plants_module._c_statements(tick, declared).splitlines()
+    # one C line per Python line, blocks closed by braces
+    assert len([line for line in c_tick if line.strip() != "}"]) == len(lines)
+    assert all(line.endswith((";", "{", "}")) and "#" not in line for line in c_tick)
+    assert "".join(c_tick).count("{") == "".join(c_tick).count("}")
+    assert sum("while (" in line for line in c_tick) == 2 and "break;" in "".join(c_tick)
+    # each name the tick assigns, the for counter included, but the
+    # declared ones, declared once, first
+    assigned = {target for line in lines if " = " in line
+                if (target := line.partition(" = ")[0].strip()).isidentifier()} | {"i"}
     assert declaration.startswith("double ") and declaration.endswith(";")
     names = declaration[len("double "):-1].split(", ")
-    assert sorted(names) == sorted(assigned) and len(names) == len(assigned)
+    assert sorted(names) == sorted(assigned - set(declared)) and len(names) == len(set(names))
+    # the period: one for over a double counter around four copies of the stage
+    assert [line.strip() for line in c_tick if "for (" in line] == [
+        "for (i = 0.0; i < steps; i = i + 1.0) {"]
     source = plants_module._c_source(platform)
-    # four copies of the stage, and no slot left
     assert source.count("s = sin(") == 4 == source.count("co = cos(")
-    assert "double x2 = x2" not in source and "x2 = x2 + w * (" in source
+    assert "y2 = y2 + w * (" in source and "double y2 = y2" not in source
     assert source.count("{") == source.count("}") and re.search(r"\{\w", source) is None
-    assert plants_module._c_statements(per_call, ()).count("double ") == len(per_call.splitlines())
-    # the tick: one C line per Python line, blocks closed by braces
-    tick = plants_module._tick("{period}")
-    c_tick = plants_module._c_statements(tick, plants_module._CARRY).splitlines()[1:]
-    assert len([line for line in c_tick if line.strip() != "}"]) == len(tick.splitlines())
-    assert "".join(c_tick).count("{") == "".join(c_tick).count("}") and "{period}" in c_tick
-    assert sum("while (" in line for line in c_tick) == 2 and "break;" in "".join(c_tick)
+    assert plants_module._c_statements("for n in range(count):\n    x = x + 1.0", ()) == (
+        "double n, x;\nfor (n = 0.0; n < count; n = n + 1.0) {\n    x = x + 1.0;\n}")
+
+
+def _names(text):
+    """Every identifier in text."""
+    return set(re.findall(r"\b[A-Za-z_]\w*", text))
+
+
+@pytest.mark.parametrize("platform", ["rotpen", "nxtway"])
+def test_the_period_names_are_its_own(platform):
+    # the period runs in the scope of the tick and its kernel frame: a name
+    # it assigns that the rest also reads or assigns (the filter's carried
+    # p2, say) corrupts the Python and the C loop alike, so no probe run
+    # can tell, and so does a dynamics constant that any of them assigns
+    constants, per_call, stage = plants_module._DYNAMICS[platform]
+    period = per_call + "\n" + plants_module._expand(plants_module._RK4_STEP, {"stage": stage})
+    own = {line.partition(" = ")[0] for line in period.splitlines() if " = " in line}
+    own -= {"y1", "y2", "y3", "y4"}  # the period's state, which the tick reads
+    rest = plants_module._expand(plants_module._TICK, {
+        "store": plants_module._STORE, "same": plants_module._SAME,
+        "lim": repr(plants_module.DIVERGENCE_LIMIT), "per_call": "", "step": ""})
+    frames = re.sub(r"\{\w[\w ]*\}", "", plants_module._KERNELS["run"] + plants_module._C_SOURCE)
+    others = (_names(rest) | _names(frames) | set(plants_module._SETTINGS)
+              | set(plants_module._CARRY) | set(plants_module._COLUMNS))
+    assert {"a3", "yp", "det", "f1"} <= own and {"v", "i", "steps", "h", "p2", "r1"} <= others
+    assert own & others == set()
+    assert set(constants(default_params(platform))) & (own | others) == set()
 
 
 @pytest.mark.parametrize("line, outcome", [
@@ -644,7 +674,7 @@ def test_stage_lines_c_cannot_run_stop_at_the_compiler_or_the_python_kernel(tmp_
             python(inputs[0])
         return
     if shutil.which("cc") is None:
-        pytest.skip("no C compiler (cc) on PATH: period_stepper runs the Python kernel")
+        pytest.skip("no C compiler (cc) on PATH: the tick loop runs in Python")
     statements = plants_module._c_statements(step, ())
     assert line.split("#", 1)[0].strip() in statements  # emitted as it stands
     source = ("#include <math.h>\n\ndouble f(double a, double b, double c, double q2, double q2d)\n"

@@ -42,7 +42,6 @@ from pendulum_ctl import simulate as simulate_module
 from pendulum_ctl.plants import (
     default_params,
     params_from_mapping,
-    period_stepper,
     scalar_rhs,
     tick_loop,
 )
@@ -877,32 +876,60 @@ def _scaled_params(base, rng):
     return params_from_mapping(base.platform, values)
 
 
+@pytest.mark.parametrize("kernel", ["native", "python"])
 @pytest.mark.parametrize("platform", ["rotpen", "nxtway"])
-def test_period_stepper_matches_rk4_over_scalar_rhs_bit_for_bit(platform):
-    # factory parameters and four sets with every field scaled by 0.8..1.2;
-    # states mix signed zeros, a subnormal and |q2| up to 1e3 (slow sin path)
+def test_the_run_kernels_step_rk4_over_scalar_rhs_bit_for_bit(tmp_path, platform, kernel):
+    # with zero gains u_applied is a signed zero, so each period steps the
+    # plant under v = u_applied + dist: every stored row must be the RK4
+    # oracle's state from the row before, and a run may end diverged only
+    # where the oracle's period raises or ends beyond 1e3. Factory
+    # parameters and four sets with every field scaled by 0.8..1.2; states
+    # mix signed zeros, subnormals and |x| up to 1e3 (the slow sin path)
+    native = None
+    if kernel == "native":
+        _native_or_skip(platform, tmp_path)
+        native = plants_module._native_library(platform)
     rng = np.random.default_rng(23 if platform == "rotpen" else 29)
     base = default_params(platform)
     param_sets = [base] + [_scaled_params(base, rng) for _ in range(4)]
     special = [0.0, -0.0, 1e-310, -1e-310]
+    settings = _loop_settings(k1=0.0, k2=0.0, k3=0.0, k4=0.0)
+    periods = ends = 0
     for params in param_sets:
         for steps in (1, 4, 20):
             dt = 0.002 / steps
             want = _oracle_advance(scalar_rhs(params), dt, steps)
-            got = period_stepper(params, dt, steps)
-            for _ in range(150):
-                x = (rng.normal(size=4) * rng.choice([1e-3, 1.0, 30.0, 1e3], 4)).tolist()
+            for _ in range(50):
+                x0 = (rng.uniform(-1.0, 1.0, size=4) * rng.choice([1e-3, 1.0, 30.0, 1e3], 4)).tolist()
                 for i in range(4):
                     if rng.random() < 0.2:
-                        x[i] = special[rng.integers(len(special))]
-                v = [0.0, -0.0, float(rng.normal(scale=5.0))][rng.integers(3)]
-                assert _outcome(got, x, v) == _outcome(want, x, v), (steps, x, v)
+                        x0[i] = special[rng.integers(len(special))]
+                table = np.zeros((8, 4))
+                table[7] = [[0.0, -0.0, float(rng.normal(scale=5.0))][rng.integers(3)]
+                            for _ in range(4)]
+                k, _, diverged = plants_module._runner(params, dt, steps, table, settings, x0,
+                                                       native)
+                rows, ua, dist = table[1:5].T.tolist(), table[6].tolist(), table[7].tolist()
+                assert struct.pack("4d", *rows[0]) == struct.pack("4d", *x0) and not any(ua[:k])
+                for j in range(1, k):
+                    got = struct.pack("4d", *rows[j])
+                    assert got == _outcome(want, rows[j - 1], ua[j - 1] + dist[j - 1]), (steps, x0)
+                assert diverged == (k < 4)
+                if diverged:
+                    end = _outcome(want, rows[k - 1], ua[k - 1] + dist[k - 1])
+                    assert isinstance(end, str) or max(map(abs, struct.unpack("4d", end))) > 1e3
+                periods, ends = periods + k - 1, ends + diverged
+    assert periods > 1500 and ends > 0
 
 
 @pytest.mark.parametrize("platform", ["rotpen", "nxtway"])
 def test_generated_kernels_show_source_lines_in_tracebacks(platform):
     params = default_params(platform)
-    kernels = [(period_stepper(params, 0.001, 2), (0.0, 0.1, 0.0, 0.0, None), "advance"),
+    constants = plants_module._DYNAMICS[platform][0](params)
+    run = plants_module._kernel_factory(platform, "run")(**constants, dt=0.001, steps=2)
+    # a run whose dist column is None fails at the tick's read of it
+    settings = [float(_loop_settings()[name]) for name in plants_module._SETTINGS]
+    kernels = [(run, (settings, [None] * 8, [1], 1, (0.0,) * 12), "run"),
                (scalar_rhs(params), (0.1, 0.0, 0.0, None), "rhs")]
     for kernel, args, kind in kernels:
         with pytest.raises(TypeError) as info:
@@ -920,8 +947,10 @@ def test_kernels_compile_lazily_and_once_per_platform_and_kind():
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     # importing compiles no kernel and builds or loads no trace formatter
     assert out.stdout.strip() == "0 0", out.stderr
+    # the run kernel: one compile per platform, by the Python loop or the probe
     for platform in ("rotpen", "nxtway"):
-        period_stepper(default_params(platform), 0.001, 2)
+        tick_loop(default_params(platform), 0.001, 2, np.zeros((8, 2)), _loop_settings(),
+                  (0.0,) * 4)
     misses = plants_module._kernel_factory.cache_info().misses
     cfg = SimConfig(duration=0.04, controller_Ts=0.004, plant_dt=0.0005,
                     x0=(0.0, 0.05, 0.0, 0.0))
@@ -1551,7 +1580,7 @@ def _random_loop_case(rng):
     settings = dict(
         zip(("k1", "k2", "k3", "k4", "l1", "l2", "l3", "l4"),
             (rng.normal(size=8) * [1.0, 30.0, 2.0, 5.0, 1.0, 10.0, 1.0, 1.0]).tolist()),
-        Ts=0.002, lim=1e3, kk=rng.uniform(0.0, 3.0), kint=float(rng.normal()),
+        Ts=0.002, kk=rng.uniform(0.0, 3.0), kint=float(rng.normal()),
         eps=[0.0, float(rng.uniform(0.0, 2.0))][rng.integers(2)], sat=rng.uniform(0.5, 10.0),
         fa=rng.uniform(-1.0, 1.0), fg=rng.uniform(0.0, 1.0), smc=smc,
         integral=0.0 if smc else float(rng.random() < 0.5), filtered=float(rng.random() < 0.5))
@@ -1734,7 +1763,7 @@ def test_a_cache_directory_others_may_write_is_not_used(tmp_path, monkeypatch, m
     shared.chmod(mode)
     native = _fresh_native(monkeypatch, tmp_path / "cache")
     key = plants_module._cache_key(plants_module._c_source("rotpen"))
-    name = f"advance-rotpen-{key}.so"
+    name = f"tick-rotpen-{key}.so"
     (shared / name).write_bytes(b"not a shared object")  # would fail to load
     private = tmp_path / "tmp"
     private.mkdir()
@@ -1751,7 +1780,7 @@ def test_a_second_process_loads_the_cached_kernel_without_cc(tmp_path, monkeypat
     assert native("nxtway") is not None
     (built,) = (tmp_path / "cache" / "pendulum_ctl").iterdir()
     key = plants_module._cache_key(plants_module._c_source("nxtway"))
-    assert built.name == f"advance-nxtway-{key}.so"
+    assert built.name == f"tick-nxtway-{key}.so"
     day = time.time() - 86400
     os.utime(built, (day, day))
     before = built.stat()
@@ -1771,15 +1800,15 @@ def test_a_build_deletes_only_objects_of_other_keys_unused_for_30_days(tmp_path,
     folder = tmp_path / "cache" / "pendulum_ctl"
     folder.mkdir(parents=True, mode=0o700)
     month, now = 31 * 86400, time.time()
-    objects = {"old": f"advance-rotpen-{'0' * 64}.so", "recent": f"advance-rotpen-{'1' * 64}.so",
-               "other platform": f"advance-nxtway-{'2' * 64}.so"}
+    objects = {"old": f"tick-rotpen-{'0' * 64}.so", "recent": f"tick-rotpen-{'1' * 64}.so",
+               "other platform": f"tick-nxtway-{'2' * 64}.so"}
     for label, name in objects.items():
         (folder / name).write_bytes(b"an object of another key")
         age = 86400 if label == "recent" else month
         os.utime(folder / name, (now - age, now - age))
     native = _fresh_native(monkeypatch, tmp_path / "cache")
     assert native("rotpen") is not None  # built: the old rotpen object goes
-    own = f"advance-rotpen-{plants_module._cache_key(plants_module._c_source('rotpen'))}.so"
+    own = f"tick-rotpen-{plants_module._cache_key(plants_module._c_source('rotpen'))}.so"
     assert sorted(os.listdir(folder)) == sorted([own, objects["recent"], objects["other platform"]])
     # a load, not a build, deletes nothing
     (folder / objects["old"]).write_bytes(b"an object of another key")
