@@ -350,10 +350,10 @@ _COLUMNS = ("q1", "q2", "q1dot", "q2dot", "u_cmd", "u_applied", "dist", "extra")
 # RK4 steps from x1..x4 under v = ua + d into y1..y4), the divergence test
 # (abs(y) <= {lim} is false for an infinity and a NaN), and the rest test. A
 # tick that leaves the carried state unchanged bit for bit would repeat
-# itself until the disturbance changes, so its row is stored again up to the
-# next change row in chg instead. The text is the Python subset that
-# _c_statements translates: assignments, if/elif/else, while, for over a
-# range, and break.
+# itself while the next row's dist is d bit for bit, so that row is stored
+# again instead (d is finite there: a period under a non-finite d diverges).
+# The text is the Python subset that _c_statements translates: assignments,
+# if/elif/else, while, for over a range, and break.
 _TICK = """\
 e1 = x1 - r1
 e2 = x2 - r2
@@ -410,10 +410,7 @@ if rest and filtered:
     rest = {same x1 p1} and {same dn1 w1} and {same zn1 z1}
     rest = rest and {same x2 p2} and {same dn2 w2} and {same zn2 z2}
 if rest:
-    while chg[ci] < k:
-        ci = ci + 1
-    j = chg[ci]
-    while k < j:
+    while k < rows and {same dist[k] d}:
         {store}
 if filtered:
     p1 = x1
@@ -461,19 +458,19 @@ def make({constants}):
     return rhs
 """,
     # the tick loop from row 0 to the table's end; columns are writable views
-    # of the table rows, chg a list of ints. Only a period raises, before the
-    # tick changes a carried name, so the run ends with its last row's state.
+    # of the table rows. Only a period raises, before the tick changes a
+    # carried name, so the run ends with its last row's state.
     "run": """\
 def make({constants}, dt, steps):
     h = 0.5 * dt
     w = dt / 6.0
 
-    def run(settings, columns, chg, rows, carry):
+    def run(settings, columns, rows, carry):
         {settings} = settings
         {columns} = columns
         {carry} = carry
         diverged = 0.0
-        k = ci = 0
+        k = 0
         try:
             while k < rows:
                 {tick}
@@ -498,8 +495,7 @@ _C_SOURCE = """\
 #include <math.h>
 #include <stdint.h>
 
-int64_t run(const double *kc, const double *cfg, double *tab, int64_t rows,
-            const int64_t *chg, double *carry)
+int64_t run(const double *kc, const double *cfg, double *tab, int64_t rows, double *carry)
 {
     {constants}
     const double h = 0.5 * dt;
@@ -508,7 +504,7 @@ int64_t run(const double *kc, const double *cfg, double *tab, int64_t rows,
     {columns}
     {carry}
     double diverged = 0.0;
-    int64_t k = 0, ci = 0, j;
+    int64_t k = 0;
     while (k < rows) {
         {tick}
     }
@@ -525,7 +521,7 @@ _SLOT_ARGS = {"stage": ("q2", "q1d", "q2d", "q1dd", "q2dd"), "same": ("a", "b")}
 def _expand(template: str, slots: dict) -> str:
     """template with each {slot args} replaced by its slot text, indented in place.
 
-    A slot with args is formatted with them, by the names in _SLOT_ARGS.
+    A slot's args, names or subscripts, format its text by the names in _SLOT_ARGS.
     """
     def expand(m):
         indent, text, args = m[1], slots[m[2]], m[3].split()
@@ -533,7 +529,7 @@ def _expand(template: str, slots: dict) -> str:
             text = text.format(**dict(zip(_SLOT_ARGS[m[2]], args)))
         return "\n".join(indent + line for line in text.splitlines())
 
-    return re.sub(r"( *)\{(\w+)([\w ]*)\}", expand, template)
+    return re.sub(r"( *)\{(\w+)([\w\[\] ]*)\}", expand, template)
 
 
 def _tick(platform: str) -> str:
@@ -615,7 +611,7 @@ def _c_statements(text: str, declared: tuple) -> str:
 def _c_source(platform: str) -> str:
     """_C_SOURCE expanded with one platform's constants and tick, unchecked."""
     names = [*_DYNAMICS[platform][0](default_params(platform)), "dt", "steps"]
-    frame = ("k", "rows", "j", "ci", "diverged")
+    frame = ("k", "rows", "diverged")
     return _expand(_C_SOURCE, {
         "constants": "\n".join(f"const double {name} = kc[{i}];" for i, name in enumerate(names)),
         "settings": "\n".join(f"const double {name} = cfg[{i}];"
@@ -714,13 +710,13 @@ def _build(source: str, path: str) -> None:
 _UNUSED_SECONDS = 30 * 24 * 3600
 
 
-def _prune(folder: str, name: str, keep: str) -> None:
-    """Delete folder's objects of name, other than keep, untouched for _UNUSED_SECONDS."""
+def _prune(folder: str, keep: str) -> None:
+    """Delete each object in folder but keep, whatever its name, untouched for _UNUSED_SECONDS."""
     cutoff = time.time() - _UNUSED_SECONDS
     with contextlib.suppress(OSError), os.scandir(folder) as entries:
         for entry in entries:
-            if (entry.name.startswith(f"{name}-") and entry.name.endswith(".so")
-                    and entry.name != keep and entry.stat(follow_symlinks=False).st_mtime < cutoff):
+            if (entry.name.endswith(".so") and entry.name != keep
+                    and entry.stat(follow_symlinks=False).st_mtime < cutoff):
                 os.remove(entry.path)
 
 
@@ -731,8 +727,8 @@ def native_function(name: str, source: str, symbol: str, signature: tuple):
     sha256 of the C source, the compile command and the platform tag: loaded
     from there, or compiled there first, or, without a safe cache directory,
     compiled and loaded in a private temporary directory. A load touches the
-    object's mtime; a build deletes the objects of the same name and other
-    keys that no process has loaded for 30 days. signature names the
+    object's mtime; a build deletes every other object, whatever its name,
+    that no process has loaded for 30 days. signature names the
     function's ctypes result type, then its argument types. None without
     cc, ctypes or a loadable object; the caller probes the function before
     using it.
@@ -747,7 +743,7 @@ def native_function(name: str, source: str, symbol: str, signature: tuple):
                     os.utime(path)
             else:
                 _build(source, path)
-                _prune(folder, name, file)
+                _prune(folder, file)
             return _load(path, symbol, signature)
     except (ImportError, OSError, AttributeError, subprocess.SubprocessError):
         return None
@@ -767,9 +763,8 @@ def _load(path: str, symbol: str, signature: tuple):
     return function
 
 
-# run(constants, settings, table, rows, changes, carry) -> the row reached
-_RUN_SIGNATURE = ("c_int64", "c_void_p", "c_void_p", "c_void_p", "c_int64", "c_void_p",
-                  "c_void_p")
+# run(constants, settings, table, rows, carry) -> the row reached
+_RUN_SIGNATURE = ("c_int64", "c_void_p", "c_void_p", "c_void_p", "c_int64", "c_void_p")
 
 
 @functools.cache
@@ -816,15 +811,16 @@ def _runner(params: PlantParams, dt: float, steps: int, table, settings: Mapping
     Returns (rows filled, the carried state, whether the run diverged); the
     probe compares the carried state bit for bit.
     """
+    if not (isinstance(steps, (int, np.integer)) and steps >= 1):
+        raise ValueError(f"steps must be an integer of at least 1, got {steps!r}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     rows = table.shape[1]
     smc, integral = bool(settings["smc"]), bool(settings["integral"])
     if not (table.dtype == np.float64 and table.flags.c_contiguous and table.ndim == 2
             and table.shape[0] == 8 + (smc or integral) and rows > 0):
         raise ValueError("table must be a C-contiguous float64 array of 8 rows, "
                          "or 9 with s or the integral")
-    # the rows whose disturbance differs bit for bit from the row before, then the row count
-    bits = table[7].view(np.int64)
-    changes = np.append(np.flatnonzero(bits[1:] != bits[:-1]) + 1, rows).astype(np.int64)
     values = [float(settings[name]) for name in _SETTINGS]
     x1, x2, x3, x4 = map(float, x0)
     carry = (x1, x2, x3, x4, 0.0, x1, 0.0, 0.0, x2, 0.0, 0.0, 0.0)
@@ -834,13 +830,12 @@ def _runner(params: PlantParams, dt: float, steps: int, table, settings: Mapping
     if native is not None:
         kc = np.array([*constants.values(), dt, steps])
         cfg, state = np.array(values), np.array([*carry, 0.0])
-        k = native(kc.ctypes.data, cfg.ctypes.data, table.ctypes.data, rows, changes.ctypes.data,
-                   state.ctypes.data)
+        k = native(kc.ctypes.data, cfg.ctypes.data, table.ctypes.data, rows, state.ctypes.data)
         *carry, diverged = state.tolist()
         return k, tuple(carry), diverged != 0.0
     columns = [memoryview(row) for row in table[1:]] + [None] * (9 - table.shape[0])
     python = _kernel_factory(params.platform, "run")(**constants, dt=dt, steps=steps)
-    return python(values, columns, changes.tolist(), rows, carry)
+    return python(values, columns, rows, carry)
 
 
 def tick_loop(params: PlantParams, dt: float, steps: int, table, settings: Mapping,
@@ -856,13 +851,15 @@ def tick_loop(params: PlantParams, dt: float, steps: int, table, settings: Mappi
     the table is full or the run diverges: an x0 beyond DIVERGENCE_LIMIT
     fills no row, and a period that ends beyond it or leaves the floats (the
     sine of an infinity, a zero determinant) ends the run after the row it
-    started from.
+    started from. It raises ValueError, before either loop runs, for a steps
+    that is not an integer of at least 1, a dt that is not positive and
+    finite, or a table it cannot index.
 
-    The loop, the periods included, is generated from _TICK. Where cc and ctypes are at hand it
-    runs as C, built once, kept in a per-user cache, and used only once it
-    has reproduced the Python loop bit for bit on fixed probe runs. Without
-    cc, or when building, loading or probing fails, the Python loop runs:
-    the same results, several times slower.
+    The loop, the periods included, is generated from _TICK. Where cc and
+    ctypes are at hand it runs as C, built once, kept in a per-user cache,
+    and used only once it has reproduced the Python loop bit for bit on
+    fixed probe runs. Without cc, or when building, loading or probing
+    fails, the Python loop runs: the same results, several times slower.
     """
     k, _, diverged = _runner(params, dt, steps, table, settings, x0,
                              _native_library(params.platform))

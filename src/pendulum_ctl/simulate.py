@@ -23,9 +23,9 @@ and calls the loop once.
 A run at exact rest is not recomputed tick by tick. When one tick leaves
 the carried state (plant state, integral, derivative-filter states)
 unchanged bit for bit, each later tick would repeat the same arithmetic on
-the same inputs until the disturbance changes value (the column's change
-points are found once, before the loop), so its row is copied instead; the
-trace bytes are those of computing every tick. The paper's pulse experiment
+the same inputs while the disturbance keeps its value bit for bit (the loop
+tests each next row's), so its row is copied instead; the trace bytes are
+those of computing every tick. The paper's pulse experiment
 balances at the upright equilibrium for 60 s before the first pulse, so
 half of its ticks are copied.
 

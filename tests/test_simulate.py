@@ -929,7 +929,7 @@ def test_generated_kernels_show_source_lines_in_tracebacks(platform):
     run = plants_module._kernel_factory(platform, "run")(**constants, dt=0.001, steps=2)
     # a run whose dist column is None fails at the tick's read of it
     settings = [float(_loop_settings()[name]) for name in plants_module._SETTINGS]
-    kernels = [(run, (settings, [None] * 8, [1], 1, (0.0,) * 12), "run"),
+    kernels = [(run, (settings, [None] * 8, 1, (0.0,) * 12), "run"),
                (scalar_rhs(params), (0.1, 0.0, 0.0, None), "rhs")]
     for kernel, args, kind in kernels:
         with pytest.raises(TypeError) as info:
@@ -1642,6 +1642,27 @@ def test_the_c_and_python_tick_loops_give_the_same_runs(tmp_path, platform):
     assert sum(o[-1] is False and o[1] == len(c[2]) for o, c in zip(outcomes, cases)) > 20
 
 
+@pytest.mark.parametrize("kernel", ["native", "python"])
+@pytest.mark.parametrize("platform", ["rotpen", "nxtway"])
+def test_a_change_of_the_zeros_sign_alone_ends_a_rest_stretch(tmp_path, platform, kernel):
+    # from exact rest a run copies its row while dist keeps its bits: a
+    # column whose zero changes sign at row 8 costs one more period than a
+    # constant one. From -0.0 the first period lands on +0.0, so it is not
+    # at rest yet
+    native = None
+    if kernel == "native":
+        _native_or_skip(platform, tmp_path)
+        native = plants_module._native_library(platform)
+    columns = (([0.0] * 8 + [-0.0] * 8, 1.0), ([-0.0] * 8 + [0.0] * 8, 1.0),
+               ([0.0] * 16, 0.0), ([-0.0] * 16, 0.0))
+    for dist, extra in columns:
+        for zero, periods in ((0.0, 1.0), (-0.0, 2.0)):
+            _, k, carry, diverged = _loop_outcome(platform, native, _loop_settings(),
+                                                  (zero,) * 4, dist)
+            assert (k, diverged) == (16, False)
+            assert struct.unpack("12d", carry)[-1] == periods + extra, (dist, zero)
+
+
 @pytest.mark.parametrize("platform", ["rotpen", "nxtway"])
 def test_the_probe_runs_cover_the_laws_saturation_a_pulse_edge_and_rest(platform):
     laws = plants_module._PROBE_LAWS
@@ -1659,15 +1680,25 @@ def test_the_probe_runs_cover_the_laws_saturation_a_pulse_edge_and_rest(platform
     assert saturated and edges and copied
 
 
-@pytest.mark.parametrize("table", [
-    np.zeros((9, 4)),  # a ninth row without s or the integral
-    np.zeros((8, 4), dtype=np.float32),
-    np.zeros((4, 8)).T,  # not C-contiguous
-], ids=["width", "dtype", "layout"])
-def test_the_tick_loop_refuses_what_it_cannot_index(table):
+@pytest.mark.parametrize("table, dt, steps", [
+    (np.zeros((9, 4)), 0.0005, 4),  # a ninth row without s or the integral
+    (np.zeros((8, 4), dtype=np.float32), 0.0005, 4),
+    (np.zeros((4, 8)).T, 0.0005, 4),  # not C-contiguous
+    (np.zeros((8, 4)), 0.0005, 2.5),  # the C loop took 3 RK4 steps a period
+    (np.zeros((8, 4)), 0.0005, 4.0),
+    (np.zeros((8, 4)), 0.0005, 0),  # no step: the plant would freeze
+    (np.zeros((8, 4)), 0.0005, -1),
+    (np.zeros((8, 4)), 0.0, 4),
+    (np.zeros((8, 4)), -0.0005, 4),
+    (np.zeros((8, 4)), math.inf, 4),
+    (np.zeros((8, 4)), math.nan, 4),
+], ids=["width", "dtype", "layout", "fractional-steps", "float-steps", "no-steps",
+        "negative-steps", "zero-dt", "negative-dt", "infinite-dt", "nan-dt"])
+def test_the_tick_loop_refuses_what_it_cannot_index(table, dt, steps):
     with pytest.raises(ValueError):
-        tick_loop(default_params("rotpen"), 0.0005, 4, table, _loop_settings(),
-                  (0.0, 0.0, 0.0, 0.0))
+        tick_loop(default_params("rotpen"), dt, steps, table, _loop_settings(),
+                  (0.0, 0.1, 0.0, 0.0))
+    assert not table.any()  # refused before the loop stored a row
 
 
 @pytest.mark.parametrize("measurement", ["ideal", "filtered-derivative"])
@@ -1801,15 +1832,18 @@ def test_a_build_deletes_only_objects_of_other_keys_unused_for_30_days(tmp_path,
     folder.mkdir(parents=True, mode=0o700)
     month, now = 31 * 86400, time.time()
     objects = {"old": f"tick-rotpen-{'0' * 64}.so", "recent": f"tick-rotpen-{'1' * 64}.so",
-               "other platform": f"tick-nxtway-{'2' * 64}.so"}
+               "other platform": f"tick-nxtway-{'2' * 64}.so",
+               "earlier name": f"advance-rotpen-{'3' * 64}.so",
+               "recent other name": f"csv-{'4' * 64}.so"}
     for label, name in objects.items():
         (folder / name).write_bytes(b"an object of another key")
-        age = 86400 if label == "recent" else month
+        age = 86400 if label.startswith("recent") else month
         os.utime(folder / name, (now - age, now - age))
     native = _fresh_native(monkeypatch, tmp_path / "cache")
-    assert native("rotpen") is not None  # built: the old rotpen object goes
+    assert native("rotpen") is not None  # built: every aged object goes, whatever its name
     own = f"tick-rotpen-{plants_module._cache_key(plants_module._c_source('rotpen'))}.so"
-    assert sorted(os.listdir(folder)) == sorted([own, objects["recent"], objects["other platform"]])
+    assert sorted(os.listdir(folder)) == sorted([own, objects["recent"],
+                                                 objects["recent other name"]])
     # a load, not a build, deletes nothing
     (folder / objects["old"]).write_bytes(b"an object of another key")
     os.utime(folder / objects["old"], (now - month, now - month))
