@@ -60,11 +60,17 @@ def compute_metrics(trace: SimTrace, V_max: float, disturbance_onset: float = 0.
     SETTLE_BAND, minus the onset, clamped at zero. A trace that never
     leaves the band settles at 0.0. A diverged trace, or one where
     |q2 - reference_q2| reaches pi/2 at any sample, has no settle time.
+    An empty trace, a V_max not positive and finite, an onset negative or
+    not finite and a non-finite reference_q2 raise ValueError.
     """
     if trace.t.size == 0:
         raise ValueError("cannot compute metrics for an empty trace")
-    if not V_max > 0.0:
-        raise ValueError(f"V_max must be positive, got {V_max}")
+    if not 0.0 < V_max < np.inf:
+        raise ValueError(f"V_max must be positive and finite, got {V_max}")
+    if not 0.0 <= disturbance_onset < np.inf:
+        raise ValueError(f"disturbance_onset must be finite and >= 0, got {disturbance_onset}")
+    if not np.isfinite(reference_q2):
+        raise ValueError(f"reference_q2 must be finite, got {reference_q2}")
 
     u_inf = float(np.max(np.abs(trace.u_applied)))
     u_pct_max = 100.0 * u_inf / V_max

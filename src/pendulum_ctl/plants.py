@@ -336,8 +336,8 @@ DIVERGENCE_LIMIT = 1e3
 # run (flags are 1.0 or 0.0); the state it carries from tick to tick (the
 # plant state, the integral, for q1 and q2 the derivative filter's previous
 # sample, previous backward difference and estimate, and the periods
-# computed); and the table rows after t, in the trace CSV's column order
-# (extra is s or the integral, present when the design records one).
+# computed); and the run table's rows, in the trace CSV's column order after
+# t (extra is s or the integral, present when the design records one).
 _SETTINGS = ("Ts", "r1", "r2", "r3", "r4", "k1", "k2", "k3", "k4", "l1", "l2", "l3", "l4",
              "kk", "eps", "kint", "sat", "fa", "fg", "smc", "filtered", "integral")
 _CARRY = ("x1", "x2", "x3", "x4", "integ", "p1", "w1", "z1", "p2", "w2", "z2", "periods")
@@ -425,8 +425,8 @@ x3 = y3
 x4 = y4
 integ = jn"""
 
-# The row store: row k of every column but t and dist (the caller fills
-# those), then the next row.
+# The row store: row k of every column but dist (the run's input), then the
+# next row.
 _STORE = """\
 q1[k] = x1
 q2[k] = x2
@@ -458,7 +458,7 @@ def make({constants}):
     return rhs
 """,
     # the tick loop from row 0 to the table's end; columns are writable views
-    # of the table rows. Only a period raises, before the tick changes a
+    # of the table's rows. Only a period raises, before the tick changes a
     # carried name, so the run ends with its last row's state.
     "run": """\
 def make({constants}, dt, steps):
@@ -486,7 +486,7 @@ def make({constants}, dt, steps):
 # copysign calls, C evaluates as Python does, left to right, in doubles; a
 # line where the two differ fails the build or the probe. Temporaries are
 # declared at the top of their block and assigned before they are read. As
-# the Python run kernel, over the table tab of rows columns (t first): kc
+# the Python run kernel, over the table tab, rows values per _COLUMNS name: kc
 # holds the constants in _DYNAMICS order, then dt and steps; carry holds
 # _CARRY on entry and _CARRY and diverged on return; the result is the row
 # reached. Where Python raises, C runs on in infinities and NaNs, which the
@@ -617,7 +617,7 @@ def _c_source(platform: str) -> str:
         "settings": "\n".join(f"const double {name} = cfg[{i}];"
                               for i, name in enumerate(_SETTINGS)),
         "columns": "\n".join(f"double *{name} = tab + {i} * rows;"
-                             for i, name in enumerate(_COLUMNS, 1)),
+                             for i, name in enumerate(_COLUMNS)),
         "carry": "\n".join(f"double {name} = carry[{i}];" for i, name in enumerate(_CARRY)),
         "results": "\n".join(f"carry[{i}] = {name};"
                              for i, name in enumerate(_CARRY + ("diverged",))),
@@ -653,8 +653,8 @@ _PROBES = (
 
 # The probe runs' settings, and their laws: (smc, integral, filtered,
 # boundary layer) for LQR with and without Ki and SMC with and without a
-# boundary layer, each under both measurements. Each run has 16 rows and a
-# 2 V pulse from row 8, so the runs from rest copy rows up to a pulse edge.
+# boundary layer, each under both measurements. Each run's disturbance has 16
+# rows, a 2 V pulse from row 8, so the runs from rest copy rows up to its edge.
 _PROBE_SETTINGS = dict(Ts=0.002, r1=0.0, r2=0.0, r3=0.0, r4=0.0, k1=-2.0, k2=40.0,
                        k3=-3.0, k4=5.0, l1=1.0, l2=10.0, l3=0.5, l4=1.0, kk=2.0, kint=1.5,
                        sat=3.0, fa=0.6, fg=0.2)
@@ -753,7 +753,7 @@ def _load(path: str, symbol: str, signature: tuple):
     """The function symbol of the shared object at path, its ctypes signature declared.
 
     PyDLL keeps the GIL through a call. The pointers are numpy buffers that
-    the callers check and keep alive.
+    the callers make or check and keep alive.
     """
     import ctypes
 
@@ -787,11 +787,9 @@ def _probe_outcomes(platform: str, native) -> list:
     """
     params, outcomes = default_params(platform), []
     for i, (smc, integral, filtered, eps) in enumerate(_PROBE_LAWS):
-        table = np.zeros((8 + int(smc or integral), 16))
-        table[7, 8:] = 2.0
         settings = dict(_PROBE_SETTINGS, smc=smc, integral=integral, filtered=filtered, eps=eps)
-        k, carry, diverged = _runner(params, 0.0005, 4, table, settings,
-                                     _PROBES[i % len(_PROBES)], native)
+        table, k, carry, diverged = _runner(params, 0.0005, 4, [0.0] * 8 + [2.0] * 8,
+                                            settings, _PROBES[i % len(_PROBES)], native)
         outcomes.append((table.tobytes(), k, struct.pack("12d", *carry), diverged))
     return outcomes
 
@@ -805,55 +803,55 @@ def _probe_mismatch(platform: str, native):
     return None
 
 
-def _runner(params: PlantParams, dt: float, steps: int, table, settings: Mapping, x0, native):
-    """tick_loop's run from x0, in C when native is the loaded run kernel.
+def _runner(params: PlantParams, dt: float, steps: int, dist, settings: Mapping, x0, native):
+    """tick_loop's run over dist from x0, in C when native is the loaded run kernel.
 
-    Returns (rows filled, the carried state, whether the run diverged); the
-    probe compares the carried state bit for bit.
+    Returns (the table, zero past the row reached, the row reached, the
+    carried state, whether the run diverged): what the probe compares.
     """
     if not (isinstance(steps, (int, np.integer)) and steps >= 1):
         raise ValueError(f"steps must be an integer of at least 1, got {steps!r}")
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    rows = table.shape[1]
-    smc, integral = bool(settings["smc"]), bool(settings["integral"])
-    if not (table.dtype == np.float64 and table.flags.c_contiguous and table.ndim == 2
-            and table.shape[0] == 8 + (smc or integral) and rows > 0):
-        raise ValueError("table must be a C-contiguous float64 array of 8 rows, "
-                         "or 9 with s or the integral")
+    dist = np.asarray(dist)
+    if not (dist.ndim == 1 and dist.size > 0 and dist.dtype.kind in "iuf"):
+        raise ValueError("dist must be a non-empty 1-D column of numbers")
+    rows, extra = dist.size, bool(settings["smc"] or settings["integral"])
+    table = np.zeros((len(_COLUMNS) - (not extra), rows))
+    table[_COLUMNS.index("dist")] = dist
     values = [float(settings[name]) for name in _SETTINGS]
     x1, x2, x3, x4 = map(float, x0)
     carry = (x1, x2, x3, x4, 0.0, x1, 0.0, 0.0, x2, 0.0, 0.0, 0.0)
     if not all(abs(x) <= DIVERGENCE_LIMIT for x in (x1, x2, x3, x4)):
-        return 0, carry, True  # diverged before the first tick
+        return table, 0, carry, True  # diverged before the first tick
     constants = _DYNAMICS[params.platform][0](params)
     if native is not None:
         kc = np.array([*constants.values(), dt, steps])
         cfg, state = np.array(values), np.array([*carry, 0.0])
         k = native(kc.ctypes.data, cfg.ctypes.data, table.ctypes.data, rows, state.ctypes.data)
         *carry, diverged = state.tolist()
-        return k, tuple(carry), diverged != 0.0
-    columns = [memoryview(row) for row in table[1:]] + [None] * (9 - table.shape[0])
+        return table, k, tuple(carry), diverged != 0.0
+    columns = [memoryview(row) for row in table] + [None] * (len(_COLUMNS) - len(table))
     python = _kernel_factory(params.platform, "run")(**constants, dt=dt, steps=steps)
-    return python(values, columns, rows, carry)
+    return (table, *python(values, columns, rows, carry))
 
 
-def tick_loop(params: PlantParams, dt: float, steps: int, table, settings: Mapping,
-              x0) -> tuple[int, bool]:
-    """Run simulate's tick loop over table from x0: (rows filled, whether the run diverged).
+def tick_loop(params: PlantParams, dt: float, steps: int, dist, settings: Mapping,
+              x0) -> tuple[np.ndarray, bool]:
+    """Run simulate's tick loop over the disturbance column dist from x0: (table, diverged).
 
-    table is the run's C-contiguous float64 table of 8 or 9 rows: t, q1,
-    q2, q1dot, q2dot, u_cmd, u_applied, dist and, when the design records
-    s or the integral, that; the caller fills t and dist. settings maps
+    The table has a float64 row per _COLUMNS name, in order: q1, q2, q1dot,
+    q2dot, u_cmd, u_applied, dist and, when settings' smc or integral is
+    set, extra (s or the integral); it holds the ticks run. settings maps
     each name in _SETTINGS to a number. The run starts at x0, with a zero
-    integral and the filter seeded with the first sample, and fills the
-    table from row 0, each tick one period of steps RK4 steps of dt, until
-    the table is full or the run diverges: an x0 beyond DIVERGENCE_LIMIT
-    fills no row, and a period that ends beyond it or leaves the floats (the
-    sine of an infinity, a zero determinant) ends the run after the row it
-    started from. It raises ValueError, before either loop runs, for a steps
-    that is not an integer of at least 1, a dt that is not positive and
-    finite, or a table it cannot index.
+    integral and the filter seeded with the first sample, and runs a tick
+    per value of dist, each one period of steps RK4 steps of dt, until the
+    run diverges: an x0 beyond DIVERGENCE_LIMIT runs none, and a period that
+    ends beyond it or leaves the floats (the sine of an infinity, a zero
+    determinant) ends the run after the tick it started from. It raises
+    ValueError, before either loop runs, for a steps that is not an integer
+    of at least 1, a dt that is not positive and finite, or a dist that is
+    not a non-empty 1-D column of numbers.
 
     The loop, the periods included, is generated from _TICK. Where cc and
     ctypes are at hand it runs as C, built once, kept in a per-user cache,
@@ -861,9 +859,9 @@ def tick_loop(params: PlantParams, dt: float, steps: int, table, settings: Mappi
     fixed probe runs. Without cc, or when building, loading or probing
     fails, the Python loop runs: the same results, several times slower.
     """
-    k, _, diverged = _runner(params, dt, steps, table, settings, x0,
-                             _native_library(params.platform))
-    return k, diverged
+    table, k, _, diverged = _runner(params, dt, steps, dist, settings, x0,
+                                    _native_library(params.platform))
+    return table[:, :k], diverged
 
 
 def scalar_rhs(params: PlantParams):

@@ -30,9 +30,9 @@ balances at the upright equilibrium for 60 s before the first pulse, so
 half of its ticks are copied.
 
 save_trace_csv writes a returned trace as CSV. The run's table holds the
-CSV's columns in order (t, the four states, both command columns, the
-disturbance, then s or the integral when the design has one), so the
-writer formats views of it, one block of _CSV_BLOCK rows at a time. Each
+CSV's columns after t in order (the four states, both command columns, the
+disturbance, then s or the integral when the design has one); the writer
+formats the trace's times and views of it, _CSV_BLOCK rows at a time. Each
 cell is its float's repr: written by a C formatter (the shortest
 round-trip digits by Schubfach, from a power-of-ten table made from exact
 integers when the source is generated) where cc is at hand and its probe
@@ -224,8 +224,8 @@ class SimTrace:
         t = np.asarray(self.t, dtype=float).ravel()
         object.__setattr__(self, "t", t)
         x = np.asarray(self.x, dtype=float)
-        if x.ndim != 2 or x.shape[0] != t.size:
-            raise ValueError("state history must have one row per time sample")
+        if x.shape != (t.size, _STATE_DIM):
+            raise ValueError(f"state history must be {t.size} x {_STATE_DIM}, got shape {x.shape}")
         object.__setattr__(self, "x", x)
         for name in ("u_command", "u_applied", "d", "s", "integ"):
             val = getattr(self, name)
@@ -314,16 +314,12 @@ def simulate(params: PlantParams, design, cfg: SimConfig) -> SimTrace:
 
     t = np.arange(n + 1, dtype=float)
     t *= Ts  # k * Ts, bit for bit, without a temporary array
-    # one contiguous row per CSV column: s or the integral is the ninth; the
-    # open-loop disturbance is one column
-    table = np.empty((8 + (is_smc or ki is not None), n + 1))
-    table[0], table[7] = t, disturbance_value(cfg.disturbance, t)
-    t, d = table[0], table[7]  # rebinding frees the first t
-    k, diverged = tick_loop(params, cfg.plant_dt, round(Ts / cfg.plant_dt), table, settings,
-                            cfg.x0)
-    return SimTrace(t=t[:k], x=table[1:5, :k].T, u_command=table[5, :k], u_applied=table[6, :k],
-                    d=d[:k], s=table[8, :k] if is_smc else None,
-                    integ=table[8, :k] if ki is not None else None, diverged=diverged)
+    table, diverged = tick_loop(params, cfg.plant_dt, round(Ts / cfg.plant_dt),
+                                disturbance_value(cfg.disturbance, t), settings, cfg.x0)
+    # s or the integral, when the design records one, is the last row
+    return SimTrace(t=t[:table.shape[1]], x=table[:4].T, u_command=table[4], u_applied=table[5],
+                    d=table[6], s=table[-1] if is_smc else None,
+                    integ=table[-1] if ki is not None else None, diverged=diverged)
 
 
 # ---------------------------------------------------------------------------

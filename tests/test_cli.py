@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pendulum_ctl import cli
+from pendulum_ctl import cli, plants
+from pendulum_ctl import simulate as simulate_module
 from pendulum_ctl.linearize import load_statespace
 from pendulum_ctl.metrics import SETTLE_BAND
 from pendulum_ctl.simulate import SimConfig
@@ -443,15 +444,21 @@ def test_repeated_simulate_invocations_are_byte_identical(tmp_path):
 _REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
 
 
-@pytest.mark.parametrize("size, duration", [("tiny", "2.0"), ("full", "120.0")])
+@pytest.mark.parametrize("size, duration, python", [
+    ("tiny", "2.0", False), ("full", "120.0", False), ("full", "120.0", True)],
+    ids=["tiny-2.0", "full-120.0", "full-120.0-python"])
 @pytest.mark.parametrize("platform", cli.PLATFORMS)
 @pytest.mark.parametrize("controller", ["lqr", "smc"])
-def test_paper_pulse_outputs_match_recorded_digests(tmp_path, platform, controller,
-                                                    size, duration):
+def test_paper_pulse_outputs_match_recorded_digests(tmp_path, monkeypatch, platform, controller,
+                                                    size, duration, python):
     # the benchmark's paper_pulse commands must reproduce its recorded SHA-256
     # digests, so a last-bit drift in the dynamics or the CSV writer fails
     # here too; the tiny runs stay at rest (the pulse starts at 60 s), so
-    # only the full runs exercise the dynamics
+    # only the full runs exercise the dynamics. The python cases run them on
+    # the Python tick loop and trace template, whether or not cc exists
+    if python:
+        monkeypatch.setattr(plants, "_native_library", lambda platform: None)
+        monkeypatch.setattr(simulate_module, "_formatter", lambda: None)
     with open(_REFERENCES, encoding="utf-8") as fh:
         expected = json.load(fh)["paper_pulse"][size][f"{platform}-{controller}"]
     trace, metrics = tmp_path / "trace.csv", tmp_path / "metrics.csv"

@@ -110,7 +110,7 @@ def _perturbed_sets(platform, count, seed):
 
 
 @pytest.mark.parametrize("platform", ["rotpen", "nxtway"])
-def test_jacobian_matches_forward_dynamics_oracle(platform):
+def test_jacobian_matches_central_differences_of_the_oracle(platform):
     # at the upright origin, where the Jacobian is taken, on the shipped and
     # on perturbed parameter sets; off the origin the kernel it differentiates
     # is checked bit for bit against _oracle_terms in test_plants

@@ -103,6 +103,14 @@ def test_empty_trace_rejected():
         compute_metrics(empty, V_max=10.0)
     with pytest.raises(ValueError):
         compute_metrics(_trace([0.0, 1.0]), V_max=0.0)
+    # a non-finite V_max read as a smooth run, a NaN or negative onset
+    # shifted the settle time, and a NaN reference read as diverged
+    for settings in (dict(V_max=np.inf), dict(V_max=np.nan),
+                     dict(disturbance_onset=np.nan), dict(disturbance_onset=np.inf),
+                     dict(disturbance_onset=-5.0), dict(reference_q2=np.nan),
+                     dict(reference_q2=np.inf), dict(reference_q2=-np.inf)):
+        with pytest.raises(ValueError):
+            compute_metrics(_trace([0.0, 1.0]), **{"V_max": 10.0, **settings})
 
 
 def test_time_shift_invariance():

@@ -421,7 +421,7 @@ def test_equilibrium_is_exact():
         assert scalar_rhs(p)(0.0, 0.0, 0.0, 0.0) == (0.0, 0.0)
 
 
-def test_forward_dynamics_linear_in_voltage():
+def test_scalar_rhs_linear_in_voltage():
     rng = np.random.default_rng(7)
     for platform in ("rotpen", "nxtway"):
         p = default_params(platform)
@@ -445,7 +445,7 @@ def test_nxtway_motor_voltages_enter_as_sum():
     np.testing.assert_array_equal(B[:, 0], B[:, 1])
 
 
-def test_rotpen_forward_dynamics_matches_lagrangian_oracle():
+def test_rotpen_scalar_rhs_matches_lagrangian_oracle():
     p = default_params("rotpen")
     f1, f2 = _rotpen_oracle(p)
     rng = np.random.default_rng(12)
@@ -457,7 +457,7 @@ def test_rotpen_forward_dynamics_matches_lagrangian_oracle():
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-11)
 
 
-def test_nxtway_forward_dynamics_matches_lagrangian_oracle():
+def test_nxtway_scalar_rhs_matches_lagrangian_oracle():
     # the oracle takes the sum of the motor voltages, the model the voltage on each
     p = default_params("nxtway")
     f1, f2 = _nxtway_oracle(p)
@@ -470,7 +470,7 @@ def test_nxtway_forward_dynamics_matches_lagrangian_oracle():
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-11)
 
 
-def test_forward_dynamics_consistent_with_the_hand_written_terms():
+def test_scalar_rhs_consistent_with_the_hand_written_terms():
     # M*qdd + C*qd + G must reproduce the applied voltage vector
     rng = np.random.default_rng(3)
     for platform, v, V in (("rotpen", 2.5, [2.5, 0.0]), ("nxtway", 1.5, [3.0, 3.0])):

@@ -266,6 +266,12 @@ def test_sim_trace_validation():
     with pytest.raises(ValueError):
         SimTrace(t=[0.0, 1.0], x=np.zeros((3, 4)), u_command=[0.0, 0.0],
                  u_applied=[0.0, 0.0], d=[0.0, 0.0])
+    # a state history of 3 or 5 columns wrote rows that the CSV header does
+    # not name, and compute_metrics raised IndexError on width 3
+    for width in (3, 5):
+        with pytest.raises(ValueError, match="state history"):
+            SimTrace(t=[0.0, 1.0], x=np.zeros((2, width)), u_command=[0.0, 0.0],
+                     u_applied=[0.0, 0.0], d=[0.0, 0.0])
     with pytest.raises(ValueError):
         SimTrace(t=[0.0, 0.0], x=np.zeros((2, 4)), u_command=[0.0, 0.0],
                  u_applied=[0.0, 0.0], d=[0.0, 0.0])
@@ -904,12 +910,11 @@ def test_the_run_kernels_step_rk4_over_scalar_rhs_bit_for_bit(tmp_path, platform
                 for i in range(4):
                     if rng.random() < 0.2:
                         x0[i] = special[rng.integers(len(special))]
-                table = np.zeros((8, 4))
-                table[7] = [[0.0, -0.0, float(rng.normal(scale=5.0))][rng.integers(3)]
-                            for _ in range(4)]
-                k, _, diverged = plants_module._runner(params, dt, steps, table, settings, x0,
-                                                       native)
-                rows, ua, dist = table[1:5].T.tolist(), table[6].tolist(), table[7].tolist()
+                dist = [[0.0, -0.0, float(rng.normal(scale=5.0))][rng.integers(3)]
+                        for _ in range(4)]
+                table, k, _, diverged = plants_module._runner(params, dt, steps, dist, settings,
+                                                              x0, native)
+                rows, ua = table[:4].T.tolist(), table[5].tolist()
                 assert struct.pack("4d", *rows[0]) == struct.pack("4d", *x0) and not any(ua[:k])
                 for j in range(1, k):
                     got = struct.pack("4d", *rows[j])
@@ -949,8 +954,7 @@ def test_kernels_compile_lazily_and_once_per_platform_and_kind():
     assert out.stdout.strip() == "0 0", out.stderr
     # the run kernel: one compile per platform, by the Python loop or the probe
     for platform in ("rotpen", "nxtway"):
-        tick_loop(default_params(platform), 0.001, 2, np.zeros((8, 2)), _loop_settings(),
-                  (0.0,) * 4)
+        tick_loop(default_params(platform), 0.001, 2, [0.0] * 2, _loop_settings(), (0.0,) * 4)
     misses = plants_module._kernel_factory.cache_info().misses
     cfg = SimConfig(duration=0.04, controller_Ts=0.004, plant_dt=0.0005,
                     x0=(0.0, 0.05, 0.0, 0.0))
@@ -975,9 +979,9 @@ def test_rest_skip_engages_on_the_paper_run(tmp_path, monkeypatch, kernel):
     periods, runner = [], plants_module._runner
 
     def counted(*args):
-        k, carry, diverged = runner(*args)
+        table, k, carry, diverged = runner(*args)
         periods.append(carry[plants_module._CARRY.index("periods")])
-        return k, carry, diverged
+        return table, k, carry, diverged
 
     monkeypatch.setattr(plants_module, "_runner", counted)
     params = default_params("rotpen")
@@ -1003,8 +1007,8 @@ def test_a_run_at_rest_allocates_little_beyond_its_trace():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the table's 8 (LQR) or 9 (SMC) rows and SimTrace's check of the
-        # time column: 73 or 81 bytes per tick
+        # the time column, the table's 7 (LQR) or 8 (SMC) rows and
+        # SimTrace's check of the time column: 73 or 81 bytes per tick
         assert peak < 100 * trace.t.size
 
 
@@ -1382,9 +1386,9 @@ def test_an_exception_while_formatting_removes_the_file(tmp_path, monkeypatch, e
         monkeypatch.setattr(simulate_module, "_write_blocks", write_blocks)
 
 
-def _table_floats(trace):
-    """The number of floats in the buffer that a trace's columns view."""
-    base = trace.t
+def _buffer_floats(column):
+    """The number of floats in the buffer that a trace column views."""
+    base = column
     while isinstance(base.base, np.ndarray):
         base = base.base
     return base.size
@@ -1393,10 +1397,14 @@ def _table_floats(trace):
 @pytest.mark.parametrize("platform, controller, rows", [
     ("rotpen", "lqr", 8), ("rotpen", "smc", 9), ("nxtway", "lqr", 9), ("nxtway", "smc", 9)])
 def test_the_table_holds_one_row_per_csv_column(platform, controller, rows):
-    # an LQR design without Ki records neither s nor the integral
+    # an LQR design without Ki records neither s nor the integral; the
+    # times, the first of the rows CSV columns, are the trace's own array
     for length in (_B, 3 * _B + 1):
         trace = simulate(*_pulse_run(platform, controller, length))
-        assert _table_floats(trace) == rows * length
+        assert _buffer_floats(trace.t) == length
+        for column in (trace.x, trace.u_command, trace.u_applied, trace.d, trace.s, trace.integ):
+            if column is not None:
+                assert _buffer_floats(column) == (rows - 1) * length
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):
@@ -1479,17 +1487,15 @@ def _loop_outcome(platform, native, settings, x0, dist):
 
     native None runs the Python loop.
     """
-    table = np.zeros((8 + int(settings["smc"] or settings["integral"]), len(dist)))
-    table[7] = dist
-    k, carry, diverged = plants_module._runner(default_params(platform), 0.0005, 4, table,
-                                               settings, x0, native)
+    table, k, carry, diverged = plants_module._runner(default_params(platform), 0.0005, 4, dist,
+                                                      settings, x0, native)
     return table.tobytes(), k, struct.pack(f"{len(carry)}d", *carry), diverged
 
 
 def _carries_its_last_row(outcome, rows):
     """Whether the outcome of a run of rows rows carries its last stored row's state, finite."""
     table, k, carry, _ = outcome
-    last = np.frombuffer(table).reshape(-1, rows)[1:5, k - 1]
+    last = np.frombuffer(table).reshape(-1, rows)[:4, k - 1]
     return (struct.pack("4d", *last) == carry[:32]
             and all(map(math.isfinite, struct.unpack("12d", carry))))
 
@@ -1511,8 +1517,9 @@ def test_the_tick_loop_is_native_where_cc_exists(tmp_path, monkeypatch, platform
         return runner(*args)
 
     monkeypatch.setattr(plants_module, "_runner", recorded)
-    assert tick_loop(default_params(platform), 0.0005, 4, np.zeros((8, 3)), _loop_settings(),
-                     (0.0, 0.0, 0.0, 0.0)) == (3, False)
+    table, diverged = tick_loop(default_params(platform), 0.0005, 4, [0.0] * 3, _loop_settings(),
+                                (0.0, 0.0, 0.0, 0.0))
+    assert table.shape == (7, 3) and diverged is False
     assert kernels == [plants_module._native_library(platform)]
 
 
@@ -1671,34 +1678,37 @@ def test_the_probe_runs_cover_the_laws_saturation_a_pulse_edge_and_rest(platform
         (1.0, 0.0, 1.0, True)}
     saturated = copied = edges = 0
     for (smc, integral, _, _), outcome in zip(laws, plants_module._probe_outcomes(platform, None)):
-        table = np.frombuffer(outcome[0]).reshape(8 + int(smc or integral), 16)
+        table = np.frombuffer(outcome[0]).reshape(7 + int(smc or integral), 16)
         k, carry, diverged = outcome[1:]
-        saturated += int(np.any(table[5, :k] != table[6, :k]))
+        saturated += int(np.any(table[4, :k] != table[5, :k]))
         edges += int(k == 16)  # past the pulse edge at row 8
         periods = struct.unpack("12d", carry)[-1]
         copied += int(not diverged and periods < k - 1)
     assert saturated and edges and copied
 
 
-@pytest.mark.parametrize("table, dt, steps", [
-    (np.zeros((9, 4)), 0.0005, 4),  # a ninth row without s or the integral
-    (np.zeros((8, 4), dtype=np.float32), 0.0005, 4),
-    (np.zeros((4, 8)).T, 0.0005, 4),  # not C-contiguous
-    (np.zeros((8, 4)), 0.0005, 2.5),  # the C loop took 3 RK4 steps a period
-    (np.zeros((8, 4)), 0.0005, 4.0),
-    (np.zeros((8, 4)), 0.0005, 0),  # no step: the plant would freeze
-    (np.zeros((8, 4)), 0.0005, -1),
-    (np.zeros((8, 4)), 0.0, 4),
-    (np.zeros((8, 4)), -0.0005, 4),
-    (np.zeros((8, 4)), math.inf, 4),
-    (np.zeros((8, 4)), math.nan, 4),
-], ids=["width", "dtype", "layout", "fractional-steps", "float-steps", "no-steps",
-        "negative-steps", "zero-dt", "negative-dt", "infinite-dt", "nan-dt"])
-def test_the_tick_loop_refuses_what_it_cannot_index(table, dt, steps):
+@pytest.mark.parametrize("dist, dt, steps", [
+    (np.zeros((7, 4)), 0.0005, 4),  # a table, not a column
+    ([], 0.0005, 4),
+    (["0.0"] * 4, 0.0005, 4),
+    ([0.0] * 4, 0.0005, 2.5),  # the C loop took 3 RK4 steps a period
+    ([0.0] * 4, 0.0005, 4.0),
+    ([0.0] * 4, 0.0005, 0),  # no step: the plant would freeze
+    ([0.0] * 4, 0.0005, -1),
+    ([0.0] * 4, 0.0, 4),
+    ([0.0] * 4, -0.0005, 4),
+    ([0.0] * 4, math.inf, 4),
+    ([0.0] * 4, math.nan, 4),
+], ids=["2-d-dist", "empty-dist", "non-numeric-dist", "fractional-steps", "float-steps",
+        "no-steps", "negative-steps", "zero-dt", "negative-dt", "infinite-dt", "nan-dt"])
+def test_the_tick_loop_refuses_what_it_cannot_index(monkeypatch, dist, dt, steps):
+    runs = []
+    monkeypatch.setattr(plants_module, "_native_library",
+                        lambda platform: lambda *args: runs.append(args))
     with pytest.raises(ValueError):
-        tick_loop(default_params("rotpen"), dt, steps, table, _loop_settings(),
+        tick_loop(default_params("rotpen"), dt, steps, dist, _loop_settings(),
                   (0.0, 0.1, 0.0, 0.0))
-    assert not table.any()  # refused before the loop stored a row
+    assert not runs  # refused before the loop ran
 
 
 @pytest.mark.parametrize("measurement", ["ideal", "filtered-derivative"])
