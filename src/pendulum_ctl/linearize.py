@@ -5,16 +5,25 @@ each platform's published linearization. The numeric Jacobian is the
 independent cross-check: it differentiates plants.scalar_rhs, the
 accelerations whose RK4 steps the simulator takes, and the two agree
 entry-wise to within the differencing error at the upright origin.
+
+The package calls two of scipy's compiled modules, scipy.linalg._flapack
+and scipy.linalg._matfuncs_expm. scipy_kernels loads both from their files
+without importing scipy.linalg, which costs more than the rest of a
+command's start-up; where that fails, it takes them from scipy.linalg.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from .matrixfile import read_matrix_file, write_matrix_file
 from .plants import NxtwayParams, PlantParams, RotPenParams, scalar_rhs
@@ -26,6 +35,7 @@ __all__ = [
     "nxtway_statespace_closed_form",
     "closed_form",
     "discretize_zoh",
+    "scipy_kernels",
     "save_statespace",
     "load_statespace",
 ]
@@ -187,10 +197,84 @@ def discretize_zoh(ss: StateSpace, Ts: float) -> StateSpace:
     aug[:n, :n] = ss.A * Ts
     aug[:n, n:] = ss.B * Ts
     with np.errstate(all="ignore"):
-        E = expm(aug)
+        E = _expm(aug)
     if not np.isfinite(E).all():
         raise ValueError(f"Ts = {Ts!r} overflows the matrix exponential of the model")
     return StateSpace(A=E[:n, :n], B=E[:n, n:], Ts=Ts)
+
+
+def _load_by_file(name: str):
+    """scipy.linalg.<name>, loaded from its file without importing scipy.linalg.
+
+    The module is left out of sys.modules, so a later import of scipy.linalg
+    loads its own; one already there is left in place.
+    """
+    folder = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
+                          "linalg")
+    paths = [path for suffix in EXTENSION_SUFFIXES
+             if os.path.isfile(path := os.path.join(folder, name + suffix))]
+    if not paths:
+        raise ImportError(f"no compiled {name} in {folder}")
+    fullname = "scipy.linalg." + name
+    registered = fullname in sys.modules
+    spec = importlib.util.spec_from_file_location(fullname, paths[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if not registered:  # a single-phase extension registers itself
+        sys.modules.pop(fullname, None)
+    return module
+
+
+@functools.cache
+def scipy_kernels():
+    """(lapack, pade, source): the scipy kernels synthesis and discretize_zoh call.
+
+    lapack holds the double-precision LAPACK routines (dgees, ...) as
+    attributes, the functions get_lapack_funcs returns for float64. pade is
+    scipy.linalg._matfuncs_expm, or None where expm goes to
+    scipy.linalg.expm. source says where they came from: "direct", or
+    scipy.linalg and why.
+
+    Both modules are loaded from their files. If either is missing or fails
+    to load, both come from scipy.linalg. scipy <= 1.11 calls
+    pade_UV_calc(Am, n, m) rather than (Am, m); there expm alone goes to
+    scipy.linalg.
+    """
+    try:
+        lapack = _load_by_file("_flapack")
+        pade = _load_by_file("_matfuncs_expm")
+    except Exception as exc:  # missing, moved or unloadable: any of them
+        import scipy.linalg
+        return scipy.linalg.lapack, None, f"scipy.linalg ({type(exc).__name__}: {exc})"
+    try:
+        pade.pade_UV_calc(np.zeros((5, 2, 2)), 3)
+    except TypeError:
+        return lapack, None, "LAPACK direct, expm scipy.linalg (pade_UV_calc(Am, m) refused)"
+    return lapack, pade, "direct"
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm(a) for a square float64 a, bit for bit.
+
+    A full a takes scipy 1.17's generic branch: Pade structure, Pade
+    approximant, then s squarings. A diagonal or triangular a, or a
+    1 x 1 one, goes to scipy.linalg.expm, as does every a where
+    scipy_kernels found no direct expm kernel.
+    """
+    pade = scipy_kernels()[1]
+    if pade is None or not (np.tril(a, -1).any() and np.triu(a, 1).any()):
+        from scipy.linalg import expm
+        return expm(a)
+    Am = np.empty((5, *a.shape))  # scratch the kernels overwrite; Am[0] ends as the result
+    Am[0] = a
+    m, s = pade.pick_pade_structure(Am)
+    info = pade.pade_UV_calc(Am, m) if m >= 0 else m
+    if info != 0:
+        raise RuntimeError(f"the Pade approximant of expm failed (error code {info})")
+    E = Am[0]
+    for _ in range(s):
+        E = E @ E
+    return E
 
 
 def save_statespace(ss: StateSpace, path) -> None:

@@ -21,7 +21,8 @@ band |s| = k (smc_gain_bound).
 The factorizations call LAPACK directly, with the arguments scipy.linalg's
 schur, solve_sylvester, cho_factor/cho_solve and solve_discrete_are pass,
 so each result equals theirs bit for bit while inputs are validated once,
-where they enter.
+where they enter. The routines come from linearize.scipy_kernels, which
+loads scipy's LAPACK module without importing scipy.linalg.
 
 The balance controller for the two-wheeled robot augments the model with an
 integral of the wheel angle and weights both motor channels separately; by
@@ -40,9 +41,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg import LinAlgWarning, get_lapack_funcs
 
-from .linearize import StateSpace, closed_form, discretize_zoh
+from .linearize import StateSpace, closed_form, discretize_zoh, scipy_kernels
 from .matrixfile import read_matrix_file, write_matrix_file
 
 __all__ = [
@@ -140,10 +140,11 @@ def _check_finite(a) -> None:
 # LAPACK kernels
 # ---------------------------------------------------------------------------
 
+# the functions get_lapack_funcs(names, dtype=np.float64) returns
 (_gees, _trsyl, _potrf, _potrs, _gebal, _geqrf, _orgqr, _gges, _tgsen, _getrf,
- _trtrs) = get_lapack_funcs(("gees", "trsyl", "potrf", "potrs", "gebal", "geqrf",
-                             "orgqr", "gges", "tgsen", "getrf", "trtrs"),
-                            dtype=np.float64)
+ _trtrs) = (getattr(scipy_kernels()[0], "d" + name)
+            for name in ("gees", "trsyl", "potrf", "potrs", "gebal", "geqrf",
+                         "orgqr", "gges", "tgsen", "getrf", "trtrs"))
 
 
 def _no_select(*_):
@@ -247,6 +248,7 @@ def _unit_dare(a, b):
     AA, BB, _, alphar, alphai, beta, Q, Z, _, info = _gges(
         _no_select, H, J, lwork=lwork, overwrite_a=True, overwrite_b=True, sort_t=0)
     if 0 < info <= 2 * m:
+        from scipy.linalg import LinAlgWarning
         warnings.warn("The QZ iteration failed. (a,b) are not in Schur form, but "
                       "ALPHAR(j), ALPHAI(j), and BETA(j) should be correct for "
                       f"J={info - 1},...,N", LinAlgWarning, stacklevel=3)

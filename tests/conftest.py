@@ -6,7 +6,8 @@ or FAIL regardless of output capturing. Every test must also reap each
 child process it starts and close each file descriptor it opens, the
 trace file included, also when the trace writer fails. The report header
 names the tick loop each platform runs and the trace formatter, C or
-Python, so a fallback to Python shows in every log.
+Python, and where the LAPACK and expm kernels came from, loaded directly
+or through scipy.linalg, so a fallback shows in every log.
 """
 
 import os
@@ -60,14 +61,16 @@ def no_file_descriptor_left():
 
 
 def pytest_report_header(config):
-    """Native, or Python and why, for each platform's tick loop and for the trace formatter."""
-    from pendulum_ctl import plants, simulate
+    """Native, or Python and why, for each platform's tick loop and for the trace formatter;
+    direct, or scipy.linalg and why, for the LAPACK and expm kernels."""
+    from pendulum_ctl import linearize, plants, simulate
 
     why = "no cc on PATH" if shutil.which("cc") is None else "cc present, not native"
     return ["tick loop: " + ", ".join(
         f"{platform} {'native' if plants._native_library(platform) else f'Python ({why})'}"
         for platform in ("rotpen", "nxtway")),
-        f"trace formatter: {'native' if simulate._formatter() else f'Python ({why})'}"]
+        f"trace formatter: {'native' if simulate._formatter() else f'Python ({why})'}",
+        f"LAPACK and expm kernels: {linearize.scipy_kernels()[2]}"]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -5,17 +5,22 @@ exports exists, the package docstring lists every module, the demos import
 only exported names, every package name the benchmark reads exists, every
 function and class the package defines is read by the package, the demos
 or the benchmark, and every defaulted parameter is set by one of their
-calls.
+calls. A command imports neither scipy.linalg nor numpy.f2py, which cost
+more than the rest of its start-up.
 """
 
 import ast
 import importlib
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import pendulum_ctl
+from pendulum_ctl.linearize import scipy_kernels
 
 
 def _private_sibling_imports(source: str) -> list[str]:
@@ -40,6 +45,30 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     offenders = {path.name: names for path in sorted(package.glob("*.py"))
                  if (names := _private_sibling_imports(path.read_text(encoding="utf-8")))}
     assert offenders == {}
+
+
+def test_commands_import_neither_scipy_linalg_nor_numpy_f2py():
+    # scipy_kernels loads the two compiled modules the package calls by file;
+    # the designs and a short run of each platform import nothing more lazily
+    if scipy_kernels()[2] != "direct":
+        pytest.skip(f"the kernels come from {scipy_kernels()[2]}")
+    heavy = "[m for m in ('scipy.linalg', 'numpy.f2py') if m in sys.modules]"
+    code = ("import sys\n"
+            "import pendulum_ctl.cli\n"
+            f"print({heavy})\n"
+            "from pendulum_ctl import synthesis\n"
+            "from pendulum_ctl.plants import default_params\n"
+            "from pendulum_ctl.simulate import SimConfig, simulate\n"
+            "for platform in ('rotpen', 'nxtway'):\n"
+            "    params, Ts = default_params(platform), synthesis.DEFAULT_TS[platform]\n"
+            "    cfg = SimConfig(duration=10 * Ts, controller_Ts=Ts, x0=(0.0, 0.05, 0.0, 0.0))\n"
+            "    for design in (synthesis.nominal_lqr(params), synthesis.nominal_smc(params)):\n"
+            "        simulate(params, design, cfg)\n"
+            f"print({heavy})\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["[]", "[]"]
 
 
 def _package_modules():

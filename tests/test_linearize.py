@@ -6,13 +6,20 @@ library routine) is validated against plain arithmetic.
 """
 
 import math
+import os
+import pickle
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from pendulum_ctl import linearize
 from pendulum_ctl.linearize import (
     StateSpace,
+    closed_form,
     discretize_zoh,
     jacobian_linearize,
     load_statespace,
@@ -204,6 +211,15 @@ def test_open_loop_unstable_both_platforms():
 # zero-order-hold discretization
 # ---------------------------------------------------------------------------
 
+def _zoh_block(ss, Ts):
+    """The augmented [[A, B], [0, 0]] Ts that discretize_zoh exponentiates."""
+    n, m = ss.n_states, ss.n_inputs
+    aug = np.zeros((n + m, n + m))
+    aug[:n, :n] = ss.A * Ts
+    aug[:n, n:] = ss.B * Ts
+    return aug
+
+
 def test_zoh_scalar_integrator():
     ss = StateSpace(A=np.array([[0.0]]), B=np.array([[1.0]]))
     d = discretize_zoh(ss, 0.1)
@@ -225,13 +241,9 @@ def test_zoh_matches_series_oracle():
     ss = rotpen_statespace_closed_form(default_params("rotpen"))
     Ts = 0.002
     d = discretize_zoh(ss, Ts)
-    n, m = 4, 1
-    aug = np.zeros((n + m, n + m))
-    aug[:n, :n] = ss.A * Ts
-    aug[:n, n:] = ss.B * Ts
-    E = _series_expm(aug)
-    np.testing.assert_allclose(d.A, E[:n, :n], rtol=0, atol=1e-9)
-    np.testing.assert_allclose(d.B, E[:n, n:], rtol=0, atol=1e-9)
+    E = _series_expm(_zoh_block(ss, Ts))
+    np.testing.assert_allclose(d.A, E[:4, :4], rtol=0, atol=1e-9)
+    np.testing.assert_allclose(d.B, E[:4, 4:], rtol=0, atol=1e-9)
 
 
 def test_zoh_semigroup_property():
@@ -258,6 +270,64 @@ def test_zoh_refuses_an_overflowing_exponential_without_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="Ts = 1000.0"):
             discretize_zoh(ss, 1e3)
+
+
+def test_zoh_expm_equals_scipy_expm_bit_for_bit(monkeypatch):
+    # full ZOH blocks of seeded +-20% plants of both platforms, Ts from
+    # 10 us to 1 s, take the direct kernels where scipy_kernels found them;
+    # triangular and diagonal inputs go to scipy.linalg.expm itself
+    expm = scipy.linalg.expm
+    routed = []
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: routed.append(a) or expm(a))
+    rng = np.random.default_rng(33)
+    for platform in ("rotpen", "nxtway"):
+        for params in [default_params(platform), *_perturbed_sets(platform, 5, 33)]:
+            ss = closed_form(params)
+            for Ts in 10.0 ** rng.uniform(-5, 0, 17):
+                aug = _zoh_block(ss, Ts)
+                want = expm(aug)
+                assert linearize._expm(aug).tobytes() == want.tobytes(), (platform, Ts)
+                d = discretize_zoh(ss, Ts)
+                assert (d.A.tobytes(), d.B.tobytes()) == (
+                    want[:4, :4].tobytes(), want[:4, 4:].tobytes())
+    assert len(routed) == (0 if linearize.scipy_kernels()[1] is not None else 408)
+
+    routed.clear()
+    special = [np.array([[0.0, 0.05], [0.0, 0.0]]),  # upper triangular, the double integrator
+               np.triu(rng.normal(size=(5, 5))) * 8.0,
+               np.tril(rng.normal(size=(5, 5))) * 8.0,
+               np.diag(rng.normal(size=5)),
+               np.array([[0.3]])]
+    for a in special:
+        assert linearize._expm(a).tobytes() == expm(a).tobytes()
+    assert len(routed) == len(special)
+
+
+def test_kernels_fall_back_to_scipy_linalg_with_bit_equal_designs(tmp_path):
+    # a fresh process whose by-file loads fail takes scipy.linalg's modules
+    # and synthesizes the same designs, bit for bit, as this one
+    code = ("import importlib.util, pickle, sys\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise OSError('by-file load refused')\n"
+            "importlib.util.spec_from_file_location = refuse\n"
+            "from pendulum_ctl import linearize, synthesis\n"
+            "from pendulum_ctl.plants import default_params\n"
+            "designs = [f(default_params(p)) for p in ('rotpen', 'nxtway')\n"
+            "           for f in (synthesis.nominal_lqr, synthesis.nominal_smc)]\n"
+            "import scipy.linalg\n"
+            "lapack, pade, source = linearize.scipy_kernels()\n"
+            "assert lapack is scipy.linalg.lapack and pade is None\n"
+            "print(source)\n"
+            "sys.stdout.flush()\n"
+            "sys.stdout.buffer.write(pickle.dumps(designs))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.returncode == 0, out.stderr.decode()
+    source, _, designs = out.stdout.partition(b"\n")
+    assert source.decode() == "scipy.linalg (OSError: by-file load refused)"
+    from pendulum_ctl.synthesis import nominal_lqr, nominal_smc
+    here = [f(default_params(p)) for p in ("rotpen", "nxtway") for f in (nominal_lqr, nominal_smc)]
+    assert designs == pickle.dumps(here)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ brute-force Faddeev-LeVerrier characteristic polynomial.
 
 import dataclasses
 import math
+import pickle
 import time
 
 import numpy as np
@@ -299,6 +300,27 @@ def test_lapack_kernels_match_scipy_bit_for_bit(monkeypatch):
     for name, log in calls.items():
         for args, out in log:
             assert _same(out, _outcome(_KERNEL_ORACLES[name], *args)), (name, args)
+
+
+def test_a_failed_qz_iteration_warns_with_scipys_linalg_warning(monkeypatch):
+    # dgges reporting info in (0, 2m] warns with scipy.linalg's own class,
+    # as solve_discrete_are does; a larger info fails the design
+    gges = synthesis._gges
+    params = default_params("rotpen")  # the reduced pencil has m = 3
+    want = pickle.dumps(nominal_smc(params))
+    for info in (1, 6, 7):
+        def reporting(*args, **kwargs):
+            result = gges(*args, **kwargs)
+            return result if kwargs["lwork"] == -1 else (*result[:-1], info)
+        monkeypatch.setattr(synthesis, "_gges", reporting)
+        if info > 6:
+            with pytest.raises(SynthesisError, match="Something other than QZ iteration"):
+                nominal_smc(params)
+            continue
+        with pytest.warns(scipy.linalg.LinAlgWarning, match=f"J={info - 1},...,N") as caught:
+            got = nominal_smc(params)
+        assert [w.category for w in caught] == [scipy.linalg.LinAlgWarning]
+        assert pickle.dumps(got) == want
 
 
 # ---------------------------------------------------------------------------
