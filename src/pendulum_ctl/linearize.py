@@ -235,21 +235,17 @@ def scipy_kernels():
     scipy.linalg.expm. source says where they came from: "direct", or
     scipy.linalg and why.
 
-    Both modules are loaded from their files. If either is missing or fails
-    to load, both come from scipy.linalg. scipy <= 1.11 calls
-    pade_UV_calc(Am, n, m) rather than (Am, m); there expm alone goes to
-    scipy.linalg.
+    Both modules are loaded from their files. If either is missing, fails
+    to load, or has a pade_UV_calc that refuses (Am, m) (scipy <= 1.11
+    takes (Am, n, m)), both come from scipy.linalg.
     """
     try:
         lapack = _load_by_file("_flapack")
         pade = _load_by_file("_matfuncs_expm")
-    except Exception as exc:  # missing, moved or unloadable: any of them
+        pade.pade_UV_calc(np.zeros((5, 2, 2)), 3)
+    except Exception as exc:  # missing, moved, unloadable or another signature
         import scipy.linalg
         return scipy.linalg.lapack, None, f"scipy.linalg ({type(exc).__name__}: {exc})"
-    try:
-        pade.pade_UV_calc(np.zeros((5, 2, 2)), 3)
-    except TypeError:
-        return lapack, None, "LAPACK direct, expm scipy.linalg (pade_UV_calc(Am, m) refused)"
     return lapack, pade, "direct"
 
 
@@ -259,7 +255,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
     A full a takes scipy 1.17's generic branch: Pade structure, Pade
     approximant, then s squarings. A diagonal or triangular a, or a
     1 x 1 one, goes to scipy.linalg.expm, as does every a where
-    scipy_kernels found no direct expm kernel.
+    scipy_kernels fell back to scipy.linalg.
     """
     pade = scipy_kernels()[1]
     if pade is None or not (np.tril(a, -1).any() and np.triu(a, 1).any()):

@@ -303,7 +303,7 @@ def test_zoh_expm_equals_scipy_expm_bit_for_bit(monkeypatch):
     assert len(routed) == len(special)
 
 
-def test_kernels_fall_back_to_scipy_linalg_with_bit_equal_designs(tmp_path):
+def test_kernels_fall_back_to_scipy_linalg_with_bit_equal_designs():
     # a fresh process whose by-file loads fail takes scipy.linalg's modules
     # and synthesizes the same designs, bit for bit, as this one
     code = ("import importlib.util, pickle, sys\n"
