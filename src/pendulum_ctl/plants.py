@@ -17,14 +17,13 @@ first row only, so it is deliberately not symmetric; mechanical_energy uses
 the underlying symmetric mechanical form instead.
 
 Each platform's M, C and G entries and the solve for its accelerations are
-written once, as text (_DYNAMICS), and so is one RK4 step over that text
-(_RK4_STEP). simulate's tick loop is written once as well (_TICK): the
-measurement, the control laws, the clamp, the row store, one period of RK4
-steps, the divergence test and the rest test with its copy of a row at
-rest. Each platform has two generated Python kernels, compiled once per
-process on first use and registered with linecache, so tracebacks show
-their lines: scalar_rhs, the accelerations that
-linearize.jacobian_linearize differentiates, and the run kernel that
+written once, as text (_DYNAMICS). simulate's tick loop is written once as
+well (_TICK): the measurement, the control laws, the clamp, the row store,
+one period of RK4 steps over that text, the divergence test and the rest
+test with its copy of a row at rest. Each platform has two generated Python
+kernels, compiled once per process on first use and registered with
+linecache, so tracebacks show their lines: scalar_rhs, the accelerations
+that linearize.jacobian_linearize differentiates, and the run kernel that
 tick_loop calls. Where cc and ctypes are at hand, tick_loop runs instead a
 C run function, translated from the same text line by line and unchecked,
 that runs a whole run in one call; the compiler and the probe are its
@@ -268,14 +267,14 @@ def _nxtway_constants(p: NxtwayParams) -> dict:
 
 
 # The dynamics of each platform, written once, as (parameter-only
-# constants, a statement run once per call or period on the voltage v, one
-# stage: the M, C and G entries, then the Cramer solve of M qddot = V - C
-# qdot - G). In the stage {q2}, {q1d} and {q2d} are the inputs and {q1dd},
-# {q2dd} its outputs; every other name is a constant or a temporary that no
-# tick name repeats. An entry the solve uses negated is stored negated (nc21
-# is -c21), which is exact, so the solve keeps the operations of the formulas.
+# constants, one stage: the M, C and G entries, then the Cramer solve of M
+# qddot = V - C qdot - G). In the stage {q2}, {q1d}, {q2d} and the voltage v
+# are the inputs and {q1dd}, {q2dd} its outputs; every other name is a
+# constant or a temporary that no tick name repeats. An entry the solve uses
+# negated is stored negated (nc21 is -c21), which is exact, so the solve
+# keeps the operations of the formulas.
 _DYNAMICS = {
-    "rotpen": (_rotpen_constants, "", """\
+    "rotpen": (_rotpen_constants, """\
 s = sin({q2})
 co = cos({q2})
 lp2s = lp2 * s
@@ -291,7 +290,8 @@ f2 = nc21 * {q1d} - fp * {q2d} + ng2
 det = m11 * c - m12 * m21
 {q1dd} = (c * f1 - m12 * f2) / det
 {q2dd} = (m11 * f2 - m21 * f1) / det"""),
-    "nxtway": (_nxtway_constants, "v2 = 2.0 * v", """\
+    "nxtway": (_nxtway_constants, """\
+v2 = 2.0 * v
 s = sin({q2})
 co = cos({q2})
 m12 = (MLR * co - n2Jm2) / al  # and m21 = -m12
@@ -303,30 +303,6 @@ det = m11m22 + m12 * m12
 {q1dd} = (m22 * f1 - m12 * f2) / det
 {q2dd} = (m11 * f2 + m12 * f1) / det"""),
 }
-
-# One classic RK4 step of dt over y1..y4; {stage q2 q1d q2d q1dd q2dd} is one
-# copy of the stage. A stage's position rates are its velocities, so the q1
-# stage states, never read, are not formed; every other operation is the
-# classic step's, in its order (2.0 doubles as 2 does). y1 and y2 are updated
-# before the y3 and y4 they read.
-_RK4_STEP = """\
-{stage y2 y3 y4 a3 a4}
-b1 = y3 + h * a3
-b2 = y4 + h * a4
-yp = y2 + h * y4
-{stage yp b1 b2 b3 b4}
-c1 = y3 + h * b3
-c2 = y4 + h * b4
-yp = y2 + h * b2
-{stage yp c1 c2 c3 c4}
-d1 = y3 + dt * c3
-d2 = y4 + dt * c4
-yp = y2 + dt * c2
-{stage yp d1 d2 d3 d4}
-y1 = y1 + w * (y3 + 2.0 * b1 + 2.0 * c1 + d1)
-y2 = y2 + w * (y4 + 2.0 * b2 + 2.0 * c2 + d2)
-y3 = y3 + w * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
-y4 = y4 + w * (a4 + 2.0 * b4 + 2.0 * c4 + d4)"""
 
 # |state| bound of a run: SimConfig refuses an x0 beyond it, and the tick
 # loop ends a run after a period that ends beyond it or leaves the floats.
@@ -346,12 +322,17 @@ _COLUMNS = ("q1", "q2", "q1dot", "q2dot", "u_cmd", "u_applied", "dist", "extra")
 # One controller tick of simulate's loop, written once for the Python and
 # the C run kernel: the measurement (ideal, or the filtered derivative of q1
 # and q2), the LQR law with its optional integral or the SMC law with its
-# boundary layer, the clamp, the row store, one period of the plant (steps
-# RK4 steps from x1..x4 under v = ua + d into y1..y4), the divergence test
-# (abs(y) <= {lim} is false for an infinity and a NaN), and the rest test. A
-# tick that leaves the carried state unchanged bit for bit would repeat
-# itself while the next row's dist is d bit for bit, so that row is stored
-# again instead (d is finite there: a period under a non-finite d diverges).
+# boundary layer, the clamp, the row store, one period of the plant, the
+# divergence test (abs(y) <= {lim} is false for an infinity and a NaN), and
+# the rest test. The period is steps classic RK4 steps of dt from x1..x4
+# under v = ua + d into y1..y4; {stage q2 q1d q2d q1dd q2dd} is one copy of
+# the platform's stage. A stage's position rates are its velocities, so the
+# q1 stage states, never read, are not formed; every other operation is the
+# classic step's, in its order (2.0 doubles as 2 does). y1 and y2 are
+# updated before the y3 and y4 they read. A tick that leaves the carried
+# state unchanged bit for bit would repeat itself while the next row's dist
+# is d bit for bit, so that row is stored again instead (d is finite there:
+# a period under a non-finite d diverges).
 # The text is the Python subset that _c_statements translates: assignments,
 # if/elif/else, while, for over a range, and break.
 _TICK = """\
@@ -395,9 +376,24 @@ y2 = x2
 y3 = x3
 y4 = x4
 v = ua + d
-{per_call}
 for i in range(steps):
-    {step}
+    {stage y2 y3 y4 a3 a4}
+    b1 = y3 + h * a3
+    b2 = y4 + h * a4
+    yp = y2 + h * y4
+    {stage yp b1 b2 b3 b4}
+    c1 = y3 + h * b3
+    c2 = y4 + h * b4
+    yp = y2 + h * b2
+    {stage yp c1 c2 c3 c4}
+    d1 = y3 + dt * c3
+    d2 = y4 + dt * c4
+    yp = y2 + dt * c2
+    {stage yp d1 d2 d3 d4}
+    y1 = y1 + w * (y3 + 2.0 * b1 + 2.0 * c1 + d1)
+    y2 = y2 + w * (y4 + 2.0 * b2 + 2.0 * c2 + d2)
+    y3 = y3 + w * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
+    y4 = y4 + w * (a4 + 2.0 * b4 + 2.0 * c4 + d4)
 if not (abs(y1) <= {lim} and abs(y2) <= {lim} and abs(y3) <= {lim} and abs(y4) <= {lim}):
     diverged = 1.0
     break
@@ -444,15 +440,13 @@ k = k + 1"""
 # matches (a byte compare would match equal NaNs).
 _SAME = "({a} == {b} and ({a} != 0.0 or copysign(1.0, {a}) == copysign(1.0, {b})))"
 
-# Kernel templates: {constants} is the constant names, {per_call} the
-# per-call statement, {stage q2 q1d q2d q1dd q2dd} one copy of the stage,
-# {settings}, {carry} and {columns} the names above and {tick} the expanded
-# _TICK.
+# Kernel templates: {constants} is the constant names, {stage q2 q1d q2d
+# q1dd q2dd} one copy of the stage, {settings}, {carry} and {columns} the
+# names above and {tick} the expanded _TICK.
 _KERNELS = {
     "rhs": """\
 def make({constants}):
     def rhs(q2, q1d, q2d, v):
-        {per_call}
         {stage q2 q1d q2d q1dd q2dd}
         return q1dd, q2dd
     return rhs
@@ -533,10 +527,9 @@ def _expand(template: str, slots: dict) -> str:
 
 
 def _tick(platform: str) -> str:
-    """_TICK with its row stores, bit comparisons and limit, and one platform's period."""
-    _, per_call, stage = _DYNAMICS[platform]
+    """_TICK with its row stores, bit comparisons and limit, and one platform's stages."""
     return _expand(_TICK, {"store": _STORE, "same": _SAME, "lim": repr(DIVERGENCE_LIMIT),
-                           "per_call": per_call, "step": _expand(_RK4_STEP, {"stage": stage})})
+                           "stage": _DYNAMICS[platform][1]})
 
 
 @functools.cache
@@ -546,10 +539,10 @@ def _kernel_factory(platform: str, kind: str):
     The source is registered with linecache under a readable name, so
     tracebacks and inspect.getsource show the generated lines.
     """
-    constants, per_call, stage = _DYNAMICS[platform]
+    constants, stage = _DYNAMICS[platform]
     source = _expand(_KERNELS[kind], {
-        "constants": ", ".join(constants(default_params(platform))), "per_call": per_call,
-        "stage": stage, "settings": ", ".join(_SETTINGS), "carry": ", ".join(_CARRY),
+        "constants": ", ".join(constants(default_params(platform))), "stage": stage,
+        "settings": ", ".join(_SETTINGS), "carry": ", ".join(_CARRY),
         "columns": ", ".join(_COLUMNS), "tick": _tick(platform)})
     filename = f"<pendulum_ctl.plants: {platform} {kind}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
@@ -790,7 +783,7 @@ def _probe_outcomes(platform: str, native) -> list:
         settings = dict(_PROBE_SETTINGS, smc=smc, integral=integral, filtered=filtered, eps=eps)
         table, k, carry, diverged = _runner(params, 0.0005, 4, [0.0] * 8 + [2.0] * 8,
                                             settings, _PROBES[i % len(_PROBES)], native)
-        outcomes.append((table.tobytes(), k, struct.pack("12d", *carry), diverged))
+        outcomes.append((table.tobytes(), k, struct.pack(f"{len(carry)}d", *carry), diverged))
     return outcomes
 
 
@@ -821,7 +814,8 @@ def _runner(params: PlantParams, dt: float, steps: int, dist, settings: Mapping,
     table[_COLUMNS.index("dist")] = dist
     values = [float(settings[name]) for name in _SETTINGS]
     x1, x2, x3, x4 = map(float, x0)
-    carry = (x1, x2, x3, x4, 0.0, x1, 0.0, 0.0, x2, 0.0, 0.0, 0.0)
+    start = {"x1": x1, "x2": x2, "x3": x3, "x4": x4, "p1": x1, "p2": x2}
+    carry = tuple(start.get(name, 0.0) for name in _CARRY)
     if not all(abs(x) <= DIVERGENCE_LIMIT for x in (x1, x2, x3, x4)):
         return table, 0, carry, True  # diverged before the first tick
     constants = _DYNAMICS[params.platform][0](params)

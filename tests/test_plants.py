@@ -7,6 +7,7 @@ and compare the package's forward dynamics against that independent oracle.
 
 import ctypes
 import dataclasses
+import itertools
 import math
 import re
 import shutil
@@ -621,14 +622,18 @@ def test_the_period_names_are_its_own(platform):
     # the period runs in the scope of the tick and its kernel frame: a name
     # it assigns that the rest also reads or assigns (the filter's carried
     # p2, say) corrupts the Python and the C loop alike, so no probe run
-    # can tell, and so does a dynamics constant that any of them assigns
-    constants, per_call, stage = plants_module._DYNAMICS[platform]
-    period = per_call + "\n" + plants_module._expand(plants_module._RK4_STEP, {"stage": stage})
-    own = {line.partition(" = ")[0] for line in period.splitlines() if " = " in line}
+    # can tell, and so does a dynamics constant that any of them assigns.
+    # The period is the block of the expanded tick's for over the steps
+    constants, stage = plants_module._DYNAMICS[platform]
+    head, loop, tail = plants_module._tick(platform).partition("for i in range(steps):\n")
+    lines = tail.splitlines()
+    block = list(itertools.takewhile(lambda line: line.startswith(" "), lines))
+    own = {line.partition(" = ")[0].strip() for line in block if " = " in line}
     own -= {"y1", "y2", "y3", "y4"}  # the period's state, which the tick reads
-    rest = plants_module._expand(plants_module._TICK, {
-        "store": plants_module._STORE, "same": plants_module._SAME,
-        "lim": repr(plants_module.DIVERGENCE_LIMIT), "per_call": "", "step": ""})
+    # every name the stage assigns, v2 for nxtway, is the period's own
+    assert {line.partition(" = ")[0] for line in stage.splitlines()
+            if " = " in line and not line.startswith("{")} <= own
+    rest = head + loop + "\n".join(lines[len(block):])
     frames = re.sub(r"\{\w[\w ]*\}", "", plants_module._KERNELS["run"] + plants_module._C_SOURCE)
     others = (_names(rest) | _names(frames) | set(plants_module._SETTINGS)
               | set(plants_module._CARRY) | set(plants_module._COLUMNS))

@@ -1542,10 +1542,10 @@ def test_a_period_that_leaves_the_floats_ends_both_loops_at_its_row(tmp_path, pl
 
 def _zero_determinant(monkeypatch):
     """Make every nxtway constant 0 but al: m12 = 0 and det = 0, so the solve divides by zero."""
-    constants, per_call, stage = plants_module._DYNAMICS["nxtway"]
+    constants, stage = plants_module._DYNAMICS["nxtway"]
     zeros = dict.fromkeys(constants(default_params("nxtway")), 0.0)
     zeros["al"] = 1.0
-    monkeypatch.setitem(plants_module._DYNAMICS, "nxtway", (lambda p: zeros, per_call, stage))
+    monkeypatch.setitem(plants_module._DYNAMICS, "nxtway", (lambda p: zeros, stage))
 
 
 def test_a_zero_determinant_ends_the_run_diverged_in_both_loops(tmp_path, monkeypatch):
@@ -1576,6 +1576,25 @@ def test_a_zero_determinant_exits_3_from_the_cli(tmp_path, monkeypatch, capsys, 
     assert code == 3 and "Traceback" not in err
     assert "did not stabilize" in err
     assert (tmp_path / "trace.csv").read_text().count("\n") == 2  # the header and row 0
+
+
+@pytest.mark.parametrize("platform", ["rotpen", "nxtway"])
+def test_a_name_added_to_the_carried_state_needs_no_other_edit(monkeypatch, platform):
+    # _runner starts the carried state from _CARRY by name and the run
+    # kernel unpacks and returns _CARRY, so a new carried name (a counter,
+    # say) starts at 0.0 and leaves the run and the other names as they were
+    args = (default_params(platform), 0.0005, 4, [0.0] * 4 + [2.0] * 4,
+            _loop_settings(filtered=1.0), (0.0, 0.1, 0.0, 0.0), None)
+    table, k, carry, diverged = plants_module._runner(*args)
+    monkeypatch.setattr(plants_module, "_CARRY", plants_module._CARRY + ("spare",))
+    plants_module._kernel_factory.cache_clear()
+    try:
+        result = plants_module._runner(*args)
+    finally:
+        plants_module._kernel_factory.cache_clear()
+    assert (k, diverged) == (8, False)
+    assert result[0].tobytes() == table.tobytes()
+    assert result[1:] == (k, carry + (0.0,), diverged)
 
 
 _SPECIAL = (0.0, -0.0, 5e-324, -1e-310)
