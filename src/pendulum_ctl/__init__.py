@@ -10,7 +10,8 @@ Modules
 plants     : physical parameters and nonlinear dynamics
 linearize  : state-space models (numeric Jacobian, closed forms, ZOH)
 synthesis  : LQR via the continuous Riccati equation, discrete SMC design
-matrixfile : the plain-text matrix file format of models and designs
+matrixfile : the plain-text matrix file format of models and designs, and
+             write_whole, which publishes every output file whole
 simulate   : closed-loop RK4 simulation with disturbance injection
 metrics    : quality indices and comparison reports
 cli        : command-line front end (`pendulum-ctl`)

@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from .linearize import closed_form, jacobian_linearize, save_statespace
-from .matrixfile import format_matrix
+from .matrixfile import format_matrix, write_whole
 from .metrics import comparison_report, compute_metrics, save_metrics_csv
 from .plants import default_params
 from .simulate import (
@@ -370,6 +370,7 @@ def _cmd_synthesize(settings: dict, config: str | None) -> int:
         if design.Ki is not None:
             ss, K = integral_augmented(ss), np.hstack([K, [[design.Ki]]])
         eigs = stability_report(ss, K).eigenvalues
+        # appended in place to the design that save_design just published whole
         with open(out, "a", encoding="utf-8") as fh:
             for name, values in (("closed_loop_re", eigs.real),
                                  ("closed_loop_im", eigs.imag)):
@@ -438,8 +439,7 @@ def _cmd_compare(settings: dict, config: str | None) -> int:
         metrics = experiment(designs[run], trace_paths.get(run))
         rows.append((*run, metrics))
     report = comparison_report(rows)
-    with open(settings["out"], "w", encoding="utf-8") as fh:
-        fh.write(report + "\n")
+    write_whole(settings["out"], lambda fh: fh.write(report + "\n"), encoding="utf-8")
     if settings["metrics"]:
         save_metrics_csv(rows, settings["metrics"])
     print(report)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .matrixfile import write_whole
 from .simulate import SimTrace
 
 __all__ = ["SETTLE_BAND", "SMOOTH_SCORE_LIMIT", "Metrics", "compute_metrics",
@@ -141,11 +142,13 @@ def comparison_report(runs: list[tuple[str, str, Metrics]]) -> str:
 
 
 def save_metrics_csv(runs: list[tuple[str, str, Metrics]], path) -> None:
-    """Write one CSV row per run; a diverged settle time is left blank."""
+    """Write one CSV row per run, published whole by matrixfile.write_whole;
+    a diverged settle time is left blank."""
     if not runs:
         raise ValueError("save_metrics_csv needs at least one run")
     labels = [_label(platform, controller) for platform, controller, _ in runs]
-    with open(path, "w", newline="\n") as fh:
+
+    def write(fh):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_CSV_FIELDS)
         for label, (_, _, m) in zip(labels, runs):
@@ -155,3 +158,5 @@ def save_metrics_csv(runs: list[tuple[str, str, Metrics]], path) -> None:
                              repr(float(m.pole_vel_max)),
                              m.stabilization_quality,
                              repr(float(m.scattering_score))])
+
+    write_whole(path, write, newline="\n")

@@ -44,12 +44,12 @@ from __future__ import annotations
 import functools
 import io
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linearize import closed_form
+from .matrixfile import write_whole
 from .plants import DIVERGENCE_LIMIT, PlantParams, native_function, tick_loop
 from .synthesis import LqrDesign, SmcDesign
 
@@ -603,8 +603,9 @@ def save_trace_csv(trace: SimTrace, path) -> None:
     Each cell is its float's repr. The calling process writes the header
     and then one block of _CSV_BLOCK rows at a time: formatted by the C
     formatter where cc is at hand and its probe passed, else by the Python
-    template of _write_blocks, with the same bytes. Any exception, an
-    interrupt included, removes the partial file before it propagates.
+    template of _write_blocks, with the same bytes. The file is published
+    whole by matrixfile.write_whole: any exception, an interrupt included,
+    removes the new file and leaves a trace already at path as it was.
     """
     columns = list(_CSV_COLUMNS)
     arrays = [trace.t, *trace.x.T, trace.u_command, trace.u_applied, trace.d]
@@ -613,15 +614,12 @@ def save_trace_csv(trace: SimTrace, path) -> None:
             columns.append(name)
             arrays.append(getattr(trace, name))
     native = _formatter()
-    fh = open(path, "wb")
-    try:
-        with fh:
-            fh.write((",".join(columns) + "\n").encode())
-            if native is None:
-                _write_blocks(fh, arrays, 0, trace.t.size)
-            else:
-                _write_native(fh, native, arrays, 0, trace.t.size)
-    except BaseException:
-        if os.path.isfile(path):
-            os.remove(path)
-        raise
+
+    def write(fh):
+        fh.write((",".join(columns) + "\n").encode())
+        if native is None:
+            _write_blocks(fh, arrays, 0, trace.t.size)
+        else:
+            _write_native(fh, native, arrays, 0, trace.t.size)
+
+    write_whole(path, write, "wb")

@@ -12,6 +12,7 @@ import math
 import os
 import random
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -947,6 +948,39 @@ def test_output_clashes_are_judged_by_the_file_reached(tmp_path, capsys, monkeyp
                     "--trace", "a.csv", "--metrics", "b.csv"]) == 1
     assert "trace and metrics both name" in capsys.readouterr().err
     assert (tmp_path / "a.csv").read_text() == "kept\n"
+
+
+def test_a_symlinked_trace_keeps_its_link(tmp_path, monkeypatch):
+    # the new trace is published at the file the link reaches, with the
+    # bytes a plain path gets, and no .part file is left in either folder
+    monkeypatch.chdir(tmp_path)
+    run = ["simulate", "--platform", "rotpen", "--duration", "0.2"]
+    assert cli.run(run + ["--trace", "plain.csv", "--metrics", "plain_m.csv"]) == 0
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "trace.csv").write_text("old\n")
+    os.symlink(os.path.join("data", "trace.csv"), "link.csv")
+    assert cli.run(run + ["--trace", "link.csv", "--metrics", "m.csv"]) == 0
+    assert os.readlink("link.csv") == os.path.join("data", "trace.csv")
+    assert (tmp_path / "data" / "trace.csv").read_bytes() == Path("plain.csv").read_bytes()
+    assert sorted(os.listdir()) == ["data", "link.csv", "m.csv", "plain.csv", "plain_m.csv"]
+    assert os.listdir("data") == ["trace.csv"]
+
+
+def test_synthesize_keeps_a_design_files_permission_bits(tmp_path, monkeypatch):
+    # the rewritten design, a new file moved in (a new inode) with its
+    # closed-loop blocks appended in place after the publish, keeps the mode
+    # of the file it replaced
+    monkeypatch.chdir(tmp_path)
+    fresh, kept = Path("fresh.txt"), Path("kept.txt")
+    kept.write_text("old design\n")
+    kept.chmod(0o600)
+    inode = kept.stat().st_ino
+    for out in (fresh, kept):
+        assert cli.run(["synthesize", "--platform", "rotpen", "--out", str(out)]) == 0
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o600 and kept.stat().st_ino != inode
+    assert kept.read_bytes() == fresh.read_bytes()
+    assert "closed_loop_im" in kept.read_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.txt", "kept.txt"]
 
 
 def test_fuzzed_settings_keep_the_exit_code_contract(tmp_path, capsys, monkeypatch):

@@ -37,6 +37,7 @@ from pendulum_ctl.linearize import (
     rotpen_statespace_closed_form,
 )
 from pendulum_ctl import cli
+from pendulum_ctl import matrixfile as matrixfile_module
 from pendulum_ctl import plants as plants_module
 from pendulum_ctl import simulate as simulate_module
 from pendulum_ctl.plants import (
@@ -934,7 +935,7 @@ def test_generated_kernels_show_source_lines_in_tracebacks(platform):
     run = plants_module._kernel_factory(platform, "run")(**constants, dt=0.001, steps=2)
     # a run whose dist column is None fails at the tick's read of it
     settings = [float(_loop_settings()[name]) for name in plants_module._SETTINGS]
-    kernels = [(run, (settings, [None] * 8, 1, (0.0,) * 12), "run"),
+    kernels = [(run, (settings, [None] * 8, 1, (0.0,) * len(plants_module._CARRY)), "run"),
                (scalar_rhs(params), (0.1, 0.0, 0.0, None), "rhs")]
     for kernel, args, kind in kernels:
         with pytest.raises(TypeError) as info:
@@ -1164,11 +1165,17 @@ def _assert_written_alone(trace, path):
     assert path.read_bytes() == _reference_csv(trace)
 
 
-def _assert_alone_and_removed(path):
-    """No file is left at path, and no child process."""
+# a trace already at the path, which a failed write must leave as it was
+_OLD_TRACE = b"t,q1\n0.0,0.25\n"
+
+
+def _assert_alone_and_kept(path, old):
+    """path holds the bytes old (None: no file), no .part file is left
+    beside it, and no child process is left."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    assert not path.exists()
+    assert (path.read_bytes() if path.exists() else None) == old
+    assert [p.name for p in path.parent.iterdir()] == ([] if old is None else [path.name])
 
 
 def _counted_forks(monkeypatch):
@@ -1320,70 +1327,84 @@ def _full_disk_at(monkeypatch, failing):
         fh.write = fills
         return fh
 
-    monkeypatch.setattr(simulate_module, "open", full_disk, raising=False)
+    monkeypatch.setattr(matrixfile_module, "open", full_disk, raising=False)
     return sizes
 
 
 @pytest.mark.parametrize("formatter", _FORMATTERS)
 def test_a_full_disk_leaves_no_partial_file(tmp_path, monkeypatch, formatter):
     # the second block's write fails after the header and the first block
-    # reached the file: the error propagates, the file is removed and
-    # closed (the fixtures check that no descriptor is left)
+    # reached the file: the error propagates, the new file is removed and
+    # closed (the fixtures check that no descriptor is left), and a trace
+    # already at the path is kept
     _use_formatter(monkeypatch, formatter)
     trace = _pulse_trace("rotpen", "lqr", 3 * _B + 1)
-    sizes = _full_disk_at(monkeypatch, 3)
     path = tmp_path / "trace.csv"
-    with pytest.raises(OSError, match="No space left on device"):
-        save_trace_csv(trace, path)
-    assert sizes[-1] == sizes[0] + sizes[1] > 0  # a partial file existed
-    assert not path.exists()
+    for old in (None, _OLD_TRACE):
+        if old is not None:
+            path.write_bytes(old)
+        sizes = _full_disk_at(monkeypatch, 3)
+        with pytest.raises(OSError, match="No space left on device"):
+            save_trace_csv(trace, path)
+        assert sizes[-1] == sizes[0] + sizes[1] > 0  # a partial file existed
+        _assert_alone_and_kept(path, old)
 
 
 def test_a_failed_first_block_write_removes_the_file(tmp_path, monkeypatch):
-    # the first block fails to reach the file after the header: the file
-    # is removed, and no process is left (one process writes the trace)
+    # the first block fails to reach the file after the header: the new
+    # file is removed, a trace already at the path is kept, and no process
+    # is left (one process writes the trace)
     trace = _pulse_trace("rotpen", "smc", 3 * _B + 1)
     path = tmp_path / "trace.csv"
     for formatter in _FORMATTERS:
         _use_formatter(monkeypatch, formatter)
-        sizes = _full_disk_at(monkeypatch, 2)
-        with pytest.raises(OSError, match="No space left on device"):
-            save_trace_csv(trace, path)
-        assert sizes[-1] == sizes[0] > 0  # the header was written
-        _assert_alone_and_removed(path)
+        for old in (None, _OLD_TRACE):
+            if old is not None:
+                path.write_bytes(old)
+            sizes = _full_disk_at(monkeypatch, 2)
+            with pytest.raises(OSError, match="No space left on device"):
+                save_trace_csv(trace, path)
+            assert sizes[-1] == sizes[0] > 0  # the header was written
+            _assert_alone_and_kept(path, old)
+        path.unlink()
 
 
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
 def test_an_exception_while_formatting_removes_the_file(tmp_path, monkeypatch, error):
     # the error comes while the second block is formatted, by the C
     # formatter where cc is at hand and by the Python template; an
-    # interrupt is no Exception, and must remove the file all the same
+    # interrupt is no Exception, and must remove the new file all the same
+    # and keep a trace already at the path
     trace = _pulse_trace("nxtway", "lqr", 3 * _B + 1)
     native, write_blocks = _FORMATTER(), simulate_module._write_blocks
     path = tmp_path / "trace.csv"
     for formatter in _FORMATTERS:
-        calls = []
-        if formatter == "native" and native is not None:
-            def fails(*args):
-                calls.append(args[2:4])
-                if len(calls) == 2:
+        for old in (None, _OLD_TRACE):
+            if old is not None:
+                path.write_bytes(old)
+            calls = []
+            if formatter == "native" and native is not None:
+                def fails(*args):
+                    calls.append(args[2:4])
+                    if len(calls) == 2:
+                        raise error("formatting failed")
+                    return native(*args)
+
+                monkeypatch.setattr(simulate_module, "_formatter", lambda: fails)
+            else:
+                def fails(fh, columns, start, stop):
+                    calls.append((start, stop))
+                    write_blocks(fh, columns, start, start + _B)
                     raise error("formatting failed")
-                return native(*args)
 
-            monkeypatch.setattr(simulate_module, "_formatter", lambda: fails)
-        else:
-            def fails(fh, columns, start, stop):
-                calls.append((start, stop))
-                write_blocks(fh, columns, start, start + _B)
-                raise error("formatting failed")
-
-            _use_formatter(monkeypatch, "python")
-            monkeypatch.setattr(simulate_module, "_write_blocks", fails)
-        with pytest.raises(error, match="formatting failed"):
-            save_trace_csv(trace, path)
-        assert calls[0][0] == 0 and len(calls) == (2 if calls[0][1] == _B else 1)
-        _assert_alone_and_removed(path)
-        monkeypatch.setattr(simulate_module, "_write_blocks", write_blocks)
+                _use_formatter(monkeypatch, "python")
+                monkeypatch.setattr(simulate_module, "_write_blocks", fails)
+            with pytest.raises(error, match="formatting failed"):
+                save_trace_csv(trace, path)
+            assert calls[0][0] == 0 and len(calls) == (2 if calls[0][1] == _B else 1)
+            _assert_alone_and_kept(path, old)
+            monkeypatch.setattr(simulate_module, "_write_blocks", write_blocks)
+        path.unlink()
 
 
 def _buffer_floats(column):
@@ -1492,12 +1513,19 @@ def _loop_outcome(platform, native, settings, x0, dist):
     return table.tobytes(), k, struct.pack(f"{len(carry)}d", *carry), diverged
 
 
+def _carried(carry):
+    """The carried state bits of a _loop_outcome as floats by their _CARRY names."""
+    return dict(zip(plants_module._CARRY, struct.unpack(f"{len(carry) // 8}d", carry),
+                    strict=True))
+
+
 def _carries_its_last_row(outcome, rows):
     """Whether the outcome of a run of rows rows carries its last stored row's state, finite."""
     table, k, carry, _ = outcome
     last = np.frombuffer(table).reshape(-1, rows)[:4, k - 1]
-    return (struct.pack("4d", *last) == carry[:32]
-            and all(map(math.isfinite, struct.unpack("12d", carry))))
+    carried = _carried(carry)
+    state = struct.pack("4d", *(carried[f"x{i}"] for i in range(1, 5)))
+    return struct.pack("4d", *last) == state and all(map(math.isfinite, carried.values()))
 
 
 def _loop_settings(**changed):
@@ -1652,19 +1680,19 @@ def test_the_c_and_python_tick_loops_give_the_same_runs(tmp_path, platform):
     # beyond 1e3 from x0 stores no row and carries x0
     ends = [_carries_its_last_row(o, len(c[2])) for o, c in zip(outcomes, cases) if o[3] and o[1]]
     assert len(ends) >= 2 and all(ends)
-    carry = (0.0, 2e3, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2e3, 0.0, 0.0, 0.0)
-    assert outcomes[-4][1:] == (0, struct.pack("12d", *carry), True)
+    carry = {**dict.fromkeys(plants_module._CARRY, 0.0), "x2": 2e3, "p2": 2e3}
+    assert outcomes[-4][1:] == (0, struct.pack(f"{len(carry)}d", *carry.values()), True)
     assert outcomes[-3][1:] == (1, outcomes[-3][2], True)
     # the period raised ValueError (sin of an infinity) at row 1: diverged,
     # carrying the row's finite state
     assert outcomes[-2][1] == 2 and outcomes[-2][3] is True
-    assert all(map(math.isfinite, struct.unpack("12d", outcomes[-2][2])))
-    assert struct.unpack("12d", outcomes[-1][2])[-1] == 7.0  # 7 periods, none copied
-    assert math.isnan(struct.unpack("12d", outcomes[-1][2])[4])
+    assert all(map(math.isfinite, _carried(outcomes[-2][2]).values()))
+    assert _carried(outcomes[-1][2])["periods"] == 7.0  # 7 periods, none copied
+    assert math.isnan(_carried(outcomes[-1][2])["integ"])
     # with a finite Ts the integral stays 0.0, and the run copies after one period
     at_rest = _loop_outcome(platform, None, _loop_settings(smc=1.0, integral=1.0), (0.0,) * 4,
                             [0.0] * 8)
-    assert at_rest[2][-8:] == struct.pack("d", 1.0)
+    assert _carried(at_rest[2])["periods"] == 1.0
     assert sum(o[-1] is False and o[1] == len(c[2]) for o, c in zip(outcomes, cases)) > 20
 
 
@@ -1686,7 +1714,7 @@ def test_a_change_of_the_zeros_sign_alone_ends_a_rest_stretch(tmp_path, platform
             _, k, carry, diverged = _loop_outcome(platform, native, _loop_settings(),
                                                   (zero,) * 4, dist)
             assert (k, diverged) == (16, False)
-            assert struct.unpack("12d", carry)[-1] == periods + extra, (dist, zero)
+            assert _carried(carry)["periods"] == periods + extra, (dist, zero)
 
 
 @pytest.mark.parametrize("platform", ["rotpen", "nxtway"])
@@ -1701,7 +1729,7 @@ def test_the_probe_runs_cover_the_laws_saturation_a_pulse_edge_and_rest(platform
         k, carry, diverged = outcome[1:]
         saturated += int(np.any(table[4, :k] != table[5, :k]))
         edges += int(k == 16)  # past the pulse edge at row 8
-        periods = struct.unpack("12d", carry)[-1]
+        periods = _carried(carry)["periods"]
         copied += int(not diverged and periods < k - 1)
     assert saturated and edges and copied
 
