@@ -364,20 +364,15 @@ def _cmd_synthesize(settings: dict, config: str | None) -> int:
     _check_outputs([("out", out, False)], [("config", config)])
     _refuse_other_controller("synthesize", settings, controller)
     design = _make_design(platform, controller, settings)
-    save_design(design, out, platform)
     if isinstance(design, LqrDesign):
         ss, K = closed_form(default_params(platform)), design.K
         if design.Ki is not None:
             ss, K = integral_augmented(ss), np.hstack([K, [[design.Ki]]])
-        eigs = stability_report(ss, K).eigenvalues
-        # appended in place to the design that save_design just published whole
-        with open(out, "a", encoding="utf-8") as fh:
-            for name, values in (("closed_loop_re", eigs.real),
-                                 ("closed_loop_im", eigs.imag)):
-                fh.write("\n".join(format_matrix(name, values)) + "\n")
+        save_design(design, out, platform, stability_report(ss, K).eigenvalues)
         print(f"{platform} {controller}: K = {design.K[0]}, "
               f"residual = {design.residual:.3e}")
     else:
+        save_design(design, out, platform)
         print(f"{platform} {controller}: k = {design.k:.6f}, "
               f"max |surface eig| = {np.max(np.abs(design.surface_eigs)):.6f}")
     print(f"wrote {out}")

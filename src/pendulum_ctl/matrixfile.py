@@ -45,9 +45,9 @@ def write_whole(path, write, mode: str = "w", **open_kwargs) -> None:
     file, but never a part of one. Unlinking first matters: ext4's
     auto_da_alloc starts writeback on the close of a file truncated to zero
     and on a rename over an existing file, which cost tens of µs up to about
-    150 µs of each design file rewritten. Any exception from write, an
-    interrupt included, removes the .part file, leaves the old file as it
-    was and propagates.
+    150 µs of each design file rewritten. Any exception, an interrupt
+    included, propagates after it removes the .part file and keeps the old
+    file, or, once the old file is unlinked, moves the whole .part file in.
 
     The new file is a new inode: another hard link to the old file keeps
     the old bytes, and the owner is this process's user. In a sticky folder
@@ -81,7 +81,10 @@ def write_whole(path, write, mode: str = "w", **open_kwargs) -> None:
             os.unlink(target)
         os.rename(part, target)
     except BaseException:
-        os.unlink(part)
+        if old is not None and not os.path.lexists(target):  # unlinked: the new file is whole
+            os.rename(part, target)
+        else:
+            os.unlink(part)
         raise
 
 

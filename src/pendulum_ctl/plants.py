@@ -25,10 +25,10 @@ kernels, compiled once per process on first use and registered with
 linecache, so tracebacks show their lines: scalar_rhs, the accelerations
 that linearize.jacobian_linearize differentiates, and the run kernel that
 tick_loop calls. Where cc and ctypes are at hand, tick_loop runs instead a
-C run function, translated from the same text line by line and unchecked,
-that runs a whole run in one call; the compiler and the probe are its
-gate, and it is used only once it has reproduced the Python loop bit for
-bit on fixed probe runs. A run ends in the loop that started it: one
+C run function, written from the same text's syntax tree (_c_statements
+refuses the constructs it lists), that runs a whole run in one call; it
+is used only once it has reproduced the Python loop bit for bit on fixed
+probe runs. A run ends in the loop that started it: one
 divergence test after each period ends it where the period's state lies
 beyond DIVERGENCE_LIMIT or leaves the floats, which the Python loop meets
 as a raise and the C loop as infinities and NaNs.
@@ -43,6 +43,7 @@ counterpart before using it.
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import dataclasses
 import functools
@@ -333,8 +334,6 @@ _COLUMNS = ("q1", "q2", "q1dot", "q2dot", "u_cmd", "u_applied", "dist", "extra")
 # state unchanged bit for bit would repeat itself while the next row's dist
 # is d bit for bit, so that row is stored again instead (d is finite there:
 # a period under a non-finite d diverges).
-# The text is the Python subset that _c_statements translates: assignments,
-# if/elif/else, while, for over a range, and break.
 _TICK = """\
 e1 = x1 - r1
 e2 = x2 - r2
@@ -475,16 +474,12 @@ def make({constants}, dt, steps):
 """,
 }
 
-# The C run kernel, a frame around the translated _TICK. On the text's
-# names, float literals, + - * /, comparisons and the sin, cos, fabs and
-# copysign calls, C evaluates as Python does, left to right, in doubles; a
-# line where the two differ fails the build or the probe. Temporaries are
-# declared at the top of their block and assigned before they are read. As
-# the Python run kernel, over the table tab, rows values per _COLUMNS name: kc
-# holds the constants in _DYNAMICS order, then dt and steps; carry holds
-# _CARRY on entry and _CARRY and diverged on return; the result is the row
-# reached. Where Python raises, C runs on in infinities and NaNs, which the
-# divergence test refuses.
+# The C run kernel, a frame around the translated _TICK. As the Python run
+# kernel, over the table tab, rows values per _COLUMNS name: kc holds the
+# constants in _DYNAMICS order, then dt and steps; carry holds _CARRY on
+# entry and _CARRY and diverged on return; the result is the row reached.
+# Where Python raises, C runs on in infinities and NaNs, which the divergence
+# test refuses.
 _C_SOURCE = """\
 #include <math.h>
 #include <stdint.h>
@@ -552,57 +547,77 @@ def _kernel_factory(platform: str, kind: str):
     return namespace["make"]
 
 
-_C_WORDS = {"and": "&&", "or": "||", "not": "!", "abs": "fabs"}
+# The C subset, whole: each operator and call on which C computes from doubles
+# what Python computes, and its C.
+_C = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.USub: "-", ast.Not: "!",
+      ast.And: "&&", ast.Or: "||", ast.Eq: "==", ast.NotEq: "!=", ast.Lt: "<", ast.LtE: "<=",
+      ast.Gt: ">", ast.GtE: ">=", "sin": "sin", "cos": "cos", "abs": "fabs",
+      "copysign": "copysign"}
 
 
 def _c_statements(text: str, declared: tuple) -> str:
-    """An expanded kernel text as C statements.
+    """An expanded kernel text as C statements, each operation in parentheses,
+    after one double declaration of the names it assigns that declared lacks.
 
-    Each `name = expr` line becomes `name = expr;`, and each name it assigns
-    that is not in declared is declared a double once, at the top; `if`,
-    `elif`, `else` and `while` lines open blocks that their indentation
-    closes, and so does `for name in range(count):`, as a C for over name, a
-    double counting from 0.0 by 1.0 while below count; `and`, `or`, `not` and
-    `abs` become `&&`, `||`, `!` and `fabs`. A `break` line gets its
-    semicolon, # comments are stripped and blank lines skipped. Nothing else
-    is checked here: a line C cannot compile fails the build, and one C runs
-    otherwise than Python (an integer division, say) fails the probe, so
-    either way the Python kernel runs.
+    Beyond _C: names, numbers up to 2**53, name[name], assignments, if/else,
+    while, break and `for name in range(count)` over a double it names
+    nowhere else. All else raises ValueError, as do a / of two C integers, an
+    and/or read as a number from other than truth values (C gives 1, Python
+    an operand), and a name given truth values and others.
     """
-    def c(expr):
-        return re.sub(r"\b(and|or|not|abs)\b", lambda m: _C_WORDS[m[1]], expr)
+    truths = {}  # each name assigned, not declared: holds truth values? (None: a for counter)
 
-    body, names, blocks = [], {}, []  # names: a set in the order assigned
-    for line in text.splitlines():
-        code = line.split("#", 1)[0].rstrip()
-        stripped = code.lstrip()
-        if not stripped:
-            continue
-        pad = code[:len(code) - len(stripped)]
-        while blocks and len(pad) <= len(blocks[-1]):
-            body.append(blocks.pop() + "}")
-        if stripped.endswith(":"):
-            word, _, cond = stripped[:-1].partition(" ")
-            if word == "for":
-                name, _, count = cond.partition(" in range(")
-                names[name] = None
-                cond = f"{name} = 0.0; {name} < {count[:-1]}; {name} = {name} + 1.0"
-            body.append(pad + ("else {" if word == "else" else
-                               f"{'else if' if word == 'elif' else word} ({c(cond)}) {{"))
-            blocks.append(pad)
-        elif stripped == "break":
-            body.append(pad + "break;")
-        else:
-            target, _, expr = (part.strip() for part in stripped.partition("="))
-            if target.isidentifier() and target not in declared:
-                names[target] = None
-            body.append(f"{pad}{target} = {c(expr)};")
-    body += [pad + "}" for pad in reversed(blocks)]
-    return "\n".join(([f"double {', '.join(names)};"] if names else []) + body)
+    def truth(node):  # 0 or 1 in C, False or True in Python
+        return (isinstance(node, (ast.Compare, ast.BoolOp)) or isinstance(node, ast.UnaryOp)
+                and isinstance(node.op, ast.Not) or truths.get(getattr(node, "id", None), False))
+
+    def integral(node):  # whether C may compute node in integers
+        return any(truth(x) or type(getattr(x, "value", None)) is int
+                   or getattr(x, "id", None) in ("k", "rows") for x in ast.walk(node))
+
+    def c(node, test=False):  # an expression's C, a statement's lines; test: only truth is read
+        match node:
+            # a name's first value records whether it holds truth values; another kind is refused
+            case ast.Assign([ast.Name(n)], value) if n not in declared and (
+                    truths.setdefault(n, truth(value)) != truth(value)):
+                raise ValueError(f"{n} is given values of two kinds")
+            case ast.Constant(v) if type(v) in (int, float) and abs(v) <= 2 ** 53:
+                return repr(v)
+            case ast.Name(n) if n not in _C and truths.get(n, False) is not None:
+                return n
+            case ast.Subscript(ast.Name(n), ast.Name(i)) if n not in _C:
+                return f"{n}[{i}]"
+            case ast.Call(ast.Name(f), args, []) if f in _C:
+                return f"{_C[f]}({', '.join(map(c, args))})"
+            case ast.UnaryOp(op, operand) if type(op) in _C:
+                return f"({_C[type(op)]}{c(operand, type(op) is ast.Not)})"
+            case ast.BinOp(a, op, b) | ast.Compare(a, [op], [b]) if type(op) in _C and (
+                    type(op) is not ast.Div or not (integral(a) and integral(b))):
+                return f"({c(a)} {_C[type(op)]} {c(b)})"
+            case ast.BoolOp(op, values) if test or all(map(truth, values)):
+                return "(" + f" {_C[type(op)]} ".join(c(value, test) for value in values) + ")"
+            case ast.Assign([target], value):
+                return [f"{c(target)} = {c(value)};"]
+            case ast.If(cond, body, orelse):
+                return block(f"if ({c(cond, True)})", body) + (orelse and block("else", orelse))
+            case ast.While(cond, body, []):
+                return block(f"while ({c(cond, True)})", body)
+            case ast.For(ast.Name(n), ast.Call(ast.Name("range"), [count], []), body, []) if (
+                    n not in truths):  # a counter named before or after its for is refused
+                truths[n] = None
+                return block(f"for ({n} = 0.0; {n} < {c(count)}; {n} = {n} + 1.0)", body)
+            case ast.Break():
+                return ["break;"]
+        raise ValueError(f"no C for {ast.unparse(node)!r}")
+
+    def block(head, body):
+        return [f"{head} {{", *("    " + line for node in body for line in c(node)), "}"]
+    lines = [line for node in ast.parse(text).body for line in c(node)]
+    return "\n".join(([f"double {', '.join(truths)};"] if truths else []) + lines)
 
 
 def _c_source(platform: str) -> str:
-    """_C_SOURCE expanded with one platform's constants and tick, unchecked."""
+    """_C_SOURCE expanded with one platform's constants and tick."""
     names = [*_DYNAMICS[platform][0](default_params(platform)), "dt", "steps"]
     frame = ("k", "rows", "diverged")
     return _expand(_C_SOURCE, {

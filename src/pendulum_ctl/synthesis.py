@@ -730,10 +730,11 @@ def _known_platform(platform: str) -> str:
     return platform
 
 
-def save_design(design, path, platform: str | None = None) -> None:
-    """Write an LqrDesign or SmcDesign to a labeled plain-text file.
+def save_design(design, path, platform: str | None = None, closed_loop=None) -> None:
+    """Write an LqrDesign or SmcDesign to a labeled plain-text file, once.
 
-    A platform, when given, is written as the file's platform line.
+    A platform, when given, is written as the file's platform line, and the
+    closed-loop eigenvalues, when given, as its last two blocks.
     """
     named = {} if platform is None else {"platform": _known_platform(platform)}
     if isinstance(design, LqrDesign):
@@ -748,6 +749,8 @@ def save_design(design, path, platform: str | None = None) -> None:
                   "surface_im": design.surface_eigs.imag}
     else:
         raise TypeError(f"cannot serialize {type(design).__name__}")
+    if closed_loop is not None:
+        blocks.update(closed_loop_re=closed_loop.real, closed_loop_im=closed_loop.imag)
     write_matrix_file(path, "pendulum-ctl controller design", meta, blocks)
 
 

@@ -86,6 +86,36 @@ def test_synthesize_rotpen_lqr_design_file(tmp_path, capsys):
     assert "closed_loop_re" in text and "closed_loop_im" in text
 
 
+# sha256 of the default LQR design files, closed-loop blocks included
+_LQR_DESIGN_SHA256 = {
+    "rotpen": "6bd4bf7cda5bf7c26ef0fd323fea7f0aacf5762fb10552a3ef7677684464c5cf",
+    "nxtway": "fc812557fcd65850a7413abf4437b4148ba1c2eaf3b19a9cfe17667e66a9ca4a",
+}
+
+
+@pytest.mark.parametrize("platform", ["rotpen", "nxtway"])
+def test_synthesize_writes_the_design_file_once(tmp_path, monkeypatch, platform):
+    # the closed-loop blocks are written with the design, in one publish:
+    # no file is opened to append, and one file is moved onto the path
+    out, opened, renamed = tmp_path / "design.txt", [], []
+    real_open, real_rename = open, os.rename
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        opened.append(mode)
+        return real_open(file, mode, *args, **kwargs)
+
+    def spy_rename(src, dst):
+        renamed.append(dst)
+        real_rename(src, dst)
+
+    monkeypatch.setattr("builtins.open", spy_open)
+    monkeypatch.setattr(os, "rename", spy_rename)
+    assert cli.run(["synthesize", "--platform", platform, "--out", str(out)]) == 0
+    monkeypatch.undo()
+    assert not any("a" in mode for mode in opened) and renamed == [str(out)]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _LQR_DESIGN_SHA256[platform]
+
+
 def test_synthesize_nxtway_smc_design_file(tmp_path):
     out = tmp_path / "design.txt"
     assert cli.run(["synthesize", "--platform", "nxtway", "--smc",
@@ -968,8 +998,7 @@ def test_a_symlinked_trace_keeps_its_link(tmp_path, monkeypatch):
 
 def test_synthesize_keeps_a_design_files_permission_bits(tmp_path, monkeypatch):
     # the rewritten design, a new file moved in (a new inode) with its
-    # closed-loop blocks appended in place after the publish, keeps the mode
-    # of the file it replaced
+    # closed-loop blocks, keeps the mode of the file it replaced
     monkeypatch.chdir(tmp_path)
     fresh, kept = Path("fresh.txt"), Path("kept.txt")
     kept.write_text("old design\n")

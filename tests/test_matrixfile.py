@@ -122,3 +122,59 @@ def test_a_reader_never_sees_part_of_a_design(tmp_path):
     assert not reader.is_alive() and errors == []
     assert {type(d) for d in designs} & set(loads)
     assert [p.name for p in tmp_path.iterdir()] == ["design.txt"]
+
+
+def _flaky(monkeypatch, name, error, times=1):
+    """Make os.<name> raise error on its first times calls; return the calls' arguments."""
+    real, calls = getattr(os, name), []
+
+    def call(*args):
+        calls.append(args)
+        if len(calls) <= times:
+            raise error(f"{name} fails")
+        return real(*args)
+    monkeypatch.setattr(os, name, call)
+    return calls
+
+
+@pytest.mark.parametrize("old", [b"old\n", None], ids=["replaced", "new"])
+@pytest.mark.parametrize("error", [KeyboardInterrupt, OSError])
+def test_a_rename_that_fails_once_leaves_the_old_or_the_new_bytes(tmp_path, monkeypatch,
+                                                                  error, old):
+    # past the unlink, the complete new file is moved in all the same; with
+    # no old file the .part file is removed, as before any publish
+    path = tmp_path / "m.txt"
+    if old is not None:
+        path.write_bytes(old)
+    calls = _flaky(monkeypatch, "rename", error)
+    with pytest.raises(error):
+        write_whole(path, lambda fh: fh.write("new\n"))
+    if old is None:
+        assert not path.exists() and len(calls) == 1
+    else:
+        assert path.read_bytes() == b"new\n" and len(calls) == 2
+    assert [p.name for p in tmp_path.iterdir()] == (["m.txt"] if old else [])
+
+
+def test_an_unlink_that_fails_leaves_the_old_bytes(tmp_path, monkeypatch):
+    path = tmp_path / "m.txt"
+    path.write_bytes(b"old\n")
+    _flaky(monkeypatch, "unlink", PermissionError)
+    with pytest.raises(PermissionError):
+        write_whole(path, lambda fh: fh.write("new\n"))
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["m.txt"]
+
+
+def test_a_rename_that_always_fails_past_the_unlink_leaves_the_new_bytes_in_the_part_file(
+        tmp_path, monkeypatch):
+    # the one case that leaves a .part file: no rename succeeds once the old
+    # file is gone, so the .part file keeps the only copy, the new bytes
+    path = tmp_path / "m.txt"
+    path.write_bytes(b"old\n")
+    _flaky(monkeypatch, "rename", OSError, times=2)
+    with pytest.raises(OSError):
+        write_whole(path, lambda fh: fh.write("new\n"))
+    [part] = tmp_path.iterdir()
+    assert part.name.startswith(".m.txt.") and part.name.endswith(".part")
+    assert part.read_bytes() == b"new\n"

@@ -5,14 +5,15 @@ principles with sympy (positions -> kinetic/potential energy -> Euler-Lagrange)
 and compare the package's forward dynamics against that independent oracle.
 """
 
+import ast
 import ctypes
 import dataclasses
 import itertools
 import math
+import random
 import re
 import shutil
 import struct
-import subprocess
 
 import numpy as np
 import pytest
@@ -589,8 +590,10 @@ def test_both_dynamics_and_the_tick_translate_to_c(platform):
     lines = [code for line in tick.splitlines() if (code := line.split("#", 1)[0]).strip()]
     declared = _FRAME + plants_module._SETTINGS + plants_module._CARRY + plants_module._COLUMNS
     declaration, *c_tick = plants_module._c_statements(tick, declared).splitlines()
-    # one C line per Python line, blocks closed by braces
-    assert len([line for line in c_tick if line.strip() != "}"]) == len(lines)
+    # one C line per Python line but else, blocks closed by braces; an elif
+    # is an if in an else block
+    assert (len([line for line in c_tick if line.strip() not in ("}", "else {")])
+            == len([line for line in lines if line.strip() != "else:"]))
     assert all(line.endswith((";", "{", "}")) and "#" not in line for line in c_tick)
     assert "".join(c_tick).count("{") == "".join(c_tick).count("}")
     assert sum("while (" in line for line in c_tick) == 1 and "break;" in "".join(c_tick)
@@ -606,10 +609,305 @@ def test_both_dynamics_and_the_tick_translate_to_c(platform):
         "for (i = 0.0; i < steps; i = i + 1.0) {"]
     source = plants_module._c_source(platform)
     assert source.count("s = sin(") == 4 == source.count("co = cos(")
-    assert "y2 = y2 + w * (" in source and "double y2 = y2" not in source
+    assert "y2 = (y2 + (w * (" in source and "double y2 = y2" not in source
     assert source.count("{") == source.count("}") and re.search(r"\{\w", source) is None
     assert plants_module._c_statements("for n in range(count):\n    x = x + 1.0", ()) == (
-        "double n, x;\nfor (n = 0.0; n < count; n = n + 1.0) {\n    x = x + 1.0;\n}")
+        "double n, x;\nfor (n = 0.0; n < count; n = n + 1.0) {\n    x = (x + 1.0);\n}")
+
+
+def _c_function(tmp_path, functions, arguments):
+    """Build C functions (name, statements, results) of the arguments, doubles
+    but k, an int64_t, into one object: each returns its results through a
+    double pointer."""
+    declare = ", ".join(("int64_t " if a == "k" else "double ") + a for a in arguments)
+    source = "#include <math.h>\n#include <stdint.h>\n"
+    for name, statements, results in functions:
+        source += (f"\nvoid {name}({declare}, double *out)\n{{\n{statements}\n"
+                   + "".join(f"out[{i}] = {r};\n" for i, r in enumerate(results)) + "}\n")
+    so_file = tmp_path / "f.so"
+    plants_module._build(source, str(so_file))
+    library = ctypes.CDLL(str(so_file))
+    loaded = []
+    for name, _, results in functions:
+        f = getattr(library, name)
+        f.restype = None
+        f.argtypes = [ctypes.c_int64 if a == "k" else ctypes.c_double for a in arguments] + [
+            ctypes.c_void_p]
+
+        def call(*x, f=f, size=len(results)):
+            out = (ctypes.c_double * size)()
+            f(*x, out)
+            return list(out)
+        loaded.append(call)
+    return loaded
+
+
+def _python_results(text, names, x, results, **more):
+    """results after text runs on names = x and more, with the tick's calls."""
+    namespace = {"sin": math.sin, "cos": math.cos, "copysign": math.copysign,
+                 **dict(zip(names, x)), **more}
+    exec(text, namespace)
+    return [float(namespace[r]) for r in results]
+
+
+def _bits(values):
+    values = list(values)
+    return struct.pack(f"{len(values)}d", *values)
+
+
+def _quiet(x):
+    """x, with every NaN the one NaN."""
+    return math.nan if math.isnan(x) else x
+
+
+@pytest.mark.parametrize("line, outcome", [
+    ("r = a ** 2.0", "no build"),
+    ("r = a // b", "no build"),
+    ("r = 2 * a", "exact"),  # the integer converts to a double exactly
+    ("r = a / 3  # a third", "exact"),
+    ("r = tan(a)", "no Python kernel"),
+    ("r = q2d * exp(a)", "no Python kernel"),
+    ("r = a if b else c", "no build"),
+    ("r = a % b", "no build"),
+    ("r = a[0.0]", "no build"),
+    ("r = 1_000.0 * a", "exact"),  # the parser reads the underscore, as C's 1000.0
+    ("r = sin", "no build"),
+    ("r a", "no build"),
+    ("r =", "no build"),
+])
+def test_stage_lines_c_cannot_run_stop_at_the_compiler_or_the_python_kernel(tmp_path, line,
+                                                                            outcome):
+    """A stage line outside C's shared arithmetic never reaches a native stepper.
+
+    _c_statements refuses such a line when the source is generated, so no
+    object is built (no build), one with a name the Python kernel lacks
+    fails there as well, and one it translates evaluates to the same bits
+    as Python.
+    """
+    step = f"s = sin(q2)\n{line}\nq1dd = r / 2.0"
+    inputs = [(0.3, -1.7, 2.5, 0.2, -0.9), (-0.0, 5e-324, 1e3, -1e3, 0.0),
+              (7.0, 1.0, -3.0, 0.5, 1.5)]
+    names = ("a", "b", "c", "q2", "q2d")
+    if outcome != "exact":
+        if outcome == "no Python kernel":
+            with pytest.raises(NameError):
+                _python_results(step, names, inputs[0], ["q1dd"])
+        with pytest.raises((ValueError, SyntaxError)):
+            plants_module._c_statements(step, names)
+        return
+    statements = plants_module._c_statements(step, names)
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc) on PATH: the tick loop runs in Python")
+    [f] = _c_function(tmp_path, [("f", statements, ["q1dd"])], names)
+    for x in inputs:
+        assert _bits(f(*x)) == _bits(_python_results(step, names, x, ["q1dd"]))
+
+
+# Lines C would compute otherwise than Python, each refused when the source is
+# generated, with no compiler needed; a, b, c, v and the frame's k and rows are
+# declared, and p is given comparisons only
+@pytest.mark.parametrize("text", [
+    "x = a < b < c",  # a chained comparison: C compares a truth value with c
+    "x = a ** b",
+    "x = a // b",
+    "x = a % b",
+    "x = a if b else c",
+    "x = 1 / 2",  # C divides integers as integers
+    "x = k / rows",
+    "x = (a < b) / (c < a)",
+    "x = -1 / (2 + 3)",
+    "x = (k + 1) / 2",
+    "x = a and b",  # C stores 1 where Python stores b
+    "x = a or b < c",
+    "x = (a < b and c) * 2.0",
+    "p = a < b\nx = p and a",
+    "p = a < b\np = 2.0",  # a name given a truth value and a number
+    "for i in range(3):\n    x = a\np = i and a < b",
+    "x = a < b\nfor x in range(3):\n    y = a",
+    "for i in range(3):\n    x = i",  # C counts a double where Python counts an int
+    "for i in range(3):\n    x = a\ny = -i",
+    "for i in range(3):\n    i = a",
+    "x = tan(a)",
+    "x = +a",
+    "x = ~k",
+    "x = a @ b",
+    "x = a[0.0]",
+    "x = v[k + 1]",
+    "x = a.real",
+    "x = sin",
+    "sin = a",
+    "x = abs(a=b)",
+    "x = True",
+    "x = 'a'",
+    "x = 1j",
+    "x = 100000000000000000000 * a",  # no C integer holds it
+    "x = [a]",
+    "x, y = a, b",
+    "x = y = a",
+    "x += a",
+    "x: float = a",
+    "x = (y := a)",
+    "if a:\n    pass",
+    "while a:\n    x = a\nelse:\n    x = b",
+    "for i in range(3):\n    x = a\nelse:\n    x = b",
+    "for i in range(1, 3):\n    x = a",
+    "for i in [a, b]:\n    x = a",
+    "for i, j in range(3):\n    x = a",
+    "def f():\n    x = a",
+    "assert a",
+    "a",
+])
+def test_the_c_translation_refuses_what_c_computes_otherwise(text):
+    with pytest.raises(ValueError):
+        plants_module._c_statements(text, ("a", "b", "c", "v", "k", "rows"))
+
+
+def test_not_before_a_comparison_translates_as_python_reads_it(tmp_path):
+    # Python reads not a == b as not (a == b); C reads ! a == b as (!a) == b
+    text = "x = not a == b\ny = not a < b and b > 0.0\nz = a < b or not b"
+    statements = plants_module._c_statements(text, ("a", "b"))
+    assert "x = (!(a == b));" in statements.splitlines()
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc) on PATH: the tick loop runs in Python")
+    [f] = _c_function(tmp_path, [("f", statements, ["x", "y", "z"])], ("a", "b"))
+    for x in [(0.5, 2.0), (2.0, 2.0), (-0.0, 0.0), (math.nan, 1.0), (0.0, -1.0)]:
+        assert _bits(f(*x)) == _bits(_python_results(text, ("a", "b"), x, ["x", "y", "z"]))
+    assert f(0.5, 2.0) == [1.0, 0.0, 1.0]
+
+
+# doubles the generated texts run on: signed zeros, infinities, a NaN,
+# subnormals, the smallest normal and ordinary and huge values
+_EDGES = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+          1.0, -1.5, 0.1, 3.0, -7.25, 1e300, -1e-300)
+
+
+class _Texts:
+    """Seeded random statements and expressions over the C subset of the tick text.
+
+    a, b, c and d are the inputs and v[k] reads a column; t0..t3 hold numbers
+    and p0, p1 truth values, all assigned first, so each is defined on every
+    path; each while runs at most three times and each for over a literal
+    count, and neither's counter is read.
+    """
+
+    def __init__(self, seed):
+        self.rng, self.loops, self.counters = random.Random(seed), 0, []
+
+    def number(self, depth):
+        rng = self.rng
+        if depth == 0 or rng.random() < 0.2:
+            return rng.choice([ast.Name(rng.choice("abcd")), ast.Name(f"t{rng.randrange(4)}"),
+                               ast.Constant(rng.choice((0.5, -0.0, 2.0, 1e-3, 3.5))),
+                               ast.Subscript(ast.Name("v"), ast.Name("k"))])
+        kind, sub = rng.randrange(7), depth - 1
+        if kind == 0:
+            op = rng.choice((ast.Add, ast.Sub, ast.Mult, ast.Div))()
+            # a / of a double: a name or a float, which hold no integer
+            right = (rng.choice([ast.Name(rng.choice("abcd")), ast.Constant(0.25)])
+                     if isinstance(op, ast.Div) else self.number(sub))
+            return ast.BinOp(self.number(sub), op, right)
+        if kind == 1:
+            return ast.UnaryOp(ast.USub(), self.number(sub))
+        if kind == 2:
+            name = rng.choice(("sin", "cos", "abs", "copysign"))
+            args = [self.number(sub) for _ in range(2 if name == "copysign" else 1)]
+            return ast.Call(ast.Name(name), args, [])
+        if kind == 3:  # an int that converts to a double exactly
+            return ast.BinOp(ast.Constant(rng.choice((2, 3, -4))),
+                             rng.choice((ast.Add, ast.Sub, ast.Mult))(), self.number(sub))
+        if kind == 4:  # a truth value as a number
+            return ast.BinOp(self.truth(sub), rng.choice((ast.Add, ast.Sub, ast.Mult))(),
+                             self.number(sub))
+        return ast.BinOp(self.number(sub), rng.choice((ast.Add, ast.Mult))(), self.number(sub))
+
+    def truth(self, depth):
+        rng = self.rng
+        kind = rng.randrange(4 if depth else 1)
+        if kind == 0:
+            return ast.Compare(self.number(max(depth - 1, 0)), [rng.choice(
+                (ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE))()],
+                [self.number(max(depth - 1, 0))])
+        if kind == 1:
+            return ast.UnaryOp(ast.Not(), rng.choice([self.truth, self.number])(depth - 1))
+        if kind == 2:
+            return ast.BoolOp(rng.choice((ast.And, ast.Or))(),
+                              [self.truth(depth - 1) for _ in range(rng.randint(2, 3))])
+        return ast.Name(f"p{rng.randrange(2)}")
+
+    def test(self, depth):
+        """An if or while test: and/or may take any operands, as only truth is read."""
+        rng = self.rng
+        if rng.random() < 0.4:
+            return ast.BoolOp(rng.choice((ast.And, ast.Or))(), [
+                rng.choice([self.truth, self.number])(depth) for _ in range(rng.randint(2, 3))])
+        return rng.choice([self.truth, self.number])(depth)
+
+    def statements(self, depth, loop=False):
+        rng, out = self.rng, []
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.randrange(6 if depth else 2)
+            if kind == 0:
+                out.append(ast.Assign([ast.Name(f"t{rng.randrange(4)}")], self.number(3)))
+            elif kind == 1:
+                out.append(ast.Assign([ast.Name(f"p{rng.randrange(2)}")], self.truth(3)))
+            elif kind == 2:
+                orelse = rng.choice([[], self.statements(depth - 1, loop),
+                                     [ast.If(self.test(2), self.statements(depth - 1, loop), [])]])
+                out.append(ast.If(self.test(2), self.statements(depth - 1, loop), orelse))
+            elif kind == 3:
+                self.loops += 1
+                count = ast.Call(ast.Name("range"), [ast.Constant(rng.randrange(4))], [])
+                out.append(ast.For(ast.Name(f"i{self.loops}"), count,
+                                   self.statements(depth - 1, True), []))
+            elif kind == 4:
+                self.loops += 1
+                w = f"w{self.loops}"
+                self.counters.append(w)
+                guard = ast.Compare(ast.Name(w), [ast.Lt()], [ast.Constant(3.0)])
+                step = ast.Assign([ast.Name(w)], ast.BinOp(ast.Name(w), ast.Add(),
+                                                           ast.Constant(1.0)))
+                out += [ast.Assign([ast.Name(w)], ast.Constant(0.0)),
+                        ast.While(ast.BoolOp(ast.And(), [guard, self.test(2)]),
+                                  [step] + self.statements(depth - 1, True), [])]
+            elif loop:
+                out.append(ast.If(self.test(2), [ast.Break()], []))
+        return out or [ast.Assign([ast.Name("t0")], self.number(1))]
+
+    def text(self):
+        """A program and the names whose values it leaves."""
+        body = self.statements(3)
+        names = [f"t{i}" for i in range(4)] + self.counters
+        first = [ast.Assign([ast.Name(name)], ast.Constant(0.0)) for name in names]
+        first += [ast.Assign([ast.Name(f"p{i}")], self.truth(0)) for i in range(2)]
+        text = ast.unparse(ast.fix_missing_locations(ast.Module(first + body, [])))
+        return text, names + ["p0", "p1"]
+
+
+def test_generated_texts_run_in_c_as_in_python_bit_for_bit(tmp_path):
+    """Seeded texts over the whole C subset, each compiled into one C function
+    and run on edge doubles: where Python finishes, C gives the same bits."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc) on PATH: the tick loop runs in Python")
+    texts = [_Texts(seed).text() for seed in range(40)]
+    arguments = ("a", "b", "c", "d", "v0", "v1", "k")
+    functions = [(f"f{i}", "const double v[2] = {v0, v1};\n"
+                  + plants_module._c_statements(text, ("a", "b", "c", "d", "v", "k")), results)
+                 for i, (text, results) in enumerate(texts)]
+    rng, compared = random.Random(7), 0
+    for f, (text, results) in zip(_c_function(tmp_path, functions, arguments), texts):
+        for _ in range(60):
+            x = [rng.choice(_EDGES) for _ in range(6)] + [rng.randrange(2)]
+            try:
+                want = _python_results(text, ("a", "b", "c", "d"), x[:4], results,
+                                       v=x[4:6], k=x[6])
+            except (ZeroDivisionError, ValueError):
+                continue  # Python raises where C runs on in infinities and NaNs
+            got = f(*x)
+            # a NaN matches any NaN: IEEE 754 leaves a NaN result's sign open, and
+            # GCC may fold -x * -y into x * y
+            assert _bits(map(_quiet, got)) == _bits(map(_quiet, want)), (text, x)
+            compared += 1
+    assert compared > 1000
 
 
 def _names(text):
@@ -640,58 +938,3 @@ def test_the_period_names_are_its_own(platform):
     assert {"a3", "yp", "det", "f1"} <= own and {"v", "i", "steps", "h", "p2", "r1"} <= others
     assert own & others == set()
     assert set(constants(default_params(platform))) & (own | others) == set()
-
-
-@pytest.mark.parametrize("line, outcome", [
-    ("r = a ** 2.0", "no build"),
-    ("r = a // b", "no build"),
-    ("r = 2 * a", "exact"),  # the integer converts to a double exactly
-    ("r = a / 3  # a third", "exact"),
-    ("r = tan(a)", "no Python kernel"),
-    ("r = q2d * exp(a)", "no Python kernel"),
-    ("r = a if b else c", "no build"),
-    ("r = a % b", "no build"),
-    ("r = a[0.0]", "no build"),
-    ("r = 1_000.0 * a", "no build"),
-    ("r = sin", "no build"),
-    ("r a", "no build"),
-    ("r =", "no build"),
-])
-def test_stage_lines_c_cannot_run_stop_at_the_compiler_or_the_python_kernel(tmp_path, line,
-                                                                            outcome):
-    """A stage line outside C's shared arithmetic never reaches a native stepper.
-
-    _c_statements emits every line as it stands; one C cannot compile fails
-    the build, one with a name the Python kernel lacks fails there first,
-    and one C does compile evaluates to the same bits as Python.
-    """
-    step = f"s = sin(q2)\n{line}\nq1dd = r / 2.0"
-    inputs = [(0.3, -1.7, 2.5, 0.2, -0.9), (-0.0, 5e-324, 1e3, -1e3, 0.0),
-              (7.0, 1.0, -3.0, 0.5, 1.5)]
-
-    def python(x):
-        namespace = {"sin": math.sin, "cos": math.cos, **dict(zip(("a", "b", "c", "q2", "q2d"), x))}
-        exec(step, namespace)
-        return namespace["q1dd"]
-
-    if outcome == "no Python kernel":
-        with pytest.raises(NameError):
-            python(inputs[0])
-        return
-    if shutil.which("cc") is None:
-        pytest.skip("no C compiler (cc) on PATH: the tick loop runs in Python")
-    statements = plants_module._c_statements(step, ())
-    assert line.split("#", 1)[0].strip() in statements  # emitted as it stands
-    source = ("#include <math.h>\n\ndouble f(double a, double b, double c, double q2, double q2d)\n"
-              "{\n" + statements + "\nreturn q1dd;\n}\n")
-    so_file = tmp_path / "f.so"
-    if outcome == "no build":
-        with pytest.raises(subprocess.CalledProcessError):
-            plants_module._build(source, str(so_file))
-        assert not so_file.exists()
-        return
-    plants_module._build(source, str(so_file))
-    f = ctypes.CDLL(str(so_file)).f
-    f.restype, f.argtypes = ctypes.c_double, [ctypes.c_double] * 5
-    for x in inputs:
-        assert struct.pack("d", f(*x)) == struct.pack("d", python(x))

@@ -1831,7 +1831,7 @@ def test_a_stepper_that_fails_the_probe_is_not_used(tmp_path, monkeypatch, weigh
 
     def off(platform):
         source = c_source(platform)
-        changed = source.replace("w * (a3 + 2.0 * b3", f"w * (a3 + {weight}")
+        changed = source.replace("(a3 + (2.0 * b3)", f"(a3 + ({weight})")
         assert changed != source
         return changed
 
