@@ -34,11 +34,14 @@ beyond DIVERGENCE_LIMIT or leaves the floats, which the Python loop meets
 as a raise and the C loop as infinities and NaNs.
 
 native_function is the one path by which C reaches the package: it builds
-an object from its source once, keeps it in a per-user cache under its name
-and a hash of the source, and loads one function from it. The tick loop's
-objects (tick-rotpen, tick-nxtway) and simulate's trace formatter (csv) go
-through it; each caller probes what it loads against its Python
-counterpart before using it.
+an object from its generated source once, keeps it in a per-user cache
+under its name and a hash of what generates it (the generating module's
+source bytes, read at that module's import), and loads one function from
+it. The tick loop's objects (tick-rotpen, tick-nxtway) and simulate's trace
+formatter (csv) go through it; each caller probes what it loads against
+its Python counterpart before using it. The tick loop's probe compares the
+C runs with a digest of the Python runs' outcomes stored beside the object,
+and runs the Python ones again only when that digest is missing or differs.
 """
 
 from __future__ import annotations
@@ -55,13 +58,16 @@ import re
 import stat
 import struct
 import subprocess
+import sys
 import sysconfig
 import tempfile
 import time
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 import numpy as np
+
+from .matrixfile import write_whole
 
 __all__ = [
     "RotPenParams",
@@ -73,6 +79,7 @@ __all__ = [
     "tick_loop",
     "DIVERGENCE_LIMIT",
     "native_function",
+    "module_source",
     "mechanical_energy",
 ]
 
@@ -561,9 +568,12 @@ def _c_statements(text: str, declared: tuple) -> str:
 
     Beyond _C: names, numbers up to 2**53, name[name], assignments, if/else,
     while, break and `for name in range(count)` over a double it names
-    nowhere else. All else raises ValueError, as do a / of two C integers, an
-    and/or read as a number from other than truth values (C gives 1, Python
-    an operand), and a name given truth values and others.
+    nowhere else. All else raises ValueError, as do a / of two C integers,
+    any other arithmetic of two C integers unless one is the frame's 64-bit
+    k or rows (C's int overflows), a for whose body assigns a name its count
+    reads (C reads the count on every pass, Python once), an and/or read as
+    a number from other than truth values (C gives 1, Python an operand),
+    and a name given truth values and others.
     """
     truths = {}  # each name assigned, not declared: holds truth values? (None: a for counter)
 
@@ -571,9 +581,21 @@ def _c_statements(text: str, declared: tuple) -> str:
         return (isinstance(node, (ast.Compare, ast.BoolOp)) or isinstance(node, ast.UnaryOp)
                 and isinstance(node.op, ast.Not) or truths.get(getattr(node, "id", None), False))
 
-    def integral(node):  # whether C may compute node in integers
-        return any(truth(x) or type(getattr(x, "value", None)) is int
-                   or getattr(x, "id", None) in ("k", "rows") for x in ast.walk(node))
+    def integer(node):  # the bits of the C integer node is computed in, or 0 for a double
+        match node:
+            case ast.Name("k" | "rows"):
+                return 64
+            case ast.Constant(int()) | ast.Compare() | ast.BoolOp() | ast.UnaryOp(ast.Not()):
+                return 32
+            case ast.UnaryOp(_, operand):
+                return integer(operand)
+            case ast.BinOp(a, _, b) if integer(a) and integer(b):
+                return max(integer(a), integer(b))
+        return 0
+
+    def names(node, store=False):  # the names node reads, or those it assigns
+        return {x.id for x in ast.walk(node)
+                if isinstance(x, ast.Name) and isinstance(x.ctx, ast.Store) == store}
 
     def c(node, test=False):  # an expression's C, a statement's lines; test: only truth is read
         match node:
@@ -591,8 +613,10 @@ def _c_statements(text: str, declared: tuple) -> str:
                 return f"{_C[f]}({', '.join(map(c, args))})"
             case ast.UnaryOp(op, operand) if type(op) in _C:
                 return f"({_C[type(op)]}{c(operand, type(op) is ast.Not)})"
-            case ast.BinOp(a, op, b) | ast.Compare(a, [op], [b]) if type(op) in _C and (
-                    type(op) is not ast.Div or not (integral(a) and integral(b))):
+            case ast.BinOp(a, op, b) if type(op) in _C and integer(a) and integer(b) and (
+                    type(op) is ast.Div or max(integer(a), integer(b)) < 64):
+                raise ValueError(f"C computes {ast.unparse(node)!r} in integers")
+            case ast.BinOp(a, op, b) | ast.Compare(a, [op], [b]) if type(op) in _C:
                 return f"({c(a)} {_C[type(op)]} {c(b)})"
             case ast.BoolOp(op, values) if test or all(map(truth, values)):
                 return "(" + f" {_C[type(op)]} ".join(c(value, test) for value in values) + ")"
@@ -602,8 +626,9 @@ def _c_statements(text: str, declared: tuple) -> str:
                 return block(f"if ({c(cond, True)})", body) + (orelse and block("else", orelse))
             case ast.While(cond, body, []):
                 return block(f"while ({c(cond, True)})", body)
+            # a counter named before or after its for is refused, as is a count the for assigns
             case ast.For(ast.Name(n), ast.Call(ast.Name("range"), [count], []), body, []) if (
-                    n not in truths):  # a counter named before or after its for is refused
+                    n not in truths and not names(count) & names(node, store=True)):
                 truths[n] = None
                 return block(f"for ({n} = 0.0; {n} < {c(count)}; {n} = {n} + 1.0)", body)
             case ast.Break():
@@ -694,9 +719,28 @@ def _cache_dir():
     return None
 
 
-def _cache_key(source: str) -> str:
-    """sha256 of the C source, the compile command and the platform tag."""
-    text = "\0".join([source, *_CC, "-lm", sysconfig.get_platform()])
+def module_source(spec):
+    """The bytes of the file that a module's spec loads, read through its loader, or None.
+
+    A module that generates C reads its own at import and passes them to
+    native_function, so an edit of the file after the import cannot key
+    the running generator's object by another text.
+    """
+    try:
+        return spec.loader.get_data(spec.origin)
+    except (AttributeError, OSError, TypeError):
+        return None
+
+
+# plants' own source bytes: what generates the tick-<platform> objects
+_GENERATOR = module_source(__spec__)
+
+
+def _cache_key(name: str, generator: bytes) -> str:
+    """sha256 of the sha256 of generator, the object name, the compile command, the
+    platform tag and the interpreter's cache tag (its ast and its Python loop)."""
+    text = "\0".join([hashlib.sha256(generator).hexdigest(), name, *_CC, "-lm",
+                      sysconfig.get_platform(), str(sys.implementation.cache_tag)])
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -712,37 +756,49 @@ def _build(source: str, path: str) -> None:
 
 
 # An object of another key is deleted once no process has loaded it for this
-# long. Two checkouts with different C sources that share a cache (a paired
+# long. Two checkouts with different sources that share a cache (a paired
 # benchmark's parent and change, say) each keep their object, and neither
 # rebuilds on every alternating run.
 _UNUSED_SECONDS = 30 * 24 * 3600
 
 
 def _prune(folder: str, keep: str) -> None:
-    """Delete each object in folder but keep, whatever its name, untouched for _UNUSED_SECONDS."""
+    """Delete each object in folder but keep, whatever its name, untouched for
+    _UNUSED_SECONDS, with its .probe file, and each .probe file as old whose object is gone."""
     cutoff = time.time() - _UNUSED_SECONDS
-    with contextlib.suppress(OSError), os.scandir(folder) as entries:
-        for entry in entries:
-            if (entry.name.endswith(".so") and entry.name != keep
-                    and entry.stat(follow_symlinks=False).st_mtime < cutoff):
-                os.remove(entry.path)
+    with contextlib.suppress(OSError):
+        with os.scandir(folder) as entries:
+            ages = {entry.name: entry.stat(follow_symlinks=False).st_mtime for entry in entries
+                    if entry.name.endswith((".so", ".probe"))}
+        for name, mtime in ages.items():
+            stem, suffix = os.path.splitext(name)
+            if mtime < cutoff and name != keep and (suffix == ".so" or f"{stem}.so" not in ages):
+                for gone in (f"{stem}.so", f"{stem}.probe"):
+                    with contextlib.suppress(FileNotFoundError):
+                        os.remove(os.path.join(folder, gone))
 
 
-def native_function(name: str, source: str, symbol: str, signature: tuple):
-    """The function symbol of the C object built from source, or None.
+def native_function(name: str, generator: bytes | None, source: Callable[[], str], symbol: str,
+                    signature: tuple):
+    """(The function symbol of the C object source() writes, the object's path), or (None, None).
 
-    The object is <name>-<key>.so in the cache directory, where key is a
-    sha256 of the C source, the compile command and the platform tag: loaded
-    from there, or compiled there first, or, without a safe cache directory,
-    compiled and loaded in a private temporary directory. A load touches the
-    object's mtime; a build deletes every other object, whatever its name,
-    that no process has loaded for 30 days. signature names the
-    function's ctypes result type, then its argument types. None without
-    cc, ctypes or a loadable object; the caller probes the function before
-    using it.
+    The object is <name>-<key>.so in the cache directory. key is a sha256 of
+    generator, the generating module's source bytes (module_source, read at
+    its import), the name, the compile command, the platform tag and the
+    interpreter's cache tag; without generator, of the C text source()
+    returns in its place. The object is loaded from there, or compiled
+    there first, or, without a safe cache directory, compiled and loaded in
+    a private temporary directory, and then its path is None. source is
+    called only to compile, or for a key without generator. A load touches
+    the object's mtime; a build deletes every other object, whatever its
+    name, that no process has loaded for 30 days. signature names the
+    function's ctypes result type, then its argument types. (None, None)
+    without cc, ctypes or a loadable object; the caller probes the
+    function before using it.
     """
     try:
-        file = f"{name}-{_cache_key(source)}.so"
+        key = _cache_key(name, source().encode() if generator is None else generator)
+        file = f"{name}-{key}.so"
         cache = _cache_dir()
         with (contextlib.nullcontext(cache) if cache else tempfile.TemporaryDirectory()) as folder:
             path = os.path.join(folder, file)
@@ -750,11 +806,11 @@ def native_function(name: str, source: str, symbol: str, signature: tuple):
                 with contextlib.suppress(OSError):
                     os.utime(path)
             else:
-                _build(source, path)
+                _build(source(), path)
                 _prune(folder, file)
-            return _load(path, symbol, signature)
+            return _load(path, symbol, signature), cache and path
     except (ImportError, OSError, AttributeError, subprocess.SubprocessError):
-        return None
+        return None, None
 
 
 def _load(path: str, symbol: str, signature: tuple):
@@ -780,11 +836,29 @@ def _native_library(platform: str):
     """The platform's C run kernel, or None to use the Python one.
 
     Once per process and platform, on first use, through native_function:
-    the object tick-<platform>. None without it, or when a probe run of
-    the C kernel differs from the Python kernel's.
+    the object tick-<platform>, used only where its probe runs give the
+    Python loop's outcomes: those whose sha256 is stored beside the object,
+    in <object>.probe, or, where that file is missing, unreadable or
+    differs, those of the Python runs, and then the file is written whole.
+    None without the object, or when a probe run of the C kernel differs
+    from the Python kernel's.
     """
-    run = native_function(f"tick-{platform}", _c_source(platform), "run", _RUN_SIGNATURE)
-    return None if run is None or _probe_mismatch(platform, run) is not None else run
+    run, path = native_function(f"tick-{platform}", _GENERATOR,
+                                functools.partial(_c_source, platform), "run", _RUN_SIGNATURE)
+    if run is None:
+        return None
+    digest = _outcomes_digest(_probe_outcomes(platform, run))
+    stored = path and os.path.splitext(path)[0] + ".probe"
+    if stored:
+        with contextlib.suppress(OSError, ValueError), open(stored, encoding="ascii") as f:
+            if f.read(len(digest) + 1) == digest:
+                return run
+    if _probe_mismatch(platform, run) is not None:
+        return None
+    if stored:  # the C outcomes are now the Python loop's
+        with contextlib.suppress(OSError):
+            write_whole(stored, lambda f: f.write(digest))
+    return run
 
 
 def _probe_outcomes(platform: str, native) -> list:
@@ -800,6 +874,15 @@ def _probe_outcomes(platform: str, native) -> list:
                                             settings, _PROBES[i % len(_PROBES)], native)
         outcomes.append((table.tobytes(), k, struct.pack(f"{len(carry)}d", *carry), diverged))
     return outcomes
+
+
+def _outcomes_digest(outcomes: list) -> str:
+    """sha256 of _probe_outcomes: per run, the table's size and bytes, the row
+    reached, the carried state bits and the flag."""
+    digest = hashlib.sha256()
+    for table, k, carry, diverged in outcomes:
+        digest.update(struct.pack("<qq?", len(table), k, diverged) + table + carry)
+    return digest.hexdigest()
 
 
 def _probe_mismatch(platform: str, native):

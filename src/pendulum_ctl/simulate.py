@@ -50,7 +50,7 @@ import numpy as np
 
 from .linearize import closed_form
 from .matrixfile import write_whole
-from .plants import DIVERGENCE_LIMIT, PlantParams, native_function, tick_loop
+from .plants import DIVERGENCE_LIMIT, PlantParams, module_source, native_function, tick_loop
 from .synthesis import LqrDesign, SmcDesign
 
 __all__ = [
@@ -508,6 +508,9 @@ int64_t format_rows(int64_t ncols, const int64_t *cols, int64_t start, int64_t s
 }
 """
 
+# simulate's own source bytes: what generates the csv object
+_GENERATOR = module_source(__spec__)
+
 # The decimal exponents k = floor(log10 2^q), or floor(log10 (3/4) 2^q), of
 # the doubles' binary exponents q in [-1074, 971]
 _POW10_RANGE = range(-324, 293)
@@ -593,7 +596,8 @@ def _formatter():
     cached and loaded by plants.native_function. None without it, or when
     it formats a probe cell otherwise than repr.
     """
-    native = native_function("csv", _csv_c_source(), "format_rows", _FORMAT_SIGNATURE)
+    native, _ = native_function("csv", _GENERATOR, _csv_c_source, "format_rows",
+                                _FORMAT_SIGNATURE)
     return None if native is None or _formatter_mismatch(native) is not None else native
 
 

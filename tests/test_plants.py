@@ -613,6 +613,8 @@ def test_both_dynamics_and_the_tick_translate_to_c(platform):
     assert source.count("{") == source.count("}") and re.search(r"\{\w", source) is None
     assert plants_module._c_statements("for n in range(count):\n    x = x + 1.0", ()) == (
         "double n, x;\nfor (n = 0.0; n < count; n = n + 1.0) {\n    x = (x + 1.0);\n}")
+    # C adds the frame's 64-bit k and an int in 64 bits
+    assert plants_module._c_statements("x = k + 1", _FRAME) == "double x;\nx = (k + 1);"
 
 
 def _c_function(tmp_path, functions, arguments):
@@ -671,6 +673,8 @@ def _quiet(x):
     ("r = a % b", "no build"),
     ("r = a[0.0]", "no build"),
     ("r = 1_000.0 * a", "exact"),  # the parser reads the underscore, as C's 1000.0
+    ("r = (a + 1) / 2", "exact"),  # a double over an integer: C divides doubles
+    ("r = (a < b) * 2.0 - 3 * c", "exact"),  # integers times doubles
     ("r = sin", "no build"),
     ("r a", "no build"),
     ("r =", "no build"),
@@ -741,6 +745,15 @@ def test_stage_lines_c_cannot_run_stop_at_the_compiler_or_the_python_kernel(tmp_
     "x = 'a'",
     "x = 1j",
     "x = 100000000000000000000 * a",  # no C integer holds it
+    "x = 100000 * 100000 * a",  # C's 32-bit int overflows
+    "x = -2 * (3 - 4)",
+    "x = (a < b) + (b < c)",
+    "x = 1 - 2 + a",
+    "x = (a < b) * 2",
+    "for i in range(a):\n    a = a - 1.0",  # C reads the count on every pass, Python once
+    "for i in range(a + b):\n    if c < a:\n        b = c",
+    "for i in range(a):\n    while b < c:\n        a = b",
+    "for i in range(i):\n    x = a",
     "x = [a]",
     "x, y = a, b",
     "x = y = a",

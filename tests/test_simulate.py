@@ -1483,6 +1483,12 @@ def _fresh_native(monkeypatch, cache_home):
     return fresh
 
 
+def _own_object(platform):
+    """The file name of this source's tick-<platform> object in the kernel cache."""
+    key = plants_module._cache_key(f"tick-{platform}", plants_module._GENERATOR)
+    return f"tick-{platform}-{key}.so"
+
+
 def _loop_name(platform):
     """The tick loop platform runs: native or python."""
     return "python" if plants_module._native_library(platform) is None else "native"
@@ -1850,8 +1856,7 @@ def test_a_cache_directory_others_may_write_is_not_used(tmp_path, monkeypatch, m
     shared.mkdir(parents=True)
     shared.chmod(mode)
     native = _fresh_native(monkeypatch, tmp_path / "cache")
-    key = plants_module._cache_key(plants_module._c_source("rotpen"))
-    name = f"tick-rotpen-{key}.so"
+    name = _own_object("rotpen")
     (shared / name).write_bytes(b"not a shared object")  # would fail to load
     private = tmp_path / "tmp"
     private.mkdir()
@@ -1866,21 +1871,160 @@ def test_a_second_process_loads_the_cached_kernel_without_cc(tmp_path, monkeypat
     _native_or_skip("nxtway", tmp_path)
     native = _fresh_native(monkeypatch, tmp_path / "cache")
     assert native("nxtway") is not None
-    (built,) = (tmp_path / "cache" / "pendulum_ctl").iterdir()
-    key = plants_module._cache_key(plants_module._c_source("nxtway"))
-    assert built.name == f"tick-nxtway-{key}.so"
+    folder = tmp_path / "cache" / "pendulum_ctl"
+    built = folder / _own_object("nxtway")
+    stored = built.with_suffix(".probe")
+    assert sorted(os.listdir(folder)) == sorted([built.name, stored.name])
+    digest = stored.read_text()
     day = time.time() - 86400
     os.utime(built, (day, day))
     before = built.stat()
     (tmp_path / "bin").mkdir()
-    code = "from pendulum_ctl import plants; print(plants._native_library('nxtway') is not None)"
+    # the Python loop's outcomes come from the .probe file: no Python kernel is compiled
+    code = ("from pendulum_ctl import plants; "
+            "print(plants._native_library('nxtway') is not None, "
+            "plants._kernel_factory.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PATH": str(tmp_path / "bin"),
                               "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert out.stdout.strip() == "True", out.stderr
+    assert out.stdout.strip() == "True 0", out.stderr
     after = built.stat()
     # the same object, not rebuilt, and its load touched it
     assert after.st_ino == before.st_ino and after.st_mtime > day + 3600
+    assert stored.read_text() == digest
+
+
+def test_the_cache_key_is_the_generator_the_name_the_compiler_and_the_interpreter(monkeypatch):
+    # the generator is the generating module's file, read at its import
+    for module in (plants_module, simulate_module):
+        with open(module.__file__, "rb") as f:
+            assert module._GENERATOR == f.read()
+    generator = plants_module._GENERATOR
+    key = plants_module._cache_key("tick-rotpen", generator)
+    assert plants_module._cache_key("tick-rotpen", generator) == key
+    edited = bytearray(generator)
+    edited[len(edited) // 2] ^= 1  # one byte of the module source
+    assert plants_module._cache_key("tick-rotpen", bytes(edited)) != key
+    assert plants_module._cache_key("tick-nxtway", generator) != key
+    monkeypatch.setattr(plants_module, "_CC", plants_module._CC + ("-g",))
+    assert plants_module._cache_key("tick-rotpen", generator) != key
+    monkeypatch.undo()
+    monkeypatch.setattr(sys.implementation, "cache_tag", "cpython-00")
+    assert plants_module._cache_key("tick-rotpen", generator) != key
+
+
+def test_without_its_module_source_an_object_is_keyed_by_its_c_text(tmp_path, monkeypatch):
+    _native_or_skip("rotpen", tmp_path)
+    assert plants_module.module_source(None) is None
+    monkeypatch.setattr(plants_module, "_GENERATOR", None)
+    native = _fresh_native(monkeypatch, tmp_path / "cache")
+    assert native("rotpen") is not None
+    key = plants_module._cache_key("tick-rotpen", plants_module._c_source("rotpen").encode())
+    assert f"tick-rotpen-{key}.so" in os.listdir(tmp_path / "cache" / "pendulum_ctl")
+
+
+def _counted_probes(monkeypatch):
+    """A list that gets the platform of each full probe (the Python runs included)."""
+    full, mismatch = [], plants_module._probe_mismatch
+
+    def counted(platform, native):
+        full.append(platform)
+        return mismatch(platform, native)
+
+    monkeypatch.setattr(plants_module, "_probe_mismatch", counted)
+    return full
+
+
+@pytest.mark.parametrize("change", ["missing", "corrupt", "stale", "longer", "unreadable"])
+def test_a_probe_file_that_does_not_match_takes_the_full_probe_and_is_rewritten(
+        tmp_path, monkeypatch, change):
+    _native_or_skip("rotpen", tmp_path)
+    full = _counted_probes(monkeypatch)
+    assert _fresh_native(monkeypatch, tmp_path / "cache")("rotpen") is not None
+    assert full == ["rotpen"]  # built: the full probe writes the file
+    stored = tmp_path / "cache" / "pendulum_ctl" / _own_object("rotpen").replace(".so", ".probe")
+    digest = stored.read_text()
+    assert digest == plants_module._outcomes_digest(plants_module._probe_outcomes("rotpen", None))
+    assert _fresh_native(monkeypatch, tmp_path / "cache")("rotpen") is not None
+    assert full == ["rotpen"]  # loaded: the C probe matched the stored outcomes
+    if change == "missing":
+        stored.unlink()
+    elif change == "corrupt":
+        stored.write_bytes(b"\xff\xfe" + os.urandom(62))
+    elif change == "stale":  # the outcomes of another probe
+        stored.write_text(plants_module._outcomes_digest(
+            plants_module._probe_outcomes("nxtway", None)))
+    elif change == "longer":
+        stored.write_text(digest + "0")
+    else:
+        stored.unlink()
+        stored.mkdir()  # open fails, and so does the rewrite
+    assert _fresh_native(monkeypatch, tmp_path / "cache")("rotpen") is not None
+    assert full == ["rotpen"] * 2
+    if change == "unreadable":
+        assert stored.is_dir()
+    else:
+        assert stored.read_text() == digest
+
+
+def test_a_kernel_that_differs_from_its_stored_outcomes_is_refused(tmp_path, monkeypatch):
+    # an object under this source's key whose C differs by a weight: the
+    # stored outcomes, the Python loop's, do not match its probe runs, and
+    # neither does the full probe
+    _native_or_skip("rotpen", tmp_path)
+    want = _short_run_bytes(tmp_path, "before")
+    c_source = plants_module._c_source
+
+    def off(platform):
+        return c_source(platform).replace("(a3 + (2.0 * b3)", "(a3 + (2.0000000001 * b3)")
+
+    monkeypatch.setattr(plants_module, "_c_source", off)
+    full = _counted_probes(monkeypatch)
+    assert _fresh_native(monkeypatch, tmp_path / "cache")("rotpen") is None
+    folder = tmp_path / "cache" / "pendulum_ctl"
+    assert os.listdir(folder) == [_own_object("rotpen")]  # no outcomes stored
+    stored = folder / _own_object("rotpen").replace(".so", ".probe")
+    digest = plants_module._outcomes_digest(plants_module._probe_outcomes("rotpen", None))
+    stored.write_text(digest)
+    monkeypatch.setattr(plants_module, "_c_source", c_source)
+    assert _fresh_native(monkeypatch, tmp_path / "cache")("rotpen") is None
+    assert full == ["rotpen"] * 2 and stored.read_text() == digest
+    assert _short_run_bytes(tmp_path, "after") == want
+
+
+def test_a_warm_cache_process_generates_no_c_and_compiles_no_python_kernel(tmp_path):
+    # a native simulate of each platform and one trace write: the objects
+    # are found by their generator's key and the Python probe outcomes by
+    # their .probe files, so no C text is generated and no Python run
+    # kernel compiled. The first process builds the cache
+    _native_or_skip("rotpen", tmp_path)
+    code = """if True:
+        import sys
+        from pendulum_ctl import plants, simulate, synthesis
+        calls = []
+        for module, name in ((plants, "_c_source"), (simulate, "_csv_c_source")):
+            def counted(*args, generate=getattr(module, name), name=name):
+                calls.append(name)
+                return generate(*args)
+            setattr(module, name, counted)
+        cfg = simulate.SimConfig(duration=0.04, controller_Ts=0.004, plant_dt=0.0005,
+                                 x0=(0.0, 0.05, 0.0, 0.0))
+        for platform in ("rotpen", "nxtway"):
+            params = plants.default_params(platform)
+            trace = simulate.simulate(params, synthesis.nominal_lqr(params), cfg)
+        simulate.save_trace_csv(trace, sys.argv[1])
+        native = [plants._native_library(p) is not None for p in ("rotpen", "nxtway")]
+        print(native + [simulate._formatter() is not None], sorted(set(calls)),
+              plants._kernel_factory.cache_info().currsize)
+    """
+    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / "cache"),
+           "PYTHONPATH": os.pathsep.join(sys.path)}
+    outs = [subprocess.run([sys.executable, "-c", code, str(tmp_path / f"trace{i}.csv")],
+                           capture_output=True, text=True, env=env) for i in range(2)]
+    assert outs[0].stdout.strip() == "[True, True, True] ['_c_source', '_csv_c_source'] 2", (
+        outs[0].stderr)
+    assert outs[1].stdout.strip() == "[True, True, True] [] 0", outs[1].stderr
+    assert (tmp_path / "trace0.csv").read_bytes() == (tmp_path / "trace1.csv").read_bytes()
 
 
 def test_a_build_deletes_only_objects_of_other_keys_unused_for_30_days(tmp_path, monkeypatch):
@@ -1891,22 +2035,30 @@ def test_a_build_deletes_only_objects_of_other_keys_unused_for_30_days(tmp_path,
     objects = {"old": f"tick-rotpen-{'0' * 64}.so", "recent": f"tick-rotpen-{'1' * 64}.so",
                "other platform": f"tick-nxtway-{'2' * 64}.so",
                "earlier name": f"advance-rotpen-{'3' * 64}.so",
-               "recent other name": f"csv-{'4' * 64}.so"}
+               "recent other name": f"csv-{'4' * 64}.so",
+               # an old object's outcomes go with it, however recent
+               "recent probe of an old object": f"tick-rotpen-{'0' * 64}.probe",
+               # a recent object keeps its outcomes, however old
+               "old probe of a recent object": f"tick-rotpen-{'1' * 64}.probe",
+               "old probe without its object": f"tick-nxtway-{'5' * 64}.probe",
+               "recent probe without its object": f"tick-nxtway-{'6' * 64}.probe"}
     for label, name in objects.items():
         (folder / name).write_bytes(b"an object of another key")
         age = 86400 if label.startswith("recent") else month
         os.utime(folder / name, (now - age, now - age))
     native = _fresh_native(monkeypatch, tmp_path / "cache")
     assert native("rotpen") is not None  # built: every aged object goes, whatever its name
-    own = f"tick-rotpen-{plants_module._cache_key(plants_module._c_source('rotpen'))}.so"
-    assert sorted(os.listdir(folder)) == sorted([own, objects["recent"],
-                                                 objects["recent other name"]])
+    own = _own_object("rotpen")
+    kept = ["recent", "recent other name", "old probe of a recent object",
+            "recent probe without its object"]
+    assert sorted(os.listdir(folder)) == sorted([own, own.replace(".so", ".probe")]
+                                                + [objects[label] for label in kept])
     # a load, not a build, deletes nothing
     (folder / objects["old"]).write_bytes(b"an object of another key")
     os.utime(folder / objects["old"], (now - month, now - month))
     native = _fresh_native(monkeypatch, tmp_path / "cache")
     assert native("rotpen") is not None
-    assert len(os.listdir(folder)) == 4
+    assert len(os.listdir(folder)) == 7
 
 
 # ---------------------------------------------------------------------------
