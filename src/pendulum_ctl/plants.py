@@ -40,8 +40,9 @@ source bytes, read at that module's import), and loads one function from
 it. The tick loop's objects (tick-rotpen, tick-nxtway) and simulate's trace
 formatter (csv) go through it; each caller probes what it loads against
 its Python counterpart before using it. The tick loop's probe compares the
-C runs with a digest of the Python runs' outcomes stored beside the object,
-and runs the Python ones again only when that digest is missing or differs.
+C runs with a digest of outcomes stored beside the object, the Python
+runs' or those of C runs refused, and runs the Python ones again only when
+that digest is missing or differs.
 """
 
 from __future__ import annotations
@@ -831,17 +832,23 @@ def _load(path: str, symbol: str, signature: tuple):
 _RUN_SIGNATURE = ("c_int64", "c_void_p", "c_void_p", "c_void_p", "c_int64", "c_void_p")
 
 
+# the first word of a .probe file that records a refusal, before the C outcomes' digest
+_REFUSED = "refused "
+
+
 @functools.cache
 def _native_library(platform: str):
     """The platform's C run kernel, or None to use the Python one.
 
     Once per process and platform, on first use, through native_function:
     the object tick-<platform>, used only where its probe runs give the
-    Python loop's outcomes: those whose sha256 is stored beside the object,
-    in <object>.probe, or, where that file is missing, unreadable or
-    differs, those of the Python runs, and then the file is written whole.
-    None without the object, or when a probe run of the C kernel differs
-    from the Python kernel's.
+    Python loop's outcomes. Its <object>.probe file records the last full
+    probe: the sha256 of the outcomes on a pass, "refused " and that of the
+    C outcomes on a refusal. C outcomes that match the record are used, or
+    refused, at once; else, where the file is missing, unreadable or holds
+    other outcomes, they are compared with the Python runs', and the file
+    is written whole. None without the object, or when a probe run of the
+    C kernel differs from the Python kernel's.
     """
     run, path = native_function(f"tick-{platform}", _GENERATOR,
                                 functools.partial(_c_source, platform), "run", _RUN_SIGNATURE)
@@ -849,16 +856,19 @@ def _native_library(platform: str):
         return None
     digest = _outcomes_digest(_probe_outcomes(platform, run))
     stored = path and os.path.splitext(path)[0] + ".probe"
+    record = None
     if stored:
         with contextlib.suppress(OSError, ValueError), open(stored, encoding="ascii") as f:
-            if f.read(len(digest) + 1) == digest:
-                return run
-    if _probe_mismatch(platform, run) is not None:
+            record = f.read(len(_REFUSED + digest) + 1)
+    if record == digest:
+        return run
+    if record == _REFUSED + digest:
         return None
-    if stored:  # the C outcomes are now the Python loop's
+    passed = _probe_mismatch(platform, run) is None
+    if stored:  # the C outcomes are now the Python loop's, or known to differ
         with contextlib.suppress(OSError):
-            write_whole(stored, lambda f: f.write(digest))
-    return run
+            write_whole(stored, lambda f: f.write(digest if passed else _REFUSED + digest))
+    return run if passed else None
 
 
 def _probe_outcomes(platform: str, native) -> list:

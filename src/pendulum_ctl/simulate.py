@@ -349,7 +349,14 @@ def _write_blocks(fh, columns, start: int, stop: int) -> None:
 # no locale. shortest follows the paper's algorithm, with 63-bit halves of g
 # as in its Java implementation, except that it tries one digit fewer from
 # two digits on, not three, since repr, unlike Java, may write one digit
-# (5e-324, not 4.9e-324). {g} is the table of g(k), {kmin} its first k, {pairs} "00".."99".
+# (5e-324, not 4.9e-324). {g} is the table of g(k), {kmin} its first k, {pairs} "00".."99",
+# {p10} 10^0..10^17. cell strips the trailing zeros of the digits f in four
+# steps at most (by 10^8 while it divides, then 10^4, 10^2 and 10), writes
+# the 17 digits at most left as a digit and two 8-digit halves, each by
+# 32-bit /10000 and /100 through PAIRS, counts them from f's bit length and
+# P10, and lays the cell out by fixed-size copies (17 digit bytes, "0.000",
+# 16 zeros). Those write up to _CSV_OVER = 16 bytes past the cell's end, which
+# the next cell overwrites, and _write_native's buffer holds as many past its last cell.
 # format_rows writes rows start to stop of ncols columns, column j at address
 # cols[2 j] with a stride of cols[2 j + 1] bytes, and returns the bytes written.
 _CSV_C_SOURCE = r"""
@@ -362,6 +369,8 @@ static const uint64_t G[][2] = {
 };
 
 static const char PAIRS[] = "{pairs}";
+
+static const uint64_t P10[] = {{p10}};
 
 /* floor(e log10 2), floor(e log10 2 + log10 3/4) and floor(e log2 10), exact
    over the exponents of doubles */
@@ -414,13 +423,24 @@ static int shortest(uint64_t c, int q, uint64_t *f)
     return k;
 }
 
-/* x as repr writes it, at p; returns the end */
+/* the 8 digits of v < 10^8 at d */
+static void eight(char *d, uint32_t v)
+{
+    uint32_t hi = v / 10000, lo = v % 10000;
+    __builtin_memcpy(d, PAIRS + 2 * (hi / 100), 2);
+    __builtin_memcpy(d + 2, PAIRS + 2 * (hi % 100), 2);
+    __builtin_memcpy(d + 4, PAIRS + 2 * (lo / 100), 2);
+    __builtin_memcpy(d + 6, PAIRS + 2 * (lo % 100), 2);
+}
+
+/* x as repr writes it, at p; returns the end, having written at most 16
+   bytes past it */
 static char *cell(char *p, double x)
 {
     uint64_t bits, f;
     __builtin_memcpy(&bits, &x, 8);
     uint64_t c = bits & ((1ULL << 52) - 1);
-    int bq = (int)(bits >> 52) & 0x7ff, e, i;
+    int bq = (int)(bits >> 52) & 0x7ff, e;
     if (bq == 0x7ff && c) {
         *p++ = 'n'; *p++ = 'a'; *p++ = 'n';
         return p;
@@ -444,41 +464,54 @@ static char *cell(char *p, double x)
     } else {
         e = shortest(c, q, &f);
     }
-    while (f % 10 == 0) {
+    while (f % 100000000 == 0) {
+        f /= 100000000;
+        e += 8;
+    }
+    if (f % 10000 == 0) {
+        f /= 10000;
+        e += 4;
+    }
+    if (f % 100 == 0) {
+        f /= 100;
+        e += 2;
+    }
+    if (f % 10 == 0) {
         f /= 10;
         e++;
     }
-    char d[20];
-    int n = 20;
-    for (; f >= 10; f /= 100) {
-        d[--n] = PAIRS[2 * (f % 100) + 1];
-        d[--n] = PAIRS[2 * (f % 100)];
-    }
-    if (f)
-        d[--n] = (char)('0' + f);
-    int len = 20 - n, decpt = len + e;
-    const char *ds = d + n;
+    /* f < 10^17: its len digits (floor(bit length log10 2), 1233 / 2^12 for
+       log10 2, or one more) end at d + 17, and no copy below reads past d + 33 */
+    int len = (64 - __builtin_clzll(f)) * 1233 >> 12;
+    len += f >= P10[len];
+    uint64_t h = f / 100000000;
+    char d[33];
+    d[0] = (char)('0' + h / 100000000);
+    eight(d + 1, (uint32_t)(h % 100000000));
+    eight(d + 9, (uint32_t)(f % 100000000));
+    const char *ds = d + 17 - len;
+    int decpt = len + e;
     if (decpt > -4 && decpt <= 16) {
-        if (decpt <= 0) {
-            *p++ = '0'; *p++ = '.';
-            for (i = decpt; i < 0; i++) *p++ = '0';
-            for (i = 0; i < len; i++) *p++ = ds[i];
-        } else if (decpt < len) {
-            for (i = 0; i < decpt; i++) *p++ = ds[i];
-            *p++ = '.';
-            for (; i < len; i++) *p++ = ds[i];
-        } else {
-            for (i = 0; i < len; i++) *p++ = ds[i];
-            for (; i < decpt; i++) *p++ = '0';
-            *p++ = '.'; *p++ = '0';
+        if (decpt <= 0) {  /* 0.000ddd */
+            __builtin_memcpy(p, "0.000", 5);
+            p += 2 - decpt;
+            __builtin_memcpy(p, ds, 17);
+            return p + len;
         }
-        return p;
+        __builtin_memcpy(p, ds, 17);
+        if (decpt < len) {  /* ddd.ddd */
+            __builtin_memcpy(p + decpt + 1, ds + decpt, 17);
+            p[decpt] = '.';
+            return p + len + 1;
+        }
+        __builtin_memcpy(p + len, "0000000000000000", 16);  /* ddd000.0 */
+        __builtin_memcpy(p + decpt, ".0", 2);
+        return p + decpt + 2;
     }
-    *p++ = ds[0];
-    if (len > 1) {
-        *p++ = '.';
-        for (i = 1; i < len; i++) *p++ = ds[i];
-    }
+    p[0] = ds[0];  /* d.ddde-XX */
+    p[1] = '.';
+    __builtin_memcpy(p + 2, ds + 1, 16);
+    p += len > 1 ? len + 1 : 1;
     int x10 = decpt - 1;
     *p++ = 'e';
     *p++ = x10 < 0 ? '-' : '+';
@@ -488,9 +521,8 @@ static char *cell(char *p, double x)
         *p++ = (char)('0' + x10 / 100);
         x10 %= 100;
     }
-    *p++ = PAIRS[2 * x10];
-    *p++ = PAIRS[2 * x10 + 1];
-    return p;
+    __builtin_memcpy(p, PAIRS + 2 * x10, 2);
+    return p + 2;
 }
 
 int64_t format_rows(int64_t ncols, const int64_t *cols, int64_t start, int64_t stop, char *out)
@@ -517,6 +549,9 @@ _POW10_RANGE = range(-324, 293)
 # format_rows(ncols, cols, start, stop, out) -> bytes written
 _FORMAT_SIGNATURE = ("c_int64", "c_int64", "c_void_p", "c_int64", "c_int64", "c_void_p")
 _CSV_CELL = 25  # bytes of the longest cell, "-2.2250738585072014e-308", and its separator
+# bytes a cell's fixed-size copies may write past its end: a 17-byte copy of
+# its digits, one at least; the next cell overwrites them, or nothing reads them
+_CSV_OVER = 16
 
 
 def _csv_c_source() -> str:
@@ -537,7 +572,13 @@ def _csv_c_source() -> str:
         rows.append(f"    {{{g >> 63:#x}ULL, {g & (1 << 63) - 1:#x}ULL}},")
     return (_CSV_C_SOURCE.replace("{g}", "\n".join(rows))
             .replace("{kmin}", str(_POW10_RANGE[0]))
-            .replace("{pairs}", "".join(f"{i:02d}" for i in range(100))))
+            .replace("{pairs}", "".join(f"{i:02d}" for i in range(100)))
+            .replace("{p10}", ", ".join(f"{10 ** n}ULL" for n in range(18))))
+
+
+def _block_bytes(ncols: int) -> int:
+    """The bytes format_rows may write for a block of _CSV_BLOCK rows of ncols columns."""
+    return _CSV_BLOCK * ncols * _CSV_CELL + _CSV_OVER
 
 
 def _write_native(fh, native, columns, start: int, stop: int) -> None:
@@ -547,7 +588,7 @@ def _write_native(fh, native, columns, start: int, stop: int) -> None:
         raise ValueError(f"columns must be float64 rows of {stop} values at least")
     spans = np.array([(column.ctypes.data, column.strides[0]) for column in columns],
                      dtype=np.int64)
-    buffer = np.empty(_CSV_BLOCK * len(columns) * _CSV_CELL, dtype=np.uint8)
+    buffer = np.empty(_block_bytes(len(columns)), dtype=np.uint8)
     for i in range(start, stop, _CSV_BLOCK):
         size = native(len(columns), spans.ctypes.data, i, min(i + _CSV_BLOCK, stop),
                       buffer.ctypes.data)
@@ -558,7 +599,9 @@ def _write_native(fh, native, columns, start: int, stop: int) -> None:
 # infinities and NaNs of both signs, the least subnormal and normal, the
 # greatest finite double, both ends of fixed notation, whole numbers at 2^53,
 # ties between two shortest decimals (to an even last digit, down and up),
-# and trace-like values
+# trace-like values, digits ending in 1, 2, 4, 8, 15 and 16 zeros (each
+# strip step, and 10^8 twice), digits at 10^4 - 1, 10^8 - 1, 10^8, 10^8 + 1
+# and 10^16 - 1, and the widest "0.000ddd" and "ddd.ddd" cells
 _PROBE_CELLS = (
     0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -1e-323,
     2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308, -1e-310,
@@ -566,21 +609,23 @@ _PROBE_CELLS = (
     1.0000000000000002e16, -123456789012345.67, 9007199254740992.0, 9007199254740993.0,
     4503599627370497.0, 562949953421312.25, 1e22, 1e23, 2.0 ** 63, 100.0, 3.0, -1.5, 0.1,
     0.30000000000000004, 1 / 3, -2 / 3, 0.002, 59.998000000000005, 562949953421312.75, 1e-7,
-    -6.02214076e23, 2.5e-300,
+    -6.02214076e23, 2.5e-300, 10000.0, -9999.0, 99999999.0, 100000000.0, 100000001.0, 1e15,
+    0.00012345678901234567, 1234567890123456.8,
 )
 
 
 def _formatter_mismatch(native):
     """The first probe line on which the C formatter native differs from _write_blocks, or None.
 
-    The probe cells stand in 5 rows of 8 strided columns, formatted in two
-    calls (rows 0 to 2 and 2 to 5).
+    The probe cells stand in rows of 8 strided columns, formatted in two
+    calls (rows 0 to 2 and 2 to the last).
     """
-    columns = list(np.array(_PROBE_CELLS).reshape(5, 8).T)
+    columns = list(np.array(_PROBE_CELLS).reshape(-1, 8).T)
+    rows = columns[0].size
     want, got = io.BytesIO(), io.BytesIO()
-    _write_blocks(want, columns, 0, 5)
+    _write_blocks(want, columns, 0, rows)
     _write_native(got, native, columns, 0, 2)
-    _write_native(got, native, columns, 2, 5)
+    _write_native(got, native, columns, 2, rows)
     if got.getvalue() == want.getvalue():
         return None
     lines = enumerate(zip(want.getvalue().split(b"\n"), got.getvalue().split(b"\n")))

@@ -10,6 +10,7 @@ the check does not depend on the integrator under test.
 
 import ctypes
 import dataclasses
+import decimal
 import errno
 import functools
 import inspect
@@ -1826,9 +1827,9 @@ def test_a_failing_compile_leaves_the_python_kernel_and_no_file(tmp_path, monkey
 
 
 @pytest.mark.parametrize("weight, left", [
-    ("2.0000000001 * b3", 2),  # an ulp-scale change: it compiles, but differs
+    ("2.0000000001 * b3", 4),  # an ulp-scale change: it compiles, but differs
     ("2.0 ** b3", 0),  # not C: the compile fails
-    ("1 / 2 * 4.0 * b3", 2),  # C divides the integers: it compiles, but differs
+    ("1 / 2 * 4.0 * b3", 4),  # C divides the integers: it compiles, but differs
 ], ids=["weight-off", "not-c", "integer-division"])
 def test_a_stepper_that_fails_the_probe_is_not_used(tmp_path, monkeypatch, weight, left):
     _native_or_skip("rotpen", tmp_path)
@@ -1844,7 +1845,8 @@ def test_a_stepper_that_fails_the_probe_is_not_used(tmp_path, monkeypatch, weigh
     monkeypatch.setattr(plants_module, "_c_source", off)
     native = _fresh_native(monkeypatch, tmp_path / "cache")
     assert native("rotpen") is None and native("nxtway") is None
-    assert len(os.listdir(tmp_path / "cache" / "pendulum_ctl")) == left  # one per object built
+    # per object built, the object and its .probe file, which records the refusal
+    assert len(os.listdir(tmp_path / "cache" / "pendulum_ctl")) == left
     assert _short_run_bytes(tmp_path, "after") == want
 
 
@@ -1968,9 +1970,11 @@ def test_a_probe_file_that_does_not_match_takes_the_full_probe_and_is_rewritten(
 
 
 def test_a_kernel_that_differs_from_its_stored_outcomes_is_refused(tmp_path, monkeypatch):
-    # an object under this source's key whose C differs by a weight: the
-    # stored outcomes, the Python loop's, do not match its probe runs, and
-    # neither does the full probe
+    # an object under this source's key whose C differs by a weight: its
+    # refusal is stored with its C outcomes, and a later process refuses it
+    # without the Python runs; stored outcomes of the Python loop or of
+    # other refused C runs do not match its probe runs, and neither does the
+    # full probe, which stores the refusal again
     _native_or_skip("rotpen", tmp_path)
     want = _short_run_bytes(tmp_path, "before")
     c_source = plants_module._c_source
@@ -1981,14 +1985,22 @@ def test_a_kernel_that_differs_from_its_stored_outcomes_is_refused(tmp_path, mon
     monkeypatch.setattr(plants_module, "_c_source", off)
     full = _counted_probes(monkeypatch)
     assert _fresh_native(monkeypatch, tmp_path / "cache")("rotpen") is None
-    folder = tmp_path / "cache" / "pendulum_ctl"
-    assert os.listdir(folder) == [_own_object("rotpen")]  # no outcomes stored
-    stored = folder / _own_object("rotpen").replace(".so", ".probe")
-    digest = plants_module._outcomes_digest(plants_module._probe_outcomes("rotpen", None))
-    stored.write_text(digest)
     monkeypatch.setattr(plants_module, "_c_source", c_source)
+    folder = tmp_path / "cache" / "pendulum_ctl"
+    stored = folder / _own_object("rotpen").replace(".so", ".probe")
+    assert sorted(os.listdir(folder)) == sorted([_own_object("rotpen"), stored.name])
+    refusal = stored.read_text()
+    digest = plants_module._outcomes_digest(plants_module._probe_outcomes("rotpen", None))
+    assert refusal.startswith(plants_module._REFUSED)
+    assert len(refusal) == len(plants_module._REFUSED) + 64
+    assert refusal != plants_module._REFUSED + digest
     assert _fresh_native(monkeypatch, tmp_path / "cache")("rotpen") is None
-    assert full == ["rotpen"] * 2 and stored.read_text() == digest
+    assert full == ["rotpen"] and stored.read_text() == refusal  # refused from the record
+    for other in (digest, plants_module._REFUSED + digest):
+        stored.write_text(other)
+        assert _fresh_native(monkeypatch, tmp_path / "cache")("rotpen") is None
+        assert stored.read_text() == refusal
+    assert full == ["rotpen"] * 3
     assert _short_run_bytes(tmp_path, "after") == want
 
 
@@ -2156,11 +2168,78 @@ def test_the_c_formatter_writes_every_float_as_repr_does(tmp_path):
     assert want.getvalue().count(b"e-3") > 1000 and b"e+308" in want.getvalue()
 
 
+def _formatted_into(native, columns, rows, size, fill):
+    """(format_rows' bytes for rows 0 to rows of columns, the buffer they went to): size
+    bytes and 64 more, each fill before the call."""
+    spans = np.array([(column.ctypes.data, column.strides[0]) for column in columns],
+                     dtype=np.int64)
+    buffer = np.full(size + 64, fill, dtype=np.uint8)
+    written = native(len(columns), spans.ctypes.data, 0, rows, buffer.ctypes.data)
+    return buffer[:written].tobytes(), buffer
+
+
+@pytest.mark.parametrize("fill", [0x00, 0xff])
+def test_a_full_block_of_the_longest_cells_stays_inside_the_buffer(tmp_path, fill):
+    # one block of 9 columns of 25-byte cells fills the buffer _write_native
+    # sizes; the 64 canary bytes past it stay as they were
+    native = _formatter_or_skip(tmp_path)
+    longest = np.resize([-2.2250738585072014e-308, -1.2345678901234567e-100], _B * 9)
+    columns = list(longest.reshape(_B, 9).T)
+    size = simulate_module._block_bytes(9)
+    got, buffer = _formatted_into(native, columns, _B, size, fill)
+    want = io.BytesIO()
+    simulate_module._write_blocks(want, columns, 0, _B)
+    assert got == want.getvalue() and len(got) == _B * 9 * simulate_module._CSV_CELL
+    assert not np.any(buffer[size:] != fill)
+
+
+@pytest.mark.parametrize("fill", [0x00, 0xff])
+def test_a_cell_writes_at_most_csv_over_bytes_past_its_end(tmp_path, fill):
+    # each probe cell and the widest cell of each layout, alone on its line:
+    # nothing is written from _CSV_OVER bytes past the cell's end (its
+    # newline is the first of them) on
+    native = _formatter_or_skip(tmp_path)
+    cells = [*simulate_module._PROBE_CELLS, 0.00012345678901234567, -0.0012345678901234567,
+             -1234567890123456.8, -1e15, -8.0e-5, -9e-300, -1.2345678901234567e-100]
+    for x in cells:
+        got, buffer = _formatted_into(native, [np.array([x])], 1, 0, fill)
+        assert got == f"{x!r}\n".encode()
+        assert not np.any(buffer[len(got) - 1 + simulate_module._CSV_OVER:] != fill), x
+
+
+def _cell_digits(x):
+    """The digits f, trailing zeros and all, whose zeros the C formatter strips from x's cell.
+
+    x's own, for a whole number below 2^53 of a negative binary exponent;
+    else repr's shortest decimal over 10^k, the decimal exponent shortest
+    starts from.
+    """
+    bits = struct.unpack("<Q", struct.pack("<d", abs(x)))[0]
+    bq, c = bits >> 52, bits & (1 << 52) - 1
+    q = bq - 1075 if bq else -1074
+    c |= 1 << 52 if bq else 0
+    if -53 < q < 0 and c % (1 << -q) == 0:
+        return c >> -q
+    k = (q * 661971961083 - (274743187321 if c == 1 << 52 and bq > 1 else 0)) >> 41
+    f = decimal.Decimal(repr(abs(x))).scaleb(-k)
+    assert f == f.to_integral_value()
+    return int(f)
+
+
 def test_the_probe_covers_each_layout_of_repr():
-    lines = [repr(x) for x in simulate_module._PROBE_CELLS]
+    cells = simulate_module._PROBE_CELLS
+    lines = [repr(x) for x in cells]
     assert {"0.0", "-0.0", "inf", "-inf", "nan", "5e-324", "1e-05", "0.0001", "1e+16",
             "9999999999999998.0", "1.7976931348623157e+308"} <= set(lines)
-    assert len(lines) == 40  # 5 rows of 8 columns
+    # the widest cells of "0.000ddd" and of "ddd.ddd"
+    assert {"0.00012345678901234567", "1234567890123456.8"} <= set(lines)
+    digits = [str(_cell_digits(x)) for x in cells if math.isfinite(x) and x != 0.0]
+    # each strip step (10^8 once and twice, 10^4, 10^2, 10) and each digit
+    # count boundary
+    assert {1, 2, 4, 8, 15, 16} <= {len(f) - len(f.rstrip("0")) for f in digits}
+    assert {str(10 ** 8), str(10 ** 16)} <= set(digits)
+    assert {str(n) for n in (10 ** 4 - 1, 10 ** 8 - 1, 10 ** 8 + 1, 10 ** 16 - 1)} <= set(digits)
+    assert len(lines) == 48  # 6 rows of 8 columns
 
 
 def test_a_formatter_that_fails_the_probe_is_not_used(tmp_path, monkeypatch):
@@ -2170,7 +2249,9 @@ def test_a_formatter_that_fails_the_probe_is_not_used(tmp_path, monkeypatch):
     source = simulate_module._csv_c_source
 
     def off():
-        changed = source().replace("*p++ = '.'; *p++ = '0';\n        }", "*p++ = '.';\n        }")
+        changed = source().replace(
+            '__builtin_memcpy(p + decpt, ".0", 2);\n        return p + decpt + 2;',
+            "return p + decpt;")
         assert changed != source()
         return changed
 
