@@ -34,7 +34,6 @@ from .simulate import (
     DisturbanceSpec,
     SimConfig,
     check_plant_step,
-    save_trace_csv,
     simulate,
     standard_pulse_train,
 )
@@ -314,9 +313,9 @@ def _experiment(platform: str, settings: dict):
     """Check the settings of one closed-loop run; return a function that runs it.
 
     The function takes the design and a trace CSV path or None, simulates,
-    writes the trace there if given and returns the run's metrics. Checking
-    first lets a command refuse bad settings before it loads or synthesizes
-    a design or writes anything.
+    writing the trace there as the run runs if given, and returns the run's
+    metrics. Checking first lets a command refuse bad settings before it
+    loads or synthesizes a design or writes anything.
     """
     params = default_params(platform)
     V_max = settings.get("saturation") or params.V_max
@@ -332,9 +331,7 @@ def _experiment(platform: str, settings: dict):
     onset = spec.start_time if spec.kind == "pulse_train" else 0.0
 
     def run(design, trace_path):
-        trace = simulate(params, design, cfg)
-        if trace_path is not None:
-            save_trace_csv(trace, trace_path)
+        trace = simulate(params, design, cfg, trace_path)
         return compute_metrics(trace, V_max=V_max, disturbance_onset=onset,
                                reference_q2=cfg.reference[1])
     return run

@@ -26,12 +26,14 @@ linecache, so tracebacks show their lines: scalar_rhs, the accelerations
 that linearize.jacobian_linearize differentiates, and the run kernel that
 tick_loop calls. Where cc and ctypes are at hand, tick_loop runs instead a
 C run function, written from the same text's syntax tree (_c_statements
-refuses the constructs it lists), that runs a whole run in one call; it
-is used only once it has reproduced the Python loop bit for bit on fixed
-probe runs. A run ends in the loop that started it: one
-divergence test after each period ends it where the period's state lies
-beyond DIVERGENCE_LIMIT or leaves the floats, which the Python loop meets
-as a raise and the C loop as infinities and NaNs.
+refuses the constructs it lists); it is used only once it has reproduced
+the Python loop bit for bit on fixed probe runs, run whole and resumed in
+slices. Either kernel runs a run from a given row until a stop row, and
+resumes it from the state it carries, so tick_loop runs a run 1024 rows at
+a time, on whichever thread iterates it. A run ends in the loop that
+started it: one divergence test after each period ends it where the
+period's state lies beyond DIVERGENCE_LIMIT or leaves the floats, which
+the Python loop meets as a raise and the C loop as infinities and NaNs.
 
 native_function is the one path by which C reaches the package: it builds
 an object from its generated source once, keeps it in a per-user cache
@@ -458,22 +460,25 @@ def make({constants}):
         return q1dd, q2dd
     return rhs
 """,
-    # the tick loop from row 0 to the table's end; columns are writable views
-    # of the table's rows. Only a period raises, before the tick changes a
-    # carried name, so the run ends with its last row's state.
+    # the tick loop from row start until row stop, a row of the table's rows
+    # at most, or the run's end; columns are writable views of the table's
+    # rows. A slice ends after a whole tick, so the state carried is the next
+    # row's and a call from that row resumes the run; a copy at rest may run
+    # past stop. Only a period raises, before the tick changes a carried
+    # name, so the run ends with its last row's state.
     "run": """\
 def make({constants}, dt, steps):
     h = 0.5 * dt
     w = dt / 6.0
 
-    def run(settings, columns, rows, carry):
+    def run(settings, columns, rows, start, stop, carry):
         {settings} = settings
         {columns} = columns
         {carry} = carry
         diverged = 0.0
-        k = 0
+        k = start
         try:
-            while k < rows:
+            while k < stop:
                 {tick}
         except (ValueError, ZeroDivisionError):
             diverged = 1.0
@@ -483,16 +488,17 @@ def make({constants}, dt, steps):
 }
 
 # The C run kernel, a frame around the translated _TICK. As the Python run
-# kernel, over the table tab, rows values per _COLUMNS name: kc holds the
-# constants in _DYNAMICS order, then dt and steps; carry holds _CARRY on
-# entry and _CARRY and diverged on return; the result is the row reached.
-# Where Python raises, C runs on in infinities and NaNs, which the divergence
-# test refuses.
+# kernel, over the table tab, rows values per _COLUMNS name, from row start
+# until row stop: kc holds the constants in _DYNAMICS order, then dt and
+# steps; carry holds _CARRY on entry and _CARRY and diverged on return; the
+# result is the row reached. Where Python raises, C runs on in infinities and
+# NaNs, which the divergence test refuses.
 _C_SOURCE = """\
 #include <math.h>
 #include <stdint.h>
 
-int64_t run(const double *kc, const double *cfg, double *tab, int64_t rows, double *carry)
+int64_t run(const double *kc, const double *cfg, double *tab, int64_t rows, int64_t start,
+            int64_t stop, double *carry)
 {
     {constants}
     const double h = 0.5 * dt;
@@ -501,8 +507,8 @@ int64_t run(const double *kc, const double *cfg, double *tab, int64_t rows, doub
     {columns}
     {carry}
     double diverged = 0.0;
-    int64_t k = 0;
-    while (k < rows) {
+    int64_t k = start;
+    while (k < stop) {
         {tick}
     }
     {results}
@@ -687,14 +693,19 @@ _PROBES = (
 
 # The probe runs' settings, and their laws: (smc, integral, filtered,
 # boundary layer) for LQR with and without Ki and SMC with and without a
-# boundary layer, each under both measurements. Each run's disturbance has 16
-# rows, a 2 V pulse from row 8, so the runs from rest copy rows up to its edge.
+# boundary layer, each under both measurements.
 _PROBE_SETTINGS = dict(Ts=0.002, r1=0.0, r2=0.0, r3=0.0, r4=0.0, k1=-2.0, k2=40.0,
                        k3=-3.0, k4=5.0, l1=1.0, l2=10.0, l3=0.5, l4=1.0, kk=2.0, kint=1.5,
                        sat=3.0, fa=0.6, fg=0.2)
 _PROBE_LAWS = ((0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 1.0, 0.0, 0.0),
                (0.0, 1.0, 1.0, 0.0), (1.0, 0.0, 0.0, 0.0), (1.0, 0.0, 1.0, 0.0),
                (1.0, 0.0, 0.0, 0.5), (1.0, 0.0, 1.0, 0.5))
+# Each probe run's disturbance: 16 rows, a 2 V pulse from row 8, so the runs
+# from rest copy rows up to its edge. Each C run is run whole and again in
+# slices that stop at these rows: inside the copy at rest, on the pulse edge,
+# past it and at the end.
+_PROBE_DIST = (0.0,) * 8 + (2.0,) * 8
+_PROBE_STOPS = (3, 8, 11, 16)
 
 
 def _cache_dir():
@@ -817,19 +828,25 @@ def native_function(name: str, generator: bytes | None, source: Callable[[], str
 def _load(path: str, symbol: str, signature: tuple):
     """The function symbol of the shared object at path, its ctypes signature declared.
 
-    PyDLL keeps the GIL through a call. The pointers are numpy buffers that
-    the callers make or check and keep alive.
+    CDLL releases the GIL for each call, so a tick loop on one thread and
+    the trace formatter on another run at once. That is safe because the C
+    functions touch no Python object, only the numpy buffers behind their
+    pointers, which the caller made or checked and keeps alive through the
+    call, and which no other thread writes while it runs: the tick loop
+    writes rows that the writer has not been handed yet, and the formatter
+    reads rows that the loop has passed.
     """
     import ctypes
 
-    function = getattr(ctypes.PyDLL(path), symbol)
+    function = getattr(ctypes.CDLL(path), symbol)
     restype, *argtypes = (getattr(ctypes, name) for name in signature)
     function.restype, function.argtypes = restype, tuple(argtypes)
     return function
 
 
-# run(constants, settings, table, rows, carry) -> the row reached
-_RUN_SIGNATURE = ("c_int64", "c_void_p", "c_void_p", "c_void_p", "c_int64", "c_void_p")
+# run(constants, settings, table, rows, start, stop, carry) -> the row reached
+_RUN_SIGNATURE = ("c_int64", "c_void_p", "c_void_p", "c_void_p", "c_int64", "c_int64", "c_int64",
+                  "c_void_p")
 
 
 # the first word of a .probe file that records a refusal, before the C outcomes' digest
@@ -872,7 +889,8 @@ def _native_library(platform: str):
 
 
 def _probe_outcomes(platform: str, native) -> list:
-    """Each probe run's (table bytes, row reached, carried state bits, divergence flag).
+    """Each probe run's (table bytes, row reached, carried state bits, divergence flag), run
+    whole and then again in slices that stop at _PROBE_STOPS.
 
     The runs are the Python loop's with native None, else the C run kernel
     native's.
@@ -880,9 +898,12 @@ def _probe_outcomes(platform: str, native) -> list:
     params, outcomes = default_params(platform), []
     for i, (smc, integral, filtered, eps) in enumerate(_PROBE_LAWS):
         settings = dict(_PROBE_SETTINGS, smc=smc, integral=integral, filtered=filtered, eps=eps)
-        table, k, carry, diverged = _runner(params, 0.0005, 4, [0.0] * 8 + [2.0] * 8,
-                                            settings, _PROBES[i % len(_PROBES)], native)
-        outcomes.append((table.tobytes(), k, struct.pack(f"{len(carry)}d", *carry), diverged))
+        args = (params, 0.0005, 4, _PROBE_DIST, settings, _PROBES[i % len(_PROBES)], native)
+        sliced, advance = _start(*args)
+        for stop in _PROBE_STOPS:
+            end = advance(stop)
+        for table, k, carry, diverged in (_runner(*args), (sliced, *end)):
+            outcomes.append((table.tobytes(), k, struct.pack(f"{len(carry)}d", *carry), diverged))
     return outcomes
 
 
@@ -896,19 +917,31 @@ def _outcomes_digest(outcomes: list) -> str:
 
 
 def _probe_mismatch(platform: str, native):
-    """The first probe run on which the C run kernel native differs from the Python loop, or None."""
-    for i, (want, got) in enumerate(zip(*(_probe_outcomes(platform, n) for n in (None, native)))):
-        if got != want:
-            return (f"probe run {i} (smc, integral, filtered, eps = {_PROBE_LAWS[i]}, "
-                    f"from {_PROBES[i % len(_PROBES)]})")
+    """The first probe run that the C run kernel native, run whole or in slices, ends
+    otherwise than the Python loop run whole, or None."""
+    want = _probe_outcomes(platform, None)
+    for i, got in enumerate(_probe_outcomes(platform, native)):
+        run = i // 2
+        if got != want[2 * run]:
+            return (f"probe run {run}{' in slices' if i % 2 else ''} (smc, integral, filtered, "
+                    f"eps = {_PROBE_LAWS[run]}, from {_PROBES[run % len(_PROBES)]})")
     return None
 
 
-def _runner(params: PlantParams, dt: float, steps: int, dist, settings: Mapping, x0, native):
-    """tick_loop's run over dist from x0, in C when native is the loaded run kernel.
+# Rows per run kernel call: one trace writer block, 1024 rows, at a time
+_SLICE = 1024
 
-    Returns (the table, zero past the row reached, the row reached, the
-    carried state, whether the run diverged): what the probe compares.
+
+def _start(params: PlantParams, dt: float, steps: int, dist, settings: Mapping, x0, native):
+    """Set up tick_loop's run over dist from x0, in C when native is the loaded run kernel.
+
+    Returns (the table, zero but for its dist row, and advance). advance(stop)
+    runs the loop on from the row reached, on the thread that calls it, until
+    row stop or the run's end, and returns (the row reached, the carried
+    state, whether the run diverged): what the probe compares. A copy at rest
+    may run past stop. Once the run has ended, advance runs nothing and
+    returns its end again. Every buffer the kernel uses is made here, so a
+    thread that only calls advance allocates no table.
     """
     if not (isinstance(steps, (int, np.integer)) and steps >= 1):
         raise ValueError(f"steps must be an integer of at least 1, got {steps!r}")
@@ -923,47 +956,88 @@ def _runner(params: PlantParams, dt: float, steps: int, dist, settings: Mapping,
     values = [float(settings[name]) for name in _SETTINGS]
     x1, x2, x3, x4 = map(float, x0)
     start = {"x1": x1, "x2": x2, "x3": x3, "x4": x4, "p1": x1, "p2": x2}
-    carry = tuple(start.get(name, 0.0) for name in _CARRY)
-    if not all(abs(x) <= DIVERGENCE_LIMIT for x in (x1, x2, x3, x4)):
-        return table, 0, carry, True  # diverged before the first tick
+    # an x0 beyond the limit has diverged before the first tick
+    end = (0, tuple(start.get(name, 0.0) for name in _CARRY),
+           not all(abs(x) <= DIVERGENCE_LIMIT for x in (x1, x2, x3, x4)))
     constants = _DYNAMICS[params.platform][0](params)
     if native is not None:
-        kc = np.array([*constants.values(), dt, steps])
-        cfg, state = np.array(values), np.array([*carry, 0.0])
-        k = native(kc.ctypes.data, cfg.ctypes.data, table.ctypes.data, rows, state.ctypes.data)
-        *carry, diverged = state.tolist()
-        return table, k, tuple(carry), diverged != 0.0
-    columns = [memoryview(row) for row in table] + [None] * (len(_COLUMNS) - len(table))
-    python = _kernel_factory(params.platform, "run")(**constants, dt=dt, steps=steps)
-    return (table, *python(values, columns, rows, carry))
+        # the constants in _DYNAMICS order, dt and steps, the settings, then
+        # the carried state and the divergence flag, which state views
+        inputs = np.array([*constants.values(), dt, steps, *values, *end[1], 0.0])
+        state = inputs[len(inputs) - len(_CARRY) - 1:]
+        kc, cfg, tab, carried = (array.ctypes.data for array in
+                                 (inputs, inputs[len(constants) + 2:], table, state))
+
+        def kernel(k, stop, carry):  # the carried state is state's
+            k = native(kc, cfg, tab, rows, k, stop, carried)
+            *carry, diverged = state.tolist()
+            return k, tuple(carry), diverged != 0.0
+    else:
+        columns = [memoryview(row) for row in table] + [None] * (len(_COLUMNS) - len(table))
+        python = _kernel_factory(params.platform, "run")(**constants, dt=dt, steps=steps)
+        kernel = functools.partial(python, values, columns, rows)
+
+    def advance(stop):  # holds table and, through kernel, state: the memory C writes
+        nonlocal end
+        k, carry, diverged = end
+        if not diverged:
+            end = kernel(k, min(stop, table.shape[1]), carry)
+        return end
+    return table, advance
 
 
-def tick_loop(params: PlantParams, dt: float, steps: int, dist, settings: Mapping,
-              x0) -> tuple[np.ndarray, bool]:
-    """Run simulate's tick loop over the disturbance column dist from x0: (table, diverged).
+def _slices(advance, rows: int):
+    """Run a run that _start set up, of rows rows, to its end, _SLICE rows past the row
+    reached at a time, on the thread that iterates this; yield what each advance returns."""
+    k, diverged = 0, False
+    while not diverged and k < rows:
+        k, _, diverged = end = advance(k + _SLICE)
+        yield end
+
+
+def _runner(params: PlantParams, dt: float, steps: int, dist, settings: Mapping, x0, native):
+    """tick_loop's run over dist from x0, whole, in C when native is the loaded run kernel.
+
+    Returns (the table, zero past the row reached, the row reached, the
+    carried state, whether the run diverged): what the probe compares.
+    """
+    table, advance = _start(params, dt, steps, dist, settings, x0, native)
+    for end in _slices(advance, table.shape[1]):
+        pass
+    return (table, *end)
+
+
+def tick_loop(params: PlantParams, dt: float, steps: int, dist, settings: Mapping, x0):
+    """Set up simulate's tick loop over the disturbance column dist from x0: (table, run).
 
     The table has a float64 row per _COLUMNS name, in order: q1, q2, q1dot,
     q2dot, u_cmd, u_applied, dist and, when settings' smc or integral is
-    set, extra (s or the integral); it holds the ticks run. settings maps
+    set, extra (s or the integral), and a column per value of dist. run is a
+    generator: iterated, on any one thread, it runs the loop _SLICE rows at
+    a time into the table and yields after each slice (the rows filled,
+    whether the run diverged); its last pair is the run's end. settings maps
     each name in _SETTINGS to a number. The run starts at x0, with a zero
     integral and the filter seeded with the first sample, and runs a tick
     per value of dist, each one period of steps RK4 steps of dt, until the
     run diverges: an x0 beyond DIVERGENCE_LIMIT runs none, and a period that
     ends beyond it or leaves the floats (the sine of an infinity, a zero
     determinant) ends the run after the tick it started from. It raises
-    ValueError, before either loop runs, for a steps that is not an integer
-    of at least 1, a dt that is not positive and finite, or a dist that is
-    not a non-empty 1-D column of numbers.
+    ValueError, before it returns, for a steps that is not an integer of at
+    least 1, a dt that is not positive and finite, or a dist that is not a
+    non-empty 1-D column of numbers. Everything the run allocates is made
+    before it returns, on the calling thread; iterating run allocates no
+    array.
 
     The loop, the periods included, is generated from _TICK. Where cc and
     ctypes are at hand it runs as C, built once, kept in a per-user cache,
     and used only once it has reproduced the Python loop bit for bit on
-    fixed probe runs. Without cc, or when building, loading or probing
-    fails, the Python loop runs: the same results, several times slower.
+    fixed probe runs, whole and resumed in slices. Without cc, or when
+    building, loading or probing fails, the Python loop runs: the same
+    results, several times slower.
     """
-    table, k, _, diverged = _runner(params, dt, steps, dist, settings, x0,
-                                    _native_library(params.platform))
-    return table[:, :k], diverged
+    table, advance = _start(params, dt, steps, dist, settings, x0,
+                            _native_library(params.platform))
+    return table, ((k, diverged) for k, _, diverged in _slices(advance, table.shape[1]))
 
 
 def scalar_rhs(params: PlantParams):

@@ -18,7 +18,7 @@ is zero) smoothed by a bilinear-mapped first-order low-pass, emulating
 encoder-only sensing. The laws, the filter and the tick loop that stores
 each tick in one table are plants.tick_loop, written once for a Python and a
 C loop; simulate checks the run, precomputes the open-loop disturbance,
-and calls the loop once.
+sets the loop up once and runs it, 1024 rows at a time.
 
 A run at exact rest is not recomputed tick by tick. When one tick leaves
 the carried state (plant state, integral, derivative-filter states)
@@ -29,14 +29,20 @@ those of computing every tick. The paper's pulse experiment
 balances at the upright equilibrium for 60 s before the first pulse, so
 half of its ticks are copied.
 
-save_trace_csv writes a returned trace as CSV. The run's table holds the
-CSV's columns after t in order (the four states, both command columns, the
-disturbance, then s or the integral when the design has one); the writer
-formats the trace's times and views of it, _CSV_BLOCK rows at a time. Each
-cell is its float's repr: written by a C formatter (the shortest
-round-trip digits by Schubfach, from a power-of-ten table made from exact
-integers when the source is generated) where cc is at hand and its probe
-matches repr, else by a Python "%r" template, with the same bytes.
+A trace is written as CSV by one writer, _write_csv, from two callers.
+simulate, given a trace path, writes the run's CSV while the run runs: a
+worker thread runs the tick loop a slice of rows at a time, and the calling
+thread formats and writes each slice's rows once the loop has passed them.
+The C loop and the C formatter each release the GIL, so on two cores they
+run at once. save_trace_csv writes a returned trace, all its rows in one
+go, with the same bytes. The run's table holds the CSV's columns after t in
+order (the four states, both command columns, the disturbance, then s or
+the integral when the design has one); the writer formats the times and
+views of the table, _CSV_BLOCK rows at a time. Each cell is its float's
+repr: written by a C formatter (the shortest round-trip digits by
+Schubfach, from a power-of-ten table made from exact integers when the
+source is generated) where cc is at hand and its probe matches repr, else
+by a Python "%r" template, with the same bytes.
 """
 
 from __future__ import annotations
@@ -44,6 +50,8 @@ from __future__ import annotations
 import functools
 import io
 import math
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,7 +277,7 @@ def check_plant_step(params: PlantParams, plant_dt: float) -> None:
                          f"mode at {name} rad/s; the largest stable step is {step:.4e} s")
 
 
-def simulate(params: PlantParams, design, cfg: SimConfig) -> SimTrace:
+def simulate(params: PlantParams, design, cfg: SimConfig, trace_path=None) -> SimTrace:
     """Run one closed-loop experiment and return its trace.
 
     The controller type follows the design object: an LqrDesign applies the
@@ -279,8 +287,14 @@ def simulate(params: PlantParams, design, cfg: SimConfig) -> SimTrace:
     beyond 1e3 or leaves the floats: the sine of an infinity, a zero
     determinant) stops the run early and flags the trace, truncated after
     its last finite row. Ticks at exact rest are copied rather than
-    recomputed, as the module docstring says. save_trace_csv writes the
-    returned trace, a diverged one included.
+    recomputed, as the module docstring says.
+
+    With a trace_path, the run's trace CSV is written there while the run
+    runs, with the bytes that save_trace_csv writes for the returned trace,
+    a diverged one included: a worker thread runs the tick loop a slice at
+    a time while the calling thread writes the rows each slice filled. The
+    file is published whole, as save_trace_csv publishes it, and the worker
+    has ended whenever simulate returns or raises, an interrupt included.
     """
     check_plant_step(params, cfg.plant_dt)
     Ts = cfg.controller_Ts
@@ -314,30 +328,80 @@ def simulate(params: PlantParams, design, cfg: SimConfig) -> SimTrace:
 
     t = np.arange(n + 1, dtype=float)
     t *= Ts  # k * Ts, bit for bit, without a temporary array
-    table, diverged = tick_loop(params, cfg.plant_dt, round(Ts / cfg.plant_dt),
-                                disturbance_value(cfg.disturbance, t), settings, cfg.x0)
+    table, run = tick_loop(params, cfg.plant_dt, round(Ts / cfg.plant_dt),
+                           disturbance_value(cfg.disturbance, t), settings, cfg.x0)
+    if trace_path is None:
+        for k, diverged in run:
+            pass
+    else:
+        extra = ("s",) if is_smc else ("integ",) if ki is not None else ()
+        k, diverged = _run_writing(run, trace_path, _CSV_COLUMNS + extra, [t, *table])
+    table = table[:, :k]
     # s or the integral, when the design records one, is the last row
-    return SimTrace(t=t[:table.shape[1]], x=table[:4].T, u_command=table[4], u_applied=table[5],
+    return SimTrace(t=t[:k], x=table[:4].T, u_command=table[4], u_applied=table[5],
                     d=table[6], s=table[-1] if is_smc else None,
                     integ=table[-1] if ki is not None else None, diverged=diverged)
+
+
+def _run_writing(run, path, names: tuple, columns: list):
+    """Iterate tick_loop's run on a worker thread while this thread writes the trace CSV of
+    columns, headed names, to path, each slice's rows once the loop has passed them.
+
+    Returns run's last (rows filled, diverged). The worker only iterates run
+    and hands over what it yields, or the exception it meets, which is
+    raised here. Whatever ends the write, an error or an interrupt included,
+    the worker is told to stop after its slice and joined before this
+    returns or raises.
+    """
+    ends, stop, last = queue.SimpleQueue(), threading.Event(), None
+
+    def work():
+        try:
+            for end in run:
+                ends.put(end)
+                if stop.is_set():
+                    return
+        except BaseException as error:  # raised on the writing thread
+            ends.put(error)
+        ends.put(None)
+
+    def rows():
+        nonlocal last
+        while (end := ends.get()) is not None:
+            if isinstance(end, BaseException):
+                raise end
+            last = end
+            yield end[0]
+
+    worker = threading.Thread(target=work, name="pendulum_ctl tick loop")
+    worker.start()
+    try:
+        _write_csv(path, names, columns, rows())
+    finally:
+        stop.set()
+        worker.join()
+    return last
 
 
 # ---------------------------------------------------------------------------
 # trace export
 # ---------------------------------------------------------------------------
 
-def _write_blocks(fh, columns, start: int, stop: int) -> None:
-    """Write rows start to stop of columns (equal-length float rows) as CSV lines.
+def _write_blocks(fh, columns, counts) -> None:
+    """Write the rows of columns (equal-length float rows) as CSV lines, up to each row
+    count that counts yields, from the last, as it yields it.
 
     "%r" of a Python float is its repr, so formatting each row's tuple
     writes the same bytes as a repr per cell; converting _CSV_BLOCK rows at
     a time bounds the Python floats alive at once. This is the formatter
     without cc, and the reference the C one is probed against.
     """
-    line = ",".join(["%r"] * len(columns)) + "\n"
-    for i in range(start, stop, _CSV_BLOCK):
-        values = [column[i:min(i + _CSV_BLOCK, stop)].tolist() for column in columns]
-        fh.write("".join([line % row for row in zip(*values)]).encode())
+    line, start = ",".join(["%r"] * len(columns)) + "\n", 0
+    for stop in counts:
+        for i in range(start, stop, _CSV_BLOCK):
+            values = [column[i:min(i + _CSV_BLOCK, stop)].tolist() for column in columns]
+            fh.write("".join([line % row for row in zip(*values)]).encode())
+        start = stop
 
 
 # The C row formatter. Each cell is what CPython's repr writes: the shortest
@@ -581,18 +645,27 @@ def _block_bytes(ncols: int) -> int:
     return _CSV_BLOCK * ncols * _CSV_CELL + _CSV_OVER
 
 
-def _write_native(fh, native, columns, start: int, stop: int) -> None:
-    """_write_blocks' bytes, each block formatted by the C formatter native into one buffer."""
+def _write_native(fh, native, columns, counts) -> None:
+    """_write_blocks' bytes, each block formatted by the C formatter native into one buffer.
+
+    The columns are checked, and their addresses and the buffer taken, once;
+    a row count beyond the shortest column, or below the last, is refused
+    before a block past the last count is formatted.
+    """
     if not all(isinstance(column, np.ndarray) and column.dtype == np.float64
-               and column.ndim == 1 and column.size >= stop for column in columns):
-        raise ValueError(f"columns must be float64 rows of {stop} values at least")
+               and column.ndim == 1 for column in columns):
+        raise ValueError("columns must be float64 rows")
     spans = np.array([(column.ctypes.data, column.strides[0]) for column in columns],
                      dtype=np.int64)
     buffer = np.empty(_block_bytes(len(columns)), dtype=np.uint8)
-    for i in range(start, stop, _CSV_BLOCK):
-        size = native(len(columns), spans.ctypes.data, i, min(i + _CSV_BLOCK, stop),
-                      buffer.ctypes.data)
-        fh.write(buffer[:size])
+    ncols, cols, out = len(columns), spans.ctypes.data, buffer.ctypes.data
+    start, rows = 0, min(column.size for column in columns)
+    for stop in counts:
+        if not start <= stop <= rows:
+            raise ValueError(f"row count {stop} is not in [{start}, {rows}]")
+        for i in range(start, stop, _CSV_BLOCK):
+            fh.write(buffer[:native(ncols, cols, i, min(i + _CSV_BLOCK, stop), out)])
+        start = stop
 
 
 # Cells the C formatter must write as repr does before it is used: zeros,
@@ -617,15 +690,14 @@ _PROBE_CELLS = (
 def _formatter_mismatch(native):
     """The first probe line on which the C formatter native differs from _write_blocks, or None.
 
-    The probe cells stand in rows of 8 strided columns, formatted in two
-    calls (rows 0 to 2 and 2 to the last).
+    The probe cells stand in rows of 8 strided columns, formatted up to two
+    row counts (rows 0 to 2, then 2 to the last).
     """
     columns = list(np.array(_PROBE_CELLS).reshape(-1, 8).T)
     rows = columns[0].size
     want, got = io.BytesIO(), io.BytesIO()
-    _write_blocks(want, columns, 0, rows)
-    _write_native(got, native, columns, 0, 2)
-    _write_native(got, native, columns, 2, rows)
+    _write_blocks(want, columns, [rows])
+    _write_native(got, native, columns, [2, rows])
     if got.getvalue() == want.getvalue():
         return None
     lines = enumerate(zip(want.getvalue().split(b"\n"), got.getvalue().split(b"\n")))
@@ -646,29 +718,42 @@ def _formatter():
     return None if native is None or _formatter_mismatch(native) is not None else native
 
 
-def save_trace_csv(trace: SimTrace, path) -> None:
-    """Write a trace as CSV with IEEE round-trip decimal formatting.
+def _write_csv(path, names, columns, counts) -> None:
+    """Write the header names, then the rows of columns up to each row count that counts
+    yields, as it yields it, as a trace CSV at path.
 
-    Each cell is its float's repr. The calling process writes the header
-    and then one block of _CSV_BLOCK rows at a time: formatted by the C
-    formatter where cc is at hand and its probe passed, else by the Python
-    template of _write_blocks, with the same bytes. The file is published
-    whole by matrixfile.write_whole: any exception, an interrupt included,
-    removes the new file and leaves a trace already at path as it was.
+    Each cell is its float's repr. The rows go one block of _CSV_BLOCK rows
+    at a time: formatted by the C formatter where cc is at hand and its
+    probe passed, else by the Python template of _write_blocks, with the
+    same bytes. The file is published whole by matrixfile.write_whole: any
+    exception, from counts or an interrupt included, removes the new file
+    and leaves a trace already at path as it was.
     """
-    columns = list(_CSV_COLUMNS)
-    arrays = [trace.t, *trace.x.T, trace.u_command, trace.u_applied, trace.d]
-    for name in ("s", "integ"):
-        if getattr(trace, name) is not None:
-            columns.append(name)
-            arrays.append(getattr(trace, name))
     native = _formatter()
 
     def write(fh):
-        fh.write((",".join(columns) + "\n").encode())
+        fh.write((",".join(names) + "\n").encode())
         if native is None:
-            _write_blocks(fh, arrays, 0, trace.t.size)
+            _write_blocks(fh, columns, counts)
         else:
-            _write_native(fh, native, arrays, 0, trace.t.size)
+            _write_native(fh, native, columns, counts)
 
     write_whole(path, write, "wb")
+
+
+def save_trace_csv(trace: SimTrace, path) -> None:
+    """Write a trace as CSV with IEEE round-trip decimal formatting.
+
+    The calling thread writes the header and then every row, through the
+    writer that simulate streams a run's trace through, so the bytes are
+    those simulate writes for the run. The file is published whole by
+    matrixfile.write_whole: any exception, an interrupt included, removes
+    the new file and leaves a trace already at path as it was.
+    """
+    names = list(_CSV_COLUMNS)
+    columns = [trace.t, *trace.x.T, trace.u_command, trace.u_applied, trace.d]
+    for name in ("s", "integ"):
+        if getattr(trace, name) is not None:
+            names.append(name)
+            columns.append(getattr(trace, name))
+    _write_csv(path, names, columns, [trace.t.size])

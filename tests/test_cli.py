@@ -15,6 +15,7 @@ import re
 import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -414,6 +415,27 @@ def test_simulate_exits_3_when_a_period_leaves_the_floats(tmp_path, capsys):
     assert data[-1, header.index("dist")] == 1e6 and data[-2, header.index("dist")] == 0.0
     row = metrics.read_text().splitlines()[1].split(",")
     assert (row[1], row[5]) == ("", "diverged")
+
+
+@pytest.mark.parametrize("command, argv, code", [
+    ("simulate", ["--platform", "rotpen", "--disturbance", "paper", "--duration", "120"], 0),
+    ("simulate", ["--platform", "nxtway", "--disturbance", "paper", "--duration", "120",
+                  "--x0", "0,1.4,0,0"], 3),  # diverges mid-way
+    ("simulate", ["--platform", "rotpen", "--duration", "2", "--trace", "missing/trace.csv"], 1),
+    ("compare", ["--duration", "2"], 0),
+], ids=["runs", "diverges", "unwritable", "compare"])
+def test_no_thread_outlives_a_command_that_writes_traces(tmp_path, monkeypatch, capsys,
+                                                        command, argv, code):
+    # each trace is written by simulate while a worker thread runs the loop;
+    # the worker has ended when the command returns, whatever its exit code
+    monkeypatch.chdir(tmp_path)
+    outputs = ["--trace-dir", "traces"] if command == "compare" else ["--metrics", "m.csv"]
+    if "--trace" not in argv and command == "simulate":
+        outputs += ["--trace", "trace.csv"]
+    threads = threading.active_count()
+    assert cli.run([command, *argv, *outputs]) == code, capsys.readouterr().err
+    assert threading.active_count() == threads
+    assert not os.path.exists("missing")
 
 
 def test_simulate_smc_boundary_layer_smoke(tmp_path):

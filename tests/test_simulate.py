@@ -936,7 +936,7 @@ def test_generated_kernels_show_source_lines_in_tracebacks(platform):
     run = plants_module._kernel_factory(platform, "run")(**constants, dt=0.001, steps=2)
     # a run whose dist column is None fails at the tick's read of it
     settings = [float(_loop_settings()[name]) for name in plants_module._SETTINGS]
-    kernels = [(run, (settings, [None] * 8, 1, (0.0,) * len(plants_module._CARRY)), "run"),
+    kernels = [(run, (settings, [None] * 8, 1, 0, 1, (0.0,) * len(plants_module._CARRY)), "run"),
                (scalar_rhs(params), (0.1, 0.0, 0.0, None), "rhs")]
     for kernel, args, kind in kernels:
         with pytest.raises(TypeError) as info:
@@ -978,22 +978,35 @@ def test_rest_skip_engages_on_the_paper_run(tmp_path, monkeypatch, kernel):
         _native_or_skip("rotpen", tmp_path)
     else:
         _python_only(monkeypatch)
-    periods, runner = [], plants_module._runner
+    runs, start = [], plants_module._start
 
     def counted(*args):
-        table, k, carry, diverged = runner(*args)
-        periods.append(carry[plants_module._CARRY.index("periods")])
-        return table, k, carry, diverged
+        table, advance = start(*args)
+        ends = []
+        runs.append(ends)
 
-    monkeypatch.setattr(plants_module, "_runner", counted)
+        def advanced(stop):
+            ends.append(advance(stop))
+            return ends[-1]
+        return table, advanced
+
+    monkeypatch.setattr(plants_module, "_start", counted)
     params = default_params("rotpen")
     cfg = SimConfig(duration=120.0, controller_Ts=0.002,
                     disturbance=standard_pulse_train(params.V_max))
     trace = simulate(params, _rotpen_lqr(), cfg)
     ticks = trace.t.size
     assert ticks == 60001 and not trace.diverged
-    assert len(periods) == 1  # an untraced run is one call
-    assert 0 < periods[0] <= 0.51 * ticks  # one period per tick advanced
+    assert len(runs) == 1  # an untraced run is one run, in slices
+    (ends,) = runs
+    # the first slice copies the rest up to the first pulse, at row 30000;
+    # every later one ends a slice past the row it started from, or at the end
+    rows = [0] + [k for k, _, _ in ends]
+    assert rows[1] == 30000 and rows[-1] == ticks
+    assert all(k == min(j + plants_module._SLICE, ticks) or k > j + plants_module._SLICE
+               for j, k in zip(rows[1:], rows[2:]))
+    periods = ends[-1][1][plants_module._CARRY.index("periods")]
+    assert 0 < periods <= 0.51 * ticks  # one period per tick advanced
 
 
 def test_a_run_at_rest_allocates_little_beyond_its_trace():
@@ -1303,11 +1316,15 @@ def test_an_exception_in_the_tick_loop_leaves_no_file(tmp_path, monkeypatch):
     path = tmp_path / "trace.csv"
     with pytest.raises(RuntimeError, match="tick loop failed"):
         save_trace_csv(simulate(params, design, cfg), path)
+    with pytest.raises(RuntimeError, match="tick loop failed"):
+        simulate(params, design, cfg, path)
     assert not path.exists()
 
 
-def _full_disk_at(monkeypatch, failing):
-    """Make the trace file's write number failing (the header's is 1) fail with ENOSPC.
+def _full_disk_at(monkeypatch, failing, error=lambda: OSError(errno.ENOSPC,
+                                                              os.strerror(errno.ENOSPC))):
+    """Make the trace file's write number failing (the header's is 1) raise error(),
+    ENOSPC unless given.
 
     Returns the size of each write, then that of the file when it failed.
     """
@@ -1322,7 +1339,7 @@ def _full_disk_at(monkeypatch, failing):
             if len(sizes) == failing:
                 fh.flush()
                 sizes.append(os.path.getsize(file))
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                raise error()
             return write(data)
 
         fh.write = fills
@@ -1393,9 +1410,9 @@ def test_an_exception_while_formatting_removes_the_file(tmp_path, monkeypatch, e
 
                 monkeypatch.setattr(simulate_module, "_formatter", lambda: fails)
             else:
-                def fails(fh, columns, start, stop):
-                    calls.append((start, stop))
-                    write_blocks(fh, columns, start, start + _B)
+                def fails(fh, columns, counts):
+                    calls.append((0, *counts))
+                    write_blocks(fh, columns, [_B])
                     raise error("formatting failed")
 
                 _use_formatter(monkeypatch, "python")
@@ -1406,6 +1423,114 @@ def test_an_exception_while_formatting_removes_the_file(tmp_path, monkeypatch, e
             _assert_alone_and_kept(path, old)
             monkeypatch.setattr(simulate_module, "_write_blocks", write_blocks)
         path.unlink()
+
+
+def _streamed_run(case):
+    """(params, design, cfg) of a run that simulate writes as it runs, by case: a paper run
+    "platform-controller", a filtered-derivative run, a paper run that diverges mid-way,
+    or a run from beyond the divergence limit."""
+    if case == "filtered":
+        return _pulse_run("rotpen", "smc", 3 * _B + 1, "filtered-derivative")
+    platform, controller = ("nxtway", "lqr") if case in ("diverges", "beyond") else \
+        case.split("-")
+    params = default_params(platform)
+    cfg = SimConfig(duration=120.0, controller_Ts=0.002 if platform == "rotpen" else 0.004,
+                    disturbance=standard_pulse_train(params.V_max),
+                    x0=(0.0, 1.4, 0.0, 0.0) if case == "diverges" else (0.0,) * 4)
+    if case == "beyond":  # SimConfig refuses such an x0: set past it, the run stores no row
+        object.__setattr__(cfg, "x0", (0.0, 2e3, 0.0, 0.0))
+    return params, _DESIGNS[platform, controller](), cfg
+
+
+@pytest.mark.parametrize("kernel", ["native", "python"])
+@pytest.mark.parametrize("case", ["rotpen-lqr", "rotpen-smc", "nxtway-lqr", "nxtway-smc",
+                                  "filtered", "diverges", "beyond"])
+def test_a_run_writes_its_trace_while_it_runs(tmp_path, monkeypatch, case, kernel):
+    # simulate with a trace path writes the bytes save_trace_csv writes for
+    # the trace simulate returns without one, and returns that trace; its
+    # worker thread has ended when it returns
+    params, design, cfg = _streamed_run(case)
+    if kernel == "native":
+        _native_or_skip(params.platform, tmp_path)
+    else:
+        _python_only(monkeypatch)
+    threads = threading.active_count()
+    streamed = simulate(params, design, cfg, tmp_path / "streamed.csv")
+    assert threading.active_count() == threads
+    trace = simulate(params, design, cfg)
+    save_trace_csv(trace, tmp_path / "saved.csv")
+    assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "saved.csv").read_bytes()
+    for name in ("t", "x", "u_command", "u_applied", "d", "s", "integ"):
+        a, b = getattr(streamed, name), getattr(trace, name)
+        assert (a is None) == (b is None) and (a is None or a.tobytes() == b.tobytes()), name
+    assert streamed.diverged == trace.diverged == (case in ("diverges", "beyond"))
+    rows = {"diverges": 12840, "beyond": 0, "filtered": 3 * _B + 1}.get(case)
+    assert trace.t.size == (rows if rows is not None else round(120.0 / cfg.controller_Ts) + 1)
+    if case == "beyond":
+        header = "t,q1,q2,q1dot,q2dot,u_cmd,u_applied,dist,integ\n"  # the header alone
+        assert (tmp_path / "streamed.csv").read_text() == header
+
+
+@pytest.mark.parametrize("kernel", ["native", "python"])
+@pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+def test_a_write_that_fails_while_the_run_runs_keeps_the_old_file(tmp_path, monkeypatch, error,
+                                                                  kernel):
+    # the second block's write fails while the worker runs the loop on: the
+    # error propagates from simulate, the new file is removed, a trace
+    # already at the path is kept and the worker has been joined
+    params, design, cfg = _streamed_run("rotpen-lqr")
+    if kernel == "native":
+        _native_or_skip("rotpen", tmp_path)
+    else:
+        _python_only(monkeypatch)
+    path = tmp_path / "trace.csv"
+    threads = threading.active_count()
+    for old in (None, _OLD_TRACE):
+        if old is not None:
+            path.write_bytes(old)
+        sizes = _full_disk_at(monkeypatch, 3, lambda: error("the write failed"))
+        with pytest.raises(error, match="the write failed"):
+            simulate(params, design, cfg, path)
+        assert sizes[-1] == sizes[0] + sizes[1] > 0  # a partial file existed
+        _assert_alone_and_kept(path, old)
+        assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("kernel", ["native", "python"])
+def test_an_exception_in_a_slice_reaches_the_caller_and_keeps_the_old_file(tmp_path, monkeypatch,
+                                                                         kernel):
+    # the worker meets the error in the run's third slice: simulate raises
+    # it, after the writer removed the new file and the worker ended
+    params, design, cfg = _streamed_run("nxtway-smc")
+    if kernel == "native":
+        _native_or_skip("nxtway", tmp_path)
+    else:
+        _python_only(monkeypatch)
+    start = plants_module._start
+
+    def failing(*args):
+        table, advance = start(*args)
+        slices = []
+
+        def advanced(stop):
+            slices.append(stop)
+            if len(slices) == 3:
+                raise RuntimeError("the slice failed")
+            return advance(stop)
+        return table, advanced
+
+    monkeypatch.setattr(plants_module, "_start", failing)
+    path = tmp_path / "trace.csv"
+    threads = threading.active_count()
+    for old in (None, _OLD_TRACE):
+        if old is not None:
+            path.write_bytes(old)
+        with pytest.raises(RuntimeError, match="the slice failed"):
+            simulate(params, design, cfg, path)
+        _assert_alone_and_kept(path, old)
+        assert threading.active_count() == threads
+    with pytest.raises(RuntimeError, match="the slice failed"):
+        simulate(params, design, cfg)
 
 
 def _buffer_floats(column):
@@ -1545,16 +1670,16 @@ def _loop_settings(**changed):
 def test_the_tick_loop_is_native_where_cc_exists(tmp_path, monkeypatch, platform):
     _native_or_skip(platform, tmp_path)
     assert _loop_name(platform) == "native"
-    kernels, runner = [], plants_module._runner
+    kernels, start = [], plants_module._start
 
     def recorded(*args):
         kernels.append(args[-1])
-        return runner(*args)
+        return start(*args)
 
-    monkeypatch.setattr(plants_module, "_runner", recorded)
-    table, diverged = tick_loop(default_params(platform), 0.0005, 4, [0.0] * 3, _loop_settings(),
-                                (0.0, 0.0, 0.0, 0.0))
-    assert table.shape == (7, 3) and diverged is False
+    monkeypatch.setattr(plants_module, "_start", recorded)
+    table, run = tick_loop(default_params(platform), 0.0005, 4, [0.0] * 3, _loop_settings(),
+                           (0.0, 0.0, 0.0, 0.0))
+    assert table.shape == (7, 3) and list(run) == [(3, False)]
     assert kernels == [plants_module._native_library(platform)]
 
 
@@ -1731,7 +1856,11 @@ def test_the_probe_runs_cover_the_laws_saturation_a_pulse_edge_and_rest(platform
         (0.0, 0.0, 0.0, False), (0.0, 1.0, 1.0, False), (1.0, 0.0, 0.0, False),
         (1.0, 0.0, 1.0, True)}
     saturated = copied = edges = 0
-    for (smc, integral, _, _), outcome in zip(laws, plants_module._probe_outcomes(platform, None)):
+    outcomes = plants_module._probe_outcomes(platform, None)
+    # each run, whole and then resumed in slices: the Python loop resumes
+    # bit for bit, so a C loop must give both to pass
+    assert len(outcomes) == 2 * len(laws) and outcomes[1::2] == outcomes[::2]
+    for (smc, integral, _, _), outcome in zip(laws, outcomes[::2]):
         table = np.frombuffer(outcome[0]).reshape(7 + int(smc or integral), 16)
         k, carry, diverged = outcome[1:]
         saturated += int(np.any(table[4, :k] != table[5, :k]))
@@ -1739,6 +1868,17 @@ def test_the_probe_runs_cover_the_laws_saturation_a_pulse_edge_and_rest(platform
         periods = _carried(carry)["periods"]
         copied += int(not diverged and periods < k - 1)
     assert saturated and edges and copied
+    # the slices stop inside a copy at rest (which runs past row 3 to the
+    # pulse edge), at row 3 itself in a run that moves, and on the edge
+    reached = set()
+    for i, (smc, integral, filtered, eps) in enumerate(laws):
+        settings = dict(plants_module._PROBE_SETTINGS, smc=smc, integral=integral,
+                        filtered=filtered, eps=eps)
+        _, advance = plants_module._start(
+            default_params(platform), 0.0005, 4, plants_module._PROBE_DIST, settings,
+            plants_module._PROBES[i % len(plants_module._PROBES)], None)
+        reached.add(tuple(advance(stop)[0] for stop in plants_module._PROBE_STOPS))
+    assert {(8, 8, 11, 16), (3, 8, 11, 16)} <= reached
 
 
 @pytest.mark.parametrize("dist, dt, steps", [
@@ -1969,6 +2109,24 @@ def test_a_probe_file_that_does_not_match_takes_the_full_probe_and_is_rewritten(
         assert stored.read_text() == digest
 
 
+def test_a_c_loop_that_does_not_resume_from_its_start_row_is_refused(tmp_path, monkeypatch):
+    # a frame that starts each call at row 0, not at the row it is given,
+    # runs every whole probe run as the Python loop does, but no run resumed
+    # in slices: the probe refuses it, and the traces stay the same bytes
+    _native_or_skip("rotpen", tmp_path)
+    want = _short_run_bytes(tmp_path, "before")
+    frame = plants_module._C_SOURCE.replace("int64_t k = start;", "int64_t k = 0;")
+    assert frame != plants_module._C_SOURCE
+    monkeypatch.setattr(plants_module, "_C_SOURCE", frame)
+    so_file = str(tmp_path / "rotpen.so")
+    plants_module._build(plants_module._c_source("rotpen"), so_file)
+    run = plants_module._load(so_file, "run", plants_module._RUN_SIGNATURE)
+    assert plants_module._probe_mismatch("rotpen", run).startswith("probe run 0 in slices ")
+    native = _fresh_native(monkeypatch, tmp_path / "cache")
+    assert native("rotpen") is None and native("nxtway") is None
+    assert _short_run_bytes(tmp_path, "after") == want
+
+
 def test_a_kernel_that_differs_from_its_stored_outcomes_is_refused(tmp_path, monkeypatch):
     # an object under this source's key whose C differs by a weight: its
     # refusal is stored with its C outcomes, and a later process refuses it
@@ -2159,13 +2317,28 @@ def test_the_c_formatter_writes_every_float_as_repr_does(tmp_path):
     columns = list(values.reshape(-1, 8).T)  # strided
     rows = values.size // 8
     want, got = io.BytesIO(), io.BytesIO()
-    simulate_module._write_blocks(want, columns, 0, rows)
-    simulate_module._write_native(got, native, columns, 0, rows)
+    simulate_module._write_blocks(want, columns, [rows])
+    simulate_module._write_native(got, native, columns, [rows])
     if got.getvalue() != want.getvalue():
         lines = zip(got.getvalue().split(b"\n"), want.getvalue().split(b"\n"))
         pytest.fail("first differing row (C, repr): %r" % (next(
             (g, w) for g, w in lines if g != w),))
     assert want.getvalue().count(b"e-3") > 1000 and b"e+308" in want.getvalue()
+
+
+def test_the_c_writer_refuses_rows_its_columns_do_not_hold(tmp_path):
+    # a row count past the shortest column, or back before the last count,
+    # is refused before any of its rows is formatted; so is a column that is
+    # not float64
+    native = _formatter_or_skip(tmp_path)
+    columns = [np.arange(4.0), np.arange(3.0)]
+    for counts, rows in (([2, 4], 2), ([3, 1], 3)):
+        got = io.BytesIO()
+        with pytest.raises(ValueError, match="row count"):
+            simulate_module._write_native(got, native, columns, counts)
+        assert got.getvalue() == b"".join(b"%d.0,%d.0\n" % (i, i) for i in range(rows))
+    with pytest.raises(ValueError, match="float64"):
+        simulate_module._write_native(io.BytesIO(), native, [np.arange(3)], [3])
 
 
 def _formatted_into(native, columns, rows, size, fill):
@@ -2188,7 +2361,7 @@ def test_a_full_block_of_the_longest_cells_stays_inside_the_buffer(tmp_path, fil
     size = simulate_module._block_bytes(9)
     got, buffer = _formatted_into(native, columns, _B, size, fill)
     want = io.BytesIO()
-    simulate_module._write_blocks(want, columns, 0, _B)
+    simulate_module._write_blocks(want, columns, [_B])
     assert got == want.getvalue() and len(got) == _B * 9 * simulate_module._CSV_CELL
     assert not np.any(buffer[size:] != fill)
 
